@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands wrap the scenario runners and analytic maps, writing deterministic
-CSV/JSON outputs. Exit codes: 0 success, 1 usage or configuration error,
-2 scientific tolerance failure. All energies are raw numbers in the same
-arbitrary unit (hbar = 1).
+CSV/JSON outputs. Exit codes: 0 success, 1 usage error, bad configuration or
+invalid physics input (any ValueError), 2 scientific tolerance failure. All
+energies are raw numbers in the same arbitrary unit (hbar = 1).
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytics, experiments
+from .dynamics import write_series_csv
 from .model import (
     ModelParams,
     beta_working_point,
@@ -26,31 +27,22 @@ from .model import (
 )
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
 _COMMON_KEYS = {"seed", "out"}
 
+# Every scenario default is a relax config key, except the initial state: a
+# QubitState, which JSON cannot express.
+_RELAX_KEYS = {
+    key for defaults, _ in experiments._SCENARIOS.values() for key in defaults
+} - {"rho0"}
+
 _KNOWN_KEYS = {
     "attractor-map": _COMMON_KEYS
     | {"dt_min", "dt_max", "detuning_min", "detuning_max", "grid", "delta_s", "beta"},
-    "relax": _COMMON_KEYS
-    | {
-        "scenario",
-        "engine",
-        "reset_mode",
-        "n_traj",
-        "steps",
-        "tolerance",
-        "model",
-        "delta_s",
-        "detuning",
-        "coupling",
-        "dt",
-        "n",
-        "k0",
-    },
+    "relax": _COMMON_KEYS | _RELAX_KEYS | {"scenario"},
     "freeze": _COMMON_KEYS
     | {
         "delta_s",
@@ -193,48 +185,24 @@ def cmd_attractor_map(cfg: dict) -> int:
 
 def cmd_relax(cfg: dict) -> int:
     scenario = cfg.setdefault("scenario", "fig2")
-    overrides = {}
-    for key in (
-        "delta_s",
-        "detuning",
-        "coupling",
-        "dt",
-        "n",
-        "k0",
-        "engine",
-        "reset_mode",
-        "n_traj",
-        "steps",
-        "tolerance",
-        "model",
-    ):
-        if cfg.get(key) is not None:
-            overrides[key] = cfg[key]
-    if "seed" in cfg and cfg["seed"] is not None:
-        overrides["seed"] = int(cfg["seed"])
-    if scenario == "fig2":
-        report = experiments.reproduce_fig2(**overrides)
-    elif scenario == "fig3":
-        report = experiments.reproduce_fig3(**overrides)
-    else:
-        raise ConfigError(f"unknown scenario {scenario!r}")
+    overrides = {key: cfg[key] for key in _RELAX_KEYS if cfg.get(key) is not None}
+    if "seed" in overrides:
+        overrides["seed"] = int(overrides["seed"])
+    report = experiments.run_scenario(scenario, **overrides)
     out = _out_dir(cfg)
-    csv_path = out / f"relax_{scenario}.csv"
-    rho00 = report.series["rho00_exact"]
-    re10 = report.series["re_rho10"]
-    im10 = report.series["im_rho10"]
-    stderr = report.series["stderr"]
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["j", "k_j", "rho00", "re_rho10", "im_rho10", "stderr"])
-        for j, val in enumerate(rho00):
-            w.writerow([j, "", repr(float(val)), repr(float(re10[j])),
-                        repr(float(im10[j])), repr(float(stderr[j]))])
+    series = report.series
+    write_series_csv(
+        out / f"relax_{scenario}.csv",
+        series["rho00_exact"],
+        series["re_rho10"],
+        series["im_rho10"],
+        stderr=series["stderr"],
+    )
     report.extra["metadata"] = _metadata(cfg)
     report.to_json(out / f"relax_{scenario}.json")
     status = "pass" if report.passed else "FAIL"
     print(
-        f"{scenario}: plateau={report.plateau:.4f} target={report.target} "
+        f"{scenario}: plateau={report.plateau:.4f} target={report.target:.4f} "
         f"tol={report.tolerance} [{status}]"
     )
     return 0 if report.passed else 2
@@ -247,19 +215,16 @@ def cmd_freeze(cfg: dict) -> int:
         coupling=float(cfg.setdefault("coupling", 0.05)),
         dt=float(cfg.setdefault("dt", math.pi)),
     )
-    try:
-        report = experiments.verify_freezing(
-            params,
-            steps=int(cfg.setdefault("steps", 500)),
-            n=int(cfg.setdefault("n", 7)),
-            k0=int(cfg.setdefault("k0", 2)),
-            engine=cfg.setdefault("engine", "nonselective"),
-            seed=int(cfg.get("seed", experiments.DEFAULT_SEED)),
-            model=cfg.setdefault("model", "random-band"),
-            n_traj=cfg.get("n_traj"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    report = experiments.verify_freezing(
+        params,
+        steps=int(cfg.setdefault("steps", 500)),
+        n=int(cfg.setdefault("n", 7)),
+        k0=int(cfg.setdefault("k0", 2)),
+        engine=cfg.setdefault("engine", "nonselective"),
+        seed=int(cfg.get("seed", experiments.DEFAULT_SEED)),
+        model=cfg.setdefault("model", "random-band"),
+        n_traj=cfg.get("n_traj"),
+    )
     report.extra["metadata"] = _metadata(cfg)
     out = _out_dir(cfg)
     report.to_json(out / "freeze.json")
@@ -400,7 +365,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args, args.command)
         return _DISPATCH[args.command](cfg)
-    except ConfigError as exc:
+    except ValueError as exc:  # bad configuration or physics input
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -31,6 +31,7 @@ __all__ = [
     "run_trajectory",
     "run_ensemble",
     "trajectory_seed",
+    "write_series_csv",
 ]
 
 
@@ -190,6 +191,28 @@ def cojump_norm(state: TotalState) -> float:
     return float(np.linalg.norm(corr))
 
 
+def write_series_csv(path, rho00, re_rho10, im_rho10, stderr=None, k_j=None) -> None:
+    """Write the per-step series CSV `j,k_j,rho00,re_rho10,im_rho10,stderr`.
+
+    Floats are written with repr, so they round-trip exactly; a column given
+    as None (no band record, no statistical error) is left empty.
+    """
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["j", "k_j", "rho00", "re_rho10", "im_rho10", "stderr"])
+        for j in range(len(rho00)):
+            w.writerow(
+                [
+                    j,
+                    "" if k_j is None else int(k_j[j]),
+                    repr(float(rho00[j])),
+                    repr(float(re_rho10[j])),
+                    repr(float(im_rho10[j])),
+                    "" if stderr is None else repr(float(stderr[j])),
+                ]
+            )
+
+
 @dataclass
 class Trajectory:
     """Single measurement record: band outcomes, reduced states, probabilities."""
@@ -205,20 +228,9 @@ class Trajectory:
         return len(self.probs)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["j", "k_j", "rho00", "re_rho10", "im_rho10", "stderr"])
-            for j in range(len(self.rho00)):
-                w.writerow(
-                    [
-                        j,
-                        int(self.outcomes[j]),
-                        repr(float(self.rho00[j])),
-                        repr(float(self.rho10[j].real)),
-                        repr(float(self.rho10[j].imag)),
-                        "",
-                    ]
-                )
+        write_series_csv(
+            path, self.rho00, self.rho10.real, self.rho10.imag, k_j=self.outcomes
+        )
 
 
 @dataclass
@@ -239,20 +251,9 @@ class EnsembleSeries:
         return len(self.rho00) - 1
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["j", "k_j", "rho00", "re_rho10", "im_rho10", "stderr"])
-            for j in range(len(self.rho00)):
-                w.writerow(
-                    [
-                        j,
-                        "",
-                        repr(float(self.rho00[j])),
-                        repr(float(self.rho10[j].real)),
-                        repr(float(self.rho10[j].imag)),
-                        repr(float(self.stderr[j])),
-                    ]
-                )
+        write_series_csv(
+            path, self.rho00, self.rho10.real, self.rho10.imag, stderr=self.stderr
+        )
 
     def to_json(self, path, metadata: dict | None = None) -> None:
         doc = {

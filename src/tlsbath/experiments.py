@@ -11,7 +11,7 @@ import numpy as np
 
 from . import analytics
 from .analytics import is_freezing_point, offdiag_coeffs, rho00_closed_form
-from .dynamics import EnsembleSeries, run_ensemble
+from .dynamics import run_ensemble
 from .model import (
     BandedEnvironment,
     ModelParams,
@@ -26,6 +26,7 @@ __all__ = [
     "attractor_map",
     "reproduce_fig2",
     "reproduce_fig3",
+    "run_scenario",
     "zeno_scan",
     "verify_freezing",
     "compare_engines",
@@ -113,41 +114,91 @@ def attractor_map(
     return dts, dets, grid, np.isnan(grid)
 
 
-def _relaxation_scenario(
-    scenario: str,
-    params: ModelParams,
-    beta_eff: float,
-    target: float,
-    tolerance: float,
-    n: int,
-    k0: int,
-    rho0: QubitState,
-    engine: str,
-    reset_mode: str,
-    n_traj: int | None,
-    seed: int,
-    steps: int | None,
-    model: str,
-) -> ScenarioReport:
+_COMMON_DEFAULTS = {
+    "delta_s": 1.0,
+    "n": 7,
+    "k0": 2,
+    "rho0": GROUND,
+    "engine": "nonselective",
+    "reset_mode": "coarse",
+    "n_traj": None,
+    "seed": DEFAULT_SEED,
+    "steps": None,
+    "tolerance": 0.03,
+    "model": "random-band",
+}
+
+# Relaxation scenarios: name -> (defaults, beta_eff band pair relative to k0).
+_SCENARIOS = {
+    # Only bands k0 and k0-1 participate at resonance with dt = pi/delta_s.
+    "fig2": (
+        {**_COMMON_DEFAULTS, "detuning": 0.0, "coupling": 0.05, "dt": math.pi},
+        (-1, 0),
+    ),
+    # The counter-rotating channel drives k0 -> k0+1 only. The resonant
+    # channel here is weak (its sinc factor is ~0.026), so fourth-order
+    # leakage competes at coupling 0.05 over the ~6e4 steps the transient
+    # needs. 0.025 keeps the exact run inside the analytic regime.
+    "fig3": (
+        {
+            **_COMMON_DEFAULTS,
+            "detuning": 0.7,
+            "coupling": 0.025,
+            "dt": 2.0 * math.pi / 0.7,
+        },
+        (0, 1),
+    ),
+}
+
+
+def run_scenario(scenario: str, **overrides) -> ScenarioReport:
+    """Relaxation toward the analytic attractor d/R of the scenario's band pair.
+
+    Overrides must name keys of the scenario's defaults. The run passes when
+    its plateau lies within `tolerance` of the attractor at its own n and k0.
+    """
+    if scenario not in _SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    defaults, (lo, hi) = _SCENARIOS[scenario]
+    unknown = sorted(set(overrides) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown {scenario} override(s) {unknown}")
+    cfg = {**defaults, **overrides}
     t0 = time.perf_counter()
-    rel = analytics.relaxation_constants(params, beta_eff)
+    params = ModelParams(
+        delta_s=cfg["delta_s"],
+        detuning=cfg["detuning"],
+        coupling=cfg["coupling"],
+        dt=cfg["dt"],
+    )
+    n, k0, rho0 = cfg["n"], cfg["k0"], cfg["rho0"]
+    seed, steps = cfg["seed"], cfg["steps"]
+    beta_eff = effective_beta(n, k0 + lo, k0 + hi, params.delta_b)
+    frozen, _, _ = is_freezing_point(params.dt, params.detuning, params.delta_s)
+    att = None if frozen else analytics.attractor(params, beta_eff)
+    if att is None:
+        raise ValueError(
+            f"(dt={params.dt}, detuning={params.detuning}) is a freezing point: "
+            "there is no attractor to relax to"
+        )
     if steps is None:
-        steps = int(math.ceil(8.0 / rel.rate))
-    env = default_environment(n=n, delta_b=params.delta_b, seed=seed, model=model)
+        steps = int(math.ceil(8.0 / att.rate))
+    env = default_environment(
+        n=n, delta_b=params.delta_b, seed=seed, model=cfg["model"]
+    )
     series = run_ensemble(
         params,
         env,
         rho0,
         k0=k0,
         steps=steps,
-        n_traj=n_traj,
+        n_traj=cfg["n_traj"],
         master_seed=seed,
-        reset_mode=reset_mode,
-        engine=engine,
+        reset_mode=cfg["reset_mode"],
+        engine=cfg["engine"],
     )
     overlay = rho00_closed_form(rho0.rho00, np.arange(steps + 1), params, beta_eff)
     level = plateau(series.rho00)
-    passed = abs(level - target) <= tolerance
     return ScenarioReport(
         scenario=scenario,
         params={
@@ -159,10 +210,10 @@ def _relaxation_scenario(
             "n": n,
             "k0": k0,
             "steps": steps,
-            "engine": engine,
-            "reset_mode": reset_mode,
-            "n_traj": n_traj,
-            "model": model,
+            "engine": cfg["engine"],
+            "reset_mode": cfg["reset_mode"],
+            "n_traj": cfg["n_traj"],
+            "model": cfg["model"],
             "rho00_initial": rho0.rho00,
         },
         series={
@@ -173,13 +224,13 @@ def _relaxation_scenario(
             "rho00_analytic": np.asarray(overlay).tolist(),
         },
         plateau=level,
-        target=target,
-        tolerance=tolerance,
-        passed=passed,
+        target=att.rho00_star,
+        tolerance=cfg["tolerance"],
+        passed=abs(level - att.rho00_star) <= cfg["tolerance"],
         wall_time=time.perf_counter() - t0,
         seeds={"master_seed": seed},
         extra={
-            "rate_analytic": rel.rate,
+            "rate_analytic": att.rate,
             "t_eff": analytics.effective_temperature(level, params.delta_s),
         },
     )
@@ -187,95 +238,12 @@ def _relaxation_scenario(
 
 def reproduce_fig2(**overrides) -> ScenarioReport:
     """Resonant relaxation to the 3/4 attractor (seven spins, two initially up)."""
-    cfg = {
-        "delta_s": 1.0,
-        "detuning": 0.0,
-        "coupling": 0.05,
-        "dt": math.pi,
-        "n": 7,
-        "k0": 2,
-        "rho0": GROUND,
-        "engine": "nonselective",
-        "reset_mode": "coarse",
-        "n_traj": None,
-        "seed": DEFAULT_SEED,
-        "steps": None,
-        "tolerance": 0.03,
-        "model": "random-band",
-    }
-    cfg.update(overrides)
-    params = ModelParams(
-        delta_s=cfg["delta_s"],
-        detuning=cfg["detuning"],
-        coupling=cfg["coupling"],
-        dt=cfg["dt"],
-    )
-    # Only bands k0 and k0-1 participate at resonance with dt = pi/delta_s.
-    beta_eff = effective_beta(cfg["n"], cfg["k0"] - 1, cfg["k0"], params.delta_b)
-    return _relaxation_scenario(
-        "fig2",
-        params,
-        beta_eff,
-        target=0.75,
-        tolerance=cfg["tolerance"],
-        n=cfg["n"],
-        k0=cfg["k0"],
-        rho0=cfg["rho0"],
-        engine=cfg["engine"],
-        reset_mode=cfg["reset_mode"],
-        n_traj=cfg["n_traj"],
-        seed=cfg["seed"],
-        steps=cfg["steps"],
-        model=cfg["model"],
-    )
+    return run_scenario("fig2", **overrides)
 
 
 def reproduce_fig3(**overrides) -> ScenarioReport:
     """Detuned relaxation into inversion (3/8 attractor, negative temperature)."""
-    # The resonant channel here is weak (its sinc factor is ~0.026), so
-    # fourth-order leakage competes at coupling 0.05 over the ~6e4 steps the
-    # transient needs. 0.025 keeps the exact run inside the analytic regime.
-    cfg = {
-        "delta_s": 1.0,
-        "detuning": 0.7,
-        "coupling": 0.025,
-        "dt": 2.0 * math.pi / 0.7,
-        "n": 7,
-        "k0": 2,
-        "rho0": GROUND,
-        "engine": "nonselective",
-        "reset_mode": "coarse",
-        "n_traj": None,
-        "seed": DEFAULT_SEED,
-        "steps": None,
-        "tolerance": 0.03,
-        "model": "random-band",
-    }
-    cfg.update(overrides)
-    params = ModelParams(
-        delta_s=cfg["delta_s"],
-        detuning=cfg["detuning"],
-        coupling=cfg["coupling"],
-        dt=cfg["dt"],
-    )
-    # The counter-rotating channel drives k0 -> k0+1 only.
-    beta_eff = effective_beta(cfg["n"], cfg["k0"], cfg["k0"] + 1, params.delta_b)
-    return _relaxation_scenario(
-        "fig3",
-        params,
-        beta_eff,
-        target=0.375,
-        tolerance=cfg["tolerance"],
-        n=cfg["n"],
-        k0=cfg["k0"],
-        rho0=cfg["rho0"],
-        engine=cfg["engine"],
-        reset_mode=cfg["reset_mode"],
-        n_traj=cfg["n_traj"],
-        seed=cfg["seed"],
-        steps=cfg["steps"],
-        model=cfg["model"],
-    )
+    return run_scenario("fig3", **overrides)
 
 
 def zeno_scan(
@@ -406,12 +374,7 @@ def compare_engines(scenario: str = "fig2", tolerance: float = 0.03, **overrides
 
     Returns a dict with the per-step maximum gap and the final-plateau gap.
     """
-    if scenario == "fig2":
-        report = reproduce_fig2(engine="nonselective", **overrides)
-    elif scenario == "fig3":
-        report = reproduce_fig3(engine="nonselective", **overrides)
-    else:
-        raise ValueError(f"unknown scenario {scenario!r}")
+    report = run_scenario(scenario, engine="nonselective", **overrides)
     exact = np.asarray(report.series["rho00_exact"])
     analytic = np.asarray(report.series["rho00_analytic"])
     gap = np.abs(exact - analytic)

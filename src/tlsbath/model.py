@@ -49,6 +49,10 @@ class ModelParams:
     beta: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("delta_s", "detuning", "coupling", "dt", "beta"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.delta_s <= 0:
             raise ValueError(f"delta_s must be > 0, got {self.delta_s}")
         if self.delta_b <= 0:

@@ -2,9 +2,13 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
+from tlsbath import cli
 from tlsbath.cli import main
+from tlsbath.dynamics import EnsembleSeries, Trajectory
+from tlsbath.experiments import _SCENARIOS, ScenarioReport
 
 
 def read_csv(path):
@@ -98,6 +102,89 @@ class TestRelaxCommand:
             doc["extra"]["metadata"].pop("timestamp")
             doc.pop("wall_time")
         assert ja == jb
+
+
+    @pytest.mark.parametrize("scenario", sorted(_SCENARIOS))
+    def test_every_default_key_accepted(self, tmp_path, scenario):
+        defaults, _ = _SCENARIOS[scenario]
+        payload = {k: v for k, v in defaults.items() if k != "rho0"}
+        cfg = write_config(tmp_path, {**payload, "scenario": scenario})
+        assert main(["relax", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+    def test_rho0_key_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"rho0": 1.0})
+        assert main(["relax", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "rho0" in capsys.readouterr().err
+
+    def test_target_at_own_n(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"n": 9})
+        code = main(["relax", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 0
+        assert "target=0.8000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "payload, flags, message",
+        [
+            ({"detuning": 2.0}, [], "freezing point"),
+            ({}, ["--engine", "sampled"], "n_traj"),
+            ({"delta_s": math.nan}, [], "delta_s"),
+            ({"dt": math.inf}, [], "dt"),
+            ({"coupling": math.nan}, [], "coupling"),
+        ],
+    )
+    def test_invalid_physics_exit_1(self, tmp_path, capsys, payload, flags, message):
+        cfg = write_config(tmp_path, payload)
+        code = main(["relax", "--config", cfg, "--out", str(tmp_path), *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+
+
+def test_series_csv_bytes(tmp_path, monkeypatch):
+    """Trajectory, EnsembleSeries and `relax` write the bytes that their three
+    separate writers wrote before they were merged into one."""
+    rho00 = np.array([1.0, 0.1 + 0.2, 0.75])
+    rho10 = np.array([0j, complex(0.25, -0.0), complex(-1e-17, 0.125)])
+    stderr = np.array([0.0, 1 / 3, 2.5e-5])
+    outcomes = np.array([2, 1, 2])
+    Trajectory(
+        outcomes=outcomes, rho00=rho00, rho10=rho10, probs=np.array([0.5, 0.25])
+    ).to_csv(tmp_path / "traj.csv")
+    EnsembleSeries(
+        rho00=rho00, rho10=rho10, stderr=stderr, n_traj=3, engine="sampled",
+        reset_mode="coarse",
+    ).to_csv(tmp_path / "ensemble.csv")
+    report = ScenarioReport(
+        scenario="fig2",
+        params={},
+        series={
+            "rho00_exact": rho00.tolist(),
+            "re_rho10": rho10.real.tolist(),
+            "im_rho10": rho10.imag.tolist(),
+            "stderr": stderr.tolist(),
+        },
+        plateau=0.75,
+        target=0.75,
+        tolerance=0.03,
+        passed=True,
+    )
+    monkeypatch.setattr(cli.experiments, "run_scenario", lambda *a, **kw: report)
+    assert main(["relax", "--out", str(tmp_path)]) == 0
+
+    header = b"j,k_j,rho00,re_rho10,im_rho10,stderr\r\n"
+    assert (tmp_path / "traj.csv").read_bytes() == header + (
+        b"0,2,1.0,0.0,0.0,\r\n"
+        b"1,1,0.30000000000000004,0.25,-0.0,\r\n"
+        b"2,2,0.75,-1e-17,0.125,\r\n"
+    )
+    ensemble = header + (
+        b"0,,1.0,0.0,0.0,0.0\r\n"
+        b"1,,0.30000000000000004,0.25,-0.0,0.3333333333333333\r\n"
+        b"2,,0.75,-1e-17,0.125,2.5e-05\r\n"
+    )
+    assert (tmp_path / "ensemble.csv").read_bytes() == ensemble
+    assert (tmp_path / "relax_fig2.csv").read_bytes() == ensemble
 
 
 class TestFreezeCommand:

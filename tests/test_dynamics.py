@@ -328,3 +328,8 @@ def test_trajectory_csv_round_trip(tmp_path, resonant_params, small_env, ground)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "j,k_j,rho00,re_rho10,im_rho10,stderr"
     assert len(lines) == 12
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(r[1]) for r in rows] == tr.outcomes.tolist()
+    assert [float(r[2]) for r in rows] == tr.rho00.tolist()
+    assert [complex(float(r[3]), float(r[4])) for r in rows] == tr.rho10.tolist()
+    assert all(r[5] == "" for r in rows)

@@ -6,12 +6,14 @@ import pytest
 
 from tlsbath.analytics import attractor_rho00, offdiag_coeffs, relaxation_constants
 from tlsbath.experiments import (
+    _SCENARIOS,
     attractor_map,
     compare_engines,
     default_environment,
     plateau,
     reproduce_fig2,
     reproduce_fig3,
+    run_scenario,
     verify_freezing,
     zeno_scan,
 )
@@ -71,6 +73,37 @@ class TestFigureScenarios:
         assert doc["scenario"] == "fig2"
         assert doc["passed"] is True
         assert doc["seeds"]["master_seed"] == fig2_report.seeds["master_seed"]
+
+
+class TestScenarioTable:
+    @pytest.mark.parametrize(
+        "scenario, n, target",
+        [
+            ("fig2", 7, 0.75),
+            ("fig3", 7, 0.375),
+            ("fig2", 9, 36 / (9 + 36)),
+            ("fig3", 9, 36 / (36 + 84)),
+        ],
+    )
+    def test_target_is_attractor_at_own_n(self, scenario, n, target):
+        """The target follows the band pair's degeneracies C(n, k) at each n."""
+        report = run_scenario(scenario, n=n, steps=1)
+        assert report.target == pytest.approx(target, abs=1e-15)
+
+    def test_fig2_passes_at_n9(self):
+        report = reproduce_fig2(n=9)
+        assert report.passed
+        assert report.plateau == pytest.approx(0.8, abs=0.03)
+
+    @pytest.mark.parametrize("scenario", sorted(_SCENARIOS))
+    def test_unknown_override_rejected(self, scenario):
+        with pytest.raises(ValueError, match="couplingg"):
+            run_scenario(scenario, couplingg=0.05)
+
+    @pytest.mark.parametrize("scenario", sorted(_SCENARIOS))
+    def test_freezing_point_rejected(self, scenario):
+        with pytest.raises(ValueError, match="freezing point"):
+            run_scenario(scenario, detuning=2.0, dt=math.pi)
 
 
 class TestAttractorMap:

@@ -47,6 +47,14 @@ def test_params_validation():
     assert ModelParams(delta_s=1.0, detuning=0.7).delta_b == pytest.approx(1.7)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("delta_s", math.nan), ("dt", math.inf), ("coupling", math.nan)]
+)
+def test_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        ModelParams(**{"delta_s": 1.0, field: value})
+
+
 def test_qubit_state_consistency():
     q = QubitState(rho00=0.3, rho10=0.35 + 0.1j)
     assert q.rho11 == pytest.approx(0.7)
