@@ -35,18 +35,48 @@ __all__ = [
 ]
 
 
+def _connected_blocks(linked: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of a symmetric boolean pattern."""
+    unseen = np.ones(len(linked), dtype=bool)
+    blocks = []
+    while unseen.any():
+        block = np.zeros(len(linked), dtype=bool)
+        front = np.zeros(len(linked), dtype=bool)
+        front[np.argmax(unseen)] = True
+        while front.any():
+            block |= front
+            front = linked[front].any(axis=0) & ~block
+        unseen &= ~block
+        blocks.append(np.flatnonzero(block))
+    return blocks
+
+
 class Propagator:
-    """Unitary exp(-i H dt) from a cached Hermitian eigendecomposition."""
+    """Unitary exp(-i H dt) from cached Hermitian eigendecompositions.
+
+    H is diagonalised block by block over the connected components of its
+    exact nonzero pattern. For the joint Hamiltonians of this package these
+    are the two parity sectors of (TLS level + band index) mod 2, each of
+    dimension env.dim, since the coupling only links adjacent bands.
+    """
 
     def __init__(self, h: np.ndarray, herm_tol: float = 1e-10):
         h = np.asarray(h, dtype=complex)
         if np.max(np.abs(h - h.conj().T)) > herm_tol:
             raise ValueError("Hamiltonian is not Hermitian")
-        self.energies, self.modes = np.linalg.eigh(h)
+        self.dim = len(h)
+        linked = h != 0
+        self.blocks = [
+            (idx, *np.linalg.eigh(h[np.ix_(idx, idx)]))
+            for idx in _connected_blocks(linked | linked.T)
+        ]
 
     def unitary(self, dt: float) -> np.ndarray:
-        phases = np.exp(-1j * self.energies * dt)
-        return (self.modes * phases) @ self.modes.conj().T
+        u = np.zeros((self.dim, self.dim), dtype=complex)
+        for idx, energies, modes in self.blocks:
+            phases = np.exp(-1j * energies * dt)
+            u[np.ix_(idx, idx)] = (modes * phases) @ modes.conj().T
+        return u
 
 
 @dataclass
@@ -425,24 +455,39 @@ def run_trajectory(
 
 
 def _run_nonselective_exact(params, env, rho0: QubitState, k0, steps):
-    """Full joint density matrix, nonselective measurement, no coarse graining."""
+    """Exact joint density matrix, nonselective measurement, no coarse graining.
+
+    After every band measurement rho is block-diagonal in the bands, so it is
+    held as one 2N_k x 2N_k block per band over both TLS levels, and a step is
+    rho_k' = sum_l U[B_k, B_l] rho_l U[B_k, B_l]^+ with B_k the joint indices
+    of band k. The unitary is permuted once so that each B_k is contiguous.
+    """
     d = env.dim
-    prop = Propagator(build_total_hamiltonian(params, env))
-    u = prop.unitary(params.dt)
-    rho = coarse_reset(rho0, env, k0).matrix
-    ids = _joint_band_ids(env)
-    same_band = ids[:, None] == ids[None, :]
+    starts, degs = env.band_starts, env.degeneracies
+    perm = np.concatenate(
+        [np.r_[s:s + nk, d + s:d + s + nk] for s, nk in zip(starts, degs)]
+    )
+    u = Propagator(build_total_hamiltonian(params, env)).unitary(params.dt)
+    u = u[np.ix_(perm, perm)]
+    bands = [slice(2 * s, 2 * (s + nk)) for s, nk in zip(starts, degs)]
+
+    i0 = env.band_index(k0)
+    rho = [np.zeros((2 * nk, 2 * nk), dtype=complex) for nk in degs]
+    rho[i0] = np.kron(rho0.matrix(), np.eye(degs[i0])) / degs[i0]
+    trace0 = np.trace(rho[i0]).real
+    mixed = np.empty_like(u)
     r00 = np.empty(steps + 1)
     r10 = np.empty(steps + 1, dtype=complex)
-    state = TotalState(env=env, matrix=rho)
-    q = reduced_qubit_state(state)
-    r00[0], r10[0] = q.rho00, q.rho10
-    for j in range(1, steps + 1):
-        rho = u @ rho @ u.conj().T
-        rho = np.where(same_band, rho, 0.0)
-        state = TotalState(env=env, matrix=rho)
-        q = reduced_qubit_state(state)
-        r00[j], r10[j] = q.rho00, q.rho10
+    for j in range(steps + 1):
+        if j:
+            for b, r in zip(bands, rho):
+                mixed[:, b] = u[:, b] @ r
+            rho = [mixed[b] @ u[b].conj().T for b in bands]
+            drift = sum(np.trace(r).real for r in rho) - trace0
+            if abs(drift) > 1e-9:
+                raise ValueError(f"trace drifted by {drift:.1e} at step {j}")
+        r00[j] = sum(np.trace(r[:nk, :nk]).real for r, nk in zip(rho, degs))
+        r10[j] = sum(np.trace(r[nk:, :nk]) for r, nk in zip(rho, degs))
     return r00, r10
 
 

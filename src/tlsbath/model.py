@@ -8,6 +8,7 @@ coupling with random per-spin weights.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -193,9 +194,12 @@ class BandedEnvironment:
     def dim(self) -> int:
         return int(sum(self.degeneracies))
 
-    @property
+    @functools.cached_property
     def band_starts(self) -> np.ndarray:
-        return np.concatenate(([0], np.cumsum(self.degeneracies)))[:-1].astype(int)
+        """First level index of every band; computed once, read-only."""
+        starts = np.concatenate(([0], np.cumsum(self.degeneracies)))[:-1].astype(int)
+        starts.setflags(write=False)
+        return starts
 
     def band_slice(self, i: int) -> slice:
         """Index slice of band position i (0-based within band_range)."""

@@ -2,7 +2,22 @@ import math
 
 import pytest
 
-from tlsbath.model import ModelParams, QubitState, build_band_environment
+from tlsbath.model import (
+    ModelParams,
+    QubitState,
+    build_band_environment,
+    build_spin_environment,
+)
+
+# One environment of every kind the package builds, all with delta_b = 1.3.
+ENV_KINDS = {
+    "band": lambda: build_band_environment(6, 1.3, seed=8),
+    "band-width": lambda: build_band_environment(6, 1.3, seed=8, band_width=0.2),
+    "band-window": lambda: build_band_environment(
+        7, 1.3, seed=8, band_width=0.1, band_range=(2, 5)
+    ),
+    "sigma-x": lambda: build_spin_environment(6, 1.3, seed=8),
+}
 
 
 @pytest.fixture(scope="session")
@@ -24,3 +39,8 @@ def seven_env():
 @pytest.fixture(scope="session")
 def ground():
     return QubitState(rho00=1.0)
+
+
+@pytest.fixture(scope="session", params=sorted(ENV_KINDS))
+def any_env(request):
+    return ENV_KINDS[request.param]()

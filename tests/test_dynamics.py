@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tlsbath.dynamics import (
     Propagator,
@@ -20,6 +21,7 @@ from tlsbath.model import (
     ModelParams,
     QubitState,
     build_band_environment,
+    build_spin_environment,
     build_total_hamiltonian,
 )
 
@@ -41,6 +43,29 @@ class TestPropagator:
         h = np.diag([0.5, 1.5, -0.3])
         u = Propagator(h).unitary(0.7)
         assert np.allclose(u, np.diag(np.exp(-1j * np.diag(h) * 0.7)), atol=1e-12)
+
+    def test_matches_expm_on_parity_blocks(self, any_env):
+        h = _hamiltonian(ModelParams(delta_s=1.0, detuning=0.3), any_env)
+        prop = Propagator(h)
+        assert [len(idx) for idx, *_ in prop.blocks] == [any_env.dim, any_env.dim]
+        gap = np.abs(prop.unitary(1.1) - scipy.linalg.expm(-1j * h * 1.1))
+        assert gap.max() < 1e-12
+
+    def test_zero_coupling_one_block_per_level(self, small_env):
+        h = _hamiltonian(ModelParams(delta_s=1.0, coupling=0.0), small_env)
+        prop = Propagator(h)
+        assert len(prop.blocks) == len(h)
+        gap = np.abs(prop.unitary(1.1) - scipy.linalg.expm(-1j * h * 1.1))
+        assert gap.max() < 1e-12
+
+    def test_dense_hermitian_is_one_block(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+        h = (a + a.conj().T) / 2
+        prop = Propagator(h)
+        assert len(prop.blocks) == 1
+        gap = np.abs(prop.unitary(0.3) - scipy.linalg.expm(-1j * h * 0.3))
+        assert gap.max() < 1e-12
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
@@ -283,6 +308,56 @@ class TestEnsembles:
             run_ensemble(
                 resonant_params, small_env, ground, k0=2, steps=5,
                 n_traj=2, master_seed=0, engine="sampled", reset_mode="soft",
+            )
+
+
+def _dense_exact_reference(params, env, rho0, k0, steps):
+    """Exact reset on the full joint density matrix: u rho u^+, then the
+    nonselective band measurement, every step."""
+    u = Propagator(_hamiltonian(params, env)).unitary(params.dt)
+    rho = coarse_reset(rho0, env, k0).matrix
+    r00 = np.empty(steps + 1)
+    r10 = np.empty(steps + 1, dtype=complex)
+    for j in range(steps + 1):
+        if j:
+            rho = measure_band_nonselective(u @ rho @ u.conj().T, env)
+        q = reduced_qubit_state(TotalState(env=env, matrix=rho))
+        r00[j], r10[j] = q.rho00, q.rho10
+    return r00, r10
+
+
+class TestExactResetEngine:
+    @pytest.mark.parametrize(
+        "params, make_env, k0",
+        [
+            (ModelParams(delta_s=1.0, coupling=0.1, dt=math.pi),
+             lambda: build_band_environment(5, 1.0, seed=901), 2),
+            (ModelParams(delta_s=1.0, detuning=0.3, coupling=0.1, dt=1.1),
+             lambda: build_spin_environment(6, 1.3, seed=8), 3),
+        ],
+        ids=["random-band-n5", "sigma-x-n6"],
+    )
+    def test_matches_dense_reference(self, params, make_env, k0):
+        env = make_env()
+        rho0 = QubitState(rho00=0.6, rho10=0.3 + 0.2j)
+        series = run_ensemble(
+            params, env, rho0, k0=k0, steps=40,
+            engine="nonselective", reset_mode="exact",
+        )
+        r00, r10 = _dense_exact_reference(params, env, rho0, k0, 40)
+        assert np.max(np.abs(series.rho00 - r00)) < 1e-12
+        assert np.max(np.abs(series.rho10 - r10)) < 1e-12
+        assert np.ptp(series.rho00) > 1e-3
+
+    def test_trace_drift_raises(self, monkeypatch, resonant_params, small_env, ground):
+        unitary = Propagator.unitary
+        monkeypatch.setattr(
+            Propagator, "unitary", lambda self, dt: 1.0001 * unitary(self, dt)
+        )
+        with pytest.raises(ValueError, match="trace drifted"):
+            run_ensemble(
+                resonant_params, small_env, ground, k0=2, steps=5,
+                engine="nonselective", reset_mode="exact",
             )
 
 

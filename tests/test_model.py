@@ -110,6 +110,15 @@ def test_band_range_dimension():
     assert list(env.ks) == [1, 2, 3]
 
 
+def test_band_starts_cached_and_read_only():
+    env = build_band_environment(6, 1.0, seed=3, band_range=(1, 4))
+    starts = env.band_starts
+    assert starts.tolist() == [0, 6, 21, 41]
+    assert env.band_starts is starts
+    with pytest.raises(ValueError):
+        starts[0] = 1
+
+
 def test_band_width_validation():
     with pytest.raises(ValueError):
         build_band_environment(5, 1.0, seed=0, band_width=1.0)
@@ -167,6 +176,18 @@ def test_hamiltonian_spectrum_multiset(seven_env):
         expect += [k + 0.5] * math.comb(7, k)
     got = np.sort(np.linalg.eigvalsh(h0))
     assert np.allclose(got, np.sort(expect), atol=1e-12)
+
+
+def test_hamiltonian_conserves_parity(any_env):
+    """H has no entry between (TLS level + band) mod 2 sectors of size env.dim."""
+    env = any_env
+    h = build_total_hamiltonian(ModelParams(delta_s=1.0, detuning=0.3), env)
+    bands = env.band_of_level()
+    parity = np.concatenate((bands, bands + 1)) % 2
+    cross = parity[:, None] != parity[None, :]
+    assert np.count_nonzero(parity == 0) == np.count_nonzero(parity == 1) == env.dim
+    assert np.all(h[cross] == 0)
+    assert np.count_nonzero(h[~cross]) > 2 * env.dim
 
 
 def test_hamiltonian_dimension_mismatch(seven_env):
