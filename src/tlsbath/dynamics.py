@@ -62,14 +62,16 @@ class Propagator:
 
     def __init__(self, h: np.ndarray, herm_tol: float = 1e-10):
         h = np.asarray(h, dtype=complex)
-        if np.max(np.abs(h - h.conj().T)) > herm_tol:
-            raise ValueError("Hamiltonian is not Hermitian")
         self.dim = len(h)
         linked = h != 0
-        self.blocks = [
-            (idx, *np.linalg.eigh(h[np.ix_(idx, idx)]))
-            for idx in _connected_blocks(linked | linked.T)
+        # Every nonzero entry and its transposed partner lie in one block of
+        # the symmetrised pattern, so checking each block checks all of h.
+        hbs = [
+            (idx, h[np.ix_(idx, idx)]) for idx in _connected_blocks(linked | linked.T)
         ]
+        if any(np.max(np.abs(hb - hb.conj().T)) > herm_tol for _, hb in hbs):
+            raise ValueError("Hamiltonian is not Hermitian")
+        self.blocks = [(idx, *np.linalg.eigh(hb)) for idx, hb in hbs]
 
     def unitary(self, dt: float) -> np.ndarray:
         u = np.zeros((self.dim, self.dim), dtype=complex)
@@ -316,8 +318,13 @@ def _eig2(rho00: np.ndarray, rho10: np.ndarray):
     lam_p = 0.5 + s
     # Eigenvector of the larger eigenvalue: (rho01, lam_p - rho00), with a
     # diagonal fallback where the matrix is already (numerically) diagonal.
+    # Near the ground pole lam_p - rho00 = s - half_diff cancels; there it is
+    # evaluated as |rho10|^2 / (s + half_diff), which keeps its relative error
+    # at rounding level instead of 1e-16 / |rho10|.
     v0 = np.conjugate(rho10)
-    v1 = lam_p - rho00
+    v1 = np.divide(
+        np.abs(rho10) ** 2, s + half_diff, out=s - half_diff, where=half_diff > 0
+    )
     norm = np.sqrt(np.abs(v0) ** 2 + np.abs(v1) ** 2)
     diagonal = norm < 1e-14
     excited_heavy = rho00 < 0.5
@@ -330,6 +337,26 @@ def _eig2(rho00: np.ndarray, rho10: np.ndarray):
     return lam_p, v_plus, v_minus
 
 
+# Steps of uniforms each trajectory draws in one call; bounds the block of
+# draws held at once to 3 * _DRAW_CHUNK doubles per trajectory.
+_DRAW_CHUNK = 16
+
+
+def _band_ordered_unitary(params: ModelParams, env: BandedEnvironment):
+    """exp(-i H dt) in the band-ordered joint basis, and each band's offset.
+
+    In this basis the joint indices B_k of band k (its N_k ground levels, then
+    its N_k excited levels) are contiguous and start at offsets[k].
+    """
+    d = env.dim
+    starts, degs = env.band_starts, env.degeneracies
+    perm = np.concatenate(
+        [np.r_[s:s + nk, d + s:d + s + nk] for s, nk in zip(starts, degs)]
+    )
+    u = Propagator(build_total_hamiltonian(params, env)).unitary(params.dt)
+    return u[np.ix_(perm, perm)], 2 * starts
+
+
 def _sample_paths(
     params: ModelParams,
     env: BandedEnvironment,
@@ -339,94 +366,122 @@ def _sample_paths(
     seeds: list,
     reset_mode: str,
 ):
-    """Batched pure-state trajectories; per-column RNG keeps each trajectory
-    identical to an independent single run with the same seed."""
+    """Batched pure-state trajectories (Monte Carlo wave functions).
+
+    States are held trajectory-major in the band-ordered joint basis, and every
+    state is supported on one band, so a step only touches the bands that carry
+    amplitude:
+
+    - after a product draw (the initial unraveling and every coarse reset) the
+      state is v0 |0, r> + v1 |1, r>, and U psi = v0 U[:, r] + v1 U[:, r'] is a
+      combination of two rows of U^T;
+    - after an exact-reset measurement of band k the state is
+      psi[B_k] / sqrt(w_k), and U psi = U[:, B_k] psi[B_k] / sqrt(w_k) is one
+      (m_k x 2N_k)(2N_k x D) product over the m_k trajectories that measured k.
+
+    Band weights of the full propagated vectors give the outcome and the
+    band-adjacency leakage check; rho00 and rho10 are read from the measured
+    band only.
+
+    Trajectory c draws only from its own Generator, a stream of uniforms: two
+    for the initial unraveling (TLS eigenstate, level), then per step one for
+    the band outcome and, with coarse reset, two for the reset draw. The stream
+    is drawn in blocks of _DRAW_CHUNK steps, which gives the same values as one
+    up-front block. A uniform x picks level min(floor(x N_k), N_k - 1) of band
+    k. A member of a batch therefore has the same outcomes as a single run with
+    its seed; its reduced states agree to rounding, since products over a batch
+    sum in another order.
+    """
     if reset_mode not in ("exact", "coarse"):
         raise ValueError(f"unknown reset_mode {reset_mode!r}")
-    d = env.dim
     m = len(seeds)
     rngs = [np.random.default_rng(s) for s in seeds]
-    prop = Propagator(build_total_hamiltonian(params, env))
-    u = prop.unitary(params.dt)
-
-    ids_env = np.repeat(np.arange(env.n_bands), env.degeneracies)
-    starts = env.band_starts
+    u, offsets = _band_ordered_unitary(params, env)
+    ut = np.ascontiguousarray(u.T)
+    del u
+    dim = len(ut)
+    nb = env.n_bands
     degs = np.asarray(env.degeneracies)
-    i0 = env.band_index(k0)
+    # Ground and excited half of every band, as float offsets into |psi|^2.
+    halves = 2 * np.column_stack((offsets, offsets + degs)).reshape(-1)
+    leak_tol = max(1e-9, 1e3 * params.coupling**4)
+    per_step = 3 if reset_mode == "coarse" else 1
+    traj = np.arange(m)
 
     out_k = np.empty((steps + 1, m), dtype=int)
     out_p = np.empty((steps, m))
     out_r00 = np.empty((steps + 1, m))
     out_r10 = np.empty((steps + 1, m), dtype=complex)
 
-    # Initial unraveling: TLS eigenstate draw + uniform level within band k0.
-    lam_p, v_plus, v_minus = _eig2(rho0.rho00, rho0.rho10)
-    psi = np.zeros((2 * d, m), dtype=complex)
-    for c, rng in enumerate(rngs):
-        take_plus = rng.random() < lam_p[0]
-        lvl = int(rng.integers(degs[i0]))
-        vec = v_plus[:, 0] if take_plus else v_minus[:, 0]
-        row = starts[i0] + lvl
-        psi[row, c] = vec[0]
-        psi[d + row, c] = vec[1]
-    out_k[0] = env.band_range[0] + i0
-    a = psi.reshape(2, d, m)
-    out_r00[0] = np.einsum("im,im->m", a[0], a[0].conj()).real
-    out_r10[0] = np.einsum("im,im->m", a[0].conj(), a[1])
+    psi = np.empty((m, dim), dtype=complex)
+    # One scratch buffer serves three phases of a step: the two gathered rows
+    # of U^T, the squared moduli of psi, and the per-band products.
+    scratch = np.empty(2 * m * dim, dtype=complex)
+    pair = scratch.reshape(m, 2, dim)
+    sq = scratch[:m * dim].view(float).reshape(m, 2 * dim)
 
-    cur_band = np.full(m, i0, dtype=int)
+    def propagate_product(r00, r10, band, x_tls, x_lvl):
+        """psi <- U (v (x) |level>), the unraveling of rho_S (x) 1_k / N_k:
+        an eigenvector v of rho_S and a uniform level of band k."""
+        lam_p, v_plus, v_minus = _eig2(r00, r10)
+        vec = np.where(x_tls < lam_p, v_plus, v_minus)
+        nk = degs[band]
+        rows = offsets[band] + np.minimum((x_lvl * nk).astype(int), nk - 1)
+        # The rows are in range; mode="clip" only skips the buffered copy
+        # that np.take makes for `out` in its default mode.
+        np.take(ut, np.column_stack((rows, rows + nk)), axis=0, out=pair, mode="clip")
+        np.matmul(vec.T[:, None, :], pair, out=psi[:, None, :])
+        return vec
+
+    x0 = np.array([rng.random(2) for rng in rngs])
+    i0 = env.band_index(k0)
+    vec = propagate_product(rho0.rho00, rho0.rho10, np.full(m, i0), x0[:, 0], x0[:, 1])
+    out_k[0] = env.band_range[0] + i0
+    out_r00[0] = np.abs(vec[0]) ** 2
+    out_r10[0] = vec[0].conj() * vec[1]
+
+    band = np.full(m, i0)
     for j in range(1, steps + 1):
-        psi = u @ psi
-        # Band weights, restricted to the adjacent triple (selection rule).
-        prob2 = np.abs(psi.reshape(2, d, m)) ** 2
-        per_level = prob2[0] + prob2[1]
-        w = np.zeros((env.n_bands, m))
-        for i in range(env.n_bands):
-            sl = env.band_slice(i)
-            w[i] = per_level[sl].sum(axis=0)
-        adj = np.abs(np.arange(env.n_bands)[:, None] - cur_band[None, :]) <= 1
+        if (j - 1) % _DRAW_CHUNK == 0:
+            n = min(_DRAW_CHUNK, steps + 1 - j)
+            draws = np.array([rng.random(n * per_step) for rng in rngs])
+            draws = draws.reshape(m, n, per_step)
+        x = draws[:, (j - 1) % _DRAW_CHUNK]
+        # Band weights of the full vectors, split into ground and excited.
+        np.square(psi.view(float), out=sq)
+        half_w = np.add.reduceat(sq, halves, axis=1)
+        w = half_w[:, 0::2] + half_w[:, 1::2]
+        adj = np.abs(np.arange(nb) - band[:, None]) <= 1
         w_adj = np.where(adj, w, 0.0)
-        tot = w_adj.sum(axis=0)
+        tot = w_adj.sum(axis=1)
         # Leakage past the adjacent triple is a fourth-order effect; only a
         # gross violation indicates a broken propagator.
-        leak_tol = max(1e-9, 1e3 * params.coupling**4)
-        if np.any(w.sum(axis=0) - tot > leak_tol):
+        if np.any(w.sum(axis=1) - tot > leak_tol):
             raise ValueError(
                 f"band-adjacency selection rule violated beyond {leak_tol:.1e}"
             )
-        w_adj = w_adj / tot
-        cum = np.cumsum(w_adj, axis=0)
-        draws = np.array([rng.random() for rng in rngs])
-        picks = (cum < draws[None, :]).sum(axis=0)
-        np.minimum(picks, env.n_bands - 1, out=picks)
-        out_p[j - 1] = w_adj[picks, np.arange(m)]
-        # Collapse and renormalize.
-        keep = ids_env[:, None] == picks[None, :]
-        psi = psi.reshape(2, d, m) * keep[None, :, :]
-        norms = np.sqrt((np.abs(psi) ** 2).sum(axis=(0, 1)))
-        psi = psi / norms
-        cur_band = picks
-        out_k[j] = env.band_range[0] + picks
-        r00 = np.einsum("im,im->m", psi[0], psi[0].conj()).real
-        r10 = np.einsum("im,im->m", psi[0].conj(), psi[1])
+        cum = np.cumsum(w_adj / tot[:, None], axis=1)
+        band = np.minimum((cum < x[:, :1]).sum(axis=1), nb - 1)
+        wk = w[traj, band]
+        out_p[j - 1] = wk / tot
+        out_k[j] = env.band_range[0] + band
+        r00 = half_w[traj, 2 * band] / wk
+        r10 = np.empty(m, dtype=complex)
+        for i in np.unique(band):
+            idx = np.flatnonzero(band == i)
+            b, nk = offsets[i], degs[i]
+            seg = psi[idx, b:b + 2 * nk]
+            r10[idx] = np.einsum("cl,cl->c", seg[:, :nk].conj(), seg[:, nk:])
+            if reset_mode == "exact":
+                seg /= np.sqrt(wk[idx])[:, None]
+                block = scratch[:len(idx) * dim].reshape(len(idx), dim)
+                np.matmul(seg, ut[b:b + 2 * nk], out=block)
+                psi[idx] = block
+        r10 /= wk
         out_r00[j] = r00
         out_r10[j] = r10
-        psi = psi.reshape(2 * d, m)
         if reset_mode == "coarse":
-            # Exact unraveling of rho_S x (1_k / N_k): TLS eigenstate draw plus
-            # a uniformly drawn level within the measured band.
-            lam_p, v_plus, v_minus = _eig2(r00, r10)
-            psi = np.zeros((2 * d, m), dtype=complex)
-            cols = np.arange(m)
-            take_plus = np.empty(m, dtype=bool)
-            lvls = np.empty(m, dtype=int)
-            for c, rng in enumerate(rngs):
-                take_plus[c] = rng.random() < lam_p[c]
-                lvls[c] = rng.integers(degs[picks[c]])
-            vec = np.where(take_plus[None, :], v_plus, v_minus)
-            rows = starts[picks] + lvls
-            psi[rows, cols] = vec[0]
-            psi[d + rows, cols] = vec[1]
+            propagate_product(r00, r10, band, x[:, 1], x[:, 2])
     return out_k, out_p, out_r00, out_r10
 
 
@@ -462,14 +517,9 @@ def _run_nonselective_exact(params, env, rho0: QubitState, k0, steps):
     rho_k' = sum_l U[B_k, B_l] rho_l U[B_k, B_l]^+ with B_k the joint indices
     of band k. The unitary is permuted once so that each B_k is contiguous.
     """
-    d = env.dim
-    starts, degs = env.band_starts, env.degeneracies
-    perm = np.concatenate(
-        [np.r_[s:s + nk, d + s:d + s + nk] for s, nk in zip(starts, degs)]
-    )
-    u = Propagator(build_total_hamiltonian(params, env)).unitary(params.dt)
-    u = u[np.ix_(perm, perm)]
-    bands = [slice(2 * s, 2 * (s + nk)) for s, nk in zip(starts, degs)]
+    degs = env.degeneracies
+    u, offsets = _band_ordered_unitary(params, env)
+    bands = [slice(b, b + 2 * nk) for b, nk in zip(offsets, degs)]
 
     i0 = env.band_index(k0)
     rho = [np.zeros((2 * nk, 2 * nk), dtype=complex) for nk in degs]

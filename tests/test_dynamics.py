@@ -7,6 +7,9 @@ import scipy.linalg
 from tlsbath.dynamics import (
     Propagator,
     TotalState,
+    _eig2,
+    _joint_band_ids,
+    _sample_paths,
     band_projector,
     coarse_reset,
     cojump_norm,
@@ -70,6 +73,26 @@ class TestPropagator:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             Propagator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "i, j, defect, rejected",
+        [
+            (2, 3, 1e-8, True),       # inside the block {2, 3}
+            (0, 1, 1e-12, False),     # inside the block, below herm_tol
+            (0, 2, 1e-6, True),       # partner zero: links {0, 1} with {2, 3}
+        ],
+        ids=["inside-block", "below-tol", "links-blocks"],
+    )
+    def test_hermitian_check_per_block(self, i, j, defect, rejected):
+        h = np.diag([0.5, 1.5, -0.3, 0.8]).astype(complex)
+        h[0, 1] = h[1, 0] = 0.2
+        h[2, 3], h[3, 2] = 0.1j, -0.1j
+        h[i, j] += defect
+        if rejected:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                Propagator(h)
+        else:
+            assert [len(idx) for idx, *_ in Propagator(h).blocks] == [2, 2]
 
 
 class TestProjectors:
@@ -358,6 +381,121 @@ class TestExactResetEngine:
             run_ensemble(
                 resonant_params, small_env, ground, k0=2, steps=5,
                 engine="nonselective", reset_mode="exact",
+            )
+
+
+def _dense_sampled_reference(params, env, rho0, k0, steps, seed, reset_mode):
+    """One trajectory on full-length vectors: u psi, a masked collapse, a
+    renormalisation and, with coarse reset, a product reset from _eig2, fed
+    with the uniform stream the engine draws from the same seed."""
+    u = Propagator(_hamiltonian(params, env)).unitary(params.dt)
+    per_step = 3 if reset_mode == "coarse" else 1
+    x = iter(np.random.default_rng(seed).random(2 + steps * per_step))
+    ids = _joint_band_ids(env)
+
+    def product(q, i):
+        lam_p, v_plus, v_minus = _eig2(q.rho00, q.rho10)
+        vec = v_plus[:, 0] if next(x) < lam_p[0] else v_minus[:, 0]
+        nk = env.degeneracies[i]
+        level = min(math.floor(next(x) * nk), nk - 1)
+        return TotalState.pure_product(env, vec, env.band_range[0] + i, level).vector
+
+    band = env.band_index(k0)
+    psi = product(rho0, band)
+    outcomes, probs, states = [k0], [], [reduced_qubit_state(TotalState(env, psi))]
+    for _ in range(steps):
+        psi = u @ psi
+        w = np.array([np.sum(np.abs(psi[ids == i]) ** 2) for i in range(env.n_bands)])
+        w = np.where(np.abs(np.arange(env.n_bands) - band) <= 1, w, 0.0)
+        w = w / w.sum()
+        band = min(int(np.searchsorted(np.cumsum(w), next(x))), env.n_bands - 1)
+        probs.append(w[band])
+        psi = np.where(ids == band, psi, 0.0)
+        psi = psi / np.linalg.norm(psi)
+        q = reduced_qubit_state(TotalState(env, psi))
+        outcomes.append(env.band_range[0] + band)
+        states.append(q)
+        if reset_mode == "coarse":
+            psi = product(q, band)
+    return (
+        np.array(outcomes),
+        np.array(probs),
+        np.array([q.rho00 for q in states]),
+        np.array([q.rho10 for q in states]),
+    )
+
+
+def test_eig2_accurate_near_pole():
+    """The small eigenvector component keeps its relative accuracy where
+    lam_p - rho00 cancels (rho00 rounds to 1)."""
+    rho00, rho10 = 1.0, np.array([1e-9j, 3e-7 + 1e-7j])
+    lam_p, v_plus, _ = _eig2(rho00, rho10)
+    # Second row of rho v = lam v with rho11 = 0: rho10 v0 = lam v1.
+    expect = rho10 * v_plus[0] / lam_p
+    assert np.all(np.abs(v_plus[1] - expect) <= 1e-12 * np.abs(expect))
+
+
+class TestSampledEngine:
+    @pytest.mark.parametrize("reset_mode", ["coarse", "exact"])
+    @pytest.mark.parametrize(
+        "params, make_env, k0",
+        [
+            (ModelParams(delta_s=1.0, coupling=0.1, dt=math.pi),
+             lambda: build_band_environment(5, 1.0, seed=901), 2),
+            (ModelParams(delta_s=1.0, detuning=0.3, coupling=0.1, dt=1.1),
+             lambda: build_spin_environment(6, 1.3, seed=8), 3),
+        ],
+        ids=["random-band-n5", "sigma-x-n6"],
+    )
+    def test_matches_dense_reference(self, params, make_env, k0, reset_mode):
+        env = make_env()
+        rho0 = QubitState(rho00=0.6, rho10=0.3 + 0.2j)
+        seeds = [trajectory_seed(17, i) for i in range(8)]
+        out_k, out_p, r00, r10 = _sample_paths(
+            params, env, rho0, k0, 40, seeds, reset_mode
+        )
+        for c, seed in enumerate(seeds):
+            ref_k, ref_p, ref00, ref10 = _dense_sampled_reference(
+                params, env, rho0, k0, 40, seed, reset_mode
+            )
+            assert np.array_equal(out_k[:, c], ref_k)
+            assert np.max(np.abs(out_p[:, c] - ref_p)) < 1e-12
+            assert np.max(np.abs(r00[:, c] - ref00)) < 1e-12
+            assert np.max(np.abs(r10[:, c] - ref10)) < 1e-12
+        # The batch spreads over several bands and jumps between them.
+        assert len(np.unique(out_k)) >= 3
+        assert np.any(out_k[1:] != out_k[:-1])
+
+    @pytest.mark.parametrize("reset_mode", ["coarse", "exact"])
+    def test_batch_members_match_solo_runs(
+        self, reset_mode, resonant_params, seven_env
+    ):
+        rho0 = QubitState(rho00=0.6, rho10=0.3 + 0.2j)
+        seeds = [trajectory_seed(44, i) for i in range(200)]
+        out_k, out_p, r00, r10 = _sample_paths(
+            resonant_params, seven_env, rho0, 2, 60, seeds, reset_mode
+        )
+        for c in (0, 57, 131, 199):
+            solo = run_trajectory(
+                resonant_params, seven_env, rho0, k0=2, steps=60,
+                seed=seeds[c], reset_mode=reset_mode,
+            )
+            assert np.array_equal(solo.outcomes, out_k[:, c])
+            assert np.max(np.abs(solo.probs - out_p[:, c])) < 1e-12
+            assert np.max(np.abs(solo.rho00 - r00[:, c])) < 1e-12
+            assert np.max(np.abs(solo.rho10 - r10[:, c])) < 1e-12
+
+    @pytest.mark.parametrize("reset_mode", ["coarse", "exact"])
+    def test_leakage_check_raises(self, monkeypatch, reset_mode, resonant_params,
+                                  small_env, ground):
+        # A cyclic shift by 20 joint indices moves ground level 0 (band 0)
+        # onto level 20 (band 3), two bands past the adjacent pair.
+        shift = np.roll(np.eye(2 * small_env.dim, dtype=complex), 20, axis=0)
+        monkeypatch.setattr(Propagator, "unitary", lambda self, dt: shift)
+        with pytest.raises(ValueError, match="band-adjacency selection rule violated"):
+            run_trajectory(
+                resonant_params, small_env, ground, k0=0, steps=5,
+                seed=trajectory_seed(1, 0), reset_mode=reset_mode,
             )
 
 
