@@ -277,6 +277,8 @@ class EnsembleSeries:
     reset_mode: str
     master_seed: int | None = None
     wall_time: float = 0.0
+    # Sampled engine: the build-time bound on one step's band-adjacency leakage.
+    leakage_bound: float | None = None
 
     @property
     def steps(self) -> int:
@@ -294,6 +296,7 @@ class EnsembleSeries:
             "n_traj": self.n_traj,
             "master_seed": self.master_seed,
             "wall_time": self.wall_time,
+            "leakage_bound": self.leakage_bound,
             "rho00": self.rho00.tolist(),
             "re_rho10": self.rho10.real.tolist(),
             "im_rho10": self.rho10.imag.tolist(),
@@ -357,6 +360,186 @@ def _band_ordered_unitary(params: ModelParams, env: BandedEnvironment):
     return u[np.ix_(perm, perm)], 2 * starts
 
 
+def _band_windows(offsets: np.ndarray, degs: np.ndarray):
+    """Band-ordered joint indices [lo, hi) of bands k-1 .. k+1 (those that
+    exist) around every band k; the window is contiguous in that basis."""
+    i = np.arange(len(degs))
+    above = np.minimum(i + 1, len(degs) - 1)
+    return offsets[np.maximum(i - 1, 0)], offsets[above] + 2 * degs[above]
+
+
+def _level_table(u: np.ndarray, offsets: np.ndarray, degs: np.ndarray) -> np.ndarray:
+    """Step table of the band-ordered unitary u, per source level.
+
+    For the level g = (band k, level r) and every target band k',
+        tab[g, 1 + k', 2s + s', 2a + b]
+            = sum_l U[(s, k', l), (a, k, r)] conj(U[(s', k', l), (b, k, r)]),
+    so one step maps v (x) |k, r> to the unnormalised TLS block
+    sum_ab tab[g, 1 + k', :, 2a + b] v_a conj(v_b) in band k'. The levels g
+    run in the environment's order (band k starts at offsets[k] / 2), and the
+    band axis has one zero band on each side: tab[g, k:k + 3] is the window
+    k-1 .. k+1 of band k.
+    """
+    starts = offsets // 2
+    tab = np.zeros((int(degs.sum()), len(degs) + 2, 4, 4), dtype=complex)
+    for k, (b, nk) in enumerate(zip(offsets, degs)):
+        for k2, (b2, nk2) in enumerate(zip(offsets, degs)):
+            # U[B_k', B_k] as (r, (s, a), l): one (4 x N_k')(N_k' x 4) product per level.
+            x = u[b2:b2 + 2 * nk2, b:b + 2 * nk].reshape(2, nk2, 2, nk)
+            x = x.transpose(3, 0, 2, 1).reshape(nk, 4, nk2)
+            g = (x @ x.conj().transpose(0, 2, 1)).reshape(nk, 2, 2, 2, 2)
+            g = g.transpose(0, 1, 3, 2, 4).reshape(nk, 4, 4)
+            tab[starts[k]:starts[k] + nk, 1 + k2] = g
+    return tab
+
+
+def _leakage_bound(u: np.ndarray, offsets: np.ndarray, degs: np.ndarray) -> float:
+    """Largest weight one step moves past the adjacent bands, over all states.
+
+    For band k, lambda_max(A^+ A) with A = U[far(k), B_k], far(k) every joint
+    index outside the window of bands k-1 .. k+1, is the largest |P_far U psi|^2
+    over unit states psi supported on B_k. The maximum over k returned here
+    bounds every state either reset mode holds before a step.
+    """
+    worst = 0.0
+    for lo, hi, b, nk in zip(*_band_windows(offsets, degs), offsets, degs):
+        cols = u[:, b:b + 2 * nk]
+        far = np.concatenate((cols[:lo], cols[hi:]))
+        worst = max(worst, float(np.linalg.eigvalsh(far.conj().T @ far)[-1]))
+    return worst
+
+
+def _sampling_tables(params: ModelParams, env: BandedEnvironment, reset_mode: str):
+    """The sampled engine's step data, built once, and the unitary's leakage
+    bound, checked against leak_tol: for coarse reset the _level_table, for
+    exact reset U^T[B_k, window(k)] for every band k."""
+    if reset_mode not in ("exact", "coarse"):
+        raise ValueError(f"unknown reset_mode {reset_mode!r}")
+    u, offsets = _band_ordered_unitary(params, env)
+    degs = np.asarray(env.degeneracies)
+    leakage = _leakage_bound(u, offsets, degs)
+    # Leakage past the adjacent triple is a fourth-order effect; only a
+    # gross violation indicates a broken propagator.
+    leak_tol = max(1e-9, 1e3 * params.coupling**4)
+    if leakage > leak_tol:
+        raise ValueError(f"band-adjacency selection rule violated beyond {leak_tol:.1e}")
+    if reset_mode == "coarse":
+        step = _level_table(u, offsets, degs)
+    else:
+        step = [
+            np.ascontiguousarray(u[lo:hi, b:b + 2 * nk].T)
+            for lo, hi, b, nk in zip(*_band_windows(offsets, degs), offsets, degs)
+        ]
+    return step, leakage
+
+
+def _born_pick(w: np.ndarray, x: np.ndarray, band, nb: int):
+    """Band outcome drawn with uniforms x from the weights w (m, 3) of the
+    window slots k-1, k, k+1 (zero outside the environment).
+
+    Returns the new band, its weight and its probability.
+    """
+    tot = w.sum(axis=1)
+    cum = np.cumsum(w / tot[:, None], axis=1)
+    # A uniform past cum[:, 1] picks slot 2, also where the last cum rounds
+    # below 1. The clamp keeps an edge band off its zero-weight pad slot,
+    # which only x = 0 (band 0) or that rounding (top band) would reach.
+    new = band - 1 + (cum[:, :2] < x[:, None]).sum(axis=1)
+    new = np.minimum(np.maximum(new, 0), nb - 1)
+    wk = w[np.arange(len(w)), new - band + 1]
+    return new, wk, wk / tot
+
+
+def _draw_paths(
+    step,
+    env: BandedEnvironment,
+    rho0: QubitState,
+    k0: int,
+    steps: int,
+    seeds: list,
+    reset_mode: str,
+):
+    """The step loop of _sample_paths on the step data of _sampling_tables."""
+    m = len(seeds)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    coarse = reset_mode == "coarse"
+    offsets, degs = 2 * env.band_starts, np.asarray(env.degeneracies)
+    nb = env.n_bands
+    per_step = 3 if coarse else 1
+    traj = np.arange(m)
+
+    out_k = np.empty((steps + 1, m), dtype=int)
+    out_p = np.empty((steps, m))
+    out_r00 = np.empty((steps + 1, m))
+    out_r10 = np.empty((steps + 1, m), dtype=complex)
+
+    def draw_product(r00, r10, band, x_tls, x_lvl):
+        """The unraveling of rho_S (x) 1_k / N_k: an eigenvector v of rho_S
+        and a uniform level of band k."""
+        lam_p, v_plus, v_minus = _eig2(r00, r10)
+        nk = degs[band]
+        level = np.minimum((x_lvl * nk).astype(int), nk - 1)
+        return np.where(x_tls < lam_p, v_plus, v_minus), level
+
+    x0 = np.array([rng.random(2) for rng in rngs])
+    i0 = env.band_index(k0)
+    band = np.full(m, i0)
+    vec, level = draw_product(rho0.rho00, rho0.rho10, band, x0[:, 0], x0[:, 1])
+    out_k[0] = env.band_range[0] + i0
+    out_r00[0] = np.abs(vec[0]) ** 2
+    out_r10[0] = vec[0].conj() * vec[1]
+    if not coarse:
+        # The measured band's segment of every state, padded to the largest band.
+        lo = _band_windows(offsets, degs)[0]
+        seg = np.zeros((m, 2 * degs.max()), dtype=complex)
+        seg[traj, level] = vec[0]
+        seg[traj, degs[i0] + level] = vec[1]
+
+    for j in range(1, steps + 1):
+        if (j - 1) % _DRAW_CHUNK == 0:
+            n = min(_DRAW_CHUNK, steps + 1 - j)
+            draws = np.array([rng.random(n * per_step) for rng in rngs])
+            draws = draws.reshape(m, n, per_step)
+        x = draws[:, (j - 1) % _DRAW_CHUNK]
+        if coarse:
+            # Unnormalised TLS blocks (rho00, rho01, rho10, rho11) of the window.
+            win = step[(offsets[band] // 2 + level)[:, None], band[:, None] + np.arange(3)]
+            vv = (vec[:, None] * vec[None].conj()).reshape(4, m)
+            blocks = np.einsum("cjxy,yc->cjx", win, vv)
+            new, wk, out_p[j - 1] = _born_pick(
+                blocks[..., 0].real + blocks[..., 3].real, x[:, 0], band, nb
+            )
+            picked = blocks[traj, new - band + 1]
+            out_r00[j] = picked[:, 0].real / wk
+            out_r10[j] = picked[:, 2] / wk
+            vec, level = draw_product(out_r00[j], out_r10[j], new, x[:, 1], x[:, 2])
+        else:
+            new = np.empty_like(band)
+            for i in np.unique(band):
+                idx = np.flatnonzero(band == i)
+                prod = seg[idx, :2 * degs[i]] @ step[i]
+                # Ground and excited half of every window band, as float
+                # offsets into the squared components of prod.
+                first, last = max(i - 1, 0), min(i + 1, nb - 1)
+                loc = offsets[first:last + 1] - lo[i]
+                halves = 2 * np.column_stack((loc, loc + degs[first:last + 1])).ravel()
+                half_w = np.add.reduceat(np.square(prod.view(float)), halves, axis=1)
+                w = np.zeros((len(idx), 3))
+                w[:, first - i + 1:last - i + 2] = half_w[:, 0::2] + half_w[:, 1::2]
+                new[idx], wk, out_p[j - 1, idx] = _born_pick(w, x[idx, 0], i, nb)
+                for i2 in np.unique(new[idx]):
+                    sub = new[idx] == i2
+                    rows, nk, c = idx[sub], degs[i2], loc[i2 - first]
+                    s = prod[sub, c:c + 2 * nk]
+                    out_r00[j, rows] = half_w[sub, 2 * (i2 - first)] / wk[sub]
+                    coh = np.einsum("cl,cl->c", s[:, :nk].conj(), s[:, nk:])
+                    out_r10[j, rows] = coh / wk[sub]
+                    seg[rows, :2 * nk] = s / np.sqrt(wk[sub])[:, None]
+        band = new
+        out_k[j] = env.band_range[0] + band
+    return out_k, out_p, out_r00, out_r10
+
+
 def _sample_paths(
     params: ModelParams,
     env: BandedEnvironment,
@@ -368,20 +551,24 @@ def _sample_paths(
 ):
     """Batched pure-state trajectories (Monte Carlo wave functions).
 
-    States are held trajectory-major in the band-ordered joint basis, and every
-    state is supported on one band, so a step only touches the bands that carry
-    amplitude:
+    Every state is supported on one band k, and one step only reaches the
+    window of bands k-1 .. k+1 (contiguous in the band-ordered joint basis).
+    Everything a step needs is built once (_sampling_tables):
 
-    - after a product draw (the initial unraveling and every coarse reset) the
-      state is v0 |0, r> + v1 |1, r>, and U psi = v0 U[:, r] + v1 U[:, r'] is a
-      combination of two rows of U^T;
-    - after an exact-reset measurement of band k the state is
-      psi[B_k] / sqrt(w_k), and U psi = U[:, B_k] psi[B_k] / sqrt(w_k) is one
-      (m_k x 2N_k)(2N_k x D) product over the m_k trajectories that measured k.
+    - coarse reset: after a product draw the state is v (x) |k, r>, so a
+      trajectory is a TLS vector v, a band k and a level r. The step table
+      (_level_table) gives the unnormalised TLS block of every window band
+      from v_a conj(v_b) alone; its weights give the outcome, the picked
+      block rho00 and rho10. No joint state vector is held.
+    - exact reset: a trajectory holds the measured band's segment psi[B_k]
+      (normalised), and a step is one (m_k x 2N_k)(2N_k x W_k) product with
+      U^T[B_k, window(k)] over the m_k trajectories in band k. Band weights,
+      rho00, rho10 and the next segment are read from that window.
 
-    Band weights of the full propagated vectors give the outcome and the
-    band-adjacency leakage check; rho00 and rho10 are read from the measured
-    band only.
+    The band-adjacency selection rule is checked once at build time, for every
+    state either mode can reach (_leakage_bound): if one step can move more
+    than leak_tol of the weight of any state on one band past the adjacent
+    pair, the run is refused. Outcomes are drawn within the window.
 
     Trajectory c draws only from its own Generator, a stream of uniforms: two
     for the initial unraveling (TLS eigenstate, level), then per step one for
@@ -392,97 +579,8 @@ def _sample_paths(
     its seed; its reduced states agree to rounding, since products over a batch
     sum in another order.
     """
-    if reset_mode not in ("exact", "coarse"):
-        raise ValueError(f"unknown reset_mode {reset_mode!r}")
-    m = len(seeds)
-    rngs = [np.random.default_rng(s) for s in seeds]
-    u, offsets = _band_ordered_unitary(params, env)
-    ut = np.ascontiguousarray(u.T)
-    del u
-    dim = len(ut)
-    nb = env.n_bands
-    degs = np.asarray(env.degeneracies)
-    # Ground and excited half of every band, as float offsets into |psi|^2.
-    halves = 2 * np.column_stack((offsets, offsets + degs)).reshape(-1)
-    leak_tol = max(1e-9, 1e3 * params.coupling**4)
-    per_step = 3 if reset_mode == "coarse" else 1
-    traj = np.arange(m)
-
-    out_k = np.empty((steps + 1, m), dtype=int)
-    out_p = np.empty((steps, m))
-    out_r00 = np.empty((steps + 1, m))
-    out_r10 = np.empty((steps + 1, m), dtype=complex)
-
-    psi = np.empty((m, dim), dtype=complex)
-    # One scratch buffer serves three phases of a step: the two gathered rows
-    # of U^T, the squared moduli of psi, and the per-band products.
-    scratch = np.empty(2 * m * dim, dtype=complex)
-    pair = scratch.reshape(m, 2, dim)
-    sq = scratch[:m * dim].view(float).reshape(m, 2 * dim)
-
-    def propagate_product(r00, r10, band, x_tls, x_lvl):
-        """psi <- U (v (x) |level>), the unraveling of rho_S (x) 1_k / N_k:
-        an eigenvector v of rho_S and a uniform level of band k."""
-        lam_p, v_plus, v_minus = _eig2(r00, r10)
-        vec = np.where(x_tls < lam_p, v_plus, v_minus)
-        nk = degs[band]
-        rows = offsets[band] + np.minimum((x_lvl * nk).astype(int), nk - 1)
-        # The rows are in range; mode="clip" only skips the buffered copy
-        # that np.take makes for `out` in its default mode.
-        np.take(ut, np.column_stack((rows, rows + nk)), axis=0, out=pair, mode="clip")
-        np.matmul(vec.T[:, None, :], pair, out=psi[:, None, :])
-        return vec
-
-    x0 = np.array([rng.random(2) for rng in rngs])
-    i0 = env.band_index(k0)
-    vec = propagate_product(rho0.rho00, rho0.rho10, np.full(m, i0), x0[:, 0], x0[:, 1])
-    out_k[0] = env.band_range[0] + i0
-    out_r00[0] = np.abs(vec[0]) ** 2
-    out_r10[0] = vec[0].conj() * vec[1]
-
-    band = np.full(m, i0)
-    for j in range(1, steps + 1):
-        if (j - 1) % _DRAW_CHUNK == 0:
-            n = min(_DRAW_CHUNK, steps + 1 - j)
-            draws = np.array([rng.random(n * per_step) for rng in rngs])
-            draws = draws.reshape(m, n, per_step)
-        x = draws[:, (j - 1) % _DRAW_CHUNK]
-        # Band weights of the full vectors, split into ground and excited.
-        np.square(psi.view(float), out=sq)
-        half_w = np.add.reduceat(sq, halves, axis=1)
-        w = half_w[:, 0::2] + half_w[:, 1::2]
-        adj = np.abs(np.arange(nb) - band[:, None]) <= 1
-        w_adj = np.where(adj, w, 0.0)
-        tot = w_adj.sum(axis=1)
-        # Leakage past the adjacent triple is a fourth-order effect; only a
-        # gross violation indicates a broken propagator.
-        if np.any(w.sum(axis=1) - tot > leak_tol):
-            raise ValueError(
-                f"band-adjacency selection rule violated beyond {leak_tol:.1e}"
-            )
-        cum = np.cumsum(w_adj / tot[:, None], axis=1)
-        band = np.minimum((cum < x[:, :1]).sum(axis=1), nb - 1)
-        wk = w[traj, band]
-        out_p[j - 1] = wk / tot
-        out_k[j] = env.band_range[0] + band
-        r00 = half_w[traj, 2 * band] / wk
-        r10 = np.empty(m, dtype=complex)
-        for i in np.unique(band):
-            idx = np.flatnonzero(band == i)
-            b, nk = offsets[i], degs[i]
-            seg = psi[idx, b:b + 2 * nk]
-            r10[idx] = np.einsum("cl,cl->c", seg[:, :nk].conj(), seg[:, nk:])
-            if reset_mode == "exact":
-                seg /= np.sqrt(wk[idx])[:, None]
-                block = scratch[:len(idx) * dim].reshape(len(idx), dim)
-                np.matmul(seg, ut[b:b + 2 * nk], out=block)
-                psi[idx] = block
-        r10 /= wk
-        out_r00[j] = r00
-        out_r10[j] = r10
-        if reset_mode == "coarse":
-            propagate_product(r00, r10, band, x[:, 1], x[:, 2])
-    return out_k, out_p, out_r00, out_r10
+    step, _ = _sampling_tables(params, env, reset_mode)
+    return _draw_paths(step, env, rho0, k0, steps, seeds, reset_mode)
 
 
 def run_trajectory(
@@ -546,33 +644,16 @@ def _coarse_step_operator(params, env) -> np.ndarray:
 
     With coarse graining the post-measurement state is fully described by one
     (generally unnormalized) 2x2 TLS block per band; the evolve-measure-reset
-    step is linear on that collection.
+    step is linear on that collection. A reset puts band k's levels in equal
+    mixture, so the column of source band k is the level mean of the step
+    table (_level_table) over k's levels, for every target band k':
+    T[4k' + 2s + s', 4k + 2a + b] = mean_r tab[(k, r), 1 + k', 2s + s', 2a + b].
     """
-    d = env.dim
-    nb = env.n_bands
-    prop = Propagator(build_total_hamiltonian(params, env))
-    u = prop.unitary(params.dt)
-    t = np.zeros((4 * nb, 4 * nb), dtype=complex)
-    for kb in range(nb):
-        sl = env.band_slice(kb)
-        nk = env.degeneracies[kb]
-        for a in range(2):
-            ua = u[:, a * d + sl.start:a * d + sl.stop]
-            for b in range(2):
-                ub = u[:, b * d + sl.start:b * d + sl.stop]
-                col = 4 * kb + 2 * a + b
-                # rho_out = (ua ub^+) / nk; extract the per-band TLS blocks.
-                for k2 in range(nb):
-                    sl2 = env.band_slice(k2)
-                    for s in range(2):
-                        rows_s = slice(s * d + sl2.start, s * d + sl2.stop)
-                        for s2 in range(2):
-                            rows_s2 = slice(s2 * d + sl2.start, s2 * d + sl2.stop)
-                            val = np.einsum(
-                                "il,il->", ua[rows_s], ub[rows_s2].conj()
-                            )
-                            t[4 * k2 + 2 * s + s2, col] = val / nk
-    return t
+    u, offsets = _band_ordered_unitary(params, env)
+    degs = np.asarray(env.degeneracies)
+    tab = _level_table(u, offsets, degs)[:, 1:-1]
+    t = np.add.reduceat(tab, env.band_starts, axis=0) / degs[:, None, None, None]
+    return t.transpose(1, 2, 0, 3).reshape(4 * env.n_bands, 4 * env.n_bands)
 
 
 def _run_nonselective_coarse(params, env, rho0: QubitState, k0, steps):
@@ -618,7 +699,8 @@ def run_ensemble(
         if master_seed is None:
             raise ValueError("sampled engine requires a master_seed")
         seeds = [trajectory_seed(master_seed, i) for i in range(n_traj)]
-        _, _, r00, r10 = _sample_paths(params, env, rho0, k0, steps, seeds, reset_mode)
+        step, leakage = _sampling_tables(params, env, reset_mode)
+        _, _, r00, r10 = _draw_paths(step, env, rho0, k0, steps, seeds, reset_mode)
         mean00 = r00.mean(axis=1)
         mean10 = r10.mean(axis=1)
         if n_traj > 1:
@@ -633,6 +715,7 @@ def run_ensemble(
             engine=engine,
             reset_mode=reset_mode,
             master_seed=master_seed,
+            leakage_bound=leakage,
         )
     elif engine == "nonselective":
         if reset_mode == "coarse":

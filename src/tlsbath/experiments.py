@@ -232,6 +232,8 @@ def run_scenario(scenario: str, **overrides) -> ScenarioReport:
         extra={
             "rate_analytic": att.rate,
             "t_eff": analytics.effective_temperature(level, params.delta_s),
+            # Worst-case band-adjacency leakage of one step (sampled engine only).
+            "leakage_bound": series.leakage_bound,
         },
     )
 

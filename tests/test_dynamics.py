@@ -384,6 +384,56 @@ class TestExactResetEngine:
             )
 
 
+def _dense_coarse_reference(params, env, rho0, k0, steps):
+    """Coarse reset on the full joint density matrix: u rho u^+, the
+    nonselective band measurement, then every band replaced by the product of
+    its TLS block with the band's maximally mixed state, every step."""
+    u = Propagator(_hamiltonian(params, env)).unitary(params.dt)
+    d = env.dim
+    rho = coarse_reset(rho0, env, k0).matrix
+    r00 = np.empty(steps + 1)
+    r10 = np.empty(steps + 1, dtype=complex)
+    for j in range(steps + 1):
+        if j:
+            rho = measure_band_nonselective(u @ rho @ u.conj().T, env)
+            reset = np.zeros_like(rho)
+            for k in env.ks:
+                idx = np.arange(d)[env.band_slice(env.band_index(k))]
+                tls = np.array(
+                    [[np.trace(rho[np.ix_(a * d + idx, b * d + idx)]) for b in range(2)]
+                     for a in range(2)]
+                )
+                reset += coarse_reset(tls, env, k).matrix
+            rho = reset
+        q = reduced_qubit_state(TotalState(env=env, matrix=rho))
+        r00[j], r10[j] = q.rho00, q.rho10
+    return r00, r10
+
+
+class TestCoarseResetEngine:
+    @pytest.mark.parametrize(
+        "params, make_env, k0",
+        [
+            (ModelParams(delta_s=1.0, coupling=0.1, dt=math.pi),
+             lambda: build_band_environment(5, 1.0, seed=901), 2),
+            (ModelParams(delta_s=1.0, detuning=0.3, coupling=0.1, dt=1.1),
+             lambda: build_spin_environment(6, 1.3, seed=8), 3),
+        ],
+        ids=["random-band-n5", "sigma-x-n6"],
+    )
+    def test_matches_dense_reference(self, params, make_env, k0):
+        env = make_env()
+        rho0 = QubitState(rho00=0.6, rho10=0.3 + 0.2j)
+        series = run_ensemble(
+            params, env, rho0, k0=k0, steps=40,
+            engine="nonselective", reset_mode="coarse",
+        )
+        r00, r10 = _dense_coarse_reference(params, env, rho0, k0, 40)
+        assert np.max(np.abs(series.rho00 - r00)) < 1e-12
+        assert np.max(np.abs(series.rho10 - r10)) < 1e-12
+        assert np.ptp(series.rho00) > 1e-3
+
+
 def _dense_sampled_reference(params, env, rho0, k0, steps, seed, reset_mode):
     """One trajectory on full-length vectors: u psi, a masked collapse, a
     renormalisation and, with coarse reset, a product reset from _eig2, fed
@@ -495,6 +545,31 @@ class TestSampledEngine:
         with pytest.raises(ValueError, match="band-adjacency selection rule violated"):
             run_trajectory(
                 resonant_params, small_env, ground, k0=0, steps=5,
+                seed=trajectory_seed(1, 0), reset_mode=reset_mode,
+            )
+
+    @pytest.mark.parametrize("reset_mode", ["coarse", "exact"])
+    @pytest.mark.parametrize(
+        "cycle, k0",
+        [((1, 4), 2), ((3, 5, 4), 1), ((3, 4, 5), 1)],
+        ids=["swap-1-4", "up-3-5", "down-5-3"],
+    )
+    def test_leakage_from_unvisited_level_raises(
+        self, monkeypatch, cycle, k0, reset_mode, resonant_params, small_env, ground
+    ):
+        # The identity but for a cycle of ground level 0 of the given bands,
+        # each sent to the next: a swap of bands 1 and 4, or a 3-cycle whose
+        # only move past an adjacent band goes up (3 -> 5) or down (5 -> 3).
+        # A trajectory from k0 stays there and never holds a cycled level;
+        # the bound over all states still sees the cycle.
+        levels = [small_env.band_slice(small_env.band_index(k)).start for k in cycle]
+        eye = np.eye(2 * small_env.dim, dtype=complex)
+        cyc = eye.copy()
+        cyc[:, levels] = eye[:, np.roll(levels, -1)]
+        monkeypatch.setattr(Propagator, "unitary", lambda self, dt: cyc)
+        with pytest.raises(ValueError, match="band-adjacency selection rule violated"):
+            run_trajectory(
+                resonant_params, small_env, ground, k0=k0, steps=5,
                 seed=trajectory_seed(1, 0), reset_mode=reset_mode,
             )
 

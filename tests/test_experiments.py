@@ -30,6 +30,15 @@ def fig3_report():
     return reproduce_fig3()
 
 
+def test_sampled_run_reports_leakage_bound():
+    report = run_scenario("fig2", engine="sampled", n_traj=20, steps=5)
+    leak_tol = max(1e-9, 1e3 * report.params["coupling"] ** 4)
+    bound = report.extra["leakage_bound"]
+    assert math.isfinite(bound)
+    assert 0.0 <= bound < leak_tol
+    assert json.loads(report.to_json())["extra"]["leakage_bound"] == bound
+
+
 class TestFigureScenarios:
     def test_fig2_plateau(self, fig2_report):
         assert fig2_report.passed
