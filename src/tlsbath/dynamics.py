@@ -279,6 +279,8 @@ class EnsembleSeries:
     wall_time: float = 0.0
     # Sampled engine: the build-time bound on one step's band-adjacency leakage.
     leakage_bound: float | None = None
+    # Exact-reset nonselective engine: the largest drift of the total trace.
+    trace_drift: float | None = None
 
     @property
     def steps(self) -> int:
@@ -297,6 +299,7 @@ class EnsembleSeries:
             "master_seed": self.master_seed,
             "wall_time": self.wall_time,
             "leakage_bound": self.leakage_bound,
+            "trace_drift": self.trace_drift,
             "rho00": self.rho00.tolist(),
             "re_rho10": self.rho10.real.tolist(),
             "im_rho10": self.rho10.imag.tolist(),
@@ -610,33 +613,59 @@ def run_trajectory(
 def _run_nonselective_exact(params, env, rho0: QubitState, k0, steps):
     """Exact joint density matrix, nonselective measurement, no coarse graining.
 
-    After every band measurement rho is block-diagonal in the bands, so it is
-    held as one 2N_k x 2N_k block per band over both TLS levels, and a step is
-    rho_k' = sum_l U[B_k, B_l] rho_l U[B_k, B_l]^+ with B_k the joint indices
-    of band k. The unitary is permuted once so that each B_k is contiguous.
+    U conserves the parity p = (TLS level + band index) mod 2, so it is the
+    direct sum of two env.dim x env.dim sector unitaries u_p; in sector p the
+    N_k levels of band k at TLS level (p - k) mod 2 sit at env.band_starts[k].
+    After every band measurement rho is block-diagonal in the bands, so each
+    sector pair (p, q) of rho is held as one N_k x N_k block X_k per band, for
+    the pairs (0, 0), (1, 1) and (1, 0); (0, 1) is (1, 0)^+ and is not
+    stepped. A step is M[:, k] = u_p[:, k] X_k, then X'_k = M[k] u_q[k]^+.
+
+    A unitary with a nonzero entry across the sectors is refused. Returns the
+    rho00 and rho10 series and the largest drift of the total trace, which
+    must stay below 1e-9.
     """
     degs = env.degeneracies
     u, offsets = _band_ordered_unitary(params, env)
-    bands = [slice(b, b + 2 * nk) for b, nk in zip(offsets, degs)]
+    # Band-ordered joint indices of sector p: band k's levels at TLS level (p - k) mod 2.
+    sectors = [
+        np.concatenate([b + (p - k) % 2 * nk + np.arange(nk)
+                        for k, (b, nk) in enumerate(zip(offsets, degs))])
+        for p in range(2)
+    ]
+    if u[np.ix_(sectors[0], sectors[1])].any() or u[np.ix_(sectors[1], sectors[0])].any():
+        raise ValueError("unitary mixes the parity sectors")
+    us = [u[np.ix_(idx, idx)] for idx in sectors]
+    del u
+    bands = [slice(s, s + nk) for s, nk in zip(env.band_starts, degs)]
 
+    pairs = [(0, 0), (1, 1), (1, 0)]
     i0 = env.band_index(k0)
-    rho = [np.zeros((2 * nk, 2 * nk), dtype=complex) for nk in degs]
-    rho[i0] = np.kron(rho0.matrix(), np.eye(degs[i0])) / degs[i0]
-    trace0 = np.trace(rho[i0]).real
-    mixed = np.empty_like(u)
+    x = {pq: [np.zeros((nk, nk), dtype=complex) for nk in degs] for pq in pairs}
+    rs = rho0.matrix()
+    for p, q in pairs:
+        x[p, q][i0] = rs[(p - i0) % 2, (q - i0) % 2] * np.eye(degs[i0]) / degs[i0]
+    trace0 = sum(np.trace(x[pq][i0]).real for pq in pairs[:2])
+    mixed = np.empty_like(us[0])
     r00 = np.empty(steps + 1)
     r10 = np.empty(steps + 1, dtype=complex)
+    worst = 0.0
     for j in range(steps + 1):
         if j:
-            for b, r in zip(bands, rho):
-                mixed[:, b] = u[:, b] @ r
-            rho = [mixed[b] @ u[b].conj().T for b in bands]
-            drift = sum(np.trace(r).real for r in rho) - trace0
+            for p, q in pairs:
+                for b, r in zip(bands, x[p, q]):
+                    mixed[:, b] = us[p][:, b] @ r
+                x[p, q] = [mixed[b] @ us[q][b].conj().T for b in bands]
+            drift = sum(np.trace(r).real for pq in pairs[:2] for r in x[pq]) - trace0
             if abs(drift) > 1e-9:
                 raise ValueError(f"trace drifted by {drift:.1e} at step {j}")
-        r00[j] = sum(np.trace(r[:nk, :nk]).real for r, nk in zip(rho, degs))
-        r10[j] = sum(np.trace(r[nk:, :nk]) for r, nk in zip(rho, degs))
-    return r00, r10
+            worst = max(worst, abs(drift))
+        # Band k's ground block is in sector k mod 2; its (excited, ground)
+        # coherence is X_10[k] for even k and X_10[k]^+ for odd k.
+        r00[j] = sum(np.trace(x[k % 2, k % 2][k]).real for k in range(len(degs)))
+        coh = [np.trace(r) for r in x[1, 0]]
+        r10[j] = sum(c if k % 2 == 0 else np.conj(c) for k, c in enumerate(coh))
+    return r00, r10, worst
 
 
 def _coarse_step_operator(params, env) -> np.ndarray:
@@ -718,10 +747,11 @@ def run_ensemble(
             leakage_bound=leakage,
         )
     elif engine == "nonselective":
+        drift = None
         if reset_mode == "coarse":
             r00, r10 = _run_nonselective_coarse(params, env, rho0, k0, steps)
         elif reset_mode == "exact":
-            r00, r10 = _run_nonselective_exact(params, env, rho0, k0, steps)
+            r00, r10, drift = _run_nonselective_exact(params, env, rho0, k0, steps)
         else:
             raise ValueError(f"unknown reset_mode {reset_mode!r}")
         series = EnsembleSeries(
@@ -732,6 +762,7 @@ def run_ensemble(
             engine=engine,
             reset_mode=reset_mode,
             master_seed=master_seed,
+            trace_drift=drift,
         )
     else:
         raise ValueError(f"unknown engine {engine!r}")

@@ -234,6 +234,8 @@ def run_scenario(scenario: str, **overrides) -> ScenarioReport:
             "t_eff": analytics.effective_temperature(level, params.delta_s),
             # Worst-case band-adjacency leakage of one step (sampled engine only).
             "leakage_bound": series.leakage_bound,
+            # Largest drift of the total trace (exact-reset nonselective engine only).
+            "trace_drift": series.trace_drift,
         },
     )
 

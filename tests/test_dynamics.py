@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -357,8 +358,17 @@ class TestExactResetEngine:
              lambda: build_band_environment(5, 1.0, seed=901), 2),
             (ModelParams(delta_s=1.0, detuning=0.3, coupling=0.1, dt=1.1),
              lambda: build_spin_environment(6, 1.3, seed=8), 3),
+            # The edge bands (1 x 1 blocks) and both parities of k0, which
+            # decide whether a band's coherence is read as X_10 or X_10^+.
+            (ModelParams(delta_s=1.0, coupling=0.1, dt=math.pi),
+             lambda: build_band_environment(5, 1.0, seed=901), 0),
+            (ModelParams(delta_s=1.0, coupling=0.1, dt=math.pi),
+             lambda: build_band_environment(5, 1.0, seed=901), 5),
+            (ModelParams(delta_s=1.0, detuning=0.3, coupling=0.1, dt=1.1),
+             lambda: build_spin_environment(6, 1.3, seed=8), 0),
         ],
-        ids=["random-band-n5", "sigma-x-n6"],
+        ids=["random-band-n5", "sigma-x-n6", "random-band-n5-k0", "random-band-n5-k5",
+             "sigma-x-n6-k0"],
     )
     def test_matches_dense_reference(self, params, make_env, k0):
         env = make_env()
@@ -380,6 +390,35 @@ class TestExactResetEngine:
         with pytest.raises(ValueError, match="trace drifted"):
             run_ensemble(
                 resonant_params, small_env, ground, k0=2, steps=5,
+                engine="nonselective", reset_mode="exact",
+            )
+
+    def test_trace_drift_recorded(self, monkeypatch, tmp_path, resonant_params,
+                                  small_env, ground):
+        # Scaling U by 1 + eps scales the total trace by (1 + eps)^2 a step.
+        eps, steps = 1e-11, 5
+        unitary = Propagator.unitary
+        monkeypatch.setattr(
+            Propagator, "unitary", lambda self, dt: (1 + eps) * unitary(self, dt)
+        )
+        series = run_ensemble(
+            resonant_params, small_env, ground, k0=2, steps=steps,
+            engine="nonselective", reset_mode="exact",
+        )
+        assert series.trace_drift == pytest.approx(2 * steps * eps, rel=1e-3)
+        series.to_json(tmp_path / "series.json")
+        doc = json.loads((tmp_path / "series.json").read_text())
+        assert doc["trace_drift"] == series.trace_drift
+
+    def test_parity_mixing_unitary_raises(self, monkeypatch, resonant_params,
+                                          small_env, ground):
+        # The cyclic shift of test_leakage_check_raises: ground level 0
+        # (band 0, parity 0) goes to level 20 (band 3, parity 1).
+        shift = np.roll(np.eye(2 * small_env.dim, dtype=complex), 20, axis=0)
+        monkeypatch.setattr(Propagator, "unitary", lambda self, dt: shift)
+        with pytest.raises(ValueError, match="unitary mixes the parity sectors"):
+            run_ensemble(
+                resonant_params, small_env, ground, k0=0, steps=5,
                 engine="nonselective", reset_mode="exact",
             )
 

@@ -37,6 +37,17 @@ def test_sampled_run_reports_leakage_bound():
     assert math.isfinite(bound)
     assert 0.0 <= bound < leak_tol
     assert json.loads(report.to_json())["extra"]["leakage_bound"] == bound
+    assert report.extra["trace_drift"] is None
+
+
+def test_exact_run_reports_trace_drift():
+    report = run_scenario("fig2", reset_mode="exact", steps=5)
+    drift = report.extra["trace_drift"]
+    assert math.isfinite(drift)
+    assert 0.0 <= drift < 1e-12
+    assert json.loads(report.to_json())["extra"]["trace_drift"] == drift
+    assert report.extra["leakage_bound"] is None
+    assert run_scenario("fig2", steps=5).extra["trace_drift"] is None
 
 
 class TestFigureScenarios:
