@@ -7,119 +7,16 @@ parameter points where the dynamics freezes.
 
 __version__ = "1.0.0"
 
-from .analytics import (
-    AttractorResult,
-    OffdiagCoeffs,
-    RelaxationPair,
-    SecondOrderWarning,
-    SincFactors,
-    TemperatureBounds,
-    attractor,
-    attractor_rho00,
-    conditional_update,
-    effective_temperature,
-    ensemble_map,
-    is_freezing_point,
-    offdiag_closed_form,
-    offdiag_coeffs,
-    offdiag_map,
-    outcome_probabilities,
-    relaxation_constants,
-    rho00_closed_form,
-    sinc_factors,
-    temperature_bounds,
-)
-from .dynamics import (
-    EnsembleSeries,
-    Propagator,
-    TotalState,
-    Trajectory,
-    band_projector,
-    coarse_reset,
-    cojump_norm,
-    measure_band_nonselective,
-    measure_band_selective,
-    reduced_qubit_state,
-    run_ensemble,
-    run_trajectory,
-    trajectory_seed,
-    write_series_csv,
-)
-from .experiments import (
-    ScenarioReport,
-    attractor_map,
-    compare_engines,
-    default_environment,
-    reproduce_fig2,
-    reproduce_fig3,
-    run_scenario,
-    verify_freezing,
-    zeno_scan,
-)
-from .model import (
-    BandedEnvironment,
-    ModelParams,
-    QubitState,
-    beta_working_point,
-    binomial_degeneracy,
-    build_band_environment,
-    build_spin_environment,
-    build_total_hamiltonian,
-    effective_beta,
-)
+from . import analytics, dynamics, experiments, model
+from .analytics import *
+from .dynamics import *
+from .experiments import *
+from .model import *
 
 __all__ = [
     "__version__",
-    "AttractorResult",
-    "BandedEnvironment",
-    "EnsembleSeries",
-    "ModelParams",
-    "OffdiagCoeffs",
-    "Propagator",
-    "QubitState",
-    "RelaxationPair",
-    "ScenarioReport",
-    "SecondOrderWarning",
-    "SincFactors",
-    "TemperatureBounds",
-    "TotalState",
-    "Trajectory",
-    "attractor",
-    "attractor_map",
-    "attractor_rho00",
-    "band_projector",
-    "beta_working_point",
-    "binomial_degeneracy",
-    "build_band_environment",
-    "build_spin_environment",
-    "build_total_hamiltonian",
-    "coarse_reset",
-    "cojump_norm",
-    "compare_engines",
-    "conditional_update",
-    "default_environment",
-    "effective_beta",
-    "effective_temperature",
-    "ensemble_map",
-    "is_freezing_point",
-    "measure_band_nonselective",
-    "measure_band_selective",
-    "offdiag_closed_form",
-    "offdiag_coeffs",
-    "offdiag_map",
-    "outcome_probabilities",
-    "reduced_qubit_state",
-    "relaxation_constants",
-    "reproduce_fig2",
-    "reproduce_fig3",
-    "rho00_closed_form",
-    "run_ensemble",
-    "run_scenario",
-    "run_trajectory",
-    "sinc_factors",
-    "temperature_bounds",
-    "trajectory_seed",
-    "verify_freezing",
-    "write_series_csv",
-    "zeno_scan",
+    *analytics.__all__,
+    *dynamics.__all__,
+    *experiments.__all__,
+    *model.__all__,
 ]

@@ -96,13 +96,20 @@ def _sinc_sq(x):
     return np.sinc(np.asarray(x) / np.pi) ** 2
 
 
+def _interference(dt, detuning, delta_s):
+    """(sinA, sinB) of SincFactors, elementwise over arrays; removable
+    singularities handled via sinc."""
+    quarter = dt * dt / 4.0
+    return (
+        quarter * _sinc_sq(detuning * dt / 2.0),
+        quarter * _sinc_sq((delta_s + detuning / 2.0) * dt),
+    )
+
+
 def sinc_factors(params: ModelParams) -> SincFactors:
     """Interference factors; removable singularities handled via sinc."""
-    dt = params.dt
-    quarter = dt * dt / 4.0
-    sin_a = quarter * float(_sinc_sq(params.detuning * dt / 2.0))
-    sin_b = quarter * float(_sinc_sq((params.delta_s + params.detuning / 2.0) * dt))
-    return SincFactors(sin_a=sin_a, sin_b=sin_b)
+    sin_a, sin_b = _interference(params.dt, params.detuning, params.delta_s)
+    return SincFactors(sin_a=float(sin_a), sin_b=float(sin_b))
 
 
 def _phase_integral(alpha: float, dt: float) -> complex:
@@ -258,9 +265,7 @@ def attractor_rho00(
     """
     dt = np.asarray(dt, dtype=float)
     detuning = np.asarray(detuning, dtype=float)
-    quarter = dt * dt / 4.0
-    sin_a = quarter * _sinc_sq(detuning * dt / 2.0)
-    sin_b = quarter * _sinc_sq((delta_s + detuning / 2.0) * dt)
+    sin_a, sin_b = _interference(dt, detuning, delta_s)
     b = beta * (delta_s + detuning) / 2.0
     total = sin_a + sin_b
     frozen = total <= freeze_rtol * np.maximum(dt * dt, 1e-300)

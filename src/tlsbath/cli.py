@@ -217,9 +217,9 @@ def cmd_freeze(cfg: dict) -> int:
     )
     report = experiments.verify_freezing(
         params,
-        steps=int(cfg.setdefault("steps", 500)),
-        n=int(cfg.setdefault("n", 7)),
-        k0=int(cfg.setdefault("k0", 2)),
+        steps=cfg.setdefault("steps", 500),
+        n=cfg.setdefault("n", 7),
+        k0=cfg.setdefault("k0", 2),
         engine=cfg.setdefault("engine", "nonselective"),
         seed=int(cfg.get("seed", experiments.DEFAULT_SEED)),
         model=cfg.setdefault("model", "random-band"),
@@ -308,8 +308,6 @@ def cmd_env_inspect(cfg: dict) -> int:
         print(
             f"k0={k0}: beta_digamma={b_dig:.6f} beta_log={b_log:.6f} "
             f"ratio_e_bd={binomial_degeneracy(n, k0 + 1) / binomial_degeneracy(n, k0):.4f}"
-            if k0 < n
-            else f"k0={k0}: beta_digamma={b_dig:.6f} beta_log={b_log:.6f}"
         )
     pair = effective_beta(n, 1, 2, delta_b)
     print(f"effective beta (bands 1-2): {pair:.6f}")
@@ -333,22 +331,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, engine=False, scenario=False):
+    def common(p, engine=False):
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="master seed")
         p.add_argument("--out", type=str, default=None, help="output directory")
         if engine:
             p.add_argument("--engine", choices=["sampled", "nonselective"])
-            p.add_argument("--reset", choices=["exact", "coarse"], dest="reset")
-        if scenario:
-            p.add_argument("--scenario", type=str, default=None)
+        return p
 
     common(sub.add_parser("attractor-map", help="attractor occupation grid"))
-    common(
-        sub.add_parser("relax", help="run a relaxation scenario"),
-        engine=True,
-        scenario=True,
-    )
+    relax = common(sub.add_parser("relax", help="run a relaxation scenario"), engine=True)
+    relax.add_argument("--reset", choices=["exact", "coarse"], dest="reset")
+    relax.add_argument("--scenario", type=str, default=None)
+    # freeze always runs coarse reset (verify_freezing), so it takes no --reset.
     common(sub.add_parser("freeze", help="verify state freezing"), engine=True)
     common(sub.add_parser("sweep", help="sweep an analytic quantity"))
     common(sub.add_parser("env-inspect", help="print environment band table"))

@@ -1,5 +1,4 @@
-"""Exact joint evolution: propagator, band measurements, resets, trajectory and
-ensemble runners.
+"""Exact joint evolution: propagator, trajectory and ensemble runners.
 
 Two engines share one step convention: unitary evolution over dt, then a
 projective measurement of the environment band. The sampled engine propagates
@@ -11,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,15 +18,8 @@ from .model import BandedEnvironment, ModelParams, QubitState, build_total_hamil
 
 __all__ = [
     "Propagator",
-    "TotalState",
     "Trajectory",
     "EnsembleSeries",
-    "band_projector",
-    "measure_band_selective",
-    "measure_band_nonselective",
-    "coarse_reset",
-    "reduced_qubit_state",
-    "cojump_norm",
     "run_trajectory",
     "run_ensemble",
     "trajectory_seed",
@@ -81,146 +73,9 @@ class Propagator:
         return u
 
 
-@dataclass
-class TotalState:
-    """State of TLS x environment, as a pure vector or a density matrix.
-
-    Joint index layout: s * env.dim + level, with TLS sector s in {0: ground,
-    1: excited} and environment levels grouped contiguously by band.
-    """
-
-    env: BandedEnvironment
-    vector: np.ndarray | None = None
-    matrix: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if (self.vector is None) == (self.matrix is None):
-            raise ValueError("provide exactly one of vector, matrix")
-
-    @property
-    def kind(self) -> str:
-        return "pure-vector" if self.vector is not None else "density-matrix"
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.env.dim
-
-    @classmethod
-    def pure_product(
-        cls, env: BandedEnvironment, tls_vec: np.ndarray, k: int, level: int
-    ) -> "TotalState":
-        d = env.dim
-        psi = np.zeros(2 * d, dtype=complex)
-        idx = env.band_slice(env.band_index(k)).start + level
-        psi[idx] = tls_vec[0]
-        psi[d + idx] = tls_vec[1]
-        return cls(env=env, vector=psi)
-
-    def density(self) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix
-        return np.outer(self.vector, self.vector.conj())
-
-
 def trajectory_seed(master_seed: int, index: int) -> np.random.SeedSequence:
     """Deterministic per-trajectory seed, independent of execution order."""
     return np.random.SeedSequence(entropy=(master_seed, index))
-
-
-def _joint_band_ids(env: BandedEnvironment) -> np.ndarray:
-    band_pos = np.repeat(np.arange(env.n_bands), env.degeneracies)
-    return np.concatenate((band_pos, band_pos))
-
-
-def band_projector(env: BandedEnvironment, k: int) -> np.ndarray:
-    """Projector 1_S x P_k onto all levels of band k, as a dense matrix."""
-    i = env.band_index(k)
-    mask = (_joint_band_ids(env) == i).astype(float)
-    return np.diag(mask)
-
-
-def measure_band_selective(
-    state: TotalState, rng: np.random.Generator
-) -> tuple[int, TotalState, float]:
-    """Projective band measurement with a Born-sampled outcome.
-
-    Returns the measured band k, the renormalized collapsed state and the
-    outcome probability.
-    """
-    env = state.env
-    ids = _joint_band_ids(env)
-    if state.vector is not None:
-        per_level = np.abs(state.vector) ** 2
-    else:
-        per_level = np.real(np.diag(state.matrix))
-    weights = np.bincount(ids, weights=per_level, minlength=env.n_bands)
-    total = weights.sum()
-    if total < 1e-15:
-        raise ValueError("state norm lost: all band weights below 1e-15")
-    weights = weights / total
-    pick = int(np.searchsorted(np.cumsum(weights), rng.random()))
-    pick = min(pick, env.n_bands - 1)
-    prob = float(weights[pick])
-    keep = ids == pick
-    if state.vector is not None:
-        psi = np.where(keep, state.vector, 0.0)
-        psi = psi / np.linalg.norm(psi)
-        collapsed = TotalState(env=env, vector=psi)
-    else:
-        rho = np.where(np.outer(keep, keep), state.matrix, 0.0)
-        collapsed = TotalState(env=env, matrix=rho / np.trace(rho).real)
-    return env.band_range[0] + pick, collapsed, prob
-
-
-def measure_band_nonselective(rho: np.ndarray, env: BandedEnvironment) -> np.ndarray:
-    """Outcome-averaged measurement: rho -> sum_k P_k rho P_k."""
-    ids = _joint_band_ids(env)
-    same_band = ids[:, None] == ids[None, :]
-    return np.where(same_band, rho, 0.0)
-
-
-def coarse_reset(rho_s: QubitState | np.ndarray, env: BandedEnvironment, k: int) -> TotalState:
-    """Product state of the given TLS state with the maximally mixed band k."""
-    if isinstance(rho_s, QubitState):
-        rho_s = rho_s.matrix()
-    i = env.band_index(k)
-    nk = env.degeneracies[i]
-    d = env.dim
-    sl = env.band_slice(i)
-    rho = np.zeros((2 * d, 2 * d), dtype=complex)
-    idx = np.arange(sl.start, sl.stop)
-    for a in range(2):
-        for b in range(2):
-            rho[a * d + idx, b * d + idx] = rho_s[a, b] / nk
-    return TotalState(env=env, matrix=rho)
-
-
-def reduced_qubit_state(state: TotalState) -> QubitState:
-    """Partial trace over the environment."""
-    d = state.env.dim
-    if state.vector is not None:
-        a = state.vector.reshape(2, d)
-        rho00 = float(np.vdot(a[0], a[0]).real)
-        rho10 = complex(np.vdot(a[0], a[1]))
-    else:
-        m = state.matrix
-        rho00 = float(np.trace(m[:d, :d]).real)
-        rho10 = complex(np.trace(m[d:, :d]))
-    return QubitState(rho00=rho00, rho10=rho10)
-
-
-def cojump_norm(state: TotalState) -> float:
-    """Frobenius norm of the system-environment correlation rho - rho_S x rho_B."""
-    rho = state.density()
-    d = state.env.dim
-    rho_s = np.empty((2, 2), dtype=complex)
-    blocks = [[rho[a * d:(a + 1) * d, b * d:(b + 1) * d] for b in range(2)] for a in range(2)]
-    for a in range(2):
-        for b in range(2):
-            rho_s[a, b] = np.trace(blocks[a][b])
-    rho_b = blocks[0][0] + blocks[1][1]
-    corr = rho - np.kron(rho_s, rho_b)
-    return float(np.linalg.norm(corr))
 
 
 def write_series_csv(path, rho00, re_rho10, im_rho10, stderr=None, k_j=None) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -78,6 +79,16 @@ def plateau(values: np.ndarray, fraction: float = 0.2) -> float:
     values = np.asarray(values)
     tail = max(1, int(math.ceil(fraction * len(values))))
     return float(values[-tail:].mean())
+
+
+def _check_counts(cfg: dict) -> None:
+    """Reject an n, k0, steps or n_traj that is given but not an integer."""
+    for key in ("n", "k0", "steps", "n_traj"):
+        if cfg.get(key) is not None:
+            try:
+                operator.index(cfg[key])
+            except TypeError:
+                raise ValueError(f"{key} must be an integer, got {cfg[key]!r}") from None
 
 
 def default_environment(
@@ -164,6 +175,7 @@ def run_scenario(scenario: str, **overrides) -> ScenarioReport:
     if unknown:
         raise ValueError(f"unknown {scenario} override(s) {unknown}")
     cfg = {**defaults, **overrides}
+    _check_counts(cfg)
     t0 = time.perf_counter()
     params = ModelParams(
         delta_s=cfg["delta_s"],
@@ -304,6 +316,7 @@ def verify_freezing(
     Checks that populations and coherence magnitude stay put and extracts the
     slow off-diagonal phase advance per step for comparison with c2.
     """
+    _check_counts({"n": n, "k0": k0, "steps": steps, "n_traj": n_traj})
     t0 = time.perf_counter()
     if params is None:
         params = ModelParams(delta_s=1.0, detuning=2.0, coupling=0.05, dt=math.pi)

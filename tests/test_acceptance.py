@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import band_projector, measure_band_nonselective, pure_product
 from tlsbath.analytics import (
     attractor_rho00,
     conditional_update,
@@ -20,13 +21,7 @@ from tlsbath.analytics import (
     rho00_closed_form,
     temperature_bounds,
 )
-from tlsbath.dynamics import (
-    Propagator,
-    TotalState,
-    band_projector,
-    measure_band_nonselective,
-    run_ensemble,
-)
+from tlsbath.dynamics import Propagator, run_ensemble
 from tlsbath.experiments import (
     DEFAULT_SEED,
     attractor_map,
@@ -234,7 +229,8 @@ def test_criterion_9_structural_invariants():
     p = ModelParams(delta_s=1.0, detuning=0.3, coupling=0.05, dt=1.1)
     env = default_environment(n=4, delta_b=p.delta_b, seed=5)
     u = Propagator(build_total_hamiltonian(p, env)).unitary(p.dt)
-    rho = TotalState.pure_product(env, np.array([0.0, 1.0]), k=1, level=0).density()
+    psi = pure_product(env, np.array([0.0, 1.0]), k=1, level=0)
+    rho = np.outer(psi, psi.conj())
     healthy = True
     for _ in range(60):
         rho = measure_band_nonselective(u @ rho @ u.conj().T, env)

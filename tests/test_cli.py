@@ -130,6 +130,9 @@ class TestRelaxCommand:
             ({"delta_s": math.nan}, [], "delta_s"),
             ({"dt": math.inf}, [], "dt"),
             ({"coupling": math.nan}, [], "coupling"),
+            ({"n_traj": 10.5}, ["--engine", "sampled"], "n_traj must be an integer"),
+            ({"n": 7.5}, [], "n must be an integer"),
+            ({"k0": "2"}, [], "k0 must be an integer"),
         ],
     )
     def test_invalid_physics_exit_1(self, tmp_path, capsys, payload, flags, message):
@@ -199,6 +202,19 @@ class TestFreezeCommand:
         code = main(["freeze", "--config", cfg, "--out", str(tmp_path)])
         assert code == 1
         assert "freezing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload, flags, message",
+        [
+            ({"n": 7.5}, [], "n must be an integer"),
+            ({}, ["--reset", "exact"], "unrecognized arguments: --reset"),
+        ],
+    )
+    def test_bad_input_exit_1(self, tmp_path, capsys, payload, flags, message):
+        cfg = write_config(tmp_path, payload)
+        code = main(["freeze", "--config", cfg, "--out", str(tmp_path), *flags])
+        assert code == 1
+        assert message in capsys.readouterr().err
 
 
 class TestSweepCommand:

@@ -5,18 +5,21 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from tlsbath.dynamics import (
-    Propagator,
-    TotalState,
-    _eig2,
-    _joint_band_ids,
-    _sample_paths,
+from oracles import (
     band_projector,
     coarse_reset,
     cojump_norm,
+    dense_nonselective_reference,
+    dense_sampled_reference,
     measure_band_nonselective,
     measure_band_selective,
+    pure_product,
     reduced_qubit_state,
+)
+from tlsbath.dynamics import (
+    Propagator,
+    _eig2,
+    _sample_paths,
     run_ensemble,
     run_trajectory,
     trajectory_seed,
@@ -113,9 +116,9 @@ class TestProjectors:
 
 class TestMeasurement:
     def test_nonselective_trace_idempotence(self, resonant_params, small_env):
-        state = coarse_reset(QubitState(rho00=0.6, rho10=0.2j), small_env, 2)
+        rho0 = coarse_reset(QubitState(rho00=0.6, rho10=0.2j), small_env, 2)
         u = Propagator(_hamiltonian(resonant_params, small_env)).unitary(math.pi)
-        rho = u @ state.density() @ u.conj().T
+        rho = u @ rho0 @ u.conj().T
         meas = measure_band_nonselective(rho, small_env)
         assert np.trace(meas).real == pytest.approx(1.0, abs=1e-10)
         assert np.allclose(measure_band_nonselective(meas, small_env), meas)
@@ -127,23 +130,19 @@ class TestMeasurement:
 
     def test_selective_collapse_support(self, resonant_params, small_env):
         rng = np.random.default_rng(0)
-        state = TotalState.pure_product(
-            small_env, np.array([1.0, 0.0]), k=2, level=3
-        )
+        psi = pure_product(small_env, np.array([1.0, 0.0]), k=2, level=3)
         u = Propagator(_hamiltonian(resonant_params, small_env)).unitary(math.pi)
-        evolved = TotalState(env=small_env, vector=u @ state.vector)
-        k, collapsed, prob = measure_band_selective(evolved, rng)
+        k, collapsed, prob = measure_band_selective(u @ psi, small_env, rng)
         assert 0.0 <= prob <= 1.0
         proj = band_projector(small_env, k)
-        assert np.allclose(proj @ collapsed.vector, collapsed.vector)
-        assert np.linalg.norm(collapsed.vector) == pytest.approx(1.0)
+        assert np.allclose(proj @ collapsed, collapsed)
+        assert np.linalg.norm(collapsed) == pytest.approx(1.0)
 
     def test_selective_zero_coupling_certain(self, small_env):
         p0 = ModelParams(delta_s=1.0, coupling=0.0)
-        state = TotalState.pure_product(small_env, np.array([0.6, 0.8]), k=1, level=0)
+        psi = pure_product(small_env, np.array([0.6, 0.8]), k=1, level=0)
         u = Propagator(_hamiltonian(p0, small_env)).unitary(math.pi)
-        evolved = TotalState(env=small_env, vector=u @ state.vector)
-        k, _, prob = measure_band_selective(evolved, np.random.default_rng(1))
+        k, _, prob = measure_band_selective(u @ psi, small_env, np.random.default_rng(1))
         assert k == 1
         assert prob == pytest.approx(1.0, abs=1e-12)
 
@@ -151,11 +150,10 @@ class TestMeasurement:
 class TestCoarseReset:
     def test_marginals(self, small_env):
         q = QubitState(rho00=0.4, rho10=0.1 - 0.2j)
-        state = coarse_reset(q, small_env, 3)
-        red = reduced_qubit_state(state)
+        rho = coarse_reset(q, small_env, 3)
+        red = reduced_qubit_state(rho)
         assert red.rho00 == pytest.approx(q.rho00, abs=1e-12)
         assert red.rho10 == pytest.approx(q.rho10, abs=1e-12)
-        rho = state.density()
         d = small_env.dim
         env_marg = rho[:d, :d] + rho[d:, d:]
         sl = small_env.band_slice(3)
@@ -166,17 +164,15 @@ class TestCoarseReset:
 
     def test_purity(self, small_env):
         q = QubitState(rho00=1.0)
-        rho = coarse_reset(q, small_env, 2).density()
+        rho = coarse_reset(q, small_env, 2)
         n_k = small_env.degeneracies[2]
         assert np.trace(rho @ rho).real == pytest.approx(1.0 / n_k, abs=1e-12)
 
 
 class TestReducedState:
     def test_product_recovery(self, small_env):
-        state = TotalState.pure_product(
-            small_env, np.array([0.6, 0.8j]), k=2, level=1
-        )
-        red = reduced_qubit_state(state)
+        psi = pure_product(small_env, np.array([0.6, 0.8j]), k=2, level=1)
+        red = reduced_qubit_state(np.outer(psi, psi.conj()))
         assert red.rho00 == pytest.approx(0.36)
         assert red.rho10 == pytest.approx(0.8j * 0.6)
 
@@ -185,34 +181,31 @@ class TestReducedState:
         psi = np.zeros(2 * d, dtype=complex)
         psi[0] = 1.0 / math.sqrt(2)          # ground, level 0
         psi[d + 1] = 1.0 / math.sqrt(2)      # excited, level 1
-        red = reduced_qubit_state(TotalState(env=small_env, vector=psi))
+        red = reduced_qubit_state(np.outer(psi, psi.conj()))
         assert red.rho00 == pytest.approx(0.5)
         assert abs(red.rho10) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestCojump:
     def test_product_state_zero(self, small_env):
-        state = coarse_reset(QubitState(rho00=0.7, rho10=0.1j), small_env, 2)
-        assert cojump_norm(state) == pytest.approx(0.0, abs=1e-12)
+        rho = coarse_reset(QubitState(rho00=0.7, rho10=0.1j), small_env, 2)
+        assert cojump_norm(rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_linear_coupling_scaling(self, small_env):
         norms = []
         for lam in (0.05, 0.025):
             p = ModelParams(delta_s=1.0, coupling=lam, dt=math.pi)
             u = Propagator(_hamiltonian(p, small_env)).unitary(p.dt)
-            rho0 = coarse_reset(QubitState(rho00=1.0), small_env, 2).density()
-            rho = u @ rho0 @ u.conj().T
-            norms.append(cojump_norm(TotalState(env=small_env, matrix=rho)))
+            rho0 = coarse_reset(QubitState(rho00=1.0), small_env, 2)
+            norms.append(cojump_norm(u @ rho0 @ u.conj().T))
         assert norms[0] / norms[1] == pytest.approx(2.0, rel=0.2)
 
     def test_measurement_does_not_increase(self, resonant_params, small_env):
         u = Propagator(_hamiltonian(resonant_params, small_env)).unitary(math.pi)
-        rho0 = coarse_reset(QubitState(rho00=1.0), small_env, 2).density()
+        rho0 = coarse_reset(QubitState(rho00=1.0), small_env, 2)
         rho = u @ rho0 @ u.conj().T
-        before = cojump_norm(TotalState(env=small_env, matrix=rho))
-        after = cojump_norm(
-            TotalState(env=small_env, matrix=measure_band_nonselective(rho, small_env))
-        )
+        before = cojump_norm(rho)
+        after = cojump_norm(measure_band_nonselective(rho, small_env))
         assert after <= before + 1e-12
 
 
@@ -335,21 +328,6 @@ class TestEnsembles:
             )
 
 
-def _dense_exact_reference(params, env, rho0, k0, steps):
-    """Exact reset on the full joint density matrix: u rho u^+, then the
-    nonselective band measurement, every step."""
-    u = Propagator(_hamiltonian(params, env)).unitary(params.dt)
-    rho = coarse_reset(rho0, env, k0).matrix
-    r00 = np.empty(steps + 1)
-    r10 = np.empty(steps + 1, dtype=complex)
-    for j in range(steps + 1):
-        if j:
-            rho = measure_band_nonselective(u @ rho @ u.conj().T, env)
-        q = reduced_qubit_state(TotalState(env=env, matrix=rho))
-        r00[j], r10[j] = q.rho00, q.rho10
-    return r00, r10
-
-
 class TestExactResetEngine:
     @pytest.mark.parametrize(
         "params, make_env, k0",
@@ -377,7 +355,7 @@ class TestExactResetEngine:
             params, env, rho0, k0=k0, steps=40,
             engine="nonselective", reset_mode="exact",
         )
-        r00, r10 = _dense_exact_reference(params, env, rho0, k0, 40)
+        r00, r10 = dense_nonselective_reference(params, env, rho0, k0, 40, "exact")
         assert np.max(np.abs(series.rho00 - r00)) < 1e-12
         assert np.max(np.abs(series.rho10 - r10)) < 1e-12
         assert np.ptp(series.rho00) > 1e-3
@@ -423,32 +401,6 @@ class TestExactResetEngine:
             )
 
 
-def _dense_coarse_reference(params, env, rho0, k0, steps):
-    """Coarse reset on the full joint density matrix: u rho u^+, the
-    nonselective band measurement, then every band replaced by the product of
-    its TLS block with the band's maximally mixed state, every step."""
-    u = Propagator(_hamiltonian(params, env)).unitary(params.dt)
-    d = env.dim
-    rho = coarse_reset(rho0, env, k0).matrix
-    r00 = np.empty(steps + 1)
-    r10 = np.empty(steps + 1, dtype=complex)
-    for j in range(steps + 1):
-        if j:
-            rho = measure_band_nonselective(u @ rho @ u.conj().T, env)
-            reset = np.zeros_like(rho)
-            for k in env.ks:
-                idx = np.arange(d)[env.band_slice(env.band_index(k))]
-                tls = np.array(
-                    [[np.trace(rho[np.ix_(a * d + idx, b * d + idx)]) for b in range(2)]
-                     for a in range(2)]
-                )
-                reset += coarse_reset(tls, env, k).matrix
-            rho = reset
-        q = reduced_qubit_state(TotalState(env=env, matrix=rho))
-        r00[j], r10[j] = q.rho00, q.rho10
-    return r00, r10
-
-
 class TestCoarseResetEngine:
     @pytest.mark.parametrize(
         "params, make_env, k0",
@@ -467,51 +419,10 @@ class TestCoarseResetEngine:
             params, env, rho0, k0=k0, steps=40,
             engine="nonselective", reset_mode="coarse",
         )
-        r00, r10 = _dense_coarse_reference(params, env, rho0, k0, 40)
+        r00, r10 = dense_nonselective_reference(params, env, rho0, k0, 40, "coarse")
         assert np.max(np.abs(series.rho00 - r00)) < 1e-12
         assert np.max(np.abs(series.rho10 - r10)) < 1e-12
         assert np.ptp(series.rho00) > 1e-3
-
-
-def _dense_sampled_reference(params, env, rho0, k0, steps, seed, reset_mode):
-    """One trajectory on full-length vectors: u psi, a masked collapse, a
-    renormalisation and, with coarse reset, a product reset from _eig2, fed
-    with the uniform stream the engine draws from the same seed."""
-    u = Propagator(_hamiltonian(params, env)).unitary(params.dt)
-    per_step = 3 if reset_mode == "coarse" else 1
-    x = iter(np.random.default_rng(seed).random(2 + steps * per_step))
-    ids = _joint_band_ids(env)
-
-    def product(q, i):
-        lam_p, v_plus, v_minus = _eig2(q.rho00, q.rho10)
-        vec = v_plus[:, 0] if next(x) < lam_p[0] else v_minus[:, 0]
-        nk = env.degeneracies[i]
-        level = min(math.floor(next(x) * nk), nk - 1)
-        return TotalState.pure_product(env, vec, env.band_range[0] + i, level).vector
-
-    band = env.band_index(k0)
-    psi = product(rho0, band)
-    outcomes, probs, states = [k0], [], [reduced_qubit_state(TotalState(env, psi))]
-    for _ in range(steps):
-        psi = u @ psi
-        w = np.array([np.sum(np.abs(psi[ids == i]) ** 2) for i in range(env.n_bands)])
-        w = np.where(np.abs(np.arange(env.n_bands) - band) <= 1, w, 0.0)
-        w = w / w.sum()
-        band = min(int(np.searchsorted(np.cumsum(w), next(x))), env.n_bands - 1)
-        probs.append(w[band])
-        psi = np.where(ids == band, psi, 0.0)
-        psi = psi / np.linalg.norm(psi)
-        q = reduced_qubit_state(TotalState(env, psi))
-        outcomes.append(env.band_range[0] + band)
-        states.append(q)
-        if reset_mode == "coarse":
-            psi = product(q, band)
-    return (
-        np.array(outcomes),
-        np.array(probs),
-        np.array([q.rho00 for q in states]),
-        np.array([q.rho10 for q in states]),
-    )
 
 
 def test_eig2_accurate_near_pole():
@@ -544,7 +455,7 @@ class TestSampledEngine:
             params, env, rho0, k0, 40, seeds, reset_mode
         )
         for c, seed in enumerate(seeds):
-            ref_k, ref_p, ref00, ref10 = _dense_sampled_reference(
+            ref_k, ref_p, ref00, ref10 = dense_sampled_reference(
                 params, env, rho0, k0, 40, seed, reset_mode
             )
             assert np.array_equal(out_k[:, c], ref_k)
@@ -617,7 +528,7 @@ class TestJointStateHealth:
     def test_per_step_trace_hermiticity_positivity(self, small_env):
         p = ModelParams(delta_s=1.0, coupling=0.05, dt=math.pi)
         u = Propagator(_hamiltonian(p, small_env)).unitary(p.dt)
-        rho = coarse_reset(QubitState(rho00=0.8, rho10=0.1j), small_env, 2).density()
+        rho = coarse_reset(QubitState(rho00=0.8, rho10=0.1j), small_env, 2)
         for _ in range(25):
             rho = u @ rho @ u.conj().T
             rho = measure_band_nonselective(rho, small_env)
@@ -628,9 +539,7 @@ class TestJointStateHealth:
     def test_norm_drift_pure_vector(self, small_env):
         p = ModelParams(delta_s=1.0, coupling=0.05, dt=math.pi)
         u = Propagator(_hamiltonian(p, small_env)).unitary(p.dt)
-        psi = TotalState.pure_product(
-            small_env, np.array([1.0, 0.0]), k=2, level=0
-        ).vector
+        psi = pure_product(small_env, np.array([1.0, 0.0]), k=2, level=0)
         for _ in range(10_000):
             psi = u @ psi
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-8
