@@ -186,8 +186,6 @@ def cmd_attractor_map(cfg: dict) -> int:
 def cmd_relax(cfg: dict) -> int:
     scenario = cfg.setdefault("scenario", "fig2")
     overrides = {key: cfg[key] for key in _RELAX_KEYS if cfg.get(key) is not None}
-    if "seed" in overrides:
-        overrides["seed"] = int(overrides["seed"])
     report = experiments.run_scenario(scenario, **overrides)
     out = _out_dir(cfg)
     series = report.series
@@ -221,7 +219,7 @@ def cmd_freeze(cfg: dict) -> int:
         n=cfg.setdefault("n", 7),
         k0=cfg.setdefault("k0", 2),
         engine=cfg.setdefault("engine", "nonselective"),
-        seed=int(cfg.get("seed", experiments.DEFAULT_SEED)),
+        seed=cfg.get("seed", experiments.DEFAULT_SEED),
         model=cfg.setdefault("model", "random-band"),
         n_traj=cfg.get("n_traj"),
     )

@@ -4,6 +4,9 @@ Two engines share one step convention: unitary evolution over dt, then a
 projective measurement of the environment band. The sampled engine propagates
 pure state vectors (mixed inputs are unraveled into eigenstate draws), the
 nonselective engine propagates the exact outcome-averaged density matrix.
+
+Both engines build and step on the two env.dim-wide parity sectors of the
+joint unitary (_sector_unitaries) alone; no joint-width matrix is formed.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BandedEnvironment, ModelParams, QubitState, build_total_hamiltonian
+from .model import BandedEnvironment, ModelParams, QubitState, build_sector_hamiltonians
 
 __all__ = [
     "Propagator",
@@ -47,9 +50,9 @@ class Propagator:
     """Unitary exp(-i H dt) from cached Hermitian eigendecompositions.
 
     H is diagonalised block by block over the connected components of its
-    exact nonzero pattern. For the joint Hamiltonians of this package these
-    are the two parity sectors of (TLS level + band index) mod 2, each of
-    dimension env.dim, since the coupling only links adjacent bands.
+    exact nonzero pattern. The engines pass it one parity sector of the joint
+    Hamiltonian at a time (model.build_sector_hamiltonians), one block unless
+    a coupling vanishes; given the joint Hamiltonian, it finds the sectors.
     """
 
     def __init__(self, h: np.ndarray, herm_tol: float = 1e-10):
@@ -203,90 +206,87 @@ def _eig2(rho00: np.ndarray, rho10: np.ndarray):
 _DRAW_CHUNK = 16
 
 
-def _band_ordered_unitary(params: ModelParams, env: BandedEnvironment):
-    """exp(-i H dt) in the band-ordered joint basis, and each band's offset.
+def _sector_unitaries(params: ModelParams, env: BandedEnvironment) -> list[np.ndarray]:
+    """exp(-i h_p dt) for the two parity sectors p of the joint Hamiltonian.
 
-    In this basis the joint indices B_k of band k (its N_k ground levels, then
-    its N_k excited levels) are contiguous and start at offsets[k].
+    Sector p holds the levels of band position k at TLS level (p - k) mod 2,
+    in the environment's level order: the joint state (a, k, r) is level
+    g = (k, r) of sector (a + k) mod 2. Each sector Hamiltonian is released
+    once it is diagonalised.
     """
-    d = env.dim
-    starts, degs = env.band_starts, env.degeneracies
-    perm = np.concatenate(
-        [np.r_[s:s + nk, d + s:d + s + nk] for s, nk in zip(starts, degs)]
-    )
-    u = Propagator(build_total_hamiltonian(params, env)).unitary(params.dt)
-    return u[np.ix_(perm, perm)], 2 * starts
+    hs = build_sector_hamiltonians(params, env)
+    return [Propagator(hs.pop(0)).unitary(params.dt) for _ in range(2)]
 
 
-def _band_windows(offsets: np.ndarray, degs: np.ndarray):
-    """Band-ordered joint indices [lo, hi) of bands k-1 .. k+1 (those that
-    exist) around every band k; the window is contiguous in that basis."""
-    i = np.arange(len(degs))
-    above = np.minimum(i + 1, len(degs) - 1)
-    return offsets[np.maximum(i - 1, 0)], offsets[above] + 2 * degs[above]
+def _band_windows(env: BandedEnvironment):
+    """Level range [lo, hi) of bands k-1 .. k+1 (those that exist) around
+    every band k; the window is contiguous in the environment's level order."""
+    starts, degs = env.band_starts, np.asarray(env.degeneracies)
+    i = np.arange(env.n_bands)
+    above = np.minimum(i + 1, env.n_bands - 1)
+    return starts[np.maximum(i - 1, 0)], starts[above] + degs[above]
 
 
-def _level_table(u: np.ndarray, offsets: np.ndarray, degs: np.ndarray) -> np.ndarray:
-    """Step table of the band-ordered unitary u, per source level.
+def _level_table(us: list[np.ndarray], env: BandedEnvironment) -> np.ndarray:
+    """Step table of the sector unitaries us, per source level.
 
-    For the level g = (band k, level r) and every target band k',
-        tab[g, 1 + k', 2s + s', 2a + b]
-            = sum_l U[(s, k', l), (a, k, r)] conj(U[(s', k', l), (b, k, r)]),
-    so one step maps v (x) |k, r> to the unnormalised TLS block
-    sum_ab tab[g, 1 + k', :, 2a + b] v_a conj(v_b) in band k'. The levels g
-    run in the environment's order (band k starts at offsets[k] / 2), and the
-    band axis has one zero band on each side: tab[g, k:k + 3] is the window
-    k-1 .. k+1 of band k.
+    For the level g = (band k, level r), every target band k' and source
+    TLS levels a, b, tab[g, 1 + k', a, b]
+        = sum_l u_{(a+k)%2}[(k', l), g] conj(u_{(b+k)%2}[(k', l), g]).
+    (a, k, r) only reaches TLS level a ^ d in band k', d = (k' - k) mod 2, so
+    one step maps v (x) |k, r> to the unnormalised TLS block
+    rho'[a ^ d, b ^ d] = tab[g, 1 + k', a, b] v_a conj(v_b) in band k'. The
+    levels g run in the environment's order, and the band axis has one zero
+    band on each side: tab[g, k:k + 3] is the window k-1 .. k+1 of band k.
     """
-    starts = offsets // 2
-    tab = np.zeros((int(degs.sum()), len(degs) + 2, 4, 4), dtype=complex)
-    for k, (b, nk) in enumerate(zip(offsets, degs)):
-        for k2, (b2, nk2) in enumerate(zip(offsets, degs)):
-            # U[B_k', B_k] as (r, (s, a), l): one (4 x N_k')(N_k' x 4) product per level.
-            x = u[b2:b2 + 2 * nk2, b:b + 2 * nk].reshape(2, nk2, 2, nk)
-            x = x.transpose(3, 0, 2, 1).reshape(nk, 4, nk2)
-            g = (x @ x.conj().transpose(0, 2, 1)).reshape(nk, 2, 2, 2, 2)
-            g = g.transpose(0, 1, 3, 2, 4).reshape(nk, 4, 4)
-            tab[starts[k]:starts[k] + nk, 1 + k2] = g
+    parity = (env.band_of_level() - env.band_range[0]) % 2
+    levels = np.arange(env.dim)
+    tab = np.zeros((env.dim, env.n_bands + 2, 2, 2), dtype=complex)
+    for p in range(2):
+        for q in range(2):
+            sums = np.add.reduceat(us[p] * us[q].conj(), env.band_starts, axis=0)
+            tab[levels, 1:-1, (p - parity) % 2, (q - parity) % 2] = sums.T
     return tab
 
 
-def _leakage_bound(u: np.ndarray, offsets: np.ndarray, degs: np.ndarray) -> float:
+def _leakage_bound(us: list[np.ndarray], env: BandedEnvironment) -> float:
     """Largest weight one step moves past the adjacent bands, over all states.
 
-    For band k, lambda_max(A^+ A) with A = U[far(k), B_k], far(k) every joint
-    index outside the window of bands k-1 .. k+1, is the largest |P_far U psi|^2
-    over unit states psi supported on B_k. The maximum over k returned here
-    bounds every state either reset mode holds before a step.
+    For band k and sector p, lambda_max(A^+ A) with A = u_p[far(k), band k],
+    far(k) the levels outside the window of bands k-1 .. k+1, is the largest
+    |P_far u_p psi|^2 over unit states psi on band k of sector p. The two
+    sector parts of a state have disjoint far rows, so the maximum over k and
+    p bounds every state either reset mode holds before a step.
     """
     worst = 0.0
-    for lo, hi, b, nk in zip(*_band_windows(offsets, degs), offsets, degs):
-        cols = u[:, b:b + 2 * nk]
-        far = np.concatenate((cols[:lo], cols[hi:]))
-        worst = max(worst, float(np.linalg.eigvalsh(far.conj().T @ far)[-1]))
+    for lo, hi, s, nk in zip(*_band_windows(env), env.band_starts, env.degeneracies):
+        for u in us:
+            far = np.delete(u[:, s:s + nk], np.s_[lo:hi], axis=0)
+            worst = max(worst, float(np.linalg.eigvalsh(far.conj().T @ far)[-1]))
     return worst
 
 
 def _sampling_tables(params: ModelParams, env: BandedEnvironment, reset_mode: str):
     """The sampled engine's step data, built once, and the unitary's leakage
     bound, checked against leak_tol: for coarse reset the _level_table, for
-    exact reset U^T[B_k, window(k)] for every band k."""
+    exact reset, per band k, the stack over TLS levels a of
+    u_{(a+k)%2}[window(k), band k]^T."""
     if reset_mode not in ("exact", "coarse"):
         raise ValueError(f"unknown reset_mode {reset_mode!r}")
-    u, offsets = _band_ordered_unitary(params, env)
-    degs = np.asarray(env.degeneracies)
-    leakage = _leakage_bound(u, offsets, degs)
+    us = _sector_unitaries(params, env)
+    leakage = _leakage_bound(us, env)
     # Leakage past the adjacent triple is a fourth-order effect; only a
     # gross violation indicates a broken propagator.
     leak_tol = max(1e-9, 1e3 * params.coupling**4)
     if leakage > leak_tol:
         raise ValueError(f"band-adjacency selection rule violated beyond {leak_tol:.1e}")
     if reset_mode == "coarse":
-        step = _level_table(u, offsets, degs)
+        step = _level_table(us, env)
     else:
+        windows = zip(*_band_windows(env), env.band_starts, env.degeneracies)
         step = [
-            np.ascontiguousarray(u[lo:hi, b:b + 2 * nk].T)
-            for lo, hi, b, nk in zip(*_band_windows(offsets, degs), offsets, degs)
+            np.stack([us[(a + k) % 2][lo:hi, s:s + nk].T for a in range(2)])
+            for k, (lo, hi, s, nk) in enumerate(windows)
         ]
     return step, leakage
 
@@ -321,7 +321,7 @@ def _draw_paths(
     m = len(seeds)
     rngs = [np.random.default_rng(s) for s in seeds]
     coarse = reset_mode == "coarse"
-    offsets, degs = 2 * env.band_starts, np.asarray(env.degeneracies)
+    starts, degs = env.band_starts, np.asarray(env.degeneracies)
     nb = env.n_bands
     per_step = 3 if coarse else 1
     traj = np.arange(m)
@@ -347,11 +347,11 @@ def _draw_paths(
     out_r00[0] = np.abs(vec[0]) ** 2
     out_r10[0] = vec[0].conj() * vec[1]
     if not coarse:
-        # The measured band's segment of every state, padded to the largest band.
-        lo = _band_windows(offsets, degs)[0]
-        seg = np.zeros((m, 2 * degs.max()), dtype=complex)
-        seg[traj, level] = vec[0]
-        seg[traj, degs[i0] + level] = vec[1]
+        # The measured band's ground and excited part of every state, padded
+        # to the largest band.
+        lo = _band_windows(env)[0]
+        seg = np.zeros((2, m, degs.max()), dtype=complex)
+        seg[:, traj, level] = vec
 
     for j in range(1, steps + 1):
         if (j - 1) % _DRAW_CHUNK == 0:
@@ -360,39 +360,42 @@ def _draw_paths(
             draws = draws.reshape(m, n, per_step)
         x = draws[:, (j - 1) % _DRAW_CHUNK]
         if coarse:
-            # Unnormalised TLS blocks (rho00, rho01, rho10, rho11) of the window.
-            win = step[(offsets[band] // 2 + level)[:, None], band[:, None] + np.arange(3)]
-            vv = (vec[:, None] * vec[None].conj()).reshape(4, m)
-            blocks = np.einsum("cjxy,yc->cjx", win, vv)
-            new, wk, out_p[j - 1] = _born_pick(
-                blocks[..., 0].real + blocks[..., 3].real, x[:, 0], band, nb
-            )
-            picked = blocks[traj, new - band + 1]
-            out_r00[j] = picked[:, 0].real / wk
-            out_r10[j] = picked[:, 2] / wk
+            # Window slot i holds band k - 1 + i, whose TLS levels are those
+            # of the source flipped by d = 1, 0, 1 (_level_table).
+            win = step[(starts[band] + level)[:, None], band[:, None] + np.arange(3)]
+            pops = (vec * vec.conj()).real
+            w = np.einsum("cjaa,ac->cj", win.real, pops)
+            new, wk, out_p[j - 1] = _born_pick(w, x[:, 0], band, nb)
+            t, d = win[traj, new - band + 1], (new - band) % 2
+            coh = vec[1 - d, traj] * vec[d, traj].conj()
+            out_r00[j] = t[traj, d, d].real * pops[d, traj] / wk
+            out_r10[j] = t[traj, 1 - d, d] * coh / wk
             vec, level = draw_product(out_r00[j], out_r10[j], new, x[:, 1], x[:, 2])
         else:
             new = np.empty_like(band)
             for i in np.unique(band):
                 idx = np.flatnonzero(band == i)
-                prod = seg[idx, :2 * degs[i]] @ step[i]
-                # Ground and excited half of every window band, as float
-                # offsets into the squared components of prod.
+                # prod[a]: the TLS-level-a part, stepped in its sector.
+                prod = seg[:, idx, :degs[i]] @ step[i]
+                # Weight of each part in every window band.
                 first, last = max(i - 1, 0), min(i + 1, nb - 1)
-                loc = offsets[first:last + 1] - lo[i]
-                halves = 2 * np.column_stack((loc, loc + degs[first:last + 1])).ravel()
-                half_w = np.add.reduceat(np.square(prod.view(float)), halves, axis=1)
+                loc = starts[first:last + 1] - lo[i]
+                cuts = np.split(prod.view(float), 2 * loc[1:], axis=2)
+                part_w = np.stack([np.einsum("acl,acl->ac", v, v) for v in cuts], 2)
                 w = np.zeros((len(idx), 3))
-                w[:, first - i + 1:last - i + 2] = half_w[:, 0::2] + half_w[:, 1::2]
+                w[:, first - i + 1:last - i + 2] = part_w[0] + part_w[1]
                 new[idx], wk, out_p[j - 1, idx] = _born_pick(w, x[idx, 0], i, nb)
                 for i2 in np.unique(new[idx]):
                     sub = new[idx] == i2
                     rows, nk, c = idx[sub], degs[i2], loc[i2 - first]
-                    s = prod[sub, c:c + 2 * nk]
-                    out_r00[j, rows] = half_w[sub, 2 * (i2 - first)] / wk[sub]
-                    coh = np.einsum("cl,cl->c", s[:, :nk].conj(), s[:, nk:])
+                    # Part a lands at TLS level a ^ d in band i2: the parts
+                    # swap roles in the adjacent bands (a reversed view).
+                    d = (i2 - i) % 2
+                    parts = prod[:, sub, c:c + nk][::1 - 2 * d]
+                    out_r00[j, rows] = part_w[d, sub, i2 - first] / wk[sub]
+                    coh = np.einsum("cl,cl->c", parts[0].conj(), parts[1])
                     out_r10[j, rows] = coh / wk[sub]
-                    seg[rows, :2 * nk] = s / np.sqrt(wk[sub])[:, None]
+                    seg[:, rows, :nk] = parts / np.sqrt(wk[sub])[:, None]
         band = new
         out_k[j] = env.band_range[0] + band
     return out_k, out_p, out_r00, out_r10
@@ -410,7 +413,7 @@ def _sample_paths(
     """Batched pure-state trajectories (Monte Carlo wave functions).
 
     Every state is supported on one band k, and one step only reaches the
-    window of bands k-1 .. k+1 (contiguous in the band-ordered joint basis).
+    window of bands k-1 .. k+1 (contiguous in the environment's level order).
     Everything a step needs is built once (_sampling_tables):
 
     - coarse reset: after a product draw the state is v (x) |k, r>, so a
@@ -418,10 +421,11 @@ def _sample_paths(
       (_level_table) gives the unnormalised TLS block of every window band
       from v_a conj(v_b) alone; its weights give the outcome, the picked
       block rho00 and rho10. No joint state vector is held.
-    - exact reset: a trajectory holds the measured band's segment psi[B_k]
-      (normalised), and a step is one (m_k x 2N_k)(2N_k x W_k) product with
-      U^T[B_k, window(k)] over the m_k trajectories in band k. Band weights,
-      rho00, rho10 and the next segment are read from that window.
+    - exact reset: a trajectory holds band k's ground part (sector k mod 2)
+      and excited part (sector (k + 1) mod 2), N_k numbers each. A step is
+      one (2, m_k, N_k)(2, N_k, W_k) product with u_{(a+k)%2}[window(k),
+      band k]^T over the m_k trajectories in band k. Band weights, rho00,
+      rho10 and the next parts are read from that window.
 
     The band-adjacency selection rule is checked once at build time, for every
     state either mode can reach (_leakage_bound): if one step can move more
@@ -468,30 +472,20 @@ def run_trajectory(
 def _run_nonselective_exact(params, env, rho0: QubitState, k0, steps):
     """Exact joint density matrix, nonselective measurement, no coarse graining.
 
-    U conserves the parity p = (TLS level + band index) mod 2, so it is the
-    direct sum of two env.dim x env.dim sector unitaries u_p; in sector p the
-    N_k levels of band k at TLS level (p - k) mod 2 sit at env.band_starts[k].
+    U conserves the parity p = (TLS level + band position) mod 2, so it is
+    the direct sum of the two env.dim x env.dim sector unitaries u_p of
+    _sector_unitaries; in sector p the N_k levels of band k at TLS level
+    (p - k) mod 2 sit at env.band_starts[k].
     After every band measurement rho is block-diagonal in the bands, so each
     sector pair (p, q) of rho is held as one N_k x N_k block X_k per band, for
     the pairs (0, 0), (1, 1) and (1, 0); (0, 1) is (1, 0)^+ and is not
     stepped. A step is M[:, k] = u_p[:, k] X_k, then X'_k = M[k] u_q[k]^+.
 
-    A unitary with a nonzero entry across the sectors is refused. Returns the
-    rho00 and rho10 series and the largest drift of the total trace, which
-    must stay below 1e-9.
+    Returns the rho00 and rho10 series and the largest drift of the total
+    trace, which must stay below 1e-9.
     """
     degs = env.degeneracies
-    u, offsets = _band_ordered_unitary(params, env)
-    # Band-ordered joint indices of sector p: band k's levels at TLS level (p - k) mod 2.
-    sectors = [
-        np.concatenate([b + (p - k) % 2 * nk + np.arange(nk)
-                        for k, (b, nk) in enumerate(zip(offsets, degs))])
-        for p in range(2)
-    ]
-    if u[np.ix_(sectors[0], sectors[1])].any() or u[np.ix_(sectors[1], sectors[0])].any():
-        raise ValueError("unitary mixes the parity sectors")
-    us = [u[np.ix_(idx, idx)] for idx in sectors]
-    del u
+    us = _sector_unitaries(params, env)
     bands = [slice(s, s + nk) for s, nk in zip(env.band_starts, degs)]
 
     pairs = [(0, 0), (1, 1), (1, 0)]
@@ -530,14 +524,18 @@ def _coarse_step_operator(params, env) -> np.ndarray:
     (generally unnormalized) 2x2 TLS block per band; the evolve-measure-reset
     step is linear on that collection. A reset puts band k's levels in equal
     mixture, so the column of source band k is the level mean of the step
-    table (_level_table) over k's levels, for every target band k':
-    T[4k' + 2s + s', 4k + 2a + b] = mean_r tab[(k, r), 1 + k', 2s + s', 2a + b].
+    table (_level_table) over k's levels, for every target band k', placed
+    at the target TLS levels that parity fixes, d = (k' - k) mod 2:
+    T[4k' + 2(a ^ d) + (b ^ d), 4k + 2a + b] = mean_r tab[(k, r), 1 + k', a, b].
     """
-    u, offsets = _band_ordered_unitary(params, env)
     degs = np.asarray(env.degeneracies)
-    tab = _level_table(u, offsets, degs)[:, 1:-1]
-    t = np.add.reduceat(tab, env.band_starts, axis=0) / degs[:, None, None, None]
-    return t.transpose(1, 2, 0, 3).reshape(4 * env.n_bands, 4 * env.n_bands)
+    tab = _level_table(_sector_unitaries(params, env), env)[:, 1:-1]
+    mean = np.add.reduceat(tab, env.band_starts, axis=0) / degs[:, None, None, None]
+    k, k2, a, b = np.indices(mean.shape)
+    d = (k2 - k) % 2
+    t = np.zeros((env.n_bands, 2, 2) * 2, dtype=complex)
+    t[k2, a ^ d, b ^ d, k, a, b] = mean
+    return t.reshape(4 * env.n_bands, 4 * env.n_bands)
 
 
 def _run_nonselective_coarse(params, env, rho0: QubitState, k0, steps):

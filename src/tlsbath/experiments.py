@@ -82,13 +82,20 @@ def plateau(values: np.ndarray, fraction: float = 0.2) -> float:
 
 
 def _check_counts(cfg: dict) -> None:
-    """Reject an n, k0, steps or n_traj that is given but not an integer."""
-    for key in ("n", "k0", "steps", "n_traj"):
-        if cfg.get(key) is not None:
-            try:
-                operator.index(cfg[key])
-            except TypeError:
-                raise ValueError(f"{key} must be an integer, got {cfg[key]!r}") from None
+    """Reject an n, k0, steps, n_traj or seed that is given but not an integer
+    (a JSON boolean is not one), and an n, steps or n_traj below 1."""
+    for key in ("n", "k0", "steps", "n_traj", "seed"):
+        value = cfg.get(key)
+        if value is None:
+            continue
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{key} must be an integer, got {value!r}") from None
+        if key in ("n", "steps", "n_traj") and value < 1:
+            raise ValueError(f"{key} must be >= 1, got {value}")
 
 
 def default_environment(
@@ -316,7 +323,7 @@ def verify_freezing(
     Checks that populations and coherence magnitude stay put and extracts the
     slow off-diagonal phase advance per step for comparison with c2.
     """
-    _check_counts({"n": n, "k0": k0, "steps": steps, "n_traj": n_traj})
+    _check_counts({"n": n, "k0": k0, "steps": steps, "n_traj": n_traj, "seed": seed})
     t0 = time.perf_counter()
     if params is None:
         params = ModelParams(delta_s=1.0, detuning=2.0, coupling=0.05, dt=math.pi)

@@ -1,4 +1,4 @@
-"""Model construction: banded spin environments, joint Hamiltonians, degeneracy utilities.
+"""Model construction: banded spin environments, Hamiltonians, degeneracy utilities.
 
 The environment is a set of energy bands k = 0..n with energies E_k = k*delta_b,
 degeneracies N_k = C(n, k) and (optionally) a small intra-band level spread.
@@ -24,6 +24,7 @@ __all__ = [
     "build_band_environment",
     "build_spin_environment",
     "build_total_hamiltonian",
+    "build_sector_hamiltonians",
     "beta_working_point",
     "effective_beta",
 ]
@@ -371,22 +372,43 @@ def build_spin_environment(n: int, delta_b: float, seed: int) -> BandedEnvironme
     )
 
 
-def build_total_hamiltonian(params: ModelParams, env: BandedEnvironment) -> np.ndarray:
+def build_total_hamiltonian(
+    params: ModelParams, env: BandedEnvironment, parity: int | None = None
+) -> np.ndarray:
     """Joint Hamiltonian on TLS x environment, ground TLS sector first.
 
     H = delta_s/2 sigma_z x 1 + 1 x H_B + coupling * (sigma^+ x B + sigma^- x B^+).
+
+    H conserves p = (TLS level + band position) mod 2, the band position k
+    counting from band_range[0]. Given a parity p, only H's block on sector
+    p is built: every environment level, in the environment's order, with
+    the levels of band k at TLS level s = (p - k) mod 2. B only links
+    adjacent bands, whose TLS levels differ within a sector, so that block is
+    h_p = coupling * B + diag(E_level + (s - 1/2) delta_s).
     """
     if abs(env.delta_b - params.delta_b) > 1e-9 * max(1.0, abs(params.delta_b)):
         raise ValueError(
             f"environment splitting {env.delta_b} inconsistent with "
             f"params.delta_b = {params.delta_b}"
         )
+    e_env = env.level_energies()
+    b = env.coupling_matrix()
+    if parity is not None:
+        b *= params.coupling
+        positions = env.band_of_level() - env.band_range[0]
+        np.fill_diagonal(b, e_env + ((parity - positions) % 2 - 0.5) * params.delta_s)
+        return b
     d = env.dim
     h = np.zeros((2 * d, 2 * d), dtype=complex)
-    e_env = env.level_energies()
     diag = np.concatenate((e_env - params.delta_s / 2.0, e_env + params.delta_s / 2.0))
     np.fill_diagonal(h, diag)
-    b = env.coupling_matrix()
     h[d:, :d] = params.coupling * b
     h[:d, d:] = params.coupling * b.conj().T
     return h
+
+
+def build_sector_hamiltonians(
+    params: ModelParams, env: BandedEnvironment
+) -> list[np.ndarray]:
+    """The blocks [h_0, h_1] of the joint Hamiltonian on its two parity sectors."""
+    return [build_total_hamiltonian(params, env, parity=p) for p in (0, 1)]

@@ -78,6 +78,19 @@ def _unitary(params, env):
     return Propagator(build_total_hamiltonian(params, env)).unitary(params.dt)
 
 
+def dense_leakage_bound(params, env):
+    """Largest weight one step of the joint unitary moves from a band past
+    its neighbours: lambda_max of U[far, B_k]^+ U[far, B_k] over bands k,
+    with B_k both TLS levels of band k and far the joint indices of every
+    band more than one away."""
+    u, ids = _unitary(params, env), band_ids(env)
+    worst = 0.0
+    for k in range(env.n_bands):
+        a = u[np.ix_(np.abs(ids - k) > 1, ids == k)]
+        worst = max(worst, np.linalg.eigvalsh(a.conj().T @ a)[-1])
+    return worst
+
+
 def dense_nonselective_reference(params, env, rho0, k0, steps, reset_mode):
     """The nonselective engine on the full joint density matrix: u rho u^+ and
     the nonselective band measurement every step; with coarse reset, every

@@ -133,6 +133,12 @@ class TestRelaxCommand:
             ({"n_traj": 10.5}, ["--engine", "sampled"], "n_traj must be an integer"),
             ({"n": 7.5}, [], "n must be an integer"),
             ({"k0": "2"}, [], "k0 must be an integer"),
+            ({"steps": 0}, [], "steps must be >= 1"),
+            ({"steps": -3}, [], "steps must be >= 1"),
+            ({"n_traj": 0}, ["--engine", "sampled"], "n_traj must be >= 1"),
+            ({"n": 0}, [], "n must be >= 1"),
+            ({"n": True}, [], "n must be an integer"),
+            ({"seed": 7.5}, [], "seed must be an integer"),
         ],
     )
     def test_invalid_physics_exit_1(self, tmp_path, capsys, payload, flags, message):
@@ -208,6 +214,11 @@ class TestFreezeCommand:
         [
             ({"n": 7.5}, [], "n must be an integer"),
             ({}, ["--reset", "exact"], "unrecognized arguments: --reset"),
+            ({"steps": 0}, [], "steps must be >= 1"),
+            ({"steps": -3}, [], "steps must be >= 1"),
+            ({"n_traj": 0}, ["--engine", "sampled"], "n_traj must be >= 1"),
+            ({"n": True}, [], "n must be an integer"),
+            ({"seed": 7.5}, [], "seed must be an integer"),
         ],
     )
     def test_bad_input_exit_1(self, tmp_path, capsys, payload, flags, message):

@@ -9,6 +9,7 @@ from oracles import (
     band_projector,
     coarse_reset,
     cojump_norm,
+    dense_leakage_bound,
     dense_nonselective_reference,
     dense_sampled_reference,
     measure_band_nonselective,
@@ -20,6 +21,7 @@ from tlsbath.dynamics import (
     Propagator,
     _eig2,
     _sample_paths,
+    _sampling_tables,
     run_ensemble,
     run_trajectory,
     trajectory_seed,
@@ -388,18 +390,6 @@ class TestExactResetEngine:
         doc = json.loads((tmp_path / "series.json").read_text())
         assert doc["trace_drift"] == series.trace_drift
 
-    def test_parity_mixing_unitary_raises(self, monkeypatch, resonant_params,
-                                          small_env, ground):
-        # The cyclic shift of test_leakage_check_raises: ground level 0
-        # (band 0, parity 0) goes to level 20 (band 3, parity 1).
-        shift = np.roll(np.eye(2 * small_env.dim, dtype=complex), 20, axis=0)
-        monkeypatch.setattr(Propagator, "unitary", lambda self, dt: shift)
-        with pytest.raises(ValueError, match="unitary mixes the parity sectors"):
-            run_ensemble(
-                resonant_params, small_env, ground, k0=0, steps=5,
-                engine="nonselective", reset_mode="exact",
-            )
-
 
 class TestCoarseResetEngine:
     @pytest.mark.parametrize(
@@ -485,12 +475,29 @@ class TestSampledEngine:
             assert np.max(np.abs(solo.rho00 - r00[:, c])) < 1e-12
             assert np.max(np.abs(solo.rho10 - r10[:, c])) < 1e-12
 
+    @pytest.mark.parametrize(
+        "params, make_env",
+        [
+            (ModelParams(delta_s=1.0, coupling=0.1, dt=math.pi),
+             lambda: build_band_environment(5, 1.0, seed=901)),
+            (ModelParams(delta_s=1.0, detuning=0.3, coupling=0.1, dt=1.1),
+             lambda: build_spin_environment(6, 1.3, seed=8)),
+        ],
+        ids=["random-band-n5", "sigma-x-n6"],
+    )
+    def test_leakage_bound_matches_dense_reference(self, params, make_env):
+        env = make_env()
+        _, bound = _sampling_tables(params, env, "exact")
+        ref = dense_leakage_bound(params, env)
+        assert abs(bound - ref) < 1e-12
+        assert ref > 1e-8
+
     @pytest.mark.parametrize("reset_mode", ["coarse", "exact"])
     def test_leakage_check_raises(self, monkeypatch, reset_mode, resonant_params,
                                   small_env, ground):
-        # A cyclic shift by 20 joint indices moves ground level 0 (band 0)
-        # onto level 20 (band 3), two bands past the adjacent pair.
-        shift = np.roll(np.eye(2 * small_env.dim, dtype=complex), 20, axis=0)
+        # A cyclic shift by 20 levels of each sector unitary moves level 0
+        # (band 0) onto level 20 (band 3), two bands past the adjacent pair.
+        shift = np.roll(np.eye(small_env.dim, dtype=complex), 20, axis=0)
         monkeypatch.setattr(Propagator, "unitary", lambda self, dt: shift)
         with pytest.raises(ValueError, match="band-adjacency selection rule violated"):
             run_trajectory(
@@ -507,13 +514,13 @@ class TestSampledEngine:
     def test_leakage_from_unvisited_level_raises(
         self, monkeypatch, cycle, k0, reset_mode, resonant_params, small_env, ground
     ):
-        # The identity but for a cycle of ground level 0 of the given bands,
-        # each sent to the next: a swap of bands 1 and 4, or a 3-cycle whose
-        # only move past an adjacent band goes up (3 -> 5) or down (5 -> 3).
-        # A trajectory from k0 stays there and never holds a cycled level;
-        # the bound over all states still sees the cycle.
+        # Each sector unitary is the identity but for a cycle of level 0 of
+        # the given bands, each sent to the next: a swap of bands 1 and 4, or
+        # a 3-cycle whose only move past an adjacent band goes up (3 -> 5) or
+        # down (5 -> 3). A trajectory from k0 stays there and never holds a
+        # cycled level; the bound over all states still sees the cycle.
         levels = [small_env.band_slice(small_env.band_index(k)).start for k in cycle]
-        eye = np.eye(2 * small_env.dim, dtype=complex)
+        eye = np.eye(small_env.dim, dtype=complex)
         cyc = eye.copy()
         cyc[:, levels] = eye[:, np.roll(levels, -1)]
         monkeypatch.setattr(Propagator, "unitary", lambda self, dt: cyc)

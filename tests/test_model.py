@@ -13,6 +13,7 @@ from tlsbath.model import (
     binomial_degeneracy,
     build_band_environment,
     build_spin_environment,
+    build_sector_hamiltonians,
     build_total_hamiltonian,
     effective_beta,
 )
@@ -190,10 +191,24 @@ def test_hamiltonian_conserves_parity(any_env):
     assert np.count_nonzero(h[~cross]) > 2 * env.dim
 
 
-def test_hamiltonian_dimension_mismatch(seven_env):
+def test_sector_hamiltonians_are_the_parity_blocks(any_env):
+    """h_p is the block of H on sector p, reindexed to the env level order."""
+    env = any_env
+    p = ModelParams(delta_s=1.0, detuning=0.3, coupling=0.07)
+    h = build_total_hamiltonian(p, env)
+    positions = env.band_of_level() - env.band_range[0]
+    levels = np.arange(env.dim)
+    for parity, hp in enumerate(build_sector_hamiltonians(p, env)):
+        # Level g of sector p sits at TLS level (p - k) mod 2 of the joint index.
+        idx = (parity - positions) % 2 * env.dim + levels
+        assert np.array_equal(hp, h[np.ix_(idx, idx)])
+
+
+@pytest.mark.parametrize("build", [build_total_hamiltonian, build_sector_hamiltonians])
+def test_hamiltonian_dimension_mismatch(build, seven_env):
     p = ModelParams(delta_s=1.0, detuning=0.5)
-    with pytest.raises(ValueError):
-        build_total_hamiltonian(p, seven_env)
+    with pytest.raises(ValueError, match="inconsistent with params.delta_b"):
+        build(p, seven_env)
 
 
 def test_digamma_against_scipy():
