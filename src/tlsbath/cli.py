@@ -287,12 +287,14 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_env_inspect(cfg: dict) -> int:
-    n = int(cfg.setdefault("n", 7))
+    n = cfg.setdefault("n", 7)
+    experiments._check_counts(cfg)
+    seed = cfg.get("seed")
     delta_b = float(cfg.setdefault("delta_b", 1.0))
     env = experiments.default_environment(
         n=n,
         delta_b=delta_b,
-        seed=int(cfg.get("seed", experiments.DEFAULT_SEED)),
+        seed=experiments.DEFAULT_SEED if seed is None else seed,
         model=cfg.setdefault("model", "random-band"),
         band_width=float(cfg.setdefault("band_width", 0.0)),
     )

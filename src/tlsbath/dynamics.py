@@ -1,9 +1,12 @@
 """Exact joint evolution: propagator, trajectory and ensemble runners.
 
 Two engines share one step convention: unitary evolution over dt, then a
-projective measurement of the environment band. The sampled engine propagates
-pure state vectors (mixed inputs are unraveled into eigenstate draws), the
-nonselective engine propagates the exact outcome-averaged density matrix.
+projective measurement of the environment band. The sampled engine follows
+single measurement records: with exact reset it propagates pure state vectors
+(mixed inputs are unraveled into eigenstate draws), with coarse reset the TLS
+state conditioned on the record. The nonselective engine propagates the exact
+outcome-averaged density matrix. Both coarse-reset engines step with one
+transfer operator (_coarse_step_operator).
 
 Both engines build and step on the two env.dim-wide parity sectors of the
 joint unitary (_sector_unitaries) alone; no joint-width matrix is formed.
@@ -30,50 +33,23 @@ __all__ = [
 ]
 
 
-def _connected_blocks(linked: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of a symmetric boolean pattern."""
-    unseen = np.ones(len(linked), dtype=bool)
-    blocks = []
-    while unseen.any():
-        block = np.zeros(len(linked), dtype=bool)
-        front = np.zeros(len(linked), dtype=bool)
-        front[np.argmax(unseen)] = True
-        while front.any():
-            block |= front
-            front = linked[front].any(axis=0) & ~block
-        unseen &= ~block
-        blocks.append(np.flatnonzero(block))
-    return blocks
-
-
 class Propagator:
-    """Unitary exp(-i H dt) from cached Hermitian eigendecompositions.
+    """Unitary exp(-i H dt) from one cached Hermitian eigendecomposition.
 
-    H is diagonalised block by block over the connected components of its
-    exact nonzero pattern. The engines pass it one parity sector of the joint
-    Hamiltonian at a time (model.build_sector_hamiltonians), one block unless
-    a coupling vanishes; given the joint Hamiltonian, it finds the sectors.
+    The engines pass it one parity sector of the joint Hamiltonian at a time
+    (model.build_sector_hamiltonians); any Hermitian matrix, the joint
+    Hamiltonian included, works.
     """
 
     def __init__(self, h: np.ndarray, herm_tol: float = 1e-10):
         h = np.asarray(h, dtype=complex)
-        self.dim = len(h)
-        linked = h != 0
-        # Every nonzero entry and its transposed partner lie in one block of
-        # the symmetrised pattern, so checking each block checks all of h.
-        hbs = [
-            (idx, h[np.ix_(idx, idx)]) for idx in _connected_blocks(linked | linked.T)
-        ]
-        if any(np.max(np.abs(hb - hb.conj().T)) > herm_tol for _, hb in hbs):
+        if np.max(np.abs(h - h.conj().T)) > herm_tol:
             raise ValueError("Hamiltonian is not Hermitian")
-        self.blocks = [(idx, *np.linalg.eigh(hb)) for idx, hb in hbs]
+        self.energies, self.modes = np.linalg.eigh(h)
 
     def unitary(self, dt: float) -> np.ndarray:
-        u = np.zeros((self.dim, self.dim), dtype=complex)
-        for idx, energies, modes in self.blocks:
-            phases = np.exp(-1j * energies * dt)
-            u[np.ix_(idx, idx)] = (modes * phases) @ modes.conj().T
-        return u
+        phases = np.exp(-1j * self.energies * dt)
+        return (self.modes * phases) @ self.modes.conj().T
 
 
 def trajectory_seed(master_seed: int, index: int) -> np.random.SeedSequence:
@@ -202,7 +178,7 @@ def _eig2(rho00: np.ndarray, rho10: np.ndarray):
 
 
 # Steps of uniforms each trajectory draws in one call; bounds the block of
-# draws held at once to 3 * _DRAW_CHUNK doubles per trajectory.
+# draws held at once to _DRAW_CHUNK doubles per trajectory.
 _DRAW_CHUNK = 16
 
 
@@ -227,28 +203,6 @@ def _band_windows(env: BandedEnvironment):
     return starts[np.maximum(i - 1, 0)], starts[above] + degs[above]
 
 
-def _level_table(us: list[np.ndarray], env: BandedEnvironment) -> np.ndarray:
-    """Step table of the sector unitaries us, per source level.
-
-    For the level g = (band k, level r), every target band k' and source
-    TLS levels a, b, tab[g, 1 + k', a, b]
-        = sum_l u_{(a+k)%2}[(k', l), g] conj(u_{(b+k)%2}[(k', l), g]).
-    (a, k, r) only reaches TLS level a ^ d in band k', d = (k' - k) mod 2, so
-    one step maps v (x) |k, r> to the unnormalised TLS block
-    rho'[a ^ d, b ^ d] = tab[g, 1 + k', a, b] v_a conj(v_b) in band k'. The
-    levels g run in the environment's order, and the band axis has one zero
-    band on each side: tab[g, k:k + 3] is the window k-1 .. k+1 of band k.
-    """
-    parity = (env.band_of_level() - env.band_range[0]) % 2
-    levels = np.arange(env.dim)
-    tab = np.zeros((env.dim, env.n_bands + 2, 2, 2), dtype=complex)
-    for p in range(2):
-        for q in range(2):
-            sums = np.add.reduceat(us[p] * us[q].conj(), env.band_starts, axis=0)
-            tab[levels, 1:-1, (p - parity) % 2, (q - parity) % 2] = sums.T
-    return tab
-
-
 def _leakage_bound(us: list[np.ndarray], env: BandedEnvironment) -> float:
     """Largest weight one step moves past the adjacent bands, over all states.
 
@@ -266,10 +220,39 @@ def _leakage_bound(us: list[np.ndarray], env: BandedEnvironment) -> float:
     return worst
 
 
+def _coarse_step_operator(us: list[np.ndarray], env: BandedEnvironment) -> np.ndarray:
+    """One-step transfer matrix T on per-band TLS blocks for coarse reset.
+
+    After a coarse reset the state is sum_k rho_k (x) 1_k / N_k, one
+    (generally unnormalised) 2x2 TLS block rho_k per band, and the
+    evolve-measure-reset step is linear on the blocks. The joint state
+    (a, k, r) is level (k, r) of sector (a + k) mod 2 of the sector unitaries
+    us, and only reaches TLS level a ^ d in band k', d = (k' - k) mod 2, so
+    T[4k' + 2(a ^ d) + (b ^ d), 4k + 2a + b]
+        = (1/N_k) sum_{l in k', r in k} u_p[l, r] conj(u_q[l, r])
+    with p = (a + k) mod 2 and q = (b + k) mod 2. The nonselective engine
+    steps all blocks with T; a sampled trajectory in band k steps its TLS
+    state with the blocks T[k' <- k] of the adjacent bands k'.
+    """
+    nb, degs = env.n_bands, np.asarray(env.degeneracies)
+    sums = np.empty((2, 2, nb, nb), dtype=complex)
+    for p in range(2):
+        for q in range(2):
+            prod = np.add.reduceat(us[p] * us[q].conj(), env.band_starts, axis=0)
+            sums[p, q] = np.add.reduceat(prod, env.band_starts, axis=1) / degs
+    k2, k, a, b = np.indices((nb, nb, 2, 2))
+    d = (k2 - k) % 2
+    t = np.zeros((nb, 2, 2) * 2, dtype=complex)
+    t[k2, a ^ d, b ^ d, k, a, b] = sums[(a + k) % 2, (b + k) % 2, k2, k]
+    return t.reshape(4 * nb, 4 * nb)
+
+
 def _sampling_tables(params: ModelParams, env: BandedEnvironment, reset_mode: str):
     """The sampled engine's step data, built once, and the unitary's leakage
-    bound, checked against leak_tol: for coarse reset the _level_table, for
-    exact reset, per band k, the stack over TLS levels a of
+    bound, checked against leak_tol: for coarse reset the blocks
+    T[k-1 .. k+1 <- k] of _coarse_step_operator for every band k, as an
+    (n_bands, 3, 4, 4) array that is zero outside the environment; for exact
+    reset, per band k, the stack over TLS levels a of
     u_{(a+k)%2}[window(k), band k]^T."""
     if reset_mode not in ("exact", "coarse"):
         raise ValueError(f"unknown reset_mode {reset_mode!r}")
@@ -281,7 +264,11 @@ def _sampling_tables(params: ModelParams, env: BandedEnvironment, reset_mode: st
     if leakage > leak_tol:
         raise ValueError(f"band-adjacency selection rule violated beyond {leak_tol:.1e}")
     if reset_mode == "coarse":
-        step = _level_table(us, env)
+        nb = env.n_bands
+        t = np.zeros((nb + 2, 4, nb, 4), dtype=complex)
+        t[1:-1] = _coarse_step_operator(us, env).reshape(nb, 4, nb, 4)
+        k = np.arange(nb)[:, None]
+        step = t[k + np.arange(3), :, k, :]
     else:
         windows = zip(*_band_windows(env), env.band_starts, env.degeneracies)
         step = [
@@ -323,7 +310,6 @@ def _draw_paths(
     coarse = reset_mode == "coarse"
     starts, degs = env.band_starts, np.asarray(env.degeneracies)
     nb = env.n_bands
-    per_step = 3 if coarse else 1
     traj = np.arange(m)
 
     out_k = np.empty((steps + 1, m), dtype=int)
@@ -331,22 +317,22 @@ def _draw_paths(
     out_r00 = np.empty((steps + 1, m))
     out_r10 = np.empty((steps + 1, m), dtype=complex)
 
-    def draw_product(r00, r10, band, x_tls, x_lvl):
-        """The unraveling of rho_S (x) 1_k / N_k: an eigenvector v of rho_S
-        and a uniform level of band k."""
-        lam_p, v_plus, v_minus = _eig2(r00, r10)
-        nk = degs[band]
-        level = np.minimum((x_lvl * nk).astype(int), nk - 1)
-        return np.where(x_tls < lam_p, v_plus, v_minus), level
-
-    x0 = np.array([rng.random(2) for rng in rngs])
     i0 = env.band_index(k0)
     band = np.full(m, i0)
-    vec, level = draw_product(rho0.rho00, rho0.rho10, band, x0[:, 0], x0[:, 1])
     out_k[0] = env.band_range[0] + i0
-    out_r00[0] = np.abs(vec[0]) ** 2
-    out_r10[0] = vec[0].conj() * vec[1]
-    if not coarse:
+    if coarse:
+        # Every trajectory's TLS state, flattened: rho00, rho01, rho10, rho11.
+        rho = np.tile(rho0.matrix().reshape(-1), (m, 1))
+        out_r00[0], out_r10[0] = rho0.rho00, rho0.rho10
+    else:
+        # The unraveling of rho0 (x) 1_k / N_k: an eigenvector v of rho0 and a
+        # uniform level of band k0.
+        x0 = np.array([rng.random(2) for rng in rngs])
+        lam_p, v_plus, v_minus = _eig2(rho0.rho00, rho0.rho10)
+        vec = np.where(x0[:, 0] < lam_p, v_plus, v_minus)
+        level = np.minimum((x0[:, 1] * degs[i0]).astype(int), degs[i0] - 1)
+        out_r00[0] = np.abs(vec[0]) ** 2
+        out_r10[0] = vec[0].conj() * vec[1]
         # The measured band's ground and excited part of every state, padded
         # to the largest band.
         lo = _band_windows(env)[0]
@@ -356,21 +342,16 @@ def _draw_paths(
     for j in range(1, steps + 1):
         if (j - 1) % _DRAW_CHUNK == 0:
             n = min(_DRAW_CHUNK, steps + 1 - j)
-            draws = np.array([rng.random(n * per_step) for rng in rngs])
-            draws = draws.reshape(m, n, per_step)
+            draws = np.array([rng.random(n) for rng in rngs])
         x = draws[:, (j - 1) % _DRAW_CHUNK]
         if coarse:
-            # Window slot i holds band k - 1 + i, whose TLS levels are those
-            # of the source flipped by d = 1, 0, 1 (_level_table).
-            win = step[(starts[band] + level)[:, None], band[:, None] + np.arange(3)]
-            pops = (vec * vec.conj()).real
-            w = np.einsum("cjaa,ac->cj", win.real, pops)
-            new, wk, out_p[j - 1] = _born_pick(w, x[:, 0], band, nb)
-            t, d = win[traj, new - band + 1], (new - band) % 2
-            coh = vec[1 - d, traj] * vec[d, traj].conj()
-            out_r00[j] = t[traj, d, d].real * pops[d, traj] / wk
-            out_r10[j] = t[traj, 1 - d, d] * coh / wk
-            vec, level = draw_product(out_r00[j], out_r10[j], new, x[:, 1], x[:, 2])
+            # y[c, i]: the unnormalised TLS state in window band k - 1 + i.
+            y = np.einsum("cist,ct->cis", step[band], rho)
+            w = (y[:, :, 0] + y[:, :, 3]).real
+            new, wk, out_p[j - 1] = _born_pick(w, x, band, nb)
+            rho = y[traj, new - band + 1] / wk[:, None]
+            out_r00[j] = rho[:, 0].real
+            out_r10[j] = rho[:, 2]
         else:
             new = np.empty_like(band)
             for i in np.unique(band):
@@ -384,7 +365,7 @@ def _draw_paths(
                 part_w = np.stack([np.einsum("acl,acl->ac", v, v) for v in cuts], 2)
                 w = np.zeros((len(idx), 3))
                 w[:, first - i + 1:last - i + 2] = part_w[0] + part_w[1]
-                new[idx], wk, out_p[j - 1, idx] = _born_pick(w, x[idx, 0], i, nb)
+                new[idx], wk, out_p[j - 1, idx] = _born_pick(w, x[idx], i, nb)
                 for i2 in np.unique(new[idx]):
                     sub = new[idx] == i2
                     rows, nk, c = idx[sub], degs[i2], loc[i2 - first]
@@ -410,17 +391,21 @@ def _sample_paths(
     seeds: list,
     reset_mode: str,
 ):
-    """Batched pure-state trajectories (Monte Carlo wave functions).
+    """Batched measurement records (quantum trajectories).
 
     Every state is supported on one band k, and one step only reaches the
     window of bands k-1 .. k+1 (contiguous in the environment's level order).
     Everything a step needs is built once (_sampling_tables):
 
-    - coarse reset: after a product draw the state is v (x) |k, r>, so a
-      trajectory is a TLS vector v, a band k and a level r. The step table
-      (_level_table) gives the unnormalised TLS block of every window band
-      from v_a conj(v_b) alone; its weights give the outcome, the picked
-      block rho00 and rho10. No joint state vector is held.
+    - coarse reset: the bath is 1_k / N_k after every measurement, so the TLS
+      state conditioned on the band record depends on the record alone. A
+      trajectory is a 2x2 TLS state rho and a band k. A step forms
+      y = T[k' <- k] rho for the window bands k' with the blocks of the
+      transfer operator (_coarse_step_operator), draws k' from the weights
+      tr y and keeps y / tr y. Unraveling rho (x) 1_k / N_k into an
+      eigenvector of rho and a level of band k gives band records the same
+      law, since E[v v^+] = rho and the step is linear; rho is the mean of
+      that unraveling's reduced state given the record.
     - exact reset: a trajectory holds band k's ground part (sector k mod 2)
       and excited part (sector (k + 1) mod 2), N_k numbers each. A step is
       one (2, m_k, N_k)(2, N_k, W_k) product with u_{(a+k)%2}[window(k),
@@ -432,14 +417,15 @@ def _sample_paths(
     than leak_tol of the weight of any state on one band past the adjacent
     pair, the run is refused. Outcomes are drawn within the window.
 
-    Trajectory c draws only from its own Generator, a stream of uniforms: two
-    for the initial unraveling (TLS eigenstate, level), then per step one for
-    the band outcome and, with coarse reset, two for the reset draw. The stream
-    is drawn in blocks of _DRAW_CHUNK steps, which gives the same values as one
-    up-front block. A uniform x picks level min(floor(x N_k), N_k - 1) of band
-    k. A member of a batch therefore has the same outcomes as a single run with
-    its seed; its reduced states agree to rounding, since products over a batch
-    sum in another order.
+    Trajectory c draws only from its own Generator, a stream of uniforms: with
+    exact reset two for the initial unraveling (TLS eigenstate, level), then
+    one per step for the band outcome. A coarse-reset trajectory draws only the
+    one per step and starts from rho0 itself. The stream is drawn in blocks of
+    _DRAW_CHUNK steps, which gives the same values as one up-front block. A
+    uniform x picks level min(floor(x N_k), N_k - 1) of band k. A member of a
+    batch therefore has the same outcomes as a single run with its seed; its
+    reduced states agree to rounding, since products over a batch sum in
+    another order.
     """
     step, _ = _sampling_tables(params, env, reset_mode)
     return _draw_paths(step, env, rho0, k0, steps, seeds, reset_mode)
@@ -517,30 +503,9 @@ def _run_nonselective_exact(params, env, rho0: QubitState, k0, steps):
     return r00, r10, worst
 
 
-def _coarse_step_operator(params, env) -> np.ndarray:
-    """One-step transfer matrix on per-band TLS blocks for coarse-reset runs.
-
-    With coarse graining the post-measurement state is fully described by one
-    (generally unnormalized) 2x2 TLS block per band; the evolve-measure-reset
-    step is linear on that collection. A reset puts band k's levels in equal
-    mixture, so the column of source band k is the level mean of the step
-    table (_level_table) over k's levels, for every target band k', placed
-    at the target TLS levels that parity fixes, d = (k' - k) mod 2:
-    T[4k' + 2(a ^ d) + (b ^ d), 4k + 2a + b] = mean_r tab[(k, r), 1 + k', a, b].
-    """
-    degs = np.asarray(env.degeneracies)
-    tab = _level_table(_sector_unitaries(params, env), env)[:, 1:-1]
-    mean = np.add.reduceat(tab, env.band_starts, axis=0) / degs[:, None, None, None]
-    k, k2, a, b = np.indices(mean.shape)
-    d = (k2 - k) % 2
-    t = np.zeros((env.n_bands, 2, 2) * 2, dtype=complex)
-    t[k2, a ^ d, b ^ d, k, a, b] = mean
-    return t.reshape(4 * env.n_bands, 4 * env.n_bands)
-
-
 def _run_nonselective_coarse(params, env, rho0: QubitState, k0, steps):
     nb = env.n_bands
-    t = _coarse_step_operator(params, env)
+    t = _coarse_step_operator(_sector_unitaries(params, env), env)
     x = np.zeros(4 * nb, dtype=complex)
     i0 = env.band_index(k0)
     rs = rho0.matrix()

@@ -112,42 +112,100 @@ def dense_nonselective_reference(params, env, rho0, k0, steps, reset_mode):
 
 
 def dense_sampled_reference(params, env, rho0, k0, steps, seed, reset_mode):
-    """One trajectory on full-length vectors: u psi, a masked collapse, a
-    renormalisation and, with coarse reset, a product reset from _eig2, fed
-    with the uniform stream the engine draws from the same seed."""
+    """One trajectory on the full joint state, fed with the uniform stream the
+    engine draws from the same seed. Exact reset: a product vector from _eig2,
+    then per step u psi, a masked collapse onto the drawn band and a
+    renormalisation. Coarse reset: the record-conditioned state, per step
+    u (rho_S x 1_k / N_k) u^+ projected onto the drawn band k and
+    renormalised, with rho_S its reduced state (rho0 at the start)."""
     u = _unitary(params, env)
-    per_step = 3 if reset_mode == "coarse" else 1
-    x = iter(np.random.default_rng(seed).random(2 + steps * per_step))
+    coarse = reset_mode == "coarse"
+    x = iter(np.random.default_rng(seed).random(steps + (0 if coarse else 2)))
     ids = band_ids(env)
-
-    def product(q, i):
-        lam_p, v_plus, v_minus = _eig2(q.rho00, q.rho10)
-        vec = v_plus[:, 0] if next(x) < lam_p[0] else v_minus[:, 0]
-        nk = env.degeneracies[i]
-        level = min(math.floor(next(x) * nk), nk - 1)
-        return pure_product(env, vec, env.band_range[0] + i, level)
-
     band = env.band_index(k0)
-    psi = product(rho0, band)
-    outcomes, probs = [k0], []
-    states = [reduced_qubit_state(np.outer(psi, psi.conj()))]
+    if coarse:
+        q = rho0
+    else:
+        lam_p, v_plus, v_minus = _eig2(rho0.rho00, rho0.rho10)
+        vec = v_plus[:, 0] if next(x) < lam_p[0] else v_minus[:, 0]
+        nk = env.degeneracies[band]
+        psi = pure_product(env, vec, k0, min(math.floor(next(x) * nk), nk - 1))
+        q = reduced_qubit_state(np.outer(psi, psi.conj()))
+    outcomes, probs, states = [k0], [], [q]
     for _ in range(steps):
-        psi = u @ psi
-        w = np.array([np.sum(np.abs(psi[ids == i]) ** 2) for i in range(env.n_bands)])
+        if coarse:
+            rho = u @ coarse_reset(q, env, env.band_range[0] + band) @ u.conj().T
+            weight = np.diag(rho).real
+        else:
+            psi = u @ psi
+            weight = np.abs(psi) ** 2
+        w = np.array([np.sum(weight[ids == i]) for i in range(env.n_bands)])
         w = np.where(np.abs(np.arange(env.n_bands) - band) <= 1, w, 0.0)
         w = w / w.sum()
         band = min(int(np.searchsorted(np.cumsum(w), next(x))), env.n_bands - 1)
         probs.append(w[band])
-        psi = np.where(ids == band, psi, 0.0)
-        psi = psi / np.linalg.norm(psi)
-        q = reduced_qubit_state(np.outer(psi, psi.conj()))
+        keep = ids == band
+        if coarse:
+            rho = np.where(keep[:, None] & keep[None, :], rho, 0.0)
+            q = reduced_qubit_state(rho / np.trace(rho).real)
+        else:
+            psi = np.where(keep, psi, 0.0)
+            psi = psi / np.linalg.norm(psi)
+            q = reduced_qubit_state(np.outer(psi, psi.conj()))
         outcomes.append(env.band_range[0] + band)
         states.append(q)
-        if reset_mode == "coarse":
-            psi = product(q, band)
     return (
         np.array(outcomes),
         np.array(probs),
         np.array([q.rho00 for q in states]),
         np.array([q.rho10 for q in states]),
     )
+
+
+def unraveled_record_probabilities(params, env, rho0, k0, steps):
+    """Probability of every band record (k_1, ..., k_steps) under the
+    coarse-reset unraveling into product vectors, on the joint unitary.
+
+    Before every step the TLS state is replaced by an eigenvector of its
+    reduced state (_eig2), taken with its eigenvalue, times a level of the
+    measured band, each taken with 1 / N_k; band outcomes follow the Born rule
+    on the whole joint vector. Every draw is summed over with its probability
+    instead of sampled. Records of probability zero are left out.
+    """
+    u = _unitary(params, env)
+    ids = band_ids(env)
+    probs = {}
+
+    def walk(record, weight, rho00, rho10):
+        # weight[i]: the probability of the record together with branch i,
+        # whose reduced TLS state after the last collapse is (rho00, rho10)[i].
+        if len(record) == steps:
+            probs[tuple(record)] = weight.sum()
+            return
+        i = env.band_index(record[-1] if record else k0)
+        nk = env.degeneracies[i]
+        lam_p, v_plus, v_minus = _eig2(rho00, rho10)
+        vecs = np.concatenate([v_plus, v_minus], axis=1)
+        w = np.concatenate([weight * lam_p, weight * (1.0 - lam_p)]) / nk
+        # One column per (eigenvector, level) branch.
+        psi = np.zeros((2, env.dim, len(w), nk), dtype=complex)
+        r = np.arange(nk)
+        psi[:, env.band_starts[i] + r, :, r] = vecs
+        psi = u @ psi.reshape(2 * env.dim, -1)
+        w = np.repeat(w, nk)
+        for k2 in range(env.n_bands):
+            part = np.where((ids == k2)[:, None], psi, 0.0)
+            p = np.sum(np.abs(part) ** 2, axis=0)
+            live = p > 0
+            if not live.any():
+                continue
+            part = part[:, live].reshape(2, env.dim, -1) / np.sqrt(p[live])
+            walk(
+                record + [env.band_range[0] + k2],
+                w[live] * p[live],
+                np.sum(np.abs(part[0]) ** 2, axis=0),
+                np.sum(part[1] * part[0].conj(), axis=0),
+            )
+
+    walk([], np.ones(1), np.array([rho0.rho00]), np.array([complex(rho0.rho10)]))
+    return probs

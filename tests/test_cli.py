@@ -303,3 +303,19 @@ def test_env_inspect_prints_bands(tmp_path, capsys):
     assert "N_k" in text
     assert "10" in text
     assert "effective beta" in text
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"seed": 7.5, "n": 3}, "seed must be an integer"),
+        ({"n": 3.5}, "n must be an integer"),
+        ({"seed": 7.5, "n": 3.5}, "n must be an integer"),
+        ({"n": 0}, "n must be >= 1"),
+    ],
+)
+def test_env_inspect_bad_counts_exit_1(tmp_path, capsys, payload, message):
+    cfg = write_config(tmp_path, payload)
+    assert main(["env-inspect", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -16,12 +17,15 @@ from oracles import (
     measure_band_selective,
     pure_product,
     reduced_qubit_state,
+    unraveled_record_probabilities,
 )
 from tlsbath.dynamics import (
     Propagator,
+    _coarse_step_operator,
     _eig2,
     _sample_paths,
     _sampling_tables,
+    _sector_unitaries,
     run_ensemble,
     run_trajectory,
     trajectory_seed,
@@ -54,26 +58,16 @@ class TestPropagator:
         assert np.allclose(u, np.diag(np.exp(-1j * np.diag(h) * 0.7)), atol=1e-12)
 
     def test_matches_expm_on_parity_blocks(self, any_env):
+        """One eigh of the joint Hamiltonian, two parity blocks."""
         h = _hamiltonian(ModelParams(delta_s=1.0, detuning=0.3), any_env)
-        prop = Propagator(h)
-        assert [len(idx) for idx, *_ in prop.blocks] == [any_env.dim, any_env.dim]
-        gap = np.abs(prop.unitary(1.1) - scipy.linalg.expm(-1j * h * 1.1))
+        gap = np.abs(Propagator(h).unitary(1.1) - scipy.linalg.expm(-1j * h * 1.1))
         assert gap.max() < 1e-12
 
-    def test_zero_coupling_one_block_per_level(self, small_env):
-        h = _hamiltonian(ModelParams(delta_s=1.0, coupling=0.0), small_env)
-        prop = Propagator(h)
-        assert len(prop.blocks) == len(h)
-        gap = np.abs(prop.unitary(1.1) - scipy.linalg.expm(-1j * h * 1.1))
-        assert gap.max() < 1e-12
-
-    def test_dense_hermitian_is_one_block(self):
+    def test_dense_hermitian_matches_expm(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
         h = (a + a.conj().T) / 2
-        prop = Propagator(h)
-        assert len(prop.blocks) == 1
-        gap = np.abs(prop.unitary(0.3) - scipy.linalg.expm(-1j * h * 0.3))
+        gap = np.abs(Propagator(h).unitary(0.3) - scipy.linalg.expm(-1j * h * 0.3))
         assert gap.max() < 1e-12
 
     def test_rejects_non_hermitian(self):
@@ -90,6 +84,8 @@ class TestPropagator:
         ids=["inside-block", "below-tol", "links-blocks"],
     )
     def test_hermitian_check_per_block(self, i, j, defect, rejected):
+        """h is checked as a whole: a defect inside either of its blocks
+        {0, 1}, {2, 3} or between them is caught, one below herm_tol is not."""
         h = np.diag([0.5, 1.5, -0.3, 0.8]).astype(complex)
         h[0, 1] = h[1, 0] = 0.2
         h[2, 3], h[3, 2] = 0.1j, -0.1j
@@ -98,7 +94,8 @@ class TestPropagator:
             with pytest.raises(ValueError, match="not Hermitian"):
                 Propagator(h)
         else:
-            assert [len(idx) for idx, *_ in Propagator(h).blocks] == [2, 2]
+            u = Propagator(h).unitary(0.7)
+            assert np.max(np.abs(u - scipy.linalg.expm(-0.7j * h))) < 1e-10
 
 
 class TestProjectors:
@@ -214,7 +211,6 @@ class TestCojump:
 class TestTrajectories:
     def test_zero_coupling_frozen(self, small_env):
         p0 = ModelParams(delta_s=1.0, coupling=0.0, dt=math.pi)
-        # pure initial state so the trajectory unraveling is unique
         q = QubitState(rho00=0.3, rho10=math.sqrt(0.3 * 0.7))
         tr = run_trajectory(
             p0, small_env, q, k0=2, steps=20, seed=trajectory_seed(4, 0)
@@ -413,6 +409,26 @@ class TestCoarseResetEngine:
         assert np.max(np.abs(series.rho00 - r00)) < 1e-12
         assert np.max(np.abs(series.rho10 - r10)) < 1e-12
         assert np.ptp(series.rho00) > 1e-3
+
+    def test_record_law_matches_unraveling(self):
+        """Chained blocks T[k' <- k] give every 3-step band record the
+        probability it has when each coarse reset is unraveled into an
+        eigenvector of the TLS state and a level of the band."""
+        params = ModelParams(delta_s=1.0, coupling=0.3, dt=1.1)
+        env = build_band_environment(5, 1.0, seed=901)
+        rho0 = QubitState(rho00=0.6, rho10=0.3 + 0.2j)
+        probs = unraveled_record_probabilities(params, env, rho0, 2, 3)
+        nb = env.n_bands
+        t = _coarse_step_operator(_sector_unitaries(params, env), env)
+        t = t.reshape(nb, 4, nb, 4)
+        records = list(itertools.product(env.ks, repeat=3))
+        assert set(probs) <= set(records)
+        for record in records:
+            x, i = rho0.matrix().reshape(-1), env.band_index(2)
+            for k in record:
+                x, i = t[env.band_index(k), :, i] @ x, env.band_index(k)
+            assert abs(x[0] + x[3] - probs.get(record, 0.0)) < 1e-12
+        assert abs(sum(probs.values()) - 1.0) < 1e-12
 
 
 def test_eig2_accurate_near_pole():
