@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import sys
@@ -33,29 +34,20 @@ class ConfigError(ValueError):
 
 _COMMON_KEYS = {"seed", "out"}
 
-# Every scenario default is a relax config key, except the initial state: a
-# QubitState, which JSON cannot express.
-_RELAX_KEYS = {
-    key for defaults, _ in experiments._SCENARIOS.values() for key in defaults
-} - {"rho0"}
+# Every key of a run's defaults is a config key of its command, except the
+# initial state: a QubitState, which JSON cannot express.
+_RELAX_KEYS = (
+    {key for defaults, _ in experiments._SCENARIOS.values() for key in defaults}
+    - {"rho0"}
+) | {"scenario"}
+_FREEZE_KEYS = set(experiments._FREEZING[0]) - {"rho0"}
+_ENV_KEYS = set(inspect.signature(experiments.default_environment).parameters)
 
 _KNOWN_KEYS = {
     "attractor-map": _COMMON_KEYS
     | {"dt_min", "dt_max", "detuning_min", "detuning_max", "grid", "delta_s", "beta"},
-    "relax": _COMMON_KEYS | _RELAX_KEYS | {"scenario"},
-    "freeze": _COMMON_KEYS
-    | {
-        "delta_s",
-        "detuning",
-        "coupling",
-        "dt",
-        "n",
-        "k0",
-        "steps",
-        "engine",
-        "model",
-        "n_traj",
-    },
+    "relax": _COMMON_KEYS | _RELAX_KEYS,
+    "freeze": _COMMON_KEYS | _FREEZE_KEYS,
     "sweep": _COMMON_KEYS
     | {
         "quantity",
@@ -70,7 +62,7 @@ _KNOWN_KEYS = {
         "dt",
         "beta",
     },
-    "env-inspect": _COMMON_KEYS | {"n", "delta_b", "model", "band_width"},
+    "env-inspect": _COMMON_KEYS | _ENV_KEYS,
 }
 
 _SWEEP_PARAMS = {"dt", "detuning", "coupling", "delta_s", "beta"}
@@ -127,6 +119,12 @@ def _load_config(args, command: str) -> dict:
     return cfg
 
 
+def _given(cfg: dict, keys) -> dict:
+    """The config's values for `keys`, leaving out those it does not set or
+    sets to null, so that the library's defaults fill them."""
+    return {key: cfg[key] for key in keys if cfg.get(key) is not None}
+
+
 def _out_dir(cfg) -> Path:
     out = Path(cfg.get("out") or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -143,19 +141,15 @@ def _metadata(cfg: dict) -> dict:
 
 
 def cmd_attractor_map(cfg: dict) -> int:
-    delta_s = float(cfg.setdefault("delta_s", 1.0))
-    beta = float(cfg.setdefault("beta", 0.75))
-    cfg.setdefault("dt_min", 0.01)
-    cfg.setdefault("dt_max", 4.0 * math.pi / delta_s)
-    cfg.setdefault("detuning_min", -0.9 * delta_s)
-    cfg.setdefault("detuning_max", 3.0 * delta_s)
-    grid = cfg.setdefault("grid", [400, 400])
+    experiments._check_counts(cfg)
+    keys = ("dt_min", "dt_max", "detuning_min", "detuning_max")
+    ends = [None if cfg.get(key) is None else float(cfg[key]) for key in keys]
     dts, dets, values, frozen = experiments.attractor_map(
-        dt_range=(float(cfg["dt_min"]), float(cfg["dt_max"])),
-        detuning_range=(float(cfg["detuning_min"]), float(cfg["detuning_max"])),
-        grid_sizes=(int(grid[0]), int(grid[1])),
-        delta_s=delta_s,
-        beta=beta,
+        dt_range=ends[:2],
+        detuning_range=ends[2:],
+        grid_sizes=cfg.setdefault("grid", [400, 400]),
+        delta_s=float(cfg.setdefault("delta_s", 1.0)),
+        beta=float(cfg.setdefault("beta", 0.75)),
     )
     out = _out_dir(cfg)
     csv_path = out / "attractor_map.csv"
@@ -184,9 +178,8 @@ def cmd_attractor_map(cfg: dict) -> int:
 
 
 def cmd_relax(cfg: dict) -> int:
-    scenario = cfg.setdefault("scenario", "fig2")
-    overrides = {key: cfg[key] for key in _RELAX_KEYS if cfg.get(key) is not None}
-    report = experiments.run_scenario(scenario, **overrides)
+    report = experiments.run_scenario(**_given(cfg, _RELAX_KEYS))
+    scenario = report.scenario
     out = _out_dir(cfg)
     series = report.series
     write_series_csv(
@@ -196,7 +189,7 @@ def cmd_relax(cfg: dict) -> int:
         series["im_rho10"],
         stderr=series["stderr"],
     )
-    report.extra["metadata"] = _metadata(cfg)
+    report.extra["metadata"] = _metadata({**cfg, "scenario": scenario})
     report.to_json(out / f"relax_{scenario}.json")
     status = "pass" if report.passed else "FAIL"
     print(
@@ -207,22 +200,7 @@ def cmd_relax(cfg: dict) -> int:
 
 
 def cmd_freeze(cfg: dict) -> int:
-    params = ModelParams(
-        delta_s=float(cfg.setdefault("delta_s", 1.0)),
-        detuning=float(cfg.setdefault("detuning", 2.0)),
-        coupling=float(cfg.setdefault("coupling", 0.05)),
-        dt=float(cfg.setdefault("dt", math.pi)),
-    )
-    report = experiments.verify_freezing(
-        params,
-        steps=cfg.setdefault("steps", 500),
-        n=cfg.setdefault("n", 7),
-        k0=cfg.setdefault("k0", 2),
-        engine=cfg.setdefault("engine", "nonselective"),
-        seed=cfg.get("seed", experiments.DEFAULT_SEED),
-        model=cfg.setdefault("model", "random-band"),
-        n_traj=cfg.get("n_traj"),
-    )
+    report = experiments.verify_freezing(**_given(cfg, _FREEZE_KEYS))
     report.extra["metadata"] = _metadata(cfg)
     out = _out_dir(cfg)
     report.to_json(out / "freeze.json")
@@ -247,13 +225,16 @@ def cmd_sweep(cfg: dict) -> int:
         raise ConfigError(
             f"unknown sweep parameter {parameter!r}; choose from {sorted(_SWEEP_PARAMS)}"
         )
+    experiments._check_counts(cfg)
     if cfg.get("values") is not None:
+        if not isinstance(cfg["values"], list):
+            raise ConfigError(f"values must be a list, got {cfg['values']!r}")
         values = [float(v) for v in cfg["values"]]
     else:
         values = np.linspace(
             float(cfg.get("start", 0.0)),
             float(cfg.get("stop", math.pi)),
-            int(cfg.get("num", 101)),
+            cfg.get("num", 101),
         ).tolist()
     base = {
         "delta_s": float(cfg.setdefault("delta_s", 1.0)),
@@ -287,18 +268,10 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_env_inspect(cfg: dict) -> int:
-    n = cfg.setdefault("n", 7)
     experiments._check_counts(cfg)
-    seed = cfg.get("seed")
-    delta_b = float(cfg.setdefault("delta_b", 1.0))
-    env = experiments.default_environment(
-        n=n,
-        delta_b=delta_b,
-        seed=experiments.DEFAULT_SEED if seed is None else seed,
-        model=cfg.setdefault("model", "random-band"),
-        band_width=float(cfg.setdefault("band_width", 0.0)),
-    )
-    print(f"environment: n={n} delta_b={delta_b} model={cfg['model']} dim={env.dim}")
+    env = experiments.default_environment(**_given(cfg, _ENV_KEYS))
+    n, delta_b = env.n, env.delta_b
+    print(f"environment: n={n} delta_b={delta_b} model={env.model} dim={env.dim}")
     print(f"{'k':>4} {'E_k':>10} {'N_k':>8}")
     for k, deg in zip(env.ks, env.degeneracies):
         print(f"{k:>4} {k * delta_b:>10.4f} {deg:>8}")

@@ -82,10 +82,16 @@ def plateau(values: np.ndarray, fraction: float = 0.2) -> float:
 
 
 def _check_counts(cfg: dict) -> None:
-    """Reject an n, k0, steps, n_traj or seed that is given but not an integer
-    (a JSON boolean is not one), and an n, steps or n_traj below 1."""
-    for key in ("n", "k0", "steps", "n_traj", "seed"):
-        value = cfg.get(key)
+    """Reject a count that is given but not an integer (a JSON boolean is not
+    one): n, k0, steps, n_traj, seed, num or an entry of a grid of two. All of
+    them but k0 and seed must also be >= 1."""
+    grid = cfg.get("grid")
+    if grid is not None and not (isinstance(grid, list) and len(grid) == 2):
+        raise ValueError(f"grid must be a list of two integers, got {grid!r}")
+    keys = ("n", "k0", "steps", "n_traj", "seed", "num")
+    counts = [(key, cfg.get(key)) for key in keys]
+    counts += [("grid entry", value) for value in grid or ()]
+    for key, value in counts:
         if value is None:
             continue
         try:
@@ -94,7 +100,7 @@ def _check_counts(cfg: dict) -> None:
             operator.index(value)
         except TypeError:
             raise ValueError(f"{key} must be an integer, got {value!r}") from None
-        if key in ("n", "steps", "n_traj") and value < 1:
+        if key not in ("k0", "seed") and value < 1:
             raise ValueError(f"{key} must be >= 1, got {value}")
 
 
@@ -113,19 +119,30 @@ def default_environment(
 
 
 def attractor_map(
-    dt_range: tuple[float, float] = (0.01, 4.0 * math.pi),
-    detuning_range: tuple[float, float] = (-0.9, 3.0),
+    dt_range: tuple[float | None, float | None] = (None, None),
+    detuning_range: tuple[float | None, float | None] = (None, None),
     grid_sizes: tuple[int, int] = (400, 400),
     delta_s: float = 1.0,
     beta: float = 0.75,
 ):
     """Attractor occupation on a (dt, detuning) grid.
 
+    An end of a range left None takes its default, which scales with delta_s:
+    dt runs from 0.01 to 4 pi/delta_s and detuning from -0.9 to 3 delta_s.
     Returns (dt_values, detuning_values, grid, freezing_mask); the grid is
     indexed [detuning, dt] and freezing cells hold NaN.
     """
-    dts = np.linspace(dt_range[0], dt_range[1], grid_sizes[0])
-    dets = np.linspace(detuning_range[0], detuning_range[1], grid_sizes[1])
+    (dt_lo, dt_hi), (det_lo, det_hi) = dt_range, detuning_range
+    dts = np.linspace(
+        0.01 if dt_lo is None else dt_lo,
+        4.0 * math.pi / delta_s if dt_hi is None else dt_hi,
+        grid_sizes[0],
+    )
+    dets = np.linspace(
+        -0.9 * delta_s if det_lo is None else det_lo,
+        3.0 * delta_s if det_hi is None else det_hi,
+        grid_sizes[1],
+    )
     grid = analytics.attractor_rho00(
         dts[None, :], dets[:, None], delta_s=delta_s, beta=beta
     )
@@ -138,19 +155,18 @@ _COMMON_DEFAULTS = {
     "k0": 2,
     "rho0": GROUND,
     "engine": "nonselective",
-    "reset_mode": "coarse",
     "n_traj": None,
     "seed": DEFAULT_SEED,
     "steps": None,
-    "tolerance": 0.03,
     "model": "random-band",
 }
+_RELAX_DEFAULTS = {**_COMMON_DEFAULTS, "reset_mode": "coarse", "tolerance": 0.03}
 
 # Relaxation scenarios: name -> (defaults, beta_eff band pair relative to k0).
 _SCENARIOS = {
     # Only bands k0 and k0-1 participate at resonance with dt = pi/delta_s.
     "fig2": (
-        {**_COMMON_DEFAULTS, "detuning": 0.0, "coupling": 0.05, "dt": math.pi},
+        {**_RELAX_DEFAULTS, "detuning": 0.0, "coupling": 0.05, "dt": math.pi},
         (-1, 0),
     ),
     # The counter-rotating channel drives k0 -> k0+1 only. The resonant
@@ -159,7 +175,7 @@ _SCENARIOS = {
     # needs. 0.025 keeps the exact run inside the analytic regime.
     "fig3": (
         {
-            **_COMMON_DEFAULTS,
+            **_RELAX_DEFAULTS,
             "detuning": 0.7,
             "coupling": 0.025,
             "dt": 2.0 * math.pi / 0.7,
@@ -168,8 +184,79 @@ _SCENARIOS = {
     ),
 }
 
+# The freezing check, in the same form; virtual transitions run through both
+# neighbor bands. It always runs coarse reset and its drift bound follows from
+# the coupling. Not in _SCENARIOS: a freezing point has no attractor to relax to.
+_FREEZING = (
+    {
+        **_COMMON_DEFAULTS,
+        "detuning": 2.0,
+        "coupling": 0.05,
+        "dt": math.pi,
+        "rho0": QubitState(rho00=0.3, rho10=0.35 + 0.0j),
+        "steps": 500,
+    },
+    (-1, 1),
+)
 
-def run_scenario(scenario: str, **overrides) -> ScenarioReport:
+
+def _resolve(name: str, table: tuple, overrides: dict):
+    """Merge overrides into a (defaults, band pair) entry and check them.
+
+    Returns (cfg, params, beta_eff, verdict), where beta_eff comes from the band
+    pair around k0 and verdict is `is_freezing_point`'s (frozen, n, m).
+    """
+    defaults, (lo, hi) = table
+    unknown = sorted(set(overrides) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown {name} override(s) {unknown}")
+    cfg = {**defaults, **overrides}
+    _check_counts(cfg)
+    params = ModelParams(
+        delta_s=cfg["delta_s"],
+        detuning=cfg["detuning"],
+        coupling=cfg["coupling"],
+        dt=cfg["dt"],
+    )
+    k0 = cfg["k0"]
+    beta_eff = effective_beta(cfg["n"], k0 + lo, k0 + hi, params.delta_b)
+    verdict = is_freezing_point(params.dt, params.detuning, params.delta_s)
+    return cfg, params, beta_eff, verdict
+
+
+def _run(cfg: dict, params: ModelParams, beta_eff: float):
+    """Step a resolved run on its default environment; returns the series and
+    the report's record of the run's parameters."""
+    env = default_environment(
+        n=cfg["n"], delta_b=params.delta_b, seed=cfg["seed"], model=cfg["model"]
+    )
+    series = run_ensemble(
+        params,
+        env,
+        cfg["rho0"],
+        k0=cfg["k0"],
+        steps=cfg["steps"],
+        n_traj=cfg["n_traj"],
+        master_seed=cfg["seed"],
+        reset_mode=cfg["reset_mode"],
+        engine=cfg["engine"],
+    )
+    record = {
+        "delta_s": params.delta_s,
+        "detuning": params.detuning,
+        "coupling": params.coupling,
+        "dt": params.dt,
+        "beta_eff": beta_eff,
+        **{
+            key: cfg[key]
+            for key in ("n", "k0", "steps", "engine", "reset_mode", "n_traj", "model")
+        },
+        "rho00_initial": cfg["rho0"].rho00,
+    }
+    return series, record
+
+
+def run_scenario(scenario: str = "fig2", **overrides) -> ScenarioReport:
     """Relaxation toward the analytic attractor d/R of the scenario's band pair.
 
     Overrides must name keys of the scenario's defaults. The run passes when
@@ -177,64 +264,25 @@ def run_scenario(scenario: str, **overrides) -> ScenarioReport:
     """
     if scenario not in _SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
-    defaults, (lo, hi) = _SCENARIOS[scenario]
-    unknown = sorted(set(overrides) - set(defaults))
-    if unknown:
-        raise ValueError(f"unknown {scenario} override(s) {unknown}")
-    cfg = {**defaults, **overrides}
-    _check_counts(cfg)
     t0 = time.perf_counter()
-    params = ModelParams(
-        delta_s=cfg["delta_s"],
-        detuning=cfg["detuning"],
-        coupling=cfg["coupling"],
-        dt=cfg["dt"],
+    cfg, params, beta_eff, (frozen, _, _) = _resolve(
+        scenario, _SCENARIOS[scenario], overrides
     )
-    n, k0, rho0 = cfg["n"], cfg["k0"], cfg["rho0"]
-    seed, steps = cfg["seed"], cfg["steps"]
-    beta_eff = effective_beta(n, k0 + lo, k0 + hi, params.delta_b)
-    frozen, _, _ = is_freezing_point(params.dt, params.detuning, params.delta_s)
     att = None if frozen else analytics.attractor(params, beta_eff)
     if att is None:
         raise ValueError(
             f"(dt={params.dt}, detuning={params.detuning}) is a freezing point: "
             "there is no attractor to relax to"
         )
-    if steps is None:
-        steps = int(math.ceil(8.0 / att.rate))
-    env = default_environment(
-        n=n, delta_b=params.delta_b, seed=seed, model=cfg["model"]
-    )
-    series = run_ensemble(
-        params,
-        env,
-        rho0,
-        k0=k0,
-        steps=steps,
-        n_traj=cfg["n_traj"],
-        master_seed=seed,
-        reset_mode=cfg["reset_mode"],
-        engine=cfg["engine"],
-    )
-    overlay = rho00_closed_form(rho0.rho00, np.arange(steps + 1), params, beta_eff)
+    if cfg["steps"] is None:
+        cfg["steps"] = int(math.ceil(8.0 / att.rate))
+    series, record = _run(cfg, params, beta_eff)
+    j = np.arange(cfg["steps"] + 1)
+    overlay = rho00_closed_form(cfg["rho0"].rho00, j, params, beta_eff)
     level = plateau(series.rho00)
     return ScenarioReport(
         scenario=scenario,
-        params={
-            "delta_s": params.delta_s,
-            "detuning": params.detuning,
-            "coupling": params.coupling,
-            "dt": params.dt,
-            "beta_eff": beta_eff,
-            "n": n,
-            "k0": k0,
-            "steps": steps,
-            "engine": cfg["engine"],
-            "reset_mode": cfg["reset_mode"],
-            "n_traj": cfg["n_traj"],
-            "model": cfg["model"],
-            "rho00_initial": rho0.rho00,
-        },
+        params=record,
         series={
             "rho00_exact": series.rho00.tolist(),
             "re_rho10": series.rho10.real.tolist(),
@@ -247,7 +295,7 @@ def run_scenario(scenario: str, **overrides) -> ScenarioReport:
         tolerance=cfg["tolerance"],
         passed=abs(level - att.rho00_star) <= cfg["tolerance"],
         wall_time=time.perf_counter() - t0,
-        seeds={"master_seed": seed},
+        seeds={"master_seed": cfg["seed"]},
         extra={
             "rate_analytic": att.rate,
             "t_eff": analytics.effective_temperature(level, params.delta_s),
@@ -307,71 +355,37 @@ def zeno_scan(
     return rows
 
 
-def verify_freezing(
-    params: ModelParams | None = None,
-    steps: int = 500,
-    n: int = 7,
-    k0: int = 2,
-    rho0: QubitState | None = None,
-    engine: str = "nonselective",
-    seed: int = DEFAULT_SEED,
-    model: str = "random-band",
-    n_traj: int | None = None,
-) -> ScenarioReport:
+def verify_freezing(**overrides) -> ScenarioReport:
     """Exact-engine state freezing at dt = n pi/delta_s, detuning = 2 m pi/dt.
 
-    Checks that populations and coherence magnitude stay put and extracts the
-    slow off-diagonal phase advance per step for comparison with c2.
+    Overrides must name keys of the freezing check's defaults table,
+    `_FREEZING`; the run always uses coarse reset. Checks that populations and
+    coherence magnitude stay put and extracts the slow off-diagonal phase
+    advance per step for comparison with c2.
     """
-    _check_counts({"n": n, "k0": k0, "steps": steps, "n_traj": n_traj, "seed": seed})
     t0 = time.perf_counter()
-    if params is None:
-        params = ModelParams(delta_s=1.0, detuning=2.0, coupling=0.05, dt=math.pi)
-    frozen, nn, mm = is_freezing_point(params.dt, params.detuning, params.delta_s)
+    cfg, params, beta_eff, (frozen, nn, mm) = _resolve(
+        "freezing", _FREEZING, overrides
+    )
     if not frozen:
         raise ValueError(
             f"(dt={params.dt}, detuning={params.detuning}) is not a freezing point"
         )
-    if rho0 is None:
-        rho0 = QubitState(rho00=0.3, rho10=0.35 + 0.0j)
-    env = default_environment(n=n, delta_b=params.delta_b, seed=seed, model=model)
-    series = run_ensemble(
-        params,
-        env,
-        rho0,
-        k0=k0,
-        steps=steps,
-        n_traj=n_traj,
-        master_seed=seed,
-        engine=engine,
-        reset_mode="coarse",
-    )
+    series, record = _run({**cfg, "reset_mode": "coarse"}, params, beta_eff)
     drift00 = float(np.max(np.abs(series.rho00 - series.rho00[0])))
     mags = np.abs(series.rho10)
     drift10 = float(np.max(np.abs(mags - mags[0])))
     # Interaction-picture phase: remove the free TLS rotation e^{-i delta_s dt j}.
-    j = np.arange(steps + 1)
+    j = np.arange(cfg["steps"] + 1)
     rot = series.rho10 * np.exp(1j * params.delta_s * params.dt * j)
     phase = np.unwrap(np.angle(rot))
     slope = float(np.polyfit(j, phase, 1)[0])
-    # Virtual transitions run through both neighbor bands symmetrically.
-    beta_eff = effective_beta(n, k0 - 1, k0 + 1, params.delta_b)
     c2 = offdiag_coeffs(params, beta_eff).c2
     bound = 10.0 * params.coupling**2
     passed = drift00 <= bound and drift10 <= bound
     return ScenarioReport(
         scenario="freezing",
-        params={
-            "delta_s": params.delta_s,
-            "detuning": params.detuning,
-            "coupling": params.coupling,
-            "dt": params.dt,
-            "n": n,
-            "k0": k0,
-            "steps": steps,
-            "engine": engine,
-            "model": model,
-        },
+        params=record,
         series={
             "rho00": series.rho00.tolist(),
             "abs_rho10": mags.tolist(),
@@ -381,7 +395,7 @@ def verify_freezing(
         tolerance=bound,
         passed=passed,
         wall_time=time.perf_counter() - t0,
-        seeds={"master_seed": seed},
+        seeds={"master_seed": cfg["seed"]},
         extra={
             "matched_n": nn,
             "matched_m": mm,

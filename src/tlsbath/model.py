@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,14 @@ __all__ = [
 MAX_EXACT_N = 62
 
 
+def _check_real(name: str, value) -> None:
+    """Reject a value that is not a finite real number (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical scalars shared by both engines (hbar = 1, energies in units u).
@@ -52,9 +61,7 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         for name in ("delta_s", "detuning", "coupling", "dt", "beta"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            _check_real(name, getattr(self, name))
         if self.delta_s <= 0:
             raise ValueError(f"delta_s must be > 0, got {self.delta_s}")
         if self.delta_b <= 0:
@@ -264,6 +271,12 @@ class BandedEnvironment:
         raise ValueError(f"unknown environment model {model!r}")
 
 
+def _check_delta_b(delta_b) -> None:
+    _check_real("delta_b", delta_b)
+    if delta_b <= 0:
+        raise ValueError(f"delta_b must be > 0, got {delta_b}")
+
+
 def build_band_environment(
     n: int,
     delta_b: float,
@@ -278,6 +291,8 @@ def build_band_environment(
     """
     if n < 1:
         raise ValueError(f"need at least one spin, got n = {n}")
+    _check_delta_b(delta_b)
+    _check_real("band_width", band_width)
     if band_width < 0:
         raise ValueError(f"band_width must be >= 0, got {band_width}")
     if band_width >= delta_b:
@@ -332,6 +347,7 @@ def build_spin_environment(n: int, delta_b: float, seed: int) -> BandedEnvironme
     """
     if n < 1:
         raise ValueError(f"need at least one spin, got n = {n}")
+    _check_delta_b(delta_b)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(n)
 

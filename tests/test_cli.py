@@ -8,7 +8,7 @@ import pytest
 from tlsbath import cli
 from tlsbath.cli import main
 from tlsbath.dynamics import EnsembleSeries, Trajectory
-from tlsbath.experiments import _SCENARIOS, ScenarioReport
+from tlsbath.experiments import _FREEZING, _SCENARIOS, ScenarioReport, attractor_map
 
 
 def read_csv(path):
@@ -34,6 +34,17 @@ class TestAttractorMapCommand:
         meta = doc["metadata"]
         assert meta["config"]["grid"] == [40, 30]
         assert "version" in meta and "timestamp" in meta
+
+    def test_default_axes_match_library(self, tmp_path):
+        """The CLI's default axes are the library's, which scale with delta_s."""
+        dts, dets, _, _ = attractor_map(grid_sizes=(5, 4), delta_s=2.0)
+        assert (dts[0], dts[-1]) == (0.01, 2.0 * math.pi)
+        assert (dets[0], dets[-1]) == (-1.8, 6.0)
+        cfg = write_config(tmp_path, {"delta_s": 2.0, "grid": [5, 4]})
+        assert main(["attractor-map", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = read_csv(tmp_path / "attractor_map.csv")[1:]
+        assert [float(row[0]) for row in rows[:5]] == dts.tolist()
+        assert [float(row[1]) for row in rows[::5]] == dets.tolist()
 
     def test_known_cell_value(self, tmp_path):
         cfg = write_config(
@@ -139,6 +150,9 @@ class TestRelaxCommand:
             ({"n": 0}, [], "n must be >= 1"),
             ({"n": True}, [], "n must be an integer"),
             ({"seed": 7.5}, [], "seed must be an integer"),
+            ({"coupling": "0.05"}, [], "coupling must be a real number"),
+            ({"delta_s": [1]}, [], "delta_s must be a real number"),
+            ({"coupling": True}, [], "coupling must be a real number"),
         ],
     )
     def test_invalid_physics_exit_1(self, tmp_path, capsys, payload, flags, message):
@@ -219,6 +233,8 @@ class TestFreezeCommand:
             ({"n_traj": 0}, ["--engine", "sampled"], "n_traj must be >= 1"),
             ({"n": True}, [], "n must be an integer"),
             ({"seed": 7.5}, [], "seed must be an integer"),
+            ({"coupling": "0.05"}, [], "coupling must be a real number"),
+            ({"dt": True}, [], "dt must be a real number"),
         ],
     )
     def test_bad_input_exit_1(self, tmp_path, capsys, payload, flags, message):
@@ -226,6 +242,31 @@ class TestFreezeCommand:
         code = main(["freeze", "--config", cfg, "--out", str(tmp_path), *flags])
         assert code == 1
         assert message in capsys.readouterr().err
+
+    def test_every_default_key_accepted(self, tmp_path):
+        defaults, _ = _FREEZING
+        payload = {k: v for k, v in defaults.items() if k != "rho0"}
+        cfg = write_config(tmp_path, payload)
+        assert main(["freeze", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+    def test_rho0_key_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"rho0": 1.0})
+        assert main(["freeze", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "rho0" in capsys.readouterr().err
+
+    def test_null_seed_is_default_seed(self, tmp_path):
+        """A JSON null seed means the default master seed, so reruns agree."""
+        series = []
+        for name, payload in [
+            ("a", {"seed": None, "n": 3, "steps": 5}),
+            ("b", {"seed": None, "n": 3, "steps": 5}),
+            ("c", {"n": 3, "steps": 5}),
+        ]:
+            out = tmp_path / name
+            cfg = write_config(tmp_path, payload)
+            assert main(["freeze", "--config", cfg, "--out", str(out)]) == 0
+            series.append(json.loads((out / "freeze.json").read_text())["series"])
+        assert series[0] == series[1] == series[2]
 
 
 class TestSweepCommand:
@@ -312,6 +353,9 @@ def test_env_inspect_prints_bands(tmp_path, capsys):
         ({"n": 3.5}, "n must be an integer"),
         ({"seed": 7.5, "n": 3.5}, "n must be an integer"),
         ({"n": 0}, "n must be >= 1"),
+        ({"delta_b": "1"}, "delta_b must be a real number"),
+        ({"band_width": True}, "band_width must be a real number"),
+        ({"delta_b": 0, "model": "sigma-x"}, "delta_b must be > 0"),
     ],
 )
 def test_env_inspect_bad_counts_exit_1(tmp_path, capsys, payload, message):
@@ -319,3 +363,24 @@ def test_env_inspect_bad_counts_exit_1(tmp_path, capsys, payload, message):
     assert main(["env-inspect", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("attractor-map", {"grid": 7}, "grid must be a list of two integers"),
+        ("attractor-map", {"grid": [40]}, "grid must be a list of two integers"),
+        ("attractor-map", {"grid": [40.7, 3]}, "grid entry must be an integer"),
+        ("attractor-map", {"grid": [True, 3]}, "grid entry must be an integer"),
+        ("attractor-map", {"grid": [0, 3]}, "grid entry must be >= 1"),
+        ("sweep", {"quantity": "R", "values": 5}, "values must be a list"),
+        ("sweep", {"quantity": "R", "num": 2.9}, "num must be an integer"),
+        ("sweep", {"quantity": "R", "num": 0}, "num must be >= 1"),
+    ],
+)
+def test_bad_grid_or_sweep_counts_exit_1(tmp_path, capsys, command, payload, message):
+    cfg = write_config(tmp_path, payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "out").exists()

@@ -175,9 +175,12 @@ class TestFreezing:
         assert report.extra["drift_abs_rho10"] <= bound
 
     def test_non_freezing_rejected(self):
-        p = ModelParams(delta_s=1.0, detuning=0.7, coupling=0.05, dt=math.pi)
         with pytest.raises(ValueError):
-            verify_freezing(p)
+            verify_freezing(detuning=0.7)
+
+    def test_unknown_override_rejected(self):
+        with pytest.raises(ValueError, match="couplingg"):
+            verify_freezing(couplingg=0.05)
 
     @pytest.mark.xfail(
         strict=True,
@@ -194,9 +197,7 @@ class TestFreezing:
     def test_phase_advance_second_order_scale(self):
         """The measured phase is second order in the coupling."""
         fast = verify_freezing()
-        slow = verify_freezing(
-            ModelParams(delta_s=1.0, detuning=2.0, coupling=0.025, dt=math.pi)
-        )
+        slow = verify_freezing(coupling=0.025)
         ratio = fast.extra["phase_per_step"] / slow.extra["phase_per_step"]
         assert ratio == pytest.approx(4.0, rel=0.2)
 

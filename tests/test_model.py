@@ -49,7 +49,16 @@ def test_params_validation():
 
 
 @pytest.mark.parametrize(
-    "field, value", [("delta_s", math.nan), ("dt", math.inf), ("coupling", math.nan)]
+    "field, value",
+    [
+        ("delta_s", math.nan),
+        ("dt", math.inf),
+        ("coupling", math.nan),
+        ("coupling", "0.05"),
+        ("detuning", True),
+        ("dt", None),
+        ("delta_s", [1]),
+    ],
 )
 def test_params_reject_non_finite(field, value):
     with pytest.raises(ValueError, match=field):
