@@ -11,21 +11,13 @@ import argparse
 import csv
 import inspect
 import json
-import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, analytics, experiments
+from . import __version__, experiments
 from .dynamics import write_series_csv
-from .model import (
-    ModelParams,
-    beta_working_point,
-    binomial_degeneracy,
-    effective_beta,
-)
+from .model import beta_working_point, binomial_degeneracy, effective_beta
 
 
 class ConfigError(ValueError):
@@ -34,6 +26,11 @@ class ConfigError(ValueError):
 
 _COMMON_KEYS = {"seed", "out"}
 
+
+def _parameters(fn) -> set:
+    return set(inspect.signature(fn).parameters)
+
+
 # Every key of a run's defaults is a config key of its command, except the
 # initial state: a QubitState, which JSON cannot express.
 _RELAX_KEYS = (
@@ -41,53 +38,17 @@ _RELAX_KEYS = (
     - {"rho0"}
 ) | {"scenario"}
 _FREEZE_KEYS = set(experiments._FREEZING[0]) - {"rho0"}
-_ENV_KEYS = set(inspect.signature(experiments.default_environment).parameters)
+_MAP_KEYS = _parameters(experiments.attractor_map)
+_SWEEP_KEYS = _parameters(experiments.sweep)
+_ENV_KEYS = _parameters(experiments.default_environment)
 
 _KNOWN_KEYS = {
-    "attractor-map": _COMMON_KEYS
-    | {"dt_min", "dt_max", "detuning_min", "detuning_max", "grid", "delta_s", "beta"},
+    "attractor-map": _COMMON_KEYS | _MAP_KEYS,
     "relax": _COMMON_KEYS | _RELAX_KEYS,
     "freeze": _COMMON_KEYS | _FREEZE_KEYS,
-    "sweep": _COMMON_KEYS
-    | {
-        "quantity",
-        "parameter",
-        "start",
-        "stop",
-        "num",
-        "values",
-        "delta_s",
-        "detuning",
-        "coupling",
-        "dt",
-        "beta",
-    },
+    "sweep": _COMMON_KEYS | _SWEEP_KEYS,
     "env-inspect": _COMMON_KEYS | _ENV_KEYS,
 }
-
-_SWEEP_PARAMS = {"dt", "detuning", "coupling", "delta_s", "beta"}
-
-
-def _sweep_registry():
-    def rel(p, beta):
-        return analytics.relaxation_constants(p, beta)
-
-    return {
-        "R": lambda p, b: rel(p, b).rate,
-        "d": lambda p, b: rel(p, b).drive,
-        "attractor": lambda p, b: (
-            lambda a: math.nan if a is None else a.rho00_star
-        )(analytics.attractor(p, b)),
-        "t_eff": lambda p, b: (
-            lambda a: math.nan if a is None else a.t_eff
-        )(analytics.attractor(p, b)),
-        "c1": lambda p, b: analytics.offdiag_coeffs(p, b).c1,
-        "c2": lambda p, b: analytics.offdiag_coeffs(p, b).c2,
-        "c3": lambda p, b: analytics.offdiag_coeffs(p, b).c3,
-        "c4": lambda p, b: analytics.offdiag_coeffs(p, b).c4,
-        "rho00_min": lambda p, b: analytics.temperature_bounds(p, b).rho00_min,
-        "rho00_max": lambda p, b: analytics.temperature_bounds(p, b).rho00_max,
-    }
 
 
 def _load_config(args, command: str) -> dict:
@@ -106,16 +67,11 @@ def _load_config(args, command: str) -> dict:
     for key in cfg:
         if key not in known:
             raise ConfigError(f"unknown config key {key!r} for {command}")
-    # Flags override file values.
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "engine", None) is not None:
-        cfg["engine"] = args.engine
-    if getattr(args, "reset", None) is not None:
-        cfg["reset_mode"] = args.reset
-    if getattr(args, "scenario", None) is not None:
-        cfg["scenario"] = args.scenario
-    cfg["out"] = args.out
+    # Flags given on the command line override file values.
+    flags = vars(args)
+    cfg.update(
+        {key: flags[key] for key in known & flags.keys() if flags[key] is not None}
+    )
     return cfg
 
 
@@ -140,40 +96,32 @@ def _metadata(cfg: dict) -> dict:
     }
 
 
-def cmd_attractor_map(cfg: dict) -> int:
-    experiments._check_counts(cfg)
-    keys = ("dt_min", "dt_max", "detuning_min", "detuning_max")
-    ends = [None if cfg.get(key) is None else float(cfg[key]) for key in keys]
-    dts, dets, values, frozen = experiments.attractor_map(
-        dt_range=ends[:2],
-        detuning_range=ends[2:],
-        grid_sizes=cfg.setdefault("grid", [400, 400]),
-        delta_s=float(cfg.setdefault("delta_s", 1.0)),
-        beta=float(cfg.setdefault("beta", 0.75)),
-    )
+def _write_table(cfg: dict, stem: str, header, rows) -> None:
+    """Write `<stem>.csv` and the side `<stem>.json` of metadata and row count."""
     out = _out_dir(cfg)
-    csv_path = out / "attractor_map.csv"
+    csv_path = out / f"{stem}.csv"
+    count = 0
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["dt", "detuning", "rho00_star", "is_freezing"])
-        for i, det in enumerate(dets):
-            for jj, dt in enumerate(dts):
-                if frozen[i, jj]:
-                    w.writerow([repr(float(dt)), repr(float(det)), "", "true"])
-                else:
-                    w.writerow(
-                        [
-                            repr(float(dt)),
-                            repr(float(det)),
-                            repr(float(values[i, jj])),
-                            "false",
-                        ]
-                    )
-    with open(out / "attractor_map.json", "w") as fh:
-        json.dump(
-            {"metadata": _metadata(cfg), "rows": int(values.size)}, fh, indent=1
+        w.writerow(header)
+        for count, row in enumerate(rows, 1):
+            w.writerow(row)
+    with open(out / f"{stem}.json", "w") as fh:
+        json.dump({"metadata": _metadata(cfg), "rows": count}, fh, indent=1)
+    print(f"wrote {csv_path} ({count} rows)")
+
+
+def cmd_attractor_map(cfg: dict) -> int:
+    dts, dets, values, frozen = experiments.attractor_map(**_given(cfg, _MAP_KEYS))
+    rows = (
+        [dt, det, "" if cell_frozen else value, str(cell_frozen).lower()]
+        for det, value_row, frozen_row in zip(
+            dets.tolist(), values.tolist(), frozen.tolist()
         )
-    print(f"wrote {csv_path} ({values.size} rows)")
+        for dt, value, cell_frozen in zip(dts.tolist(), value_row, frozen_row)
+    )
+    header = ["dt", "detuning", "rho00_star", "is_freezing"]
+    _write_table(cfg, "attractor_map", header, rows)
     return 0
 
 
@@ -214,61 +162,15 @@ def cmd_freeze(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
-    registry = _sweep_registry()
-    quantity = cfg.get("quantity")
-    if quantity not in registry:
-        raise ConfigError(
-            f"unknown quantity {quantity!r}; choose from {sorted(registry)}"
-        )
-    parameter = cfg.get("parameter", "dt")
-    if parameter not in _SWEEP_PARAMS:
-        raise ConfigError(
-            f"unknown sweep parameter {parameter!r}; choose from {sorted(_SWEEP_PARAMS)}"
-        )
-    experiments._check_counts(cfg)
-    if cfg.get("values") is not None:
-        if not isinstance(cfg["values"], list):
-            raise ConfigError(f"values must be a list, got {cfg['values']!r}")
-        values = [float(v) for v in cfg["values"]]
-    else:
-        values = np.linspace(
-            float(cfg.get("start", 0.0)),
-            float(cfg.get("stop", math.pi)),
-            cfg.get("num", 101),
-        ).tolist()
-    base = {
-        "delta_s": float(cfg.setdefault("delta_s", 1.0)),
-        "detuning": float(cfg.setdefault("detuning", 0.0)),
-        "coupling": float(cfg.setdefault("coupling", 0.05)),
-        "dt": float(cfg.setdefault("dt", math.pi)),
-    }
-    beta = float(cfg.setdefault("beta", 0.75))
-    fn = registry[quantity]
-    out = _out_dir(cfg)
-    csv_path = out / f"sweep_{quantity}_{parameter}.csv"
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([parameter, quantity])
-        for v in values:
-            kw = dict(base)
-            b = beta
-            if parameter == "beta":
-                b = v
-            else:
-                kw[parameter] = v
-            try:
-                val = fn(ModelParams(**kw), b)
-            except ValueError:
-                val = math.nan
-            w.writerow([repr(float(v)), repr(float(val))])
-    with open(out / f"sweep_{quantity}_{parameter}.json", "w") as fh:
-        json.dump({"metadata": _metadata(cfg), "rows": len(values)}, fh, indent=1)
-    print(f"wrote {csv_path} ({len(values)} rows)")
+    columns = experiments.sweep(**_given(cfg, _SWEEP_KEYS))
+    parameter, quantity = columns
+    _write_table(
+        cfg, f"sweep_{quantity}_{parameter}", list(columns), zip(*columns.values())
+    )
     return 0
 
 
 def cmd_env_inspect(cfg: dict) -> int:
-    experiments._check_counts(cfg)
     env = experiments.default_environment(**_given(cfg, _ENV_KEYS))
     n, delta_b = env.n, env.delta_b
     print(f"environment: n={n} delta_b={delta_b} model={env.model} dim={env.dim}")
@@ -314,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("attractor-map", help="attractor occupation grid"))
     relax = common(sub.add_parser("relax", help="run a relaxation scenario"), engine=True)
-    relax.add_argument("--reset", choices=["exact", "coarse"], dest="reset")
+    relax.add_argument("--reset", choices=["exact", "coarse"], dest="reset_mode")
     relax.add_argument("--scenario", type=str, default=None)
     # freeze always runs coarse reset (verify_freezing), so it takes no --reset.
     common(sub.add_parser("freeze", help="verify state freezing"), engine=True)

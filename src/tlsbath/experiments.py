@@ -1,5 +1,5 @@
-"""Scenario runners: figure reproductions, attractor map, Zeno scan, freezing
-verification and the analytic-vs-exact comparison harness."""
+"""Scenario runners: figure reproductions, attractor map, analytic sweeps, Zeno
+scan, freezing verification and the analytic-vs-exact comparison harness."""
 from __future__ import annotations
 
 import json
@@ -17,6 +17,7 @@ from .model import (
     BandedEnvironment,
     ModelParams,
     QubitState,
+    _check_real,
     build_band_environment,
     build_spin_environment,
     effective_beta,
@@ -25,6 +26,7 @@ from .model import (
 __all__ = [
     "ScenarioReport",
     "attractor_map",
+    "sweep",
     "reproduce_fig2",
     "reproduce_fig3",
     "run_scenario",
@@ -86,7 +88,7 @@ def _check_counts(cfg: dict) -> None:
     one): n, k0, steps, n_traj, seed, num or an entry of a grid of two. All of
     them but k0 and seed must also be >= 1."""
     grid = cfg.get("grid")
-    if grid is not None and not (isinstance(grid, list) and len(grid) == 2):
+    if grid is not None and not (isinstance(grid, (list, tuple)) and len(grid) == 2):
         raise ValueError(f"grid must be a list of two integers, got {grid!r}")
     keys = ("n", "k0", "steps", "n_traj", "seed", "num")
     counts = [(key, cfg.get(key)) for key in keys]
@@ -111,6 +113,7 @@ def default_environment(
     model: str = "random-band",
     band_width: float = 0.0,
 ) -> BandedEnvironment:
+    _check_counts({"n": n, "seed": seed})
     if model == "random-band":
         return build_band_environment(n, delta_b, seed, band_width=band_width)
     if model == "sigma-x":
@@ -118,35 +121,120 @@ def default_environment(
     raise ValueError(f"unknown environment model {model!r}")
 
 
+def _real_or(key: str, value, default: float):
+    """`value` checked as a finite real number, or `default` when it is None."""
+    if value is None:
+        return default
+    _check_real(key, value)
+    return value
+
+
 def attractor_map(
-    dt_range: tuple[float | None, float | None] = (None, None),
-    detuning_range: tuple[float | None, float | None] = (None, None),
-    grid_sizes: tuple[int, int] = (400, 400),
+    dt_min: float | None = None,
+    dt_max: float | None = None,
+    detuning_min: float | None = None,
+    detuning_max: float | None = None,
+    grid: tuple[int, int] = (400, 400),
     delta_s: float = 1.0,
     beta: float = 0.75,
 ):
-    """Attractor occupation on a (dt, detuning) grid.
+    """Attractor occupation on `grid` = (dt points, detuning points).
 
-    An end of a range left None takes its default, which scales with delta_s:
-    dt runs from 0.01 to 4 pi/delta_s and detuning from -0.9 to 3 delta_s.
-    Returns (dt_values, detuning_values, grid, freezing_mask); the grid is
+    An axis end left None takes its default, which scales with delta_s: dt
+    runs from 0.01 to 4 pi/delta_s and detuning from -0.9 to 3 delta_s.
+    Returns (dt_values, detuning_values, rho00, freezing_mask); rho00 is
     indexed [detuning, dt] and freezing cells hold NaN.
     """
-    (dt_lo, dt_hi), (det_lo, det_hi) = dt_range, detuning_range
+    _check_counts({"grid": grid})
+    ModelParams(delta_s=delta_s, beta=beta)  # both finite reals, delta_s > 0
     dts = np.linspace(
-        0.01 if dt_lo is None else dt_lo,
-        4.0 * math.pi / delta_s if dt_hi is None else dt_hi,
-        grid_sizes[0],
+        _real_or("dt_min", dt_min, 0.01),
+        _real_or("dt_max", dt_max, 4.0 * math.pi / delta_s),
+        grid[0],
     )
     dets = np.linspace(
-        -0.9 * delta_s if det_lo is None else det_lo,
-        3.0 * delta_s if det_hi is None else det_hi,
-        grid_sizes[1],
+        _real_or("detuning_min", detuning_min, -0.9 * delta_s),
+        _real_or("detuning_max", detuning_max, 3.0 * delta_s),
+        grid[1],
     )
-    grid = analytics.attractor_rho00(
+    values = analytics.attractor_rho00(
         dts[None, :], dets[:, None], delta_s=delta_s, beta=beta
     )
-    return dts, dets, grid, np.isnan(grid)
+    return dts, dets, values, np.isnan(values)
+
+
+# Sweepable quantities: name -> (analytics function, attribute of its result).
+# The function is looked up on the module at call time, so that a wrapper put
+# on the module (a tracer) sees the call. `attractor` is None at a freezing
+# point, where its quantities sweep as NaN.
+_SWEEP_QUANTITIES = {
+    "R": ("relaxation_constants", "rate"),
+    "d": ("relaxation_constants", "drive"),
+    "attractor": ("attractor", "rho00_star"),
+    "t_eff": ("attractor", "t_eff"),
+    **{c: ("offdiag_coeffs", c) for c in ("c1", "c2", "c3", "c4")},
+    "rho00_min": ("temperature_bounds", "rho00_min"),
+    "rho00_max": ("temperature_bounds", "rho00_max"),
+}
+
+
+def sweep(
+    quantity: str | None = None,
+    parameter: str = "dt",
+    values: list[float] | None = None,
+    start: float = 0.0,
+    stop: float = math.pi,
+    num: int = 101,
+    delta_s: float = 1.0,
+    detuning: float = 0.0,
+    coupling: float = 0.05,
+    dt: float = math.pi,
+    beta: float = 0.75,
+) -> dict[str, list[float]]:
+    """One analytic quantity over one `ModelParams` field, the others fixed.
+
+    The field takes `values` if given, else `num` points from `start` to
+    `stop`. The fixed fields, with the swept one at its given or default
+    value, must form a valid `ModelParams`. A point whose own value is invalid
+    there, or where the quantity is undefined, gives NaN. Returns the columns
+    {parameter: values, quantity: results} as lists of floats.
+    """
+    if quantity not in _SWEEP_QUANTITIES:
+        raise ValueError(
+            f"unknown quantity {quantity!r}; choose from {sorted(_SWEEP_QUANTITIES)}"
+        )
+    base = {
+        "delta_s": delta_s,
+        "detuning": detuning,
+        "coupling": coupling,
+        "dt": dt,
+        "beta": beta,
+    }
+    if parameter not in base:
+        raise ValueError(
+            f"unknown sweep parameter {parameter!r}; choose from {sorted(base)}"
+        )
+    ModelParams(**base)
+    _check_counts({"num": num})
+    _check_real("start", start)
+    _check_real("stop", stop)
+    if values is None:
+        values = np.linspace(start, stop, num).tolist()
+    elif not isinstance(values, (list, tuple)):
+        raise ValueError(f"values must be a list, got {values!r}")
+    for value in values:
+        _check_real("values entry", value)
+    values = [float(value) for value in values]
+    function, attr = _SWEEP_QUANTITIES[quantity]
+    results = []
+    for value in values:
+        try:
+            p = ModelParams(**{**base, parameter: value})
+            result = getattr(analytics, function)(p)
+        except ValueError:
+            result = None
+        results.append(math.nan if result is None else float(getattr(result, attr)))
+    return {parameter: values, quantity: results}
 
 
 _COMMON_DEFAULTS = {
@@ -210,7 +298,8 @@ def _resolve(name: str, table: tuple, overrides: dict):
     unknown = sorted(set(overrides) - set(defaults))
     if unknown:
         raise ValueError(f"unknown {name} override(s) {unknown}")
-    cfg = {**defaults, **overrides}
+    # A None override means the default, as a null config value does.
+    cfg = {**defaults, **{k: v for k, v in overrides.items() if v is not None}}
     _check_counts(cfg)
     params = ModelParams(
         delta_s=cfg["delta_s"],

@@ -241,7 +241,7 @@ def test_criterion_9_structural_invariants():
     total = sum(band_projector(env, k) for k in env.ks)
     complete = np.allclose(total, np.eye(2 * env.dim), atol=1e-12)
     # attractor bounded by the temperature window on a dense grid
-    _, _, grid, frozen = attractor_map(grid_sizes=(400, 400))
+    _, _, grid, frozen = attractor_map(grid=(400, 400))
     dts = np.linspace(0.01, 4 * math.pi, 400)
     dets = np.linspace(-0.9, 3.0, 400)
     bounded = True

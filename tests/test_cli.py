@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 
@@ -8,7 +9,13 @@ import pytest
 from tlsbath import cli
 from tlsbath.cli import main
 from tlsbath.dynamics import EnsembleSeries, Trajectory
-from tlsbath.experiments import _FREEZING, _SCENARIOS, ScenarioReport, attractor_map
+from tlsbath.experiments import (
+    _FREEZING,
+    _SCENARIOS,
+    ScenarioReport,
+    attractor_map,
+    sweep,
+)
 
 
 def read_csv(path):
@@ -37,7 +44,7 @@ class TestAttractorMapCommand:
 
     def test_default_axes_match_library(self, tmp_path):
         """The CLI's default axes are the library's, which scale with delta_s."""
-        dts, dets, _, _ = attractor_map(grid_sizes=(5, 4), delta_s=2.0)
+        dts, dets, _, _ = attractor_map(grid=(5, 4), delta_s=2.0)
         assert (dts[0], dts[-1]) == (0.01, 2.0 * math.pi)
         assert (dets[0], dets[-1]) == (-1.8, 6.0)
         cfg = write_config(tmp_path, {"delta_s": 2.0, "grid": [5, 4]})
@@ -313,6 +320,15 @@ class TestConfigHandling:
         assert code == 1
         assert "couplingg" in capsys.readouterr().err
 
+    def test_reset_flag_and_config_out(self, tmp_path):
+        """`--reset` reaches the run as reset_mode, and a config's `out` is
+        the output directory when `--out` is not given."""
+        out = tmp_path / "from_config"
+        cfg = write_config(tmp_path, {"steps": 3, "out": str(out)})
+        assert main(["relax", "--config", cfg, "--reset", "exact"]) == 2
+        report = json.loads((out / "relax_fig2.json").read_text())
+        assert report["params"]["reset_mode"] == "exact"
+
     def test_usage_error_exit_1(self, capsys):
         assert main(["relax", "--bogus-flag"]) == 1
 
@@ -366,6 +382,27 @@ def test_env_inspect_bad_counts_exit_1(tmp_path, capsys, payload, message):
 
 
 @pytest.mark.parametrize(
+    "command, function, given, csv_name, rows",
+    [
+        ("attractor-map", attractor_map, {"grid": [6, 5]}, "attractor_map.csv", 30),
+        ("sweep", sweep, {"quantity": "attractor"}, "sweep_attractor_dt.csv", 101),
+    ],
+)
+def test_every_default_key_accepted(tmp_path, command, function, given, csv_name, rows):
+    """Every library default given explicitly (null for a None default) writes
+    the CSV bytes that leaving it out writes."""
+    params = inspect.signature(function).parameters
+    defaults = {key: param.default for key, param in params.items()}
+    written = []
+    for name, payload in [("full", {**defaults, **given}), ("bare", given)]:
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / name
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        written.append((out / csv_name).read_bytes())
+    assert written[0] == written[1] and written[0].count(b"\n") == 1 + rows
+
+
+@pytest.mark.parametrize(
     "command, payload, message",
     [
         ("attractor-map", {"grid": 7}, "grid must be a list of two integers"),
@@ -376,6 +413,20 @@ def test_env_inspect_bad_counts_exit_1(tmp_path, capsys, payload, message):
         ("sweep", {"quantity": "R", "values": 5}, "values must be a list"),
         ("sweep", {"quantity": "R", "num": 2.9}, "num must be an integer"),
         ("sweep", {"quantity": "R", "num": 0}, "num must be >= 1"),
+        (
+            "sweep",
+            {"quantity": "R", "values": [1.0, 2.0], "coupling": -1},
+            "coupling must be >= 0",
+        ),
+        ("attractor-map", {"delta_s": 0}, "delta_s must be > 0"),
+        ("attractor-map", {"delta_s": "2"}, "delta_s must be a real number"),
+        ("attractor-map", {"beta": True}, "beta must be a real number"),
+        ("attractor-map", {"dt_min": "nan"}, "dt_min must be a real number"),
+        ("attractor-map", {"detuning_max": math.inf}, "detuning_max must be finite"),
+        ("sweep", {"quantity": "R", "values": [True]}, "values entry must be a real"),
+        ("sweep", {"quantity": "R", "start": True}, "start must be a real number"),
+        ("sweep", {"quantity": "R", "stop": math.nan}, "stop must be finite"),
+        ("sweep", {"quantity": "R", "beta": "0.75"}, "beta must be a real number"),
     ],
 )
 def test_bad_grid_or_sweep_counts_exit_1(tmp_path, capsys, command, payload, message):

@@ -14,6 +14,7 @@ from tlsbath.experiments import (
     reproduce_fig2,
     reproduce_fig3,
     run_scenario,
+    sweep,
     verify_freezing,
     zeno_scan,
 )
@@ -128,7 +129,7 @@ class TestScenarioTable:
 
 class TestAttractorMap:
     def test_grid_shape_and_freezing_cells(self):
-        dts, dets, grid, frozen = attractor_map(grid_sizes=(80, 60))
+        dts, dets, grid, frozen = attractor_map(grid=(80, 60))
         assert grid.shape == (60, 80)
         assert frozen.dtype == bool
         assert np.isnan(grid[frozen]).all()
@@ -145,6 +146,21 @@ class TestAttractorMap:
         cold = attractor_rho00(dt_cold, detuning, delta_s=delta_s, beta=beta)
         hot = attractor_rho00(dt_hot, detuning, delta_s=delta_s, beta=beta)
         assert cold + hot == pytest.approx(1.0, abs=1e-9)
+
+
+class TestSweep:
+    def test_any_params_field(self):
+        """beta sweeps like every other field: each point is a ModelParams."""
+        by_field = sweep("R", parameter="beta", values=[0.5], dt=2.0)
+        by_beta = relaxation_constants(
+            ModelParams(delta_s=1.0, coupling=0.05, dt=2.0), beta=0.5
+        ).rate
+        assert by_field == {"beta": [0.5], "R": [by_beta]}
+
+    def test_invalid_point_is_nan(self):
+        columns = sweep("R", parameter="coupling", values=[-1, 0.05])
+        assert columns["coupling"] == [-1.0, 0.05]
+        assert math.isnan(columns["R"][0]) and columns["R"][1] > 0.0
 
 
 class TestZenoScan:
@@ -177,6 +193,12 @@ class TestFreezing:
     def test_non_freezing_rejected(self):
         with pytest.raises(ValueError):
             verify_freezing(detuning=0.7)
+
+    def test_none_seed_is_default_seed(self):
+        """A None override means the default master seed, so reruns agree."""
+        a, b = (verify_freezing(seed=None, n=3, steps=5) for _ in range(2))
+        assert a.series == b.series
+        assert a.seeds == {"master_seed": 20451}
 
     def test_unknown_override_rejected(self):
         with pytest.raises(ValueError, match="couplingg"):
