@@ -88,10 +88,6 @@ class TemperatureBounds:
     rho00_min: float
 
 
-def _beta(params: ModelParams, beta: float | None) -> float:
-    return params.beta if beta is None else beta
-
-
 def _sinc_sq(x):
     return np.sinc(np.asarray(x) / np.pi) ** 2
 
@@ -106,10 +102,34 @@ def _interference(dt, detuning, delta_s):
     )
 
 
+def _frozen(dt, sin_a, sin_b):
+    """The freezing test, elementwise: both interference factors vanish."""
+    return sin_a + sin_b <= 1e-15 * np.maximum(dt * dt, 1e-300)
+
+
 def sinc_factors(params: ModelParams) -> SincFactors:
     """Interference factors; removable singularities handled via sinc."""
     sin_a, sin_b = _interference(params.dt, params.detuning, params.delta_s)
     return SincFactors(sin_a=float(sin_a), sin_b=float(sin_b))
+
+
+def _step(params: ModelParams, beta: float | None):
+    """(b, sinc factors, lam^2) of one step; beta None means params.beta."""
+    bv = params.beta if beta is None else beta
+    return bv * params.delta_b / 2.0, sinc_factors(params), params.coupling**2
+
+
+def _second_order_rate(b: float, sf: SincFactors, lam2: float) -> float:
+    """Per-step rate R = 8 lam^2 cosh(b) (sinA + sinB). Warns, on behalf of the
+    caller's caller, when R > 0.1, where second-order maps are unreliable."""
+    rate = 8.0 * lam2 * math.cosh(b) * (sf.sin_a + sf.sin_b)
+    if rate > 0.1:
+        warnings.warn(
+            f"per-step rate R = {rate:.3g} > 0.1: second-order maps unreliable",
+            SecondOrderWarning,
+            stacklevel=3,
+        )
+    return rate
 
 
 def _phase_integral(alpha: float, dt: float) -> complex:
@@ -118,6 +138,13 @@ def _phase_integral(alpha: float, dt: float) -> complex:
     if abs(y) < 1e-6:
         return dt * dt * (0.5 + 1j * y / 6.0 - y * y / 24.0)
     return (1.0 - cmath.exp(1j * y) + 1j * y) / (alpha * alpha)
+
+
+def _phase_sum(params: ModelParams) -> complex:
+    """_phase_integral summed over detuning and 2 delta_s + detuning."""
+    return _phase_integral(params.detuning, params.dt) + _phase_integral(
+        2.0 * params.delta_s + params.detuning, params.dt
+    )
 
 
 def _conjugate_coupling(params: ModelParams) -> complex:
@@ -138,17 +165,9 @@ def _conjugate_coupling(params: ModelParams) -> complex:
 
 def relaxation_constants(params: ModelParams, beta: float | None = None) -> RelaxationPair:
     """Rate R = 8 lam^2 cosh(b) (sinA + sinB), drive d = 4 lam^2 (e^b sinA + e^-b sinB)."""
-    b = _beta(params, beta) * params.delta_b / 2.0
-    sf = sinc_factors(params)
-    lam2 = params.coupling**2
-    rate = 8.0 * lam2 * math.cosh(b) * (sf.sin_a + sf.sin_b)
+    b, sf, lam2 = _step(params, beta)
+    rate = _second_order_rate(b, sf, lam2)
     drive = 4.0 * lam2 * (math.exp(b) * sf.sin_a + math.exp(-b) * sf.sin_b)
-    if rate > 0.1:
-        warnings.warn(
-            f"per-step rate R = {rate:.3g} > 0.1: second-order maps unreliable",
-            SecondOrderWarning,
-            stacklevel=2,
-        )
     return RelaxationPair(rate=rate, drive=drive)
 
 
@@ -156,9 +175,7 @@ def outcome_probabilities(
     rho: QubitState, params: ModelParams, beta: float | None = None
 ) -> tuple[float, float, float]:
     """Probabilities (p_up, p_down, p_same) of the next band measurement."""
-    b = _beta(params, beta) * params.delta_b / 2.0
-    sf = sinc_factors(params)
-    lam2 = params.coupling**2
+    b, sf, lam2 = _step(params, beta)
     p_up = 4.0 * lam2 * math.exp(b) * (rho.rho11 * sf.sin_a + rho.rho00 * sf.sin_b)
     p_dn = 4.0 * lam2 * math.exp(-b) * (rho.rho00 * sf.sin_a + rho.rho11 * sf.sin_b)
     p_same = 1.0 - p_up - p_dn
@@ -184,29 +201,17 @@ def conditional_update(
 
     outcome is "same", "up" (one band higher) or "down" (one band lower).
     """
-    bv = _beta(params, beta)
-    b = bv * params.delta_b / 2.0
-    sf = sinc_factors(params)
-    lam2 = params.coupling**2
-    guard = 4.0 * lam2 * (sf.sin_a + sf.sin_b) * math.cosh(b)
-    if guard > 0.1:
-        warnings.warn(
-            f"4 lam^2 (sinA+sinB) cosh(b) = {guard:.3g} > 0.1: "
-            "second-order maps unreliable",
-            SecondOrderWarning,
-            stacklevel=2,
-        )
+    b, sf, lam2 = _step(params, beta)
+    _second_order_rate(b, sf, lam2)
     eb, emb = math.exp(b), math.exp(-b)
     r00, r11, r10 = rho.rho00, rho.rho11, rho.rho10
 
     if outcome == "same":
         new00 = r00 * (1.0 - 4.0 * lam2 * r11 * (emb - eb) * (sf.sin_a - sf.sin_b))
-        fa = _phase_integral(params.detuning, params.dt)
-        fb = _phase_integral(2.0 * params.delta_s + params.detuning, params.dt)
         factor = 1.0 + lam2 * (
             4.0 * sf.sin_a * (emb * r00 + eb * r11)
             + 4.0 * sf.sin_b * (eb * r00 + emb * r11)
-            - (eb + emb) * (fa + fb)
+            - (eb + emb) * _phase_sum(params)
         )
         new10 = r10 * factor
     elif outcome in ("up", "down"):
@@ -256,20 +261,15 @@ def rho00_closed_form(
     return (rho00_initial - star) * np.exp(-rel.rate * j) + star
 
 
-def attractor_rho00(
-    dt, detuning, delta_s: float, beta: float, freeze_rtol: float = 1e-15
-):
-    """Vectorized attractor occupation over (dt, detuning) arrays.
-
-    Freezing cells (vanishing interference weight) are returned as NaN.
-    """
+def attractor_rho00(dt, detuning, delta_s: float, beta: float):
+    """Vectorized attractor occupation over (dt, detuning) arrays; NaN where
+    frozen (both interference factors vanish)."""
     dt = np.asarray(dt, dtype=float)
     detuning = np.asarray(detuning, dtype=float)
     sin_a, sin_b = _interference(dt, detuning, delta_s)
     b = beta * (delta_s + detuning) / 2.0
-    total = sin_a + sin_b
-    frozen = total <= freeze_rtol * np.maximum(dt * dt, 1e-300)
-    safe = np.where(frozen, 1.0, total)
+    frozen = _frozen(dt, sin_a, sin_b)
+    safe = np.where(frozen, 1.0, sin_a + sin_b)
     out = (np.exp(b) * sin_a + np.exp(-b) * sin_b) / (2.0 * np.cosh(b) * safe)
     return np.where(frozen, np.nan, out)
 
@@ -278,7 +278,7 @@ def attractor(
     params: ModelParams, beta: float | None = None
 ) -> AttractorResult | None:
     """Fixed point d/R of the ensemble recursion; None at a freezing point."""
-    bv = _beta(params, beta)
+    bv = params.beta if beta is None else beta
     rel = relaxation_constants(params, bv)
     star = float(
         attractor_rho00(params.dt, params.detuning, params.delta_s, bv)
@@ -297,7 +297,7 @@ def temperature_bounds(
     params: ModelParams, beta: float | None = None
 ) -> TemperatureBounds:
     """Extremal attractor temperatures and occupations over all dt choices."""
-    bv = _beta(params, beta)
+    bv = params.beta if beta is None else beta
     if bv == 0.0:
         raise ValueError("temperature bounds require beta != 0")
     b = bv * params.delta_b / 2.0
@@ -313,27 +313,24 @@ def temperature_bounds(
 
 
 def is_freezing_point(
-    dt: float, detuning: float, delta_s: float, tol: float = 1e-9
+    dt: float, detuning: float, delta_s: float
 ) -> tuple[bool, int | None, int | None]:
-    """Detect dt = n pi / delta_s together with detuning = 2 m pi / dt."""
+    """(frozen, n, m): frozen where both interference factors vanish, which is
+    at dt = n pi / delta_s with detuning = 2 m pi / dt (m of either sign)."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    nf = dt * delta_s / math.pi
-    mf = detuning * dt / (2.0 * math.pi)
-    n, m = round(nf), round(mf)
-    if n >= 1 and m >= 1 and abs(nf - n) <= tol and abs(mf - m) <= tol:
-        return True, n, m
-    return False, None, None
+    if not _frozen(dt, *_interference(dt, detuning, delta_s)):
+        return False, None, None
+    return True, round(dt * delta_s / math.pi), round(detuning * dt / (2.0 * math.pi))
 
 
 def offdiag_coeffs(params: ModelParams, beta: float | None = None) -> OffdiagCoeffs:
     """Coefficients (c1..c4) of the off-diagonal recursion, plus gamma."""
-    b = _beta(params, beta) * params.delta_b / 2.0
-    pref = 2.0 * params.coupling**2 * math.cosh(b)
-    fa = _phase_integral(params.detuning, params.dt)
-    fb = _phase_integral(2.0 * params.delta_s + params.detuning, params.dt)
-    c1 = -pref * (fa.real + fb.real)
-    c2 = -pref * (fa.imag + fb.imag)
+    b, _, lam2 = _step(params, beta)
+    pref = 2.0 * lam2 * math.cosh(b)
+    phases = _phase_sum(params)
+    c1 = -pref * phases.real
+    c2 = -pref * phases.imag
     cc = pref * _conjugate_coupling(params)
     c3, c4 = cc.real, cc.imag
     gamma = cmath.sqrt(complex(-c2 * c2 + c3 * c3 + c4 * c4))

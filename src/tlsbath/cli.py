@@ -78,6 +78,8 @@ def _load_config(args, command: str) -> dict:
 def _given(cfg: dict, keys) -> dict:
     """The config's values for `keys`, leaving out those it does not set or
     sets to null, so that the library's defaults fill them."""
+    if "seed" not in keys:  # a call that takes no seed: check it all the same
+        experiments._check_counts({"seed": cfg.get("seed")})
     return {key: cfg[key] for key in keys if cfg.get(key) is not None}
 
 

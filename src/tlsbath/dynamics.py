@@ -32,6 +32,8 @@ __all__ = [
     "write_series_csv",
 ]
 
+HERM_TOL = 1e-10   # largest |h - h^dagger| entry that Propagator accepts
+
 
 class Propagator:
     """Unitary exp(-i H dt) from one cached Hermitian eigendecomposition.
@@ -41,9 +43,9 @@ class Propagator:
     Hamiltonian included, works.
     """
 
-    def __init__(self, h: np.ndarray, herm_tol: float = 1e-10):
+    def __init__(self, h: np.ndarray):
         h = np.asarray(h, dtype=complex)
-        if np.max(np.abs(h - h.conj().T)) > herm_tol:
+        if np.max(np.abs(h - h.conj().T)) > HERM_TOL:
             raise ValueError("Hamiltonian is not Hermitian")
         self.energies, self.modes = np.linalg.eigh(h)
 

@@ -39,6 +39,7 @@ __all__ = [
 
 DEFAULT_SEED = 20451
 GROUND = QubitState(rho00=1.0)
+PLATEAU_FRACTION = 0.2   # trailing share of a series that `plateau` averages
 
 
 @dataclass
@@ -76,10 +77,10 @@ class ScenarioReport:
         return text
 
 
-def plateau(values: np.ndarray, fraction: float = 0.2) -> float:
-    """Mean over the trailing fraction of a series."""
+def plateau(values: np.ndarray) -> float:
+    """Mean over the trailing PLATEAU_FRACTION of a series."""
     values = np.asarray(values)
-    tail = max(1, int(math.ceil(fraction * len(values))))
+    tail = max(1, int(math.ceil(PLATEAU_FRACTION * len(values))))
     return float(values[-tail:].mean())
 
 
@@ -291,8 +292,8 @@ _FREEZING = (
 def _resolve(name: str, table: tuple, overrides: dict):
     """Merge overrides into a (defaults, band pair) entry and check them.
 
-    Returns (cfg, params, beta_eff, verdict), where beta_eff comes from the band
-    pair around k0 and verdict is `is_freezing_point`'s (frozen, n, m).
+    Returns (cfg, params, beta_eff), where beta_eff comes from the band pair
+    around k0.
     """
     defaults, (lo, hi) = table
     unknown = sorted(set(overrides) - set(defaults))
@@ -301,6 +302,10 @@ def _resolve(name: str, table: tuple, overrides: dict):
     # A None override means the default, as a null config value does.
     cfg = {**defaults, **{k: v for k, v in overrides.items() if v is not None}}
     _check_counts(cfg)
+    if "tolerance" in cfg:
+        _check_real("tolerance", cfg["tolerance"])
+        if cfg["tolerance"] < 0:
+            raise ValueError(f"tolerance must be >= 0, got {cfg['tolerance']}")
     params = ModelParams(
         delta_s=cfg["delta_s"],
         detuning=cfg["detuning"],
@@ -309,8 +314,7 @@ def _resolve(name: str, table: tuple, overrides: dict):
     )
     k0 = cfg["k0"]
     beta_eff = effective_beta(cfg["n"], k0 + lo, k0 + hi, params.delta_b)
-    verdict = is_freezing_point(params.dt, params.detuning, params.delta_s)
-    return cfg, params, beta_eff, verdict
+    return cfg, params, beta_eff
 
 
 def _run(cfg: dict, params: ModelParams, beta_eff: float):
@@ -354,10 +358,8 @@ def run_scenario(scenario: str = "fig2", **overrides) -> ScenarioReport:
     if scenario not in _SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
     t0 = time.perf_counter()
-    cfg, params, beta_eff, (frozen, _, _) = _resolve(
-        scenario, _SCENARIOS[scenario], overrides
-    )
-    att = None if frozen else analytics.attractor(params, beta_eff)
+    cfg, params, beta_eff = _resolve(scenario, _SCENARIOS[scenario], overrides)
+    att = analytics.attractor(params, beta_eff)
     if att is None:
         raise ValueError(
             f"(dt={params.dt}, detuning={params.detuning}) is a freezing point: "
@@ -417,7 +419,8 @@ def zeno_scan(
 ):
     """Relaxation rate versus measurement period; optional exact half-life.
 
-    Returns a list of dicts {dt, rate, half_life_exact}.
+    Returns a list of dicts {dt, rate, half_life_exact}; the half-life is None
+    where there is no attractor (a freezing point) or R = 0.
     """
     rows = []
     for dt in dt_list:
@@ -429,9 +432,9 @@ def zeno_scan(
             beta=params.beta,
         )
         rate = analytics.relaxation_constants(p, beta).rate
+        att = analytics.attractor(p, beta) if with_exact and rate > 0 else None
         half_life = None
-        if with_exact and rate > 0:
-            att = analytics.attractor(p, beta)
+        if att is not None:
             steps = min(int(math.ceil(6.0 / rate)), 100_000)
             env = default_environment(n=n, delta_b=p.delta_b, seed=seed)
             series = run_ensemble(
@@ -453,9 +456,8 @@ def verify_freezing(**overrides) -> ScenarioReport:
     advance per step for comparison with c2.
     """
     t0 = time.perf_counter()
-    cfg, params, beta_eff, (frozen, nn, mm) = _resolve(
-        "freezing", _FREEZING, overrides
-    )
+    cfg, params, beta_eff = _resolve("freezing", _FREEZING, overrides)
+    frozen, nn, mm = is_freezing_point(params.dt, params.detuning, params.delta_s)
     if not frozen:
         raise ValueError(
             f"(dt={params.dt}, detuning={params.detuning}) is not a freezing point"

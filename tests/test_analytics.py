@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,24 @@ class TestConditionalUpdate:
         p = params(coupling=0.4, dt=3.0)
         with pytest.warns(SecondOrderWarning):
             conditional_update(QubitState(rho00=0.5), "same", p, 0.2)
+
+    @pytest.mark.parametrize(
+        "coupling, low, high",
+        [(0.05, 0.0, 0.1), (0.08, 0.1, 0.2), (0.1, 0.1, 0.2), (0.15, 0.2, 1.0)],
+    )
+    def test_warns_exactly_with_relaxation_constants(self, coupling, low, high):
+        """Both maps warn where R > 0.1, 0.1 < R <= 0.2 included, and each
+        warning points at the line that called the map."""
+        p = params(coupling=coupling)
+        with warnings.catch_warnings(record=True) as by_rate:
+            warnings.simplefilter("always")
+            rate = relaxation_constants(p, 0.3).rate
+        with warnings.catch_warnings(record=True) as by_update:
+            warnings.simplefilter("always")
+            conditional_update(QubitState(rho00=0.5), "same", p, 0.3)
+        assert low < rate <= high
+        assert len(by_rate) == len(by_update) == (rate > 0.1)
+        assert all(w.filename == __file__ for w in by_rate + by_update)
 
 
 class TestOutcomeProbabilities:
@@ -307,6 +326,10 @@ class TestFreezingPoint:
     def test_membership(self):
         assert is_freezing_point(math.pi, 2.0, 1.0) == (True, 1, 1)
         assert is_freezing_point(2 * math.pi, 1.0, 1.0) == (True, 2, 1)
+        assert is_freezing_point(3 * math.pi, -2 / 3, 1.0) == (True, 3, -1)
+        assert is_freezing_point(math.pi * (1 + 5e-9), 2 / (1 + 5e-9), 1.0) == (
+            True, 1, 1
+        )
         ok, n, m = is_freezing_point(math.pi, 0.7, 1.0)
         assert not ok and n is None and m is None
 

@@ -160,6 +160,10 @@ class TestRelaxCommand:
             ({"coupling": "0.05"}, [], "coupling must be a real number"),
             ({"delta_s": [1]}, [], "delta_s must be a real number"),
             ({"coupling": True}, [], "coupling must be a real number"),
+            ({"tolerance": True}, [], "tolerance must be a real number"),
+            ({"tolerance": "x"}, [], "tolerance must be a real number"),
+            ({"tolerance": math.nan}, [], "tolerance must be finite"),
+            ({"tolerance": -1}, [], "tolerance must be >= 0"),
         ],
     )
     def test_invalid_physics_exit_1(self, tmp_path, capsys, payload, flags, message):
@@ -427,6 +431,10 @@ def test_every_default_key_accepted(tmp_path, command, function, given, csv_name
         ("sweep", {"quantity": "R", "start": True}, "start must be a real number"),
         ("sweep", {"quantity": "R", "stop": math.nan}, "stop must be finite"),
         ("sweep", {"quantity": "R", "beta": "0.75"}, "beta must be a real number"),
+        ("attractor-map", {"seed": 7.5, "grid": [2, 2]}, "seed must be an integer"),
+        ("attractor-map", {"seed": True, "grid": [2, 2]}, "seed must be an integer"),
+        ("sweep", {"quantity": "R", "num": 2, "seed": 7.5}, "seed must be an integer"),
+        ("sweep", {"quantity": "R", "num": 2, "seed": True}, "seed must be an integer"),
     ],
 )
 def test_bad_grid_or_sweep_counts_exit_1(tmp_path, capsys, command, payload, message):
@@ -435,3 +443,25 @@ def test_bad_grid_or_sweep_counts_exit_1(tmp_path, capsys, command, payload, mes
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, payload, csv_name",
+    [
+        ("attractor-map", {"grid": [3, 2]}, "attractor_map.csv"),
+        ("sweep", {"quantity": "R", "num": 3}, "sweep_R_dt.csv"),
+    ],
+)
+def test_integer_seed_accepted_and_unused(tmp_path, command, payload, csv_name):
+    """A config seed or a --seed flag is accepted and leaves the CSV as it is."""
+    written = []
+    for name, extra, flags in [
+        ("bare", {}, []),
+        ("config", {"seed": 3}, []),
+        ("flag", {}, ["--seed", "5"]),
+    ]:
+        cfg = write_config(tmp_path, {**payload, **extra})
+        out = tmp_path / name
+        assert main([command, "--config", cfg, "--out", str(out), *flags]) == 0
+        written.append((out / csv_name).read_bytes())
+    assert written[0] == written[1] == written[2]

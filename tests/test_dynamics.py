@@ -78,14 +78,14 @@ class TestPropagator:
         "i, j, defect, rejected",
         [
             (2, 3, 1e-8, True),       # inside the block {2, 3}
-            (0, 1, 1e-12, False),     # inside the block, below herm_tol
+            (0, 1, 1e-12, False),     # inside the block, below HERM_TOL
             (0, 2, 1e-6, True),       # partner zero: links {0, 1} with {2, 3}
         ],
         ids=["inside-block", "below-tol", "links-blocks"],
     )
     def test_hermitian_check_per_block(self, i, j, defect, rejected):
         """h is checked as a whole: a defect inside either of its blocks
-        {0, 1}, {2, 3} or between them is caught, one below herm_tol is not."""
+        {0, 1}, {2, 3} or between them is caught, one below HERM_TOL is not."""
         h = np.diag([0.5, 1.5, -0.3, 0.8]).astype(complex)
         h[0, 1] = h[1, 0] = 0.2
         h[2, 3], h[3, 2] = 0.1j, -0.1j

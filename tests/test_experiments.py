@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from tlsbath.analytics import attractor_rho00, offdiag_coeffs, relaxation_constants
+from tlsbath import experiments
+from tlsbath.analytics import (
+    attractor,
+    attractor_rho00,
+    is_freezing_point,
+    offdiag_coeffs,
+    relaxation_constants,
+)
 from tlsbath.experiments import (
     _SCENARIOS,
     attractor_map,
@@ -178,6 +185,50 @@ class TestZenoScan:
         rate = rows[0]["rate"]
         expect = math.log(2) / rate
         assert rows[0]["half_life_exact"] == pytest.approx(expect, rel=0.25)
+
+    def test_no_exact_half_life_at_freezing_point(self, monkeypatch):
+        """A freezing point has no attractor: no half-life and no engine run."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("engine run at a freezing point")
+
+        monkeypatch.setattr(experiments, "run_ensemble", refuse)
+        p = ModelParams(delta_s=1.0, detuning=2.0, coupling=0.05, dt=math.pi)
+        rows = zeno_scan([math.pi], p, beta=0.75, with_exact=True)
+        assert rows[0]["half_life_exact"] is None
+
+
+def _error(fn, **kwargs) -> str:
+    """The message of the ValueError that fn(**kwargs) raises, else ''."""
+    try:
+        fn(**kwargs)
+    except ValueError as exc:
+        return str(exc)
+    return ""
+
+
+@pytest.mark.parametrize(
+    "dt, detuning, frozen",
+    [
+        (math.pi, 2.0, True),
+        (4 * math.pi, 3.0, True),   # the one frozen cell of the default map
+        (3 * math.pi, -2 / 3, True),
+        (math.pi * (1 + 5e-9), 2 / (1 + 5e-9), True),
+        (math.pi, 0.7, False),
+        (1.1, 0.3, False),
+    ],
+)
+def test_freezing_verdicts_agree(dt, detuning, frozen):
+    """is_freezing_point, the attractor, the map, relax and freeze give one
+    verdict at each point (delta_s = 1)."""
+    p = ModelParams(delta_s=1.0, detuning=detuning, coupling=0.05, dt=dt)
+    assert is_freezing_point(dt, detuning, 1.0)[0] == frozen
+    assert (attractor(p, 0.75) is None) == frozen
+    assert bool(np.isnan(attractor_rho00(dt, detuning, 1.0, 0.75))) == frozen
+    small = {"dt": dt, "detuning": detuning, "n": 3, "steps": 2}
+    refused = "freezing point" in _error(run_scenario, **small)
+    accepted = "not a freezing point" not in _error(verify_freezing, **small)
+    assert refused == accepted == frozen
 
 
 class TestFreezing:
