@@ -8,8 +8,9 @@ state conditioned on the record. The nonselective engine propagates the exact
 outcome-averaged density matrix. Both coarse-reset engines step with one
 transfer operator (_coarse_step_operator).
 
-Both engines build and step on the two env.dim-wide parity sectors of the
-joint unitary (_sector_unitaries) alone; no joint-width matrix is formed.
+Both engines work on the env.dim-wide parity sectors of the joint unitary
+(_sector_unitaries) alone, the nonselective one only on those rho0 occupies
+(one for a ground or excited start); no joint-width matrix is formed.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BandedEnvironment, ModelParams, QubitState, build_sector_hamiltonians
+from .model import BandedEnvironment, ModelParams, QubitState, build_total_hamiltonian
 
 __all__ = [
     "Propagator",
@@ -39,8 +40,8 @@ class Propagator:
     """Unitary exp(-i H dt) from one cached Hermitian eigendecomposition.
 
     The engines pass it one parity sector of the joint Hamiltonian at a time
-    (model.build_sector_hamiltonians); any Hermitian matrix, the joint
-    Hamiltonian included, works.
+    (model.build_total_hamiltonian with a parity); any Hermitian matrix, the
+    joint Hamiltonian included, works.
     """
 
     def __init__(self, h: np.ndarray):
@@ -184,16 +185,17 @@ def _eig2(rho00: np.ndarray, rho10: np.ndarray):
 _DRAW_CHUNK = 16
 
 
-def _sector_unitaries(params: ModelParams, env: BandedEnvironment) -> list[np.ndarray]:
-    """exp(-i h_p dt) for the two parity sectors p of the joint Hamiltonian.
+def _sector_unitaries(params: ModelParams, env: BandedEnvironment, sectors=(0, 1)):
+    """[u_0, u_1] with u_p = exp(-i h_p dt) on parity sector p of the joint
+    Hamiltonian for p in sectors, and None for a sector left out.
 
     Sector p holds the levels of band position k at TLS level (p - k) mod 2,
     in the environment's level order: the joint state (a, k, r) is level
     g = (k, r) of sector (a + k) mod 2. Each sector Hamiltonian is released
     once it is diagonalised.
     """
-    hs = build_sector_hamiltonians(params, env)
-    return [Propagator(hs.pop(0)).unitary(params.dt) for _ in range(2)]
+    hs = {p: build_total_hamiltonian(params, env, parity=p) for p in sorted(sectors)}
+    return [Propagator(hs.pop(p)).unitary(params.dt) if p in hs else None for p in (0, 1)]
 
 
 def _band_windows(env: BandedEnvironment):
@@ -232,14 +234,15 @@ def _coarse_step_operator(us: list[np.ndarray], env: BandedEnvironment) -> np.nd
     us, and only reaches TLS level a ^ d in band k', d = (k' - k) mod 2, so
     T[4k' + 2(a ^ d) + (b ^ d), 4k + 2a + b]
         = (1/N_k) sum_{l in k', r in k} u_p[l, r] conj(u_q[l, r])
-    with p = (a + k) mod 2 and q = (b + k) mod 2. The nonselective engine
-    steps all blocks with T; a sampled trajectory in band k steps its TLS
-    state with the blocks T[k' <- k] of the adjacent bands k'.
+    with p = (a + k) mod 2 and q = (b + k) mod 2, and zero where u_p or u_q
+    is None. The nonselective engine steps all blocks with T; a sampled
+    trajectory in band k steps its TLS state with the blocks T[k' <- k] of
+    the adjacent bands k'.
     """
     nb, degs = env.n_bands, np.asarray(env.degeneracies)
-    sums = np.empty((2, 2, nb, nb), dtype=complex)
-    for p in range(2):
-        for q in range(2):
+    sums = np.zeros((2, 2, nb, nb), dtype=complex)
+    for p, q in np.ndindex(2, 2):
+        if us[p] is not None and us[q] is not None:
             prod = np.add.reduceat(us[p] * us[q].conj(), env.band_starts, axis=0)
             sums[p, q] = np.add.reduceat(prod, env.band_starts, axis=1) / degs
     k2, k, a, b = np.indices((nb, nb, 2, 2))
@@ -443,6 +446,7 @@ def run_trajectory(
     reset_mode: str = "coarse",
 ) -> Trajectory:
     """One selective-measurement trajectory, deterministic in the seed."""
+    rho0.validate()
     if steps < 1:
         raise ValueError("steps must be >= 1")
     out_k, out_p, out_r00, out_r10 = _sample_paths(
@@ -468,28 +472,32 @@ def _run_nonselective_exact(params, env, rho0: QubitState, k0, steps):
     sector pair (p, q) of rho is held as one N_k x N_k block X_k per band, for
     the pairs (0, 0), (1, 1) and (1, 0); (0, 1) is (1, 0)^+ and is not
     stepped. A step is M[:, k] = u_p[:, k] X_k, then X'_k = M[k] u_q[k]^+.
+    Pair (p, q) starts as entry ((p - k0) mod 2, (q - k0) mod 2) of rho0 on
+    band k0, and a pair that starts at zero stays zero: only the other pairs
+    are stepped, and only the sectors they name are built.
 
     Returns the rho00 and rho10 series and the largest drift of the total
     trace, which must stay below 1e-9.
     """
     degs = env.degeneracies
-    us = _sector_unitaries(params, env)
-    bands = [slice(s, s + nk) for s, nk in zip(env.band_starts, degs)]
-
     pairs = [(0, 0), (1, 1), (1, 0)]
     i0 = env.band_index(k0)
-    x = {pq: [np.zeros((nk, nk), dtype=complex) for nk in degs] for pq in pairs}
     rs = rho0.matrix()
+    live = [(p, q) for p, q in pairs if rs[(p - i0) % 2, (q - i0) % 2] != 0]
+    us = _sector_unitaries(params, env, {s for pq in live for s in pq})
+    bands = [slice(s, s + nk) for s, nk in zip(env.band_starts, degs)]
+
+    x = {pq: [np.zeros((nk, nk), dtype=complex) for nk in degs] for pq in pairs}
     for p, q in pairs:
         x[p, q][i0] = rs[(p - i0) % 2, (q - i0) % 2] * np.eye(degs[i0]) / degs[i0]
     trace0 = sum(np.trace(x[pq][i0]).real for pq in pairs[:2])
-    mixed = np.empty_like(us[0])
+    mixed = np.empty((env.dim, env.dim), dtype=complex)
     r00 = np.empty(steps + 1)
     r10 = np.empty(steps + 1, dtype=complex)
     worst = 0.0
     for j in range(steps + 1):
         if j:
-            for p, q in pairs:
+            for p, q in live:
                 for b, r in zip(bands, x[p, q]):
                     mixed[:, b] = us[p][:, b] @ r
                 x[p, q] = [mixed[b] @ us[q][b].conj().T for b in bands]
@@ -507,10 +515,12 @@ def _run_nonselective_exact(params, env, rho0: QubitState, k0, steps):
 
 def _run_nonselective_coarse(params, env, rho0: QubitState, k0, steps):
     nb = env.n_bands
-    t = _coarse_step_operator(_sector_unitaries(params, env), env)
-    x = np.zeros(4 * nb, dtype=complex)
     i0 = env.band_index(k0)
     rs = rho0.matrix()
+    # T keeps each entry in its sector pair: a zero row of rho0 stays empty.
+    sectors = [p for p in (0, 1) if np.any(rs[(p - i0) % 2])]
+    t = _coarse_step_operator(_sector_unitaries(params, env, sectors), env)
+    x = np.zeros(4 * nb, dtype=complex)
     x[4 * i0:4 * i0 + 4] = rs.reshape(-1)
     r00 = np.empty(steps + 1)
     r10 = np.empty(steps + 1, dtype=complex)
@@ -541,6 +551,7 @@ def run_ensemble(
     from master_seed; "nonselective" evolves the exact outcome-averaged density
     matrix (no statistical error).
     """
+    rho0.validate()
     t0 = time.perf_counter()
     if engine == "sampled":
         if n_traj is None or n_traj < 1:

@@ -25,7 +25,6 @@ __all__ = [
     "build_band_environment",
     "build_spin_environment",
     "build_total_hamiltonian",
-    "build_sector_hamiltonians",
     "beta_working_point",
     "effective_beta",
 ]
@@ -110,7 +109,7 @@ class QubitState:
         """Check trace, hermiticity and positivity within tolerance."""
         if not (-tol <= self.rho00 <= 1.0 + tol):
             raise ValueError(f"rho00 = {self.rho00} outside [0, 1]")
-        if abs(self.rho10) ** 2 > self.rho00 * self.rho11 + tol:
+        if not abs(self.rho10) ** 2 <= self.rho00 * self.rho11 + tol:
             raise ValueError(
                 f"coherence too large: |rho10|^2 = {abs(self.rho10)**2:.3e} > "
                 f"rho00*rho11 = {self.rho00 * self.rho11:.3e}"
@@ -421,10 +420,3 @@ def build_total_hamiltonian(
     h[d:, :d] = params.coupling * b
     h[:d, d:] = params.coupling * b.conj().T
     return h
-
-
-def build_sector_hamiltonians(
-    params: ModelParams, env: BandedEnvironment
-) -> list[np.ndarray]:
-    """The blocks [h_0, h_1] of the joint Hamiltonian on its two parity sectors."""
-    return [build_total_hamiltonian(params, env, parity=p) for p in (0, 1)]

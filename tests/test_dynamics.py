@@ -326,29 +326,48 @@ class TestEnsembles:
             )
 
 
+# The dense-reference cases of both nonselective engines, from a coherent
+# start unless stated.
+_RANDOM_BAND = (ModelParams(delta_s=1.0, coupling=0.1, dt=math.pi),
+                lambda: build_band_environment(5, 1.0, seed=901))
+_SIGMA_X = (ModelParams(delta_s=1.0, detuning=0.3, coupling=0.1, dt=1.1),
+            lambda: build_spin_environment(6, 1.3, seed=8))
+_COHERENT = QubitState(rho00=0.6, rho10=0.3 + 0.2j)
+# Ground and excited starts occupy one parity sector, a diagonal start both
+# without coherence between them; k0 even (random-band) and odd (sigma-x).
+_SECTOR_STARTS = {
+    "ground": QubitState(rho00=1.0),
+    "excited": QubitState(rho00=0.0),
+    "diagonal": QubitState(rho00=0.6),
+}
+_SECTOR_CASES = [
+    (*model, k0, rho0)
+    for model, k0 in ((_RANDOM_BAND, 2), (_SIGMA_X, 3))
+    for rho0 in _SECTOR_STARTS.values()
+]
+_SECTOR_IDS = [
+    f"{model}-{start}" for model in ("random-band-n5", "sigma-x-n6") for start in _SECTOR_STARTS
+]
+
+
 class TestExactResetEngine:
     @pytest.mark.parametrize(
-        "params, make_env, k0",
+        "params, make_env, k0, rho0",
         [
-            (ModelParams(delta_s=1.0, coupling=0.1, dt=math.pi),
-             lambda: build_band_environment(5, 1.0, seed=901), 2),
-            (ModelParams(delta_s=1.0, detuning=0.3, coupling=0.1, dt=1.1),
-             lambda: build_spin_environment(6, 1.3, seed=8), 3),
+            (*_RANDOM_BAND, 2, _COHERENT),
+            (*_SIGMA_X, 3, _COHERENT),
             # The edge bands (1 x 1 blocks) and both parities of k0, which
             # decide whether a band's coherence is read as X_10 or X_10^+.
-            (ModelParams(delta_s=1.0, coupling=0.1, dt=math.pi),
-             lambda: build_band_environment(5, 1.0, seed=901), 0),
-            (ModelParams(delta_s=1.0, coupling=0.1, dt=math.pi),
-             lambda: build_band_environment(5, 1.0, seed=901), 5),
-            (ModelParams(delta_s=1.0, detuning=0.3, coupling=0.1, dt=1.1),
-             lambda: build_spin_environment(6, 1.3, seed=8), 0),
+            (*_RANDOM_BAND, 0, _COHERENT),
+            (*_RANDOM_BAND, 5, _COHERENT),
+            (*_SIGMA_X, 0, _COHERENT),
+            *_SECTOR_CASES,
         ],
         ids=["random-band-n5", "sigma-x-n6", "random-band-n5-k0", "random-band-n5-k5",
-             "sigma-x-n6-k0"],
+             "sigma-x-n6-k0", *_SECTOR_IDS],
     )
-    def test_matches_dense_reference(self, params, make_env, k0):
+    def test_matches_dense_reference(self, params, make_env, k0, rho0):
         env = make_env()
-        rho0 = QubitState(rho00=0.6, rho10=0.3 + 0.2j)
         series = run_ensemble(
             params, env, rho0, k0=k0, steps=40,
             engine="nonselective", reset_mode="exact",
@@ -389,18 +408,12 @@ class TestExactResetEngine:
 
 class TestCoarseResetEngine:
     @pytest.mark.parametrize(
-        "params, make_env, k0",
-        [
-            (ModelParams(delta_s=1.0, coupling=0.1, dt=math.pi),
-             lambda: build_band_environment(5, 1.0, seed=901), 2),
-            (ModelParams(delta_s=1.0, detuning=0.3, coupling=0.1, dt=1.1),
-             lambda: build_spin_environment(6, 1.3, seed=8), 3),
-        ],
-        ids=["random-band-n5", "sigma-x-n6"],
+        "params, make_env, k0, rho0",
+        [(*_RANDOM_BAND, 2, _COHERENT), (*_SIGMA_X, 3, _COHERENT), *_SECTOR_CASES],
+        ids=["random-band-n5", "sigma-x-n6", *_SECTOR_IDS],
     )
-    def test_matches_dense_reference(self, params, make_env, k0):
+    def test_matches_dense_reference(self, params, make_env, k0, rho0):
         env = make_env()
-        rho0 = QubitState(rho00=0.6, rho10=0.3 + 0.2j)
         series = run_ensemble(
             params, env, rho0, k0=k0, steps=40,
             engine="nonselective", reset_mode="coarse",
@@ -429,6 +442,76 @@ class TestCoarseResetEngine:
                 x, i = t[env.band_index(k), :, i] @ x, env.band_index(k)
             assert abs(x[0] + x[3] - probs.get(record, 0.0)) < 1e-12
         assert abs(sum(probs.values()) - 1.0) < 1e-12
+
+
+class TestOccupiedSectors:
+    """The nonselective engines diagonalise only the parity sectors rho0
+    occupies; the sampled engine's tables cover both."""
+
+    @staticmethod
+    def _count_propagators(monkeypatch):
+        built, init = [], Propagator.__init__
+
+        def counting_init(self, h):
+            built.append(np.shape(h))
+            init(self, h)
+
+        monkeypatch.setattr(Propagator, "__init__", counting_init)
+        return built
+
+    @pytest.mark.parametrize("reset_mode", ["coarse", "exact"])
+    @pytest.mark.parametrize(
+        "rho0, sectors",
+        [(QubitState(rho00=1.0), 1), (QubitState(rho00=0.0), 1),
+         (QubitState(rho00=0.6), 2), (_COHERENT, 2)],
+        ids=["ground", "excited", "diagonal", "coherent"],
+    )
+    def test_nonselective_builds_occupied_sectors(self, monkeypatch, resonant_params,
+                                                  small_env, rho0, sectors, reset_mode):
+        built = self._count_propagators(monkeypatch)
+        run_ensemble(resonant_params, small_env, rho0, k0=2, steps=3,
+                     engine="nonselective", reset_mode=reset_mode)
+        assert built == [(small_env.dim, small_env.dim)] * sectors
+
+    @pytest.mark.parametrize("reset_mode", ["coarse", "exact"])
+    @pytest.mark.parametrize(
+        "rho0", [QubitState(rho00=1.0), QubitState(rho00=0.0), _COHERENT],
+        ids=["ground", "excited", "coherent"],
+    )
+    def test_sampled_builds_both_sectors(self, monkeypatch, resonant_params, small_env,
+                                         rho0, reset_mode):
+        built = self._count_propagators(monkeypatch)
+        run_ensemble(resonant_params, small_env, rho0, k0=2, steps=3, n_traj=2,
+                     master_seed=0, engine="sampled", reset_mode=reset_mode)
+        assert len(built) == 2
+
+
+class TestUnphysicalInitialState:
+    """Every engine and reset mode refuses a rho0 that is not a density matrix."""
+
+    BAD = [
+        QubitState(rho00=1.4),
+        QubitState(rho00=0.9, rho10=0.5),
+        QubitState(rho00=1.0, rho10=0.3),
+        QubitState(rho00=0.5, rho10=complex(math.nan, 0.0)),
+    ]
+    BAD_IDS = ["rho00-above-1", "coherence-0.9-0.5", "coherence-1.0-0.3", "nan-coherence"]
+
+    @pytest.mark.parametrize("rho0", BAD, ids=BAD_IDS)
+    @pytest.mark.parametrize("reset_mode", ["coarse", "exact"])
+    @pytest.mark.parametrize("engine", ["nonselective", "sampled"])
+    def test_run_ensemble_rejects(self, resonant_params, small_env, rho0, reset_mode,
+                                  engine):
+        with pytest.raises(ValueError, match="rho00|coherence"):
+            run_ensemble(resonant_params, small_env, rho0, k0=2, steps=20, n_traj=2,
+                         master_seed=0, engine=engine, reset_mode=reset_mode)
+
+    @pytest.mark.parametrize("rho0", BAD, ids=BAD_IDS)
+    @pytest.mark.parametrize("reset_mode", ["coarse", "exact"])
+    def test_run_trajectory_rejects(self, resonant_params, small_env, rho0, reset_mode):
+        with pytest.raises(ValueError, match="rho00|coherence"):
+            run_trajectory(resonant_params, small_env, rho0, k0=2, steps=20,
+                           seed=trajectory_seed(0, 0), reset_mode=reset_mode)
 
 
 def test_eig2_accurate_near_pole():

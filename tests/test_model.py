@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -13,7 +14,6 @@ from tlsbath.model import (
     binomial_degeneracy,
     build_band_environment,
     build_spin_environment,
-    build_sector_hamiltonians,
     build_total_hamiltonian,
     effective_beta,
 )
@@ -79,6 +79,13 @@ def test_qubit_state_consistency():
 def test_qubit_state_validate_rejects_overlarge_coherence():
     with pytest.raises(ValueError):
         QubitState(rho00=0.9, rho10=0.5 + 0.0j).validate()
+
+
+@pytest.mark.parametrize("rho10", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                                   complex(math.inf, 0.0)])
+def test_qubit_state_validate_rejects_non_finite_coherence(rho10):
+    with pytest.raises(ValueError, match="coherence"):
+        QubitState(rho00=0.5, rho10=rho10).validate()
 
 
 def test_block_shapes():
@@ -207,13 +214,18 @@ def test_sector_hamiltonians_are_the_parity_blocks(any_env):
     h = build_total_hamiltonian(p, env)
     positions = env.band_of_level() - env.band_range[0]
     levels = np.arange(env.dim)
-    for parity, hp in enumerate(build_sector_hamiltonians(p, env)):
+    for parity in (0, 1):
+        hp = build_total_hamiltonian(p, env, parity=parity)
         # Level g of sector p sits at TLS level (p - k) mod 2 of the joint index.
         idx = (parity - positions) % 2 * env.dim + levels
         assert np.array_equal(hp, h[np.ix_(idx, idx)])
 
 
-@pytest.mark.parametrize("build", [build_total_hamiltonian, build_sector_hamiltonians])
+@pytest.mark.parametrize(
+    "build",
+    [build_total_hamiltonian, functools.partial(build_total_hamiltonian, parity=1)],
+    ids=["build_total_hamiltonian", "build_total_hamiltonian-sector"],
+)
 def test_hamiltonian_dimension_mismatch(build, seven_env):
     p = ModelParams(delta_s=1.0, detuning=0.5)
     with pytest.raises(ValueError, match="inconsistent with params.delta_b"):
