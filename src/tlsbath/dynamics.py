@@ -6,7 +6,9 @@ single measurement records: with exact reset it propagates pure state vectors
 (mixed inputs are unraveled into eigenstate draws), with coarse reset the TLS
 state conditioned on the record. The nonselective engine propagates the exact
 outcome-averaged density matrix. Both coarse-reset engines step with one
-transfer operator (_coarse_step_operator).
+transfer operator (_coarse_step_operator). Exact-reset trajectories are
+grouped by their measured band, and each group steps with one product per
+adjacent band it can reach (_sampling_tables, _sample_paths).
 
 Both engines work on the env.dim-wide parity sectors of the joint unitary
 (_sector_unitaries) alone, the nonselective one only on those rho0 occupies
@@ -21,7 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BandedEnvironment, ModelParams, QubitState, build_total_hamiltonian
+from .model import (
+    BandedEnvironment,
+    ModelParams,
+    QubitState,
+    _check_count,
+    build_total_hamiltonian,
+)
 
 __all__ = [
     "Propagator",
@@ -180,8 +188,8 @@ def _eig2(rho00: np.ndarray, rho10: np.ndarray):
     return lam_p, v_plus, v_minus
 
 
-# Steps of uniforms each trajectory draws in one call; bounds the block of
-# draws held at once to _DRAW_CHUNK doubles per trajectory.
+# Steps of uniforms each trajectory draws in one call, in place into its row
+# of one (m, _DRAW_CHUNK) block, the only block of draws held.
 _DRAW_CHUNK = 16
 
 
@@ -254,11 +262,14 @@ def _coarse_step_operator(us: list[np.ndarray], env: BandedEnvironment) -> np.nd
 
 def _sampling_tables(params: ModelParams, env: BandedEnvironment, reset_mode: str):
     """The sampled engine's step data, built once, and the unitary's leakage
-    bound, checked against leak_tol: for coarse reset the blocks
-    T[k-1 .. k+1 <- k] of _coarse_step_operator for every band k, as an
-    (n_bands, 3, 4, 4) array that is zero outside the environment; for exact
-    reset, per band k, the stack over TLS levels a of
-    u_{(a+k)%2}[window(k), band k]^T."""
+    bound, checked against leak_tol.
+
+    Coarse reset: the blocks T[k-1 .. k+1 <- k] of _coarse_step_operator for
+    every band k, as an (n_bands, 3, 4, 4) array that is zero outside the
+    environment. Exact reset: per band k, a dict over the window bands k'
+    of k (those of k-1, k, k+1 that exist) of the contiguous (2, N_k, N_k')
+    block u_{(a+k)%2}[band k', band k]^T, stacked over the TLS level a.
+    """
     if reset_mode not in ("exact", "coarse"):
         raise ValueError(f"unknown reset_mode {reset_mode!r}")
     us = _sector_unitaries(params, env)
@@ -268,17 +279,20 @@ def _sampling_tables(params: ModelParams, env: BandedEnvironment, reset_mode: st
     leak_tol = max(1e-9, 1e3 * params.coupling**4)
     if leakage > leak_tol:
         raise ValueError(f"band-adjacency selection rule violated beyond {leak_tol:.1e}")
+    nb = env.n_bands
     if reset_mode == "coarse":
-        nb = env.n_bands
         t = np.zeros((nb + 2, 4, nb, 4), dtype=complex)
         t[1:-1] = _coarse_step_operator(us, env).reshape(nb, 4, nb, 4)
         k = np.arange(nb)[:, None]
         step = t[k + np.arange(3), :, k, :]
     else:
-        windows = zip(*_band_windows(env), env.band_starts, env.degeneracies)
+        levels = env.band_slice
         step = [
-            np.stack([us[(a + k) % 2][lo:hi, s:s + nk].T for a in range(2)])
-            for k, (lo, hi, s, nk) in enumerate(windows)
+            {
+                k2: np.stack([us[(a + k) % 2][levels(k2), levels(k)].T for a in range(2)])
+                for k2 in range(max(k - 1, 0), min(k + 2, nb))
+            }
+            for k in range(nb)
         ]
     return step, leakage
 
@@ -313,78 +327,92 @@ def _draw_paths(
     m = len(seeds)
     rngs = [np.random.default_rng(s) for s in seeds]
     coarse = reset_mode == "coarse"
-    starts, degs = env.band_starts, np.asarray(env.degeneracies)
     nb = env.n_bands
     traj = np.arange(m)
 
-    out_k = np.empty((steps + 1, m), dtype=int)
+    out_k = np.empty((steps + 1, m), dtype=int)   # band positions until the return
     out_p = np.empty((steps, m))
     out_r00 = np.empty((steps + 1, m))
     out_r10 = np.empty((steps + 1, m), dtype=complex)
 
     i0 = env.band_index(k0)
-    band = np.full(m, i0)
-    out_k[0] = env.band_range[0] + i0
+    out_k[0] = i0
     if coarse:
+        band = np.full(m, i0)
         # Every trajectory's TLS state, flattened: rho00, rho01, rho10, rho11.
         rho = np.tile(rho0.matrix().reshape(-1), (m, 1))
         out_r00[0], out_r10[0] = rho0.rho00, rho0.rho10
     else:
         # The unraveling of rho0 (x) 1_k / N_k: an eigenvector v of rho0 and a
         # uniform level of band k0.
-        x0 = np.array([rng.random(2) for rng in rngs])
+        x0 = np.empty((m, 2))
+        for rng, row in zip(rngs, x0):
+            rng.random(out=row)
         lam_p, v_plus, v_minus = _eig2(rho0.rho00, rho0.rho10)
         vec = np.where(x0[:, 0] < lam_p, v_plus, v_minus)
-        level = np.minimum((x0[:, 1] * degs[i0]).astype(int), degs[i0] - 1)
+        nk = env.degeneracies[i0]
+        level = np.minimum((x0[:, 1] * nk).astype(int), nk - 1)
         out_r00[0] = np.abs(vec[0]) ** 2
         out_r10[0] = vec[0].conj() * vec[1]
-        # The measured band's ground and excited part of every state, padded
-        # to the largest band.
-        lo = _band_windows(env)[0]
-        seg = np.zeros((2, m, degs.max()), dtype=complex)
-        seg[:, traj, level] = vec
+        # Band buckets: band k -> (its trajectories, the ground and excited
+        # part of each one's state on band k, (2, m_k, N_k)).
+        psi = np.zeros((2, m, nk), dtype=complex)
+        psi[:, traj, level] = vec
+        buckets = {i0: (traj, psi)}
 
+    draws = np.empty((m, _DRAW_CHUNK))
     for j in range(1, steps + 1):
-        if (j - 1) % _DRAW_CHUNK == 0:
+        col = (j - 1) % _DRAW_CHUNK
+        if col == 0:
             n = min(_DRAW_CHUNK, steps + 1 - j)
-            draws = np.array([rng.random(n) for rng in rngs])
-        x = draws[:, (j - 1) % _DRAW_CHUNK]
+            for rng, row in zip(rngs, draws):
+                rng.random(out=row[:n])
         if coarse:
             # y[c, i]: the unnormalised TLS state in window band k - 1 + i.
             y = np.einsum("cist,ct->cis", step[band], rho)
             w = (y[:, :, 0] + y[:, :, 3]).real
-            new, wk, out_p[j - 1] = _born_pick(w, x, band, nb)
+            new, wk, out_p[j - 1] = _born_pick(w, draws[:, col], band, nb)
             rho = y[traj, new - band + 1] / wk[:, None]
+            band = out_k[j] = new
             out_r00[j] = rho[:, 0].real
             out_r10[j] = rho[:, 2]
-        else:
-            new = np.empty_like(band)
-            for i in np.unique(band):
-                idx = np.flatnonzero(band == i)
-                # prod[a]: the TLS-level-a part, stepped in its sector.
-                prod = seg[:, idx, :degs[i]] @ step[i]
-                # Weight of each part in every window band.
-                first, last = max(i - 1, 0), min(i + 1, nb - 1)
-                loc = starts[first:last + 1] - lo[i]
-                cuts = np.split(prod.view(float), 2 * loc[1:], axis=2)
-                part_w = np.stack([np.einsum("acl,acl->ac", v, v) for v in cuts], 2)
-                w = np.zeros((len(idx), 3))
-                w[:, first - i + 1:last - i + 2] = part_w[0] + part_w[1]
-                new[idx], wk, out_p[j - 1, idx] = _born_pick(w, x[idx], i, nb)
-                for i2 in np.unique(new[idx]):
-                    sub = new[idx] == i2
-                    rows, nk, c = idx[sub], degs[i2], loc[i2 - first]
-                    # Part a lands at TLS level a ^ d in band i2: the parts
-                    # swap roles in the adjacent bands (a reversed view).
-                    d = (i2 - i) % 2
-                    parts = prod[:, sub, c:c + nk][::1 - 2 * d]
-                    out_r00[j, rows] = part_w[d, sub, i2 - first] / wk[sub]
-                    coh = np.einsum("cl,cl->c", parts[0].conj(), parts[1])
-                    out_r10[j, rows] = coh / wk[sub]
-                    seg[:, rows, :nk] = parts / np.sqrt(wk[sub])[:, None]
-        band = new
-        out_k[j] = env.band_range[0] + band
-    return out_k, out_p, out_r00, out_r10
+            continue
+        landed = {}
+        for i, (ids, psi) in buckets.items():
+            # prod[k2][a]: the TLS-level-a part, stepped in its sector, on
+            # window band k2; part_w[k2][a]: its weight.
+            prod = {k2: psi @ block for k2, block in step[i].items()}
+            part_w = {k2: np.einsum("acl,acl->ac", v.view(float), v.view(float))
+                      for k2, v in prod.items()}
+            w = np.zeros((len(ids), 3))
+            for k2, pw in part_w.items():
+                w[:, k2 - i + 1] = pw[0] + pw[1]
+            new, wk, out_p[j - 1, ids] = _born_pick(w, draws[ids, col], i, nb)
+            out_k[j, ids] = new
+            for k2, v in prod.items():
+                sel = new == k2
+                hits = np.count_nonzero(sel)
+                if not hits:
+                    continue
+                # Part a lands at TLS level a ^ d in band k2: the parts swap
+                # roles in the adjacent bands (a reversed view).
+                d = (k2 - i) % 2
+                parts = (v if hits == len(ids) else np.compress(sel, v, axis=1))[::1 - 2 * d]
+                rows, wsel = ids[sel], wk[sel]
+                out_r00[j, rows] = part_w[k2][d, sel] / wsel
+                out_r10[j, rows] = np.vecdot(parts[0], parts[1]) / wsel
+                # Normalised in place: scaling the float view by 1 / sqrt(wk)
+                # rounds as a complex division by sqrt(wk) does, at a fraction
+                # of its cost.
+                flat = parts.view(float)
+                flat *= (1.0 / np.sqrt(wsel))[:, None]
+                landed.setdefault(k2, []).append((rows, parts))
+        buckets = {
+            k2: (np.concatenate([r for r, _ in got]), np.concatenate([p for _, p in got], 1))
+            if len(got) > 1 else got[0]
+            for k2, got in landed.items()
+        }
+    return out_k + env.band_range[0], out_p, out_r00, out_r10
 
 
 def _sample_paths(
@@ -412,10 +440,14 @@ def _sample_paths(
       law, since E[v v^+] = rho and the step is linear; rho is the mean of
       that unraveling's reduced state given the record.
     - exact reset: a trajectory holds band k's ground part (sector k mod 2)
-      and excited part (sector (k + 1) mod 2), N_k numbers each. A step is
-      one (2, m_k, N_k)(2, N_k, W_k) product with u_{(a+k)%2}[window(k),
-      band k]^T over the m_k trajectories in band k. Band weights, rho00,
-      rho10 and the next parts are read from that window.
+      and excited part (sector (k + 1) mod 2), N_k numbers each. The
+      trajectories sit in band buckets, band k -> (their indices, their parts
+      as one (2, m_k, N_k) array). A step takes each bucket through one
+      (2, m_k, N_k)(2, N_k, N_k') product per window band k', with the block
+      u_{(a+k)%2}[band k', band k]^T; its weight in band k' is read from that
+      product alone. After the draw, the rows that land in k' give rho00,
+      rho10 and, normalised, their next parts, and every band's arrivals from
+      k'-1, k' and k'+1 are joined into its next bucket.
 
     The band-adjacency selection rule is checked once at build time, for every
     state either mode can reach (_leakage_bound): if one step can move more
@@ -447,8 +479,7 @@ def run_trajectory(
 ) -> Trajectory:
     """One selective-measurement trajectory, deterministic in the seed."""
     rho0.validate()
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    _check_count("steps", steps)
     out_k, out_p, out_r00, out_r10 = _sample_paths(
         params, env, rho0, k0, steps, [seed], reset_mode
     )
@@ -552,9 +583,12 @@ def run_ensemble(
     matrix (no statistical error).
     """
     rho0.validate()
+    _check_count("steps", steps)
+    if n_traj is not None:
+        _check_count("n_traj", n_traj)
     t0 = time.perf_counter()
     if engine == "sampled":
-        if n_traj is None or n_traj < 1:
+        if n_traj is None:
             raise ValueError("sampled engine requires n_traj >= 1")
         if master_seed is None:
             raise ValueError("sampled engine requires a master_seed")

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 
@@ -17,6 +16,7 @@ from .model import (
     BandedEnvironment,
     ModelParams,
     QubitState,
+    _check_count,
     _check_real,
     build_band_environment,
     build_spin_environment,
@@ -95,16 +95,8 @@ def _check_counts(cfg: dict) -> None:
     counts = [(key, cfg.get(key)) for key in keys]
     counts += [("grid entry", value) for value in grid or ()]
     for key, value in counts:
-        if value is None:
-            continue
-        try:
-            if isinstance(value, bool):
-                raise TypeError
-            operator.index(value)
-        except TypeError:
-            raise ValueError(f"{key} must be an integer, got {value!r}") from None
-        if key not in ("k0", "seed") and value < 1:
-            raise ValueError(f"{key} must be >= 1, got {value}")
+        if value is not None:
+            _check_count(key, value, None if key in ("k0", "seed") else 1)
 
 
 def default_environment(

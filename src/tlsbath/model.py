@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,19 @@ def _check_real(name: str, value) -> None:
         raise ValueError(f"{name} must be a real number, got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _check_count(name: str, value, minimum: int | None = 1) -> None:
+    """Reject a value that is not an integer (a bool is not one) or, unless
+    minimum is None, one below minimum."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -514,6 +514,42 @@ class TestUnphysicalInitialState:
                            seed=trajectory_seed(0, 0), reset_mode=reset_mode)
 
 
+class TestBadCounts:
+    """Every engine, reset mode and run_trajectory refuses a step or
+    trajectory count that is not an integer >= 1, before building anything."""
+
+    BAD = [(-1, "must be >= 1"), (0, "must be >= 1"), (2.5, "must be an integer"),
+           (True, "must be an integer")]
+
+    @staticmethod
+    def _forbid_builds(monkeypatch):
+        def no_build(self, h):
+            pytest.fail("a propagator was built before the counts were checked")
+
+        monkeypatch.setattr(Propagator, "__init__", no_build)
+
+    @pytest.mark.parametrize("reset_mode", ["coarse", "exact"])
+    @pytest.mark.parametrize("engine", ["nonselective", "sampled"])
+    def test_run_ensemble_rejects(self, monkeypatch, resonant_params, small_env, ground,
+                                  engine, reset_mode):
+        self._forbid_builds(monkeypatch)
+        for key in ("steps", "n_traj"):
+            for value, message in self.BAD:
+                counts = {"steps": 5, "n_traj": 2, key: value}
+                with pytest.raises(ValueError, match=f"{key} {message}"):
+                    run_ensemble(resonant_params, small_env, ground, k0=2, **counts,
+                                 master_seed=0, engine=engine, reset_mode=reset_mode)
+
+    @pytest.mark.parametrize("reset_mode", ["coarse", "exact"])
+    def test_run_trajectory_rejects(self, monkeypatch, resonant_params, small_env,
+                                    ground, reset_mode):
+        self._forbid_builds(monkeypatch)
+        for value, message in self.BAD:
+            with pytest.raises(ValueError, match=f"steps {message}"):
+                run_trajectory(resonant_params, small_env, ground, k0=2, steps=value,
+                               seed=trajectory_seed(0, 0), reset_mode=reset_mode)
+
+
 def test_eig2_accurate_near_pole():
     """The small eigenvector component keeps its relative accuracy where
     lam_p - rho00 cancels (rho00 rounds to 1)."""
@@ -554,6 +590,45 @@ class TestSampledEngine:
         # The batch spreads over several bands and jumps between them.
         assert len(np.unique(out_k)) >= 3
         assert np.any(out_k[1:] != out_k[:-1])
+
+    def test_bucket_merge_matches_dense_reference(self):
+        """Exact reset where one step brings trajectories into a band from all
+        three window bands, and both edge bands (one level each) are visited."""
+        params = ModelParams(delta_s=1.0, coupling=0.3, dt=math.pi)
+        env = build_band_environment(3, 1.0, seed=5)
+        rho0 = QubitState(rho00=0.6, rho10=0.3 + 0.2j)
+        seeds = [trajectory_seed(3, i) for i in range(24)]
+        out_k, out_p, r00, r10 = _sample_paths(params, env, rho0, 1, 30, seeds, "exact")
+        merges = [
+            (j, k)
+            for j in range(1, len(out_k))
+            for k in np.unique(out_k[j])
+            if set(out_k[j - 1, out_k[j] == k] - k) == {-1, 0, 1}
+        ]
+        assert merges
+        assert set(env.band_range) <= set(out_k.ravel())
+        for c, seed in enumerate(seeds):
+            ref_k, ref_p, ref00, ref10 = dense_sampled_reference(
+                params, env, rho0, 1, 30, seed, "exact"
+            )
+            assert np.array_equal(out_k[:, c], ref_k)
+            assert np.max(np.abs(out_p[:, c] - ref_p)) < 1e-12
+            assert np.max(np.abs(r00[:, c] - ref00)) < 1e-12
+            assert np.max(np.abs(r10[:, c] - ref10)) < 1e-12
+
+    @pytest.mark.parametrize("reset_mode", ["coarse", "exact"])
+    def test_trajectory_order_does_not_matter(self, reset_mode, resonant_params,
+                                              seven_env):
+        rho0 = QubitState(rho00=0.6, rho10=0.3 + 0.2j)
+        seeds = [trajectory_seed(8, i) for i in range(64)]
+        perm = np.random.default_rng(0).permutation(len(seeds))
+        out = _sample_paths(resonant_params, seven_env, rho0, 2, 60, seeds, reset_mode)
+        shuffled = _sample_paths(
+            resonant_params, seven_env, rho0, 2, 60, [seeds[i] for i in perm], reset_mode
+        )
+        assert len(np.unique(out[0])) >= 3
+        for a, b in zip(out, shuffled):
+            assert np.array_equal(a[:, perm], b)
 
     @pytest.mark.parametrize("reset_mode", ["coarse", "exact"])
     def test_batch_members_match_solo_runs(
