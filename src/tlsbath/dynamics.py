@@ -10,9 +10,10 @@ transfer operator (_coarse_step_operator). Exact-reset trajectories are
 grouped by their measured band, and each group steps with one product per
 adjacent band it can reach (_sampling_tables, _sample_paths).
 
-Both engines work on the env.dim-wide parity sectors of the joint unitary
-(_sector_unitaries) alone, the nonselective one only on those rho0 occupies
-(one for a ground or excited start); no joint-width matrix is formed.
+Every run makes one build (_build): the env.dim-wide parity sectors of the
+joint unitary that rho0 occupies (one for a ground or excited start), and
+their band-adjacency leakage bound, which every run reports and the sampled
+engine alone refuses a run on. No joint-width matrix is formed.
 """
 from __future__ import annotations
 
@@ -47,9 +48,8 @@ HERM_TOL = 1e-10   # largest |h - h^dagger| entry that Propagator accepts
 class Propagator:
     """Unitary exp(-i H dt) from one cached Hermitian eigendecomposition.
 
-    The engines pass it one parity sector of the joint Hamiltonian at a time
-    (model.build_total_hamiltonian with a parity); any Hermitian matrix, the
-    joint Hamiltonian included, works.
+    _build passes it one parity sector of the joint Hamiltonian at a time
+    (model.build_total_hamiltonian); any Hermitian matrix works.
     """
 
     def __init__(self, h: np.ndarray):
@@ -122,7 +122,7 @@ class EnsembleSeries:
     reset_mode: str
     master_seed: int | None = None
     wall_time: float = 0.0
-    # Sampled engine: the build-time bound on one step's band-adjacency leakage.
+    # The build's bound on one step's band-adjacency leakage (_leakage_bound).
     leakage_bound: float | None = None
     # Exact-reset nonselective engine: the largest drift of the total trace.
     trace_drift: float | None = None
@@ -193,17 +193,27 @@ def _eig2(rho00: np.ndarray, rho10: np.ndarray):
 _DRAW_CHUNK = 16
 
 
-def _sector_unitaries(params: ModelParams, env: BandedEnvironment, sectors=(0, 1)):
-    """[u_0, u_1] with u_p = exp(-i h_p dt) on parity sector p of the joint
-    Hamiltonian for p in sectors, and None for a sector left out.
+def _build(params: ModelParams, env: BandedEnvironment, rho0: QubitState, k0: int):
+    """The one build step of every run: the sector unitaries a run from
+    rho0 (x) 1_k0 / N_k0 reaches, and their leakage bound (_leakage_bound).
 
-    Sector p holds the levels of band position k at TLS level (p - k) mod 2,
-    in the environment's level order: the joint state (a, k, r) is level
-    g = (k, r) of sector (a + k) mod 2. Each sector Hamiltonian is released
+    Returns [u_0, u_1] with u_p = exp(-i h_p dt) on parity sector p of the
+    joint Hamiltonian, and None for a sector left out. Sector p holds the
+    levels of band position k at TLS level (p - k) mod 2, in the
+    environment's level order: the joint state (a, k, r) is level g = (k, r)
+    of sector (a + k) mod 2. U conserves parity, so a run reaches sector p
+    only if row (p - k0) mod 2 of rho0 has weight: one sector for a ground
+    or excited start, both otherwise. Each sector Hamiltonian is released
     once it is diagonalised.
     """
-    hs = {p: build_total_hamiltonian(params, env, parity=p) for p in sorted(sectors)}
-    return [Propagator(hs.pop(p)).unitary(params.dt) if p in hs else None for p in (0, 1)]
+    i0 = env.band_index(k0)
+    rows = rho0.matrix()
+    us = [
+        Propagator(build_total_hamiltonian(params, env, p)).unitary(params.dt)
+        if np.any(rows[(p - i0) % 2]) else None
+        for p in (0, 1)
+    ]
+    return us, _leakage_bound(us, env)
 
 
 def _band_windows(env: BandedEnvironment):
@@ -222,11 +232,12 @@ def _leakage_bound(us: list[np.ndarray], env: BandedEnvironment) -> float:
     far(k) the levels outside the window of bands k-1 .. k+1, is the largest
     |P_far u_p psi|^2 over unit states psi on band k of sector p. The two
     sector parts of a state have disjoint far rows, so the maximum over k and
-    p bounds every state either reset mode holds before a step.
+    the sectors built (u_p not None) bounds every state a run holds before a
+    step, in either reset mode.
     """
-    worst = 0.0
+    built, worst = [u for u in us if u is not None], 0.0
     for lo, hi, s, nk in zip(*_band_windows(env), env.band_starts, env.degeneracies):
-        for u in us:
+        for u in built:
             far = np.delete(u[:, s:s + nk], np.s_[lo:hi], axis=0)
             worst = max(worst, float(np.linalg.eigvalsh(far.conj().T @ far)[-1]))
     return worst
@@ -260,41 +271,34 @@ def _coarse_step_operator(us: list[np.ndarray], env: BandedEnvironment) -> np.nd
     return t.reshape(4 * nb, 4 * nb)
 
 
-def _sampling_tables(params: ModelParams, env: BandedEnvironment, reset_mode: str):
-    """The sampled engine's step data, built once, and the unitary's leakage
-    bound, checked against leak_tol.
+def _sampling_tables(us: list, env: BandedEnvironment, reset_mode: str):
+    """The sampled engine's step data, a view of the sector unitaries us of
+    _build.
 
     Coarse reset: the blocks T[k-1 .. k+1 <- k] of _coarse_step_operator for
     every band k, as an (n_bands, 3, 4, 4) array that is zero outside the
     environment. Exact reset: per band k, a dict over the window bands k'
     of k (those of k-1, k, k+1 that exist) of the contiguous (2, N_k, N_k')
-    block u_{(a+k)%2}[band k', band k]^T, stacked over the TLS level a.
+    block u_{(a+k)%2}[band k', band k]^T, stacked over the TLS level a; the
+    block of a sector left out is zero.
     """
-    if reset_mode not in ("exact", "coarse"):
-        raise ValueError(f"unknown reset_mode {reset_mode!r}")
-    us = _sector_unitaries(params, env)
-    leakage = _leakage_bound(us, env)
-    # Leakage past the adjacent triple is a fourth-order effect; only a
-    # gross violation indicates a broken propagator.
-    leak_tol = max(1e-9, 1e3 * params.coupling**4)
-    if leakage > leak_tol:
-        raise ValueError(f"band-adjacency selection rule violated beyond {leak_tol:.1e}")
-    nb = env.n_bands
+    nb, degs, levels = env.n_bands, env.degeneracies, env.band_slice
     if reset_mode == "coarse":
         t = np.zeros((nb + 2, 4, nb, 4), dtype=complex)
         t[1:-1] = _coarse_step_operator(us, env).reshape(nb, 4, nb, 4)
         k = np.arange(nb)[:, None]
-        step = t[k + np.arange(3), :, k, :]
-    else:
-        levels = env.band_slice
-        step = [
-            {
-                k2: np.stack([us[(a + k) % 2][levels(k2), levels(k)].T for a in range(2)])
-                for k2 in range(max(k - 1, 0), min(k + 2, nb))
-            }
-            for k in range(nb)
-        ]
-    return step, leakage
+        return t[k + np.arange(3), :, k, :]
+    return [
+        {
+            k2: np.stack([
+                np.zeros((degs[k], degs[k2]), dtype=complex) if u is None
+                else u[levels(k2), levels(k)].T
+                for u in (us[k % 2], us[(k + 1) % 2])
+            ])
+            for k2 in range(max(k - 1, 0), min(k + 2, nb))
+        }
+        for k in range(nb)
+    ]
 
 
 def _born_pick(w: np.ndarray, x: np.ndarray, band, nb: int):
@@ -303,27 +307,77 @@ def _born_pick(w: np.ndarray, x: np.ndarray, band, nb: int):
 
     Returns the new band, its weight and its probability.
     """
-    tot = w.sum(axis=1)
-    cum = np.cumsum(w / tot[:, None], axis=1)
-    # A uniform past cum[:, 1] picks slot 2, also where the last cum rounds
-    # below 1. The clamp keeps an edge band off its zero-weight pad slot,
-    # which only x = 0 (band 0) or that rounding (top band) would reach.
-    new = band - 1 + (cum[:, :2] < x[:, None]).sum(axis=1)
-    new = np.minimum(np.maximum(new, 0), nb - 1)
-    wk = w[np.arange(len(w)), new - band + 1]
+    tot = w[:, 0] + w[:, 1] + w[:, 2]
+    cum0 = w[:, 0] / tot
+    cum1 = cum0 + w[:, 1] / tot
+    # A uniform past cum1 picks slot 2, also where the last cumulative weight
+    # rounds below 1. The clamp keeps an edge band off its zero-weight pad
+    # slot, which only x = 0 (band 0) or that rounding (top band) would reach.
+    new = np.clip(band - 1 + (cum0 < x) + (cum1 < x), 0, nb - 1)
+    wk = np.take_along_axis(w, (new - band + 1)[:, None], axis=1)[:, 0]
     return new, wk, wk / tot
 
 
-def _draw_paths(
-    step,
+def _sample_paths(
+    params: ModelParams,
     env: BandedEnvironment,
+    us: list,
+    leakage: float,
     rho0: QubitState,
     k0: int,
     steps: int,
     seeds: list,
     reset_mode: str,
 ):
-    """The step loop of _sample_paths on the step data of _sampling_tables."""
+    """Batched measurement records (quantum trajectories) on the sector
+    unitaries us of _build.
+
+    Every state is supported on one band k, and one step only reaches the
+    window of bands k-1 .. k+1 (contiguous in the environment's level order).
+    Everything a step needs is a view of us (_sampling_tables):
+
+    - coarse reset: the bath is 1_k / N_k after every measurement, so the TLS
+      state conditioned on the band record depends on the record alone. A
+      trajectory is a 2x2 TLS state rho and a band k. A step forms
+      y = T[k' <- k] rho for the window bands k' with the blocks of the
+      transfer operator (_coarse_step_operator), draws k' from the weights
+      tr y and keeps y / tr y. Unraveling rho (x) 1_k / N_k into an
+      eigenvector of rho and a level of band k gives band records the same
+      law, since E[v v^+] = rho and the step is linear; rho is the mean of
+      that unraveling's reduced state given the record.
+    - exact reset: a trajectory holds band k's ground part (sector k mod 2)
+      and excited part (sector (k + 1) mod 2), N_k numbers each. The
+      trajectories sit in band buckets, band k -> (their indices, their parts
+      as one (2, m_k, N_k) array). A step takes each bucket through one
+      (2, m_k, N_k)(2, N_k, N_k') product per window band k', with the block
+      u_{(a+k)%2}[band k', band k]^T; its weight in band k' is read from that
+      product alone. After the draw, the rows that land in k' give rho00,
+      rho10 and, normalised, their next parts, and every band's arrivals from
+      k'-1, k' and k'+1 are joined into its next bucket.
+
+    Outcomes are drawn within the window, so the run is refused before its
+    first step if one step can move more than leak_tol of the weight of a
+    state on one band past the adjacent pair (leakage, the bound of _build
+    over every state the run can reach).
+
+    Trajectory c draws only from its own Generator, a stream of uniforms: with
+    exact reset two for the initial unraveling (TLS eigenstate, level), then
+    one per step for the band outcome. A coarse-reset trajectory draws only the
+    one per step and starts from rho0 itself. The stream is drawn in blocks of
+    _DRAW_CHUNK steps, which gives the same values as one up-front block. A
+    uniform x picks level min(floor(x N_k), N_k - 1) of band k. A member of a
+    batch therefore has the same outcomes as a single run with its seed; its
+    reduced states agree to rounding, since products over a batch sum in
+    another order.
+    """
+    # Leakage past the adjacent pair is fourth order in the coupling but not
+    # always far below leak_tol: at n = 7, delta_b = 0.1 and dt near 4 pi it
+    # is 1.03-1.11e3 coupling^4, so the check refuses such valid runs as well
+    # as a broken propagator.
+    leak_tol = max(1e-9, 1e3 * params.coupling**4)
+    if leakage > leak_tol:
+        raise ValueError(f"band-adjacency selection rule violated beyond {leak_tol:.1e}")
+    step = _sampling_tables(us, env, reset_mode)
     m = len(seeds)
     rngs = [np.random.default_rng(s) for s in seeds]
     coarse = reset_mode == "coarse"
@@ -415,57 +469,9 @@ def _draw_paths(
     return out_k + env.band_range[0], out_p, out_r00, out_r10
 
 
-def _sample_paths(
-    params: ModelParams,
-    env: BandedEnvironment,
-    rho0: QubitState,
-    k0: int,
-    steps: int,
-    seeds: list,
-    reset_mode: str,
-):
-    """Batched measurement records (quantum trajectories).
-
-    Every state is supported on one band k, and one step only reaches the
-    window of bands k-1 .. k+1 (contiguous in the environment's level order).
-    Everything a step needs is built once (_sampling_tables):
-
-    - coarse reset: the bath is 1_k / N_k after every measurement, so the TLS
-      state conditioned on the band record depends on the record alone. A
-      trajectory is a 2x2 TLS state rho and a band k. A step forms
-      y = T[k' <- k] rho for the window bands k' with the blocks of the
-      transfer operator (_coarse_step_operator), draws k' from the weights
-      tr y and keeps y / tr y. Unraveling rho (x) 1_k / N_k into an
-      eigenvector of rho and a level of band k gives band records the same
-      law, since E[v v^+] = rho and the step is linear; rho is the mean of
-      that unraveling's reduced state given the record.
-    - exact reset: a trajectory holds band k's ground part (sector k mod 2)
-      and excited part (sector (k + 1) mod 2), N_k numbers each. The
-      trajectories sit in band buckets, band k -> (their indices, their parts
-      as one (2, m_k, N_k) array). A step takes each bucket through one
-      (2, m_k, N_k)(2, N_k, N_k') product per window band k', with the block
-      u_{(a+k)%2}[band k', band k]^T; its weight in band k' is read from that
-      product alone. After the draw, the rows that land in k' give rho00,
-      rho10 and, normalised, their next parts, and every band's arrivals from
-      k'-1, k' and k'+1 are joined into its next bucket.
-
-    The band-adjacency selection rule is checked once at build time, for every
-    state either mode can reach (_leakage_bound): if one step can move more
-    than leak_tol of the weight of any state on one band past the adjacent
-    pair, the run is refused. Outcomes are drawn within the window.
-
-    Trajectory c draws only from its own Generator, a stream of uniforms: with
-    exact reset two for the initial unraveling (TLS eigenstate, level), then
-    one per step for the band outcome. A coarse-reset trajectory draws only the
-    one per step and starts from rho0 itself. The stream is drawn in blocks of
-    _DRAW_CHUNK steps, which gives the same values as one up-front block. A
-    uniform x picks level min(floor(x N_k), N_k - 1) of band k. A member of a
-    batch therefore has the same outcomes as a single run with its seed; its
-    reduced states agree to rounding, since products over a batch sum in
-    another order.
-    """
-    step, _ = _sampling_tables(params, env, reset_mode)
-    return _draw_paths(step, env, rho0, k0, steps, seeds, reset_mode)
+def _check_choice(name: str, value: str, choices: tuple[str, ...]) -> None:
+    if value not in choices:
+        raise ValueError(f"unknown {name} {value!r}")
 
 
 def run_trajectory(
@@ -480,8 +486,10 @@ def run_trajectory(
     """One selective-measurement trajectory, deterministic in the seed."""
     rho0.validate()
     _check_count("steps", steps)
+    _check_choice("reset_mode", reset_mode, ("coarse", "exact"))
+    us, leakage = _build(params, env, rho0, k0)
     out_k, out_p, out_r00, out_r10 = _sample_paths(
-        params, env, rho0, k0, steps, [seed], reset_mode
+        params, env, us, leakage, rho0, k0, steps, [seed], reset_mode
     )
     return Trajectory(
         outcomes=out_k[:, 0],
@@ -492,12 +500,12 @@ def run_trajectory(
     )
 
 
-def _run_nonselective_exact(params, env, rho0: QubitState, k0, steps):
+def _run_nonselective_exact(us, env, rho0: QubitState, k0, steps):
     """Exact joint density matrix, nonselective measurement, no coarse graining.
 
     U conserves the parity p = (TLS level + band position) mod 2, so it is
     the direct sum of the two env.dim x env.dim sector unitaries u_p of
-    _sector_unitaries; in sector p the N_k levels of band k at TLS level
+    _build; in sector p the N_k levels of band k at TLS level
     (p - k) mod 2 sit at env.band_starts[k].
     After every band measurement rho is block-diagonal in the bands, so each
     sector pair (p, q) of rho is held as one N_k x N_k block X_k per band, for
@@ -505,7 +513,7 @@ def _run_nonselective_exact(params, env, rho0: QubitState, k0, steps):
     stepped. A step is M[:, k] = u_p[:, k] X_k, then X'_k = M[k] u_q[k]^+.
     Pair (p, q) starts as entry ((p - k0) mod 2, (q - k0) mod 2) of rho0 on
     band k0, and a pair that starts at zero stays zero: only the other pairs
-    are stepped, and only the sectors they name are built.
+    are stepped, and _build holds the sectors they name.
 
     Returns the rho00 and rho10 series and the largest drift of the total
     trace, which must stay below 1e-9.
@@ -515,7 +523,6 @@ def _run_nonselective_exact(params, env, rho0: QubitState, k0, steps):
     i0 = env.band_index(k0)
     rs = rho0.matrix()
     live = [(p, q) for p, q in pairs if rs[(p - i0) % 2, (q - i0) % 2] != 0]
-    us = _sector_unitaries(params, env, {s for pq in live for s in pq})
     bands = [slice(s, s + nk) for s, nk in zip(env.band_starts, degs)]
 
     x = {pq: [np.zeros((nk, nk), dtype=complex) for nk in degs] for pq in pairs}
@@ -544,15 +551,12 @@ def _run_nonselective_exact(params, env, rho0: QubitState, k0, steps):
     return r00, r10, worst
 
 
-def _run_nonselective_coarse(params, env, rho0: QubitState, k0, steps):
+def _run_nonselective_coarse(us, env, rho0: QubitState, k0, steps):
     nb = env.n_bands
     i0 = env.band_index(k0)
-    rs = rho0.matrix()
-    # T keeps each entry in its sector pair: a zero row of rho0 stays empty.
-    sectors = [p for p in (0, 1) if np.any(rs[(p - i0) % 2])]
-    t = _coarse_step_operator(_sector_unitaries(params, env, sectors), env)
+    t = _coarse_step_operator(us, env)
     x = np.zeros(4 * nb, dtype=complex)
-    x[4 * i0:4 * i0 + 4] = rs.reshape(-1)
+    x[4 * i0:4 * i0 + 4] = rho0.matrix().reshape(-1)
     r00 = np.empty(steps + 1)
     r10 = np.empty(steps + 1, dtype=complex)
     idx00 = 4 * np.arange(nb)
@@ -580,56 +584,44 @@ def run_ensemble(
 
     engine "sampled" averages n_traj independent trajectories with seeds derived
     from master_seed; "nonselective" evolves the exact outcome-averaged density
-    matrix (no statistical error).
+    matrix (no statistical error). Every engine reports the leakage bound of
+    its build; only the sampled one refuses a run on it.
     """
     rho0.validate()
     _check_count("steps", steps)
     if n_traj is not None:
         _check_count("n_traj", n_traj)
+    _check_choice("engine", engine, ("sampled", "nonselective"))
+    _check_choice("reset_mode", reset_mode, ("coarse", "exact"))
+    sampled = engine == "sampled"
+    if sampled and n_traj is None:
+        raise ValueError("sampled engine requires n_traj >= 1")
+    if sampled and master_seed is None:
+        raise ValueError("sampled engine requires a master_seed")
     t0 = time.perf_counter()
-    if engine == "sampled":
-        if n_traj is None:
-            raise ValueError("sampled engine requires n_traj >= 1")
-        if master_seed is None:
-            raise ValueError("sampled engine requires a master_seed")
+    us, leakage = _build(params, env, rho0, k0)
+    stderr, drift = np.zeros(steps + 1), None
+    if sampled:
         seeds = [trajectory_seed(master_seed, i) for i in range(n_traj)]
-        step, leakage = _sampling_tables(params, env, reset_mode)
-        _, _, r00, r10 = _draw_paths(step, env, rho0, k0, steps, seeds, reset_mode)
-        mean00 = r00.mean(axis=1)
-        mean10 = r10.mean(axis=1)
+        _, _, r00, r10 = _sample_paths(
+            params, env, us, leakage, rho0, k0, steps, seeds, reset_mode
+        )
         if n_traj > 1:
             stderr = r00.std(axis=1, ddof=1) / np.sqrt(n_traj)
-        else:
-            stderr = np.zeros(steps + 1)
-        series = EnsembleSeries(
-            rho00=mean00,
-            rho10=mean10,
-            stderr=stderr,
-            n_traj=n_traj,
-            engine=engine,
-            reset_mode=reset_mode,
-            master_seed=master_seed,
-            leakage_bound=leakage,
-        )
-    elif engine == "nonselective":
-        drift = None
-        if reset_mode == "coarse":
-            r00, r10 = _run_nonselective_coarse(params, env, rho0, k0, steps)
-        elif reset_mode == "exact":
-            r00, r10, drift = _run_nonselective_exact(params, env, rho0, k0, steps)
-        else:
-            raise ValueError(f"unknown reset_mode {reset_mode!r}")
-        series = EnsembleSeries(
-            rho00=r00,
-            rho10=r10,
-            stderr=np.zeros(steps + 1),
-            n_traj=None,
-            engine=engine,
-            reset_mode=reset_mode,
-            master_seed=master_seed,
-            trace_drift=drift,
-        )
+        r00, r10 = r00.mean(axis=1), r10.mean(axis=1)
+    elif reset_mode == "coarse":
+        r00, r10 = _run_nonselective_coarse(us, env, rho0, k0, steps)
     else:
-        raise ValueError(f"unknown engine {engine!r}")
-    series.wall_time = time.perf_counter() - t0
-    return series
+        r00, r10, drift = _run_nonselective_exact(us, env, rho0, k0, steps)
+    return EnsembleSeries(
+        rho00=r00,
+        rho10=r10,
+        stderr=stderr,
+        n_traj=n_traj if sampled else None,
+        engine=engine,
+        reset_mode=reset_mode,
+        master_seed=master_seed,
+        wall_time=time.perf_counter() - t0,
+        leakage_bound=leakage,
+        trace_drift=drift,
+    )

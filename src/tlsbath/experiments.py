@@ -382,7 +382,7 @@ def run_scenario(scenario: str = "fig2", **overrides) -> ScenarioReport:
         extra={
             "rate_analytic": att.rate,
             "t_eff": analytics.effective_temperature(level, params.delta_s),
-            # Worst-case band-adjacency leakage of one step (sampled engine only).
+            # Worst-case band-adjacency leakage of one step.
             "leakage_bound": series.leakage_bound,
             # Largest drift of the total trace (exact-reset nonselective engine only).
             "trace_drift": series.trace_drift,
@@ -486,6 +486,7 @@ def verify_freezing(**overrides) -> ScenarioReport:
             "drift_abs_rho10": drift10,
             "phase_per_step": slope,
             "c2_analytic": c2,
+            "leakage_bound": series.leakage_bound,
         },
     )
 

@@ -402,35 +402,28 @@ def build_spin_environment(n: int, delta_b: float, seed: int) -> BandedEnvironme
 
 
 def build_total_hamiltonian(
-    params: ModelParams, env: BandedEnvironment, parity: int | None = None
+    params: ModelParams, env: BandedEnvironment, parity: int
 ) -> np.ndarray:
-    """Joint Hamiltonian on TLS x environment, ground TLS sector first.
+    """Block of the joint Hamiltonian on TLS x environment on one parity sector.
 
-    H = delta_s/2 sigma_z x 1 + 1 x H_B + coupling * (sigma^+ x B + sigma^- x B^+).
-
-    H conserves p = (TLS level + band position) mod 2, the band position k
-    counting from band_range[0]. Given a parity p, only H's block on sector
-    p is built: every environment level, in the environment's order, with
-    the levels of band k at TLS level s = (p - k) mod 2. B only links
-    adjacent bands, whose TLS levels differ within a sector, so that block is
+    H = delta_s/2 sigma_z x 1 + 1 x H_B + coupling * (sigma^+ x B + sigma^- x B^+)
+    conserves p = (TLS level + band position) mod 2, the band position k
+    counting from band_range[0]. Sector p (0 or 1) holds every environment
+    level, in the environment's order, with the levels of band k at TLS level
+    s = (p - k) mod 2. B only links adjacent bands, whose TLS levels differ
+    within a sector, so H's block on sector p is
     h_p = coupling * B + diag(E_level + (s - 1/2) delta_s).
     """
+    if parity not in (0, 1):
+        raise ValueError(f"parity must be 0 or 1, got {parity!r}")
     if abs(env.delta_b - params.delta_b) > 1e-9 * max(1.0, abs(params.delta_b)):
         raise ValueError(
             f"environment splitting {env.delta_b} inconsistent with "
             f"params.delta_b = {params.delta_b}"
         )
-    e_env = env.level_energies()
+    # Scaled in place: a second dim x dim temporary would raise the peak.
     b = env.coupling_matrix()
-    if parity is not None:
-        b *= params.coupling
-        positions = env.band_of_level() - env.band_range[0]
-        np.fill_diagonal(b, e_env + ((parity - positions) % 2 - 0.5) * params.delta_s)
-        return b
-    d = env.dim
-    h = np.zeros((2 * d, 2 * d), dtype=complex)
-    diag = np.concatenate((e_env - params.delta_s / 2.0, e_env + params.delta_s / 2.0))
-    np.fill_diagonal(h, diag)
-    h[d:, :d] = params.coupling * b
-    h[:d, d:] = params.coupling * b.conj().T
-    return h
+    b *= params.coupling
+    tls_level = (parity - env.band_of_level() + env.band_range[0]) % 2
+    np.fill_diagonal(b, env.level_energies() + (tls_level - 0.5) * params.delta_s)
+    return b

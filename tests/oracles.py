@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from tlsbath.dynamics import Propagator, _eig2
-from tlsbath.model import QubitState, build_total_hamiltonian
+from tlsbath.model import QubitState
 
 
 def band_ids(env):
@@ -74,8 +74,19 @@ def cojump_norm(rho):
     return float(np.linalg.norm(rho - np.kron(rho_s, rho_b)))
 
 
+def joint_hamiltonian(params, env):
+    """The joint Hamiltonian on TLS x environment, ground TLS sector first:
+    H = delta_s/2 sigma_z x 1 + 1 x H_B + coupling * (sigma^+ x B + sigma^- x B^+)."""
+    d, e_env, b = env.dim, env.level_energies(), env.coupling_matrix()
+    h = np.zeros((2 * d, 2 * d), dtype=complex)
+    np.fill_diagonal(h, np.concatenate((e_env - params.delta_s / 2, e_env + params.delta_s / 2)))
+    h[d:, :d] = params.coupling * b
+    h[:d, d:] = params.coupling * b.conj().T
+    return h
+
+
 def _unitary(params, env):
-    return Propagator(build_total_hamiltonian(params, env)).unitary(params.dt)
+    return Propagator(joint_hamiltonian(params, env)).unitary(params.dt)
 
 
 def dense_leakage_bound(params, env):

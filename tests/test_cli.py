@@ -122,6 +122,18 @@ class TestRelaxCommand:
         assert ja == jb
 
 
+    def test_nonselective_reports_leakage_above_sampled_limit(self, tmp_path):
+        """At this sigma-x point one step's leakage is about 1.02e3 coupling^4,
+        above the 1e3 coupling^4 that the sampled engine accepts; the
+        nonselective run finishes, misses the fig2 target (exit 2) and reports
+        the bound."""
+        cfg = write_config(tmp_path, {"model": "sigma-x", "detuning": -0.9,
+                                      "dt": 4 * math.pi, "coupling": 0.01, "steps": 5})
+        code = main(["relax", "--scenario", "fig2", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2
+        report = json.loads((tmp_path / "relax_fig2.json").read_text())
+        assert report["extra"]["leakage_bound"] > 1e3 * 0.01**4
+
     @pytest.mark.parametrize("scenario", sorted(_SCENARIOS))
     def test_every_default_key_accepted(self, tmp_path, scenario):
         defaults, _ = _SCENARIOS[scenario]
@@ -227,6 +239,7 @@ class TestFreezeCommand:
         assert code == 0
         report = json.loads((tmp_path / "freeze.json").read_text())
         assert report["passed"] is True
+        assert 0.0 <= report["extra"]["leakage_bound"] < 1e3 * 0.05**4
 
     def test_non_freezing_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"detuning": 0.7})

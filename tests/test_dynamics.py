@@ -13,6 +13,7 @@ from oracles import (
     dense_leakage_bound,
     dense_nonselective_reference,
     dense_sampled_reference,
+    joint_hamiltonian,
     measure_band_nonselective,
     measure_band_selective,
     pure_product,
@@ -21,11 +22,10 @@ from oracles import (
 )
 from tlsbath.dynamics import (
     Propagator,
+    _build,
     _coarse_step_operator,
     _eig2,
     _sample_paths,
-    _sampling_tables,
-    _sector_unitaries,
     run_ensemble,
     run_trajectory,
     trajectory_seed,
@@ -35,21 +35,22 @@ from tlsbath.model import (
     QubitState,
     build_band_environment,
     build_spin_environment,
-    build_total_hamiltonian,
 )
 
 
-def _hamiltonian(params, env):
-    return build_total_hamiltonian(params, env)
+def _paths(params, env, rho0, k0, steps, seeds, reset_mode):
+    """_sample_paths on the build of run_ensemble and run_trajectory."""
+    us, leakage = _build(params, env, rho0, k0)
+    return _sample_paths(params, env, us, leakage, rho0, k0, steps, seeds, reset_mode)
 
 
 class TestPropagator:
     def test_dt_zero_is_identity(self, resonant_params, small_env):
-        u = Propagator(_hamiltonian(resonant_params, small_env)).unitary(0.0)
+        u = Propagator(joint_hamiltonian(resonant_params, small_env)).unitary(0.0)
         assert np.allclose(u, np.eye(u.shape[0]), atol=1e-12)
 
     def test_unitarity(self, resonant_params, small_env):
-        u = Propagator(_hamiltonian(resonant_params, small_env)).unitary(math.pi)
+        u = Propagator(joint_hamiltonian(resonant_params, small_env)).unitary(math.pi)
         assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-9
 
     def test_diagonal_hamiltonian_phases(self):
@@ -59,7 +60,7 @@ class TestPropagator:
 
     def test_matches_expm_on_parity_blocks(self, any_env):
         """One eigh of the joint Hamiltonian, two parity blocks."""
-        h = _hamiltonian(ModelParams(delta_s=1.0, detuning=0.3), any_env)
+        h = joint_hamiltonian(ModelParams(delta_s=1.0, detuning=0.3), any_env)
         gap = np.abs(Propagator(h).unitary(1.1) - scipy.linalg.expm(-1j * h * 1.1))
         assert gap.max() < 1e-12
 
@@ -116,7 +117,7 @@ class TestProjectors:
 class TestMeasurement:
     def test_nonselective_trace_idempotence(self, resonant_params, small_env):
         rho0 = coarse_reset(QubitState(rho00=0.6, rho10=0.2j), small_env, 2)
-        u = Propagator(_hamiltonian(resonant_params, small_env)).unitary(math.pi)
+        u = Propagator(joint_hamiltonian(resonant_params, small_env)).unitary(math.pi)
         rho = u @ rho0 @ u.conj().T
         meas = measure_band_nonselective(rho, small_env)
         assert np.trace(meas).real == pytest.approx(1.0, abs=1e-10)
@@ -130,7 +131,7 @@ class TestMeasurement:
     def test_selective_collapse_support(self, resonant_params, small_env):
         rng = np.random.default_rng(0)
         psi = pure_product(small_env, np.array([1.0, 0.0]), k=2, level=3)
-        u = Propagator(_hamiltonian(resonant_params, small_env)).unitary(math.pi)
+        u = Propagator(joint_hamiltonian(resonant_params, small_env)).unitary(math.pi)
         k, collapsed, prob = measure_band_selective(u @ psi, small_env, rng)
         assert 0.0 <= prob <= 1.0
         proj = band_projector(small_env, k)
@@ -140,7 +141,7 @@ class TestMeasurement:
     def test_selective_zero_coupling_certain(self, small_env):
         p0 = ModelParams(delta_s=1.0, coupling=0.0)
         psi = pure_product(small_env, np.array([0.6, 0.8]), k=1, level=0)
-        u = Propagator(_hamiltonian(p0, small_env)).unitary(math.pi)
+        u = Propagator(joint_hamiltonian(p0, small_env)).unitary(math.pi)
         k, _, prob = measure_band_selective(u @ psi, small_env, np.random.default_rng(1))
         assert k == 1
         assert prob == pytest.approx(1.0, abs=1e-12)
@@ -194,13 +195,13 @@ class TestCojump:
         norms = []
         for lam in (0.05, 0.025):
             p = ModelParams(delta_s=1.0, coupling=lam, dt=math.pi)
-            u = Propagator(_hamiltonian(p, small_env)).unitary(p.dt)
+            u = Propagator(joint_hamiltonian(p, small_env)).unitary(p.dt)
             rho0 = coarse_reset(QubitState(rho00=1.0), small_env, 2)
             norms.append(cojump_norm(u @ rho0 @ u.conj().T))
         assert norms[0] / norms[1] == pytest.approx(2.0, rel=0.2)
 
     def test_measurement_does_not_increase(self, resonant_params, small_env):
-        u = Propagator(_hamiltonian(resonant_params, small_env)).unitary(math.pi)
+        u = Propagator(joint_hamiltonian(resonant_params, small_env)).unitary(math.pi)
         rho0 = coarse_reset(QubitState(rho00=1.0), small_env, 2)
         rho = u @ rho0 @ u.conj().T
         before = cojump_norm(rho)
@@ -432,7 +433,7 @@ class TestCoarseResetEngine:
         rho0 = QubitState(rho00=0.6, rho10=0.3 + 0.2j)
         probs = unraveled_record_probabilities(params, env, rho0, 2, 3)
         nb = env.n_bands
-        t = _coarse_step_operator(_sector_unitaries(params, env), env)
+        t = _coarse_step_operator(_build(params, env, rho0, 2)[0], env)
         t = t.reshape(nb, 4, nb, 4)
         records = list(itertools.product(env.ks, repeat=3))
         assert set(probs) <= set(records)
@@ -445,8 +446,15 @@ class TestCoarseResetEngine:
 
 
 class TestOccupiedSectors:
-    """The nonselective engines diagonalise only the parity sectors rho0
-    occupies; the sampled engine's tables cover both."""
+    """Every engine and reset mode diagonalises only the parity sectors rho0
+    occupies: one for a ground or excited start, both otherwise."""
+
+    STARTS = pytest.mark.parametrize(
+        "rho0, sectors",
+        [(QubitState(rho00=1.0), 1), (QubitState(rho00=0.0), 1),
+         (QubitState(rho00=0.6), 2), (_COHERENT, 2)],
+        ids=["ground", "excited", "diagonal", "coherent"],
+    )
 
     @staticmethod
     def _count_propagators(monkeypatch):
@@ -460,12 +468,7 @@ class TestOccupiedSectors:
         return built
 
     @pytest.mark.parametrize("reset_mode", ["coarse", "exact"])
-    @pytest.mark.parametrize(
-        "rho0, sectors",
-        [(QubitState(rho00=1.0), 1), (QubitState(rho00=0.0), 1),
-         (QubitState(rho00=0.6), 2), (_COHERENT, 2)],
-        ids=["ground", "excited", "diagonal", "coherent"],
-    )
+    @STARTS
     def test_nonselective_builds_occupied_sectors(self, monkeypatch, resonant_params,
                                                   small_env, rho0, sectors, reset_mode):
         built = self._count_propagators(monkeypatch)
@@ -474,16 +477,13 @@ class TestOccupiedSectors:
         assert built == [(small_env.dim, small_env.dim)] * sectors
 
     @pytest.mark.parametrize("reset_mode", ["coarse", "exact"])
-    @pytest.mark.parametrize(
-        "rho0", [QubitState(rho00=1.0), QubitState(rho00=0.0), _COHERENT],
-        ids=["ground", "excited", "coherent"],
-    )
-    def test_sampled_builds_both_sectors(self, monkeypatch, resonant_params, small_env,
-                                         rho0, reset_mode):
+    @STARTS
+    def test_sampled_builds_occupied_sectors(self, monkeypatch, resonant_params,
+                                             small_env, rho0, sectors, reset_mode):
         built = self._count_propagators(monkeypatch)
         run_ensemble(resonant_params, small_env, rho0, k0=2, steps=3, n_traj=2,
                      master_seed=0, engine="sampled", reset_mode=reset_mode)
-        assert len(built) == 2
+        assert built == [(small_env.dim, small_env.dim)] * sectors
 
 
 class TestUnphysicalInitialState:
@@ -563,20 +563,14 @@ def test_eig2_accurate_near_pole():
 class TestSampledEngine:
     @pytest.mark.parametrize("reset_mode", ["coarse", "exact"])
     @pytest.mark.parametrize(
-        "params, make_env, k0",
-        [
-            (ModelParams(delta_s=1.0, coupling=0.1, dt=math.pi),
-             lambda: build_band_environment(5, 1.0, seed=901), 2),
-            (ModelParams(delta_s=1.0, detuning=0.3, coupling=0.1, dt=1.1),
-             lambda: build_spin_environment(6, 1.3, seed=8), 3),
-        ],
-        ids=["random-band-n5", "sigma-x-n6"],
+        "params, make_env, k0, rho0",
+        [(*_RANDOM_BAND, 2, _COHERENT), (*_SIGMA_X, 3, _COHERENT), *_SECTOR_CASES],
+        ids=["random-band-n5", "sigma-x-n6", *_SECTOR_IDS],
     )
-    def test_matches_dense_reference(self, params, make_env, k0, reset_mode):
+    def test_matches_dense_reference(self, params, make_env, k0, rho0, reset_mode):
         env = make_env()
-        rho0 = QubitState(rho00=0.6, rho10=0.3 + 0.2j)
         seeds = [trajectory_seed(17, i) for i in range(8)]
-        out_k, out_p, r00, r10 = _sample_paths(
+        out_k, out_p, r00, r10 = _paths(
             params, env, rho0, k0, 40, seeds, reset_mode
         )
         for c, seed in enumerate(seeds):
@@ -587,8 +581,10 @@ class TestSampledEngine:
             assert np.max(np.abs(out_p[:, c] - ref_p)) < 1e-12
             assert np.max(np.abs(r00[:, c] - ref00)) < 1e-12
             assert np.max(np.abs(r10[:, c] - ref10)) < 1e-12
-        # The batch spreads over several bands and jumps between them.
-        assert len(np.unique(out_k)) >= 3
+        # The batch spreads over several bands and jumps between them. At the
+        # resonant random-band point (dt = pi) the energy-nonconserving moves
+        # cancel, so a ground (excited) start visits k0 and k0 - 1 (k0 + 1).
+        assert len(np.unique(out_k)) >= (3 if rho0 is _COHERENT else 2)
         assert np.any(out_k[1:] != out_k[:-1])
 
     def test_bucket_merge_matches_dense_reference(self):
@@ -598,7 +594,7 @@ class TestSampledEngine:
         env = build_band_environment(3, 1.0, seed=5)
         rho0 = QubitState(rho00=0.6, rho10=0.3 + 0.2j)
         seeds = [trajectory_seed(3, i) for i in range(24)]
-        out_k, out_p, r00, r10 = _sample_paths(params, env, rho0, 1, 30, seeds, "exact")
+        out_k, out_p, r00, r10 = _paths(params, env, rho0, 1, 30, seeds, "exact")
         merges = [
             (j, k)
             for j in range(1, len(out_k))
@@ -622,8 +618,8 @@ class TestSampledEngine:
         rho0 = QubitState(rho00=0.6, rho10=0.3 + 0.2j)
         seeds = [trajectory_seed(8, i) for i in range(64)]
         perm = np.random.default_rng(0).permutation(len(seeds))
-        out = _sample_paths(resonant_params, seven_env, rho0, 2, 60, seeds, reset_mode)
-        shuffled = _sample_paths(
+        out = _paths(resonant_params, seven_env, rho0, 2, 60, seeds, reset_mode)
+        shuffled = _paths(
             resonant_params, seven_env, rho0, 2, 60, [seeds[i] for i in perm], reset_mode
         )
         assert len(np.unique(out[0])) >= 3
@@ -636,7 +632,7 @@ class TestSampledEngine:
     ):
         rho0 = QubitState(rho00=0.6, rho10=0.3 + 0.2j)
         seeds = [trajectory_seed(44, i) for i in range(200)]
-        out_k, out_p, r00, r10 = _sample_paths(
+        out_k, out_p, r00, r10 = _paths(
             resonant_params, seven_env, rho0, 2, 60, seeds, reset_mode
         )
         for c in (0, 57, 131, 199):
@@ -661,7 +657,7 @@ class TestSampledEngine:
     )
     def test_leakage_bound_matches_dense_reference(self, params, make_env):
         env = make_env()
-        _, bound = _sampling_tables(params, env, "exact")
+        _, bound = _build(params, env, _COHERENT, 2)
         ref = dense_leakage_bound(params, env)
         assert abs(bound - ref) < 1e-12
         assert ref > 1e-8
@@ -678,6 +674,19 @@ class TestSampledEngine:
                 resonant_params, small_env, ground, k0=0, steps=5,
                 seed=trajectory_seed(1, 0), reset_mode=reset_mode,
             )
+
+    @pytest.mark.parametrize("reset_mode", ["coarse", "exact"])
+    def test_nonselective_reports_leakage(self, monkeypatch, reset_mode, resonant_params,
+                                          small_env, ground):
+        """The shift that the sampled engine refuses leaves a nonselective run
+        to finish and report its bound: all of band 0's weight leaves the
+        window."""
+        shift = np.roll(np.eye(small_env.dim, dtype=complex), 20, axis=0)
+        monkeypatch.setattr(Propagator, "unitary", lambda self, dt: shift)
+        series = run_ensemble(resonant_params, small_env, ground, k0=0, steps=5,
+                              engine="nonselective", reset_mode=reset_mode)
+        assert series.leakage_bound == pytest.approx(1.0, abs=1e-12)
+        assert series.steps == 5
 
     @pytest.mark.parametrize("reset_mode", ["coarse", "exact"])
     @pytest.mark.parametrize(
@@ -708,7 +717,7 @@ class TestSampledEngine:
 class TestJointStateHealth:
     def test_per_step_trace_hermiticity_positivity(self, small_env):
         p = ModelParams(delta_s=1.0, coupling=0.05, dt=math.pi)
-        u = Propagator(_hamiltonian(p, small_env)).unitary(p.dt)
+        u = Propagator(joint_hamiltonian(p, small_env)).unitary(p.dt)
         rho = coarse_reset(QubitState(rho00=0.8, rho10=0.1j), small_env, 2)
         for _ in range(25):
             rho = u @ rho @ u.conj().T
@@ -719,7 +728,7 @@ class TestJointStateHealth:
 
     def test_norm_drift_pure_vector(self, small_env):
         p = ModelParams(delta_s=1.0, coupling=0.05, dt=math.pi)
-        u = Propagator(_hamiltonian(p, small_env)).unitary(p.dt)
+        u = Propagator(joint_hamiltonian(p, small_env)).unitary(p.dt)
         psi = pure_product(small_env, np.array([1.0, 0.0]), k=2, level=0)
         for _ in range(10_000):
             psi = u @ psi

@@ -54,8 +54,12 @@ def test_exact_run_reports_trace_drift():
     assert math.isfinite(drift)
     assert 0.0 <= drift < 1e-12
     assert json.loads(report.to_json())["extra"]["trace_drift"] == drift
-    assert report.extra["leakage_bound"] is None
-    assert run_scenario("fig2", steps=5).extra["trace_drift"] is None
+    bound = report.extra["leakage_bound"]
+    assert 0.0 <= bound < 1e3 * report.params["coupling"] ** 4
+    coarse = run_scenario("fig2", steps=5)
+    assert coarse.extra["trace_drift"] is None
+    # Both reset modes build the one sector of the ground start.
+    assert coarse.extra["leakage_bound"] == bound
 
 
 class TestFigureScenarios:
@@ -240,6 +244,7 @@ class TestFreezing:
         bound = 10 * 0.05**2
         assert report.extra["drift_rho00"] <= bound
         assert report.extra["drift_abs_rho10"] <= bound
+        assert 0.0 <= report.extra["leakage_bound"] < 1e3 * 0.05**4
 
     def test_non_freezing_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 
@@ -6,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from oracles import joint_hamiltonian
 from tlsbath.model import (
     BandedEnvironment,
     ModelParams,
@@ -177,28 +177,30 @@ def test_spin_environment_global_normalization():
 
 def test_hamiltonian_hermitian_and_diagonal_at_zero_coupling(seven_env):
     p0 = ModelParams(delta_s=1.0, coupling=0.0)
-    h0 = build_total_hamiltonian(p0, seven_env)
-    assert np.array_equal(h0, np.diag(np.diag(h0)))
     p = ModelParams(delta_s=1.0, coupling=0.05)
-    h = build_total_hamiltonian(p, seven_env)
-    assert np.max(np.abs(h - h.conj().T)) < 1e-12
+    for parity in (0, 1):
+        h0 = build_total_hamiltonian(p0, seven_env, parity)
+        assert np.array_equal(h0, np.diag(np.diag(h0)))
+        h = build_total_hamiltonian(p, seven_env, parity)
+        assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
 
 def test_hamiltonian_spectrum_multiset(seven_env):
     p0 = ModelParams(delta_s=1.0, coupling=0.0)
-    h0 = build_total_hamiltonian(p0, seven_env)
     expect = []
     for k in range(8):
         expect += [k - 0.5] * math.comb(7, k)
         expect += [k + 0.5] * math.comb(7, k)
-    got = np.sort(np.linalg.eigvalsh(h0))
+    got = np.sort(np.concatenate(
+        [np.linalg.eigvalsh(build_total_hamiltonian(p0, seven_env, parity)) for parity in (0, 1)]
+    ))
     assert np.allclose(got, np.sort(expect), atol=1e-12)
 
 
 def test_hamiltonian_conserves_parity(any_env):
     """H has no entry between (TLS level + band) mod 2 sectors of size env.dim."""
     env = any_env
-    h = build_total_hamiltonian(ModelParams(delta_s=1.0, detuning=0.3), env)
+    h = joint_hamiltonian(ModelParams(delta_s=1.0, detuning=0.3), env)
     bands = env.band_of_level()
     parity = np.concatenate((bands, bands + 1)) % 2
     cross = parity[:, None] != parity[None, :]
@@ -211,25 +213,29 @@ def test_sector_hamiltonians_are_the_parity_blocks(any_env):
     """h_p is the block of H on sector p, reindexed to the env level order."""
     env = any_env
     p = ModelParams(delta_s=1.0, detuning=0.3, coupling=0.07)
-    h = build_total_hamiltonian(p, env)
+    h = joint_hamiltonian(p, env)
     positions = env.band_of_level() - env.band_range[0]
     levels = np.arange(env.dim)
     for parity in (0, 1):
-        hp = build_total_hamiltonian(p, env, parity=parity)
+        hp = build_total_hamiltonian(p, env, parity)
         # Level g of sector p sits at TLS level (p - k) mod 2 of the joint index.
         idx = (parity - positions) % 2 * env.dim + levels
         assert np.array_equal(hp, h[np.ix_(idx, idx)])
 
 
 @pytest.mark.parametrize(
-    "build",
-    [build_total_hamiltonian, functools.partial(build_total_hamiltonian, parity=1)],
-    ids=["build_total_hamiltonian", "build_total_hamiltonian-sector"],
+    "parity, detuning, message",
+    [(0, 0.5, "inconsistent with params.delta_b"),
+     (1, 0.5, "inconsistent with params.delta_b"),
+     (2, 0.0, "parity must be 0 or 1")],
+    ids=["build_total_hamiltonian", "build_total_hamiltonian-sector", "parity-2"],
 )
-def test_hamiltonian_dimension_mismatch(build, seven_env):
-    p = ModelParams(delta_s=1.0, detuning=0.5)
-    with pytest.raises(ValueError, match="inconsistent with params.delta_b"):
-        build(p, seven_env)
+def test_hamiltonian_dimension_mismatch(parity, detuning, message, seven_env):
+    """A delta_b unlike the environment's, on either sector, or a parity
+    outside {0, 1} is refused."""
+    p = ModelParams(delta_s=1.0, detuning=detuning)
+    with pytest.raises(ValueError, match=message):
+        build_total_hamiltonian(p, seven_env, parity)
 
 
 def test_digamma_against_scipy():
