@@ -67,10 +67,11 @@ def _load_config(args, command: str) -> dict:
     for key in cfg:
         if key not in known:
             raise ConfigError(f"unknown config key {key!r} for {command}")
-    # Flags given on the command line override file values.
-    flags = vars(args)
+    # Flags given on the command line override file values, merged in the
+    # parser's order so that the config's key order is the same every run.
     cfg.update(
-        {key: flags[key] for key in known & flags.keys() if flags[key] is not None}
+        {key: value for key, value in vars(args).items()
+         if key in known and value is not None}
     )
     return cfg
 

@@ -5,10 +5,14 @@ projective measurement of the environment band. The sampled engine follows
 single measurement records: with exact reset it propagates pure state vectors
 (mixed inputs are unraveled into eigenstate draws), with coarse reset the TLS
 state conditioned on the record. The nonselective engine propagates the exact
-outcome-averaged density matrix. Both coarse-reset engines step with one
-transfer operator (_coarse_step_operator). Exact-reset trajectories are
-grouped by their measured band, and each group steps with one product per
-adjacent band it can reach (_sampling_tables, _sample_paths).
+outcome-averaged density matrix. Both coarse-reset engines step with the
+same band-pair sums of the sector unitaries (_pair_sums): the nonselective
+engine through one transfer operator on TLS blocks (_coarse_step_operator),
+a sampled trajectory pair by pair, since U keeps a sector pair the same pair.
+A sampled trajectory holds only its parts in the sectors rho0 occupies
+(_sampling_tables, _sample_paths); exact-reset trajectories are grouped by
+their measured band, and each group steps with one product per adjacent
+band it can reach.
 
 Every run makes one build (_build): the env.dim-wide parity sectors of the
 joint unitary that rho0 occupies (one for a ground or excited start), and
@@ -243,6 +247,26 @@ def _leakage_bound(us: list[np.ndarray], env: BandedEnvironment) -> float:
     return worst
 
 
+def _pair_sums(us: list, env: BandedEnvironment) -> np.ndarray:
+    """Band-pair sums of the sector unitaries us of _build, as an array
+    sums[p, q, k', k] of shape (2, 2, n_bands, n_bands):
+
+        sums[p, q, k', k] = (1/N_k) sum_{l in k', r in k} u_p[l, r] conj(u_q[l, r])
+
+    zero where u_p or u_q is None. After a coarse reset the state is
+    sum_k rho_k (x) 1_k / N_k, and one evolve-measure step takes the entry
+    of rho_k on sector pair (p, q) to sums[p, q, k', k] times it on band k':
+    U conserves parity, so a pair stays the same pair.
+    """
+    nb, degs = env.n_bands, np.asarray(env.degeneracies)
+    sums = np.zeros((2, 2, nb, nb), dtype=complex)
+    for p, q in np.ndindex(2, 2):
+        if us[p] is not None and us[q] is not None:
+            prod = np.add.reduceat(us[p] * us[q].conj(), env.band_starts, axis=0)
+            sums[p, q] = np.add.reduceat(prod, env.band_starts, axis=1) / degs
+    return sums
+
+
 def _coarse_step_operator(us: list[np.ndarray], env: BandedEnvironment) -> np.ndarray:
     """One-step transfer matrix T on per-band TLS blocks for coarse reset.
 
@@ -251,19 +275,12 @@ def _coarse_step_operator(us: list[np.ndarray], env: BandedEnvironment) -> np.nd
     evolve-measure-reset step is linear on the blocks. The joint state
     (a, k, r) is level (k, r) of sector (a + k) mod 2 of the sector unitaries
     us, and only reaches TLS level a ^ d in band k', d = (k' - k) mod 2, so
-    T[4k' + 2(a ^ d) + (b ^ d), 4k + 2a + b]
-        = (1/N_k) sum_{l in k', r in k} u_p[l, r] conj(u_q[l, r])
-    with p = (a + k) mod 2 and q = (b + k) mod 2, and zero where u_p or u_q
-    is None. The nonselective engine steps all blocks with T; a sampled
-    trajectory in band k steps its TLS state with the blocks T[k' <- k] of
-    the adjacent bands k'.
+    T scatters the sector-pair sums (_pair_sums) into TLS indexing:
+    T[4k' + 2(a ^ d) + (b ^ d), 4k + 2a + b] = sums[p, q, k', k]
+    with p = (a + k) mod 2 and q = (b + k) mod 2. The nonselective engine
+    steps all blocks with T.
     """
-    nb, degs = env.n_bands, np.asarray(env.degeneracies)
-    sums = np.zeros((2, 2, nb, nb), dtype=complex)
-    for p, q in np.ndindex(2, 2):
-        if us[p] is not None and us[q] is not None:
-            prod = np.add.reduceat(us[p] * us[q].conj(), env.band_starts, axis=0)
-            sums[p, q] = np.add.reduceat(prod, env.band_starts, axis=1) / degs
+    nb, sums = env.n_bands, _pair_sums(us, env)
     k2, k, a, b = np.indices((nb, nb, 2, 2))
     d = (k2 - k) % 2
     t = np.zeros((nb, 2, 2) * 2, dtype=complex)
@@ -271,30 +288,36 @@ def _coarse_step_operator(us: list[np.ndarray], env: BandedEnvironment) -> np.nd
     return t.reshape(4 * nb, 4 * nb)
 
 
-def _sampling_tables(us: list, env: BandedEnvironment, reset_mode: str):
-    """The sampled engine's step data, a view of the sector unitaries us of
-    _build.
+def _built_pairs(us: list) -> tuple[list, list]:
+    """The built sectors of us (u_p not None) and their sector pairs (p, q),
+    row by row: [(p, p)] for one sector, all four for two."""
+    built = [p for p in (0, 1) if us[p] is not None]
+    return built, [(p, q) for p in built for q in built]
 
-    Coarse reset: the blocks T[k-1 .. k+1 <- k] of _coarse_step_operator for
-    every band k, as an (n_bands, 3, 4, 4) array that is zero outside the
-    environment. Exact reset: per band k, a dict over the window bands k'
-    of k (those of k-1, k, k+1 that exist) of the contiguous (2, N_k, N_k')
-    block u_{(a+k)%2}[band k', band k]^T, stacked over the TLS level a; the
-    block of a sector left out is zero.
+
+def _sampling_tables(us: list, env: BandedEnvironment, reset_mode: str):
+    """The sampled engine's step data on the S built sectors of us (_build),
+    S = 1 for a ground or excited start and 2 otherwise; nothing of a sector
+    left out is stored.
+
+    Coarse reset: for every band k and window slot i (band k - 1 + i), the
+    sums[p, q, k - 1 + i, k] of _pair_sums over the L = S^2 built pairs
+    (p, q) of _built_pairs, as an (n_bands, 3, L) array that is zero outside
+    the environment. Exact reset: per band k, a dict over the window bands k'
+    of k (those of k-1, k, k+1 that exist) of the contiguous (S, N_k, N_k')
+    block u_p[band k', band k]^T, stacked over the built sectors p.
     """
-    nb, degs, levels = env.n_bands, env.degeneracies, env.band_slice
+    nb, levels = env.n_bands, env.band_slice
+    built, pairs = _built_pairs(us)
     if reset_mode == "coarse":
-        t = np.zeros((nb + 2, 4, nb, 4), dtype=complex)
-        t[1:-1] = _coarse_step_operator(us, env).reshape(nb, 4, nb, 4)
+        p, q = np.array(pairs).T
+        sums = np.zeros((nb + 2, nb, len(pairs)), dtype=complex)
+        sums[1:-1] = _pair_sums(us, env)[p, q].transpose(1, 2, 0)
         k = np.arange(nb)[:, None]
-        return t[k + np.arange(3), :, k, :]
+        return sums[k + np.arange(3), k]
     return [
         {
-            k2: np.stack([
-                np.zeros((degs[k], degs[k2]), dtype=complex) if u is None
-                else u[levels(k2), levels(k)].T
-                for u in (us[k % 2], us[(k + 1) % 2])
-            ])
+            k2: np.stack([us[p][levels(k2), levels(k)].T for p in built])
             for k2 in range(max(k - 1, 0), min(k + 2, nb))
         }
         for k in range(nb)
@@ -334,26 +357,36 @@ def _sample_paths(
 
     Every state is supported on one band k, and one step only reaches the
     window of bands k-1 .. k+1 (contiguous in the environment's level order).
-    Everything a step needs is a view of us (_sampling_tables):
+    U conserves parity, so a trajectory's state is held by its parts in the
+    S sectors _build made (S = 1 for a ground or excited start, 2 otherwise),
+    and a sector's part stays in its sector: on band k, the part of sector p
+    is at TLS level (p - k) mod 2. Everything a step needs is a view of us
+    (_sampling_tables), and no part of a sector left out is stored:
 
     - coarse reset: the bath is 1_k / N_k after every measurement, so the TLS
       state conditioned on the band record depends on the record alone. A
-      trajectory is a 2x2 TLS state rho and a band k. A step forms
-      y = T[k' <- k] rho for the window bands k' with the blocks of the
-      transfer operator (_coarse_step_operator), draws k' from the weights
-      tr y and keeps y / tr y. Unraveling rho (x) 1_k / N_k into an
-      eigenvector of rho and a level of band k gives band records the same
-      law, since E[v v^+] = rho and the step is linear; rho is the mean of
-      that unraveling's reduced state given the record.
-    - exact reset: a trajectory holds band k's ground part (sector k mod 2)
-      and excited part (sector (k + 1) mod 2), N_k numbers each. The
-      trajectories sit in band buckets, band k -> (their indices, their parts
-      as one (2, m_k, N_k) array). A step takes each bucket through one
-      (2, m_k, N_k)(2, N_k, N_k') product per window band k', with the block
-      u_{(a+k)%2}[band k', band k]^T; its weight in band k' is read from that
-      product alone. After the draw, the rows that land in k' give rho00,
-      rho10 and, normalised, their next parts, and every band's arrivals from
-      k'-1, k' and k'+1 are joined into its next bucket.
+      trajectory is its band k and its TLS state's entries rho[l] on the
+      L = S^2 built sector pairs l = (p, q) (_built_pairs). The step is
+      diagonal in the pair: y[i, l] = sums[l, k - 1 + i, k] rho[l] for the
+      window bands k - 1 + i (_pair_sums), the band is drawn from the
+      weights tr y (the pairs (p, p)), and y / tr y is kept. Unraveling
+      rho (x) 1_k / N_k into an eigenvector of rho and a level of band k
+      gives band records the same law, since E[v v^+] = rho and the step is
+      linear; rho is the mean of that unraveling's reduced state given the
+      record. A ground-start trajectory is thus a band Markov chain.
+    - exact reset: a trajectory holds its parts on band k, N_k numbers each.
+      The trajectories sit in band buckets, band k -> (their indices, their
+      parts as one (S, m_k, N_k) array). A step takes each bucket through
+      one (S, m_k, N_k)(S, N_k, N_k') product per window band k', with the
+      blocks u_p[band k', band k]^T; its weight in band k' is read from that
+      product alone. After the draw, the rows that land in k' give their
+      reduced state and, normalised, their next parts, and every band's
+      arrivals from k'-1, k' and k'+1 are joined into its next bucket.
+
+    On band k the reduced state is read by parity: rho00 is the weight of
+    the sector-(k mod 2) part (0 if that sector is not built) and rho10 the
+    overlap <ground part | excited part> when both sectors are built, 0
+    otherwise.
 
     Outcomes are drawn within the window, so the run is refused before its
     first step if one step can move more than leak_tol of the weight of a
@@ -378,6 +411,7 @@ def _sample_paths(
     if leakage > leak_tol:
         raise ValueError(f"band-adjacency selection rule violated beyond {leak_tol:.1e}")
     step = _sampling_tables(us, env, reset_mode)
+    built, pairs = _built_pairs(us)
     m = len(seeds)
     rngs = [np.random.default_rng(s) for s in seeds]
     coarse = reset_mode == "coarse"
@@ -393,8 +427,17 @@ def _sample_paths(
     out_k[0] = i0
     if coarse:
         band = np.full(m, i0)
-        # Every trajectory's TLS state, flattened: rho00, rho01, rho10, rho11.
-        rho = np.tile(rho0.matrix().reshape(-1), (m, 1))
+        # rho[c, l]: trajectory c's entry on pair l = (p, q), TLS entry
+        # ((p - k) mod 2, (q - k) mod 2) on its band k. The last column stays
+        # zero and stands for every pair not built.
+        rho = np.zeros((m, len(pairs) + 1), dtype=complex)
+        rs = rho0.matrix()
+        rho[:, :-1] = [rs[(p - i0) % 2, (q - i0) % 2] for p, q in pairs]
+        column = {pq: l for l, pq in enumerate(pairs)}
+        # The columns of rho00 and rho10 on every band k: pairs (e, e) and
+        # (1 - e, e), e = k mod 2.
+        col00 = np.array([column.get((k % 2, k % 2), len(pairs)) for k in range(nb)])
+        col10 = np.array([column.get((1 - k % 2, k % 2), len(pairs)) for k in range(nb)])
         out_r00[0], out_r10[0] = rho0.rho00, rho0.rho10
     else:
         # The unraveling of rho0 (x) 1_k / N_k: an eigenvector v of rho0 and a
@@ -408,11 +451,14 @@ def _sample_paths(
         level = np.minimum((x0[:, 1] * nk).astype(int), nk - 1)
         out_r00[0] = np.abs(vec[0]) ** 2
         out_r10[0] = vec[0].conj() * vec[1]
-        # Band buckets: band k -> (its trajectories, the ground and excited
-        # part of each one's state on band k, (2, m_k, N_k)).
-        psi = np.zeros((2, m, nk), dtype=complex)
-        psi[:, traj, level] = vec
+        # Band buckets: band k -> (its trajectories, the part of each one's
+        # state on band k in every built sector, (S, m_k, N_k)).
+        psi = np.zeros((len(built), m, nk), dtype=complex)
+        psi[:, traj, level] = vec[[(p - i0) % 2 for p in built]]
         buckets = {i0: (traj, psi)}
+        # On a band of parity e, the ground part is that of sector e: its
+        # position among the built sectors, or None.
+        ground = [built.index(e) if e in built else None for e in (0, 1)]
 
     draws = np.empty((m, _DRAW_CHUNK))
     for j in range(1, steps + 1):
@@ -422,25 +468,26 @@ def _sample_paths(
             for rng, row in zip(rngs, draws):
                 rng.random(out=row[:n])
         if coarse:
-            # y[c, i]: the unnormalised TLS state in window band k - 1 + i.
-            y = np.einsum("cist,ct->cis", step[band], rho)
-            w = (y[:, :, 0] + y[:, :, 3]).real
+            # y[c, i, l]: pair l of the unnormalised state in window band k - 1 + i.
+            y = step[band] * rho[:, None, :-1]
+            # The pairs (p, p) sit at every (S + 1)-th column.
+            w = y[:, :, ::len(built) + 1].real.sum(axis=2)
             new, wk, out_p[j - 1] = _born_pick(w, draws[:, col], band, nb)
-            rho = y[traj, new - band + 1] / wk[:, None]
+            np.divide(y[traj, new - band + 1], wk[:, None], out=rho[:, :-1])
             band = out_k[j] = new
-            out_r00[j] = rho[:, 0].real
-            out_r10[j] = rho[:, 2]
+            out_r00[j] = rho[traj, col00[band]].real
+            out_r10[j] = rho[traj, col10[band]]
             continue
         landed = {}
         for i, (ids, psi) in buckets.items():
-            # prod[k2][a]: the TLS-level-a part, stepped in its sector, on
-            # window band k2; part_w[k2][a]: its weight.
+            # prod[k2][s]: the part of built sector s, stepped, on window band
+            # k2; part_w[k2][s]: its weight.
             prod = {k2: psi @ block for k2, block in step[i].items()}
-            part_w = {k2: np.einsum("acl,acl->ac", v.view(float), v.view(float))
+            part_w = {k2: np.einsum("scl,scl->sc", v.view(float), v.view(float))
                       for k2, v in prod.items()}
             w = np.zeros((len(ids), 3))
             for k2, pw in part_w.items():
-                w[:, k2 - i + 1] = pw[0] + pw[1]
+                w[:, k2 - i + 1] = pw.sum(axis=0)
             new, wk, out_p[j - 1, ids] = _born_pick(w, draws[ids, col], i, nb)
             out_k[j, ids] = new
             for k2, v in prod.items():
@@ -448,13 +495,12 @@ def _sample_paths(
                 hits = np.count_nonzero(sel)
                 if not hits:
                     continue
-                # Part a lands at TLS level a ^ d in band k2: the parts swap
-                # roles in the adjacent bands (a reversed view).
-                d = (k2 - i) % 2
-                parts = (v if hits == len(ids) else np.compress(sel, v, axis=1))[::1 - 2 * d]
+                parts = v if hits == len(ids) else np.compress(sel, v, axis=1)
                 rows, wsel = ids[sel], wk[sel]
-                out_r00[j, rows] = part_w[k2][d, sel] / wsel
-                out_r10[j, rows] = np.vecdot(parts[0], parts[1]) / wsel
+                g = ground[k2 % 2]
+                out_r00[j, rows] = 0.0 if g is None else part_w[k2][g, sel] / wsel
+                out_r10[j, rows] = (np.vecdot(parts[g], parts[1 - g]) / wsel
+                                    if len(built) == 2 else 0.0)
                 # Normalised in place: scaling the float view by 1 / sqrt(wk)
                 # rounds as a complex division by sqrt(wk) does, at a fraction
                 # of its cost.

@@ -2,6 +2,10 @@ import csv
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +124,35 @@ class TestRelaxCommand:
             doc["extra"]["metadata"].pop("timestamp")
             doc.pop("wall_time")
         assert ja == jb
+
+    def test_json_key_order_independent_of_hash_seed(self, tmp_path):
+        """Two runs in fresh interpreters with different string hash seeds
+        write the same JSON, key order included, apart from the timestamp
+        and wall time: the flags are merged into the config in a fixed order."""
+        cfg = write_config(tmp_path, {"steps": 20})
+        src = str(Path(cli.__file__).resolve().parents[1])
+        docs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / hash_seed
+            argv = ["relax", "--scenario", "fig2", "--engine", "nonselective",
+                    "--reset", "coarse", "--seed", "3", "--config", cfg, "--out", str(out)]
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from tlsbath.cli import main; sys.exit(main(sys.argv[1:]))",
+                 *argv],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            # Twenty steps are far from the plateau: a tolerance failure.
+            assert proc.returncode == 2, proc.stderr
+            docs.append(json.loads(
+                (out / "relax_fig2.json").read_text(),
+                object_pairs_hook=lambda pairs: [
+                    (k, v) for k, v in pairs if k not in ("timestamp", "wall_time")
+                ],
+            ))
+        assert docs[0] == docs[1]
 
 
     def test_nonselective_reports_leakage_above_sampled_limit(self, tmp_path):

@@ -25,7 +25,9 @@ from tlsbath.dynamics import (
     _build,
     _coarse_step_operator,
     _eig2,
+    _pair_sums,
     _sample_paths,
+    _sampling_tables,
     run_ensemble,
     run_trajectory,
     trajectory_seed,
@@ -587,12 +589,11 @@ class TestSampledEngine:
         assert len(np.unique(out_k)) >= (3 if rho0 is _COHERENT else 2)
         assert np.any(out_k[1:] != out_k[:-1])
 
-    def test_bucket_merge_matches_dense_reference(self):
+    @staticmethod
+    def _bucket_merge_case(params, rho0):
         """Exact reset where one step brings trajectories into a band from all
         three window bands, and both edge bands (one level each) are visited."""
-        params = ModelParams(delta_s=1.0, coupling=0.3, dt=math.pi)
         env = build_band_environment(3, 1.0, seed=5)
-        rho0 = QubitState(rho00=0.6, rho10=0.3 + 0.2j)
         seeds = [trajectory_seed(3, i) for i in range(24)]
         out_k, out_p, r00, r10 = _paths(params, env, rho0, 1, 30, seeds, "exact")
         merges = [
@@ -612,17 +613,33 @@ class TestSampledEngine:
             assert np.max(np.abs(r00[:, c] - ref00)) < 1e-12
             assert np.max(np.abs(r10[:, c] - ref10)) < 1e-12
 
-    @pytest.mark.parametrize("reset_mode", ["coarse", "exact"])
-    def test_trajectory_order_does_not_matter(self, reset_mode, resonant_params,
+    def test_bucket_merge_matches_dense_reference(self):
+        """Two-part buckets, from a coherent start."""
+        params = ModelParams(delta_s=1.0, coupling=0.3, dt=math.pi)
+        self._bucket_merge_case(params, _COHERENT)
+
+    def test_bucket_merge_matches_dense_reference_ground(self):
+        """One-part buckets, from a ground start. At dt = pi a ground start
+        meets no three-way merge here; dt = 1.1 gives several."""
+        params = ModelParams(delta_s=1.0, coupling=0.3, dt=1.1)
+        self._bucket_merge_case(params, QubitState(rho00=1.0))
+
+    @pytest.mark.parametrize(
+        "reset_mode, rho0",
+        [(mode, rho0) for rho0 in (_COHERENT, QubitState(rho00=1.0))
+         for mode in ("coarse", "exact")],
+        ids=["coarse", "exact", "coarse-ground", "exact-ground"],
+    )
+    def test_trajectory_order_does_not_matter(self, reset_mode, rho0, resonant_params,
                                               seven_env):
-        rho0 = QubitState(rho00=0.6, rho10=0.3 + 0.2j)
         seeds = [trajectory_seed(8, i) for i in range(64)]
         perm = np.random.default_rng(0).permutation(len(seeds))
         out = _paths(resonant_params, seven_env, rho0, 2, 60, seeds, reset_mode)
         shuffled = _paths(
             resonant_params, seven_env, rho0, 2, 60, [seeds[i] for i in perm], reset_mode
         )
-        assert len(np.unique(out[0])) >= 3
+        # At dt = pi a ground start visits k0 and k0 - 1 only.
+        assert len(np.unique(out[0])) >= (3 if rho0 is _COHERENT else 2)
         for a, b in zip(out, shuffled):
             assert np.array_equal(a[:, perm], b)
 
@@ -712,6 +729,74 @@ class TestSampledEngine:
                 resonant_params, small_env, ground, k0=k0, steps=5,
                 seed=trajectory_seed(1, 0), reset_mode=reset_mode,
             )
+
+
+class TestOneSectorTrajectories:
+    """A ground or excited start occupies one parity sector p, and U keeps
+    it there: on band position i the sampled state is |a><a| with
+    a = (p - i) mod 2, and the sampled engine stores nothing of the other
+    sector."""
+
+    @pytest.mark.parametrize("reset_mode", ["coarse", "exact"])
+    @pytest.mark.parametrize("rho00", [1.0, 0.0], ids=["ground", "excited"])
+    def test_one_sector_invariant(self, any_env, rho00, reset_mode):
+        params = ModelParams(delta_s=1.3, coupling=0.1, dt=1.1)
+        rho0, k0 = QubitState(rho00=rho00), any_env.ks[2]
+        us, leakage = _build(params, any_env, rho0, k0)
+        i0 = any_env.band_index(k0)
+        p = (i0 + (rho00 == 0.0)) % 2
+        assert us[1 - p] is None and us[p] is not None
+        tables = _sampling_tables(us, any_env, reset_mode)
+        if reset_mode == "coarse":
+            assert tables.shape == (any_env.n_bands, 3, 1)
+        else:
+            degs = any_env.degeneracies
+            for k, blocks in enumerate(tables):
+                for k2, block in blocks.items():
+                    assert block.shape == (1, degs[k], degs[k2])
+                    assert np.any(block)
+        seeds = [trajectory_seed(21, i) for i in range(16)]
+        out_k, _, r00, r10 = _sample_paths(
+            params, any_env, us, leakage, rho0, k0, 30, seeds, reset_mode
+        )
+        i = out_k - any_env.band_range[0]
+        assert set(np.unique(i % 2)) == {0, 1}
+        expect = ((p - i) % 2 == 0).astype(float)
+        # The coarse-reset state is renormalised by a complex division, which
+        # numpy evaluates as y * (1 / tr y): its one pair reads 1 to an ulp.
+        # Zero entries are exact in both modes, and so is exact reset's 1.
+        tol = 1e-15 if reset_mode == "coarse" else 0.0
+        assert np.all(np.abs(r00 - expect) <= tol * expect)
+        assert np.all(r10 == 0)
+
+    def test_ground_coarse_run_is_band_markov_chain(self, resonant_params, seven_env,
+                                                    ground):
+        """Each outcome's probability is the diagonal pair sum of the sector,
+        normalised over the window of the band it leaves."""
+        traj = run_trajectory(resonant_params, seven_env, ground, k0=2, steps=200,
+                              seed=trajectory_seed(5, 0), reset_mode="coarse")
+        us, _ = _build(resonant_params, seven_env, ground, 2)
+        p = seven_env.band_index(2) % 2
+        chain = _pair_sums(us, seven_env)[p, p].real
+        i = traj.outcomes - seven_env.band_range[0]
+        assert len(np.unique(i)) >= 2
+        for j in range(traj.steps):
+            k, k2 = i[j], i[j + 1]
+            window = chain[max(k - 1, 0):k + 2, k]
+            assert abs(traj.probs[j] - chain[k2, k] / window.sum()) < 1e-12
+
+    @pytest.mark.parametrize("rho0", [QubitState(rho00=1.0), _COHERENT],
+                             ids=["ground", "coherent"])
+    def test_coarse_step_operator_scatters_pair_sums(self, resonant_params, small_env,
+                                                     rho0):
+        us, _ = _build(resonant_params, small_env, rho0, 2)
+        sums, nb = _pair_sums(us, small_env), small_env.n_bands
+        t = np.zeros((nb, 2, 2, nb, 2, 2), dtype=complex)
+        for k2, k, a, b in itertools.product(range(nb), range(nb), (0, 1), (0, 1)):
+            d = (k2 - k) % 2
+            t[k2, a ^ d, b ^ d, k, a, b] = sums[(a + k) % 2, (b + k) % 2, k2, k]
+        assert np.array_equal(_coarse_step_operator(us, small_env),
+                              t.reshape(4 * nb, 4 * nb))
 
 
 class TestJointStateHealth:
