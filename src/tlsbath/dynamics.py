@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._streams import Streams, block_steps, seed_words, trajectory_words
 from .model import (
     BandedEnvironment,
     ModelParams,
@@ -68,7 +69,12 @@ class Propagator:
 
 
 def trajectory_seed(master_seed: int, index: int) -> np.random.SeedSequence:
-    """Deterministic per-trajectory seed, independent of execution order."""
+    """Deterministic per-trajectory seed, independent of execution order.
+
+    run_ensemble's trajectory i draws from the PCG64 stream of this seed; it
+    derives the seed words of all its trajectories at once
+    (_streams.trajectory_words).
+    """
     return np.random.SeedSequence(entropy=(master_seed, index))
 
 
@@ -190,11 +196,6 @@ def _eig2(rho00: np.ndarray, rho10: np.ndarray):
     # Orthogonal partner.
     v_minus = np.stack((-np.conjugate(v_plus[1]), np.conjugate(v_plus[0])))
     return lam_p, v_plus, v_minus
-
-
-# Steps of uniforms each trajectory draws in one call, in place into its row
-# of one (m, _DRAW_CHUNK) block, the only block of draws held.
-_DRAW_CHUNK = 16
 
 
 def _build(params: ModelParams, env: BandedEnvironment, rho0: QubitState, k0: int):
@@ -336,8 +337,9 @@ def _born_pick(w: np.ndarray, x: np.ndarray, band, nb: int):
     # A uniform past cum1 picks slot 2, also where the last cumulative weight
     # rounds below 1. The clamp keeps an edge band off its zero-weight pad
     # slot, which only x = 0 (band 0) or that rounding (top band) would reach.
-    new = np.clip(band - 1 + (cum0 < x) + (cum1 < x), 0, nb - 1)
-    wk = np.take_along_axis(w, (new - band + 1)[:, None], axis=1)[:, 0]
+    new = np.minimum(np.maximum(band - 1 + (cum0 < x) + (cum1 < x), 0), nb - 1)
+    slot = new - band
+    wk = np.where(slot < 0, w[:, 0], np.where(slot > 0, w[:, 2], w[:, 1]))
     return new, wk, wk / tot
 
 
@@ -349,7 +351,7 @@ def _sample_paths(
     rho0: QubitState,
     k0: int,
     steps: int,
-    seeds: list,
+    words: np.ndarray,
     reset_mode: str,
 ):
     """Batched measurement records (quantum trajectories) on the sector
@@ -393,11 +395,14 @@ def _sample_paths(
     state on one band past the adjacent pair (leakage, the bound of _build
     over every state the run can reach).
 
-    Trajectory c draws only from its own Generator, a stream of uniforms: with
-    exact reset two for the initial unraveling (TLS eigenstate, level), then
-    one per step for the band outcome. A coarse-reset trajectory draws only the
-    one per step and starts from rho0 itself. The stream is drawn in blocks of
-    _DRAW_CHUNK steps, which gives the same values as one up-front block. A
+    Trajectory c draws only from its own stream of uniforms: the PCG64
+    stream seeded with row c of words (_streams.trajectory_words or
+    _streams.seed_words), whose values are those numpy.random.default_rng
+    gives for its seed, bit for bit. With exact reset it draws two for the
+    initial unraveling (TLS eigenstate, level), then one per step for the
+    band outcome; a coarse-reset trajectory draws only the one per step and
+    starts from rho0 itself. The m streams are one batch-wide state
+    (_streams.Streams), drawn _streams.block_steps(m) steps at a time. A
     uniform x picks level min(floor(x N_k), N_k - 1) of band k. A member of a
     batch therefore has the same outcomes as a single run with its seed; its
     reduced states agree to rounding, since products over a batch sum in
@@ -412,8 +417,8 @@ def _sample_paths(
         raise ValueError(f"band-adjacency selection rule violated beyond {leak_tol:.1e}")
     step = _sampling_tables(us, env, reset_mode)
     built, pairs = _built_pairs(us)
-    m = len(seeds)
-    rngs = [np.random.default_rng(s) for s in seeds]
+    m = len(words)
+    streams = Streams(words)
     coarse = reset_mode == "coarse"
     nb = env.n_bands
     traj = np.arange(m)
@@ -442,13 +447,12 @@ def _sample_paths(
     else:
         # The unraveling of rho0 (x) 1_k / N_k: an eigenvector v of rho0 and a
         # uniform level of band k0.
-        x0 = np.empty((m, 2))
-        for rng, row in zip(rngs, x0):
-            rng.random(out=row)
+        x0 = np.empty((2, m))
+        streams.random(x0)
         lam_p, v_plus, v_minus = _eig2(rho0.rho00, rho0.rho10)
-        vec = np.where(x0[:, 0] < lam_p, v_plus, v_minus)
+        vec = np.where(x0[0] < lam_p, v_plus, v_minus)
         nk = env.degeneracies[i0]
-        level = np.minimum((x0[:, 1] * nk).astype(int), nk - 1)
+        level = np.minimum((x0[1] * nk).astype(int), nk - 1)
         out_r00[0] = np.abs(vec[0]) ** 2
         out_r10[0] = vec[0].conj() * vec[1]
         # Band buckets: band k -> (its trajectories, the part of each one's
@@ -460,19 +464,19 @@ def _sample_paths(
         # position among the built sectors, or None.
         ground = [built.index(e) if e in built else None for e in (0, 1)]
 
-    draws = np.empty((m, _DRAW_CHUNK))
+    # Row t: every trajectory's uniform for step t of the current block.
+    block = block_steps(m)
+    draws = np.empty((min(block, steps), m))
     for j in range(1, steps + 1):
-        col = (j - 1) % _DRAW_CHUNK
-        if col == 0:
-            n = min(_DRAW_CHUNK, steps + 1 - j)
-            for rng, row in zip(rngs, draws):
-                rng.random(out=row[:n])
+        row = (j - 1) % block
+        if row == 0:
+            streams.random(draws[:min(block, steps + 1 - j)])
         if coarse:
             # y[c, i, l]: pair l of the unnormalised state in window band k - 1 + i.
             y = step[band] * rho[:, None, :-1]
             # The pairs (p, p) sit at every (S + 1)-th column.
             w = y[:, :, ::len(built) + 1].real.sum(axis=2)
-            new, wk, out_p[j - 1] = _born_pick(w, draws[:, col], band, nb)
+            new, wk, out_p[j - 1] = _born_pick(w, draws[row], band, nb)
             np.divide(y[traj, new - band + 1], wk[:, None], out=rho[:, :-1])
             band = out_k[j] = new
             out_r00[j] = rho[traj, col00[band]].real
@@ -488,7 +492,7 @@ def _sample_paths(
             w = np.zeros((len(ids), 3))
             for k2, pw in part_w.items():
                 w[:, k2 - i + 1] = pw.sum(axis=0)
-            new, wk, out_p[j - 1, ids] = _born_pick(w, draws[ids, col], i, nb)
+            new, wk, out_p[j - 1, ids] = _born_pick(w, draws[row, ids], i, nb)
             out_k[j, ids] = new
             for k2, v in prod.items():
                 sel = new == k2
@@ -529,13 +533,20 @@ def run_trajectory(
     seed,
     reset_mode: str = "coarse",
 ) -> Trajectory:
-    """One selective-measurement trajectory, deterministic in the seed."""
+    """One selective-measurement trajectory, deterministic in the seed.
+
+    seed is an int, a sequence of ints, None (fresh OS entropy) or a
+    numpy.random.SeedSequence; the trajectory draws the uniforms that
+    numpy.random.default_rng(seed) gives. A Generator or BitGenerator is
+    refused with TypeError.
+    """
     rho0.validate()
     _check_count("steps", steps)
     _check_choice("reset_mode", reset_mode, ("coarse", "exact"))
+    words = seed_words(seed)
     us, leakage = _build(params, env, rho0, k0)
     out_k, out_p, out_r00, out_r10 = _sample_paths(
-        params, env, us, leakage, rho0, k0, steps, [seed], reset_mode
+        params, env, us, leakage, rho0, k0, steps, words, reset_mode
     )
     return Trajectory(
         outcomes=out_k[:, 0],
@@ -645,12 +656,12 @@ def run_ensemble(
     if sampled and master_seed is None:
         raise ValueError("sampled engine requires a master_seed")
     t0 = time.perf_counter()
+    words = trajectory_words(master_seed, n_traj) if sampled else None
     us, leakage = _build(params, env, rho0, k0)
     stderr, drift = np.zeros(steps + 1), None
     if sampled:
-        seeds = [trajectory_seed(master_seed, i) for i in range(n_traj)]
         _, _, r00, r10 = _sample_paths(
-            params, env, us, leakage, rho0, k0, steps, seeds, reset_mode
+            params, env, us, leakage, rho0, k0, steps, words, reset_mode
         )
         if n_traj > 1:
             stderr = r00.std(axis=1, ddof=1) / np.sqrt(n_traj)

@@ -1,6 +1,10 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,8 @@ from oracles import (
     reduced_qubit_state,
     unraveled_record_probabilities,
 )
+from tlsbath import _streams, dynamics
+from tlsbath._streams import Streams, block_steps, seed_words, trajectory_words
 from tlsbath.dynamics import (
     Propagator,
     _build,
@@ -41,9 +47,11 @@ from tlsbath.model import (
 
 
 def _paths(params, env, rho0, k0, steps, seeds, reset_mode):
-    """_sample_paths on the build of run_ensemble and run_trajectory."""
+    """_sample_paths on the build of run_ensemble and run_trajectory, with
+    trajectory c drawing from seeds[c]."""
     us, leakage = _build(params, env, rho0, k0)
-    return _sample_paths(params, env, us, leakage, rho0, k0, steps, seeds, reset_mode)
+    words = np.concatenate([seed_words(s) for s in seeds])
+    return _sample_paths(params, env, us, leakage, rho0, k0, steps, words, reset_mode)
 
 
 class TestPropagator:
@@ -233,6 +241,41 @@ class TestTrajectories:
         assert np.array_equal(a.outcomes, b.outcomes)
         assert np.array_equal(a.rho00, b.rho00)
         assert np.array_equal(a.rho10, b.rho10)
+
+    @pytest.mark.parametrize("reset_mode", ["coarse", "exact"])
+    @pytest.mark.parametrize(
+        "seed",
+        [12, [3, 4, 5], np.random.SeedSequence(7), trajectory_seed(9, 3),
+         trajectory_seed(9, 3).spawn(3)[2]],
+        ids=["int", "int-sequence", "seed-sequence", "trajectory-seed", "spawned-child"],
+    )
+    def test_seed_forms_draw_numpy_streams(self, seed, reset_mode, resonant_params,
+                                           small_env):
+        """Every seed form default_rng takes, bar generators, gives the record
+        of the dense reference fed with default_rng(seed)."""
+        rho0 = QubitState(rho00=0.6, rho10=0.3 + 0.2j)
+        tr = run_trajectory(resonant_params, small_env, rho0, k0=2, steps=30,
+                            seed=seed, reset_mode=reset_mode)
+        ref_k, ref_p, ref00, ref10 = dense_sampled_reference(
+            resonant_params, small_env, rho0, 2, 30, seed, reset_mode
+        )
+        assert np.array_equal(tr.outcomes, ref_k)
+        assert np.max(np.abs(tr.probs - ref_p)) < 1e-12
+        assert np.max(np.abs(tr.rho00 - ref00)) < 1e-12
+        assert np.max(np.abs(tr.rho10 - ref10)) < 1e-12
+        assert tr.seed is seed
+
+    def test_seed_none_is_accepted(self, resonant_params, small_env, ground):
+        tr = run_trajectory(resonant_params, small_env, ground, k0=2, steps=30, seed=None)
+        assert tr.seed is None and tr.steps == 30
+        assert np.all((tr.probs > 0) & (tr.probs <= 1))
+
+    @pytest.mark.parametrize("seed", [np.random.default_rng(1), np.random.PCG64(1)],
+                             ids=["generator", "bit-generator"])
+    def test_generator_seed_is_refused(self, seed, resonant_params, small_env, ground):
+        accepted = "an int, a sequence of ints, None or a numpy.random.SeedSequence"
+        with pytest.raises(TypeError, match=accepted):
+            run_trajectory(resonant_params, small_env, ground, k0=2, steps=5, seed=seed)
 
     def test_band_adjacency(self, resonant_params, seven_env, ground):
         tr = run_trajectory(
@@ -755,9 +798,8 @@ class TestOneSectorTrajectories:
                 for k2, block in blocks.items():
                     assert block.shape == (1, degs[k], degs[k2])
                     assert np.any(block)
-        seeds = [trajectory_seed(21, i) for i in range(16)]
         out_k, _, r00, r10 = _sample_paths(
-            params, any_env, us, leakage, rho0, k0, 30, seeds, reset_mode
+            params, any_env, us, leakage, rho0, k0, 30, trajectory_words(21, 16), reset_mode
         )
         i = out_k - any_env.band_range[0]
         assert set(np.unique(i % 2)) == {0, 1}
@@ -797,6 +839,60 @@ class TestOneSectorTrajectories:
             t[k2, a ^ d, b ^ d, k, a, b] = sums[(a + k) % 2, (b + k) % 2, k2, k]
         assert np.array_equal(_coarse_step_operator(us, small_env),
                               t.reshape(4 * nb, 4 * nb))
+
+
+class TestBatchStreams:
+    @pytest.mark.parametrize("reset_mode", ["coarse", "exact"])
+    @pytest.mark.parametrize("m", [1, 7, 1000])
+    @pytest.mark.parametrize("master", [0, 1, 20451, 2**32 + 7, 2**70 + 3])
+    def test_uniforms_match_numpy(self, master, m, reset_mode):
+        """The batch draws, in the engine's pattern (two up front for exact
+        reset, then blocks of block_steps(m) steps), are bit for bit those of
+        default_rng(trajectory_seed(master, i)) drawn one trajectory at a
+        time: two up front, then per-step draws."""
+        block = block_steps(m)
+        steps = 2 * block + 3
+        up_front = 2 if reset_mode == "exact" else 0
+        streams = Streams(trajectory_words(master, m))
+        batch = np.empty((up_front + steps, m))
+        if up_front:
+            streams.random(batch[:up_front])
+        for j in range(0, steps, block):
+            streams.random(batch[up_front + j:up_front + min(j + block, steps)])
+        for i in range(m):
+            rng = np.random.default_rng(trajectory_seed(master, i))
+            solo = np.concatenate([rng.random(up_front), [rng.random() for _ in range(steps)]])
+            assert np.array_equal(batch[:, i], solo)
+
+    @pytest.mark.parametrize("master, error", [(-1, ValueError), (7.5, TypeError)])
+    def test_bad_master_seed_fails_before_the_build(self, master, error, monkeypatch,
+                                                    resonant_params, small_env, ground):
+        """A master seed SeedSequence refuses fails as it does there, and
+        run_ensemble refuses it before diagonalising anything."""
+        with pytest.raises(error):
+            trajectory_words(master, 4)
+        monkeypatch.setattr(dynamics, "_build", lambda *a: pytest.fail("built"))
+        with pytest.raises(error):
+            run_ensemble(resonant_params, small_env, ground, k0=2, steps=5, n_traj=3,
+                         master_seed=master, engine="sampled")
+
+    def test_import_builds_no_stream_table(self):
+        """Importing the CLI loads no numpy.random and builds no array in the
+        streams module: both would add to every command's start-up."""
+        src = str(Path(_streams.__file__).resolve().parents[1])
+        code = (
+            "import sys, numpy, tlsbath.cli\n"
+            "assert 'numpy.random' not in sys.modules, 'numpy.random imported'\n"
+            "names = vars(sys.modules['tlsbath._streams']).items()\n"
+            "built = [k for k, v in names if any(isinstance(x, numpy.ndarray) for x in\n"
+            "         (v if isinstance(v, (tuple, list)) else [v]))]\n"
+            "assert not built, built\n"
+        )
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestJointStateHealth:
