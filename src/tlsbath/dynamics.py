@@ -5,10 +5,10 @@ projective measurement of the environment band. The sampled engine follows
 single measurement records: with exact reset it propagates pure state vectors
 (mixed inputs are unraveled into eigenstate draws), with coarse reset the TLS
 state conditioned on the record. The nonselective engine propagates the exact
-outcome-averaged density matrix. Both coarse-reset engines step with the
-same band-pair sums of the sector unitaries (_pair_sums): the nonselective
-engine through one transfer operator on TLS blocks (_coarse_step_operator),
-a sampled trajectory pair by pair, since U keeps a sector pair the same pair.
+outcome-averaged density matrix. Both coarse-reset engines step the
+same band-pair blocks of the sector unitaries (_pair_sums), one per built
+sector pair, since U keeps a sector pair the same pair, and read the reduced
+state by band parity (_parity_columns).
 A sampled trajectory holds only its parts in the sectors rho0 occupies
 (_sampling_tables, _sample_paths); exact-reset trajectories are grouped by
 their measured band, and each group steps with one product per adjacent
@@ -126,7 +126,8 @@ class EnsembleSeries:
 
     rho00: np.ndarray             # (J+1,)
     rho10: np.ndarray             # (J+1,) complex
-    stderr: np.ndarray            # (J+1,) standard error of rho00 (0 for exact engine)
+    # (J+1,) standard error of rho00 (0 for the nonselective engine).
+    stderr: np.ndarray
     n_traj: int | None
     engine: str
     reset_mode: str
@@ -248,52 +249,41 @@ def _leakage_bound(us: list[np.ndarray], env: BandedEnvironment) -> float:
     return worst
 
 
-def _pair_sums(us: list, env: BandedEnvironment) -> np.ndarray:
-    """Band-pair sums of the sector unitaries us of _build, as an array
-    sums[p, q, k', k] of shape (2, 2, n_bands, n_bands):
-
-        sums[p, q, k', k] = (1/N_k) sum_{l in k', r in k} u_p[l, r] conj(u_q[l, r])
-
-    zero where u_p or u_q is None. After a coarse reset the state is
-    sum_k rho_k (x) 1_k / N_k, and one evolve-measure step takes the entry
-    of rho_k on sector pair (p, q) to sums[p, q, k', k] times it on band k':
-    U conserves parity, so a pair stays the same pair.
-    """
-    nb, degs = env.n_bands, np.asarray(env.degeneracies)
-    sums = np.zeros((2, 2, nb, nb), dtype=complex)
-    for p, q in np.ndindex(2, 2):
-        if us[p] is not None and us[q] is not None:
-            prod = np.add.reduceat(us[p] * us[q].conj(), env.band_starts, axis=0)
-            sums[p, q] = np.add.reduceat(prod, env.band_starts, axis=1) / degs
-    return sums
-
-
-def _coarse_step_operator(us: list[np.ndarray], env: BandedEnvironment) -> np.ndarray:
-    """One-step transfer matrix T on per-band TLS blocks for coarse reset.
-
-    After a coarse reset the state is sum_k rho_k (x) 1_k / N_k, one
-    (generally unnormalised) 2x2 TLS block rho_k per band, and the
-    evolve-measure-reset step is linear on the blocks. The joint state
-    (a, k, r) is level (k, r) of sector (a + k) mod 2 of the sector unitaries
-    us, and only reaches TLS level a ^ d in band k', d = (k' - k) mod 2, so
-    T scatters the sector-pair sums (_pair_sums) into TLS indexing:
-    T[4k' + 2(a ^ d) + (b ^ d), 4k + 2a + b] = sums[p, q, k', k]
-    with p = (a + k) mod 2 and q = (b + k) mod 2. The nonselective engine
-    steps all blocks with T.
-    """
-    nb, sums = env.n_bands, _pair_sums(us, env)
-    k2, k, a, b = np.indices((nb, nb, 2, 2))
-    d = (k2 - k) % 2
-    t = np.zeros((nb, 2, 2) * 2, dtype=complex)
-    t[k2, a ^ d, b ^ d, k, a, b] = sums[(a + k) % 2, (b + k) % 2, k2, k]
-    return t.reshape(4 * nb, 4 * nb)
-
-
 def _built_pairs(us: list) -> tuple[list, list]:
     """The built sectors of us (u_p not None) and their sector pairs (p, q),
     row by row: [(p, p)] for one sector, all four for two."""
     built = [p for p in (0, 1) if us[p] is not None]
     return built, [(p, q) for p in built for q in built]
+
+
+def _pair_sums(us: list, env: BandedEnvironment) -> np.ndarray:
+    """Band-pair blocks of the sector unitaries us of _build, one per built
+    sector pair l = (p, q) of _built_pairs, as an array sums[l, k', k] of
+    shape (L, n_bands, n_bands):
+
+        sums[l, k', k] = (1/N_k) sum_{g in k', r in k} u_p[g, r] conj(u_q[g, r])
+
+    After a coarse reset the state is sum_k rho_k (x) 1_k / N_k, and one
+    evolve-measure step takes the entry of rho_k on sector pair l to
+    sums[l, k', k] times it on band k': U conserves parity, so a pair stays
+    the same pair. On band k that entry is TLS entry ((p - k) mod 2,
+    (q - k) mod 2).
+    """
+    degs = np.asarray(env.degeneracies)
+    sums = []
+    for p, q in _built_pairs(us)[1]:
+        prod = np.add.reduceat(us[p] * us[q].conj(), env.band_starts, axis=0)
+        sums.append(np.add.reduceat(prod, env.band_starts, axis=1) / degs)
+    return np.stack(sums)
+
+
+def _parity_columns(pairs: list, nb: int) -> np.ndarray:
+    """Rows col00, col10 of the pair index that hold rho00 and rho10 on
+    every band k: pairs (e, e) and (1 - e, e) with e = k mod 2, or
+    len(pairs), a zero row standing for every pair not built."""
+    row = {pq: l for l, pq in enumerate(pairs)}
+    return np.array([[row.get(((k + a) % 2, k % 2), len(pairs)) for k in range(nb)]
+                     for a in (0, 1)])
 
 
 def _sampling_tables(us: list, env: BandedEnvironment, reset_mode: str):
@@ -302,8 +292,8 @@ def _sampling_tables(us: list, env: BandedEnvironment, reset_mode: str):
     left out is stored.
 
     Coarse reset: for every band k and window slot i (band k - 1 + i), the
-    sums[p, q, k - 1 + i, k] of _pair_sums over the L = S^2 built pairs
-    (p, q) of _built_pairs, as an (n_bands, 3, L) array that is zero outside
+    sums[l, k - 1 + i, k] of _pair_sums over the L = S^2 built pairs
+    l = (p, q) of _built_pairs, as an (n_bands, 3, L) array that is zero outside
     the environment. Exact reset: per band k, a dict over the window bands k'
     of k (those of k-1, k, k+1 that exist) of the contiguous (S, N_k, N_k')
     block u_p[band k', band k]^T, stacked over the built sectors p.
@@ -311,9 +301,8 @@ def _sampling_tables(us: list, env: BandedEnvironment, reset_mode: str):
     nb, levels = env.n_bands, env.band_slice
     built, pairs = _built_pairs(us)
     if reset_mode == "coarse":
-        p, q = np.array(pairs).T
         sums = np.zeros((nb + 2, nb, len(pairs)), dtype=complex)
-        sums[1:-1] = _pair_sums(us, env)[p, q].transpose(1, 2, 0)
+        sums[1:-1] = _pair_sums(us, env).transpose(1, 2, 0)
         k = np.arange(nb)[:, None]
         return sums[k + np.arange(3), k]
     return [
@@ -438,11 +427,7 @@ def _sample_paths(
         rho = np.zeros((m, len(pairs) + 1), dtype=complex)
         rs = rho0.matrix()
         rho[:, :-1] = [rs[(p - i0) % 2, (q - i0) % 2] for p, q in pairs]
-        column = {pq: l for l, pq in enumerate(pairs)}
-        # The columns of rho00 and rho10 on every band k: pairs (e, e) and
-        # (1 - e, e), e = k mod 2.
-        col00 = np.array([column.get((k % 2, k % 2), len(pairs)) for k in range(nb)])
-        col10 = np.array([column.get((1 - k % 2, k % 2), len(pairs)) for k in range(nb)])
+        col00, col10 = _parity_columns(pairs, nb)
         out_r00[0], out_r10[0] = rho0.rho00, rho0.rho10
     else:
         # The unraveling of rho0 (x) 1_k / N_k: an eigenvector v of rho0 and a
@@ -477,7 +462,10 @@ def _sample_paths(
             # The pairs (p, p) sit at every (S + 1)-th column.
             w = y[:, :, ::len(built) + 1].real.sum(axis=2)
             new, wk, out_p[j - 1] = _born_pick(w, draws[row], band, nb)
-            np.divide(y[traj, new - band + 1], wk[:, None], out=rho[:, :-1])
+            # Divided as floats: numpy takes complex / real as y * (1 / wk),
+            # which leaves a lone pair 1 ulp short of 1.
+            np.divide(y[traj, new - band + 1].view(float), wk[:, None],
+                      out=rho[:, :-1].view(float))
             band = out_k[j] = new
             out_r00[j] = rho[traj, col00[band]].real
             out_r10[j] = rho[traj, col10[band]]
@@ -609,20 +597,27 @@ def _run_nonselective_exact(us, env, rho0: QubitState, k0, steps):
 
 
 def _run_nonselective_coarse(us, env, rho0: QubitState, k0, steps):
-    nb = env.n_bands
-    i0 = env.band_index(k0)
-    t = _coarse_step_operator(us, env)
-    x = np.zeros(4 * nb, dtype=complex)
-    x[4 * i0:4 * i0 + 4] = rho0.matrix().reshape(-1)
+    """Outcome-averaged coarse-reset state, held as x[l, k], the entry of
+    band k's TLS block on the built sector pair l (_built_pairs), and stepped
+    pair by pair with the blocks of _pair_sums. The last row stays zero and
+    stands for every pair not built."""
+    nb, i0 = env.n_bands, env.band_index(k0)
+    _, pairs = _built_pairs(us)
+    x = np.zeros((len(pairs) + 1, nb), dtype=complex)
+    rs = rho0.matrix()
+    x[:-1, i0] = [rs[(p - i0) % 2, (q - i0) % 2] for p, q in pairs]
+    # Paired once: making the row views every step costs more than the matvec.
+    blocks = list(zip(_pair_sums(us, env), x))
+    flat = x.reshape(-1)
+    idx00, idx10 = (col * nb + np.arange(nb) for col in _parity_columns(pairs, nb))
     r00 = np.empty(steps + 1)
     r10 = np.empty(steps + 1, dtype=complex)
-    idx00 = 4 * np.arange(nb)
-    idx10 = 4 * np.arange(nb) + 2
     for j in range(steps + 1):
         if j:
-            x = t @ x
-        r00[j] = x[idx00].sum().real
-        r10[j] = x[idx10].sum()
+            for s, v in blocks:
+                v[:] = s @ v
+        r00[j] = flat[idx00].sum().real
+        r10[j] = flat[idx10].sum()
     return r00, r10
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -29,7 +30,7 @@ from tlsbath._streams import Streams, block_steps, seed_words, trajectory_words
 from tlsbath.dynamics import (
     Propagator,
     _build,
-    _coarse_step_operator,
+    _built_pairs,
     _eig2,
     _pair_sums,
     _sample_paths,
@@ -470,22 +471,25 @@ class TestCoarseResetEngine:
         assert np.ptp(series.rho00) > 1e-3
 
     def test_record_law_matches_unraveling(self):
-        """Chained blocks T[k' <- k] give every 3-step band record the
-        probability it has when each coarse reset is unraveled into an
-        eigenvector of the TLS state and a level of the band."""
+        """The pair blocks, chained entry by entry along a record, give every
+        3-step band record the probability it has when each coarse reset is
+        unraveled into an eigenvector of the TLS state and a level of the
+        band: the weight x00 + x11 of the pairs (0, 0) and (1, 1)."""
         params = ModelParams(delta_s=1.0, coupling=0.3, dt=1.1)
         env = build_band_environment(5, 1.0, seed=901)
         rho0 = QubitState(rho00=0.6, rho10=0.3 + 0.2j)
         probs = unraveled_record_probabilities(params, env, rho0, 2, 3)
-        nb = env.n_bands
-        t = _coarse_step_operator(_build(params, env, rho0, 2)[0], env)
-        t = t.reshape(nb, 4, nb, 4)
+        us, _ = _build(params, env, rho0, 2)
+        sums, (_, pairs) = _pair_sums(us, env), _built_pairs(us)
+        assert pairs == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        i0 = env.band_index(2)
+        start = np.array([rho0.matrix()[(p - i0) % 2, (q - i0) % 2] for p, q in pairs])
         records = list(itertools.product(env.ks, repeat=3))
         assert set(probs) <= set(records)
         for record in records:
-            x, i = rho0.matrix().reshape(-1), env.band_index(2)
+            x, i = start, i0
             for k in record:
-                x, i = t[env.band_index(k), :, i] @ x, env.band_index(k)
+                x, i = sums[:, env.band_index(k), i] * x, env.band_index(k)
             assert abs(x[0] + x[3] - probs.get(record, 0.0)) < 1e-12
         assert abs(sum(probs.values()) - 1.0) < 1e-12
 
@@ -804,22 +808,19 @@ class TestOneSectorTrajectories:
         i = out_k - any_env.band_range[0]
         assert set(np.unique(i % 2)) == {0, 1}
         expect = ((p - i) % 2 == 0).astype(float)
-        # The coarse-reset state is renormalised by a complex division, which
-        # numpy evaluates as y * (1 / tr y): its one pair reads 1 to an ulp.
-        # Zero entries are exact in both modes, and so is exact reset's 1.
-        tol = 1e-15 if reset_mode == "coarse" else 0.0
-        assert np.all(np.abs(r00 - expect) <= tol * expect)
+        assert np.array_equal(r00, expect)
         assert np.all(r10 == 0)
 
     def test_ground_coarse_run_is_band_markov_chain(self, resonant_params, seven_env,
                                                     ground):
-        """Each outcome's probability is the diagonal pair sum of the sector,
-        normalised over the window of the band it leaves."""
+        """Each outcome's probability is the block of the one built pair
+        (p, p), normalised over the window of the band it leaves."""
         traj = run_trajectory(resonant_params, seven_env, ground, k0=2, steps=200,
                               seed=trajectory_seed(5, 0), reset_mode="coarse")
         us, _ = _build(resonant_params, seven_env, ground, 2)
-        p = seven_env.band_index(2) % 2
-        chain = _pair_sums(us, seven_env)[p, p].real
+        sums = _pair_sums(us, seven_env)
+        assert sums.shape == (1, seven_env.n_bands, seven_env.n_bands)
+        chain = sums[0].real
         i = traj.outcomes - seven_env.band_range[0]
         assert len(np.unique(i)) >= 2
         for j in range(traj.steps):
@@ -827,18 +828,50 @@ class TestOneSectorTrajectories:
             window = chain[max(k - 1, 0):k + 2, k]
             assert abs(traj.probs[j] - chain[k2, k] / window.sum()) < 1e-12
 
-    @pytest.mark.parametrize("rho0", [QubitState(rho00=1.0), _COHERENT],
-                             ids=["ground", "coherent"])
-    def test_coarse_step_operator_scatters_pair_sums(self, resonant_params, small_env,
-                                                     rho0):
-        us, _ = _build(resonant_params, small_env, rho0, 2)
-        sums, nb = _pair_sums(us, small_env), small_env.n_bands
-        t = np.zeros((nb, 2, 2, nb, 2, 2), dtype=complex)
-        for k2, k, a, b in itertools.product(range(nb), range(nb), (0, 1), (0, 1)):
-            d = (k2 - k) % 2
-            t[k2, a ^ d, b ^ d, k, a, b] = sums[(a + k) % 2, (b + k) % 2, k2, k]
-        assert np.array_equal(_coarse_step_operator(us, small_env),
-                              t.reshape(4 * nb, 4 * nb))
+
+class TestPairBlocks:
+    """The blocks S_pq = _pair_sums(us, env)[(p, q)] that both coarse engines
+    step, for a coherent start (all four pairs built)."""
+
+    POINTS = pytest.mark.parametrize(
+        "dt, detuning, coupling",
+        [(1.1, 0.0, 0.1), (math.pi, 0.3, 0.05), (4.0, -0.7, 0.2)],
+    )
+
+    @staticmethod
+    def _blocks(env, dt, detuning, coupling):
+        # Every any_env environment has delta_b = 1.3.
+        params = ModelParams(delta_s=1.3 - detuning, detuning=detuning,
+                             coupling=coupling, dt=dt)
+        us, _ = _build(params, env, _COHERENT, env.ks[2])
+        _, pairs = _built_pairs(us)
+        return dict(zip(pairs, _pair_sums(us, env)))
+
+    @POINTS
+    def test_invariants(self, any_env, dt, detuning, coupling):
+        """S_00 and S_11 are column-stochastic, S_01 is conj(S_10), and
+        [[S_00, S_01], [S_10, S_11]] is a Gram matrix at every (k', k), so
+        positive semidefinite."""
+        s = self._blocks(any_env, dt, detuning, coupling)
+        for p in (0, 1):
+            assert np.max(np.abs(s[p, p].sum(axis=0) - 1.0)) <= 1e-13
+        # Not bit for bit: numpy's vectorised complex product rounds the
+        # imaginary parts of u_0 conj(u_1) and u_1 conj(u_0) apart by an ulp.
+        assert np.max(np.abs(s[0, 1] - s[1, 0].conj())) <= 1e-15
+        gram = np.stack([[s[0, 0], s[0, 1]], [s[1, 0], s[1, 1]]]).transpose(2, 3, 0, 1)
+        assert np.linalg.eigvalsh(gram).min() >= -1e-14
+
+    @POINTS
+    def test_coupling_sign_leaves_blocks(self, any_env, dt, detuning, coupling):
+        """B -> -B is U -> D U D with D = (-1)^k on band k, and every block
+        sums u_p conj(u_q) over one band pair, where the signs cancel."""
+        flipped = dataclasses.replace(
+            any_env, up_blocks=tuple(-b for b in any_env.up_blocks)
+        )
+        s = self._blocks(any_env, dt, detuning, coupling)
+        t = self._blocks(flipped, dt, detuning, coupling)
+        for pq in s:
+            assert np.max(np.abs(s[pq] - t[pq])) <= 1e-14
 
 
 class TestBatchStreams:
