@@ -12,7 +12,8 @@ state by band parity (_parity_columns).
 A sampled trajectory holds only its parts in the sectors rho0 occupies
 (_sampling_tables, _sample_paths); exact-reset trajectories are grouped by
 their measured band, and each group steps with one product per adjacent
-band it can reach.
+band it can reach. Sampled records are handed on one draw block at a time,
+so no sampled run holds a steps x n_traj history.
 
 Every run makes one build (_build): the env.dim-wide parity sectors of the
 joint unitary that rho0 occupies (one for a ground or excited start), and
@@ -344,7 +345,18 @@ def _sample_paths(
     reset_mode: str,
 ):
     """Batched measurement records (quantum trajectories) on the sector
-    unitaries us of _build.
+    unitaries us of _build, yielded one draw block at a time.
+
+    A generator of (j0, k, p, rho00, rho10): the records of steps
+    j0 .. j0 + len(k) - 1 of the m trajectories as (rows, m) arrays, namely
+    band, Born probability of that step's outcome, and reduced state. The
+    first block is the initial row alone (j0 = 0, p with no rows); then
+    come blocks of _streams.block_steps(m) steps, the last one short, the
+    same blocks the uniforms are drawn in. p, rho00 and rho10 are views of
+    buffers that the next block overwrites, so a caller copies or reduces
+    a block before it asks for the next. Nothing the generator holds grows
+    with steps: it holds O(m max N_k) numbers for the states and
+    max(2^13, m) per record for the block.
 
     Every state is supported on one band k, and one step only reaches the
     window of bands k-1 .. k+1 (contiguous in the environment's level order).
@@ -379,10 +391,11 @@ def _sample_paths(
     overlap <ground part | excited part> when both sectors are built, 0
     otherwise.
 
-    Outcomes are drawn within the window, so the run is refused before its
-    first step if one step can move more than leak_tol of the weight of a
-    state on one band past the adjacent pair (leakage, the bound of _build
-    over every state the run can reach).
+    Outcomes are drawn within the window, so the run is refused, as the
+    generator is first advanced and before any step, if one step can move
+    more than leak_tol of the weight of a state on one band past the
+    adjacent pair (leakage, the bound of _build over every state the run
+    can reach).
 
     Trajectory c draws only from its own stream of uniforms: the PCG64
     stream seeded with row c of words (_streams.trajectory_words or
@@ -412,12 +425,17 @@ def _sample_paths(
     nb = env.n_bands
     traj = np.arange(m)
 
-    out_k = np.empty((steps + 1, m), dtype=int)   # band positions until the return
-    out_p = np.empty((steps, m))
-    out_r00 = np.empty((steps + 1, m))
-    out_r10 = np.empty((steps + 1, m), dtype=complex)
+    # Row t of a block: step j0 + t of every trajectory (band position until
+    # the yield, outcome probability, reduced state) and its uniform.
+    block = block_steps(m)
+    rows = max(min(block, steps), 1)
+    out_k = np.empty((rows, m), dtype=int)
+    out_p = np.empty((rows, m))
+    out_r00 = np.empty((rows, m))
+    out_r10 = np.empty((rows, m), dtype=complex)
+    draws = np.empty((rows, m))
 
-    i0 = env.band_index(k0)
+    i0, lo = env.band_index(k0), env.band_range[0]
     out_k[0] = i0
     if coarse:
         band = np.full(m, i0)
@@ -448,63 +466,63 @@ def _sample_paths(
         # On a band of parity e, the ground part is that of sector e: its
         # position among the built sectors, or None.
         ground = [built.index(e) if e in built else None for e in (0, 1)]
+    yield 0, out_k[:1] + lo, out_p[:0], out_r00[:1], out_r10[:1]
 
-    # Row t: every trajectory's uniform for step t of the current block.
-    block = block_steps(m)
-    draws = np.empty((min(block, steps), m))
-    for j in range(1, steps + 1):
-        row = (j - 1) % block
-        if row == 0:
-            streams.random(draws[:min(block, steps + 1 - j)])
-        if coarse:
-            # y[c, i, l]: pair l of the unnormalised state in window band k - 1 + i.
-            y = step[band] * rho[:, None, :-1]
-            # The pairs (p, p) sit at every (S + 1)-th column.
-            w = y[:, :, ::len(built) + 1].real.sum(axis=2)
-            new, wk, out_p[j - 1] = _born_pick(w, draws[row], band, nb)
-            # Divided as floats: numpy takes complex / real as y * (1 / wk),
-            # which leaves a lone pair 1 ulp short of 1.
-            np.divide(y[traj, new - band + 1].view(float), wk[:, None],
-                      out=rho[:, :-1].view(float))
-            band = out_k[j] = new
-            out_r00[j] = rho[traj, col00[band]].real
-            out_r10[j] = rho[traj, col10[band]]
-            continue
-        landed = {}
-        for i, (ids, psi) in buckets.items():
-            # prod[k2][s]: the part of built sector s, stepped, on window band
-            # k2; part_w[k2][s]: its weight.
-            prod = {k2: psi @ block for k2, block in step[i].items()}
-            part_w = {k2: np.einsum("scl,scl->sc", v.view(float), v.view(float))
-                      for k2, v in prod.items()}
-            w = np.zeros((len(ids), 3))
-            for k2, pw in part_w.items():
-                w[:, k2 - i + 1] = pw.sum(axis=0)
-            new, wk, out_p[j - 1, ids] = _born_pick(w, draws[row, ids], i, nb)
-            out_k[j, ids] = new
-            for k2, v in prod.items():
-                sel = new == k2
-                hits = np.count_nonzero(sel)
-                if not hits:
-                    continue
-                parts = v if hits == len(ids) else np.compress(sel, v, axis=1)
-                rows, wsel = ids[sel], wk[sel]
-                g = ground[k2 % 2]
-                out_r00[j, rows] = 0.0 if g is None else part_w[k2][g, sel] / wsel
-                out_r10[j, rows] = (np.vecdot(parts[g], parts[1 - g]) / wsel
-                                    if len(built) == 2 else 0.0)
-                # Normalised in place: scaling the float view by 1 / sqrt(wk)
-                # rounds as a complex division by sqrt(wk) does, at a fraction
-                # of its cost.
-                flat = parts.view(float)
-                flat *= (1.0 / np.sqrt(wsel))[:, None]
-                landed.setdefault(k2, []).append((rows, parts))
-        buckets = {
-            k2: (np.concatenate([r for r, _ in got]), np.concatenate([p for _, p in got], 1))
-            if len(got) > 1 else got[0]
-            for k2, got in landed.items()
-        }
-    return out_k + env.band_range[0], out_p, out_r00, out_r10
+    for j0 in range(1, steps + 1, block):
+        n = min(block, steps + 1 - j0)
+        streams.random(draws[:n])
+        for t in range(n):
+            if coarse:
+                # y[c, i, l]: pair l of the unnormalised state in window band
+                # k - 1 + i.
+                y = step[band] * rho[:, None, :-1]
+                # The pairs (p, p) sit at every (S + 1)-th column.
+                w = y[:, :, ::len(built) + 1].real.sum(axis=2)
+                new, wk, out_p[t] = _born_pick(w, draws[t], band, nb)
+                # Divided as floats: numpy takes complex / real as y * (1 / wk),
+                # which leaves a lone pair 1 ulp short of 1.
+                np.divide(y[traj, new - band + 1].view(float), wk[:, None],
+                          out=rho[:, :-1].view(float))
+                band = out_k[t] = new
+                out_r00[t] = rho[traj, col00[band]].real
+                out_r10[t] = rho[traj, col10[band]]
+                continue
+            landed = {}
+            for i, (ids, psi) in buckets.items():
+                # prod[k2][s]: the part of built sector s, stepped, on window
+                # band k2; part_w[k2][s]: its weight.
+                prod = {k2: psi @ b for k2, b in step[i].items()}
+                part_w = {k2: np.einsum("scl,scl->sc", v.view(float), v.view(float))
+                          for k2, v in prod.items()}
+                w = np.zeros((len(ids), 3))
+                for k2, pw in part_w.items():
+                    w[:, k2 - i + 1] = pw.sum(axis=0)
+                new, wk, out_p[t, ids] = _born_pick(w, draws[t, ids], i, nb)
+                out_k[t, ids] = new
+                for k2, v in prod.items():
+                    sel = new == k2
+                    hits = np.count_nonzero(sel)
+                    if not hits:
+                        continue
+                    parts = v if hits == len(ids) else np.compress(sel, v, axis=1)
+                    idx, wsel = ids[sel], wk[sel]
+                    g = ground[k2 % 2]
+                    out_r00[t, idx] = 0.0 if g is None else part_w[k2][g, sel] / wsel
+                    out_r10[t, idx] = (np.vecdot(parts[g], parts[1 - g]) / wsel
+                                       if len(built) == 2 else 0.0)
+                    # Normalised in place: scaling the float view by
+                    # 1 / sqrt(wk) rounds as a complex division by sqrt(wk)
+                    # does, at a fraction of its cost.
+                    flat = parts.view(float)
+                    flat *= (1.0 / np.sqrt(wsel))[:, None]
+                    landed.setdefault(k2, []).append((idx, parts))
+            buckets = {
+                k2: (np.concatenate([r for r, _ in got]),
+                     np.concatenate([p for _, p in got], 1))
+                if len(got) > 1 else got[0]
+                for k2, got in landed.items()
+            }
+        yield j0, out_k[:n] + lo, out_p[:n], out_r00[:n], out_r10[:n]
 
 
 def _check_choice(name: str, value: str, choices: tuple[str, ...]) -> None:
@@ -523,6 +541,9 @@ def run_trajectory(
 ) -> Trajectory:
     """One selective-measurement trajectory, deterministic in the seed.
 
+    The record is copied out of _sample_paths one draw block at a time, so
+    besides the returned (steps + 1)-long series the run holds one block.
+
     seed is an int, a sequence of ints, None (fresh OS entropy) or a
     numpy.random.SeedSequence; the trajectory draws the uniforms that
     numpy.random.default_rng(seed) gives. A Generator or BitGenerator is
@@ -533,15 +554,12 @@ def run_trajectory(
     _check_choice("reset_mode", reset_mode, ("coarse", "exact"))
     words = seed_words(seed)
     us, leakage = _build(params, env, rho0, k0)
-    out_k, out_p, out_r00, out_r10 = _sample_paths(
-        params, env, us, leakage, rho0, k0, steps, words, reset_mode
-    )
+    blocks = _sample_paths(params, env, us, leakage, rho0, k0, steps, words, reset_mode)
+    # Each block's column is copied before the next block overwrites it.
+    cols = [[rec[:, 0].copy() for rec in block] for _, *block in blocks]
+    outcomes, probs, rho00, rho10 = (np.concatenate(c) for c in zip(*cols))
     return Trajectory(
-        outcomes=out_k[:, 0],
-        rho00=out_r00[:, 0],
-        rho10=out_r10[:, 0],
-        probs=out_p[:, 0],
-        seed=seed,
+        outcomes=outcomes, rho00=rho00, rho10=rho10, probs=probs, seed=seed
     )
 
 
@@ -638,6 +656,11 @@ def run_ensemble(
     from master_seed; "nonselective" evolves the exact outcome-averaged density
     matrix (no statistical error). Every engine reports the leakage bound of
     its build; only the sampled one refuses a run on it.
+
+    The sampled engine reduces its records one draw block at a time
+    (_sample_paths), with the same mean and std(ddof=1) per step as over the
+    whole history, so its memory besides the returned series does not
+    depend on steps: O(n_traj max N_k) for the states and one block.
     """
     rho0.validate()
     _check_count("steps", steps)
@@ -655,12 +678,14 @@ def run_ensemble(
     us, leakage = _build(params, env, rho0, k0)
     stderr, drift = np.zeros(steps + 1), None
     if sampled:
-        _, _, r00, r10 = _sample_paths(
+        r00, r10 = np.empty(steps + 1), np.empty(steps + 1, dtype=complex)
+        for j0, _, _, b00, b10 in _sample_paths(
             params, env, us, leakage, rho0, k0, steps, words, reset_mode
-        )
-        if n_traj > 1:
-            stderr = r00.std(axis=1, ddof=1) / np.sqrt(n_traj)
-        r00, r10 = r00.mean(axis=1), r10.mean(axis=1)
+        ):
+            rows = slice(j0, j0 + len(b00))
+            if n_traj > 1:
+                stderr[rows] = b00.std(axis=1, ddof=1) / np.sqrt(n_traj)
+            r00[rows], r10[rows] = b00.mean(axis=1), b10.mean(axis=1)
     elif reset_mode == "coarse":
         r00, r10 = _run_nonselective_coarse(us, env, rho0, k0, steps)
     else:

@@ -220,6 +220,22 @@ class TestRelaxCommand:
         assert "Traceback" not in err
 
 
+def test_readme_sampled_relax_command(tmp_path, monkeypatch):
+    """The README's sampled relax command runs as written, from a directory
+    holding the config its comment gives, and writes steps + 1 rows."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    line = next(x for x in readme.splitlines()
+                if x.startswith("tlsbath relax") and "--engine sampled" in x)
+    command, _, comment = line.partition("#")
+    argv = command.split()[1:]
+    config = json.loads(comment)
+    monkeypatch.chdir(tmp_path)
+    Path(argv[argv.index("--config") + 1]).write_text(json.dumps(config))
+    assert main(argv) in (0, 2)
+    out = Path(argv[argv.index("--out") + 1])
+    assert len(read_csv(out / "relax_fig3.csv")) == 1 + config["steps"] + 1
+
+
 def test_series_csv_bytes(tmp_path, monkeypatch):
     """Trajectory, EnsembleSeries and `relax` write the bytes that their three
     separate writers wrote before they were merged into one."""

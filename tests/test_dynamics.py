@@ -5,11 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     band_projector,
@@ -52,7 +55,15 @@ def _paths(params, env, rho0, k0, steps, seeds, reset_mode):
     trajectory c drawing from seeds[c]."""
     us, leakage = _build(params, env, rho0, k0)
     words = np.concatenate([seed_words(s) for s in seeds])
-    return _sample_paths(params, env, us, leakage, rho0, k0, steps, words, reset_mode)
+    return _stacked(_sample_paths(params, env, us, leakage, rho0, k0, steps, words,
+                                  reset_mode))
+
+
+def _stacked(blocks):
+    """The records of _sample_paths's blocks as (steps + 1, m) arrays (band
+    positions, reduced states) and the (steps, m) outcome probabilities."""
+    recs = [[rec.copy() for rec in block] for _, *block in blocks]
+    return tuple(np.concatenate(r) for r in zip(*recs))
 
 
 class TestPropagator:
@@ -802,9 +813,9 @@ class TestOneSectorTrajectories:
                 for k2, block in blocks.items():
                     assert block.shape == (1, degs[k], degs[k2])
                     assert np.any(block)
-        out_k, _, r00, r10 = _sample_paths(
+        out_k, _, r00, r10 = _stacked(_sample_paths(
             params, any_env, us, leakage, rho0, k0, 30, trajectory_words(21, 16), reset_mode
-        )
+        ))
         i = out_k - any_env.band_range[0]
         assert set(np.unique(i % 2)) == {0, 1}
         expect = ((p - i) % 2 == 0).astype(float)
@@ -926,6 +937,97 @@ class TestBatchStreams:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+_STARTS = {
+    "ground": QubitState(rho00=1.0),
+    "excited": QubitState(rho00=0.0),
+    "diagonal": QubitState(rho00=0.3),
+    "coherent": _COHERENT,
+}
+
+
+class TestBlockRecords:
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        model=st.sampled_from(["random-band", "sigma-x"]),
+        start=st.sampled_from(sorted(_STARTS)),
+        reset_mode=st.sampled_from(["coarse", "exact"]),
+        m=st.integers(1, 1500),
+        rows=st.integers(1, 8),
+        blocks=st.integers(1, 2),
+        offset=st.integers(-1, 1),
+        master=st.integers(0, 2**32),
+    )
+    def test_ensemble_is_reduced_history(self, n, model, start, reset_mode, m, rows,
+                                         blocks, offset, master):
+        """run_ensemble reduces its records one block at a time; its series
+        are bit for bit the mean and standard error of the whole
+        (steps + 1, m) history, for runs that end one step before, on and
+        one step after a block boundary. The block length changes no value
+        (TestBatchStreams), so blocks of `rows` steps stand in for the
+        2^13-entry ones, which at m = 1 would take 8192 steps to cross."""
+        params = ModelParams(delta_s=1.0, coupling=0.05, dt=math.pi)
+        build = build_band_environment if model == "random-band" else build_spin_environment
+        env = build(n, params.delta_b, seed=8)
+        k0 = env.ks[len(env.ks) // 2]
+        steps = max(blocks * rows + offset, 1)
+        seeds = [trajectory_seed(master, i) for i in range(m)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "block_steps", lambda _: rows)
+            series = run_ensemble(params, env, _STARTS[start], k0, steps, n_traj=m,
+                                  master_seed=master, reset_mode=reset_mode,
+                                  engine="sampled")
+            _, _, r00, r10 = _paths(params, env, _STARTS[start], k0, steps, seeds,
+                                    reset_mode)
+        assert r00.shape == (steps + 1, m)
+        assert np.array_equal(series.rho00, r00.mean(axis=1))
+        assert np.array_equal(series.rho10, r10.mean(axis=1))
+        stderr = r00.std(axis=1, ddof=1) / np.sqrt(m) if m > 1 else np.zeros(steps + 1)
+        assert np.array_equal(series.stderr, stderr)
+
+    def test_blocks_are_draw_blocks(self, resonant_params, small_env):
+        """The initial row comes alone, then block_steps(m) rows at a time,
+        the last block short, all written into the same buffers; the
+        ensemble of the run is the mean and standard error of their rows."""
+        m, steps = 700, 2 * block_steps(700) + 3
+        us, leakage = _build(resonant_params, small_env, _COHERENT, 2)
+        spans, buffers, r00 = [], set(), []
+        for j0, k, p, b00, b10 in _sample_paths(resonant_params, small_env, us, leakage,
+                                                 _COHERENT, 2, steps,
+                                                 trajectory_words(4, m), "exact"):
+            assert k.shape == b00.shape == b10.shape == (len(b00), m)
+            assert p.shape == ((0 if j0 == 0 else len(b00)), m)
+            spans.append((j0, len(b00)))
+            buffers.add(id(b00.base))
+            r00.append(b00.copy())
+        assert spans == [(0, 1), (1, 11), (12, 11), (23, 3)]
+        assert len(buffers) == 1
+        r00 = np.concatenate(r00)
+        series = run_ensemble(resonant_params, small_env, _COHERENT, 2, steps, n_traj=m,
+                              master_seed=4, reset_mode="exact", engine="sampled")
+        assert np.array_equal(series.rho00, r00.mean(axis=1))
+        assert np.array_equal(series.stderr, r00.std(axis=1, ddof=1) / np.sqrt(m))
+
+    def test_memory_does_not_grow_with_steps(self, resonant_params, small_env, ground):
+        """A sampled run keeps one draw block of records: from 100 to 2000
+        steps its tracemalloc peak grows by no more than its output series
+        (rho00, stderr and complex rho10, 32 bytes a step) and 64 KiB of
+        slack. Whole (steps + 1, 500) histories of band, probability and
+        reduced state would add 36 MiB and more with their reductions'
+        temporaries."""
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                run_ensemble(resonant_params, small_env, ground, 2, steps, n_traj=500,
+                             master_seed=3, engine="sampled")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        growth = peak(2000) - peak(100)
+        assert growth <= 32 * 1900 + 64 * 1024, growth
 
 
 class TestJointStateHealth:
