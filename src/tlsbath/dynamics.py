@@ -268,14 +268,18 @@ def _pair_sums(us: list, env: BandedEnvironment) -> np.ndarray:
     evolve-measure step takes the entry of rho_k on sector pair l to
     sums[l, k', k] times it on band k': U conserves parity, so a pair stays
     the same pair. On band k that entry is TLS entry ((p - k) mod 2,
-    (q - k) mod 2).
+    (q - k) mod 2). The cross pair (1, 0) is the conjugate of (0, 1): it is
+    not formed again, so the two are conjugate bit for bit.
     """
     degs = np.asarray(env.degeneracies)
-    sums = []
+    sums = {}
     for p, q in _built_pairs(us)[1]:
+        if (q, p) in sums:
+            sums[p, q] = sums[q, p].conj()
+            continue
         prod = np.add.reduceat(us[p] * us[q].conj(), env.band_starts, axis=0)
-        sums.append(np.add.reduceat(prod, env.band_starts, axis=1) / degs)
-    return np.stack(sums)
+        sums[p, q] = np.add.reduceat(prod, env.band_starts, axis=1) / degs
+    return np.stack(list(sums.values()))
 
 
 def _parity_columns(pairs: list, nb: int) -> np.ndarray:

@@ -866,9 +866,7 @@ class TestPairBlocks:
         s = self._blocks(any_env, dt, detuning, coupling)
         for p in (0, 1):
             assert np.max(np.abs(s[p, p].sum(axis=0) - 1.0)) <= 1e-13
-        # Not bit for bit: numpy's vectorised complex product rounds the
-        # imaginary parts of u_0 conj(u_1) and u_1 conj(u_0) apart by an ulp.
-        assert np.max(np.abs(s[0, 1] - s[1, 0].conj())) <= 1e-15
+        assert np.array_equal(s[0, 1], s[1, 0].conj())
         gram = np.stack([[s[0, 0], s[0, 1]], [s[1, 0], s[1, 1]]]).transpose(2, 3, 0, 1)
         assert np.linalg.eigvalsh(gram).min() >= -1e-14
 
