@@ -432,7 +432,7 @@ def _sample_paths(
     # Row t of a block: step j0 + t of every trajectory (band position until
     # the yield, outcome probability, reduced state) and its uniform.
     block = block_steps(m)
-    rows = max(min(block, steps), 1)
+    rows = min(block, steps)
     out_k = np.empty((rows, m), dtype=int)
     out_p = np.empty((rows, m))
     out_r00 = np.empty((rows, m))
