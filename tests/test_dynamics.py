@@ -36,6 +36,7 @@ from tlsbath.dynamics import (
     _built_pairs,
     _eig2,
     _pair_sums,
+    _run_nonselective_exact,
     _sample_paths,
     _sampling_tables,
     run_ensemble,
@@ -47,6 +48,7 @@ from tlsbath.model import (
     QubitState,
     build_band_environment,
     build_spin_environment,
+    build_total_hamiltonian,
 )
 
 
@@ -96,6 +98,46 @@ class TestPropagator:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             Propagator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("i, j", [(0, 0), (1, 1), (0, 1), (1, 0)],
+                             ids=["diag-0", "diag-1", "upper", "lower"])
+    def test_rejects_non_finite(self, value, i, j):
+        """A NaN or infinite entry makes |h - h^+| NaN or infinite, which the
+        tolerance test alone would pass (NaN > HERM_TOL is False)."""
+        h = np.diag([0.5, -0.3]).astype(complex)
+        h[i, j] = value
+        with pytest.raises(ValueError, match="non-finite entries"):
+            Propagator(h)
+
+    def test_rejects_all_nan(self):
+        with pytest.raises(ValueError, match="non-finite entries"):
+            Propagator(np.full((2, 2), np.nan))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 2, 2), (3,)],
+                             ids=["2x3", "3-D", "1-D"])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="square 2-D array"):
+            Propagator(np.zeros(shape))
+
+    def test_unitary_out_random_hermitian(self):
+        """unitary(dt, out=h) fills and returns h itself, with the entries of
+        a fresh unitary(dt) bit for bit."""
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+        h = (a + a.conj().T) / 2
+        prop = Propagator(h)
+        fresh = prop.unitary(0.9)
+        assert prop.unitary(0.9, out=h) is h
+        assert np.array_equal(h, fresh)
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_unitary_out_sector_hamiltonian(self, resonant_params, small_env, parity):
+        h = build_total_hamiltonian(resonant_params, small_env, parity)
+        prop = Propagator(h)
+        fresh = prop.unitary(resonant_params.dt)
+        assert prop.unitary(resonant_params.dt, out=h) is h
+        assert np.array_equal(h, fresh)
 
     @pytest.mark.parametrize(
         "i, j, defect, rejected",
@@ -438,7 +480,8 @@ class TestExactResetEngine:
     def test_trace_drift_raises(self, monkeypatch, resonant_params, small_env, ground):
         unitary = Propagator.unitary
         monkeypatch.setattr(
-            Propagator, "unitary", lambda self, dt: 1.0001 * unitary(self, dt)
+            Propagator, "unitary",
+            lambda self, dt, out=None: 1.0001 * unitary(self, dt),
         )
         with pytest.raises(ValueError, match="trace drifted"):
             run_ensemble(
@@ -452,7 +495,8 @@ class TestExactResetEngine:
         eps, steps = 1e-11, 5
         unitary = Propagator.unitary
         monkeypatch.setattr(
-            Propagator, "unitary", lambda self, dt: (1 + eps) * unitary(self, dt)
+            Propagator, "unitary",
+            lambda self, dt, out=None: (1 + eps) * unitary(self, dt),
         )
         series = run_ensemble(
             resonant_params, small_env, ground, k0=2, steps=steps,
@@ -462,6 +506,38 @@ class TestExactResetEngine:
         series.to_json(tmp_path / "series.json")
         doc = json.loads((tmp_path / "series.json").read_text())
         assert doc["trace_drift"] == series.trace_drift
+
+
+    def test_dead_pairs_not_held(self, resonant_params, seven_env, ground):
+        """Only the sector pairs rho0 starts on are held: a ground start holds
+        one of the three N_k x N_k block lists, a coherent start all three, so
+        the engine's tracemalloc peak differs by two pairs' blocks (two times
+        sum_k N_k^2 complex entries); holding the dead pairs as zeros would
+        make the peaks equal."""
+        coherent = QubitState(rho00=0.6, rho10=0.2 + 0.1j)
+
+        def peak(rho0):
+            us, _ = _build(resonant_params, seven_env, rho0, 2)
+            tracemalloc.start()
+            try:
+                _run_nonselective_exact(us, seven_env, rho0, 2, 3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        pair = 16 * sum(nk**2 for nk in seven_env.degeneracies)
+        assert peak(coherent) - peak(ground) >= 1.5 * pair
+
+    @pytest.mark.parametrize("rho0", [QubitState(rho00=1.0), QubitState(rho00=0.0),
+                                      QubitState(rho00=0.6)],
+                             ids=["ground", "excited", "diagonal"])
+    def test_dead_coherence_reads_positive_zero(self, resonant_params, small_env, rho0):
+        """A start without coherence leaves pair (1, 0) dead; it reads as an
+        exact +0 in rho10, as its zero blocks' traces did."""
+        series = run_ensemble(resonant_params, small_env, rho0, k0=2, steps=5,
+                              engine="nonselective", reset_mode="exact")
+        for part in (series.rho10.real, series.rho10.imag):
+            assert np.all(part == 0) and not np.any(np.signbit(part))
 
 
 class TestCoarseResetEngine:
@@ -526,6 +602,23 @@ class TestOccupiedSectors:
 
         monkeypatch.setattr(Propagator, "__init__", counting_init)
         return built
+
+    @STARTS
+    def test_unitary_overwrites_hamiltonian(self, monkeypatch, resonant_params,
+                                            small_env, rho0, sectors):
+        """A built sector owns one array: _build writes u_p into the array
+        build_total_hamiltonian returned for h_p."""
+        made, build = [], dynamics.build_total_hamiltonian
+
+        def recording_build(*args):
+            made.append(build(*args))
+            return made[-1]
+
+        monkeypatch.setattr(dynamics, "build_total_hamiltonian", recording_build)
+        us, _ = _build(resonant_params, small_env, rho0, 2)
+        built = [u for u in us if u is not None]
+        assert len(made) == len(built) == sectors
+        assert all(np.shares_memory(u, h) for u, h in zip(built, made))
 
     @pytest.mark.parametrize("reset_mode", ["coarse", "exact"])
     @STARTS
@@ -743,7 +836,7 @@ class TestSampledEngine:
         # A cyclic shift by 20 levels of each sector unitary moves level 0
         # (band 0) onto level 20 (band 3), two bands past the adjacent pair.
         shift = np.roll(np.eye(small_env.dim, dtype=complex), 20, axis=0)
-        monkeypatch.setattr(Propagator, "unitary", lambda self, dt: shift)
+        monkeypatch.setattr(Propagator, "unitary", lambda self, dt, out=None: shift)
         with pytest.raises(ValueError, match="band-adjacency selection rule violated"):
             run_trajectory(
                 resonant_params, small_env, ground, k0=0, steps=5,
@@ -757,7 +850,7 @@ class TestSampledEngine:
         to finish and report its bound: all of band 0's weight leaves the
         window."""
         shift = np.roll(np.eye(small_env.dim, dtype=complex), 20, axis=0)
-        monkeypatch.setattr(Propagator, "unitary", lambda self, dt: shift)
+        monkeypatch.setattr(Propagator, "unitary", lambda self, dt, out=None: shift)
         series = run_ensemble(resonant_params, small_env, ground, k0=0, steps=5,
                               engine="nonselective", reset_mode=reset_mode)
         assert series.leakage_bound == pytest.approx(1.0, abs=1e-12)
@@ -781,7 +874,7 @@ class TestSampledEngine:
         eye = np.eye(small_env.dim, dtype=complex)
         cyc = eye.copy()
         cyc[:, levels] = eye[:, np.roll(levels, -1)]
-        monkeypatch.setattr(Propagator, "unitary", lambda self, dt: cyc)
+        monkeypatch.setattr(Propagator, "unitary", lambda self, dt, out=None: cyc)
         with pytest.raises(ValueError, match="band-adjacency selection rule violated"):
             run_trajectory(
                 resonant_params, small_env, ground, k0=k0, steps=5,

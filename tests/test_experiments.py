@@ -106,6 +106,12 @@ class TestFigureScenarios:
         assert doc["passed"] is True
         assert doc["seeds"]["master_seed"] == fig2_report.seeds["master_seed"]
 
+    def test_report_json_file_matches_text(self, tmp_path, fig2_report):
+        """The file streamed to a path holds the bytes of the returned text."""
+        path = tmp_path / "fig2.json"
+        assert fig2_report.to_json(path) is None
+        assert path.read_bytes() == fig2_report.to_json().encode()
+
 
 class TestScenarioTable:
     @pytest.mark.parametrize(
