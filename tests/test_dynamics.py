@@ -507,7 +507,6 @@ class TestExactResetEngine:
         doc = json.loads((tmp_path / "series.json").read_text())
         assert doc["trace_drift"] == series.trace_drift
 
-
     def test_dead_pairs_not_held(self, resonant_params, seven_env, ground):
         """Only the sector pairs rho0 starts on are held: a ground start holds
         one of the three N_k x N_k block lists, a coherent start all three, so
