@@ -187,8 +187,8 @@ def cmd_env_inspect(cfg: dict) -> int:
             f"k0={k0}: beta_digamma={b_dig:.6f} beta_log={b_log:.6f} "
             f"ratio_e_bd={binomial_degeneracy(n, k0 + 1) / binomial_degeneracy(n, k0):.4f}"
         )
-    pair = effective_beta(n, 1, 2, delta_b)
-    print(f"effective beta (bands 1-2): {pair:.6f}")
+    if n >= 2:
+        print(f"effective beta (bands 1-2): {effective_beta(n, 1, 2, delta_b):.6f}")
     return 0
 
 

@@ -5,20 +5,20 @@ projective measurement of the environment band. The sampled engine follows
 single measurement records: with exact reset it propagates pure state vectors
 (mixed inputs are unraveled into eigenstate draws), with coarse reset the TLS
 state conditioned on the record. The nonselective engine propagates the exact
-outcome-averaged density matrix. Both coarse-reset engines step the
-same band-pair blocks of the sector unitaries (_pair_sums), one per built
-sector pair, since U keeps a sector pair the same pair, and read the reduced
-state by band parity (_parity_columns).
-A sampled trajectory holds only its parts in the sectors rho0 occupies
-(_sampling_tables, _sample_paths); exact-reset trajectories are grouped by
-their measured band, and each group steps with one product per adjacent
-band it can reach. Sampled records are handed on one draw block at a time,
-so no sampled run holds a steps x n_traj history.
+outcome-averaged density matrix.
 
-Every run makes one build (_build): the env.dim-wide parity sectors of the
-joint unitary that rho0 occupies (one for a ground or excited start), and
-their band-adjacency leakage bound, which every run reports and the sampled
-engine alone refuses a run on. No joint-width matrix is formed.
+Every run makes one build (_build): the pair table of rho0, the env.dim-wide
+parity sectors of the joint unitary that it names (one for a ground or
+excited start), and their band-adjacency leakage bound, which every run
+reports and the sampled engine alone refuses a run on. No joint-width
+matrix is formed. U conserves each sector pair, so every engine holds only
+the live pairs of the table, and both coarse-reset engines step the same
+band-pair blocks of the sector unitaries (_pair_sums), one per live pair.
+A sampled trajectory holds only its parts in the sectors the table names;
+exact-reset trajectories are grouped by their measured band, and each
+group steps with one product per adjacent band it can reach. Sampled
+records are handed on one draw block at a time, so no sampled run holds a
+steps x n_traj history.
 """
 from __future__ import annotations
 
@@ -216,27 +216,42 @@ def _eig2(rho00: np.ndarray, rho10: np.ndarray):
 
 
 def _build(params: ModelParams, env: BandedEnvironment, rho0: QubitState, k0: int):
-    """The one build step of every run: the sector unitaries a run from
-    rho0 (x) 1_k0 / N_k0 reaches, and their leakage bound (_leakage_bound).
+    """The one build step of every run from rho0 (x) 1_k0 / N_k0: its pair
+    table, the sector unitaries the table names, and their leakage bound
+    (_leakage_bound). Returns (us, pairs, leakage).
 
-    Returns [u_0, u_1] with u_p = exp(-i h_p dt) on parity sector p of the
-    joint Hamiltonian, and None for a sector left out. Sector p holds the
-    levels of band position k at TLS level (p - k) mod 2, in the
-    environment's level order: the joint state (a, k, r) is level g = (k, r)
-    of sector (a + k) mod 2. U conserves parity, so a run reaches sector p
-    only if row (p - k0) mod 2 of rho0 has weight: one sector for a ground
-    or excited start, both otherwise. A built sector owns one env.dim x
-    env.dim array from assembly to the last step: its Hamiltonian h_p, which
-    eigh copies, is then overwritten by u_p (Propagator.unitary's out=).
+    us = [u_0, u_1], with u_p = exp(-i h_p dt) on parity sector p of the
+    joint Hamiltonian and None for a sector no live pair names. The joint
+    state (a, k, r) is level g = (k, r) of sector (a + k) mod 2, so sector
+    pair (p, q) is TLS entry ((p - k) mod 2, (q - k) mod 2) on band position
+    k, and U keeps it the same pair: a pair that starts at zero stays zero.
+
+    The pair table maps the live pairs among (0, 0), (1, 1) and (1, 0), in
+    that order, to their nonzero start entries on band k0; (0, 1) is the
+    conjugate of (1, 0) and is never held. Every engine reads the reduced
+    state on a band of parity e by one rule: rho00 is pair (e, e), rho10 is
+    pair (1, 0), conjugated on odd bands.
+
+    A built sector owns one env.dim x env.dim array from assembly to the
+    last step: h_p, assembled in the sign gauge of B (sign_gauged), which
+    eigh copies, is overwritten by u_p (Propagator.unitary's out=) and
+    turned back. B -> -B is the band gauge change (-1)^k, which eigh does
+    not follow bit for bit where bands are numerically degenerate; in the
+    gauge, B and -B give the same bytes.
     """
-    i0 = env.band_index(k0)
-    rows = rho0.matrix()
+    i0, rs = env.band_index(k0), rho0.matrix()
+    pairs = {(p, q): rs[(p - i0) % 2, (q - i0) % 2] for p, q in ((0, 0), (1, 1), (1, 0))}
+    pairs = {pq: entry for pq, entry in pairs.items() if entry != 0}
+    gauged, flipped = env.sign_gauged()
+    # Assembled before any eigh, which then does not hold the gauged blocks.
+    hs = {p: build_total_hamiltonian(params, gauged, p)
+          for p in (0, 1) if any(p in pq for pq in pairs)}
+    del gauged
     us = [None, None]
-    for p in (0, 1):
-        if np.any(rows[(p - i0) % 2]):
-            h = build_total_hamiltonian(params, env, p)
-            us[p] = Propagator(h).unitary(params.dt, out=h)
-    return us, _leakage_bound(us, env)
+    for p, h in hs.items():
+        us[p] = Propagator(h).unitary(params.dt, out=h)
+        np.negative(us[p], out=us[p], where=flipped[:, None] != flipped)
+    return us, pairs, _leakage_bound(us, env)
 
 
 def _band_windows(env: BandedEnvironment):
@@ -266,69 +281,57 @@ def _leakage_bound(us: list[np.ndarray], env: BandedEnvironment) -> float:
     return worst
 
 
-def _built_pairs(us: list) -> tuple[list, list]:
-    """The built sectors of us (u_p not None) and their sector pairs (p, q),
-    row by row: [(p, p)] for one sector, all four for two."""
-    built = [p for p in (0, 1) if us[p] is not None]
-    return built, [(p, q) for p in built for q in built]
-
-
-def _pair_sums(us: list, env: BandedEnvironment) -> np.ndarray:
-    """Band-pair blocks of the sector unitaries us of _build, one per built
-    sector pair l = (p, q) of _built_pairs, as an array sums[l, k', k] of
-    shape (L, n_bands, n_bands):
+def _pair_sums(us: list, pairs: dict, env: BandedEnvironment) -> np.ndarray:
+    """Band-pair blocks of the sector unitaries us of _build, one per live
+    pair l = (p, q) of its pair table, as an array sums[l, k', k] of shape
+    (L, n_bands, n_bands):
 
         sums[l, k', k] = (1/N_k) sum_{g in k', r in k} u_p[g, r] conj(u_q[g, r])
 
     After a coarse reset the state is sum_k rho_k (x) 1_k / N_k, and one
-    evolve-measure step takes the entry of rho_k on sector pair l to
-    sums[l, k', k] times it on band k': U conserves parity, so a pair stays
-    the same pair. On band k that entry is TLS entry ((p - k) mod 2,
-    (q - k) mod 2). The cross pair (1, 0) is the conjugate of (0, 1): it is
-    not formed again, so the two are conjugate bit for bit.
+    evolve-measure step takes the entry of rho_k on pair l to
+    sums[l, k', k] times it on band k', since U keeps a pair the same pair.
+    The block of (1, 0) is formed as that of (0, 1) and conjugated.
     """
     degs = np.asarray(env.degeneracies)
-    sums = {}
-    for p, q in _built_pairs(us)[1]:
-        if (q, p) in sums:
-            sums[p, q] = sums[q, p].conj()
-            continue
-        prod = np.add.reduceat(us[p] * us[q].conj(), env.band_starts, axis=0)
-        sums[p, q] = np.add.reduceat(prod, env.band_starts, axis=1) / degs
-    return np.stack(list(sums.values()))
+    sums = []
+    for p, q in pairs:
+        prod = np.add.reduceat(us[q] * us[p].conj(), env.band_starts, axis=0)
+        s = np.add.reduceat(prod, env.band_starts, axis=1) / degs
+        sums.append(s if p == q else s.conj())
+    return np.stack(sums)
 
 
-def _parity_columns(pairs: list, nb: int) -> np.ndarray:
-    """Rows col00, col10 of the pair index that hold rho00 and rho10 on
-    every band k: pairs (e, e) and (1 - e, e) with e = k mod 2, or
-    len(pairs), a zero row standing for every pair not built."""
-    row = {pq: l for l, pq in enumerate(pairs)}
-    return np.array([[row.get(((k + a) % 2, k % 2), len(pairs)) for k in range(nb)]
-                     for a in (0, 1)])
+def _parity_rows(pairs: dict, nb: int):
+    """Where rho00 and rho10 sit among the pair table's rows: the row of
+    pair (k mod 2, k mod 2) for every band k, and the row of (1, 0), which
+    holds rho10 on even bands and its conjugate on odd ones. A dead pair's
+    row is len(pairs), a zero row."""
+    row, dead = {pq: l for l, pq in enumerate(pairs)}, len(pairs)
+    rows00 = np.array([row.get((k % 2, k % 2), dead) for k in range(nb)])
+    return rows00, row.get((1, 0), dead)
 
 
-def _sampling_tables(us: list, env: BandedEnvironment, reset_mode: str):
-    """The sampled engine's step data on the S built sectors of us (_build),
-    S = 1 for a ground or excited start and 2 otherwise; nothing of a sector
-    left out is stored.
+def _sampling_tables(us: list, pairs: dict, env: BandedEnvironment, reset_mode: str):
+    """The sampled engine's step data for the pair table of _build; nothing
+    of a dead pair or a sector left out is stored.
 
     Coarse reset: for every band k and window slot i (band k - 1 + i), the
-    sums[l, k - 1 + i, k] of _pair_sums over the L = S^2 built pairs
-    l = (p, q) of _built_pairs, as an (n_bands, 3, L) array that is zero outside
-    the environment. Exact reset: per band k, a dict over the window bands k'
-    of k (those of k-1, k, k+1 that exist) of the contiguous (S, N_k, N_k')
-    block u_p[band k', band k]^T, stacked over the built sectors p.
+    sums[l, k - 1 + i, k] of _pair_sums over the L live pairs l, as an
+    (n_bands, 3, L) array that is zero outside the environment. Exact reset:
+    per band k, a dict over the window bands k' of k (those of k-1, k, k+1
+    that exist) of the contiguous (S, N_k, N_k') block u_p[band k', band k]^T,
+    stacked over the S built sectors p.
     """
     nb, levels = env.n_bands, env.band_slice
-    built, pairs = _built_pairs(us)
     if reset_mode == "coarse":
         sums = np.zeros((nb + 2, nb, len(pairs)), dtype=complex)
-        sums[1:-1] = _pair_sums(us, env).transpose(1, 2, 0)
+        sums[1:-1] = _pair_sums(us, pairs, env).transpose(1, 2, 0)
         k = np.arange(nb)[:, None]
         return sums[k + np.arange(3), k]
     return [
         {
-            k2: np.stack([us[p][levels(k2), levels(k)].T for p in built])
+            k2: np.stack([u[levels(k2), levels(k)].T for u in us if u is not None])
             for k2 in range(max(k - 1, 0), min(k + 2, nb))
         }
         for k in range(nb)
@@ -357,6 +360,7 @@ def _sample_paths(
     params: ModelParams,
     env: BandedEnvironment,
     us: list,
+    pairs: dict,
     leakage: float,
     rho0: QubitState,
     k0: int,
@@ -364,8 +368,9 @@ def _sample_paths(
     words: np.ndarray,
     reset_mode: str,
 ):
-    """Batched measurement records (quantum trajectories) on the sector
-    unitaries us of _build, yielded one draw block at a time.
+    """Batched measurement records (quantum trajectories) on the build of
+    _build (sector unitaries us, pair table pairs, leakage bound), yielded
+    one draw block at a time.
 
     A generator of (j0, k, p, rho00, rho10): the records of steps
     j0 .. j0 + len(k) - 1 of the m trajectories as (rows, m) arrays, namely
@@ -381,18 +386,18 @@ def _sample_paths(
     Every state is supported on one band k, and one step only reaches the
     window of bands k-1 .. k+1 (contiguous in the environment's level order).
     U conserves parity, so a trajectory's state is held by its parts in the
-    S sectors _build made (S = 1 for a ground or excited start, 2 otherwise),
-    and a sector's part stays in its sector: on band k, the part of sector p
-    is at TLS level (p - k) mod 2. Everything a step needs is a view of us
-    (_sampling_tables), and no part of a sector left out is stored:
+    S sectors _build made, and a sector's part stays in its sector: on band
+    k, the part of sector p is at TLS level (p - k) mod 2. Everything a step
+    needs is a view of us (_sampling_tables), and nothing of a dead pair or
+    a sector left out is stored:
 
     - coarse reset: the bath is 1_k / N_k after every measurement, so the TLS
       state conditioned on the band record depends on the record alone. A
       trajectory is its band k and its TLS state's entries rho[l] on the
-      L = S^2 built sector pairs l = (p, q) (_built_pairs). The step is
-      diagonal in the pair: y[i, l] = sums[l, k - 1 + i, k] rho[l] for the
-      window bands k - 1 + i (_pair_sums), the band is drawn from the
-      weights tr y (the pairs (p, p)), and y / tr y is kept. Unraveling
+      live pairs l = (p, q) of the table. The step is diagonal in the pair:
+      y[i, l] = sums[l, k - 1 + i, k] rho[l] for the window bands
+      k - 1 + i (_pair_sums), the band is drawn from the weights tr y (the
+      pairs (p, p), which lead the table), and y / tr y is kept. Unraveling
       rho (x) 1_k / N_k into an eigenvector of rho and a level of band k
       gives band records the same law, since E[v v^+] = rho and the step is
       linear; rho is the mean of that unraveling's reduced state given the
@@ -403,13 +408,10 @@ def _sample_paths(
       one (S, m_k, N_k)(S, N_k, N_k') product per window band k', with the
       blocks u_p[band k', band k]^T; its weight in band k' is read from that
       product alone. After the draw, the rows that land in k' give their
-      reduced state and, normalised, their next parts, and every band's
-      arrivals from k'-1, k' and k'+1 are joined into its next bucket.
-
-    On band k the reduced state is read by parity: rho00 is the weight of
-    the sector-(k mod 2) part (0 if that sector is not built) and rho10 the
-    overlap <ground part | excited part> when both sectors are built, 0
-    otherwise.
+      reduced state (rho00 the weight of the sector-(k' mod 2) part, rho10
+      the overlap <ground part | excited part>, 0 for a sector left out)
+      and, normalised, their next parts, and every band's arrivals from
+      k'-1, k' and k'+1 are joined into its next bucket.
 
     Outcomes are drawn within the window, so the run is refused, as the
     generator is first advanced and before any step, if one step can move
@@ -437,8 +439,8 @@ def _sample_paths(
     leak_tol = max(1e-9, 1e3 * params.coupling**4)
     if leakage > leak_tol:
         raise ValueError(f"band-adjacency selection rule violated beyond {leak_tol:.1e}")
-    step = _sampling_tables(us, env, reset_mode)
-    built, pairs = _built_pairs(us)
+    step = _sampling_tables(us, pairs, env, reset_mode)
+    built = [p for p in (0, 1) if us[p] is not None]
     m = len(words)
     streams = Streams(words)
     coarse = reset_mode == "coarse"
@@ -459,13 +461,13 @@ def _sample_paths(
     out_k[0] = i0
     if coarse:
         band = np.full(m, i0)
-        # rho[c, l]: trajectory c's entry on pair l = (p, q), TLS entry
+        # rho[c, l]: trajectory c's entry on live pair l = (p, q), TLS entry
         # ((p - k) mod 2, (q - k) mod 2) on its band k. The last column stays
-        # zero and stands for every pair not built.
+        # zero and stands for every dead pair.
         rho = np.zeros((m, len(pairs) + 1), dtype=complex)
-        rs = rho0.matrix()
-        rho[:, :-1] = [rs[(p - i0) % 2, (q - i0) % 2] for p, q in pairs]
-        col00, col10 = _parity_columns(pairs, nb)
+        rho[:, :-1] = list(pairs.values())
+        n_diag = sum(p == q for p, q in pairs)
+        row00, row10 = _parity_rows(pairs, nb)
         out_r00[0], out_r10[0] = rho0.rho00, rho0.rho10
     else:
         # The unraveling of rho0 (x) 1_k / N_k: an eigenvector v of rho0 and a
@@ -496,16 +498,15 @@ def _sample_paths(
                 # y[c, i, l]: pair l of the unnormalised state in window band
                 # k - 1 + i.
                 y = step[band] * rho[:, None, :-1]
-                # The pairs (p, p) sit at every (S + 1)-th column.
-                w = y[:, :, ::len(built) + 1].real.sum(axis=2)
+                w = y[:, :, :n_diag].real.sum(axis=2)
                 new, wk, out_p[t] = _born_pick(w, draws[t], band, nb)
                 # Divided as floats: numpy takes complex / real as y * (1 / wk),
                 # which leaves a lone pair 1 ulp short of 1.
                 np.divide(y[traj, new - band + 1].view(float), wk[:, None],
                           out=rho[:, :-1].view(float))
                 band = out_k[t] = new
-                out_r00[t] = rho[traj, col00[band]].real
-                out_r10[t] = rho[traj, col10[band]]
+                out_r00[t] = rho[traj, row00[band]].real
+                out_r10[t] = rho[:, row10]
                 continue
             landed = {}
             for i, (ids, psi) in buckets.items():
@@ -542,6 +543,8 @@ def _sample_paths(
                 if len(got) > 1 else got[0]
                 for k2, got in landed.items()
             }
+        if coarse and (1, 0) in pairs:
+            np.conjugate(out_r10[:n], out=out_r10[:n], where=out_k[:n] % 2 == 1)
         yield j0, out_k[:n] + lo, out_p[:n], out_r00[:n], out_r10[:n]
 
 
@@ -573,8 +576,9 @@ def run_trajectory(
     _check_count("steps", steps)
     _check_choice("reset_mode", reset_mode, ("coarse", "exact"))
     words = seed_words(seed)
-    us, leakage = _build(params, env, rho0, k0)
-    blocks = _sample_paths(params, env, us, leakage, rho0, k0, steps, words, reset_mode)
+    us, pairs, leakage = _build(params, env, rho0, k0)
+    blocks = _sample_paths(params, env, us, pairs, leakage, rho0, k0, steps, words,
+                           reset_mode)
     # Each block's column is copied before the next block overwrites it.
     cols = [[rec[:, 0].copy() for rec in block] for _, *block in blocks]
     outcomes, probs, rho00, rho10 = (np.concatenate(c) for c in zip(*cols))
@@ -583,37 +587,26 @@ def run_trajectory(
     )
 
 
-def _run_nonselective_exact(us, env, rho0: QubitState, k0, steps):
+def _run_nonselective_exact(us, pairs: dict, env, k0, steps):
     """Exact joint density matrix, nonselective measurement, no coarse graining.
 
-    U conserves the parity p = (TLS level + band position) mod 2, so it is
-    the direct sum of the two env.dim x env.dim sector unitaries u_p of
-    _build; in sector p the N_k levels of band k at TLS level
-    (p - k) mod 2 sit at env.band_starts[k].
-    After every band measurement rho is block-diagonal in the bands, so each
-    sector pair (p, q) of rho is held as one N_k x N_k block X_k per band, for
-    the pairs (0, 0), (1, 1) and (1, 0); (0, 1) is (1, 0)^+ and is not
-    stepped. A step is M[:, k] = u_p[:, k] X_k, then X'_k = M[k] u_q[k]^+.
-    Pair (p, q) starts as entry ((p - k0) mod 2, (q - k0) mod 2) of rho0 on
-    band k0, and a pair that starts at zero stays zero: only the other, live
-    pairs are held and stepped, and _build holds the sectors they name. A
-    dead pair reads as an exact zero in rho00, rho10 and the trace, so it is
-    left out of their sums.
+    U is the direct sum of the sector unitaries u_p of _build; in sector p
+    the N_k levels of band k sit at env.band_starts[k]. After every band
+    measurement rho is block-diagonal in the bands, so each live pair (p, q)
+    of the pair table is held as one N_k x N_k block X_k per band, starting
+    as its entry times 1_k0 / N_k0 on band k0. A step is
+    M[:, k] = u_p[:, k] X_k, then X'_k = M[k] u_q[k]^+. A dead pair reads as
+    an exact zero in rho00, rho10 and the trace, so it is left out of them.
 
     Returns the rho00 and rho10 series and the largest drift of the total
     trace, which must stay below 1e-9.
     """
-    degs = env.degeneracies
-    i0 = env.band_index(k0)
-    rs = rho0.matrix()
+    degs, i0 = env.degeneracies, env.band_index(k0)
     bands = [slice(s, s + nk) for s, nk in zip(env.band_starts, degs)]
-
     x = {}
-    for p, q in [(0, 0), (1, 1), (1, 0)]:
-        entry = rs[(p - i0) % 2, (q - i0) % 2]
-        if entry != 0:
-            x[p, q] = [np.zeros((nk, nk), dtype=complex) for nk in degs]
-            x[p, q][i0] = entry * np.eye(degs[i0]) / degs[i0]
+    for pq, entry in pairs.items():
+        x[pq] = [np.zeros((nk, nk), dtype=complex) for nk in degs]
+        x[pq][i0] = entry * np.eye(degs[i0]) / degs[i0]
     diagonal = [pq for pq in x if pq[0] == pq[1]]
     trace0 = sum(np.trace(x[pq][i0]).real for pq in diagonal)
     mixed = np.empty((env.dim, env.dim), dtype=complex)
@@ -639,28 +632,32 @@ def _run_nonselective_exact(us, env, rho0: QubitState, k0, steps):
     return r00, r10, worst
 
 
-def _run_nonselective_coarse(us, env, rho0: QubitState, k0, steps):
+def _run_nonselective_coarse(us, pairs: dict, env, k0, steps):
     """Outcome-averaged coarse-reset state, held as x[l, k], the entry of
-    band k's TLS block on the built sector pair l (_built_pairs), and stepped
-    pair by pair with the blocks of _pair_sums. The last row stays zero and
-    stands for every pair not built."""
+    band k's TLS block on live pair l of the pair table of _build, and
+    stepped pair by pair with the blocks of _pair_sums. The last row stays
+    zero and stands for every dead pair."""
     nb, i0 = env.n_bands, env.band_index(k0)
-    _, pairs = _built_pairs(us)
     x = np.zeros((len(pairs) + 1, nb), dtype=complex)
-    rs = rho0.matrix()
-    x[:-1, i0] = [rs[(p - i0) % 2, (q - i0) % 2] for p, q in pairs]
+    x[:-1, i0] = list(pairs.values())
     # Paired once: making the row views every step costs more than the matvec.
-    blocks = list(zip(_pair_sums(us, env), x))
+    blocks = list(zip(_pair_sums(us, pairs, env), x))
     flat = x.reshape(-1)
-    idx00, idx10 = (col * nb + np.arange(nb) for col in _parity_columns(pairs, nb))
+    row00, row10 = _parity_rows(pairs, nb)
+    idx00 = row00 * nb + np.arange(nb)
+    # rho10 sums row (1, 0) conjugated on odd bands: its float view with the
+    # imaginary parts of odd bands negated.
+    x10, live10 = x[row10].view(float), (1, 0) in pairs
+    signs = np.where(np.arange(2 * nb) % 4 == 3, -1.0, 1.0)
     r00 = np.empty(steps + 1)
-    r10 = np.empty(steps + 1, dtype=complex)
+    r10 = np.zeros(steps + 1, dtype=complex)
     for j in range(steps + 1):
         if j:
             for s, v in blocks:
                 v[:] = s @ v
         r00[j] = flat[idx00].sum().real
-        r10[j] = flat[idx10].sum()
+        if live10:
+            r10[j] = (x10 * signs).view(complex).sum()
     return r00, r10
 
 
@@ -700,21 +697,21 @@ def run_ensemble(
         raise ValueError("sampled engine requires a master_seed")
     t0 = time.perf_counter()
     words = trajectory_words(master_seed, n_traj) if sampled else None
-    us, leakage = _build(params, env, rho0, k0)
+    us, pairs, leakage = _build(params, env, rho0, k0)
     stderr, drift = np.zeros(steps + 1), None
     if sampled:
         r00, r10 = np.empty(steps + 1), np.empty(steps + 1, dtype=complex)
         for j0, _, _, b00, b10 in _sample_paths(
-            params, env, us, leakage, rho0, k0, steps, words, reset_mode
+            params, env, us, pairs, leakage, rho0, k0, steps, words, reset_mode
         ):
             rows = slice(j0, j0 + len(b00))
             if n_traj > 1:
                 stderr[rows] = b00.std(axis=1, ddof=1) / np.sqrt(n_traj)
             r00[rows], r10[rows] = b00.mean(axis=1), b10.mean(axis=1)
     elif reset_mode == "coarse":
-        r00, r10 = _run_nonselective_coarse(us, env, rho0, k0, steps)
+        r00, r10 = _run_nonselective_coarse(us, pairs, env, k0, steps)
     else:
-        r00, r10, drift = _run_nonselective_exact(us, env, rho0, k0, steps)
+        r00, r10, drift = _run_nonselective_exact(us, pairs, env, k0, steps)
     return EnsembleSeries(
         rho00=r00,
         rho10=r10,

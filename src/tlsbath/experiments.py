@@ -361,7 +361,12 @@ def run_scenario(scenario: str = "fig2", **overrides) -> ScenarioReport:
             "there is no attractor to relax to"
         )
     if cfg["steps"] is None:
-        cfg["steps"] = int(math.ceil(8.0 / att.rate))
+        # R = 0 at zero coupling; below ~1e-308 the quotient overflows.
+        length = 8.0 / att.rate if att.rate > 0 else math.inf
+        if not math.isfinite(length):
+            raise ValueError(f"the relaxation rate R = {att.rate:.3g} gives no finite "
+                             "default run length ceil(8 / R): give steps")
+        cfg["steps"] = int(math.ceil(length))
     series, record = _run(cfg, params, beta_eff)
     j = np.arange(cfg["steps"] + 1)
     overlay = rho00_closed_form(cfg["rho0"].rho00, j, params, beta_eff)

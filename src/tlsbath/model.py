@@ -13,7 +13,7 @@ import json
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -251,6 +251,25 @@ class BandedEnvironment:
             b[rows, cols] = block
             b[cols, rows] = block.conj().T
         return b
+
+    def sign_gauged(self) -> tuple[BandedEnvironment, np.ndarray]:
+        """The same environment in the sign gauge of its coupling, and the
+        levels that lead back to it: B = D B' D, D = -1 on those levels and
+        1 elsewhere.
+
+        Up block k is negated where its first nonzero real or imaginary part
+        is negative, so a band's levels are flipped when an odd number of
+        the blocks below it is. B and -B have the same gauged blocks, bit for
+        bit: negation flips every sign, that of a zero too.
+        """
+        negated = []
+        for block in self.up_blocks:
+            parts = np.ravel(block).view(float)
+            nonzero = parts[parts != 0]
+            negated.append(bool(nonzero.size) and nonzero[0] < 0)
+        blocks = tuple(-b if neg else b for neg, b in zip(negated, self.up_blocks))
+        flipped = np.cumsum([0, *negated]) % 2 == 1
+        return replace(self, up_blocks=blocks), np.repeat(flipped, self.degeneracies)
 
     def to_json(self) -> str:
         return json.dumps(

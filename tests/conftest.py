@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from tlsbath.model import (
     ModelParams,
@@ -8,6 +9,11 @@ from tlsbath.model import (
     build_band_environment,
     build_spin_environment,
 )
+
+# Every property test draws the same examples on every run (derandomize), and
+# none is failed for the time one example takes on a loaded machine.
+settings.register_profile("tlsbath", derandomize=True, deadline=None)
+settings.load_profile("tlsbath")
 
 # One environment of every kind the package builds, all with delta_b = 1.3.
 ENV_KINDS = {

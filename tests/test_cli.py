@@ -209,6 +209,8 @@ class TestRelaxCommand:
             ({"tolerance": "x"}, [], "tolerance must be a real number"),
             ({"tolerance": math.nan}, [], "tolerance must be finite"),
             ({"tolerance": -1}, [], "tolerance must be >= 0"),
+            ({"coupling": 0.0}, [], "R = 0 gives no finite default run length"),
+            ({"coupling": 1e-160}, [], "give steps"),
         ],
     )
     def test_invalid_physics_exit_1(self, tmp_path, capsys, payload, flags, message):
@@ -218,6 +220,14 @@ class TestRelaxCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
+
+
+def test_zero_coupling_with_steps_runs(tmp_path):
+    """Given steps, a zero-coupling relax runs: nothing relaxes, so the
+    plateau misses the target (exit 2) and the CSV has steps + 1 rows."""
+    cfg = write_config(tmp_path, {"coupling": 0.0, "steps": 5})
+    assert main(["relax", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert len(read_csv(tmp_path / "relax_fig2.csv")) == 1 + 6
 
 
 def test_readme_sampled_relax_command(tmp_path, monkeypatch):
@@ -426,6 +436,17 @@ def test_env_inspect_prints_bands(tmp_path, capsys):
     assert "N_k" in text
     assert "10" in text
     assert "effective beta" in text
+
+
+def test_env_inspect_one_spin(tmp_path, capsys):
+    """A one-spin environment has bands 0 and 1 only: the band table has two
+    rows and the line for bands 1-2 is left out."""
+    cfg = write_config(tmp_path, {"n": 1})
+    assert main(["env-inspect", "--config", cfg]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[2:4]] == ["0", "1"]
+    assert len(lines) == 4
+    assert not any("effective beta" in line for line in lines)
 
 
 @pytest.mark.parametrize(

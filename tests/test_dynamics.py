@@ -33,7 +33,6 @@ from tlsbath._streams import Streams, block_steps, seed_words, trajectory_words
 from tlsbath.dynamics import (
     Propagator,
     _build,
-    _built_pairs,
     _eig2,
     _pair_sums,
     _run_nonselective_exact,
@@ -55,9 +54,9 @@ from tlsbath.model import (
 def _paths(params, env, rho0, k0, steps, seeds, reset_mode):
     """_sample_paths on the build of run_ensemble and run_trajectory, with
     trajectory c drawing from seeds[c]."""
-    us, leakage = _build(params, env, rho0, k0)
+    us, pairs, leakage = _build(params, env, rho0, k0)
     words = np.concatenate([seed_words(s) for s in seeds])
-    return _stacked(_sample_paths(params, env, us, leakage, rho0, k0, steps, words,
+    return _stacked(_sample_paths(params, env, us, pairs, leakage, rho0, k0, steps, words,
                                   reset_mode))
 
 
@@ -450,6 +449,11 @@ _SECTOR_IDS = [
 ]
 
 
+# The engines that hold the state by sector pair, keyed by a test id prefix.
+_PAIR_ENGINES = {"": ("nonselective", "exact"), "coarse-": ("nonselective", "coarse"),
+                 "sampled-coarse-": ("sampled", "coarse")}
+
+
 class TestExactResetEngine:
     @pytest.mark.parametrize(
         "params, make_env, k0, rho0",
@@ -516,10 +520,10 @@ class TestExactResetEngine:
         coherent = QubitState(rho00=0.6, rho10=0.2 + 0.1j)
 
         def peak(rho0):
-            us, _ = _build(resonant_params, seven_env, rho0, 2)
+            us, pairs, _ = _build(resonant_params, seven_env, rho0, 2)
             tracemalloc.start()
             try:
-                _run_nonselective_exact(us, seven_env, rho0, 2, 3)
+                _run_nonselective_exact(us, pairs, seven_env, 2, 3)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -527,16 +531,27 @@ class TestExactResetEngine:
         pair = 16 * sum(nk**2 for nk in seven_env.degeneracies)
         assert peak(coherent) - peak(ground) >= 1.5 * pair
 
-    @pytest.mark.parametrize("rho0", [QubitState(rho00=1.0), QubitState(rho00=0.0),
-                                      QubitState(rho00=0.6)],
-                             ids=["ground", "excited", "diagonal"])
-    def test_dead_coherence_reads_positive_zero(self, resonant_params, small_env, rho0):
-        """A start without coherence leaves pair (1, 0) dead; it reads as an
-        exact +0 in rho10, as its zero blocks' traces did."""
+    @pytest.mark.parametrize(
+        "rho0, engine, reset_mode",
+        [(rho0, *run) for run in _PAIR_ENGINES.values() for rho0 in _SECTOR_STARTS.values()],
+        ids=[tag + name for tag in _PAIR_ENGINES for name in _SECTOR_STARTS],
+    )
+    def test_dead_coherence_reads_positive_zero(self, resonant_params, small_env, rho0,
+                                                engine, reset_mode):
+        """A start without coherence leaves pair (1, 0) dead; every engine
+        that holds the state by pair reads it as an exact +0 in rho10, and so
+        does a coarse-reset trajectory (a diagonal start's read -0 before the
+        pair table left the dead pair out)."""
+        sampled = dict(n_traj=4, master_seed=1) if engine == "sampled" else {}
         series = run_ensemble(resonant_params, small_env, rho0, k0=2, steps=5,
-                              engine="nonselective", reset_mode="exact")
-        for part in (series.rho10.real, series.rho10.imag):
-            assert np.all(part == 0) and not np.any(np.signbit(part))
+                              engine=engine, reset_mode=reset_mode, **sampled)
+        rho10 = [series.rho10]
+        if sampled:
+            rho10.append(run_trajectory(resonant_params, small_env, rho0, 2, 20,
+                                        seed=trajectory_seed(1, 0)).rho10)
+        for r in rho10:
+            for part in (r.real, r.imag):
+                assert np.all(part == 0) and not np.any(np.signbit(part))
 
 
 class TestCoarseResetEngine:
@@ -565,18 +580,18 @@ class TestCoarseResetEngine:
         env = build_band_environment(5, 1.0, seed=901)
         rho0 = QubitState(rho00=0.6, rho10=0.3 + 0.2j)
         probs = unraveled_record_probabilities(params, env, rho0, 2, 3)
-        us, _ = _build(params, env, rho0, 2)
-        sums, (_, pairs) = _pair_sums(us, env), _built_pairs(us)
-        assert pairs == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        us, pairs, _ = _build(params, env, rho0, 2)
+        sums = _pair_sums(us, pairs, env)
+        assert list(pairs) == [(0, 0), (1, 1), (1, 0)]
         i0 = env.band_index(2)
-        start = np.array([rho0.matrix()[(p - i0) % 2, (q - i0) % 2] for p, q in pairs])
+        start = np.array(list(pairs.values()))
         records = list(itertools.product(env.ks, repeat=3))
         assert set(probs) <= set(records)
         for record in records:
             x, i = start, i0
             for k in record:
                 x, i = sums[:, env.band_index(k), i] * x, env.band_index(k)
-            assert abs(x[0] + x[3] - probs.get(record, 0.0)) < 1e-12
+            assert abs(x[0] + x[1] - probs.get(record, 0.0)) < 1e-12
         assert abs(sum(probs.values()) - 1.0) < 1e-12
 
 
@@ -614,7 +629,7 @@ class TestOccupiedSectors:
             return made[-1]
 
         monkeypatch.setattr(dynamics, "build_total_hamiltonian", recording_build)
-        us, _ = _build(resonant_params, small_env, rho0, 2)
+        us, _, _ = _build(resonant_params, small_env, rho0, 2)
         built = [u for u in us if u is not None]
         assert len(made) == len(built) == sectors
         assert all(np.shares_memory(u, h) for u, h in zip(built, made))
@@ -824,7 +839,7 @@ class TestSampledEngine:
     )
     def test_leakage_bound_matches_dense_reference(self, params, make_env):
         env = make_env()
-        _, bound = _build(params, env, _COHERENT, 2)
+        _, _, bound = _build(params, env, _COHERENT, 2)
         ref = dense_leakage_bound(params, env)
         assert abs(bound - ref) < 1e-12
         assert ref > 1e-8
@@ -892,11 +907,12 @@ class TestOneSectorTrajectories:
     def test_one_sector_invariant(self, any_env, rho00, reset_mode):
         params = ModelParams(delta_s=1.3, coupling=0.1, dt=1.1)
         rho0, k0 = QubitState(rho00=rho00), any_env.ks[2]
-        us, leakage = _build(params, any_env, rho0, k0)
+        us, pairs, leakage = _build(params, any_env, rho0, k0)
         i0 = any_env.band_index(k0)
         p = (i0 + (rho00 == 0.0)) % 2
         assert us[1 - p] is None and us[p] is not None
-        tables = _sampling_tables(us, any_env, reset_mode)
+        assert pairs == {(p, p): 1.0}
+        tables = _sampling_tables(us, pairs, any_env, reset_mode)
         if reset_mode == "coarse":
             assert tables.shape == (any_env.n_bands, 3, 1)
         else:
@@ -906,7 +922,8 @@ class TestOneSectorTrajectories:
                     assert block.shape == (1, degs[k], degs[k2])
                     assert np.any(block)
         out_k, _, r00, r10 = _stacked(_sample_paths(
-            params, any_env, us, leakage, rho0, k0, 30, trajectory_words(21, 16), reset_mode
+            params, any_env, us, pairs, leakage, rho0, k0, 30, trajectory_words(21, 16),
+            reset_mode
         ))
         i = out_k - any_env.band_range[0]
         assert set(np.unique(i % 2)) == {0, 1}
@@ -920,8 +937,8 @@ class TestOneSectorTrajectories:
         (p, p), normalised over the window of the band it leaves."""
         traj = run_trajectory(resonant_params, seven_env, ground, k0=2, steps=200,
                               seed=trajectory_seed(5, 0), reset_mode="coarse")
-        us, _ = _build(resonant_params, seven_env, ground, 2)
-        sums = _pair_sums(us, seven_env)
+        us, pairs, _ = _build(resonant_params, seven_env, ground, 2)
+        sums = _pair_sums(us, pairs, seven_env)
         assert sums.shape == (1, seven_env.n_bands, seven_env.n_bands)
         chain = sums[0].real
         i = traj.outcomes - seven_env.band_range[0]
@@ -933,8 +950,8 @@ class TestOneSectorTrajectories:
 
 
 class TestPairBlocks:
-    """The blocks S_pq = _pair_sums(us, env)[(p, q)] that both coarse engines
-    step, for a coherent start (all four pairs built)."""
+    """The blocks S_pq of _pair_sums that both coarse engines step, for a
+    coherent start (all three pairs of the table live)."""
 
     POINTS = pytest.mark.parametrize(
         "dt, detuning, coupling",
@@ -946,20 +963,24 @@ class TestPairBlocks:
         # Every any_env environment has delta_b = 1.3.
         params = ModelParams(delta_s=1.3 - detuning, detuning=detuning,
                              coupling=coupling, dt=dt)
-        us, _ = _build(params, env, _COHERENT, env.ks[2])
-        _, pairs = _built_pairs(us)
-        return dict(zip(pairs, _pair_sums(us, env)))
+        us, pairs, _ = _build(params, env, _COHERENT, env.ks[2])
+        assert list(pairs) == [(0, 0), (1, 1), (1, 0)]
+        return us, dict(zip(pairs, _pair_sums(us, pairs, env)))
 
     @POINTS
     def test_invariants(self, any_env, dt, detuning, coupling):
-        """S_00 and S_11 are column-stochastic, S_01 is conj(S_10), and
-        [[S_00, S_01], [S_10, S_11]] is a Gram matrix at every (k', k), so
-        positive semidefinite."""
-        s = self._blocks(any_env, dt, detuning, coupling)
+        """S_00 and S_11 are column-stochastic, S_10 is the conjugate of the
+        (0, 1) block formed from u_0 conj(u_1), and
+        [[S_00, S_01], [S_10, S_11]] with S_01 = conj(S_10) is a Gram matrix
+        at every (k', k), so positive semidefinite."""
+        us, s = self._blocks(any_env, dt, detuning, coupling)
         for p in (0, 1):
             assert np.max(np.abs(s[p, p].sum(axis=0) - 1.0)) <= 1e-13
-        assert np.array_equal(s[0, 1], s[1, 0].conj())
-        gram = np.stack([[s[0, 0], s[0, 1]], [s[1, 0], s[1, 1]]]).transpose(2, 3, 0, 1)
+        starts = any_env.band_starts
+        s01 = np.add.reduceat(np.add.reduceat(us[0] * us[1].conj(), starts, axis=0),
+                              starts, axis=1) / np.asarray(any_env.degeneracies)
+        assert np.array_equal(s[1, 0], s01.conj())
+        gram = np.stack([[s[0, 0], s01], [s[1, 0], s[1, 1]]]).transpose(2, 3, 0, 1)
         assert np.linalg.eigvalsh(gram).min() >= -1e-14
 
     @POINTS
@@ -969,10 +990,48 @@ class TestPairBlocks:
         flipped = dataclasses.replace(
             any_env, up_blocks=tuple(-b for b in any_env.up_blocks)
         )
-        s = self._blocks(any_env, dt, detuning, coupling)
-        t = self._blocks(flipped, dt, detuning, coupling)
+        _, s = self._blocks(any_env, dt, detuning, coupling)
+        _, t = self._blocks(flipped, dt, detuning, coupling)
         for pq in s:
             assert np.max(np.abs(s[pq] - t[pq])) <= 1e-14
+
+
+class TestPairTable:
+    """_build's pair table: the live pairs among (0, 0), (1, 1) and (1, 0)
+    with their start entries on band k0, and the sectors they name, which
+    are those whose row of rho0 on band k0 has a nonzero entry."""
+
+    # |rho10|^2 = 9e-10 of the last start passes validate's tolerance of 1e-9.
+    STARTS = {**_SECTOR_STARTS, "coherent": _COHERENT,
+              "no-ground": QubitState(rho00=0.0, rho10=3e-5j)}
+
+    @pytest.mark.parametrize("k0", [2, 3])
+    @pytest.mark.parametrize("start", sorted(STARTS))
+    def test_table_and_sectors(self, resonant_params, small_env, start, k0):
+        rho0 = self.STARTS[start]
+        rho0.validate()
+        us, pairs, _ = _build(resonant_params, small_env, rho0, k0)
+        rs, i0 = rho0.matrix(), small_env.band_index(k0)
+        entry = {(p, q): rs[(p - i0) % 2, (q - i0) % 2] for p in (0, 1) for q in (0, 1)}
+        live = [pq for pq in [(0, 0), (1, 1), (1, 0)] if entry[pq] != 0]
+        assert list(pairs) == live
+        assert all(pairs[pq] == entry[pq] for pq in live)
+        expect = {"ground": 1, "excited": 1, "diagonal": 2, "coherent": 3, "no-ground": 2}
+        assert len(pairs) == expect[start]
+        rows = [p for p in (0, 1) if np.any(rs[(p - i0) % 2])]
+        assert [p for p in (0, 1) if us[p] is not None] == rows
+
+    def test_no_ground_start_runs(self, resonant_params, small_env):
+        """A start with rho00 = 0 and a tiny coherence has no pair (0, 0) on an
+        even band; both nonselective engines agree with the dense reference."""
+        rho0 = self.STARTS["no-ground"]
+        for reset_mode in ("coarse", "exact"):
+            series = run_ensemble(resonant_params, small_env, rho0, 2, 20,
+                                  engine="nonselective", reset_mode=reset_mode)
+            r00, r10 = dense_nonselective_reference(resonant_params, small_env, rho0, 2,
+                                                    20, reset_mode)
+            assert np.max(np.abs(series.rho00 - r00)) < 1e-12
+            assert np.max(np.abs(series.rho10 - r10)) < 1e-12
 
 
 class TestBatchStreams:
@@ -1038,7 +1097,7 @@ _STARTS = {
 
 
 class TestBlockRecords:
-    @settings(max_examples=25, derandomize=True, deadline=None)
+    @settings(max_examples=25)
     @given(
         n=st.integers(1, 5),
         model=st.sampled_from(["random-band", "sigma-x"]),
@@ -1082,10 +1141,10 @@ class TestBlockRecords:
         the last block short, all written into the same buffers; the
         ensemble of the run is the mean and standard error of their rows."""
         m, steps = 700, 2 * block_steps(700) + 3
-        us, leakage = _build(resonant_params, small_env, _COHERENT, 2)
+        us, pairs, leakage = _build(resonant_params, small_env, _COHERENT, 2)
         spans, buffers, r00 = [], set(), []
-        for j0, k, p, b00, b10 in _sample_paths(resonant_params, small_env, us, leakage,
-                                                 _COHERENT, 2, steps,
+        for j0, k, p, b00, b10 in _sample_paths(resonant_params, small_env, us, pairs,
+                                                 leakage, _COHERENT, 2, steps,
                                                  trajectory_words(4, m), "exact"):
             assert k.shape == b00.shape == b10.shape == (len(b00), m)
             assert p.shape == ((0 if j0 == 0 else len(b00)), m)
@@ -1118,6 +1177,100 @@ class TestBlockRecords:
 
         growth = peak(2000) - peak(100)
         assert growth <= 32 * 1900 + 64 * 1024, growth
+
+
+@st.composite
+def _pair_block_cases(draw):
+    """A build to check: a random-band environment with spread bands and a
+    band window, or a sigma-x one; a start band in it; a start of each
+    kind; dt up to 4 pi and coupling up to 0.3."""
+    n = draw(st.integers(1, 6))
+    delta_b = draw(st.floats(0.5, 2.0))
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.sampled_from(["random-band", "sigma-x"])) == "sigma-x":
+        env = build_spin_environment(n, delta_b, seed=seed)
+    else:
+        lo = draw(st.integers(0, n))
+        hi = draw(st.integers(lo, n))
+        width = draw(st.floats(0.0, 0.9 * delta_b, exclude_min=True))
+        env = build_band_environment(n, delta_b, seed=seed, band_width=width,
+                                     band_range=(lo, hi))
+    detuning = draw(st.floats(-0.9 * delta_b, 0.9 * delta_b))
+    params = ModelParams(delta_s=delta_b - detuning, detuning=detuning,
+                         coupling=draw(st.floats(0.0, 0.3)),
+                         dt=draw(st.floats(0.0, 4 * math.pi)))
+    return params, env, draw(st.sampled_from(list(env.ks))), _STARTS[
+        draw(st.sampled_from(sorted(_STARTS)))]
+
+
+class TestPairBlockProperties:
+    """Invariants of the pair blocks S_pq (_pair_sums) that hold exactly,
+    checked over drawn builds: every live S_pp is column-stochastic, the
+    blocks form a Gram matrix at every (k', k), B -> -B changes no block and
+    no leakage bound, dt = 0 gives the identity, and a sigma-x S_pp is
+    reversible with stationary law N_k."""
+
+    @staticmethod
+    def _blocks(params, env, rho0, k0):
+        us, pairs, leakage = _build(params, env, rho0, k0)
+        return dict(zip(pairs, _pair_sums(us, pairs, env))), leakage
+
+    @settings(max_examples=60)
+    @given(case=_pair_block_cases())
+    def test_invariants(self, case):
+        params, env, k0, rho0 = case
+        s, leakage = self._blocks(params, env, rho0, k0)
+        for p in (0, 1):
+            if (p, p) in s:
+                assert np.max(np.abs(s[p, p].sum(axis=0) - 1.0)) <= 1e-13
+        sectors = [p for p in (0, 1) if (p, p) in s]
+        cross = s.get((1, 0), np.zeros_like(s[sectors[0], sectors[0]]))
+        gram = [[s[a, b] if a == b else (cross if a else cross.conj()) for b in sectors]
+                for a in sectors]
+        gram = np.stack(gram).transpose(2, 3, 0, 1)
+        assert np.linalg.eigvalsh(gram).min() >= -1e-13
+
+        flipped = dataclasses.replace(env, up_blocks=tuple(-b for b in env.up_blocks))
+        t, flipped_leakage = self._blocks(params, flipped, rho0, k0)
+        assert s.keys() == t.keys()
+        assert all(np.array_equal(s[pq], t[pq]) for pq in s)
+        assert flipped_leakage == leakage
+
+        still, _ = self._blocks(dataclasses.replace(params, dt=0.0), env, rho0, k0)
+        for pq, block in still.items():
+            if pq[0] == pq[1]:
+                assert np.max(np.abs(block - np.eye(env.n_bands))) <= 1e-13
+        if env.model == "sigma-x":
+            degs = np.asarray(env.degeneracies)
+            for pq, block in s.items():
+                if pq[0] == pq[1]:
+                    flow = block * degs
+                    assert np.max(np.abs(flow - flow.T)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "n, delta_b, detuning, seed, coupling, dt, k0",
+        [(4, 1.0, 0.0, 0, 9.560293038553678e-175, 0.0, 0),
+         (3, 1.4828199023517652, -1.0677248564499127, 13415, 2.220446049250313e-16, 0.0, 0),
+         (3, 1.0320361172324384, 0.6901639982015647, 15673, 6.314535688553314e-15,
+          0.70458174759592, 0),
+         (6, 0.8261606306418343, 0.6686871582032033, 3284, 2.043470589506849e-15,
+          11.934974079331123, 2)],
+    )
+    def test_coupling_sign_at_degenerate_bands(self, n, delta_b, detuning, seed,
+                                               coupling, dt, k0):
+        """Sigma-x bands are exactly degenerate. At couplings near or below
+        the rounding of the energies, eigh's basis in them was set by
+        rounding that B's sign changed, and these builds gave blocks of B
+        and -B 6.7e-16 to 2.5e-14 apart; in the sign gauge of B
+        (BandedEnvironment.sign_gauged) they are bit-identical."""
+        env = build_spin_environment(n, delta_b, seed=seed)
+        params = ModelParams(delta_s=delta_b - detuning, detuning=detuning,
+                             coupling=coupling, dt=dt)
+        flipped = dataclasses.replace(env, up_blocks=tuple(-b for b in env.up_blocks))
+        s, leakage = self._blocks(params, env, _COHERENT, k0)
+        t, flipped_leakage = self._blocks(params, flipped, _COHERENT, k0)
+        assert all(np.array_equal(s[pq], t[pq]) for pq in s)
+        assert flipped_leakage == leakage
 
 
 class TestJointStateHealth:

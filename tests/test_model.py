@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -173,6 +174,24 @@ def test_spin_environment_global_normalization():
         math.sqrt(math.comb(6, k + 1) * math.comb(6, k)) for k in range(6)
     )
     assert total == pytest.approx(target, rel=1e-12)
+
+
+def test_sign_gauge(any_env):
+    """sign_gauged turns every up block's first nonzero part positive, leads
+    back to B through the level signs, and is the same for B and -B."""
+    gauged, levels = any_env.sign_gauged()
+    for block in gauged.up_blocks:
+        parts = block.ravel().view(float)
+        assert parts[parts != 0][0] > 0
+    d = np.where(levels, -1.0, 1.0)
+    assert np.array_equal(d[:, None] * gauged.coupling_matrix() * d,
+                          any_env.coupling_matrix())
+    flipped = dataclasses.replace(any_env, up_blocks=tuple(-b for b in any_env.up_blocks))
+    again, flipped_levels = flipped.sign_gauged()
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(again.up_blocks, gauged.up_blocks))
+    odd = (any_env.band_of_level() - any_env.ks[0]) % 2 == 1
+    assert np.array_equal(flipped_levels, levels ^ odd)
 
 
 def test_hamiltonian_hermitian_and_diagonal_at_zero_coupling(seven_env):
