@@ -540,8 +540,8 @@ class TestExactResetEngine:
                                                 engine, reset_mode):
         """A start without coherence leaves pair (1, 0) dead; every engine
         that holds the state by pair reads it as an exact +0 in rho10, and so
-        does a coarse-reset trajectory (a diagonal start's read -0 before the
-        pair table left the dead pair out)."""
+        does a coarse-reset trajectory, whose dead pair is a zero column that
+        is never conjugated."""
         sampled = dict(n_traj=4, master_seed=1) if engine == "sampled" else {}
         series = run_ensemble(resonant_params, small_env, rho0, k0=2, steps=5,
                               engine=engine, reset_mode=reset_mode, **sampled)
@@ -933,7 +933,7 @@ class TestOneSectorTrajectories:
 
     def test_ground_coarse_run_is_band_markov_chain(self, resonant_params, seven_env,
                                                     ground):
-        """Each outcome's probability is the block of the one built pair
+        """Each outcome's probability is the block of the one live pair
         (p, p), normalised over the window of the band it leaves."""
         traj = run_trajectory(resonant_params, seven_env, ground, k0=2, steps=200,
                               seed=trajectory_seed(5, 0), reset_mode="coarse")
@@ -1215,7 +1215,7 @@ class TestPairBlockProperties:
         us, pairs, leakage = _build(params, env, rho0, k0)
         return dict(zip(pairs, _pair_sums(us, pairs, env))), leakage
 
-    @settings(max_examples=60)
+    @settings(max_examples=100)
     @given(case=_pair_block_cases())
     def test_invariants(self, case):
         params, env, k0, rho0 = case
@@ -1259,10 +1259,10 @@ class TestPairBlockProperties:
     def test_coupling_sign_at_degenerate_bands(self, n, delta_b, detuning, seed,
                                                coupling, dt, k0):
         """Sigma-x bands are exactly degenerate. At couplings near or below
-        the rounding of the energies, eigh's basis in them was set by
-        rounding that B's sign changed, and these builds gave blocks of B
-        and -B 6.7e-16 to 2.5e-14 apart; in the sign gauge of B
-        (BandedEnvironment.sign_gauged) they are bit-identical."""
+        the rounding of the energies, eigh's basis in them is set by
+        rounding, which B's sign changes: outside the sign gauge of B
+        (BandedEnvironment.sign_gauged) these builds give blocks of B and -B
+        6.7e-16 to 2.5e-14 apart; in it they are bit-identical."""
         env = build_spin_environment(n, delta_b, seed=seed)
         params = ModelParams(delta_s=delta_b - detuning, detuning=detuning,
                              coupling=coupling, dt=dt)
