@@ -16,7 +16,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, experiments
-from .dynamics import write_series_csv
 from .model import beta_working_point, binomial_degeneracy, effective_beta
 
 
@@ -99,16 +98,23 @@ def _metadata(cfg: dict) -> dict:
     }
 
 
-def _write_table(cfg: dict, stem: str, header, rows) -> None:
-    """Write `<stem>.csv` and the side `<stem>.json` of metadata and row count."""
-    out = _out_dir(cfg)
-    csv_path = out / f"{stem}.csv"
+def _write_csv(path: Path, header, rows) -> int:
+    """Write `header` and then `rows` to the CSV file at `path`; returns the
+    number of rows. csv writes a float as its repr, so it round-trips exactly."""
     count = 0
-    with open(csv_path, "w", newline="") as fh:
+    with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for count, row in enumerate(rows, 1):
             w.writerow(row)
+    return count
+
+
+def _write_table(cfg: dict, stem: str, header, rows) -> None:
+    """Write `<stem>.csv` and the side `<stem>.json` of metadata and row count."""
+    out = _out_dir(cfg)
+    csv_path = out / f"{stem}.csv"
+    count = _write_csv(csv_path, header, rows)
     with open(out / f"{stem}.json", "w") as fh:
         json.dump({"metadata": _metadata(cfg), "rows": count}, fh, indent=1)
     print(f"wrote {csv_path} ({count} rows)")
@@ -133,12 +139,12 @@ def cmd_relax(cfg: dict) -> int:
     scenario = report.scenario
     out = _out_dir(cfg)
     series = report.series
-    write_series_csv(
+    # k_j, the band record, is left empty: an ensemble has none.
+    columns = (series[key] for key in ("rho00_exact", "re_rho10", "im_rho10", "stderr"))
+    _write_csv(
         out / f"relax_{scenario}.csv",
-        series["rho00_exact"],
-        series["re_rho10"],
-        series["im_rho10"],
-        stderr=series["stderr"],
+        ["j", "k_j", "rho00", "re_rho10", "im_rho10", "stderr"],
+        ([j, "", *row] for j, row in enumerate(zip(*columns))),
     )
     report.extra["metadata"] = _metadata({**cfg, "scenario": scenario})
     report.to_json(out / f"relax_{scenario}.json")

@@ -22,9 +22,6 @@ steps x n_traj history.
 """
 from __future__ import annotations
 
-import csv
-import json
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +42,6 @@ __all__ = [
     "run_trajectory",
     "run_ensemble",
     "trajectory_seed",
-    "write_series_csv",
 ]
 
 HERM_TOL = 1e-10   # largest |h - h^dagger| entry that Propagator accepts
@@ -94,28 +90,6 @@ def trajectory_seed(master_seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(master_seed, index))
 
 
-def write_series_csv(path, rho00, re_rho10, im_rho10, stderr=None, k_j=None) -> None:
-    """Write the per-step series CSV `j,k_j,rho00,re_rho10,im_rho10,stderr`.
-
-    Floats are written with repr, so they round-trip exactly; a column given
-    as None (no band record, no statistical error) is left empty.
-    """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["j", "k_j", "rho00", "re_rho10", "im_rho10", "stderr"])
-        for j in range(len(rho00)):
-            w.writerow(
-                [
-                    j,
-                    "" if k_j is None else int(k_j[j]),
-                    repr(float(rho00[j])),
-                    repr(float(re_rho10[j])),
-                    repr(float(im_rho10[j])),
-                    "" if stderr is None else repr(float(stderr[j])),
-                ]
-            )
-
-
 @dataclass
 class Trajectory:
     """Single measurement record: band outcomes, reduced states, probabilities."""
@@ -130,11 +104,6 @@ class Trajectory:
     def steps(self) -> int:
         return len(self.probs)
 
-    def to_csv(self, path) -> None:
-        write_series_csv(
-            path, self.rho00, self.rho10.real, self.rho10.imag, k_j=self.outcomes
-        )
-
 
 @dataclass
 class EnsembleSeries:
@@ -144,11 +113,6 @@ class EnsembleSeries:
     rho10: np.ndarray             # (J+1,) complex
     # (J+1,) standard error of rho00 (0 for the nonselective engine).
     stderr: np.ndarray
-    n_traj: int | None
-    engine: str
-    reset_mode: str
-    master_seed: int | None = None
-    wall_time: float = 0.0
     # The build's bound on one step's band-adjacency leakage (_leakage_bound).
     leakage_bound: float | None = None
     # Exact-reset nonselective engine: the largest drift of the total trace.
@@ -157,30 +121,6 @@ class EnsembleSeries:
     @property
     def steps(self) -> int:
         return len(self.rho00) - 1
-
-    def to_csv(self, path) -> None:
-        write_series_csv(
-            path, self.rho00, self.rho10.real, self.rho10.imag, stderr=self.stderr
-        )
-
-    def to_json(self, path, metadata: dict | None = None) -> None:
-        doc = {
-            "engine": self.engine,
-            "reset_mode": self.reset_mode,
-            "n_traj": self.n_traj,
-            "master_seed": self.master_seed,
-            "wall_time": self.wall_time,
-            "leakage_bound": self.leakage_bound,
-            "trace_drift": self.trace_drift,
-            "rho00": self.rho00.tolist(),
-            "re_rho10": self.rho10.real.tolist(),
-            "im_rho10": self.rho10.imag.tolist(),
-            "stderr": self.stderr.tolist(),
-        }
-        if metadata:
-            doc["metadata"] = metadata
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1)
 
 
 def _eig2(rho00: np.ndarray, rho10: np.ndarray):
@@ -695,7 +635,6 @@ def run_ensemble(
         raise ValueError("sampled engine requires n_traj >= 1")
     if sampled and master_seed is None:
         raise ValueError("sampled engine requires a master_seed")
-    t0 = time.perf_counter()
     words = trajectory_words(master_seed, n_traj) if sampled else None
     us, pairs, leakage = _build(params, env, rho0, k0)
     stderr, drift = np.zeros(steps + 1), None
@@ -716,11 +655,6 @@ def run_ensemble(
         rho00=r00,
         rho10=r10,
         stderr=stderr,
-        n_traj=n_traj if sampled else None,
-        engine=engine,
-        reset_mode=reset_mode,
-        master_seed=master_seed,
-        wall_time=time.perf_counter() - t0,
         leakage_bound=leakage,
         trace_drift=drift,
     )

@@ -57,10 +57,9 @@ class ScenarioReport:
     seeds: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
 
-    def to_json(self, path=None) -> str | None:
-        """The report as an indented JSON document: streamed to path if one
-        is given (returns None), else returned as text. The series lists make
-        up most of it, about 420 B a step."""
+    def to_json(self, path) -> None:
+        """Stream the report to the file at path as an indented JSON
+        document. The series lists make up most of it, about 420 B a step."""
         doc = {
             "scenario": self.scenario,
             "params": self.params,
@@ -73,11 +72,8 @@ class ScenarioReport:
             "extra": self.extra,
             "series": self.series,
         }
-        if path is None:
-            return json.dumps(doc, indent=1)
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=1)
-        return None
 
 
 def plateau(values: np.ndarray) -> float:

@@ -12,7 +12,6 @@ import pytest
 
 from tlsbath import cli
 from tlsbath.cli import main
-from tlsbath.dynamics import EnsembleSeries, Trajectory
 from tlsbath.experiments import (
     _FREEZING,
     _SCENARIOS,
@@ -247,19 +246,11 @@ def test_readme_sampled_relax_command(tmp_path, monkeypatch):
 
 
 def test_series_csv_bytes(tmp_path, monkeypatch):
-    """Trajectory, EnsembleSeries and `relax` write the bytes that their three
-    separate writers wrote before they were merged into one."""
+    """`relax` writes its series with every float as its repr and k_j empty,
+    the bytes of the series writer that the library once held."""
     rho00 = np.array([1.0, 0.1 + 0.2, 0.75])
     rho10 = np.array([0j, complex(0.25, -0.0), complex(-1e-17, 0.125)])
     stderr = np.array([0.0, 1 / 3, 2.5e-5])
-    outcomes = np.array([2, 1, 2])
-    Trajectory(
-        outcomes=outcomes, rho00=rho00, rho10=rho10, probs=np.array([0.5, 0.25])
-    ).to_csv(tmp_path / "traj.csv")
-    EnsembleSeries(
-        rho00=rho00, rho10=rho10, stderr=stderr, n_traj=3, engine="sampled",
-        reset_mode="coarse",
-    ).to_csv(tmp_path / "ensemble.csv")
     report = ScenarioReport(
         scenario="fig2",
         params={},
@@ -277,19 +268,12 @@ def test_series_csv_bytes(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.experiments, "run_scenario", lambda *a, **kw: report)
     assert main(["relax", "--out", str(tmp_path)]) == 0
 
-    header = b"j,k_j,rho00,re_rho10,im_rho10,stderr\r\n"
-    assert (tmp_path / "traj.csv").read_bytes() == header + (
-        b"0,2,1.0,0.0,0.0,\r\n"
-        b"1,1,0.30000000000000004,0.25,-0.0,\r\n"
-        b"2,2,0.75,-1e-17,0.125,\r\n"
-    )
-    ensemble = header + (
+    assert (tmp_path / "relax_fig2.csv").read_bytes() == (
+        b"j,k_j,rho00,re_rho10,im_rho10,stderr\r\n"
         b"0,,1.0,0.0,0.0,0.0\r\n"
         b"1,,0.30000000000000004,0.25,-0.0,0.3333333333333333\r\n"
         b"2,,0.75,-1e-17,0.125,2.5e-05\r\n"
     )
-    assert (tmp_path / "ensemble.csv").read_bytes() == ensemble
-    assert (tmp_path / "relax_fig2.csv").read_bytes() == ensemble
 
 
 class TestFreezeCommand:

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import json
 import math
 import os
 import subprocess
@@ -493,7 +492,7 @@ class TestExactResetEngine:
                 engine="nonselective", reset_mode="exact",
             )
 
-    def test_trace_drift_recorded(self, monkeypatch, tmp_path, resonant_params,
+    def test_trace_drift_recorded(self, monkeypatch, resonant_params,
                                   small_env, ground):
         # Scaling U by 1 + eps scales the total trace by (1 + eps)^2 a step.
         eps, steps = 1e-11, 5
@@ -507,9 +506,6 @@ class TestExactResetEngine:
             engine="nonselective", reset_mode="exact",
         )
         assert series.trace_drift == pytest.approx(2 * steps * eps, rel=1e-3)
-        series.to_json(tmp_path / "series.json")
-        doc = json.loads((tmp_path / "series.json").read_text())
-        assert doc["trace_drift"] == series.trace_drift
 
     def test_dead_pairs_not_held(self, resonant_params, seven_env, ground):
         """Only the sector pairs rho0 starts on are held: a ground start holds
@@ -1301,20 +1297,3 @@ def test_ergodicity_time_average(resonant_params, seven_env, ground):
         seed=trajectory_seed(5, 0),
     )
     assert abs(tr.rho00[1000:].mean() - 0.75) < 0.05
-
-
-def test_trajectory_csv_round_trip(tmp_path, resonant_params, small_env, ground):
-    tr = run_trajectory(
-        resonant_params, small_env, ground, k0=2, steps=10,
-        seed=trajectory_seed(1, 0),
-    )
-    path = tmp_path / "traj.csv"
-    tr.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "j,k_j,rho00,re_rho10,im_rho10,stderr"
-    assert len(lines) == 12
-    rows = [line.split(",") for line in lines[1:]]
-    assert [int(r[1]) for r in rows] == tr.outcomes.tolist()
-    assert [float(r[2]) for r in rows] == tr.rho00.tolist()
-    assert [complex(float(r[3]), float(r[4])) for r in rows] == tr.rho10.tolist()
-    assert all(r[5] == "" for r in rows)

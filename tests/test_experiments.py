@@ -38,22 +38,28 @@ def fig3_report():
     return reproduce_fig3()
 
 
-def test_sampled_run_reports_leakage_bound():
+def read_report(report, tmp_path) -> dict:
+    path = tmp_path / "report.json"
+    report.to_json(path)
+    return json.loads(path.read_text())
+
+
+def test_sampled_run_reports_leakage_bound(tmp_path):
     report = run_scenario("fig2", engine="sampled", n_traj=20, steps=5)
     leak_tol = max(1e-9, 1e3 * report.params["coupling"] ** 4)
     bound = report.extra["leakage_bound"]
     assert math.isfinite(bound)
     assert 0.0 <= bound < leak_tol
-    assert json.loads(report.to_json())["extra"]["leakage_bound"] == bound
+    assert read_report(report, tmp_path)["extra"]["leakage_bound"] == bound
     assert report.extra["trace_drift"] is None
 
 
-def test_exact_run_reports_trace_drift():
+def test_exact_run_reports_trace_drift(tmp_path):
     report = run_scenario("fig2", reset_mode="exact", steps=5)
     drift = report.extra["trace_drift"]
     assert math.isfinite(drift)
     assert 0.0 <= drift < 1e-12
-    assert json.loads(report.to_json())["extra"]["trace_drift"] == drift
+    assert read_report(report, tmp_path)["extra"]["trace_drift"] == drift
     bound = report.extra["leakage_bound"]
     assert 0.0 <= bound < 1e3 * report.params["coupling"] ** 4
     coarse = run_scenario("fig2", steps=5)
@@ -107,10 +113,13 @@ class TestFigureScenarios:
         assert doc["seeds"]["master_seed"] == fig2_report.seeds["master_seed"]
 
     def test_report_json_file_matches_text(self, tmp_path, fig2_report):
-        """The file streamed to a path holds the bytes of the returned text."""
+        """The streamed file holds the text json.dumps gives for its document
+        with indent 1, in the report's key order."""
         path = tmp_path / "fig2.json"
         assert fig2_report.to_json(path) is None
-        assert path.read_bytes() == fig2_report.to_json().encode()
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=1)
+        assert list(json.loads(text))[:2] == ["scenario", "params"]
 
 
 class TestScenarioTable:
