@@ -107,16 +107,35 @@ def _frozen(dt, sin_a, sin_b):
     return sin_a + sin_b <= 1e-15 * np.maximum(dt * dt, 1e-300)
 
 
+def _finite(name: str, value: float) -> float:
+    """value, refused where it overflowed into inf or NaN."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} = {value} is not finite: the parameters are too large")
+    return value
+
+
+def _point_interference(dt: float, detuning: float, delta_s: float):
+    """_interference at one point, as floats, refused where not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sin_a, sin_b = _interference(dt, detuning, delta_s)
+    return _finite("sinA", float(sin_a)), _finite("sinB", float(sin_b))
+
+
 def sinc_factors(params: ModelParams) -> SincFactors:
     """Interference factors; removable singularities handled via sinc."""
-    sin_a, sin_b = _interference(params.dt, params.detuning, params.delta_s)
-    return SincFactors(sin_a=float(sin_a), sin_b=float(sin_b))
+    sin_a, sin_b = _point_interference(params.dt, params.detuning, params.delta_s)
+    return SincFactors(sin_a=sin_a, sin_b=sin_b)
 
 
 def _step(params: ModelParams, beta: float | None):
     """(b, sinc factors, lam^2) of one step; beta None means params.beta."""
     bv = params.beta if beta is None else beta
-    return bv * params.delta_b / 2.0, sinc_factors(params), params.coupling**2
+    try:
+        lam2 = params.coupling**2
+    except OverflowError:  # where float ** overflows, * would give inf
+        lam2 = math.inf
+    return (_finite("beta delta_b / 2", bv * params.delta_b / 2.0), sinc_factors(params),
+            _finite("coupling^2", lam2))
 
 
 def _second_order_rate(b: float, sf: SincFactors, lam2: float) -> float:
@@ -319,7 +338,7 @@ def is_freezing_point(
     at dt = n pi / delta_s with detuning = 2 m pi / dt (m of either sign)."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    if not _frozen(dt, *_interference(dt, detuning, delta_s)):
+    if not _frozen(dt, *_point_interference(dt, detuning, delta_s)):
         return False, None, None
     return True, round(dt * delta_s / math.pi), round(detuning * dt / (2.0 * math.pi))
 

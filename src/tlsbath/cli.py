@@ -16,6 +16,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, experiments
+from .dynamics import ENGINES, RESET_MODES
 from .model import beta_working_point, binomial_degeneracy, effective_beta
 
 
@@ -220,12 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="master seed")
         p.add_argument("--out", type=str, default=None, help="output directory")
         if engine:
-            p.add_argument("--engine", choices=["sampled", "nonselective"])
+            p.add_argument("--engine", choices=ENGINES)
         return p
 
     common(sub.add_parser("attractor-map", help="attractor occupation grid"))
     relax = common(sub.add_parser("relax", help="run a relaxation scenario"), engine=True)
-    relax.add_argument("--reset", choices=["exact", "coarse"], dest="reset_mode")
+    relax.add_argument("--reset", choices=RESET_MODES, dest="reset_mode")
     relax.add_argument("--scenario", type=str, default=None)
     # freeze always runs coarse reset (verify_freezing), so it takes no --reset.
     common(sub.add_parser("freeze", help="verify state freezing"), engine=True)

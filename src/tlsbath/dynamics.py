@@ -32,6 +32,7 @@ from .model import (
     ModelParams,
     QubitState,
     _check_count,
+    _check_fits,
     build_total_hamiltonian,
 )
 
@@ -45,6 +46,16 @@ __all__ = [
 ]
 
 HERM_TOL = 1e-10   # largest |h - h^dagger| entry that Propagator accepts
+# The engine and reset_mode names that the runners accept.
+ENGINES = ("sampled", "nonselective")
+RESET_MODES = ("coarse", "exact")
+# Bytes a run holds per step. run_ensemble: its rho00, rho10 and stderr
+# arrays (8 + 16 + 8) and the five series run_scenario reads out of them as
+# lists, 32 B an entry (a float object and its slot). run_trajectory: its
+# outcomes, probs, rho00 and rho10 (8 + 8 + 8 + 16), held twice while the
+# copied blocks are joined.
+_ENSEMBLE_STEP_BYTES = 32 + 5 * 32
+_TRAJECTORY_STEP_BYTES = 2 * 40
 
 
 class Propagator:
@@ -182,10 +193,14 @@ def _build(params: ModelParams, env: BandedEnvironment, rho0: QubitState, k0: in
     i0, rs = env.band_index(k0), rho0.matrix()
     pairs = {(p, q): rs[(p - i0) % 2, (q - i0) % 2] for p, q in ((0, 0), (1, 1), (1, 0))}
     pairs = {pq: entry for pq, entry in pairs.items() if entry != 0}
+    sectors = [p for p in (0, 1) if any(p in pq for pq in pairs)]
+    # The peak is at the last eigh: the S sector arrays, and about four more
+    # of their size in eigh's copy, modes and work arrays.
+    _check_fits(f"the sector unitaries of dimension {env.dim}",
+                (len(sectors) + 4) * 16 * env.dim**2)
     gauged, flipped = env.sign_gauged()
     # Assembled before any eigh, which then does not hold the gauged blocks.
-    hs = {p: build_total_hamiltonian(params, gauged, p)
-          for p in (0, 1) if any(p in pq for pq in pairs)}
+    hs = {p: build_total_hamiltonian(params, gauged, p) for p in sectors}
     del gauged
     us = [None, None]
     for p, h in hs.items():
@@ -514,7 +529,8 @@ def run_trajectory(
     """
     rho0.validate()
     _check_count("steps", steps)
-    _check_choice("reset_mode", reset_mode, ("coarse", "exact"))
+    _check_choice("reset_mode", reset_mode, RESET_MODES)
+    _check_fits(f"a trajectory of {steps} steps", steps * _TRAJECTORY_STEP_BYTES)
     words = seed_words(seed)
     us, pairs, leakage = _build(params, env, rho0, k0)
     blocks = _sample_paths(params, env, us, pairs, leakage, rho0, k0, steps, words,
@@ -628,13 +644,14 @@ def run_ensemble(
     _check_count("steps", steps)
     if n_traj is not None:
         _check_count("n_traj", n_traj)
-    _check_choice("engine", engine, ("sampled", "nonselective"))
-    _check_choice("reset_mode", reset_mode, ("coarse", "exact"))
+    _check_choice("engine", engine, ENGINES)
+    _check_choice("reset_mode", reset_mode, RESET_MODES)
     sampled = engine == "sampled"
     if sampled and n_traj is None:
         raise ValueError("sampled engine requires n_traj >= 1")
     if sampled and master_seed is None:
         raise ValueError("sampled engine requires a master_seed")
+    _check_fits(f"a series of {steps} steps", steps * _ENSEMBLE_STEP_BYTES)
     words = trajectory_words(master_seed, n_traj) if sampled else None
     us, pairs, leakage = _build(params, env, rho0, k0)
     stderr, drift = np.zeros(steps + 1), None

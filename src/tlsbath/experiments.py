@@ -458,6 +458,8 @@ def verify_freezing(**overrides) -> ScenarioReport:
         raise ValueError(
             f"(dt={params.dt}, detuning={params.detuning}) is not a freezing point"
         )
+    # Formed before the run, so that parameters too large for it fail first.
+    c2 = offdiag_coeffs(params, beta_eff).c2
     series, record = _run({**cfg, "reset_mode": "coarse"}, params, beta_eff)
     drift00 = float(np.max(np.abs(series.rho00 - series.rho00[0])))
     mags = np.abs(series.rho10)
@@ -467,7 +469,6 @@ def verify_freezing(**overrides) -> ScenarioReport:
     rot = series.rho10 * np.exp(1j * params.delta_s * params.dt * j)
     phase = np.unwrap(np.angle(rot))
     slope = float(np.polyfit(j, phase, 1)[0])
-    c2 = offdiag_coeffs(params, beta_eff).c2
     bound = 10.0 * params.coupling**2
     passed = drift00 <= bound and drift10 <= bound
     return ScenarioReport(

@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 import operator
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,6 +54,29 @@ def _check_count(name: str, value, minimum: int | None = 1) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory of the machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _check_fits(what: str, nbytes: int) -> None:
+    """Refuse a size whose estimated nbytes exceed the physical memory, before
+    anything of that size is allocated or looped over."""
+    total = _physical_memory()
+    if nbytes > total:
+        raise ValueError(
+            f"{what} would take about {nbytes / 2**30:.3g} GiB, more than the "
+            f"{total / 2**30:.3g} GiB of physical memory"
+        )
+
+
+def _check_blocks_fit(n: int, degs: tuple[int, ...]) -> None:
+    """The coupling blocks of an environment: N_{k+1} x N_k complex entries
+    between every pair of adjacent bands."""
+    nbytes = 16 * sum(lo * hi for lo, hi in zip(degs, degs[1:]))
+    _check_fits(f"the coupling blocks of n = {n} spins", nbytes)
 
 
 @dataclass(frozen=True)
@@ -339,6 +363,7 @@ def build_band_environment(
 
     rng = np.random.default_rng(seed)
     degs = tuple(binomial_degeneracy(n, k) for k in range(lo, hi + 1))
+    _check_blocks_fit(n, degs)
     offsets = tuple(
         rng.uniform(-band_width / 2.0, band_width / 2.0, size=d)
         if band_width > 0
@@ -384,6 +409,7 @@ def build_spin_environment(n: int, delta_b: float, seed: int) -> BandedEnvironme
     g = rng.standard_normal(n)
 
     degs = tuple(binomial_degeneracy(n, k) for k in range(n + 1))
+    _check_blocks_fit(n, degs)
     # Basis configs per band (bitmask, ascending); position in list = level index.
     configs = [[] for _ in range(n + 1)]
     for c in range(1 << n):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tlsbath import cli
+from tlsbath import cli, model
 from tlsbath.cli import main
 from tlsbath.experiments import (
     _FREEZING,
@@ -210,15 +210,43 @@ class TestRelaxCommand:
             ({"tolerance": -1}, [], "tolerance must be >= 0"),
             ({"coupling": 0.0}, [], "R = 0 gives no finite default run length"),
             ({"coupling": 1e-160}, [], "give steps"),
+            ({"coupling": 1e300}, [], "coupling^2 = inf is not finite"),
+            ({"dt": 1e300}, [], "is not finite"),
         ],
     )
-    def test_invalid_physics_exit_1(self, tmp_path, capsys, payload, flags, message):
+    def test_invalid_physics_exit_1(self, tmp_path, capsys, recwarn, payload, flags,
+                                    message):
         cfg = write_config(tmp_path, payload)
         code = main(["relax", "--config", cfg, "--out", str(tmp_path), *flags])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
+        assert not recwarn.list
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("relax", {"coupling": 1e-6}, "steps would take"),
+        ("env-inspect", {"n": 40}, "coupling blocks of n = 40 spins would take"),
+        ("env-inspect", {"n": 24, "model": "sigma-x"},
+         "coupling blocks of n = 24 spins would take"),
+    ],
+)
+def test_sizes_that_cannot_fit_exit_1(tmp_path, capsys, recwarn, monkeypatch, command,
+                                      payload, message):
+    """A size whose arrays cannot fit exits 1 with one error line that names
+    it, before anything of that size is allocated or looped over: the ~3.5e11
+    default steps of a tiny coupling, the coupling blocks of n = 40 and the
+    2^24 configurations of a sigma-x environment. The memory figure is fixed
+    at 8 GiB, so that every machine refuses them."""
+    monkeypatch.setattr(model, "_physical_memory", lambda: 8 * 2**30)
+    cfg = write_config(tmp_path, payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
+    assert not recwarn.list
 
 
 def test_zero_coupling_with_steps_runs(tmp_path):
@@ -302,13 +330,16 @@ class TestFreezeCommand:
             ({"seed": 7.5}, [], "seed must be an integer"),
             ({"coupling": "0.05"}, [], "coupling must be a real number"),
             ({"dt": True}, [], "dt must be a real number"),
+            ({"coupling": 1e300}, [], "coupling^2 = inf is not finite"),
+            ({"dt": 1e300}, [], "is not finite"),
         ],
     )
-    def test_bad_input_exit_1(self, tmp_path, capsys, payload, flags, message):
+    def test_bad_input_exit_1(self, tmp_path, capsys, recwarn, payload, flags, message):
         cfg = write_config(tmp_path, payload)
         code = main(["freeze", "--config", cfg, "--out", str(tmp_path), *flags])
         assert code == 1
         assert message in capsys.readouterr().err
+        assert not recwarn.list
 
     def test_every_default_key_accepted(self, tmp_path):
         defaults, _ = _FREEZING

@@ -27,7 +27,7 @@ from oracles import (
     reduced_qubit_state,
     unraveled_record_probabilities,
 )
-from tlsbath import _streams, dynamics
+from tlsbath import _streams, dynamics, model
 from tlsbath._streams import Streams, block_steps, seed_words, trajectory_words
 from tlsbath.dynamics import (
     Propagator,
@@ -1204,7 +1204,9 @@ class TestPairBlockProperties:
     checked over drawn builds: every live S_pp is column-stochastic, the
     blocks form a Gram matrix at every (k', k), B -> -B changes no block and
     no leakage bound, dt = 0 gives the identity, and a sigma-x S_pp is
-    reversible with stationary law N_k."""
+    reversible with stationary law N_k. Rescaling time, H -> c H with
+    dt -> dt / c, keeps U and so every block and the leakage bound, up to
+    rounding."""
 
     @staticmethod
     def _blocks(params, env, rho0, k0):
@@ -1212,8 +1214,8 @@ class TestPairBlockProperties:
         return dict(zip(pairs, _pair_sums(us, pairs, env))), leakage
 
     @settings(max_examples=100)
-    @given(case=_pair_block_cases())
-    def test_invariants(self, case):
+    @given(case=_pair_block_cases(), c=st.floats(0.25, 4.0))
+    def test_invariants(self, case, c):
         params, env, k0, rho0 = case
         s, leakage = self._blocks(params, env, rho0, k0)
         for p in (0, 1):
@@ -1231,6 +1233,15 @@ class TestPairBlockProperties:
         assert s.keys() == t.keys()
         assert all(np.array_equal(s[pq], t[pq]) for pq in s)
         assert flipped_leakage == leakage
+
+        scaled = dataclasses.replace(params, delta_s=c * params.delta_s,
+                                     detuning=c * params.detuning,
+                                     coupling=c * params.coupling, dt=params.dt / c)
+        scaled_env = dataclasses.replace(env, delta_b=c * env.delta_b,
+                                         offsets=tuple(c * o for o in env.offsets))
+        t, scaled_leakage = self._blocks(scaled, scaled_env, rho0, k0)
+        assert all(np.max(np.abs(s[pq] - t[pq])) <= 1e-12 for pq in s)
+        assert abs(scaled_leakage - leakage) <= 1e-12
 
         still, _ = self._blocks(dataclasses.replace(params, dt=0.0), env, rho0, k0)
         for pq, block in still.items():
@@ -1297,3 +1308,34 @@ def test_ergodicity_time_average(resonant_params, seven_env, ground):
         seed=trajectory_seed(5, 0),
     )
     assert abs(tr.rho00[1000:].mean() - 0.75) < 0.05
+
+
+class TestMemoryGuard:
+    """A run is refused, naming its size, where the estimate of what it holds
+    exceeds the physical memory (model._physical_memory, patched here), and
+    runs where the estimate equals it."""
+
+    @pytest.mark.parametrize("rho0, sectors", [(QubitState(rho00=1.0), 1), (_COHERENT, 2)])
+    def test_build(self, monkeypatch, resonant_params, small_env, rho0, sectors):
+        need = (sectors + 4) * 16 * small_env.dim**2
+        monkeypatch.setattr(model, "_physical_memory", lambda: need)
+        us, _, _ = _build(resonant_params, small_env, rho0, 2)
+        assert sum(u is not None for u in us) == sectors
+        monkeypatch.setattr(model, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ValueError, match="sector unitaries of dimension 32 would take"):
+            _build(resonant_params, small_env, rho0, 2)
+
+    @pytest.mark.parametrize("runner, step_bytes", [("ensemble", 192), ("trajectory", 80)])
+    def test_steps(self, monkeypatch, resonant_params, small_env, ground, runner, step_bytes):
+        steps = 2000   # its series outweigh the build's 81 920 B
+
+        def run():
+            if runner == "ensemble":
+                return run_ensemble(resonant_params, small_env, ground, 2, steps)
+            return run_trajectory(resonant_params, small_env, ground, 2, steps, seed=0)
+
+        monkeypatch.setattr(model, "_physical_memory", lambda: steps * step_bytes)
+        assert len(run().rho00) == steps + 1
+        monkeypatch.setattr(model, "_physical_memory", lambda: steps * step_bytes - 1)
+        with pytest.raises(ValueError, match=f"of {steps} steps would take"):
+            run()

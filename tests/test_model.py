@@ -7,6 +7,7 @@ import pytest
 import scipy.special
 
 from oracles import joint_hamiltonian
+from tlsbath import model
 from tlsbath.model import (
     BandedEnvironment,
     ModelParams,
@@ -148,6 +149,27 @@ def test_band_offsets_within_width():
     env = build_band_environment(5, 1.0, seed=0, band_width=0.2)
     for off in env.offsets:
         assert np.all(np.abs(off) <= 0.1)
+
+
+_GUARDED_BUILDS = {
+    "band": lambda: build_band_environment(5, 1.0, seed=1),
+    "band-window": lambda: build_band_environment(5, 1.0, seed=1, band_range=(1, 3)),
+    "sigma-x": lambda: build_spin_environment(5, 1.0, seed=1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GUARDED_BUILDS))
+def test_environment_memory_guard(monkeypatch, kind):
+    """An environment is built where the physical memory holds its coupling
+    blocks, 16 sum_k N_k N_{k+1} bytes, and refused, naming the size, where
+    it holds one byte less."""
+    build = _GUARDED_BUILDS[kind]
+    need = 16 * sum(block.size for block in build().up_blocks)
+    monkeypatch.setattr(model, "_physical_memory", lambda: need)
+    build()
+    monkeypatch.setattr(model, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match="coupling blocks of n = 5 spins would take"):
+        build()
 
 
 def test_spin_environment_single_spin():
