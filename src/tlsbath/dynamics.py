@@ -12,13 +12,13 @@ parity sectors of the joint unitary that it names (one for a ground or
 excited start), and their band-adjacency leakage bound, which every run
 reports and the sampled engine alone refuses a run on. No joint-width
 matrix is formed. U conserves each sector pair, so every engine holds only
-the live pairs of the table, and both coarse-reset engines step the same
-band-pair blocks of the sector unitaries (_pair_sums), one per live pair.
-A sampled trajectory holds only its parts in the sectors the table names;
-exact-reset trajectories are grouped by their measured band, and each
-group steps with one product per adjacent band it can reach. Sampled
-records are handed on one draw block at a time, so no sampled run holds a
-steps x n_traj history.
+the live pairs of the table. Both coarse-reset engines step only the
+band-pair blocks of the live pairs (transfer_blocks): no sector unitary
+is held while they step. A sampled trajectory holds only its parts in the
+sectors the table names; exact-reset trajectories are grouped by their
+measured band, and each group steps with one product per adjacent band it
+can reach. Sampled records are handed on one draw block at a time, so no
+sampled run holds a steps x n_traj history.
 """
 from __future__ import annotations
 
@@ -43,6 +43,7 @@ __all__ = [
     "run_trajectory",
     "run_ensemble",
     "trajectory_seed",
+    "transfer_blocks",
 ]
 
 HERM_TOL = 1e-10   # largest |h - h^dagger| entry that Propagator accepts
@@ -257,6 +258,17 @@ def _pair_sums(us: list, pairs: dict, env: BandedEnvironment) -> np.ndarray:
     return np.stack(sums)
 
 
+def transfer_blocks(params: ModelParams, env: BandedEnvironment, rho0: QubitState,
+                    k0: int):
+    """The coarse-reset transfer operator of a run from rho0 (x) 1_k0 / N_k0,
+    as (pairs, blocks, leakage): the pair table and leakage bound of _build,
+    and blocks[l] the (n_bands, n_bands) block S_pq of live pair l = (p, q)
+    (_pair_sums), so that dict(zip(pairs, blocks)) maps each pair to its block.
+    The sector unitaries are released when it returns."""
+    us, pairs, leakage = _build(params, env, rho0, k0)
+    return pairs, _pair_sums(us, pairs, env), leakage
+
+
 def _parity_rows(pairs: dict, nb: int):
     """Where rho00 and rho10 sit among the pair table's rows: the row of
     pair (k mod 2, k mod 2) for every band k, and the row of (1, 0), which
@@ -265,32 +277,6 @@ def _parity_rows(pairs: dict, nb: int):
     row, dead = {pq: l for l, pq in enumerate(pairs)}, len(pairs)
     rows00 = np.array([row.get((k % 2, k % 2), dead) for k in range(nb)])
     return rows00, row.get((1, 0), dead)
-
-
-def _sampling_tables(us: list, pairs: dict, env: BandedEnvironment, reset_mode: str):
-    """The sampled engine's step data for the pair table of _build; nothing
-    of a dead pair or a sector left out is stored.
-
-    Coarse reset: for every band k and window slot i (band k - 1 + i), the
-    sums[l, k - 1 + i, k] of _pair_sums over the L live pairs l, as an
-    (n_bands, 3, L) array that is zero outside the environment. Exact reset:
-    per band k, a dict over the window bands k' of k (those of k-1, k, k+1
-    that exist) of the contiguous (S, N_k, N_k') block u_p[band k', band k]^T,
-    stacked over the S built sectors p.
-    """
-    nb, levels = env.n_bands, env.band_slice
-    if reset_mode == "coarse":
-        sums = np.zeros((nb + 2, nb, len(pairs)), dtype=complex)
-        sums[1:-1] = _pair_sums(us, pairs, env).transpose(1, 2, 0)
-        k = np.arange(nb)[:, None]
-        return sums[k + np.arange(3), k]
-    return [
-        {
-            k2: np.stack([u[levels(k2), levels(k)].T for u in us if u is not None])
-            for k2 in range(max(k - 1, 0), min(k + 2, nb))
-        }
-        for k in range(nb)
-    ]
 
 
 def _born_pick(w: np.ndarray, x: np.ndarray, band, nb: int):
@@ -314,7 +300,7 @@ def _born_pick(w: np.ndarray, x: np.ndarray, band, nb: int):
 def _sample_paths(
     params: ModelParams,
     env: BandedEnvironment,
-    us: list,
+    op,
     pairs: dict,
     leakage: float,
     rho0: QubitState,
@@ -323,9 +309,10 @@ def _sample_paths(
     words: np.ndarray,
     reset_mode: str,
 ):
-    """Batched measurement records (quantum trajectories) on the build of
-    _build (sector unitaries us, pair table pairs, leakage bound), yielded
-    one draw block at a time.
+    """Batched measurement records (quantum trajectories) on a build with
+    pair table pairs and leakage bound, yielded one draw block at a time; op
+    is its pair blocks (transfer_blocks) for coarse reset and its sector
+    unitaries (_build) for exact reset.
 
     A generator of (j0, k, p, rho00, rho10): the records of steps
     j0 .. j0 + len(k) - 1 of the m trajectories as (rows, m) arrays, namely
@@ -343,30 +330,31 @@ def _sample_paths(
     U conserves parity, so a trajectory's state is held by its parts in the
     S sectors _build made, and a sector's part stays in its sector: on band
     k, the part of sector p is at TLS level (p - k) mod 2. Everything a step
-    needs is a view of us (_sampling_tables), and nothing of a dead pair or
-    a sector left out is stored:
+    needs is formed from op where the trajectories start, and nothing of a
+    dead pair or a sector left out is stored:
 
     - coarse reset: the bath is 1_k / N_k after every measurement, so the TLS
       state conditioned on the band record depends on the record alone. A
       trajectory is its band k and its TLS state's entries rho[l] on the
       live pairs l = (p, q) of the table. The step is diagonal in the pair:
-      y[i, l] = sums[l, k - 1 + i, k] rho[l] for the window bands
-      k - 1 + i (_pair_sums), the band is drawn from the weights tr y (the
-      pairs (p, p), which lead the table), and y / tr y is kept. Unraveling
-      rho (x) 1_k / N_k into an eigenvector of rho and a level of band k
-      gives band records the same law, since E[v v^+] = rho and the step is
-      linear; rho is the mean of that unraveling's reduced state given the
-      record. A ground-start trajectory is thus a band Markov chain.
+      y[i, l] = op[l, k - 1 + i, k] rho[l] for the window bands k - 1 + i
+      (zero outside the environment), the band is drawn from the weights
+      tr y (the pairs (p, p), which lead the table), and y / tr y is kept.
+      Unraveling rho (x) 1_k / N_k into an eigenvector of rho and a level of
+      band k gives band records the same law, since E[v v^+] = rho and the
+      step is linear; rho is the mean of that unraveling's reduced state
+      given the record. A ground-start trajectory is thus a band Markov chain.
     - exact reset: a trajectory holds its parts on band k, N_k numbers each.
       The trajectories sit in band buckets, band k -> (their indices, their
       parts as one (S, m_k, N_k) array). A step takes each bucket through
       one (S, m_k, N_k)(S, N_k, N_k') product per window band k', with the
-      blocks u_p[band k', band k]^T; its weight in band k' is read from that
-      product alone. After the draw, the rows that land in k' give their
-      reduced state (rho00 the weight of the sector-(k' mod 2) part, rho10
-      the overlap <ground part | excited part>, 0 for a sector left out)
-      and, normalised, their next parts, and every band's arrivals from
-      k'-1, k' and k'+1 are joined into its next bucket.
+      contiguous blocks u_p[band k', band k]^T of the S built sectors
+      stacked; its weight in band k' is read from that product alone. After
+      the draw, the rows that land in k' give their reduced state (rho00 the
+      weight of the sector-(k' mod 2) part, rho10 the overlap <ground part |
+      excited part>, 0 for a sector left out) and, normalised, their next
+      parts, and every band's arrivals from k'-1, k' and k'+1 are joined
+      into its next bucket.
 
     Outcomes are drawn within the window, so the run is refused, as the
     generator is first advanced and before any step, if one step can move
@@ -394,8 +382,6 @@ def _sample_paths(
     leak_tol = max(1e-9, 1e3 * params.coupling**4)
     if leakage > leak_tol:
         raise ValueError(f"band-adjacency selection rule violated beyond {leak_tol:.1e}")
-    step = _sampling_tables(us, pairs, env, reset_mode)
-    built = [p for p in (0, 1) if us[p] is not None]
     m = len(words)
     streams = Streams(words)
     coarse = reset_mode == "coarse"
@@ -415,6 +401,9 @@ def _sample_paths(
     i0, lo = env.band_index(k0), env.band_range[0]
     out_k[0] = i0
     if coarse:
+        # step[k, i, l] = op[l, k - 1 + i, k], zero outside the environment.
+        padded = np.pad(op.transpose(1, 2, 0), ((1, 1), (0, 0), (0, 0)))
+        step = padded[np.arange(nb)[:, None] + np.arange(3), np.arange(nb)[:, None]]
         band = np.full(m, i0)
         # rho[c, l]: trajectory c's entry on live pair l = (p, q), TLS entry
         # ((p - k) mod 2, (q - k) mod 2) on its band k. The last column stays
@@ -425,6 +414,10 @@ def _sample_paths(
         row00, row10 = _parity_rows(pairs, nb)
         out_r00[0], out_r10[0] = rho0.rho00, rho0.rho10
     else:
+        # step[k][k2]: u_p[band k2, band k]^T for the window bands k2 of k.
+        built, levels = [p for p in (0, 1) if op[p] is not None], env.band_slice
+        step = [{k2: np.stack([op[p][levels(k2), levels(k)].T for p in built])
+                 for k2 in range(max(k - 1, 0), min(k + 2, nb))} for k in range(nb)]
         # The unraveling of rho0 (x) 1_k / N_k: an eigenvector v of rho0 and a
         # uniform level of band k0.
         x0 = np.empty((2, m))
@@ -532,8 +525,11 @@ def run_trajectory(
     _check_choice("reset_mode", reset_mode, RESET_MODES)
     _check_fits(f"a trajectory of {steps} steps", steps * _TRAJECTORY_STEP_BYTES)
     words = seed_words(seed)
-    us, pairs, leakage = _build(params, env, rho0, k0)
-    blocks = _sample_paths(params, env, us, pairs, leakage, rho0, k0, steps, words,
+    if reset_mode == "coarse":
+        pairs, op, leakage = transfer_blocks(params, env, rho0, k0)
+    else:
+        op, pairs, leakage = _build(params, env, rho0, k0)
+    blocks = _sample_paths(params, env, op, pairs, leakage, rho0, k0, steps, words,
                            reset_mode)
     # Each block's column is copied before the next block overwrites it.
     cols = [[rec[:, 0].copy() for rec in block] for _, *block in blocks]
@@ -588,16 +584,16 @@ def _run_nonselective_exact(us, pairs: dict, env, k0, steps):
     return r00, r10, worst
 
 
-def _run_nonselective_coarse(us, pairs: dict, env, k0, steps):
-    """Outcome-averaged coarse-reset state, held as x[l, k], the entry of
-    band k's TLS block on live pair l of the pair table of _build, and
-    stepped pair by pair with the blocks of _pair_sums. The last row stays
-    zero and stands for every dead pair."""
-    nb, i0 = env.n_bands, env.band_index(k0)
+def _run_nonselective_coarse(blocks, pairs: dict, i0: int, steps):
+    """Outcome-averaged coarse-reset state from band position i0, held as
+    x[l, k], the entry of band k's TLS block on live pair l of the pair
+    table, and stepped pair by pair with the blocks of transfer_blocks. The
+    last row stays zero and stands for every dead pair."""
+    nb = blocks.shape[1]
     x = np.zeros((len(pairs) + 1, nb), dtype=complex)
     x[:-1, i0] = list(pairs.values())
     # Paired once: making the row views every step costs more than the matvec.
-    blocks = list(zip(_pair_sums(us, pairs, env), x))
+    blocks = list(zip(blocks, x))
     flat = x.reshape(-1)
     row00, row10 = _parity_rows(pairs, nb)
     idx00 = row00 * nb + np.arange(nb)
@@ -653,21 +649,24 @@ def run_ensemble(
         raise ValueError("sampled engine requires a master_seed")
     _check_fits(f"a series of {steps} steps", steps * _ENSEMBLE_STEP_BYTES)
     words = trajectory_words(master_seed, n_traj) if sampled else None
-    us, pairs, leakage = _build(params, env, rho0, k0)
+    if reset_mode == "coarse":
+        pairs, op, leakage = transfer_blocks(params, env, rho0, k0)
+    else:
+        op, pairs, leakage = _build(params, env, rho0, k0)
     stderr, drift = np.zeros(steps + 1), None
     if sampled:
         r00, r10 = np.empty(steps + 1), np.empty(steps + 1, dtype=complex)
         for j0, _, _, b00, b10 in _sample_paths(
-            params, env, us, pairs, leakage, rho0, k0, steps, words, reset_mode
+            params, env, op, pairs, leakage, rho0, k0, steps, words, reset_mode
         ):
             rows = slice(j0, j0 + len(b00))
             if n_traj > 1:
                 stderr[rows] = b00.std(axis=1, ddof=1) / np.sqrt(n_traj)
             r00[rows], r10[rows] = b00.mean(axis=1), b10.mean(axis=1)
     elif reset_mode == "coarse":
-        r00, r10 = _run_nonselective_coarse(us, pairs, env, k0, steps)
+        r00, r10 = _run_nonselective_coarse(op, pairs, env.band_index(k0), steps)
     else:
-        r00, r10, drift = _run_nonselective_exact(us, pairs, env, k0, steps)
+        r00, r10, drift = _run_nonselective_exact(op, pairs, env, k0, steps)
     return EnsembleSeries(
         rho00=r00,
         rho10=r10,

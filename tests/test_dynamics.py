@@ -36,10 +36,10 @@ from tlsbath.dynamics import (
     _pair_sums,
     _run_nonselective_exact,
     _sample_paths,
-    _sampling_tables,
     run_ensemble,
     run_trajectory,
     trajectory_seed,
+    transfer_blocks,
 )
 from tlsbath.model import (
     ModelParams,
@@ -53,9 +53,12 @@ from tlsbath.model import (
 def _paths(params, env, rho0, k0, steps, seeds, reset_mode):
     """_sample_paths on the build of run_ensemble and run_trajectory, with
     trajectory c drawing from seeds[c]."""
-    us, pairs, leakage = _build(params, env, rho0, k0)
+    if reset_mode == "coarse":
+        pairs, op, leakage = transfer_blocks(params, env, rho0, k0)
+    else:
+        op, pairs, leakage = _build(params, env, rho0, k0)
     words = np.concatenate([seed_words(s) for s in seeds])
-    return _stacked(_sample_paths(params, env, us, pairs, leakage, rho0, k0, steps, words,
+    return _stacked(_sample_paths(params, env, op, pairs, leakage, rho0, k0, steps, words,
                                   reset_mode))
 
 
@@ -576,8 +579,7 @@ class TestCoarseResetEngine:
         env = build_band_environment(5, 1.0, seed=901)
         rho0 = QubitState(rho00=0.6, rho10=0.3 + 0.2j)
         probs = unraveled_record_probabilities(params, env, rho0, 2, 3)
-        us, pairs, _ = _build(params, env, rho0, 2)
-        sums = _pair_sums(us, pairs, env)
+        pairs, sums, _ = transfer_blocks(params, env, rho0, 2)
         assert list(pairs) == [(0, 0), (1, 1), (1, 0)]
         i0 = env.band_index(2)
         start = np.array(list(pairs.values()))
@@ -908,17 +910,17 @@ class TestOneSectorTrajectories:
         p = (i0 + (rho00 == 0.0)) % 2
         assert us[1 - p] is None and us[p] is not None
         assert pairs == {(p, p): 1.0}
-        tables = _sampling_tables(us, pairs, any_env, reset_mode)
+        nb, levels = any_env.n_bands, any_env.band_slice
         if reset_mode == "coarse":
-            assert tables.shape == (any_env.n_bands, 3, 1)
+            op = transfer_blocks(params, any_env, rho0, k0)[1]
+            assert op.shape == (1, nb, nb)
         else:
-            degs = any_env.degeneracies
-            for k, blocks in enumerate(tables):
-                for k2, block in blocks.items():
-                    assert block.shape == (1, degs[k], degs[k2])
-                    assert np.any(block)
+            op = us
+            for k in range(nb):
+                for k2 in range(max(k - 1, 0), min(k + 2, nb)):
+                    assert np.any(us[p][levels(k2), levels(k)])
         out_k, _, r00, r10 = _stacked(_sample_paths(
-            params, any_env, us, pairs, leakage, rho0, k0, 30, trajectory_words(21, 16),
+            params, any_env, op, pairs, leakage, rho0, k0, 30, trajectory_words(21, 16),
             reset_mode
         ))
         i = out_k - any_env.band_range[0]
@@ -933,8 +935,7 @@ class TestOneSectorTrajectories:
         (p, p), normalised over the window of the band it leaves."""
         traj = run_trajectory(resonant_params, seven_env, ground, k0=2, steps=200,
                               seed=trajectory_seed(5, 0), reset_mode="coarse")
-        us, pairs, _ = _build(resonant_params, seven_env, ground, 2)
-        sums = _pair_sums(us, pairs, seven_env)
+        _, sums, _ = transfer_blocks(resonant_params, seven_env, ground, 2)
         assert sums.shape == (1, seven_env.n_bands, seven_env.n_bands)
         chain = sums[0].real
         i = traj.outcomes - seven_env.band_range[0]
@@ -1175,6 +1176,44 @@ class TestBlockRecords:
         assert growth <= 32 * 1900 + 64 * 1024, growth
 
 
+class TestTransferBlocks:
+    """transfer_blocks is the one coarse-reset operator: _build's pair table
+    and leakage bound with the pair blocks of _pair_sums, and the only thing
+    either coarse engine holds of the build while it steps."""
+
+    @pytest.mark.parametrize("start", sorted(_STARTS))
+    def test_blocks_are_pair_sums(self, any_env, start):
+        params = ModelParams(delta_s=1.0, detuning=0.3, coupling=0.1, dt=1.1)
+        rho0, k0 = _STARTS[start], any_env.ks[2]
+        pairs, blocks, leakage = transfer_blocks(params, any_env, rho0, k0)
+        us, built_pairs, built_leakage = _build(params, any_env, rho0, k0)
+        assert pairs == built_pairs and leakage == built_leakage
+        assert np.array_equal(blocks, _pair_sums(us, pairs, any_env))
+
+    @pytest.mark.parametrize("engine, stepper", [
+        ("nonselective", "_run_nonselective_coarse"), ("sampled", "_sample_paths")])
+    def test_engines_step_without_sector_unitaries(self, monkeypatch, resonant_params,
+                                                    seven_env, ground, engine, stepper):
+        """A coarse run enters its stepping with less traced memory than one
+        sector unitary, 16 env.dim^2 bytes (262 144 at n = 7): the sector
+        unitaries are released once the pair blocks are formed."""
+        step, traced = getattr(dynamics, stepper), []
+
+        def entered(*args):
+            traced.append(tracemalloc.get_traced_memory()[0])
+            return step(*args)
+
+        monkeypatch.setattr(dynamics, stepper, entered)
+        sampled = dict(n_traj=4, master_seed=1) if engine == "sampled" else {}
+        tracemalloc.start()
+        try:
+            run_ensemble(resonant_params, seven_env, ground, 2, 5, engine=engine,
+                         reset_mode="coarse", **sampled)
+        finally:
+            tracemalloc.stop()
+        assert len(traced) == 1 and traced[0] < 16 * seven_env.dim**2, traced
+
+
 @st.composite
 def _pair_block_cases(draw):
     """A build to check: a random-band environment with spread bands and a
@@ -1210,8 +1249,8 @@ class TestPairBlockProperties:
 
     @staticmethod
     def _blocks(params, env, rho0, k0):
-        us, pairs, leakage = _build(params, env, rho0, k0)
-        return dict(zip(pairs, _pair_sums(us, pairs, env))), leakage
+        pairs, blocks, leakage = transfer_blocks(params, env, rho0, k0)
+        return dict(zip(pairs, blocks)), leakage
 
     @settings(max_examples=100)
     @given(case=_pair_block_cases(), c=st.floats(0.25, 4.0))
