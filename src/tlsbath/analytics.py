@@ -127,21 +127,33 @@ def sinc_factors(params: ModelParams) -> SincFactors:
     return SincFactors(sin_a=sin_a, sin_b=sin_b)
 
 
+def _boltzmann(b: float) -> tuple[float, float, float]:
+    """(e^b, e^-b, cosh b), refused where one is not finite; math raises
+    OverflowError where numpy would give inf."""
+    _finite("beta delta_b / 2", b)
+    try:
+        return math.exp(b), math.exp(-b), math.cosh(b)
+    except OverflowError:
+        raise ValueError(f"cosh(beta delta_b / 2) with beta delta_b / 2 = {b} is not "
+                         "finite: the parameters are too large") from None
+
+
 def _step(params: ModelParams, beta: float | None):
-    """(b, sinc factors, lam^2) of one step; beta None means params.beta."""
+    """((e^b, e^-b, cosh b), sinc factors, lam^2) of one step; beta None means
+    params.beta."""
     bv = params.beta if beta is None else beta
     try:
         lam2 = params.coupling**2
     except OverflowError:  # where float ** overflows, * would give inf
         lam2 = math.inf
-    return (_finite("beta delta_b / 2", bv * params.delta_b / 2.0), sinc_factors(params),
+    return (_boltzmann(bv * params.delta_b / 2.0), sinc_factors(params),
             _finite("coupling^2", lam2))
 
 
-def _second_order_rate(b: float, sf: SincFactors, lam2: float) -> float:
+def _second_order_rate(cosh_b: float, sf: SincFactors, lam2: float) -> float:
     """Per-step rate R = 8 lam^2 cosh(b) (sinA + sinB). Warns, on behalf of the
     caller's caller, when R > 0.1, where second-order maps are unreliable."""
-    rate = 8.0 * lam2 * math.cosh(b) * (sf.sin_a + sf.sin_b)
+    rate = 8.0 * lam2 * cosh_b * (sf.sin_a + sf.sin_b)
     if rate > 0.1:
         warnings.warn(
             f"per-step rate R = {rate:.3g} > 0.1: second-order maps unreliable",
@@ -184,9 +196,9 @@ def _conjugate_coupling(params: ModelParams) -> complex:
 
 def relaxation_constants(params: ModelParams, beta: float | None = None) -> RelaxationPair:
     """Rate R = 8 lam^2 cosh(b) (sinA + sinB), drive d = 4 lam^2 (e^b sinA + e^-b sinB)."""
-    b, sf, lam2 = _step(params, beta)
-    rate = _second_order_rate(b, sf, lam2)
-    drive = 4.0 * lam2 * (math.exp(b) * sf.sin_a + math.exp(-b) * sf.sin_b)
+    (eb, emb, cosh_b), sf, lam2 = _step(params, beta)
+    rate = _second_order_rate(cosh_b, sf, lam2)
+    drive = 4.0 * lam2 * (eb * sf.sin_a + emb * sf.sin_b)
     return RelaxationPair(rate=rate, drive=drive)
 
 
@@ -194,9 +206,9 @@ def outcome_probabilities(
     rho: QubitState, params: ModelParams, beta: float | None = None
 ) -> tuple[float, float, float]:
     """Probabilities (p_up, p_down, p_same) of the next band measurement."""
-    b, sf, lam2 = _step(params, beta)
-    p_up = 4.0 * lam2 * math.exp(b) * (rho.rho11 * sf.sin_a + rho.rho00 * sf.sin_b)
-    p_dn = 4.0 * lam2 * math.exp(-b) * (rho.rho00 * sf.sin_a + rho.rho11 * sf.sin_b)
+    (eb, emb, _), sf, lam2 = _step(params, beta)
+    p_up = 4.0 * lam2 * eb * (rho.rho11 * sf.sin_a + rho.rho00 * sf.sin_b)
+    p_dn = 4.0 * lam2 * emb * (rho.rho00 * sf.sin_a + rho.rho11 * sf.sin_b)
     p_same = 1.0 - p_up - p_dn
     if p_same < -0.01:
         raise ValueError(
@@ -220,9 +232,8 @@ def conditional_update(
 
     outcome is "same", "up" (one band higher) or "down" (one band lower).
     """
-    b, sf, lam2 = _step(params, beta)
-    _second_order_rate(b, sf, lam2)
-    eb, emb = math.exp(b), math.exp(-b)
+    (eb, emb, cosh_b), sf, lam2 = _step(params, beta)
+    _second_order_rate(cosh_b, sf, lam2)
     r00, r11, r10 = rho.rho00, rho.rho11, rho.rho10
 
     if outcome == "same":
@@ -280,17 +291,28 @@ def rho00_closed_form(
     return (rho00_initial - star) * np.exp(-rel.rate * j) + star
 
 
-def attractor_rho00(dt, detuning, delta_s: float, beta: float):
-    """Vectorized attractor occupation over (dt, detuning) arrays; NaN where
-    frozen (both interference factors vanish)."""
+def _attractor_cells(dt, detuning, delta_s: float, beta: float):
+    """(rho00, frozen) over (dt, detuning) arrays: the attractor occupation,
+    NaN where frozen, and the freezing test (_frozen) itself.
+
+    The weights e^{+-b} / (2 cosh b) of sinA and sinB are formed as
+    1 / (1 + e^{-+2b}), which a large |b| takes to 0 and 1, not to inf / inf.
+    """
     dt = np.asarray(dt, dtype=float)
     detuning = np.asarray(detuning, dtype=float)
     sin_a, sin_b = _interference(dt, detuning, delta_s)
     b = beta * (delta_s + detuning) / 2.0
     frozen = _frozen(dt, sin_a, sin_b)
     safe = np.where(frozen, 1.0, sin_a + sin_b)
-    out = (np.exp(b) * sin_a + np.exp(-b) * sin_b) / (2.0 * np.cosh(b) * safe)
-    return np.where(frozen, np.nan, out)
+    with np.errstate(over="ignore"):
+        up, down = 1.0 / (1.0 + np.exp(-2.0 * b)), 1.0 / (1.0 + np.exp(2.0 * b))
+    return np.where(frozen, np.nan, (up * sin_a + down * sin_b) / safe), frozen
+
+
+def attractor_rho00(dt, detuning, delta_s: float, beta: float):
+    """Vectorized attractor occupation over (dt, detuning) arrays; NaN where
+    frozen (both interference factors vanish)."""
+    return _attractor_cells(dt, detuning, delta_s, beta)[0]
 
 
 def attractor(
@@ -299,11 +321,10 @@ def attractor(
     """Fixed point d/R of the ensemble recursion; None at a freezing point."""
     bv = params.beta if beta is None else beta
     rel = relaxation_constants(params, bv)
-    star = float(
-        attractor_rho00(params.dt, params.detuning, params.delta_s, bv)
-    )
-    if math.isnan(star):
+    cell, frozen = _attractor_cells(params.dt, params.detuning, params.delta_s, bv)
+    if frozen:
         return None
+    star = float(cell)
     return AttractorResult(
         rho00_star=star,
         rate=rel.rate,
@@ -319,15 +340,14 @@ def temperature_bounds(
     bv = params.beta if beta is None else beta
     if bv == 0.0:
         raise ValueError("temperature bounds require beta != 0")
-    b = bv * params.delta_b / 2.0
-    two_cosh = 2.0 * math.cosh(b)
+    eb, emb, cosh_b = _boltzmann(bv * params.delta_b / 2.0)
     t_min = (params.delta_s / params.delta_b) / bv
     t_max = None if params.detuning == 0.0 else -t_min
     return TemperatureBounds(
         t_min=t_min,
         t_max=t_max,
-        rho00_max=math.exp(b) / two_cosh,
-        rho00_min=math.exp(-b) / two_cosh,
+        rho00_max=eb / (2.0 * cosh_b),
+        rho00_min=emb / (2.0 * cosh_b),
     )
 
 
@@ -345,8 +365,8 @@ def is_freezing_point(
 
 def offdiag_coeffs(params: ModelParams, beta: float | None = None) -> OffdiagCoeffs:
     """Coefficients (c1..c4) of the off-diagonal recursion, plus gamma."""
-    b, _, lam2 = _step(params, beta)
-    pref = 2.0 * lam2 * math.cosh(b)
+    (_, _, cosh_b), _, lam2 = _step(params, beta)
+    pref = 2.0 * lam2 * cosh_b
     phases = _phase_sum(params)
     c1 = -pref * phases.real
     c2 = -pref * phases.imag

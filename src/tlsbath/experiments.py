@@ -11,12 +11,13 @@ import numpy as np
 
 from . import analytics
 from .analytics import is_freezing_point, offdiag_coeffs, rho00_closed_form
-from .dynamics import run_ensemble
+from .dynamics import _ENSEMBLE_STEP_BYTES, run_ensemble
 from .model import (
     BandedEnvironment,
     ModelParams,
     QubitState,
     _check_count,
+    _check_fits,
     _check_real,
     build_band_environment,
     build_spin_environment,
@@ -40,6 +41,9 @@ __all__ = [
 DEFAULT_SEED = 20451
 GROUND = QubitState(rho00=1.0)
 PLATEAU_FRACTION = 0.2   # trailing share of a series that `plateau` averages
+# Bytes a relaxation scenario holds per step at its peak: run_ensemble's
+# budget and the step index j and analytic overlay (8 + 8) of run_scenario.
+_SCENARIO_STEP_BYTES = _ENSEMBLE_STEP_BYTES + 16
 
 
 @dataclass
@@ -135,7 +139,8 @@ def attractor_map(
     An axis end left None takes its default, which scales with delta_s: dt
     runs from 0.01 to 4 pi/delta_s and detuning from -0.9 to 3 delta_s.
     Returns (dt_values, detuning_values, rho00, freezing_mask); rho00 is
-    indexed [detuning, dt] and freezing cells hold NaN.
+    indexed [detuning, dt], and the mask is the one freezing test
+    (analytics._frozen), whose cells hold NaN.
     """
     _check_counts({"grid": grid})
     ModelParams(delta_s=delta_s, beta=beta)  # both finite reals, delta_s > 0
@@ -149,10 +154,8 @@ def attractor_map(
         _real_or("detuning_max", detuning_max, 3.0 * delta_s),
         grid[1],
     )
-    values = analytics.attractor_rho00(
-        dts[None, :], dets[:, None], delta_s=delta_s, beta=beta
-    )
-    return dts, dets, values, np.isnan(values)
+    values, frozen = analytics._attractor_cells(dts[None, :], dets[:, None], delta_s, beta)
+    return dts, dets, values, frozen
 
 
 # Sweepable quantities: name -> (analytics function, attribute of its result).
@@ -363,6 +366,7 @@ def run_scenario(scenario: str = "fig2", **overrides) -> ScenarioReport:
             raise ValueError(f"the relaxation rate R = {att.rate:.3g} gives no finite "
                              "default run length ceil(8 / R): give steps")
         cfg["steps"] = int(math.ceil(length))
+    _check_fits(f"a scenario of {cfg['steps']} steps", cfg["steps"] * _SCENARIO_STEP_BYTES)
     series, record = _run(cfg, params, beta_eff)
     j = np.arange(cfg["steps"] + 1)
     overlay = rho00_closed_form(cfg["rho0"].rho00, j, params, beta_eff)

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 from tlsbath import cli, model
+from tlsbath.analytics import is_freezing_point
 from tlsbath.cli import main
 from tlsbath.experiments import (
     _FREEZING,
     _SCENARIOS,
+    _SWEEP_QUANTITIES,
     ScenarioReport,
     attractor_map,
     sweep,
@@ -91,6 +93,25 @@ class TestAttractorMapCommand:
         row = read_csv(tmp_path / "attractor_map.csv")[1]
         assert row[2] == ""
         assert row[3] == "true"
+
+    def test_large_beta_cells(self, tmp_path, recwarn):
+        """At beta = 2000 the weights e^{+-b} / (2 cosh b) would be inf / inf;
+        the two cells that are not freezing points hold finite occupations
+        and are marked false, and only (4 pi, 3.0) is flagged, as the one
+        freezing test says."""
+        cfg = write_config(tmp_path, {"grid": [3, 2], "beta": 2000.0})
+        assert main(["attractor-map", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = {(float(dt), float(det)): (value, frozen)
+                for dt, det, value, frozen in read_csv(tmp_path / "attractor_map.csv")[1:]}
+        dts, _, _, _ = attractor_map(grid=(3, 2), beta=2000.0)
+        for dt in dts:
+            value, frozen = rows[dt, 3.0]
+            if is_freezing_point(dt, 3.0, 1.0)[0]:
+                assert dt == dts[-1] and (value, frozen) == ("", "true")
+            else:
+                assert frozen == "false" and 0.0 <= float(value) <= 1.0
+        assert is_freezing_point(dts[-1], 3.0, 1.0) == (True, 4, 6)
+        assert not recwarn.list
 
 
 class TestRelaxCommand:
@@ -389,6 +410,17 @@ class TestSweepCommand:
             rows = read_csv(tmp_path / f"sweep_{quantity}_dt.csv")
             total += float(rows[1][1])
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("quantity", sorted(_SWEEP_QUANTITIES))
+    def test_large_beta_is_nan(self, tmp_path, capsys, recwarn, quantity):
+        """cosh b and e^b overflow at beta = 2000 (b = 1000): the point is
+        written as NaN and the command exits 0, with no traceback."""
+        cfg = write_config(tmp_path, {"quantity": quantity, "parameter": "beta",
+                                      "values": [2000.0]})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert read_csv(tmp_path / f"sweep_{quantity}_beta.csv")[1:] == [["2000.0", "nan"]]
+        assert "Traceback" not in capsys.readouterr().err
+        assert not recwarn.list
 
     def test_unknown_quantity_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"quantity": "bogus", "parameter": "dt"})

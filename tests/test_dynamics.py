@@ -945,6 +945,40 @@ class TestOneSectorTrajectories:
             window = chain[max(k - 1, 0):k + 2, k]
             assert abs(traj.probs[j] - chain[k2, k] / window.sum()) < 1e-12
 
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(1, 6),
+        model=st.sampled_from(["random-band", "sigma-x"]),
+        rho00=st.sampled_from([1.0, 0.0]),
+        dt=st.floats(0.0, 4 * math.pi),
+        coupling=st.floats(0.0, 0.3),
+        env_seed=st.integers(0, 2**16),
+        seed=st.integers(0, 2**32),
+        data=st.data(),
+    )
+    def test_probs_follow_the_chain(self, n, model, rho00, dt, coupling, env_seed, seed,
+                                    data):
+        """Over drawn builds: every outcome probability of a one-sector coarse
+        run_trajectory is the chain transfer_blocks(...)[1][0].real at
+        (outcome, band left), normalised over the window of the band left. A
+        run is refused exactly where the leakage bound exceeds the sampled
+        engine's tolerance."""
+        params = ModelParams(delta_s=1.0, coupling=coupling, dt=dt)
+        build = build_band_environment if model == "random-band" else build_spin_environment
+        env = build(n, params.delta_b, seed=env_seed)
+        rho0, k0 = QubitState(rho00=rho00), data.draw(st.sampled_from(list(env.ks)))
+        _, blocks, leakage = transfer_blocks(params, env, rho0, k0)
+        run = lambda: run_trajectory(params, env, rho0, k0, 30, seed=seed)  # noqa: E731
+        if leakage > max(1e-9, 1e3 * coupling**4):
+            with pytest.raises(ValueError, match="band-adjacency selection rule"):
+                run()
+            return
+        traj, chain = run(), blocks[0].real
+        window = [chain[max(k - 1, 0):k + 2, k].sum() for k in range(env.n_bands)]
+        i = traj.outcomes - env.band_range[0]
+        expect = [chain[k2, k] / window[k] for k, k2 in zip(i[:-1], i[1:])]
+        assert np.max(np.abs(traj.probs - expect)) < 1e-12
+
 
 class TestPairBlocks:
     """The blocks S_pq of _pair_sums that both coarse engines step, for a

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tlsbath import experiments
+from tlsbath import experiments, model
 from tlsbath.analytics import (
     attractor,
     attractor_rho00,
@@ -151,6 +151,23 @@ class TestScenarioTable:
     def test_freezing_point_rejected(self, scenario):
         with pytest.raises(ValueError, match="freezing point"):
             run_scenario(scenario, detuning=2.0, dt=math.pi)
+
+    def test_memory_counts_the_overlay(self, monkeypatch):
+        """A scenario holds run_ensemble's 192 B a step and its own step index
+        and analytic overlay, 208 B in all: with the memory figure between
+        the two totals it is refused before the run, and at 208 B a step it
+        runs (n = 5, so that the 81 920 B build fits as well)."""
+        steps = 2000
+        run = experiments.run_ensemble
+        monkeypatch.setattr(model, "_physical_memory", lambda: steps * 200)
+        monkeypatch.setattr(experiments, "run_ensemble",
+                            lambda *a, **kw: pytest.fail("the run started"))
+        with pytest.raises(ValueError, match=f"scenario of {steps} steps would take"):
+            run_scenario("fig2", n=5, steps=steps)
+        monkeypatch.setattr(model, "_physical_memory", lambda: steps * 208)
+        monkeypatch.setattr(experiments, "run_ensemble", run)
+        report = run_scenario("fig2", n=5, steps=steps)
+        assert len(report.series["rho00_analytic"]) == steps + 1
 
 
 class TestAttractorMap:
