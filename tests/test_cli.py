@@ -101,16 +101,14 @@ class TestAttractorMapCommand:
         freezing test says."""
         cfg = write_config(tmp_path, {"grid": [3, 2], "beta": 2000.0})
         assert main(["attractor-map", "--config", cfg, "--out", str(tmp_path)]) == 0
-        rows = {(float(dt), float(det)): (value, frozen)
-                for dt, det, value, frozen in read_csv(tmp_path / "attractor_map.csv")[1:]}
+        cells = {(float(dt), float(det)): (value, frozen)
+                 for dt, det, value, frozen in read_csv(tmp_path / "attractor_map.csv")[1:]}
         dts, _, _, _ = attractor_map(grid=(3, 2), beta=2000.0)
-        for dt in dts:
-            value, frozen = rows[dt, 3.0]
-            if is_freezing_point(dt, 3.0, 1.0)[0]:
-                assert dt == dts[-1] and (value, frozen) == ("", "true")
-            else:
-                assert frozen == "false" and 0.0 <= float(value) <= 1.0
-        assert is_freezing_point(dts[-1], 3.0, 1.0) == (True, 4, 6)
+        assert [is_freezing_point(dt, 3.0, 1.0)[0] for dt in dts] == [False, False, True]
+        assert cells[dts[2], 3.0] == ("", "true")
+        for dt in dts[:2]:
+            value, frozen = cells[dt, 3.0]
+            assert frozen == "false" and 0.0 <= float(value) <= 1.0
         assert not recwarn.list
 
 

@@ -968,12 +968,11 @@ class TestOneSectorTrajectories:
         env = build(n, params.delta_b, seed=env_seed)
         rho0, k0 = QubitState(rho00=rho00), data.draw(st.sampled_from(list(env.ks)))
         _, blocks, leakage = transfer_blocks(params, env, rho0, k0)
-        run = lambda: run_trajectory(params, env, rho0, k0, 30, seed=seed)  # noqa: E731
         if leakage > max(1e-9, 1e3 * coupling**4):
             with pytest.raises(ValueError, match="band-adjacency selection rule"):
-                run()
+                run_trajectory(params, env, rho0, k0, 30, seed=seed)
             return
-        traj, chain = run(), blocks[0].real
+        traj, chain = run_trajectory(params, env, rho0, k0, 30, seed=seed), blocks[0].real
         window = [chain[max(k - 1, 0):k + 2, k].sum() for k in range(env.n_bands)]
         i = traj.outcomes - env.band_range[0]
         expect = [chain[k2, k] / window[k] for k, k2 in zip(i[:-1], i[1:])]
