@@ -14,11 +14,13 @@ reports and the sampled engine alone refuses a run on. No joint-width
 matrix is formed. U conserves each sector pair, so every engine holds only
 the live pairs of the table. Both coarse-reset engines step only the
 band-pair blocks of the live pairs (transfer_blocks): no sector unitary
-is held while they step. A sampled trajectory holds only its parts in the
-sectors the table names; exact-reset trajectories are grouped by their
-measured band, and each group steps with one product per adjacent band it
-can reach. Sampled records are handed on one draw block at a time, so no
-sampled run holds a steps x n_traj history.
+is held while they step. Every engine holds its state as rows of the pair
+table and reads rho00 and rho10 through one reader (_parity_rows). A
+sampled trajectory is its band and its entries on the live pairs; with
+exact reset it also holds its parts in the sectors the table names, and
+trajectories are grouped by their measured band, each group stepping with
+one product per adjacent band it can reach. Sampled records are handed on
+one draw block at a time, so no sampled run holds a steps x n_traj history.
 """
 from __future__ import annotations
 
@@ -170,7 +172,8 @@ def _eig2(rho00: np.ndarray, rho10: np.ndarray):
 def _build(params: ModelParams, env: BandedEnvironment, rho0: QubitState, k0: int):
     """The one build step of every run from rho0 (x) 1_k0 / N_k0: its pair
     table, the sector unitaries the table names, and their leakage bound
-    (_leakage_bound). Returns (us, pairs, leakage).
+    (_leakage_bound). Returns (pairs, us, leakage), the order of
+    transfer_blocks.
 
     us = [u_0, u_1], with u_p = exp(-i h_p dt) on parity sector p of the
     joint Hamiltonian and None for a sector no live pair names. The joint
@@ -207,7 +210,7 @@ def _build(params: ModelParams, env: BandedEnvironment, rho0: QubitState, k0: in
     for p, h in hs.items():
         us[p] = Propagator(h).unitary(params.dt, out=h)
         np.negative(us[p], out=us[p], where=flipped[:, None] != flipped)
-    return us, pairs, _leakage_bound(us, env)
+    return pairs, us, _leakage_bound(us, env)
 
 
 def _band_windows(env: BandedEnvironment):
@@ -265,7 +268,7 @@ def transfer_blocks(params: ModelParams, env: BandedEnvironment, rho0: QubitStat
     and blocks[l] the (n_bands, n_bands) block S_pq of live pair l = (p, q)
     (_pair_sums), so that dict(zip(pairs, blocks)) maps each pair to its block.
     The sector unitaries are released when it returns."""
-    us, pairs, leakage = _build(params, env, rho0, k0)
+    pairs, us, leakage = _build(params, env, rho0, k0)
     return pairs, _pair_sums(us, pairs, env), leakage
 
 
@@ -275,7 +278,7 @@ def _parity_rows(pairs: dict, nb: int):
     holds rho10 on even bands and its conjugate on odd ones. A dead pair's
     row is len(pairs), a zero row."""
     row, dead = {pq: l for l, pq in enumerate(pairs)}, len(pairs)
-    rows00 = np.array([row.get((k % 2, k % 2), dead) for k in range(nb)])
+    rows00 = np.array([row.get((0, 0), dead), row.get((1, 1), dead)])[np.arange(nb) % 2]
     return rows00, row.get((1, 0), dead)
 
 
@@ -327,16 +330,18 @@ def _sample_paths(
 
     Every state is supported on one band k, and one step only reaches the
     window of bands k-1 .. k+1 (contiguous in the environment's level order).
-    U conserves parity, so a trajectory's state is held by its parts in the
-    S sectors _build made, and a sector's part stays in its sector: on band
+    In either reset mode a trajectory is its band k and its TLS state's
+    entries rho[l] on the live pairs l = (p, q) of the table, from which
+    every step's rho00 and rho10 are read (_parity_rows). U conserves
+    parity, so an exact-reset state is also held by its parts in the S
+    sectors _build made, and a sector's part stays in its sector: on band
     k, the part of sector p is at TLS level (p - k) mod 2. Everything a step
     needs is formed from op where the trajectories start, and nothing of a
     dead pair or a sector left out is stored:
 
     - coarse reset: the bath is 1_k / N_k after every measurement, so the TLS
-      state conditioned on the band record depends on the record alone. A
-      trajectory is its band k and its TLS state's entries rho[l] on the
-      live pairs l = (p, q) of the table. The step is diagonal in the pair:
+      state conditioned on the band record depends on the record alone, and
+      rho[l] is all a trajectory holds. The step is diagonal in the pair:
       y[i, l] = op[l, k - 1 + i, k] rho[l] for the window bands k - 1 + i
       (zero outside the environment), the band is drawn from the weights
       tr y (the pairs (p, p), which lead the table), and y / tr y is kept.
@@ -350,11 +355,11 @@ def _sample_paths(
       one (S, m_k, N_k)(S, N_k, N_k') product per window band k', with the
       contiguous blocks u_p[band k', band k]^T of the S built sectors
       stacked; its weight in band k' is read from that product alone. After
-      the draw, the rows that land in k' give their reduced state (rho00 the
-      weight of the sector-(k' mod 2) part, rho10 the overlap <ground part |
-      excited part>, 0 for a sector left out) and, normalised, their next
-      parts, and every band's arrivals from k'-1, k' and k'+1 are joined
-      into its next bucket.
+      the draw, the rows that land in k' give their entries rho[l] (pair
+      (p, p) the weight of the sector-p part, pair (1, 0) the overlap
+      <part 0 | part 1>, both divided by the weight in k') and, normalised,
+      their next parts, and every band's arrivals from k'-1, k' and k'+1 are
+      joined into its next bucket.
 
     Outcomes are drawn within the window, so the run is refused, as the
     generator is first advanced and before any step, if one step can move
@@ -400,24 +405,27 @@ def _sample_paths(
 
     i0, lo = env.band_index(k0), env.band_range[0]
     out_k[0] = i0
+    # rho[c, l]: trajectory c's entry on live pair l = (p, q), TLS entry
+    # ((p - k) mod 2, (q - k) mod 2) on its band k. The last column stays
+    # zero and stands for every dead pair.
+    rho = np.zeros((m, len(pairs) + 1), dtype=complex)
+    n_diag = sum(p == q for p, q in pairs)
+    row00, row10 = _parity_rows(pairs, nb)
     if coarse:
         # step[k, i, l] = op[l, k - 1 + i, k], zero outside the environment.
         padded = np.pad(op.transpose(1, 2, 0), ((1, 1), (0, 0), (0, 0)))
         step = padded[np.arange(nb)[:, None] + np.arange(3), np.arange(nb)[:, None]]
         band = np.full(m, i0)
-        # rho[c, l]: trajectory c's entry on live pair l = (p, q), TLS entry
-        # ((p - k) mod 2, (q - k) mod 2) on its band k. The last column stays
-        # zero and stands for every dead pair.
-        rho = np.zeros((m, len(pairs) + 1), dtype=complex)
         rho[:, :-1] = list(pairs.values())
-        n_diag = sum(p == q for p, q in pairs)
-        row00, row10 = _parity_rows(pairs, nb)
         out_r00[0], out_r10[0] = rho0.rho00, rho0.rho10
     else:
         # step[k][k2]: u_p[band k2, band k]^T for the window bands k2 of k.
         built, levels = [p for p in (0, 1) if op[p] is not None], env.band_slice
         step = [{k2: np.stack([op[p][levels(k2), levels(k)].T for p in built])
                  for k2 in range(max(k - 1, 0), min(k + 2, nb))} for k in range(nb)]
+        # The built sectors whose weights are the entries on the live pairs
+        # (p, p), which lead the table.
+        diag = [built.index(p) for p, q in pairs if p == q]
         # The unraveling of rho0 (x) 1_k / N_k: an eigenvector v of rho0 and a
         # uniform level of band k0.
         x0 = np.empty((2, m))
@@ -433,9 +441,6 @@ def _sample_paths(
         psi = np.zeros((len(built), m, nk), dtype=complex)
         psi[:, traj, level] = vec[[(p - i0) % 2 for p in built]]
         buckets = {i0: (traj, psi)}
-        # On a band of parity e, the ground part is that of sector e: its
-        # position among the built sectors, or None.
-        ground = [built.index(e) if e in built else None for e in (0, 1)]
     yield 0, out_k[:1] + lo, out_p[:0], out_r00[:1], out_r10[:1]
 
     for j0 in range(1, steps + 1, block):
@@ -453,45 +458,44 @@ def _sample_paths(
                 np.divide(y[traj, new - band + 1].view(float), wk[:, None],
                           out=rho[:, :-1].view(float))
                 band = out_k[t] = new
-                out_r00[t] = rho[traj, row00[band]].real
-                out_r10[t] = rho[:, row10]
-                continue
-            landed = {}
-            for i, (ids, psi) in buckets.items():
-                # prod[k2][s]: the part of built sector s, stepped, on window
-                # band k2; part_w[k2][s]: its weight.
-                prod = {k2: psi @ b for k2, b in step[i].items()}
-                part_w = {k2: np.einsum("scl,scl->sc", v.view(float), v.view(float))
-                          for k2, v in prod.items()}
-                w = np.zeros((len(ids), 3))
-                for k2, pw in part_w.items():
-                    w[:, k2 - i + 1] = pw.sum(axis=0)
-                new, wk, out_p[t, ids] = _born_pick(w, draws[t, ids], i, nb)
-                out_k[t, ids] = new
-                for k2, v in prod.items():
-                    sel = new == k2
-                    hits = np.count_nonzero(sel)
-                    if not hits:
-                        continue
-                    parts = v if hits == len(ids) else np.compress(sel, v, axis=1)
-                    idx, wsel = ids[sel], wk[sel]
-                    g = ground[k2 % 2]
-                    out_r00[t, idx] = 0.0 if g is None else part_w[k2][g, sel] / wsel
-                    out_r10[t, idx] = (np.vecdot(parts[g], parts[1 - g]) / wsel
-                                       if len(built) == 2 else 0.0)
-                    # Normalised in place: scaling the float view by
-                    # 1 / sqrt(wk) rounds as a complex division by sqrt(wk)
-                    # does, at a fraction of its cost.
-                    flat = parts.view(float)
-                    flat *= (1.0 / np.sqrt(wsel))[:, None]
-                    landed.setdefault(k2, []).append((idx, parts))
-            buckets = {
-                k2: (np.concatenate([r for r, _ in got]),
-                     np.concatenate([p for _, p in got], 1))
-                if len(got) > 1 else got[0]
-                for k2, got in landed.items()
-            }
-        if coarse and (1, 0) in pairs:
+            else:
+                landed = {}
+                for i, (ids, psi) in buckets.items():
+                    # prod[k2][s]: the part of built sector s, stepped, on
+                    # window band k2; part_w[k2][s]: its weight.
+                    prod = {k2: psi @ b for k2, b in step[i].items()}
+                    part_w = {k2: np.einsum("scl,scl->sc", v.view(float), v.view(float))
+                              for k2, v in prod.items()}
+                    w = np.zeros((len(ids), 3))
+                    for k2, pw in part_w.items():
+                        w[:, k2 - i + 1] = pw.sum(axis=0)
+                    new, wk, out_p[t, ids] = _born_pick(w, draws[t, ids], i, nb)
+                    out_k[t, ids] = new
+                    for k2, v in prod.items():
+                        sel = new == k2
+                        hits = np.count_nonzero(sel)
+                        if not hits:
+                            continue
+                        parts = v if hits == len(ids) else np.compress(sel, v, axis=1)
+                        idx, wsel = ids[sel], wk[sel]
+                        rho[idx, :n_diag] = part_w[k2][diag][:, sel].T / wsel[:, None]
+                        if (1, 0) in pairs:
+                            rho[idx, row10] = np.vecdot(parts[0], parts[1]) / wsel
+                        # Normalised in place: scaling the float view by
+                        # 1 / sqrt(wk) rounds as a complex division by
+                        # sqrt(wk) does, at a fraction of its cost.
+                        flat = parts.view(float)
+                        flat *= (1.0 / np.sqrt(wsel))[:, None]
+                        landed.setdefault(k2, []).append((idx, parts))
+                buckets = {
+                    k2: (np.concatenate([r for r, _ in got]),
+                         np.concatenate([p for _, p in got], 1))
+                    if len(got) > 1 else got[0]
+                    for k2, got in landed.items()
+                }
+            out_r00[t] = rho[traj, row00[out_k[t]]].real
+            out_r10[t] = rho[:, row10]
+        if (1, 0) in pairs:
             np.conjugate(out_r10[:n], out=out_r10[:n], where=out_k[:n] % 2 == 1)
         yield j0, out_k[:n] + lo, out_p[:n], out_r00[:n], out_r10[:n]
 
@@ -525,10 +529,8 @@ def run_trajectory(
     _check_choice("reset_mode", reset_mode, RESET_MODES)
     _check_fits(f"a trajectory of {steps} steps", steps * _TRAJECTORY_STEP_BYTES)
     words = seed_words(seed)
-    if reset_mode == "coarse":
-        pairs, op, leakage = transfer_blocks(params, env, rho0, k0)
-    else:
-        op, pairs, leakage = _build(params, env, rho0, k0)
+    build = transfer_blocks if reset_mode == "coarse" else _build
+    pairs, op, leakage = build(params, env, rho0, k0)
     blocks = _sample_paths(params, env, op, pairs, leakage, rho0, k0, steps, words,
                            reset_mode)
     # Each block's column is copied before the next block overwrites it.
@@ -544,43 +546,42 @@ def _run_nonselective_exact(us, pairs: dict, env, k0, steps):
 
     U is the direct sum of the sector unitaries u_p of _build; in sector p
     the N_k levels of band k sit at env.band_starts[k]. After every band
-    measurement rho is block-diagonal in the bands, so each live pair (p, q)
-    of the pair table is held as one N_k x N_k block X_k per band, starting
-    as its entry times 1_k0 / N_k0 on band k0. A step is
-    M[:, k] = u_p[:, k] X_k, then X'_k = M[k] u_q[k]^+. A dead pair reads as
-    an exact zero in rho00, rho10 and the trace, so it is left out of them.
+    measurement rho is block-diagonal in the bands, so live pair l = (p, q)
+    of the pair table is held as one N_k x N_k block x[l][k] per band k,
+    starting as its entry times 1_k0 / N_k0 on band k0. A step is
+    M[:, k] = u_p[:, k] X_k, then X'_k = M[k] u_q[k]^+. rho00 and rho10 are
+    the block traces read by _parity_rows, summed in band order; a dead
+    pair's row of traces is zero.
 
     Returns the rho00 and rho10 series and the largest drift of the total
     trace, which must stay below 1e-9.
     """
-    degs, i0 = env.degeneracies, env.band_index(k0)
+    degs, i0, nb = env.degeneracies, env.band_index(k0), env.n_bands
     bands = [slice(s, s + nk) for s, nk in zip(env.band_starts, degs)]
-    x = {}
-    for pq, entry in pairs.items():
-        x[pq] = [np.zeros((nk, nk), dtype=complex) for nk in degs]
-        x[pq][i0] = entry * np.eye(degs[i0]) / degs[i0]
-    diagonal = [pq for pq in x if pq[0] == pq[1]]
-    trace0 = sum(np.trace(x[pq][i0]).real for pq in diagonal)
+    x = [[np.zeros((nk, nk), dtype=complex) for nk in degs] for _ in pairs]
+    for xl, entry in zip(x, pairs.values()):
+        xl[i0] = entry * np.eye(degs[i0]) / degs[i0]
+    diagonal = [l for l, (p, q) in enumerate(pairs) if p == q]
+    trace0 = sum(np.trace(x[l][i0]).real for l in diagonal)
+    row00, row10 = _parity_rows(pairs, nb)
     mixed = np.empty((env.dim, env.dim), dtype=complex)
     r00 = np.empty(steps + 1)
     r10 = np.empty(steps + 1, dtype=complex)
     worst = 0.0
     for j in range(steps + 1):
         if j:
-            for p, q in x:
-                for b, r in zip(bands, x[p, q]):
+            for (p, q), xl in zip(pairs, x):
+                for b, r in zip(bands, xl):
                     mixed[:, b] = us[p][:, b] @ r
-                x[p, q] = [mixed[b] @ us[q][b].conj().T for b in bands]
-            drift = sum(np.trace(r).real for pq in diagonal for r in x[pq]) - trace0
+                xl[:] = [mixed[b] @ us[q][b].conj().T for b in bands]
+        traces = [[np.trace(r) for r in xl] for xl in x] + [[0j] * nb]
+        if j:
+            drift = sum(traces[l][k].real for l in diagonal for k in range(nb)) - trace0
             if abs(drift) > 1e-9:
                 raise ValueError(f"trace drifted by {drift:.1e} at step {j}")
             worst = max(worst, abs(drift))
-        # Band k's ground block is in sector k mod 2; its (excited, ground)
-        # coherence is X_10[k] for even k and X_10[k]^+ for odd k.
-        r00[j] = sum(np.trace(x[k % 2, k % 2][k]).real
-                     for k in range(len(degs)) if (k % 2, k % 2) in x)
-        coh = [np.trace(r) for r in x.get((1, 0), ())]
-        r10[j] = sum(c if k % 2 == 0 else np.conj(c) for k, c in enumerate(coh))
+        r00[j] = sum(traces[row00[k]][k].real for k in range(nb))
+        r10[j] = sum(c if k % 2 == 0 else np.conj(c) for k, c in enumerate(traces[row10]))
     return r00, r10, worst
 
 
@@ -649,10 +650,8 @@ def run_ensemble(
         raise ValueError("sampled engine requires a master_seed")
     _check_fits(f"a series of {steps} steps", steps * _ENSEMBLE_STEP_BYTES)
     words = trajectory_words(master_seed, n_traj) if sampled else None
-    if reset_mode == "coarse":
-        pairs, op, leakage = transfer_blocks(params, env, rho0, k0)
-    else:
-        op, pairs, leakage = _build(params, env, rho0, k0)
+    build = transfer_blocks if reset_mode == "coarse" else _build
+    pairs, op, leakage = build(params, env, rho0, k0)
     stderr, drift = np.zeros(steps + 1), None
     if sampled:
         r00, r10 = np.empty(steps + 1), np.empty(steps + 1, dtype=complex)

@@ -56,7 +56,7 @@ def _paths(params, env, rho0, k0, steps, seeds, reset_mode):
     if reset_mode == "coarse":
         pairs, op, leakage = transfer_blocks(params, env, rho0, k0)
     else:
-        op, pairs, leakage = _build(params, env, rho0, k0)
+        pairs, op, leakage = _build(params, env, rho0, k0)
     words = np.concatenate([seed_words(s) for s in seeds])
     return _stacked(_sample_paths(params, env, op, pairs, leakage, rho0, k0, steps, words,
                                   reset_mode))
@@ -519,7 +519,7 @@ class TestExactResetEngine:
         coherent = QubitState(rho00=0.6, rho10=0.2 + 0.1j)
 
         def peak(rho0):
-            us, pairs, _ = _build(resonant_params, seven_env, rho0, 2)
+            pairs, us, _ = _build(resonant_params, seven_env, rho0, 2)
             tracemalloc.start()
             try:
                 _run_nonselective_exact(us, pairs, seven_env, 2, 3)
@@ -627,7 +627,7 @@ class TestOccupiedSectors:
             return made[-1]
 
         monkeypatch.setattr(dynamics, "build_total_hamiltonian", recording_build)
-        us, _, _ = _build(resonant_params, small_env, rho0, 2)
+        _, us, _ = _build(resonant_params, small_env, rho0, 2)
         built = [u for u in us if u is not None]
         assert len(made) == len(built) == sectors
         assert all(np.shares_memory(u, h) for u, h in zip(built, made))
@@ -905,7 +905,7 @@ class TestOneSectorTrajectories:
     def test_one_sector_invariant(self, any_env, rho00, reset_mode):
         params = ModelParams(delta_s=1.3, coupling=0.1, dt=1.1)
         rho0, k0 = QubitState(rho00=rho00), any_env.ks[2]
-        us, pairs, leakage = _build(params, any_env, rho0, k0)
+        pairs, us, leakage = _build(params, any_env, rho0, k0)
         i0 = any_env.band_index(k0)
         p = (i0 + (rho00 == 0.0)) % 2
         assert us[1 - p] is None and us[p] is not None
@@ -993,7 +993,7 @@ class TestPairBlocks:
         # Every any_env environment has delta_b = 1.3.
         params = ModelParams(delta_s=1.3 - detuning, detuning=detuning,
                              coupling=coupling, dt=dt)
-        us, pairs, _ = _build(params, env, _COHERENT, env.ks[2])
+        pairs, us, _ = _build(params, env, _COHERENT, env.ks[2])
         assert list(pairs) == [(0, 0), (1, 1), (1, 0)]
         return us, dict(zip(pairs, _pair_sums(us, pairs, env)))
 
@@ -1040,7 +1040,7 @@ class TestPairTable:
     def test_table_and_sectors(self, resonant_params, small_env, start, k0):
         rho0 = self.STARTS[start]
         rho0.validate()
-        us, pairs, _ = _build(resonant_params, small_env, rho0, k0)
+        pairs, us, _ = _build(resonant_params, small_env, rho0, k0)
         rs, i0 = rho0.matrix(), small_env.band_index(k0)
         entry = {(p, q): rs[(p - i0) % 2, (q - i0) % 2] for p in (0, 1) for q in (0, 1)}
         live = [pq for pq in [(0, 0), (1, 1), (1, 0)] if entry[pq] != 0]
@@ -1171,7 +1171,7 @@ class TestBlockRecords:
         the last block short, all written into the same buffers; the
         ensemble of the run is the mean and standard error of their rows."""
         m, steps = 700, 2 * block_steps(700) + 3
-        us, pairs, leakage = _build(resonant_params, small_env, _COHERENT, 2)
+        pairs, us, leakage = _build(resonant_params, small_env, _COHERENT, 2)
         spans, buffers, r00 = [], set(), []
         for j0, k, p, b00, b10 in _sample_paths(resonant_params, small_env, us, pairs,
                                                  leakage, _COHERENT, 2, steps,
@@ -1219,7 +1219,7 @@ class TestTransferBlocks:
         params = ModelParams(delta_s=1.0, detuning=0.3, coupling=0.1, dt=1.1)
         rho0, k0 = _STARTS[start], any_env.ks[2]
         pairs, blocks, leakage = transfer_blocks(params, any_env, rho0, k0)
-        us, built_pairs, built_leakage = _build(params, any_env, rho0, k0)
+        built_pairs, us, built_leakage = _build(params, any_env, rho0, k0)
         assert pairs == built_pairs and leakage == built_leakage
         assert np.array_equal(blocks, _pair_sums(us, pairs, any_env))
 
@@ -1391,7 +1391,7 @@ class TestMemoryGuard:
     def test_build(self, monkeypatch, resonant_params, small_env, rho0, sectors):
         need = (sectors + 4) * 16 * small_env.dim**2
         monkeypatch.setattr(model, "_physical_memory", lambda: need)
-        us, _, _ = _build(resonant_params, small_env, rho0, 2)
+        _, us, _ = _build(resonant_params, small_env, rho0, 2)
         assert sum(u is not None for u in us) == sectors
         monkeypatch.setattr(model, "_physical_memory", lambda: need - 1)
         with pytest.raises(ValueError, match="sector unitaries of dimension 32 would take"):
