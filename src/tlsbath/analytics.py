@@ -138,6 +138,14 @@ def _boltzmann(b: float) -> tuple[float, float, float]:
                          "finite: the parameters are too large") from None
 
 
+def _weights(b):
+    """The weights e^{+-b} / (2 cosh b) of sinA and sinB, elementwise, formed
+    as 1 / (1 + e^{-+2b}), which a large |b| takes to 1 and 0, not to
+    inf / inf."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-2.0 * b)), 1.0 / (1.0 + np.exp(2.0 * b))
+
+
 def _step(params: ModelParams, beta: float | None):
     """((e^b, e^-b, cosh b), sinc factors, lam^2) of one step; beta None means
     params.beta."""
@@ -293,19 +301,15 @@ def rho00_closed_form(
 
 def _attractor_cells(dt, detuning, delta_s: float, beta: float):
     """(rho00, frozen) over (dt, detuning) arrays: the attractor occupation,
-    NaN where frozen, and the freezing test (_frozen) itself.
-
-    The weights e^{+-b} / (2 cosh b) of sinA and sinB are formed as
-    1 / (1 + e^{-+2b}), which a large |b| takes to 0 and 1, not to inf / inf.
-    """
+    NaN where frozen, and the freezing test (_frozen) itself. The weights of
+    sinA and sinB are those of _weights, finite at any beta."""
     dt = np.asarray(dt, dtype=float)
     detuning = np.asarray(detuning, dtype=float)
     sin_a, sin_b = _interference(dt, detuning, delta_s)
     b = beta * (delta_s + detuning) / 2.0
     frozen = _frozen(dt, sin_a, sin_b)
     safe = np.where(frozen, 1.0, sin_a + sin_b)
-    with np.errstate(over="ignore"):
-        up, down = 1.0 / (1.0 + np.exp(-2.0 * b)), 1.0 / (1.0 + np.exp(2.0 * b))
+    up, down = _weights(b)
     return np.where(frozen, np.nan, (up * sin_a + down * sin_b) / safe), frozen
 
 
@@ -336,18 +340,18 @@ def attractor(
 def temperature_bounds(
     params: ModelParams, beta: float | None = None
 ) -> TemperatureBounds:
-    """Extremal attractor temperatures and occupations over all dt choices."""
+    """Extremal attractor temperatures and occupations (_weights) over all dt."""
     bv = params.beta if beta is None else beta
     if bv == 0.0:
         raise ValueError("temperature bounds require beta != 0")
-    eb, emb, cosh_b = _boltzmann(bv * params.delta_b / 2.0)
+    up, down = _weights(_finite("beta delta_b / 2", bv * params.delta_b / 2.0))
     t_min = (params.delta_s / params.delta_b) / bv
     t_max = None if params.detuning == 0.0 else -t_min
     return TemperatureBounds(
         t_min=t_min,
         t_max=t_max,
-        rho00_max=eb / (2.0 * cosh_b),
-        rho00_min=emb / (2.0 * cosh_b),
+        rho00_max=float(up),
+        rho00_min=float(down),
     )
 
 

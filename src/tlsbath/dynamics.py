@@ -575,11 +575,10 @@ def _run_nonselective_exact(us, pairs: dict, env, k0, steps):
                     mixed[:, b] = us[p][:, b] @ r
                 xl[:] = [mixed[b] @ us[q][b].conj().T for b in bands]
         traces = [[np.trace(r) for r in xl] for xl in x] + [[0j] * nb]
-        if j:
-            drift = sum(traces[l][k].real for l in diagonal for k in range(nb)) - trace0
-            if abs(drift) > 1e-9:
-                raise ValueError(f"trace drifted by {drift:.1e} at step {j}")
-            worst = max(worst, abs(drift))
+        drift = sum(traces[l][k].real for l in diagonal for k in range(nb)) - trace0
+        if abs(drift) > 1e-9:
+            raise ValueError(f"trace drifted by {drift:.1e} at step {j}")
+        worst = max(worst, abs(drift))
         r00[j] = sum(traces[row00[k]][k].real for k in range(nb))
         r10[j] = sum(c if k % 2 == 0 else np.conj(c) for k, c in enumerate(traces[row10]))
     return r00, r10, worst

@@ -16,11 +16,10 @@ from .model import (
     BandedEnvironment,
     ModelParams,
     QubitState,
+    _build_environment,
     _check_count,
     _check_fits,
     _check_real,
-    build_band_environment,
-    build_spin_environment,
     effective_beta,
 )
 
@@ -110,11 +109,7 @@ def default_environment(
     band_width: float = 0.0,
 ) -> BandedEnvironment:
     _check_counts({"n": n, "seed": seed})
-    if model == "random-band":
-        return build_band_environment(n, delta_b, seed, band_width=band_width)
-    if model == "sigma-x":
-        return build_spin_environment(n, delta_b, seed)
-    raise ValueError(f"unknown environment model {model!r}")
+    return _build_environment(model, n, delta_b, seed, band_width=band_width)
 
 
 def _real_or(key: str, value, default: float):

@@ -33,6 +33,8 @@ __all__ = [
 
 # Largest spin count for which exact integer binomials are supported.
 MAX_EXACT_N = 62
+# Slack of QubitState.validate on rho00 in [0, 1] and |rho10|^2 <= rho00 rho11.
+STATE_TOL = 1e-9
 
 
 def _check_real(name: str, value) -> None:
@@ -143,11 +145,11 @@ class QubitState:
             dtype=complex,
         )
 
-    def validate(self, tol: float = 1e-9) -> None:
-        """Check trace, hermiticity and positivity within tolerance."""
-        if not (-tol <= self.rho00 <= 1.0 + tol):
+    def validate(self) -> None:
+        """Check trace, hermiticity and positivity within STATE_TOL."""
+        if not (-STATE_TOL <= self.rho00 <= 1.0 + STATE_TOL):
             raise ValueError(f"rho00 = {self.rho00} outside [0, 1]")
-        if not abs(self.rho10) ** 2 <= self.rho00 * self.rho11 + tol:
+        if not abs(self.rho10) ** 2 <= self.rho00 * self.rho11 + STATE_TOL:
             raise ValueError(
                 f"coherence too large: |rho10|^2 = {abs(self.rho10)**2:.3e} > "
                 f"rho00*rho11 = {self.rho00 * self.rho11:.3e}"
@@ -310,21 +312,8 @@ class BandedEnvironment:
     @classmethod
     def from_json(cls, doc: str) -> "BandedEnvironment":
         spec = json.loads(doc)
-        model = spec.pop("model")
-        band_range = spec.pop("band_range", None)
-        if model == "random-band":
-            return build_band_environment(
-                n=spec["n"],
-                delta_b=spec["delta_b"],
-                seed=spec["seed"],
-                band_width=spec.get("band_width", 0.0),
-                band_range=tuple(band_range) if band_range is not None else None,
-            )
-        if model == "sigma-x":
-            return build_spin_environment(
-                n=spec["n"], delta_b=spec["delta_b"], seed=spec["seed"]
-            )
-        raise ValueError(f"unknown environment model {model!r}")
+        return _build_environment(spec["model"], spec["n"], spec["delta_b"], spec["seed"],
+                                  spec.get("band_width", 0.0), spec.get("band_range"))
 
 
 def _check_delta_b(delta_b) -> None:
@@ -392,6 +381,18 @@ def build_band_environment(
         offsets=offsets,
         up_blocks=tuple(blocks),
     )
+
+
+def _build_environment(model: str, n: int, delta_b: float, seed: int,
+                       band_width: float = 0.0, band_range=None) -> BandedEnvironment:
+    """The environment of a named model: "random-band"
+    (build_band_environment) or "sigma-x" (build_spin_environment, which
+    takes no band_width or band_range)."""
+    if model == "random-band":
+        return build_band_environment(n, delta_b, seed, band_width, band_range)
+    if model == "sigma-x":
+        return build_spin_environment(n, delta_b, seed)
+    raise ValueError(f"unknown environment model {model!r}")
 
 
 def build_spin_environment(n: int, delta_b: float, seed: int) -> BandedEnvironment:

@@ -89,6 +89,19 @@ class TestConditionalUpdate:
         with pytest.raises(ValueError):
             conditional_update(QubitState(rho00=0.5), "sideways", params(), 0.3)
 
+    def test_coherence_capped_at_positivity_bound(self):
+        """A pure state's second-order coherence after a "same" outcome can
+        exceed the positivity bound of its new populations; it is then
+        scaled onto that bound, its phase kept. The map is linear in rho10
+        below the cap, so the uncapped value is twice that of half the
+        coherence."""
+        p = params(detuning=0.7)
+        out = conditional_update(QubitState(rho00=0.5, rho10=0.5), "same", p, 1.0)
+        half = conditional_update(QubitState(rho00=0.5, rho10=0.25), "same", p, 1.0)
+        raw, bound = 2.0 * half.rho10, math.sqrt(out.rho00 * out.rho11)
+        assert half.rho00 == out.rho00 and abs(raw) > (1.0 + 1e-4) * bound
+        assert out.rho10 == pytest.approx(raw * bound / abs(raw), rel=1e-12)
+
     def test_validity_warning(self):
         p = params(coupling=0.4, dt=3.0)
         with pytest.warns(SecondOrderWarning):
@@ -128,6 +141,16 @@ class TestOutcomeProbabilities:
             4 * 0.0025 * math.exp(-math.log(3) / 2) * math.pi**2 / 4, rel=1e-12
         )
         assert down == pytest.approx(0.014246, abs=1e-6)
+
+    def test_clamped_in_band_and_refused_below(self):
+        """p_same between -0.01 and -1e-6 is clamped to 0 with a warning;
+        below -0.01 the call is refused."""
+        p = params(coupling=0.3)
+        with pytest.warns(SecondOrderWarning, match="probabilities clamped"):
+            up, down, same = outcome_probabilities(QubitState(rho00=0.786), p, 3.0)
+        assert same == 0.0 and 1.0 < up + down < 1.01
+        with pytest.raises(ValueError, match="outside second-order validity"):
+            outcome_probabilities(QubitState(rho00=0.0), p, 3.0)
 
     def test_sum_bound(self):
         rng = np.random.default_rng(17)
@@ -332,6 +355,11 @@ class TestFreezingPoint:
         )
         ok, n, m = is_freezing_point(math.pi, 0.7, 1.0)
         assert not ok and n is None and m is None
+
+    @pytest.mark.parametrize("dt", [0.0, -math.pi])
+    def test_non_positive_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be > 0"):
+            is_freezing_point(dt, 2.0, 1.0)
 
     def test_rate_and_coeffs_vanish(self):
         for n in (1, 2, 3):

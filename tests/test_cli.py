@@ -411,12 +411,15 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("quantity", sorted(_SWEEP_QUANTITIES))
     def test_large_beta_is_nan(self, tmp_path, capsys, recwarn, quantity):
-        """cosh b and e^b overflow at beta = 2000 (b = 1000): the point is
-        written as NaN and the command exits 0, with no traceback."""
+        """cosh b and e^b overflow at beta = 2000 (b = 1000): a quantity
+        formed from them is written as NaN, and the command exits 0, with no
+        traceback and no warning. The temperature bounds are the weights
+        1 / (1 + e^{-+2b}), as the attractor map forms them: 1 and 0."""
         cfg = write_config(tmp_path, {"quantity": quantity, "parameter": "beta",
                                       "values": [2000.0]})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
-        assert read_csv(tmp_path / f"sweep_{quantity}_beta.csv")[1:] == [["2000.0", "nan"]]
+        value = {"rho00_max": "1.0", "rho00_min": "0.0"}.get(quantity, "nan")
+        assert read_csv(tmp_path / f"sweep_{quantity}_beta.csv")[1:] == [["2000.0", value]]
         assert "Traceback" not in capsys.readouterr().err
         assert not recwarn.list
 
@@ -434,6 +437,22 @@ class TestConfigHandling:
         code = main(["relax", "--scenario", "fig2", "--config", str(cfg)])
         assert code == 1
         assert "config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read config: "),
+        ('[{"seed": 1}]', "config must be a JSON object"),
+    ])
+    def test_unusable_config_exit_1(self, tmp_path, capsys, text, message):
+        """A config file that cannot be read, here one that does not exist,
+        or whose JSON is not an object, exits 1 with one error line."""
+        cfg = tmp_path / "config.json"
+        if text is not None:
+            cfg.write_text(text)
+        code = main(["relax", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_key_named(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"couplingg": 0.05})
@@ -563,6 +582,7 @@ def test_every_default_key_accepted(tmp_path, command, function, given, csv_name
         ("attractor-map", {"seed": True, "grid": [2, 2]}, "seed must be an integer"),
         ("sweep", {"quantity": "R", "num": 2, "seed": 7.5}, "seed must be an integer"),
         ("sweep", {"quantity": "R", "num": 2, "seed": True}, "seed must be an integer"),
+        ("sweep", {"quantity": "R", "parameter": "n"}, "unknown sweep parameter 'n'"),
     ],
 )
 def test_bad_grid_or_sweep_counts_exit_1(tmp_path, capsys, command, payload, message):

@@ -415,6 +415,11 @@ class TestEnsembles:
             exact.rho00[-tail:].mean() - coarse.rho00[-tail:].mean()
         ) < 0.02
 
+    def test_sampled_requires_master_seed(self, resonant_params, small_env, ground):
+        with pytest.raises(ValueError, match="sampled engine requires a master_seed"):
+            run_ensemble(resonant_params, small_env, ground, k0=2, steps=5, n_traj=2,
+                         engine="sampled")
+
     def test_unknown_engine_and_reset(self, resonant_params, small_env, ground):
         with pytest.raises(ValueError):
             run_ensemble(
@@ -1067,7 +1072,8 @@ class TestPairTable:
 class TestBatchStreams:
     @pytest.mark.parametrize("reset_mode", ["coarse", "exact"])
     @pytest.mark.parametrize("m", [1, 7, 1000])
-    @pytest.mark.parametrize("master", [0, 1, 20451, 2**32 + 7, 2**70 + 3])
+    # 2^130 + 3 has more entropy words than SeedSequence's pool of four.
+    @pytest.mark.parametrize("master", [0, 1, 20451, 2**32 + 7, 2**70 + 3, 2**130 + 3])
     def test_uniforms_match_numpy(self, master, m, reset_mode):
         """The batch draws, in the engine's pattern (two up front for exact
         reset, then blocks of block_steps(m) steps), are bit for bit those of

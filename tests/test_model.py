@@ -138,6 +138,16 @@ def test_band_starts_cached_and_read_only():
         starts[0] = 1
 
 
+@pytest.mark.parametrize("build, kwargs, message", [
+    (build_band_environment, {"n": 0}, "need at least one spin, got n = 0"),
+    (build_spin_environment, {"n": 0}, "need at least one spin, got n = 0"),
+    (build_band_environment, {"n": 5, "band_range": (3, 2)}, "not a contiguous window"),
+])
+def test_environment_rejects_bad_sizes(build, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        build(delta_b=1.0, seed=0, **kwargs)
+
+
 def test_band_width_validation():
     with pytest.raises(ValueError):
         build_band_environment(5, 1.0, seed=0, band_width=1.0)
@@ -282,6 +292,8 @@ def test_hamiltonian_dimension_mismatch(parity, detuning, message, seven_env):
 def test_digamma_against_scipy():
     for x in [0.05, 0.3, 1.0, 2.5, 7.7, 11.0, 101.0, 901.5]:
         assert _digamma(x) == pytest.approx(scipy.special.digamma(x), abs=1e-12)
+    with pytest.raises(ValueError, match="digamma requires x > 0"):
+        _digamma(0.0)
 
 
 def test_beta_working_point_values():
@@ -309,6 +321,8 @@ def test_effective_beta_values():
     assert effective_beta(9, 4, 5, 1.0) == pytest.approx(0.0, abs=1e-14)
     # two-band-gap variant averages the pair ratio
     assert effective_beta(7, 1, 3, 3.0) == pytest.approx(math.log(5) / 6.0)
+    with pytest.raises(ValueError, match="need 0 <= k_low < k_high <= n"):
+        effective_beta(5, 3, 2, 1.0)
 
 
 def test_degeneracy_ratio_matches_digamma_beta():
@@ -352,3 +366,7 @@ def test_environment_json_round_trip():
     spin = build_spin_environment(4, 1.0, seed=5)
     spin2 = BandedEnvironment.from_json(spin.to_json())
     assert np.array_equal(spin.coupling_matrix(), spin2.coupling_matrix())
+
+    doc = json.dumps({**json.loads(spin.to_json()), "model": "ising"})
+    with pytest.raises(ValueError, match="unknown environment model 'ising'"):
+        BandedEnvironment.from_json(doc)
