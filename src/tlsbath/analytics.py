@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -75,8 +76,6 @@ class OffdiagCoeffs:
 @dataclass(frozen=True)
 class AttractorResult:
     rho00_star: float
-    rate: float
-    drive: float
     t_eff: float
 
 
@@ -127,17 +126,6 @@ def sinc_factors(params: ModelParams) -> SincFactors:
     return SincFactors(sin_a=sin_a, sin_b=sin_b)
 
 
-def _boltzmann(b: float) -> tuple[float, float, float]:
-    """(e^b, e^-b, cosh b), refused where one is not finite; math raises
-    OverflowError where numpy would give inf."""
-    _finite("beta delta_b / 2", b)
-    try:
-        return math.exp(b), math.exp(-b), math.cosh(b)
-    except OverflowError:
-        raise ValueError(f"cosh(beta delta_b / 2) with beta delta_b / 2 = {b} is not "
-                         "finite: the parameters are too large") from None
-
-
 def _weights(b):
     """The weights e^{+-b} / (2 cosh b) of sinA and sinB, elementwise, formed
     as 1 / (1 + e^{-+2b}), which a large |b| takes to 1 and 0, not to
@@ -147,27 +135,41 @@ def _weights(b):
 
 
 def _step(params: ModelParams, beta: float | None):
-    """((e^b, e^-b, cosh b), sinc factors, lam^2) of one step; beta None means
-    params.beta."""
+    """(a, (w+, w-), sinc factors) of one step: the rate scale a = 8 lam^2
+    cosh b, refused where it is not finite, and the weights _weights(b), so
+    that a w+- = 4 lam^2 e^{+-b}; beta None means params.beta."""
     bv = params.beta if beta is None else beta
+    b = bv * params.delta_b / 2.0
+    sf = sinc_factors(params)
     try:
         lam2 = params.coupling**2
     except OverflowError:  # where float ** overflows, * would give inf
         lam2 = math.inf
-    return (_boltzmann(bv * params.delta_b / 2.0), sinc_factors(params),
-            _finite("coupling^2", lam2))
+    try:
+        cosh_b = math.cosh(b)
+    except OverflowError:  # math raises where numpy would give inf
+        cosh_b = math.inf
+    scale = _finite("8 coupling^2 cosh(beta delta_b / 2)",
+                    8.0 * _finite("coupling^2", lam2) * cosh_b)
+    up, down = _weights(b)
+    return scale, (float(up), float(down)), sf
 
 
-def _second_order_rate(cosh_b: float, sf: SincFactors, lam2: float) -> float:
-    """Per-step rate R = 8 lam^2 cosh(b) (sinA + sinB). Warns, on behalf of the
-    caller's caller, when R > 0.1, where second-order maps are unreliable."""
-    rate = 8.0 * lam2 * cosh_b * (sf.sin_a + sf.sin_b)
+def _warn(message: str) -> None:
+    """A SecondOrderWarning at the line that called into this module, however
+    deep the call went inside it."""
+    frame, level = sys._getframe(), 1
+    while frame is not None and frame.f_code.co_filename == __file__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, SecondOrderWarning, stacklevel=level)
+
+
+def _second_order_rate(scale: float, sf: SincFactors) -> float:
+    """Per-step rate R = a (sinA + sinB), a = 8 lam^2 cosh b. Warns when
+    R > 0.1, where second-order maps are unreliable."""
+    rate = scale * (sf.sin_a + sf.sin_b)
     if rate > 0.1:
-        warnings.warn(
-            f"per-step rate R = {rate:.3g} > 0.1: second-order maps unreliable",
-            SecondOrderWarning,
-            stacklevel=3,
-        )
+        _warn(f"per-step rate R = {rate:.3g} > 0.1: second-order maps unreliable")
     return rate
 
 
@@ -203,20 +205,19 @@ def _conjugate_coupling(params: ModelParams) -> complex:
 
 
 def relaxation_constants(params: ModelParams, beta: float | None = None) -> RelaxationPair:
-    """Rate R = 8 lam^2 cosh(b) (sinA + sinB), drive d = 4 lam^2 (e^b sinA + e^-b sinB)."""
-    (eb, emb, cosh_b), sf, lam2 = _step(params, beta)
-    rate = _second_order_rate(cosh_b, sf, lam2)
-    drive = 4.0 * lam2 * (eb * sf.sin_a + emb * sf.sin_b)
-    return RelaxationPair(rate=rate, drive=drive)
+    """Rate R = a (sinA + sinB), drive d = a (w+ sinA + w- sinB) (_step)."""
+    scale, (up, down), sf = _step(params, beta)
+    rate = _second_order_rate(scale, sf)
+    return RelaxationPair(rate=rate, drive=scale * (up * sf.sin_a + down * sf.sin_b))
 
 
 def outcome_probabilities(
     rho: QubitState, params: ModelParams, beta: float | None = None
 ) -> tuple[float, float, float]:
     """Probabilities (p_up, p_down, p_same) of the next band measurement."""
-    (eb, emb, _), sf, lam2 = _step(params, beta)
-    p_up = 4.0 * lam2 * eb * (rho.rho11 * sf.sin_a + rho.rho00 * sf.sin_b)
-    p_dn = 4.0 * lam2 * emb * (rho.rho00 * sf.sin_a + rho.rho11 * sf.sin_b)
+    scale, (up, down), sf = _step(params, beta)
+    p_up = scale * up * (rho.rho11 * sf.sin_a + rho.rho00 * sf.sin_b)
+    p_dn = scale * down * (rho.rho00 * sf.sin_a + rho.rho11 * sf.sin_b)
     p_same = 1.0 - p_up - p_dn
     if p_same < -0.01:
         raise ValueError(
@@ -224,9 +225,7 @@ def outcome_probabilities(
         )
     clamped = max(0.0, -p_same)
     if clamped > 1e-6:
-        warnings.warn(
-            f"probabilities clamped by {clamped:.3g}", SecondOrderWarning, stacklevel=2
-        )
+        _warn(f"probabilities clamped by {clamped:.3g}")
     p_up = min(max(p_up, 0.0), 1.0)
     p_dn = min(max(p_dn, 0.0), 1.0)
     p_same = min(max(p_same, 0.0), 1.0)
@@ -240,16 +239,18 @@ def conditional_update(
 
     outcome is "same", "up" (one band higher) or "down" (one band lower).
     """
-    (eb, emb, cosh_b), sf, lam2 = _step(params, beta)
-    _second_order_rate(cosh_b, sf, lam2)
+    scale, (up, down), sf = _step(params, beta)
+    _second_order_rate(scale, sf)
+    k_up, k_dn = scale * up, scale * down   # 4 lam^2 e^{+-b}
     r00, r11, r10 = rho.rho00, rho.rho11, rho.rho10
 
     if outcome == "same":
-        new00 = r00 * (1.0 - 4.0 * lam2 * r11 * (emb - eb) * (sf.sin_a - sf.sin_b))
-        factor = 1.0 + lam2 * (
-            4.0 * sf.sin_a * (emb * r00 + eb * r11)
-            + 4.0 * sf.sin_b * (eb * r00 + emb * r11)
-            - (eb + emb) * _phase_sum(params)
+        new00 = r00 * (1.0 - r11 * (k_dn - k_up) * (sf.sin_a - sf.sin_b))
+        factor = (
+            1.0
+            + sf.sin_a * (k_dn * r00 + k_up * r11)
+            + sf.sin_b * (k_up * r00 + k_dn * r11)
+            - scale / 4.0 * _phase_sum(params)
         )
         new10 = r10 * factor
     elif outcome in ("up", "down"):
@@ -290,13 +291,15 @@ def ensemble_map(
 def rho00_closed_form(
     rho00_initial: float, j, params: ModelParams, beta: float | None = None
 ):
-    """Exponential solution (rho00(0) - d/R) e^{-R j} + d/R; constant when R = 0."""
-    rel = relaxation_constants(params, beta)
+    """Exponential solution (rho00(0) - rho00*) e^{-R j} + rho00*, rho00* of
+    `attractor`; constant at a freezing point or where R = 0."""
+    rate = relaxation_constants(params, beta).rate
+    att = attractor(params, beta)
     j = np.asarray(j, dtype=float)
-    if rel.rate == 0.0:
+    if att is None or rate == 0.0:
         return rho00_initial * np.ones_like(j)
-    star = rel.drive / rel.rate
-    return (rho00_initial - star) * np.exp(-rel.rate * j) + star
+    star = att.rho00_star
+    return (rho00_initial - star) * np.exp(-rate * j) + star
 
 
 def _attractor_cells(dt, detuning, delta_s: float, beta: float):
@@ -306,10 +309,10 @@ def _attractor_cells(dt, detuning, delta_s: float, beta: float):
     dt = np.asarray(dt, dtype=float)
     detuning = np.asarray(detuning, dtype=float)
     sin_a, sin_b = _interference(dt, detuning, delta_s)
-    b = beta * (delta_s + detuning) / 2.0
     frozen = _frozen(dt, sin_a, sin_b)
     safe = np.where(frozen, 1.0, sin_a + sin_b)
-    up, down = _weights(b)
+    with np.errstate(over="ignore"):  # a b of +-inf has the weights' limits
+        up, down = _weights(beta * (delta_s + detuning) / 2.0)
     return np.where(frozen, np.nan, (up * sin_a + down * sin_b) / safe), frozen
 
 
@@ -322,19 +325,15 @@ def attractor_rho00(dt, detuning, delta_s: float, beta: float):
 def attractor(
     params: ModelParams, beta: float | None = None
 ) -> AttractorResult | None:
-    """Fixed point d/R of the ensemble recursion; None at a freezing point."""
+    """Fixed point of the ensemble recursion (_attractor_cells), finite at any
+    beta; None at a freezing point."""
+    sinc_factors(params)  # refuses interference factors that are not finite
     bv = params.beta if beta is None else beta
-    rel = relaxation_constants(params, bv)
     cell, frozen = _attractor_cells(params.dt, params.detuning, params.delta_s, bv)
     if frozen:
         return None
     star = float(cell)
-    return AttractorResult(
-        rho00_star=star,
-        rate=rel.rate,
-        drive=rel.drive,
-        t_eff=effective_temperature(star, params.delta_s),
-    )
+    return AttractorResult(rho00_star=star, t_eff=effective_temperature(star, params.delta_s))
 
 
 def temperature_bounds(
@@ -344,7 +343,7 @@ def temperature_bounds(
     bv = params.beta if beta is None else beta
     if bv == 0.0:
         raise ValueError("temperature bounds require beta != 0")
-    up, down = _weights(_finite("beta delta_b / 2", bv * params.delta_b / 2.0))
+    up, down = _weights(bv * params.delta_b / 2.0)
     t_min = (params.delta_s / params.delta_b) / bv
     t_max = None if params.detuning == 0.0 else -t_min
     return TemperatureBounds(
@@ -369,8 +368,7 @@ def is_freezing_point(
 
 def offdiag_coeffs(params: ModelParams, beta: float | None = None) -> OffdiagCoeffs:
     """Coefficients (c1..c4) of the off-diagonal recursion, plus gamma."""
-    (_, _, cosh_b), _, lam2 = _step(params, beta)
-    pref = 2.0 * lam2 * cosh_b
+    pref = _step(params, beta)[0] / 4.0
     phases = _phase_sum(params)
     c1 = -pref * phases.real
     c2 = -pref * phases.imag

@@ -106,10 +106,9 @@ def default_environment(
     delta_b: float = 1.0,
     seed: int = DEFAULT_SEED,
     model: str = "random-band",
-    band_width: float = 0.0,
 ) -> BandedEnvironment:
     _check_counts({"n": n, "seed": seed})
-    return _build_environment(model, n, delta_b, seed, band_width=band_width)
+    return _build_environment(model, n, delta_b, seed)
 
 
 def _real_or(key: str, value, default: float):
@@ -339,7 +338,7 @@ def _run(cfg: dict, params: ModelParams, beta_eff: float):
 
 
 def run_scenario(scenario: str = "fig2", **overrides) -> ScenarioReport:
-    """Relaxation toward the analytic attractor d/R of the scenario's band pair.
+    """Relaxation toward the analytic attractor of the scenario's band pair.
 
     Overrides must name keys of the scenario's defaults. The run passes when
     its plateau lies within `tolerance` of the attractor at its own n and k0.
@@ -354,11 +353,12 @@ def run_scenario(scenario: str = "fig2", **overrides) -> ScenarioReport:
             f"(dt={params.dt}, detuning={params.detuning}) is a freezing point: "
             "there is no attractor to relax to"
         )
+    rate = analytics.relaxation_constants(params, beta_eff).rate
     if cfg["steps"] is None:
         # R = 0 at zero coupling; below ~1e-308 the quotient overflows.
-        length = 8.0 / att.rate if att.rate > 0 else math.inf
+        length = 8.0 / rate if rate > 0 else math.inf
         if not math.isfinite(length):
-            raise ValueError(f"the relaxation rate R = {att.rate:.3g} gives no finite "
+            raise ValueError(f"the relaxation rate R = {rate:.3g} gives no finite "
                              "default run length ceil(8 / R): give steps")
         cfg["steps"] = int(math.ceil(length))
     _check_fits(f"a scenario of {cfg['steps']} steps", cfg["steps"] * _SCENARIO_STEP_BYTES)
@@ -383,7 +383,7 @@ def run_scenario(scenario: str = "fig2", **overrides) -> ScenarioReport:
         wall_time=time.perf_counter() - t0,
         seeds={"master_seed": cfg["seed"]},
         extra={
-            "rate_analytic": att.rate,
+            "rate_analytic": rate,
             "t_eff": analytics.effective_temperature(level, params.delta_s),
             # Worst-case band-adjacency leakage of one step.
             "leakage_bound": series.leakage_bound,

@@ -112,18 +112,25 @@ class TestConditionalUpdate:
         [(0.05, 0.0, 0.1), (0.08, 0.1, 0.2), (0.1, 0.1, 0.2), (0.15, 0.2, 1.0)],
     )
     def test_warns_exactly_with_relaxation_constants(self, coupling, low, high):
-        """Both maps warn where R > 0.1, 0.1 < R <= 0.2 included, and each
-        warning points at the line that called the map."""
+        """Every map warns once where R > 0.1, 0.1 < R <= 0.2 included, and
+        each warning points at the line that called the map, also where the
+        map reaches R through another public map."""
         p = params(coupling=coupling)
-        with warnings.catch_warnings(record=True) as by_rate:
-            warnings.simplefilter("always")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
             rate = relaxation_constants(p, 0.3).rate
-        with warnings.catch_warnings(record=True) as by_update:
-            warnings.simplefilter("always")
-            conditional_update(QubitState(rho00=0.5), "same", p, 0.3)
         assert low < rate <= high
-        assert len(by_rate) == len(by_update) == (rate > 0.1)
-        assert all(w.filename == __file__ for w in by_rate + by_update)
+        for call in (
+            lambda: relaxation_constants(p, 0.3),
+            lambda: conditional_update(QubitState(rho00=0.5), "same", p, 0.3),
+            lambda: ensemble_map(0.5, p, 0.3),
+            lambda: rho00_closed_form(0.5, [0, 10], p, 0.3),
+        ):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert len(caught) == (rate > 0.1)
+            assert all(w.filename == __file__ for w in caught)
 
 
 class TestOutcomeProbabilities:
@@ -286,6 +293,23 @@ class TestAttractor:
 
     def test_freezing_returns_none(self):
         assert attractor(params(detuning=2.0, dt=math.pi), 0.75) is None
+
+    def test_overflowing_b_takes_the_weights_limits(self):
+        """Where beta delta_b / 2 overflows to +-inf, the weights are 1 and 0
+        (their order set by the sign), so the attractor is sinA / (sinA +
+        sinB) or its complement and the bounds are 1 and 0, all without a
+        warning; the rate, scaled by cosh b, is refused."""
+        p = params(detuning=3.0)
+        sf = sinc_factors(p)
+        share = sf.sin_a / (sf.sin_a + sf.sin_b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for beta, star in ((1e308, share), (-1e308, 1.0 - share)):
+                assert attractor(p, beta).rho00_star == pytest.approx(star, rel=1e-15)
+                tb = temperature_bounds(p, beta)
+                assert sorted((tb.rho00_min, tb.rho00_max)) == [0.0, 1.0]
+        with pytest.raises(ValueError, match="is not finite"):
+            relaxation_constants(p, 1e308)
 
     def test_convex_weight_decomposition(self):
         rng = np.random.default_rng(10)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from tlsbath import cli, model
-from tlsbath.analytics import is_freezing_point
+from tlsbath.analytics import effective_temperature, is_freezing_point
 from tlsbath.cli import main
 from tlsbath.experiments import (
     _FREEZING,
@@ -292,6 +292,19 @@ def test_readme_sampled_relax_command(tmp_path, monkeypatch):
     assert len(read_csv(out / "relax_fig3.csv")) == 1 + config["steps"] + 1
 
 
+def test_readme_quick_start(capsys):
+    """The README's Quick start Python block runs as written: it prints fig2's
+    plateau, within the scenario's tolerance of 3/4, and an attractor
+    occupation in [0, 1]."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.split("## Quick start", 1)[1]
+    block = start.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(block, {})
+    plateau, star = (float(x) for x in capsys.readouterr().out.split())
+    assert abs(plateau - 0.75) <= _SCENARIOS["fig2"][0]["tolerance"]
+    assert 0.0 <= star <= 1.0
+
+
 def test_series_csv_bytes(tmp_path, monkeypatch):
     """`relax` writes its series with every float as its repr and k_j empty,
     the bytes of the series writer that the library once held."""
@@ -411,17 +424,28 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("quantity", sorted(_SWEEP_QUANTITIES))
     def test_large_beta_is_nan(self, tmp_path, capsys, recwarn, quantity):
-        """cosh b and e^b overflow at beta = 2000 (b = 1000): a quantity
-        formed from them is written as NaN, and the command exits 0, with no
-        traceback and no warning. The temperature bounds are the weights
-        1 / (1 + e^{-+2b}), as the attractor map forms them: 1 and 0."""
+        """cosh b overflows at beta = 2000 (b = 1000): a quantity scaled by
+        it is written as NaN, and the command exits 0, with no traceback and
+        no warning. The temperature bounds and the attractor are formed from
+        the weights 1 / (1 + e^{-+2b}) alone: 1 and 0, and an attractor of 1
+        at T_eff = 0, the attractor map's cell bit for bit."""
         cfg = write_config(tmp_path, {"quantity": quantity, "parameter": "beta",
                                       "values": [2000.0]})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
-        value = {"rho00_max": "1.0", "rho00_min": "0.0"}.get(quantity, "nan")
-        assert read_csv(tmp_path / f"sweep_{quantity}_beta.csv")[1:] == [["2000.0", value]]
+        value = {"rho00_max": "1.0", "rho00_min": "0.0", "attractor": "1.0",
+                 "t_eff": "0.0"}.get(quantity, "nan")
+        rows = read_csv(tmp_path / f"sweep_{quantity}_beta.csv")[1:]
+        assert rows == [["2000.0", value]]
         assert "Traceback" not in capsys.readouterr().err
         assert not recwarn.list
+        if quantity in ("attractor", "t_eff"):
+            defaults = inspect.signature(sweep).parameters
+            dt, detuning = defaults["dt"].default, defaults["detuning"].default
+            _, _, cells, _ = attractor_map(dt, dt, detuning, detuning, (1, 1), beta=2000.0)
+            cell = float(cells[0, 0])
+            if quantity == "t_eff":
+                cell = effective_temperature(cell, defaults["delta_s"].default)
+            assert float(rows[0][1]) == cell
 
     def test_unknown_quantity_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"quantity": "bogus", "parameter": "dt"})
@@ -521,7 +545,7 @@ def test_env_inspect_one_spin(tmp_path, capsys):
         ({"seed": 7.5, "n": 3.5}, "n must be an integer"),
         ({"n": 0}, "n must be >= 1"),
         ({"delta_b": "1"}, "delta_b must be a real number"),
-        ({"band_width": True}, "band_width must be a real number"),
+        ({"band_width": True}, "unknown config key 'band_width'"),
         ({"delta_b": 0, "model": "sigma-x"}, "delta_b must be > 0"),
     ],
 )
