@@ -113,17 +113,22 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
-def _point_interference(dt: float, detuning: float, delta_s: float):
-    """_interference at one point, as floats, refused where not finite."""
+def _finite_interference(dt, detuning, delta_s):
+    """_interference, refused (_finite, on its first such entry) where a
+    factor is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        sin_a, sin_b = _interference(dt, detuning, delta_s)
-    return _finite("sinA", float(sin_a)), _finite("sinB", float(sin_b))
+        factors = _interference(dt, detuning, delta_s)
+    for name, part in zip(("sinA", "sinB"), factors):
+        bad = np.asarray(part)[~np.isfinite(part)]
+        if bad.size:
+            _finite(name, float(bad[0]))
+    return factors
 
 
 def sinc_factors(params: ModelParams) -> SincFactors:
     """Interference factors; removable singularities handled via sinc."""
-    sin_a, sin_b = _point_interference(params.dt, params.detuning, params.delta_s)
-    return SincFactors(sin_a=sin_a, sin_b=sin_b)
+    sin_a, sin_b = _finite_interference(params.dt, params.detuning, params.delta_s)
+    return SincFactors(sin_a=float(sin_a), sin_b=float(sin_b))
 
 
 def _weights(b):
@@ -304,11 +309,12 @@ def rho00_closed_form(
 
 def _attractor_cells(dt, detuning, delta_s: float, beta: float):
     """(rho00, frozen) over (dt, detuning) arrays: the attractor occupation,
-    NaN where frozen, and the freezing test (_frozen) itself. The weights of
-    sinA and sinB are those of _weights, finite at any beta."""
+    NaN where frozen, and the freezing test (_frozen) itself. Interference
+    factors that are not finite are refused (_finite_interference); the
+    weights of sinA and sinB are those of _weights, finite at any beta."""
     dt = np.asarray(dt, dtype=float)
     detuning = np.asarray(detuning, dtype=float)
-    sin_a, sin_b = _interference(dt, detuning, delta_s)
+    sin_a, sin_b = _finite_interference(dt, detuning, delta_s)
     frozen = _frozen(dt, sin_a, sin_b)
     safe = np.where(frozen, 1.0, sin_a + sin_b)
     with np.errstate(over="ignore"):  # a b of +-inf has the weights' limits
@@ -318,7 +324,8 @@ def _attractor_cells(dt, detuning, delta_s: float, beta: float):
 
 def attractor_rho00(dt, detuning, delta_s: float, beta: float):
     """Vectorized attractor occupation over (dt, detuning) arrays; NaN where
-    frozen (both interference factors vanish)."""
+    frozen (both interference factors vanish). Refused where an interference
+    factor is not finite."""
     return _attractor_cells(dt, detuning, delta_s, beta)[0]
 
 
@@ -327,7 +334,6 @@ def attractor(
 ) -> AttractorResult | None:
     """Fixed point of the ensemble recursion (_attractor_cells), finite at any
     beta; None at a freezing point."""
-    sinc_factors(params)  # refuses interference factors that are not finite
     bv = params.beta if beta is None else beta
     cell, frozen = _attractor_cells(params.dt, params.detuning, params.delta_s, bv)
     if frozen:
@@ -361,7 +367,7 @@ def is_freezing_point(
     at dt = n pi / delta_s with detuning = 2 m pi / dt (m of either sign)."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    if not _frozen(dt, *_point_interference(dt, detuning, delta_s)):
+    if not _frozen(dt, *_finite_interference(dt, detuning, delta_s)):
         return False, None, None
     return True, round(dt * delta_s / math.pi), round(detuning * dt / (2.0 * math.pi))
 

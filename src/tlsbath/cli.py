@@ -185,7 +185,7 @@ def cmd_env_inspect(cfg: dict) -> int:
     n, delta_b = env.n, env.delta_b
     print(f"environment: n={n} delta_b={delta_b} model={env.model} dim={env.dim}")
     print(f"{'k':>4} {'E_k':>10} {'N_k':>8}")
-    for k, deg in zip(env.ks, env.degeneracies):
+    for k, deg in enumerate(env.degeneracies):
         print(f"{k:>4} {k * delta_b:>10.4f} {deg:>8}")
     for k0 in range(1, n):
         b_dig = beta_working_point(n, k0, delta_b, method="digamma")

@@ -178,8 +178,8 @@ def _build(params: ModelParams, env: BandedEnvironment, rho0: QubitState, k0: in
     us = [u_0, u_1], with u_p = exp(-i h_p dt) on parity sector p of the
     joint Hamiltonian and None for a sector no live pair names. The joint
     state (a, k, r) is level g = (k, r) of sector (a + k) mod 2, so sector
-    pair (p, q) is TLS entry ((p - k) mod 2, (q - k) mod 2) on band position
-    k, and U keeps it the same pair: a pair that starts at zero stays zero.
+    pair (p, q) is TLS entry ((p - k) mod 2, (q - k) mod 2) on band k, and U
+    keeps it the same pair: a pair that starts at zero stays zero.
 
     The pair table maps the live pairs among (0, 0), (1, 1) and (1, 0), in
     that order, to their nonzero start entries on band k0; (0, 1) is the
@@ -194,8 +194,10 @@ def _build(params: ModelParams, env: BandedEnvironment, rho0: QubitState, k0: in
     not follow bit for bit where bands are numerically degenerate; in the
     gauge, B and -B give the same bytes.
     """
-    i0, rs = env.band_index(k0), rho0.matrix()
-    pairs = {(p, q): rs[(p - i0) % 2, (q - i0) % 2] for p, q in ((0, 0), (1, 1), (1, 0))}
+    if not 0 <= k0 <= env.n:
+        raise ValueError(f"band k0 = {k0} outside [0, {env.n}]")
+    rs = rho0.matrix()
+    pairs = {(p, q): rs[(p - k0) % 2, (q - k0) % 2] for p, q in ((0, 0), (1, 1), (1, 0))}
     pairs = {pq: entry for pq, entry in pairs.items() if entry != 0}
     sectors = [p for p in (0, 1) if any(p in pq for pq in pairs)]
     # The peak is at the last eigh: the S sector arrays, and about four more
@@ -393,8 +395,8 @@ def _sample_paths(
     nb = env.n_bands
     traj = np.arange(m)
 
-    # Row t of a block: step j0 + t of every trajectory (band position until
-    # the yield, outcome probability, reduced state) and its uniform.
+    # Row t of a block: step j0 + t of every trajectory (band, outcome
+    # probability, reduced state) and its uniform.
     block = block_steps(m)
     rows = min(block, steps)
     out_k = np.empty((rows, m), dtype=int)
@@ -403,8 +405,7 @@ def _sample_paths(
     out_r10 = np.empty((rows, m), dtype=complex)
     draws = np.empty((rows, m))
 
-    i0, lo = env.band_index(k0), env.band_range[0]
-    out_k[0] = i0
+    out_k[0] = k0
     # rho[c, l]: trajectory c's entry on live pair l = (p, q), TLS entry
     # ((p - k) mod 2, (q - k) mod 2) on its band k. The last column stays
     # zero and stands for every dead pair.
@@ -415,7 +416,7 @@ def _sample_paths(
         # step[k, i, l] = op[l, k - 1 + i, k], zero outside the environment.
         padded = np.pad(op.transpose(1, 2, 0), ((1, 1), (0, 0), (0, 0)))
         step = padded[np.arange(nb)[:, None] + np.arange(3), np.arange(nb)[:, None]]
-        band = np.full(m, i0)
+        band = np.full(m, k0)
         rho[:, :-1] = list(pairs.values())
         out_r00[0], out_r10[0] = rho0.rho00, rho0.rho10
     else:
@@ -432,16 +433,16 @@ def _sample_paths(
         streams.random(x0)
         lam_p, v_plus, v_minus = _eig2(rho0.rho00, rho0.rho10)
         vec = np.where(x0[0] < lam_p, v_plus, v_minus)
-        nk = env.degeneracies[i0]
+        nk = env.degeneracies[k0]
         level = np.minimum((x0[1] * nk).astype(int), nk - 1)
         out_r00[0] = np.abs(vec[0]) ** 2
         out_r10[0] = vec[0].conj() * vec[1]
         # Band buckets: band k -> (its trajectories, the part of each one's
         # state on band k in every built sector, (S, m_k, N_k)).
         psi = np.zeros((len(built), m, nk), dtype=complex)
-        psi[:, traj, level] = vec[[(p - i0) % 2 for p in built]]
-        buckets = {i0: (traj, psi)}
-    yield 0, out_k[:1] + lo, out_p[:0], out_r00[:1], out_r10[:1]
+        psi[:, traj, level] = vec[[(p - k0) % 2 for p in built]]
+        buckets = {k0: (traj, psi)}
+    yield 0, out_k[:1], out_p[:0], out_r00[:1], out_r10[:1]
 
     for j0 in range(1, steps + 1, block):
         n = min(block, steps + 1 - j0)
@@ -497,7 +498,7 @@ def _sample_paths(
             out_r10[t] = rho[:, row10]
         if (1, 0) in pairs:
             np.conjugate(out_r10[:n], out=out_r10[:n], where=out_k[:n] % 2 == 1)
-        yield j0, out_k[:n] + lo, out_p[:n], out_r00[:n], out_r10[:n]
+        yield j0, out_k[:n], out_p[:n], out_r00[:n], out_r10[:n]
 
 
 def _check_choice(name: str, value: str, choices: tuple[str, ...]) -> None:
@@ -556,13 +557,13 @@ def _run_nonselective_exact(us, pairs: dict, env, k0, steps):
     Returns the rho00 and rho10 series and the largest drift of the total
     trace, which must stay below 1e-9.
     """
-    degs, i0, nb = env.degeneracies, env.band_index(k0), env.n_bands
+    degs, nb = env.degeneracies, env.n_bands
     bands = [slice(s, s + nk) for s, nk in zip(env.band_starts, degs)]
     x = [[np.zeros((nk, nk), dtype=complex) for nk in degs] for _ in pairs]
     for xl, entry in zip(x, pairs.values()):
-        xl[i0] = entry * np.eye(degs[i0]) / degs[i0]
+        xl[k0] = entry * np.eye(degs[k0]) / degs[k0]
     diagonal = [l for l, (p, q) in enumerate(pairs) if p == q]
-    trace0 = sum(np.trace(x[l][i0]).real for l in diagonal)
+    trace0 = sum(np.trace(x[l][k0]).real for l in diagonal)
     row00, row10 = _parity_rows(pairs, nb)
     mixed = np.empty((env.dim, env.dim), dtype=complex)
     r00 = np.empty(steps + 1)
@@ -584,14 +585,14 @@ def _run_nonselective_exact(us, pairs: dict, env, k0, steps):
     return r00, r10, worst
 
 
-def _run_nonselective_coarse(blocks, pairs: dict, i0: int, steps):
-    """Outcome-averaged coarse-reset state from band position i0, held as
+def _run_nonselective_coarse(blocks, pairs: dict, k0: int, steps):
+    """Outcome-averaged coarse-reset state from band k0, held as
     x[l, k], the entry of band k's TLS block on live pair l of the pair
     table, and stepped pair by pair with the blocks of transfer_blocks. The
     last row stays zero and stands for every dead pair."""
     nb = blocks.shape[1]
     x = np.zeros((len(pairs) + 1, nb), dtype=complex)
-    x[:-1, i0] = list(pairs.values())
+    x[:-1, k0] = list(pairs.values())
     # Paired once: making the row views every step costs more than the matvec.
     blocks = list(zip(blocks, x))
     flat = x.reshape(-1)
@@ -662,7 +663,7 @@ def run_ensemble(
                 stderr[rows] = b00.std(axis=1, ddof=1) / np.sqrt(n_traj)
             r00[rows], r10[rows] = b00.mean(axis=1), b10.mean(axis=1)
     elif reset_mode == "coarse":
-        r00, r10 = _run_nonselective_coarse(op, pairs, env.band_index(k0), steps)
+        r00, r10 = _run_nonselective_coarse(op, pairs, k0, steps)
     else:
         r00, r10, drift = _run_nonselective_exact(op, pairs, env, k0, steps)
     return EnsembleSeries(

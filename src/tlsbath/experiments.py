@@ -16,10 +16,11 @@ from .model import (
     BandedEnvironment,
     ModelParams,
     QubitState,
-    _build_environment,
     _check_count,
     _check_fits,
     _check_real,
+    build_band_environment,
+    build_spin_environment,
     effective_beta,
 )
 
@@ -107,8 +108,14 @@ def default_environment(
     seed: int = DEFAULT_SEED,
     model: str = "random-band",
 ) -> BandedEnvironment:
+    """The environment of a named model: "random-band"
+    (build_band_environment) or "sigma-x" (build_spin_environment)."""
     _check_counts({"n": n, "seed": seed})
-    return _build_environment(model, n, delta_b, seed)
+    if model == "random-band":
+        return build_band_environment(n, delta_b, seed)
+    if model == "sigma-x":
+        return build_spin_environment(n, delta_b, seed)
+    raise ValueError(f"unknown environment model {model!r}")
 
 
 def _real_or(key: str, value, default: float):
@@ -281,7 +288,7 @@ def _resolve(name: str, table: tuple, overrides: dict):
     """Merge overrides into a (defaults, band pair) entry and check them.
 
     Returns (cfg, params, beta_eff), where beta_eff comes from the band pair
-    around k0.
+    around k0, both of whose bands must lie in 0..n.
     """
     defaults, (lo, hi) = table
     unknown = sorted(set(overrides) - set(defaults))
@@ -300,8 +307,10 @@ def _resolve(name: str, table: tuple, overrides: dict):
         coupling=cfg["coupling"],
         dt=cfg["dt"],
     )
-    k0 = cfg["k0"]
-    beta_eff = effective_beta(cfg["n"], k0 + lo, k0 + hi, params.delta_b)
+    n, k0 = cfg["n"], cfg["k0"]
+    if not -lo <= k0 <= n - hi:
+        raise ValueError(f"{name} needs {-lo} <= k0 <= {n - hi} at n = {n}, got k0 = {k0}")
+    beta_eff = effective_beta(n, k0 + lo, k0 + hi, params.delta_b)
     return cfg, params, beta_eff
 
 

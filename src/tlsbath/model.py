@@ -1,15 +1,14 @@
 """Model construction: banded spin environments, Hamiltonians, degeneracy utilities.
 
-The environment is a set of energy bands k = 0..n with energies E_k = k*delta_b,
-degeneracies N_k = C(n, k) and (optionally) a small intra-band level spread.
-Adjacent bands are coupled either by seeded random Gaussian blocks normalized to
-mean |C_{k+1,k}|^2 = (N_{k+1} N_k)^{-1/2}, or by a physical sigma_x-type spin
-coupling with random per-spin weights.
+The environment is the set of energy bands k = 0..n of n spins, with energies
+E_k = k*delta_b and degeneracies N_k = C(n, k); band k sits at position k of
+every per-band array. Adjacent bands are coupled either by seeded random
+Gaussian blocks normalized to mean |C_{k+1,k}|^2 = (N_{k+1} N_k)^{-1/2}, or by
+a physical sigma_x-type spin coupling with random per-spin weights.
 """
 from __future__ import annotations
 
 import functools
-import json
 import math
 import numbers
 import operator
@@ -213,25 +212,19 @@ def effective_beta(n: int, k_low: int, k_high: int, delta_b: float) -> float:
 
 @dataclass(frozen=True)
 class BandedEnvironment:
-    """Immutable band environment: energies, degeneracies, adjacent-band couplings.
+    """Immutable environment of bands k = 0..n: degeneracies and
+    adjacent-band couplings, named by (model, n, delta_b, seed).
 
-    up_blocks[i] couples band ks[i] -> ks[i+1] and has shape (N_{k+1}, N_k); the
+    up_blocks[k] couples band k -> k+1 and has shape (N_{k+1}, N_k); the
     down block is its conjugate transpose by construction (hermiticity of V).
     """
 
     n: int
     delta_b: float
     seed: int
-    band_width: float
-    band_range: tuple[int, int]
     model: str
     degeneracies: tuple[int, ...]
-    offsets: tuple[np.ndarray, ...]
     up_blocks: tuple[np.ndarray, ...]
-
-    @property
-    def ks(self) -> range:
-        return range(self.band_range[0], self.band_range[1] + 1)
 
     @property
     def n_bands(self) -> int:
@@ -248,32 +241,24 @@ class BandedEnvironment:
         starts.setflags(write=False)
         return starts
 
-    def band_slice(self, i: int) -> slice:
-        """Index slice of band position i (0-based within band_range)."""
-        start = int(self.band_starts[i])
-        return slice(start, start + self.degeneracies[i])
-
-    def band_index(self, k: int) -> int:
-        if not self.band_range[0] <= k <= self.band_range[1]:
-            raise ValueError(f"band k = {k} outside range {self.band_range}")
-        return k - self.band_range[0]
+    def band_slice(self, k: int) -> slice:
+        """Index slice of the levels of band k."""
+        start = int(self.band_starts[k])
+        return slice(start, start + self.degeneracies[k])
 
     def band_of_level(self) -> np.ndarray:
-        """Band label k for every environment level index."""
-        return np.repeat(np.fromiter(self.ks, dtype=int), self.degeneracies)
+        """Band k of every environment level index."""
+        return np.repeat(np.arange(self.n_bands), self.degeneracies)
 
     def level_energies(self) -> np.ndarray:
-        parts = [
-            k * self.delta_b + off for k, off in zip(self.ks, self.offsets, strict=True)
-        ]
-        return np.concatenate(parts)
+        return self.band_of_level() * self.delta_b
 
     def coupling_matrix(self) -> np.ndarray:
         """Hermitian environment coupling operator B with adjacent-band blocks only."""
         b = np.zeros((self.dim, self.dim), dtype=complex)
-        for i, block in enumerate(self.up_blocks):
-            rows = self.band_slice(i + 1)
-            cols = self.band_slice(i)
+        for k, block in enumerate(self.up_blocks):
+            rows = self.band_slice(k + 1)
+            cols = self.band_slice(k)
             b[rows, cols] = block
             b[cols, rows] = block.conj().T
         return b
@@ -297,24 +282,6 @@ class BandedEnvironment:
         flipped = np.cumsum([0, *negated]) % 2 == 1
         return replace(self, up_blocks=blocks), np.repeat(flipped, self.degeneracies)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "delta_b": self.delta_b,
-                "seed": self.seed,
-                "band_width": self.band_width,
-                "band_range": list(self.band_range),
-                "model": self.model,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, doc: str) -> "BandedEnvironment":
-        spec = json.loads(doc)
-        return _build_environment(spec["model"], spec["n"], spec["delta_b"], spec["seed"],
-                                  spec.get("band_width", 0.0), spec.get("band_range"))
-
 
 def _check_delta_b(delta_b) -> None:
     _check_real("delta_b", delta_b)
@@ -322,13 +289,7 @@ def _check_delta_b(delta_b) -> None:
         raise ValueError(f"delta_b must be > 0, got {delta_b}")
 
 
-def build_band_environment(
-    n: int,
-    delta_b: float,
-    seed: int,
-    band_width: float = 0.0,
-    band_range: tuple[int, int] | None = None,
-) -> BandedEnvironment:
+def build_band_environment(n: int, delta_b: float, seed: int) -> BandedEnvironment:
     """Random-band environment with seeded complex Gaussian coupling blocks.
 
     Entries of C_{k+1,k} have i.i.d. real/imaginary parts of variance
@@ -337,31 +298,12 @@ def build_band_environment(
     if n < 1:
         raise ValueError(f"need at least one spin, got n = {n}")
     _check_delta_b(delta_b)
-    _check_real("band_width", band_width)
-    if band_width < 0:
-        raise ValueError(f"band_width must be >= 0, got {band_width}")
-    if band_width >= delta_b:
-        raise ValueError(
-            f"band_width = {band_width} must be smaller than delta_b = {delta_b}"
-        )
-    if band_range is None:
-        band_range = (0, n)
-    lo, hi = band_range
-    if not (0 <= lo <= hi <= n):
-        raise ValueError(f"band_range {band_range} not a contiguous window in [0, {n}]")
-
     rng = np.random.default_rng(seed)
-    degs = tuple(binomial_degeneracy(n, k) for k in range(lo, hi + 1))
+    degs = tuple(binomial_degeneracy(n, k) for k in range(n + 1))
     _check_blocks_fit(n, degs)
-    offsets = tuple(
-        rng.uniform(-band_width / 2.0, band_width / 2.0, size=d)
-        if band_width > 0
-        else np.zeros(d)
-        for d in degs
-    )
     blocks = []
-    for i in range(len(degs) - 1):
-        n_hi, n_lo = degs[i + 1], degs[i]
+    for k in range(n):
+        n_hi, n_lo = degs[k + 1], degs[k]
         scale = math.sqrt((n_hi * n_lo) ** -0.5 / 2.0)
         blocks.append(
             scale
@@ -374,25 +316,10 @@ def build_band_environment(
         n=n,
         delta_b=delta_b,
         seed=seed,
-        band_width=band_width,
-        band_range=(lo, hi),
         model="random-band",
         degeneracies=degs,
-        offsets=offsets,
         up_blocks=tuple(blocks),
     )
-
-
-def _build_environment(model: str, n: int, delta_b: float, seed: int,
-                       band_width: float = 0.0, band_range=None) -> BandedEnvironment:
-    """The environment of a named model: "random-band"
-    (build_band_environment) or "sigma-x" (build_spin_environment, which
-    takes no band_width or band_range)."""
-    if model == "random-band":
-        return build_band_environment(n, delta_b, seed, band_width, band_range)
-    if model == "sigma-x":
-        return build_spin_environment(n, delta_b, seed)
-    raise ValueError(f"unknown environment model {model!r}")
 
 
 def build_spin_environment(n: int, delta_b: float, seed: int) -> BandedEnvironment:
@@ -438,11 +365,8 @@ def build_spin_environment(n: int, delta_b: float, seed: int) -> BandedEnvironme
         n=n,
         delta_b=delta_b,
         seed=seed,
-        band_width=0.0,
-        band_range=(0, n),
         model="sigma-x",
         degeneracies=degs,
-        offsets=tuple(np.zeros(d) for d in degs),
         up_blocks=blocks,
     )
 
@@ -453,11 +377,10 @@ def build_total_hamiltonian(
     """Block of the joint Hamiltonian on TLS x environment on one parity sector.
 
     H = delta_s/2 sigma_z x 1 + 1 x H_B + coupling * (sigma^+ x B + sigma^- x B^+)
-    conserves p = (TLS level + band position) mod 2, the band position k
-    counting from band_range[0]. Sector p (0 or 1) holds every environment
-    level, in the environment's order, with the levels of band k at TLS level
-    s = (p - k) mod 2. B only links adjacent bands, whose TLS levels differ
-    within a sector, so H's block on sector p is
+    conserves p = (TLS level + band k) mod 2. Sector p (0 or 1) holds every
+    environment level, in the environment's order, with the levels of band k
+    at TLS level s = (p - k) mod 2. B only links adjacent bands, whose TLS
+    levels differ within a sector, so H's block on sector p is
     h_p = coupling * B + diag(E_level + (s - 1/2) delta_s).
     """
     if parity not in (0, 1):
@@ -470,6 +393,6 @@ def build_total_hamiltonian(
     # Scaled in place: a second dim x dim temporary would raise the peak.
     b = env.coupling_matrix()
     b *= params.coupling
-    tls_level = (parity - env.band_of_level() + env.band_range[0]) % 2
+    tls_level = (parity - env.band_of_level()) % 2
     np.fill_diagonal(b, env.level_energies() + (tls_level - 0.5) * params.delta_s)
     return b

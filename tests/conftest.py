@@ -18,10 +18,6 @@ settings.load_profile("tlsbath")
 # One environment of every kind the package builds, all with delta_b = 1.3.
 ENV_KINDS = {
     "band": lambda: build_band_environment(6, 1.3, seed=8),
-    "band-width": lambda: build_band_environment(6, 1.3, seed=8, band_width=0.2),
-    "band-window": lambda: build_band_environment(
-        7, 1.3, seed=8, band_width=0.1, band_range=(2, 5)
-    ),
     "sigma-x": lambda: build_spin_environment(6, 1.3, seed=8),
 }
 

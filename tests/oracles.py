@@ -14,19 +14,21 @@ from tlsbath.model import QubitState
 
 
 def band_ids(env):
-    """Band position of every joint index."""
+    """Band k of every joint index."""
     return np.tile(np.repeat(np.arange(env.n_bands), env.degeneracies), 2)
 
 
 def band_projector(env, k):
     """Projector 1_S x P_k onto all levels of band k, as a dense matrix."""
-    return np.diag((band_ids(env) == env.band_index(k)).astype(float))
+    if not 0 <= k <= env.n:
+        raise ValueError(f"band k = {k} outside [0, {env.n}]")
+    return np.diag((band_ids(env) == k).astype(float))
 
 
 def pure_product(env, tls_vec, k, level):
     """The product vector tls_vec x |k, level>."""
     e = np.zeros(env.dim)
-    e[env.band_slice(env.band_index(k)).start + level] = 1.0
+    e[env.band_slice(k).start + level] = 1.0
     return np.kron(tls_vec, e)
 
 
@@ -41,7 +43,7 @@ def measure_band_selective(psi, env, rng):
     weights = weights / weights.sum()
     pick = min(int(np.searchsorted(np.cumsum(weights), rng.random())), env.n_bands - 1)
     collapsed = np.where(ids == pick, psi, 0.0)
-    return env.band_range[0] + pick, collapsed / np.linalg.norm(collapsed), weights[pick]
+    return pick, collapsed / np.linalg.norm(collapsed), weights[pick]
 
 
 def measure_band_nonselective(rho, env):
@@ -55,9 +57,8 @@ def coarse_reset(rho_s, env, k):
     the maximally mixed band k."""
     if isinstance(rho_s, QubitState):
         rho_s = rho_s.matrix()
-    i = env.band_index(k)
-    in_band = band_ids(env)[:env.dim] == i
-    return np.kron(np.asarray(rho_s, dtype=complex) / env.degeneracies[i], np.diag(in_band))
+    in_band = band_ids(env)[:env.dim] == k
+    return np.kron(np.asarray(rho_s, dtype=complex) / env.degeneracies[k], np.diag(in_band))
 
 
 def reduced_qubit_state(rho):
@@ -116,7 +117,7 @@ def dense_nonselective_reference(params, env, rho0, k0, steps, reset_mode):
             r = rho.reshape(2, env.dim, 2, env.dim)
             rho = sum(
                 coarse_reset(np.einsum("aibi->ab", r[:, s:s + nk, :, s:s + nk]), env, k)
-                for k, s, nk in zip(env.ks, env.band_starts, env.degeneracies)
+                for k, (s, nk) in enumerate(zip(env.band_starts, env.degeneracies))
             )
         states.append(reduced_qubit_state(rho))
     return np.array([q.rho00 for q in states]), np.array([q.rho10 for q in states])
@@ -133,7 +134,7 @@ def dense_sampled_reference(params, env, rho0, k0, steps, seed, reset_mode):
     coarse = reset_mode == "coarse"
     x = iter(np.random.default_rng(seed).random(steps + (0 if coarse else 2)))
     ids = band_ids(env)
-    band = env.band_index(k0)
+    band = k0
     if coarse:
         q = rho0
     else:
@@ -145,7 +146,7 @@ def dense_sampled_reference(params, env, rho0, k0, steps, seed, reset_mode):
     outcomes, probs, states = [k0], [], [q]
     for _ in range(steps):
         if coarse:
-            rho = u @ coarse_reset(q, env, env.band_range[0] + band) @ u.conj().T
+            rho = u @ coarse_reset(q, env, band) @ u.conj().T
             weight = np.diag(rho).real
         else:
             psi = u @ psi
@@ -163,7 +164,7 @@ def dense_sampled_reference(params, env, rho0, k0, steps, seed, reset_mode):
             psi = np.where(keep, psi, 0.0)
             psi = psi / np.linalg.norm(psi)
             q = reduced_qubit_state(np.outer(psi, psi.conj()))
-        outcomes.append(env.band_range[0] + band)
+        outcomes.append(band)
         states.append(q)
     return (
         np.array(outcomes),
@@ -193,7 +194,7 @@ def unraveled_record_probabilities(params, env, rho0, k0, steps):
         if len(record) == steps:
             probs[tuple(record)] = weight.sum()
             return
-        i = env.band_index(record[-1] if record else k0)
+        i = record[-1] if record else k0
         nk = env.degeneracies[i]
         lam_p, v_plus, v_minus = _eig2(rho00, rho10)
         vecs = np.concatenate([v_plus, v_minus], axis=1)
@@ -212,7 +213,7 @@ def unraveled_record_probabilities(params, env, rho0, k0, steps):
                 continue
             part = part[:, live].reshape(2, env.dim, -1) / np.sqrt(p[live])
             walk(
-                record + [env.band_range[0] + k2],
+                record + [k2],
                 w[live] * p[live],
                 np.sum(np.abs(part[0]) ** 2, axis=0),
                 np.sum(part[1] * part[0].conj(), axis=0),

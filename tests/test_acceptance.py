@@ -260,7 +260,7 @@ def test_criterion_9_structural_invariants():
         healthy &= np.linalg.norm(rho - rho.conj().T) < 1e-10
         healthy &= float(np.linalg.eigvalsh(rho)[0]) > -1e-10
     # projector completeness
-    total = sum(band_projector(env, k) for k in env.ks)
+    total = sum(band_projector(env, k) for k in range(env.n_bands))
     complete = np.allclose(total, np.eye(2 * env.dim), atol=1e-12)
     # attractor bounded by the temperature window on a dense grid
     _, _, grid, frozen = attractor_map(grid=(400, 400))

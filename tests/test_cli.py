@@ -244,6 +244,34 @@ class TestRelaxCommand:
         assert not recwarn.list
 
 
+# The start bands k0 each run accepts at n = 3: both bands of its band pair
+# (_SCENARIOS, _FREEZING) lie in 0..n.
+_K0_RANGES = {"fig2": (1, 3), "fig3": (0, 2), "freeze": (1, 2)}
+
+
+def _k0_argv(run, cfg, out):
+    if run == "freeze":
+        return ["freeze", "--config", cfg, "--out", out]
+    return ["relax", "--scenario", run, "--config", cfg, "--out", out]
+
+
+@pytest.mark.parametrize("end", ["low", "high"])
+@pytest.mark.parametrize("run", sorted(_K0_RANGES))
+def test_k0_outside_band_pair_exit_1(tmp_path, capsys, run, end):
+    """A k0 one past either end of a run's range exits 1 with one error
+    line that names k0 and the range; k0 at that end runs."""
+    low, high = _K0_RANGES[run]
+    name = "freezing" if run == "freeze" else run
+    inside, outside = (low, low - 1) if end == "low" else (high, high + 1)
+    cfg = write_config(tmp_path, {"n": 3, "k0": outside, "steps": 5})
+    assert main(_k0_argv(run, cfg, str(tmp_path / "out"))) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {name} needs {low} <= k0 <= {high} at n = 3, "
+                   f"got k0 = {outside}\n")
+    cfg = write_config(tmp_path, {"n": 3, "k0": inside, "steps": 5})
+    assert main(_k0_argv(run, cfg, str(tmp_path / "out"))) in (0, 2)
+
+
 @pytest.mark.parametrize(
     "command, payload, message",
     [
@@ -607,13 +635,17 @@ def test_every_default_key_accepted(tmp_path, command, function, given, csv_name
         ("sweep", {"quantity": "R", "num": 2, "seed": 7.5}, "seed must be an integer"),
         ("sweep", {"quantity": "R", "num": 2, "seed": True}, "seed must be an integer"),
         ("sweep", {"quantity": "R", "parameter": "n"}, "unknown sweep parameter 'n'"),
+        ("attractor-map", {"dt_max": 1e300, "grid": [3, 2]},
+         "sinA = nan is not finite: the parameters are too large"),
     ],
 )
-def test_bad_grid_or_sweep_counts_exit_1(tmp_path, capsys, command, payload, message):
+def test_bad_grid_or_sweep_counts_exit_1(tmp_path, capsys, recwarn, command, payload,
+                                        message):
     cfg = write_config(tmp_path, payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and message in err
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
+    assert not recwarn.list
     assert not (tmp_path / "out").exists()
 
 

@@ -167,7 +167,7 @@ class TestPropagator:
 class TestProjectors:
     def test_idempotent_and_complete(self, small_env):
         total = np.zeros((2 * small_env.dim, 2 * small_env.dim))
-        for k in small_env.ks:
+        for k in range(small_env.n_bands):
             p = band_projector(small_env, k)
             assert np.array_equal(p @ p, p)
             assert np.linalg.matrix_rank(p) == 2 * math.comb(5, k)
@@ -586,14 +586,13 @@ class TestCoarseResetEngine:
         probs = unraveled_record_probabilities(params, env, rho0, 2, 3)
         pairs, sums, _ = transfer_blocks(params, env, rho0, 2)
         assert list(pairs) == [(0, 0), (1, 1), (1, 0)]
-        i0 = env.band_index(2)
         start = np.array(list(pairs.values()))
-        records = list(itertools.product(env.ks, repeat=3))
+        records = list(itertools.product(range(env.n_bands), repeat=3))
         assert set(probs) <= set(records)
         for record in records:
-            x, i = start, i0
+            x, i = start, 2
             for k in record:
-                x, i = sums[:, env.band_index(k), i] * x, env.band_index(k)
+                x, i = sums[:, k, i] * x, k
             assert abs(x[0] + x[1] - probs.get(record, 0.0)) < 1e-12
         assert abs(sum(probs.values()) - 1.0) < 1e-12
 
@@ -771,7 +770,7 @@ class TestSampledEngine:
             if set(out_k[j - 1, out_k[j] == k] - k) == {-1, 0, 1}
         ]
         assert merges
-        assert set(env.band_range) <= set(out_k.ravel())
+        assert {0, env.n} <= set(out_k.ravel())
         for c, seed in enumerate(seeds):
             ref_k, ref_p, ref00, ref10 = dense_sampled_reference(
                 params, env, rho0, 1, 30, seed, "exact"
@@ -887,7 +886,7 @@ class TestSampledEngine:
         # a 3-cycle whose only move past an adjacent band goes up (3 -> 5) or
         # down (5 -> 3). A trajectory from k0 stays there and never holds a
         # cycled level; the bound over all states still sees the cycle.
-        levels = [small_env.band_slice(small_env.band_index(k)).start for k in cycle]
+        levels = [small_env.band_slice(k).start for k in cycle]
         eye = np.eye(small_env.dim, dtype=complex)
         cyc = eye.copy()
         cyc[:, levels] = eye[:, np.roll(levels, -1)]
@@ -901,18 +900,17 @@ class TestSampledEngine:
 
 class TestOneSectorTrajectories:
     """A ground or excited start occupies one parity sector p, and U keeps
-    it there: on band position i the sampled state is |a><a| with
-    a = (p - i) mod 2, and the sampled engine stores nothing of the other
+    it there: on band k the sampled state is |a><a| with
+    a = (p - k) mod 2, and the sampled engine stores nothing of the other
     sector."""
 
     @pytest.mark.parametrize("reset_mode", ["coarse", "exact"])
     @pytest.mark.parametrize("rho00", [1.0, 0.0], ids=["ground", "excited"])
     def test_one_sector_invariant(self, any_env, rho00, reset_mode):
         params = ModelParams(delta_s=1.3, coupling=0.1, dt=1.1)
-        rho0, k0 = QubitState(rho00=rho00), any_env.ks[2]
+        rho0, k0 = QubitState(rho00=rho00), 2
         pairs, us, leakage = _build(params, any_env, rho0, k0)
-        i0 = any_env.band_index(k0)
-        p = (i0 + (rho00 == 0.0)) % 2
+        p = (k0 + (rho00 == 0.0)) % 2
         assert us[1 - p] is None and us[p] is not None
         assert pairs == {(p, p): 1.0}
         nb, levels = any_env.n_bands, any_env.band_slice
@@ -928,9 +926,8 @@ class TestOneSectorTrajectories:
             params, any_env, op, pairs, leakage, rho0, k0, 30, trajectory_words(21, 16),
             reset_mode
         ))
-        i = out_k - any_env.band_range[0]
-        assert set(np.unique(i % 2)) == {0, 1}
-        expect = ((p - i) % 2 == 0).astype(float)
+        assert set(np.unique(out_k % 2)) == {0, 1}
+        expect = ((p - out_k) % 2 == 0).astype(float)
         assert np.array_equal(r00, expect)
         assert np.all(r10 == 0)
 
@@ -943,7 +940,7 @@ class TestOneSectorTrajectories:
         _, sums, _ = transfer_blocks(resonant_params, seven_env, ground, 2)
         assert sums.shape == (1, seven_env.n_bands, seven_env.n_bands)
         chain = sums[0].real
-        i = traj.outcomes - seven_env.band_range[0]
+        i = traj.outcomes
         assert len(np.unique(i)) >= 2
         for j in range(traj.steps):
             k, k2 = i[j], i[j + 1]
@@ -971,7 +968,7 @@ class TestOneSectorTrajectories:
         params = ModelParams(delta_s=1.0, coupling=coupling, dt=dt)
         build = build_band_environment if model == "random-band" else build_spin_environment
         env = build(n, params.delta_b, seed=env_seed)
-        rho0, k0 = QubitState(rho00=rho00), data.draw(st.sampled_from(list(env.ks)))
+        rho0, k0 = QubitState(rho00=rho00), data.draw(st.sampled_from(range(n + 1)))
         _, blocks, leakage = transfer_blocks(params, env, rho0, k0)
         if leakage > max(1e-9, 1e3 * coupling**4):
             with pytest.raises(ValueError, match="band-adjacency selection rule"):
@@ -979,7 +976,7 @@ class TestOneSectorTrajectories:
             return
         traj, chain = run_trajectory(params, env, rho0, k0, 30, seed=seed), blocks[0].real
         window = [chain[max(k - 1, 0):k + 2, k].sum() for k in range(env.n_bands)]
-        i = traj.outcomes - env.band_range[0]
+        i = traj.outcomes
         expect = [chain[k2, k] / window[k] for k, k2 in zip(i[:-1], i[1:])]
         assert np.max(np.abs(traj.probs - expect)) < 1e-12
 
@@ -998,7 +995,7 @@ class TestPairBlocks:
         # Every any_env environment has delta_b = 1.3.
         params = ModelParams(delta_s=1.3 - detuning, detuning=detuning,
                              coupling=coupling, dt=dt)
-        pairs, us, _ = _build(params, env, _COHERENT, env.ks[2])
+        pairs, us, _ = _build(params, env, _COHERENT, 2)
         assert list(pairs) == [(0, 0), (1, 1), (1, 0)]
         return us, dict(zip(pairs, _pair_sums(us, pairs, env)))
 
@@ -1046,14 +1043,14 @@ class TestPairTable:
         rho0 = self.STARTS[start]
         rho0.validate()
         pairs, us, _ = _build(resonant_params, small_env, rho0, k0)
-        rs, i0 = rho0.matrix(), small_env.band_index(k0)
-        entry = {(p, q): rs[(p - i0) % 2, (q - i0) % 2] for p in (0, 1) for q in (0, 1)}
+        rs = rho0.matrix()
+        entry = {(p, q): rs[(p - k0) % 2, (q - k0) % 2] for p in (0, 1) for q in (0, 1)}
         live = [pq for pq in [(0, 0), (1, 1), (1, 0)] if entry[pq] != 0]
         assert list(pairs) == live
         assert all(pairs[pq] == entry[pq] for pq in live)
         expect = {"ground": 1, "excited": 1, "diagonal": 2, "coherent": 3, "no-ground": 2}
         assert len(pairs) == expect[start]
-        rows = [p for p in (0, 1) if np.any(rs[(p - i0) % 2])]
+        rows = [p for p in (0, 1) if np.any(rs[(p - k0) % 2])]
         assert [p for p in (0, 1) if us[p] is not None] == rows
 
     def test_no_ground_start_runs(self, resonant_params, small_env):
@@ -1124,6 +1121,36 @@ class TestBatchStreams:
         assert proc.returncode == 0, proc.stderr
 
 
+# Every entry point that takes a start band: run_ensemble for each engine
+# and reset mode, run_trajectory for each reset mode, and transfer_blocks.
+_BAND_RUNS = {
+    **{f"run_ensemble-{engine}-{reset}": (
+        lambda p, env, rho0, k0, engine=engine, reset=reset: run_ensemble(
+            p, env, rho0, k0, 5, n_traj=3, master_seed=1, reset_mode=reset, engine=engine))
+       for engine in ("sampled", "nonselective") for reset in ("coarse", "exact")},
+    **{f"run_trajectory-{reset}": (
+        lambda p, env, rho0, k0, reset=reset: run_trajectory(
+            p, env, rho0, k0, 5, seed=1, reset_mode=reset))
+       for reset in ("coarse", "exact")},
+    "transfer_blocks": transfer_blocks,
+}
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["k0=-1", "k0=n+1"])
+@pytest.mark.parametrize("run", sorted(_BAND_RUNS))
+def test_band_outside_environment_refused_before_assembly(
+    monkeypatch, resonant_params, small_env, ground, run, above
+):
+    """A start band outside 0..n is refused, naming it and the range, by the
+    one check that every run and transfer_blocks pass, before any sector
+    Hamiltonian is assembled."""
+    k0 = small_env.n + 1 if above else -1
+    monkeypatch.setattr(dynamics, "build_total_hamiltonian",
+                        lambda *a: pytest.fail("assembled a Hamiltonian"))
+    with pytest.raises(ValueError, match=rf"^band k0 = {k0} outside \[0, 5\]$"):
+        _BAND_RUNS[run](resonant_params, small_env, ground, k0)
+
+
 _STARTS = {
     "ground": QubitState(rho00=1.0),
     "excited": QubitState(rho00=0.0),
@@ -1156,7 +1183,7 @@ class TestBlockRecords:
         params = ModelParams(delta_s=1.0, coupling=0.05, dt=math.pi)
         build = build_band_environment if model == "random-band" else build_spin_environment
         env = build(n, params.delta_b, seed=8)
-        k0 = env.ks[len(env.ks) // 2]
+        k0 = n // 2
         steps = max(blocks * rows + offset, 1)
         seeds = [trajectory_seed(master, i) for i in range(m)]
         with pytest.MonkeyPatch.context() as patch:
@@ -1223,7 +1250,7 @@ class TestTransferBlocks:
     @pytest.mark.parametrize("start", sorted(_STARTS))
     def test_blocks_are_pair_sums(self, any_env, start):
         params = ModelParams(delta_s=1.0, detuning=0.3, coupling=0.1, dt=1.1)
-        rho0, k0 = _STARTS[start], any_env.ks[2]
+        rho0, k0 = _STARTS[start], 2
         pairs, blocks, leakage = transfer_blocks(params, any_env, rho0, k0)
         built_pairs, us, built_leakage = _build(params, any_env, rho0, k0)
         assert pairs == built_pairs and leakage == built_leakage
@@ -1255,25 +1282,20 @@ class TestTransferBlocks:
 
 @st.composite
 def _pair_block_cases(draw):
-    """A build to check: a random-band environment with spread bands and a
-    band window, or a sigma-x one; a start band in it; a start of each
-    kind; dt up to 4 pi and coupling up to 0.3."""
+    """A build to check: a random-band or a sigma-x environment; a start
+    band in it; a start of each kind; dt up to 4 pi and coupling up to
+    0.3."""
     n = draw(st.integers(1, 6))
     delta_b = draw(st.floats(0.5, 2.0))
     seed = draw(st.integers(0, 2**16))
-    if draw(st.sampled_from(["random-band", "sigma-x"])) == "sigma-x":
-        env = build_spin_environment(n, delta_b, seed=seed)
-    else:
-        lo = draw(st.integers(0, n))
-        hi = draw(st.integers(lo, n))
-        width = draw(st.floats(0.0, 0.9 * delta_b, exclude_min=True))
-        env = build_band_environment(n, delta_b, seed=seed, band_width=width,
-                                     band_range=(lo, hi))
+    model = draw(st.sampled_from(["random-band", "sigma-x"]))
+    build = build_band_environment if model == "random-band" else build_spin_environment
+    env = build(n, delta_b, seed=seed)
     detuning = draw(st.floats(-0.9 * delta_b, 0.9 * delta_b))
     params = ModelParams(delta_s=delta_b - detuning, detuning=detuning,
                          coupling=draw(st.floats(0.0, 0.3)),
                          dt=draw(st.floats(0.0, 4 * math.pi)))
-    return params, env, draw(st.sampled_from(list(env.ks))), _STARTS[
+    return params, env, draw(st.sampled_from(range(n + 1))), _STARTS[
         draw(st.sampled_from(sorted(_STARTS)))]
 
 
@@ -1315,8 +1337,7 @@ class TestPairBlockProperties:
         scaled = dataclasses.replace(params, delta_s=c * params.delta_s,
                                      detuning=c * params.detuning,
                                      coupling=c * params.coupling, dt=params.dt / c)
-        scaled_env = dataclasses.replace(env, delta_b=c * env.delta_b,
-                                         offsets=tuple(c * o for o in env.offsets))
+        scaled_env = dataclasses.replace(env, delta_b=c * env.delta_b)
         t, scaled_leakage = self._blocks(scaled, scaled_env, rho0, k0)
         assert all(np.max(np.abs(s[pq] - t[pq])) <= 1e-12 for pq in s)
         assert abs(scaled_leakage - leakage) <= 1e-12

@@ -9,7 +9,6 @@ from tlsbath.analytics import (
     attractor,
     attractor_rho00,
     is_freezing_point,
-    offdiag_coeffs,
     relaxation_constants,
 )
 from tlsbath.experiments import (
@@ -25,7 +24,7 @@ from tlsbath.experiments import (
     verify_freezing,
     zeno_scan,
 )
-from tlsbath.model import ModelParams, QubitState, effective_beta
+from tlsbath.model import ModelParams
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +203,9 @@ class TestSweep:
         columns = sweep("R", parameter="coupling", values=[-1, 0.05])
         assert columns["coupling"] == [-1.0, 0.05]
         assert math.isnan(columns["R"][0]) and columns["R"][1] > 0.0
+        # A dt whose interference factors overflow, which run_scenario and
+        # attractor_map refuse.
+        assert math.isnan(sweep("attractor", values=[1e300])["attractor"][0])
 
 
 class TestZenoScan:
@@ -341,5 +343,5 @@ def test_default_environment_models():
     spin = default_environment(n=5, delta_b=1.0, seed=3, model="sigma-x")
     assert band.model == "random-band"
     assert spin.model == "sigma-x"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown environment model 'ising'"):
         default_environment(model="ising")

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ import scipy.special
 from oracles import joint_hamiltonian
 from tlsbath import model
 from tlsbath.model import (
-    BandedEnvironment,
     ModelParams,
     QubitState,
     beta_working_point,
@@ -122,17 +120,10 @@ def test_band_environment_determinism():
         assert np.array_equal(x, y)
 
 
-def test_band_range_dimension():
-    env = build_band_environment(9, 1.0, seed=1, band_range=(1, 3))
-    assert env.degeneracies == (9, 36, 84)
-    assert env.dim == 9 + 36 + 84
-    assert list(env.ks) == [1, 2, 3]
-
-
 def test_band_starts_cached_and_read_only():
-    env = build_band_environment(6, 1.0, seed=3, band_range=(1, 4))
+    env = build_band_environment(4, 1.0, seed=3)
     starts = env.band_starts
-    assert starts.tolist() == [0, 6, 21, 41]
+    assert starts.tolist() == [0, 1, 5, 11, 15]
     assert env.band_starts is starts
     with pytest.raises(ValueError):
         starts[0] = 1
@@ -141,29 +132,14 @@ def test_band_starts_cached_and_read_only():
 @pytest.mark.parametrize("build, kwargs, message", [
     (build_band_environment, {"n": 0}, "need at least one spin, got n = 0"),
     (build_spin_environment, {"n": 0}, "need at least one spin, got n = 0"),
-    (build_band_environment, {"n": 5, "band_range": (3, 2)}, "not a contiguous window"),
 ])
 def test_environment_rejects_bad_sizes(build, kwargs, message):
     with pytest.raises(ValueError, match=message):
         build(delta_b=1.0, seed=0, **kwargs)
 
 
-def test_band_width_validation():
-    with pytest.raises(ValueError):
-        build_band_environment(5, 1.0, seed=0, band_width=1.0)
-    with pytest.raises(ValueError):
-        build_band_environment(5, 1.0, seed=0, band_width=-0.1)
-
-
-def test_band_offsets_within_width():
-    env = build_band_environment(5, 1.0, seed=0, band_width=0.2)
-    for off in env.offsets:
-        assert np.all(np.abs(off) <= 0.1)
-
-
 _GUARDED_BUILDS = {
     "band": lambda: build_band_environment(5, 1.0, seed=1),
-    "band-window": lambda: build_band_environment(5, 1.0, seed=1, band_range=(1, 3)),
     "sigma-x": lambda: build_spin_environment(5, 1.0, seed=1),
 }
 
@@ -222,7 +198,7 @@ def test_sign_gauge(any_env):
     again, flipped_levels = flipped.sign_gauged()
     assert all(a.tobytes() == b.tobytes()
                for a, b in zip(again.up_blocks, gauged.up_blocks))
-    odd = (any_env.band_of_level() - any_env.ks[0]) % 2 == 1
+    odd = any_env.band_of_level() % 2 == 1
     assert np.array_equal(flipped_levels, levels ^ odd)
 
 
@@ -265,12 +241,12 @@ def test_sector_hamiltonians_are_the_parity_blocks(any_env):
     env = any_env
     p = ModelParams(delta_s=1.0, detuning=0.3, coupling=0.07)
     h = joint_hamiltonian(p, env)
-    positions = env.band_of_level() - env.band_range[0]
+    bands = env.band_of_level()
     levels = np.arange(env.dim)
     for parity in (0, 1):
         hp = build_total_hamiltonian(p, env, parity)
         # Level g of sector p sits at TLS level (p - k) mod 2 of the joint index.
-        idx = (parity - positions) % 2 * env.dim + levels
+        idx = (parity - bands) % 2 * env.dim + levels
         assert np.array_equal(hp, h[np.ix_(idx, idx)])
 
 
@@ -330,43 +306,3 @@ def test_degeneracy_ratio_matches_digamma_beta():
     beta = beta_working_point(n, k0, 1.0, method="digamma")
     ratio = (n - k0) / (k0 + 1)  # N_{k0+1}/N_{k0}
     assert abs(ratio / math.exp(beta) - 1.0) < 1e-2
-
-
-def test_short_time_sum_property():
-    """Band-summed cos(alpha t) factors agree with the degenerate-band value."""
-    p = ModelParams(delta_s=1.0, detuning=0.0, coupling=0.05, dt=math.pi)
-    t = 0.8 * p.dt
-
-    def band_sum(env):
-        blk = env.up_blocks[1]  # bands 1 -> 2
-        e_hi = 2.0 * env.delta_b + env.offsets[2]
-        e_lo = 1.0 * env.delta_b + env.offsets[1]
-        alpha = e_hi[:, None] - e_lo[None, :]
-        return np.sum(np.abs(blk) ** 2 * np.cos(alpha * t))
-
-    env0 = build_band_environment(5, 1.0, seed=33, band_width=0.0)
-    flat = np.sum(np.abs(env0.up_blocks[1]) ** 2) * math.cos(1.0 * t)
-    assert band_sum(env0) == pytest.approx(flat, rel=1e-12)
-
-    envw = build_band_environment(5, 1.0, seed=33, band_width=0.01)
-    flat_w = np.sum(np.abs(envw.up_blocks[1]) ** 2) * math.cos(1.0 * t)
-    assert band_sum(envw) == pytest.approx(flat_w, rel=0.05)
-
-
-def test_environment_json_round_trip():
-    env = build_band_environment(5, 1.3, seed=77, band_width=0.1, band_range=(1, 4))
-    clone = BandedEnvironment.from_json(env.to_json())
-    assert clone.degeneracies == env.degeneracies
-    assert json.loads(env.to_json())["model"] == "random-band"
-    for a, b in zip(env.up_blocks, clone.up_blocks):
-        assert np.array_equal(a, b)
-    for a, b in zip(env.offsets, clone.offsets):
-        assert np.array_equal(a, b)
-
-    spin = build_spin_environment(4, 1.0, seed=5)
-    spin2 = BandedEnvironment.from_json(spin.to_json())
-    assert np.array_equal(spin.coupling_matrix(), spin2.coupling_matrix())
-
-    doc = json.dumps({**json.loads(spin.to_json()), "model": "ising"})
-    with pytest.raises(ValueError, match="unknown environment model 'ising'"):
-        BandedEnvironment.from_json(doc)
