@@ -194,6 +194,7 @@ def _build(params: ModelParams, env: BandedEnvironment, rho0: QubitState, k0: in
     not follow bit for bit where bands are numerically degenerate; in the
     gauge, B and -B give the same bytes.
     """
+    _check_count("k0", k0, None)
     if not 0 <= k0 <= env.n:
         raise ValueError(f"band k0 = {k0} outside [0, {env.n}]")
     rs = rho0.matrix()

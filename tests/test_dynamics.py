@@ -1136,18 +1136,23 @@ _BAND_RUNS = {
 }
 
 
-@pytest.mark.parametrize("above", [False, True], ids=["k0=-1", "k0=n+1"])
+@pytest.mark.parametrize("k0, message", [
+    (-1, r"^band k0 = -1 outside \[0, 5\]$"),
+    (6, r"^band k0 = 6 outside \[0, 5\]$"),
+    (True, r"^k0 must be an integer, got True$"),
+    (2.0, r"^k0 must be an integer, got 2.0$"),
+], ids=["k0=-1", "k0=n+1", "k0=True", "k0=2.0"])
 @pytest.mark.parametrize("run", sorted(_BAND_RUNS))
 def test_band_outside_environment_refused_before_assembly(
-    monkeypatch, resonant_params, small_env, ground, run, above
+    monkeypatch, resonant_params, small_env, ground, run, k0, message
 ):
-    """A start band outside 0..n is refused, naming it and the range, by the
-    one check that every run and transfer_blocks pass, before any sector
-    Hamiltonian is assembled."""
-    k0 = small_env.n + 1 if above else -1
+    """A start band that is not one of the bands 0..n of the five-spin
+    environment is refused, named, by the one check that every run and
+    transfer_blocks pass, before any sector Hamiltonian is assembled. A bool
+    is no band: as an index, True would select every band at once."""
     monkeypatch.setattr(dynamics, "build_total_hamiltonian",
                         lambda *a: pytest.fail("assembled a Hamiltonian"))
-    with pytest.raises(ValueError, match=rf"^band k0 = {k0} outside \[0, 5\]$"):
+    with pytest.raises(ValueError, match=message):
         _BAND_RUNS[run](resonant_params, small_env, ground, k0)
 
 
