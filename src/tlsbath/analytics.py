@@ -2,9 +2,10 @@
 probabilities, ensemble recursion and its exponential solution, attractor and
 temperature bounds, freezing criterion, off-diagonal dynamics.
 
-All operations take the inverse temperature as an explicit argument (falling
-back to params.beta) so that small-environment effective values can be plugged
-in directly. Throughout, b denotes beta * delta_b / 2.
+Every map takes the environment's inverse temperature beta as a required
+argument next to the protocol, ModelParams: beta follows from the band
+degeneracies of the environment (model.effective_beta), so small-environment
+values are plugged in directly. Throughout, b denotes beta * delta_b / 2.
 """
 from __future__ import annotations
 
@@ -139,12 +140,11 @@ def _weights(b):
         return 1.0 / (1.0 + np.exp(-2.0 * b)), 1.0 / (1.0 + np.exp(2.0 * b))
 
 
-def _step(params: ModelParams, beta: float | None):
+def _step(params: ModelParams, beta: float):
     """(a, (w+, w-), sinc factors) of one step: the rate scale a = 8 lam^2
     cosh b, refused where it is not finite, and the weights _weights(b), so
-    that a w+- = 4 lam^2 e^{+-b}; beta None means params.beta."""
-    bv = params.beta if beta is None else beta
-    b = bv * params.delta_b / 2.0
+    that a w+- = 4 lam^2 e^{+-b}."""
+    b = beta * params.delta_b / 2.0
     sf = sinc_factors(params)
     try:
         lam2 = params.coupling**2
@@ -209,7 +209,7 @@ def _conjugate_coupling(params: ModelParams) -> complex:
     return k / (params.detuning * two_ds)
 
 
-def relaxation_constants(params: ModelParams, beta: float | None = None) -> RelaxationPair:
+def relaxation_constants(params: ModelParams, beta: float) -> RelaxationPair:
     """Rate R = a (sinA + sinB), drive d = a (w+ sinA + w- sinB) (_step)."""
     scale, (up, down), sf = _step(params, beta)
     rate = _second_order_rate(scale, sf)
@@ -217,7 +217,7 @@ def relaxation_constants(params: ModelParams, beta: float | None = None) -> Rela
 
 
 def outcome_probabilities(
-    rho: QubitState, params: ModelParams, beta: float | None = None
+    rho: QubitState, params: ModelParams, beta: float
 ) -> tuple[float, float, float]:
     """Probabilities (p_up, p_down, p_same) of the next band measurement."""
     scale, (up, down), sf = _step(params, beta)
@@ -238,7 +238,7 @@ def outcome_probabilities(
 
 
 def conditional_update(
-    rho: QubitState, outcome: str, params: ModelParams, beta: float | None = None
+    rho: QubitState, outcome: str, params: ModelParams, beta: float
 ) -> QubitState:
     """Post-measurement TLS state conditioned on the band outcome.
 
@@ -285,17 +285,13 @@ def conditional_update(
     return QubitState(rho00=new00, rho10=complex(new10))
 
 
-def ensemble_map(
-    rho00bar: float, params: ModelParams, beta: float | None = None
-) -> float:
+def ensemble_map(rho00bar: float, params: ModelParams, beta: float) -> float:
     """One step of the ensemble recursion, (1 - R) rho00bar + d."""
     rel = relaxation_constants(params, beta)
     return (1.0 - rel.rate) * rho00bar + rel.drive
 
 
-def rho00_closed_form(
-    rho00_initial: float, j, params: ModelParams, beta: float | None = None
-):
+def rho00_closed_form(rho00_initial: float, j, params: ModelParams, beta: float):
     """Exponential solution (rho00(0) - rho00*) e^{-R j} + rho00*, rho00* of
     `attractor`; constant at a freezing point or where R = 0."""
     rate = relaxation_constants(params, beta).rate
@@ -329,28 +325,22 @@ def attractor_rho00(dt, detuning, delta_s: float, beta: float):
     return _attractor_cells(dt, detuning, delta_s, beta)[0]
 
 
-def attractor(
-    params: ModelParams, beta: float | None = None
-) -> AttractorResult | None:
+def attractor(params: ModelParams, beta: float) -> AttractorResult | None:
     """Fixed point of the ensemble recursion (_attractor_cells), finite at any
     beta; None at a freezing point."""
-    bv = params.beta if beta is None else beta
-    cell, frozen = _attractor_cells(params.dt, params.detuning, params.delta_s, bv)
+    cell, frozen = _attractor_cells(params.dt, params.detuning, params.delta_s, beta)
     if frozen:
         return None
     star = float(cell)
     return AttractorResult(rho00_star=star, t_eff=effective_temperature(star, params.delta_s))
 
 
-def temperature_bounds(
-    params: ModelParams, beta: float | None = None
-) -> TemperatureBounds:
+def temperature_bounds(params: ModelParams, beta: float) -> TemperatureBounds:
     """Extremal attractor temperatures and occupations (_weights) over all dt."""
-    bv = params.beta if beta is None else beta
-    if bv == 0.0:
+    if beta == 0.0:
         raise ValueError("temperature bounds require beta != 0")
-    up, down = _weights(bv * params.delta_b / 2.0)
-    t_min = (params.delta_s / params.delta_b) / bv
+    up, down = _weights(beta * params.delta_b / 2.0)
+    t_min = (params.delta_s / params.delta_b) / beta
     t_max = None if params.detuning == 0.0 else -t_min
     return TemperatureBounds(
         t_min=t_min,
@@ -372,7 +362,7 @@ def is_freezing_point(
     return True, round(dt * delta_s / math.pi), round(detuning * dt / (2.0 * math.pi))
 
 
-def offdiag_coeffs(params: ModelParams, beta: float | None = None) -> OffdiagCoeffs:
+def offdiag_coeffs(params: ModelParams, beta: float) -> OffdiagCoeffs:
     """Coefficients (c1..c4) of the off-diagonal recursion, plus gamma."""
     pref = _step(params, beta)[0] / 4.0
     phases = _phase_sum(params)
@@ -409,9 +399,7 @@ def offdiag_closed_form(
     return value, abs(value)
 
 
-def offdiag_map(
-    rho10bar: complex, params: ModelParams, beta: float | None = None
-) -> complex:
+def offdiag_map(rho10bar: complex, params: ModelParams, beta: float) -> complex:
     """One step of the coupled off-diagonal recursion."""
     c = offdiag_coeffs(params, beta)
     return (

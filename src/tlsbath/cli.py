@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__, experiments
 from .dynamics import ENGINES, RESET_MODES
-from .model import beta_working_point, binomial_degeneracy, effective_beta
+from .model import _check_real, beta_working_point, binomial_degeneracy, effective_beta
 
 
 class ConfigError(ValueError):
@@ -40,7 +40,8 @@ _RELAX_KEYS = (
 _FREEZE_KEYS = set(experiments._FREEZING[0]) - {"rho0"}
 _MAP_KEYS = _parameters(experiments.attractor_map)
 _SWEEP_KEYS = _parameters(experiments.sweep)
-_ENV_KEYS = _parameters(experiments.default_environment)
+# The band table's splitting is the one key beyond the environment's own.
+_ENV_KEYS = _parameters(experiments.default_environment) | {"delta_b"}
 
 _KNOWN_KEYS = {
     "attractor-map": _COMMON_KEYS | _MAP_KEYS,
@@ -181,8 +182,14 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_env_inspect(cfg: dict) -> int:
-    env = experiments.default_environment(**_given(cfg, _ENV_KEYS))
-    n, delta_b = env.n, env.delta_b
+    given = _given(cfg, _ENV_KEYS)
+    delta_b = given.pop("delta_b", 1.0)
+    experiments._check_counts(given)  # n and seed are refused before delta_b
+    _check_real("delta_b", delta_b)
+    if delta_b <= 0:
+        raise ValueError(f"delta_b must be > 0, got {delta_b}")
+    env = experiments.default_environment(**given)
+    n = env.n
     print(f"environment: n={n} delta_b={delta_b} model={env.model} dim={env.dim}")
     print(f"{'k':>4} {'E_k':>10} {'N_k':>8}")
     for k, deg in enumerate(env.degeneracies):

@@ -33,6 +33,7 @@ from .model import (
     BandedEnvironment,
     ModelParams,
     QubitState,
+    _check_band,
     _check_count,
     _check_fits,
     build_total_hamiltonian,
@@ -194,9 +195,7 @@ def _build(params: ModelParams, env: BandedEnvironment, rho0: QubitState, k0: in
     not follow bit for bit where bands are numerically degenerate; in the
     gauge, B and -B give the same bytes.
     """
-    _check_count("k0", k0, None)
-    if not 0 <= k0 <= env.n:
-        raise ValueError(f"band k0 = {k0} outside [0, {env.n}]")
+    _check_band("k0", k0, env.n)
     rs = rho0.matrix()
     pairs = {(p, q): rs[(p - k0) % 2, (q - k0) % 2] for p, q in ((0, 0), (1, 1), (1, 0))}
     pairs = {pq: entry for pq, entry in pairs.items() if entry != 0}

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -103,18 +103,15 @@ def _check_counts(cfg: dict) -> None:
 
 
 def default_environment(
-    n: int = 7,
-    delta_b: float = 1.0,
-    seed: int = DEFAULT_SEED,
-    model: str = "random-band",
+    n: int = 7, seed: int = DEFAULT_SEED, model: str = "random-band"
 ) -> BandedEnvironment:
     """The environment of a named model: "random-band"
     (build_band_environment) or "sigma-x" (build_spin_environment)."""
     _check_counts({"n": n, "seed": seed})
     if model == "random-band":
-        return build_band_environment(n, delta_b, seed)
+        return build_band_environment(n, seed)
     if model == "sigma-x":
-        return build_spin_environment(n, delta_b, seed)
+        return build_spin_environment(n, seed)
     raise ValueError(f"unknown environment model {model!r}")
 
 
@@ -144,7 +141,9 @@ def attractor_map(
     (analytics._frozen), whose cells hold NaN.
     """
     _check_counts({"grid": grid})
-    ModelParams(delta_s=delta_s, beta=beta)  # both finite reals, delta_s > 0
+    _check_real("delta_s", delta_s)
+    _check_real("beta", beta)
+    ModelParams(delta_s=delta_s)  # delta_s > 0
     dts = np.linspace(
         _real_or("dt_min", dt_min, 0.01),
         _real_or("dt_max", dt_max, 4.0 * math.pi / delta_s),
@@ -187,13 +186,15 @@ def sweep(
     dt: float = math.pi,
     beta: float = 0.75,
 ) -> dict[str, list[float]]:
-    """One analytic quantity over one `ModelParams` field, the others fixed.
+    """One analytic quantity over one `ModelParams` field or `beta`, the
+    others fixed.
 
-    The field takes `values` if given, else `num` points from `start` to
+    The parameter takes `values` if given, else `num` points from `start` to
     `stop`. The fixed fields, with the swept one at its given or default
-    value, must form a valid `ModelParams`. A point whose own value is invalid
-    there, or where the quantity is undefined, gives NaN. Returns the columns
-    {parameter: values, quantity: results} as lists of floats.
+    value, must form a valid `ModelParams`, and `beta` must be a finite real.
+    A point whose own value is invalid there, or where the quantity is
+    undefined, gives NaN. Returns the columns {parameter: values, quantity:
+    results} as lists of floats.
     """
     if quantity not in _SWEEP_QUANTITIES:
         raise ValueError(
@@ -210,7 +211,16 @@ def sweep(
         raise ValueError(
             f"unknown sweep parameter {parameter!r}; choose from {sorted(base)}"
         )
-    ModelParams(**base)
+
+    def point(value):
+        """The protocol and beta with the swept parameter at value."""
+        fields = {**base, parameter: value}
+        beta_v = fields.pop("beta")
+        return ModelParams(**fields), beta_v
+
+    for key, value in base.items():  # every one a real before any range check
+        _check_real(key, value)
+    point(base[parameter])
     _check_counts({"num": num})
     _check_real("start", start)
     _check_real("stop", stop)
@@ -225,8 +235,7 @@ def sweep(
     results = []
     for value in values:
         try:
-            p = ModelParams(**{**base, parameter: value})
-            result = getattr(analytics, function)(p)
+            result = getattr(analytics, function)(*point(value))
         except ValueError:
             result = None
         results.append(math.nan if result is None else float(getattr(result, attr)))
@@ -317,9 +326,7 @@ def _resolve(name: str, table: tuple, overrides: dict):
 def _run(cfg: dict, params: ModelParams, beta_eff: float):
     """Step a resolved run on its default environment; returns the series and
     the report's record of the run's parameters."""
-    env = default_environment(
-        n=cfg["n"], delta_b=params.delta_b, seed=cfg["seed"], model=cfg["model"]
-    )
+    env = default_environment(n=cfg["n"], seed=cfg["seed"], model=cfg["model"])
     series = run_ensemble(
         params,
         env,
@@ -415,32 +422,29 @@ def reproduce_fig3(**overrides) -> ScenarioReport:
 def zeno_scan(
     dt_list,
     params: ModelParams,
-    beta: float | None = None,
+    beta: float,
     with_exact: bool = False,
     n: int = 7,
     k0: int = 2,
     seed: int = DEFAULT_SEED,
 ):
-    """Relaxation rate versus measurement period; optional exact half-life.
+    """Relaxation rate versus measurement period at the environment's inverse
+    temperature beta; optional exact half-life on one environment of n spins.
 
     Returns a list of dicts {dt, rate, half_life_exact}; the half-life is None
-    where there is no attractor (a freezing point) or R = 0.
+    where there is no attractor (a freezing point) or R = 0. An exact run
+    lasts ceil(6 / R) steps, at most 100 000.
     """
+    env = default_environment(n=n, seed=seed) if with_exact else None
     rows = []
     for dt in dt_list:
-        p = ModelParams(
-            delta_s=params.delta_s,
-            detuning=params.detuning,
-            coupling=params.coupling,
-            dt=float(dt),
-            beta=params.beta,
-        )
+        p = replace(params, dt=float(dt))
         rate = analytics.relaxation_constants(p, beta).rate
         att = analytics.attractor(p, beta) if with_exact and rate > 0 else None
         half_life = None
         if att is not None:
-            steps = min(int(math.ceil(6.0 / rate)), 100_000)
-            env = default_environment(n=n, delta_b=p.delta_b, seed=seed)
+            # Capped before ceil: 6 / R overflows to inf below R ~ 3e-308.
+            steps = math.ceil(min(6.0 / rate, 100_000))
             series = run_ensemble(
                 p, env, GROUND, k0=k0, steps=steps, engine="nonselective"
             )

@@ -1,10 +1,12 @@
 """Model construction: banded spin environments, Hamiltonians, degeneracy utilities.
 
-The environment is the set of energy bands k = 0..n of n spins, with energies
-E_k = k*delta_b and degeneracies N_k = C(n, k); band k sits at position k of
-every per-band array. Adjacent bands are coupled either by seeded random
-Gaussian blocks normalized to mean |C_{k+1,k}|^2 = (N_{k+1} N_k)^{-1/2}, or by
-a physical sigma_x-type spin coupling with random per-spin weights.
+The environment is the structure of the bath alone: the bands k = 0..n of n
+spins, with degeneracies N_k = C(n, k), band k at position k of every per-band
+array. Adjacent bands are coupled either by seeded random Gaussian blocks
+normalized to mean |C_{k+1,k}|^2 = (N_{k+1} N_k)^{-1/2}, or by a physical
+sigma_x-type spin coupling with random per-spin weights. The band energies
+E_k = k*delta_b belong to the simulated protocol, ModelParams, so one
+environment serves every detuning.
 """
 from __future__ import annotations
 
@@ -57,6 +59,22 @@ def _check_count(name: str, value, minimum: int | None = 1) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
+def _check_band(name: str, k, n: int) -> None:
+    """Reject a band k that is not an integer (a bool is not one) or that lies
+    outside [0, n]."""
+    _check_count(name, k, None)
+    if not 0 <= k <= n:
+        raise ValueError(f"band {name} = {k} outside [0, {n}]")
+
+
+def _check_spins(n) -> None:
+    """Reject a spin count n that is not an integer (a bool is not one) or is
+    below one."""
+    _check_count("n", n, None)
+    if n < 1:
+        raise ValueError(f"need at least one spin, got n = {n}")
+
+
 def _physical_memory() -> int:
     """Bytes of physical memory of the machine."""
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -82,23 +100,24 @@ def _check_blocks_fit(n: int, degs: tuple[int, ...]) -> None:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical scalars shared by both engines (hbar = 1, energies in units u).
+    """The simulated protocol: physical scalars shared by the engines and the
+    analytic maps (hbar = 1, energies in units u). The environment's inverse
+    temperature is not one of them: it follows from the band degeneracies, and
+    the analytic maps take it as an argument.
 
     delta_s:  TLS energy splitting, > 0.
     detuning: environment-spin splitting minus delta_s; delta_b = delta_s + detuning > 0.
     coupling: interaction strength lambda, >= 0 (dimensionless, weak-coupling regime << 1).
     dt:       time between consecutive band measurements, >= 0.
-    beta:     environmental inverse-temperature parameter (any sign).
     """
 
     delta_s: float
     detuning: float = 0.0
     coupling: float = 0.05
     dt: float = math.pi
-    beta: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("delta_s", "detuning", "coupling", "dt", "beta"):
+        for name in ("delta_s", "detuning", "coupling", "dt"):
             _check_real(name, getattr(self, name))
         if self.delta_s <= 0:
             raise ValueError(f"delta_s must be > 0, got {self.delta_s}")
@@ -213,15 +232,13 @@ def effective_beta(n: int, k_low: int, k_high: int, delta_b: float) -> float:
 @dataclass(frozen=True)
 class BandedEnvironment:
     """Immutable environment of bands k = 0..n: degeneracies and
-    adjacent-band couplings, named by (model, n, delta_b, seed).
+    adjacent-band couplings, built by the model's builder from (n, seed).
 
     up_blocks[k] couples band k -> k+1 and has shape (N_{k+1}, N_k); the
     down block is its conjugate transpose by construction (hermiticity of V).
     """
 
     n: int
-    delta_b: float
-    seed: int
     model: str
     degeneracies: tuple[int, ...]
     up_blocks: tuple[np.ndarray, ...]
@@ -242,16 +259,14 @@ class BandedEnvironment:
         return starts
 
     def band_slice(self, k: int) -> slice:
-        """Index slice of the levels of band k."""
+        """Index slice of the levels of band k, refused outside [0, n]."""
+        _check_band("k", k, self.n)
         start = int(self.band_starts[k])
         return slice(start, start + self.degeneracies[k])
 
     def band_of_level(self) -> np.ndarray:
         """Band k of every environment level index."""
         return np.repeat(np.arange(self.n_bands), self.degeneracies)
-
-    def level_energies(self) -> np.ndarray:
-        return self.band_of_level() * self.delta_b
 
     def coupling_matrix(self) -> np.ndarray:
         """Hermitian environment coupling operator B with adjacent-band blocks only."""
@@ -283,21 +298,13 @@ class BandedEnvironment:
         return replace(self, up_blocks=blocks), np.repeat(flipped, self.degeneracies)
 
 
-def _check_delta_b(delta_b) -> None:
-    _check_real("delta_b", delta_b)
-    if delta_b <= 0:
-        raise ValueError(f"delta_b must be > 0, got {delta_b}")
-
-
-def build_band_environment(n: int, delta_b: float, seed: int) -> BandedEnvironment:
+def build_band_environment(n: int, seed: int) -> BandedEnvironment:
     """Random-band environment with seeded complex Gaussian coupling blocks.
 
     Entries of C_{k+1,k} have i.i.d. real/imaginary parts of variance
     (N_{k+1} N_k)^{-1/2} / 2 so that E|C|^2 = (N_{k+1} N_k)^{-1/2}.
     """
-    if n < 1:
-        raise ValueError(f"need at least one spin, got n = {n}")
-    _check_delta_b(delta_b)
+    _check_spins(n)
     rng = np.random.default_rng(seed)
     degs = tuple(binomial_degeneracy(n, k) for k in range(n + 1))
     _check_blocks_fit(n, degs)
@@ -314,15 +321,13 @@ def build_band_environment(n: int, delta_b: float, seed: int) -> BandedEnvironme
         )
     return BandedEnvironment(
         n=n,
-        delta_b=delta_b,
-        seed=seed,
         model="random-band",
         degeneracies=degs,
         up_blocks=tuple(blocks),
     )
 
 
-def build_spin_environment(n: int, delta_b: float, seed: int) -> BandedEnvironment:
+def build_spin_environment(n: int, seed: int) -> BandedEnvironment:
     """Physical n-spin environment coupled through sigma_x on every spin.
 
     The environment part of the interaction is sum_i g_i sigma_x^(i) with i.i.d.
@@ -330,9 +335,7 @@ def build_spin_environment(n: int, delta_b: float, seed: int) -> BandedEnvironme
     matrix element between adjacent bands matches the random-band convention.
     Single spin flips connect bands k and k+1 only.
     """
-    if n < 1:
-        raise ValueError(f"need at least one spin, got n = {n}")
-    _check_delta_b(delta_b)
+    _check_spins(n)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(n)
 
@@ -363,8 +366,6 @@ def build_spin_environment(n: int, delta_b: float, seed: int) -> BandedEnvironme
 
     return BandedEnvironment(
         n=n,
-        delta_b=delta_b,
-        seed=seed,
         model="sigma-x",
         degeneracies=degs,
         up_blocks=blocks,
@@ -381,18 +382,16 @@ def build_total_hamiltonian(
     environment level, in the environment's order, with the levels of band k
     at TLS level s = (p - k) mod 2. B only links adjacent bands, whose TLS
     levels differ within a sector, so H's block on sector p is
-    h_p = coupling * B + diag(E_level + (s - 1/2) delta_s).
+    h_p = coupling * B + diag(k delta_b + (s - 1/2) delta_s), with delta_b
+    that of params.
     """
     if parity not in (0, 1):
         raise ValueError(f"parity must be 0 or 1, got {parity!r}")
-    if abs(env.delta_b - params.delta_b) > 1e-9 * max(1.0, abs(params.delta_b)):
-        raise ValueError(
-            f"environment splitting {env.delta_b} inconsistent with "
-            f"params.delta_b = {params.delta_b}"
-        )
     # Scaled in place: a second dim x dim temporary would raise the peak.
     b = env.coupling_matrix()
     b *= params.coupling
     tls_level = (parity - env.band_of_level()) % 2
-    np.fill_diagonal(b, env.level_energies() + (tls_level - 0.5) * params.delta_s)
+    np.fill_diagonal(
+        b, env.band_of_level() * params.delta_b + (tls_level - 0.5) * params.delta_s
+    )
     return b

@@ -15,10 +15,10 @@ from tlsbath.model import (
 settings.register_profile("tlsbath", derandomize=True, deadline=None)
 settings.load_profile("tlsbath")
 
-# One environment of every kind the package builds, all with delta_b = 1.3.
+# One environment of every kind the package builds.
 ENV_KINDS = {
-    "band": lambda: build_band_environment(6, 1.3, seed=8),
-    "sigma-x": lambda: build_spin_environment(6, 1.3, seed=8),
+    "band": lambda: build_band_environment(6, seed=8),
+    "sigma-x": lambda: build_spin_environment(6, seed=8),
 }
 
 
@@ -30,12 +30,12 @@ def resonant_params():
 @pytest.fixture(scope="session")
 def small_env():
     """Five-spin environment, cheap enough for dense checks."""
-    return build_band_environment(5, 1.0, seed=901)
+    return build_band_environment(5, seed=901)
 
 
 @pytest.fixture(scope="session")
 def seven_env():
-    return build_band_environment(7, 1.0, seed=20451)
+    return build_band_environment(7, seed=20451)
 
 
 @pytest.fixture(scope="session")

@@ -77,8 +77,10 @@ def cojump_norm(rho):
 
 def joint_hamiltonian(params, env):
     """The joint Hamiltonian on TLS x environment, ground TLS sector first:
-    H = delta_s/2 sigma_z x 1 + 1 x H_B + coupling * (sigma^+ x B + sigma^- x B^+)."""
-    d, e_env, b = env.dim, env.level_energies(), env.coupling_matrix()
+    H = delta_s/2 sigma_z x 1 + 1 x H_B + coupling * (sigma^+ x B + sigma^- x B^+),
+    with H_B = k delta_b on band k and delta_b that of params."""
+    d, b = env.dim, env.coupling_matrix()
+    e_env = band_ids(env)[:d] * params.delta_b
     h = np.zeros((2 * d, 2 * d), dtype=complex)
     np.fill_diagonal(h, np.concatenate((e_env - params.delta_s / 2, e_env + params.delta_s / 2)))
     h[d:, :d] = params.coupling * b

@@ -121,7 +121,7 @@ def test_criterion_5_freezing_and_neighbor():
     clause_a = drift00 <= 0.03 and drift10 <= 0.03
 
     neighbor = ModelParams(delta_s=1.0, detuning=1.9, coupling=0.05, dt=math.pi)
-    env = default_environment(n=7, delta_b=neighbor.delta_b, seed=DEFAULT_SEED)
+    env = default_environment(n=7, seed=DEFAULT_SEED)
     series = run_ensemble(
         neighbor,
         env,
@@ -152,7 +152,7 @@ def test_neighbor_decay_is_second_order_and_matches_closed_form():
     decays = []
     for coupling, steps in ((0.05, 500), (0.025, 2000)):
         p = ModelParams(delta_s=1.0, detuning=1.9, coupling=coupling, dt=math.pi)
-        env = default_environment(n=7, delta_b=p.delta_b, seed=DEFAULT_SEED)
+        env = default_environment(n=7, seed=DEFAULT_SEED)
         series = run_ensemble(p, env, rho0, k0=2, steps=steps, engine="nonselective")
         decays.append(1.0 - abs(series.rho10[-1]) / abs(rho0.rho10))
     # The closed form depends on coupling^2 * j alone, so both runs share it.
@@ -249,7 +249,7 @@ def test_criterion_8_working_point_temperature():
 def test_criterion_9_structural_invariants():
     # per-step state health on a small exact run
     p = ModelParams(delta_s=1.0, detuning=0.3, coupling=0.05, dt=1.1)
-    env = default_environment(n=4, delta_b=p.delta_b, seed=5)
+    env = default_environment(n=4, seed=5)
     u = Propagator(joint_hamiltonian(p, env)).unitary(p.dt)
     psi = pure_product(env, np.array([0.0, 1.0]), k=1, level=0)
     rho = np.outer(psi, psi.conj())

@@ -435,9 +435,9 @@ class TestEnsembles:
 # The dense-reference cases of both nonselective engines, from a coherent
 # start unless stated.
 _RANDOM_BAND = (ModelParams(delta_s=1.0, coupling=0.1, dt=math.pi),
-                lambda: build_band_environment(5, 1.0, seed=901))
+                lambda: build_band_environment(5, seed=901))
 _SIGMA_X = (ModelParams(delta_s=1.0, detuning=0.3, coupling=0.1, dt=1.1),
-            lambda: build_spin_environment(6, 1.3, seed=8))
+            lambda: build_spin_environment(6, seed=8))
 _COHERENT = QubitState(rho00=0.6, rho10=0.3 + 0.2j)
 # Ground and excited starts occupy one parity sector, a diagonal start both
 # without coherence between them; k0 even (random-band) and odd (sigma-x).
@@ -487,6 +487,25 @@ class TestExactResetEngine:
         assert np.max(np.abs(series.rho00 - r00)) < 1e-12
         assert np.max(np.abs(series.rho10 - r10)) < 1e-12
         assert np.ptp(series.rho00) > 1e-3
+
+    @pytest.mark.parametrize("make_env", [_RANDOM_BAND[1], _SIGMA_X[1]],
+                             ids=["random-band", "sigma-x"])
+    def test_one_environment_at_two_detunings(self, make_env):
+        """The bath's structure does not fix its splitting: one environment
+        runs at two detunings, and each run matches the dense reference at
+        its own delta_b."""
+        env = make_env()
+        runs = []
+        for detuning in (0.0, 0.6):
+            params = ModelParams(delta_s=1.0, detuning=detuning, coupling=0.1, dt=1.1)
+            series = run_ensemble(params, env, _COHERENT, k0=2, steps=20,
+                                  engine="nonselective", reset_mode="exact")
+            r00, r10 = dense_nonselective_reference(params, env, _COHERENT, 2, 20,
+                                                    "exact")
+            assert np.max(np.abs(series.rho00 - r00)) < 1e-12
+            assert np.max(np.abs(series.rho10 - r10)) < 1e-12
+            runs.append(series.rho00)
+        assert np.max(np.abs(runs[0] - runs[1])) > 1e-3
 
     def test_trace_drift_raises(self, monkeypatch, resonant_params, small_env, ground):
         unitary = Propagator.unitary
@@ -581,7 +600,7 @@ class TestCoarseResetEngine:
         unraveled into an eigenvector of the TLS state and a level of the
         band: the weight x00 + x11 of the pairs (0, 0) and (1, 1)."""
         params = ModelParams(delta_s=1.0, coupling=0.3, dt=1.1)
-        env = build_band_environment(5, 1.0, seed=901)
+        env = build_band_environment(5, seed=901)
         rho0 = QubitState(rho00=0.6, rho10=0.3 + 0.2j)
         probs = unraveled_record_probabilities(params, env, rho0, 2, 3)
         pairs, sums, _ = transfer_blocks(params, env, rho0, 2)
@@ -760,7 +779,7 @@ class TestSampledEngine:
     def _bucket_merge_case(params, rho0):
         """Exact reset where one step brings trajectories into a band from all
         three window bands, and both edge bands (one level each) are visited."""
-        env = build_band_environment(3, 1.0, seed=5)
+        env = build_band_environment(3, seed=5)
         seeds = [trajectory_seed(3, i) for i in range(24)]
         out_k, out_p, r00, r10 = _paths(params, env, rho0, 1, 30, seeds, "exact")
         merges = [
@@ -833,9 +852,9 @@ class TestSampledEngine:
         "params, make_env",
         [
             (ModelParams(delta_s=1.0, coupling=0.1, dt=math.pi),
-             lambda: build_band_environment(5, 1.0, seed=901)),
+             lambda: build_band_environment(5, seed=901)),
             (ModelParams(delta_s=1.0, detuning=0.3, coupling=0.1, dt=1.1),
-             lambda: build_spin_environment(6, 1.3, seed=8)),
+             lambda: build_spin_environment(6, seed=8)),
         ],
         ids=["random-band-n5", "sigma-x-n6"],
     )
@@ -967,7 +986,7 @@ class TestOneSectorTrajectories:
         engine's tolerance."""
         params = ModelParams(delta_s=1.0, coupling=coupling, dt=dt)
         build = build_band_environment if model == "random-band" else build_spin_environment
-        env = build(n, params.delta_b, seed=env_seed)
+        env = build(n, seed=env_seed)
         rho0, k0 = QubitState(rho00=rho00), data.draw(st.sampled_from(range(n + 1)))
         _, blocks, leakage = transfer_blocks(params, env, rho0, k0)
         if leakage > max(1e-9, 1e3 * coupling**4):
@@ -992,7 +1011,7 @@ class TestPairBlocks:
 
     @staticmethod
     def _blocks(env, dt, detuning, coupling):
-        # Every any_env environment has delta_b = 1.3.
+        # delta_b = 1.3 at every detuning.
         params = ModelParams(delta_s=1.3 - detuning, detuning=detuning,
                              coupling=coupling, dt=dt)
         pairs, us, _ = _build(params, env, _COHERENT, 2)
@@ -1187,7 +1206,7 @@ class TestBlockRecords:
         2^13-entry ones, which at m = 1 would take 8192 steps to cross."""
         params = ModelParams(delta_s=1.0, coupling=0.05, dt=math.pi)
         build = build_band_environment if model == "random-band" else build_spin_environment
-        env = build(n, params.delta_b, seed=8)
+        env = build(n, seed=8)
         k0 = n // 2
         steps = max(blocks * rows + offset, 1)
         seeds = [trajectory_seed(master, i) for i in range(m)]
@@ -1295,7 +1314,7 @@ def _pair_block_cases(draw):
     seed = draw(st.integers(0, 2**16))
     model = draw(st.sampled_from(["random-band", "sigma-x"]))
     build = build_band_environment if model == "random-band" else build_spin_environment
-    env = build(n, delta_b, seed=seed)
+    env = build(n, seed=seed)
     detuning = draw(st.floats(-0.9 * delta_b, 0.9 * delta_b))
     params = ModelParams(delta_s=delta_b - detuning, detuning=detuning,
                          coupling=draw(st.floats(0.0, 0.3)),
@@ -1342,8 +1361,7 @@ class TestPairBlockProperties:
         scaled = dataclasses.replace(params, delta_s=c * params.delta_s,
                                      detuning=c * params.detuning,
                                      coupling=c * params.coupling, dt=params.dt / c)
-        scaled_env = dataclasses.replace(env, delta_b=c * env.delta_b)
-        t, scaled_leakage = self._blocks(scaled, scaled_env, rho0, k0)
+        t, scaled_leakage = self._blocks(scaled, env, rho0, k0)
         assert all(np.max(np.abs(s[pq] - t[pq])) <= 1e-12 for pq in s)
         assert abs(scaled_leakage - leakage) <= 1e-12
 
@@ -1374,7 +1392,7 @@ class TestPairBlockProperties:
         rounding, which B's sign changes: outside the sign gauge of B
         (BandedEnvironment.sign_gauged) these builds give blocks of B and -B
         6.7e-16 to 2.5e-14 apart; in it they are bit-identical."""
-        env = build_spin_environment(n, delta_b, seed=seed)
+        env = build_spin_environment(n, seed=seed)
         params = ModelParams(delta_s=delta_b - detuning, detuning=detuning,
                              coupling=coupling, dt=dt)
         flipped = dataclasses.replace(env, up_blocks=tuple(-b for b in env.up_blocks))

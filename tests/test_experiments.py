@@ -192,7 +192,8 @@ class TestAttractorMap:
 
 class TestSweep:
     def test_any_params_field(self):
-        """beta sweeps like every other field: each point is a ModelParams."""
+        """beta sweeps like every ModelParams field: each point is a
+        ModelParams and the beta passed next to it."""
         by_field = sweep("R", parameter="beta", values=[0.5], dt=2.0)
         by_beta = relaxation_constants(
             ModelParams(delta_s=1.0, coupling=0.05, dt=2.0), beta=0.5
@@ -236,6 +237,36 @@ class TestZenoScan:
         assert rows[0]["half_life_exact"] is None
 
 
+    @staticmethod
+    def _short_runs(monkeypatch):
+        """Replace the scan's engine by three-step runs; returns the list of
+        (environment, steps asked for) of each call."""
+        calls, real = [], experiments.run_ensemble
+
+        def short(params, env, rho0, k0, steps, **kwargs):
+            calls.append((env, steps))
+            return real(params, env, rho0, k0, 3, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_ensemble", short)
+        return calls
+
+    def test_overflowing_run_length_is_capped(self, monkeypatch):
+        """At R ~ 2e-319, 6 / R overflows to inf: the exact run takes the
+        100 000-step cap instead of failing to convert inf to an integer."""
+        calls = self._short_runs(monkeypatch)
+        p = ModelParams(delta_s=1.0, coupling=1e-160)
+        rows = zeno_scan([math.pi], p, beta=0.75, with_exact=True)
+        assert 0.0 < rows[0]["rate"] < 1e-300
+        assert [steps for _, steps in calls] == [100_000]
+
+    def test_one_environment_for_every_dt(self, monkeypatch):
+        """The exact runs of a scan share one environment, built once."""
+        calls = self._short_runs(monkeypatch)
+        p = ModelParams(delta_s=1.0, coupling=0.05)
+        zeno_scan([math.pi, 2.0, 2.5], p, beta=0.75, with_exact=True, n=4)
+        assert len(calls) == 3 and all(env is calls[0][0] for env, _ in calls)
+
+
 def _error(fn, **kwargs) -> str:
     """The message of the ValueError that fn(**kwargs) raises, else ''."""
     try:
@@ -243,6 +274,22 @@ def _error(fn, **kwargs) -> str:
     except ValueError as exc:
         return str(exc)
     return ""
+
+
+@pytest.mark.parametrize("fn, given", [
+    (attractor_map, {}),
+    (sweep, {"quantity": "R"}),
+])
+@pytest.mark.parametrize("bad, message", [
+    ({"delta_s": "1", "beta": "x"}, "delta_s must be a real number"),
+    ({"delta_s": -1.0, "beta": "x"}, "beta must be a real number"),
+    ({"delta_s": -1.0, "beta": 0.5}, "delta_s must be > 0"),
+    ({"beta": math.inf}, "beta must be finite"),
+])
+def test_beta_checked_with_the_protocol(fn, given, bad, message):
+    """beta is checked as a real next to the protocol's fields: after
+    delta_s is found to be a real and before any range check."""
+    assert _error(fn, **given, **bad).startswith(message)
 
 
 @pytest.mark.parametrize(
@@ -339,8 +386,8 @@ def test_plateau_estimator():
 
 
 def test_default_environment_models():
-    band = default_environment(n=5, delta_b=1.0, seed=3)
-    spin = default_environment(n=5, delta_b=1.0, seed=3, model="sigma-x")
+    band = default_environment(n=5, seed=3)
+    spin = default_environment(n=5, seed=3, model="sigma-x")
     assert band.model == "random-band"
     assert spin.model == "sigma-x"
     with pytest.raises(ValueError, match="unknown environment model 'ising'"):

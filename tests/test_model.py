@@ -89,7 +89,7 @@ def test_qubit_state_validate_rejects_non_finite_coherence(rho10):
 
 
 def test_block_shapes():
-    env = build_band_environment(7, 1.0, seed=42)
+    env = build_band_environment(7, seed=42)
     shapes = [b.shape for b in env.up_blocks]
     assert shapes == [(7, 1), (21, 7), (35, 21), (35, 35), (21, 35), (7, 21), (1, 7)]
     assert env.dim == 2**7
@@ -100,7 +100,7 @@ def test_coupling_block_statistics():
     target = (21 * 7) ** -0.5
     samples = []
     for seed in range(120):
-        env = build_band_environment(7, 1.0, seed=seed)
+        env = build_band_environment(7, seed=seed)
         samples.append(np.mean(np.abs(env.up_blocks[1]) ** 2))
     samples = np.asarray(samples)
     stderr = samples.std(ddof=1) / math.sqrt(len(samples))
@@ -108,20 +108,35 @@ def test_coupling_block_statistics():
 
 
 def test_coupling_hermiticity():
-    env = build_band_environment(6, 1.0, seed=3)
+    env = build_band_environment(6, seed=3)
     b = env.coupling_matrix()
     assert np.array_equal(b, b.conj().T)
 
 
 def test_band_environment_determinism():
-    a = build_band_environment(5, 1.0, seed=7)
-    b = build_band_environment(5, 1.0, seed=7)
+    a = build_band_environment(5, seed=7)
+    b = build_band_environment(5, seed=7)
     for x, y in zip(a.up_blocks, b.up_blocks):
         assert np.array_equal(x, y)
 
 
+@pytest.mark.parametrize("k, message", [
+    (-1, r"band k = -1 outside \[0, 3\]"),
+    (4, r"band k = 4 outside \[0, 3\]"),
+    (True, "k must be an integer, got True"),
+    (1.0, "k must be an integer, got 1.0"),
+])
+def test_band_slice_refuses_a_band_outside_the_environment(k, message):
+    """band_slice refuses, as a run's start band is refused, a k outside
+    [0, n] (-1 would wrap around to band n) or one that is not an integer."""
+    env = build_band_environment(3, seed=1)
+    assert env.band_slice(3) == slice(7, 8)
+    with pytest.raises(ValueError, match=message):
+        env.band_slice(k)
+
+
 def test_band_starts_cached_and_read_only():
-    env = build_band_environment(4, 1.0, seed=3)
+    env = build_band_environment(4, seed=3)
     starts = env.band_starts
     assert starts.tolist() == [0, 1, 5, 11, 15]
     assert env.band_starts is starts
@@ -132,15 +147,20 @@ def test_band_starts_cached_and_read_only():
 @pytest.mark.parametrize("build, kwargs, message", [
     (build_band_environment, {"n": 0}, "need at least one spin, got n = 0"),
     (build_spin_environment, {"n": 0}, "need at least one spin, got n = 0"),
+    *[(build, {"n": n}, f"n must be an integer, got {n!r}$")
+      for build in (build_band_environment, build_spin_environment)
+      for n in (True, 2.5, 2.0)],
 ])
 def test_environment_rejects_bad_sizes(build, kwargs, message):
+    """A spin count below one, or one that is not an integer (a bool is not
+    one), is refused before anything is built."""
     with pytest.raises(ValueError, match=message):
-        build(delta_b=1.0, seed=0, **kwargs)
+        build(seed=0, **kwargs)
 
 
 _GUARDED_BUILDS = {
-    "band": lambda: build_band_environment(5, 1.0, seed=1),
-    "sigma-x": lambda: build_spin_environment(5, 1.0, seed=1),
+    "band": lambda: build_band_environment(5, seed=1),
+    "sigma-x": lambda: build_spin_environment(5, seed=1),
 }
 
 
@@ -159,24 +179,24 @@ def test_environment_memory_guard(monkeypatch, kind):
 
 
 def test_spin_environment_single_spin():
-    env = build_spin_environment(1, 1.0, seed=0)
+    env = build_spin_environment(1, seed=0)
     assert env.up_blocks[0].shape == (1, 1)
     assert env.up_blocks[0][0, 0] != 0
 
 
 def test_spin_environment_adjacency_and_determinism():
-    env = build_spin_environment(5, 1.0, seed=12)
+    env = build_spin_environment(5, seed=12)
     b = env.coupling_matrix()
     labels = env.band_of_level()
     far = np.abs(labels[:, None] - labels[None, :]) > 1
     assert np.all(b[far] == 0)
-    env2 = build_spin_environment(5, 1.0, seed=12)
+    env2 = build_spin_environment(5, seed=12)
     assert np.array_equal(b, env2.coupling_matrix())
 
 
 def test_spin_environment_global_normalization():
     """Total mean-square coupling matches the random-band convention."""
-    env = build_spin_environment(6, 1.0, seed=4)
+    env = build_spin_environment(6, seed=4)
     total = sum(np.sum(np.abs(b) ** 2) for b in env.up_blocks)
     target = sum(
         math.sqrt(math.comb(6, k + 1) * math.comb(6, k)) for k in range(6)
@@ -236,6 +256,28 @@ def test_hamiltonian_conserves_parity(any_env):
     assert np.count_nonzero(h[~cross]) > 2 * env.dim
 
 
+def test_band_energies_come_from_params(any_env):
+    """One environment serves every detuning: the diagonal of h_p, and of the
+    oracle's joint Hamiltonian, is k delta_b + (s - 1/2) delta_s with delta_b
+    that of params, and the coupling is the same at every detuning."""
+    env = any_env
+    bands = np.repeat(np.arange(env.n + 1), env.degeneracies)
+    off = ~np.eye(env.dim, dtype=bool)
+    first = None
+    for detuning in (0.3, -0.4, 1.7):
+        p = ModelParams(delta_s=1.0, detuning=detuning, coupling=0.07)
+        for parity in (0, 1):
+            hp = build_total_hamiltonian(p, env, parity)
+            tls_level = (parity - bands) % 2
+            assert np.array_equal(np.diag(hp), bands * p.delta_b + (tls_level - 0.5))
+            first = hp[off] if first is None else first
+            assert np.array_equal(hp[off], first)
+        h = joint_hamiltonian(p, env)
+        assert np.array_equal(
+            np.diag(h), np.concatenate((bands * p.delta_b - 0.5, bands * p.delta_b + 0.5))
+        )
+
+
 def test_sector_hamiltonians_are_the_parity_blocks(any_env):
     """h_p is the block of H on sector p, reindexed to the env level order."""
     env = any_env
@@ -252,14 +294,11 @@ def test_sector_hamiltonians_are_the_parity_blocks(any_env):
 
 @pytest.mark.parametrize(
     "parity, detuning, message",
-    [(0, 0.5, "inconsistent with params.delta_b"),
-     (1, 0.5, "inconsistent with params.delta_b"),
-     (2, 0.0, "parity must be 0 or 1")],
-    ids=["build_total_hamiltonian", "build_total_hamiltonian-sector", "parity-2"],
+    [(2, 0.0, "parity must be 0 or 1")],
+    ids=["parity-2"],
 )
 def test_hamiltonian_dimension_mismatch(parity, detuning, message, seven_env):
-    """A delta_b unlike the environment's, on either sector, or a parity
-    outside {0, 1} is refused."""
+    """A parity outside {0, 1} is refused."""
     p = ModelParams(delta_s=1.0, detuning=detuning)
     with pytest.raises(ValueError, match=message):
         build_total_hamiltonian(p, seven_env, parity)
