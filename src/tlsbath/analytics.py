@@ -2,10 +2,11 @@
 probabilities, ensemble recursion and its exponential solution, attractor and
 temperature bounds, freezing criterion, off-diagonal dynamics.
 
-Every map takes the environment's inverse temperature beta as a required
-argument next to the protocol, ModelParams: beta follows from the band
-degeneracies of the environment (model.effective_beta), so small-environment
-values are plugged in directly. Throughout, b denotes beta * delta_b / 2.
+Every map that depends on the environment's inverse temperature beta takes it
+as a required argument next to the protocol, ModelParams: beta follows from
+the band degeneracies of the environment (model.effective_beta), so
+small-environment values are plugged in directly. Throughout, b denotes
+beta * delta_b / 2.
 """
 from __future__ import annotations
 
