@@ -304,11 +304,12 @@ def rho00_closed_form(rho00_initial: float, j, params: ModelParams, beta: float)
     return (rho00_initial - star) * np.exp(-rate * j) + star
 
 
-def _attractor_cells(dt, detuning, delta_s: float, beta: float):
-    """(rho00, frozen) over (dt, detuning) arrays: the attractor occupation,
-    NaN where frozen, and the freezing test (_frozen) itself. Interference
-    factors that are not finite are refused (_finite_interference); the
-    weights of sinA and sinB are those of _weights, finite at any beta."""
+def attractor_rho00(dt, detuning, delta_s: float, beta: float):
+    """Vectorized attractor occupation over (dt, detuning) arrays; NaN where
+    frozen (_frozen: both interference factors vanish) and, for a beta that
+    is not NaN, there alone: elsewhere it divides by sinA + sinB > 0, and the
+    weights (_weights) stay finite. Refused where an interference factor is
+    not finite."""
     dt = np.asarray(dt, dtype=float)
     detuning = np.asarray(detuning, dtype=float)
     sin_a, sin_b = _finite_interference(dt, detuning, delta_s)
@@ -316,23 +317,15 @@ def _attractor_cells(dt, detuning, delta_s: float, beta: float):
     safe = np.where(frozen, 1.0, sin_a + sin_b)
     with np.errstate(over="ignore"):  # a b of +-inf has the weights' limits
         up, down = _weights(beta * (delta_s + detuning) / 2.0)
-    return np.where(frozen, np.nan, (up * sin_a + down * sin_b) / safe), frozen
-
-
-def attractor_rho00(dt, detuning, delta_s: float, beta: float):
-    """Vectorized attractor occupation over (dt, detuning) arrays; NaN where
-    frozen (both interference factors vanish). Refused where an interference
-    factor is not finite."""
-    return _attractor_cells(dt, detuning, delta_s, beta)[0]
+    return np.where(frozen, np.nan, (up * sin_a + down * sin_b) / safe)
 
 
 def attractor(params: ModelParams, beta: float) -> AttractorResult | None:
-    """Fixed point of the ensemble recursion (_attractor_cells), finite at any
-    beta; None at a freezing point."""
-    cell, frozen = _attractor_cells(params.dt, params.detuning, params.delta_s, beta)
-    if frozen:
+    """Fixed point of the ensemble recursion (attractor_rho00), finite at any
+    beta but NaN; None where that occupation is NaN: at a freezing point."""
+    star = float(attractor_rho00(params.dt, params.detuning, params.delta_s, beta))
+    if math.isnan(star):
         return None
-    star = float(cell)
     return AttractorResult(rho00_star=star, t_eff=effective_temperature(star, params.delta_s))
 
 

@@ -17,11 +17,7 @@ from pathlib import Path
 
 from . import __version__, experiments
 from .dynamics import ENGINES, RESET_MODES
-from .model import _check_real, beta_working_point, binomial_degeneracy, effective_beta
-
-
-class ConfigError(ValueError):
-    pass
+from .model import _check_positive, beta_working_point, binomial_degeneracy, effective_beta
 
 
 _COMMON_KEYS = {"seed", "out"}
@@ -59,15 +55,15 @@ def _load_config(args, command: str) -> dict:
             with open(args.config) as fh:
                 cfg = json.load(fh)
         except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}")
+            raise ValueError(f"cannot read config: {exc}")
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed config JSON: {exc}")
+            raise ValueError(f"malformed config JSON: {exc}")
         if not isinstance(cfg, dict):
-            raise ConfigError("config must be a JSON object")
+            raise ValueError("config must be a JSON object")
     known = _KNOWN_KEYS[command]
     for key in cfg:
         if key not in known:
-            raise ConfigError(f"unknown config key {key!r} for {command}")
+            raise ValueError(f"unknown config key {key!r} for {command}")
     # Flags given on the command line override file values, merged in the
     # parser's order so that the config's key order is the same every run.
     cfg.update(
@@ -185,9 +181,7 @@ def cmd_env_inspect(cfg: dict) -> int:
     given = _given(cfg, _ENV_KEYS)
     delta_b = given.pop("delta_b", 1.0)
     experiments._check_counts(given)  # n and seed are refused before delta_b
-    _check_real("delta_b", delta_b)
-    if delta_b <= 0:
-        raise ValueError(f"delta_b must be > 0, got {delta_b}")
+    _check_positive("delta_b", delta_b)
     env = experiments.default_environment(**given)
     n = env.n
     print(f"environment: n={n} delta_b={delta_b} model={env.model} dim={env.dim}")

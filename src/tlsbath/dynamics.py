@@ -54,11 +54,9 @@ HERM_TOL = 1e-10   # largest |h - h^dagger| entry that Propagator accepts
 ENGINES = ("sampled", "nonselective")
 RESET_MODES = ("coarse", "exact")
 # Bytes a run holds per step. run_ensemble: its rho00, rho10 and stderr
-# arrays (8 + 16 + 8) and the five series run_scenario reads out of them as
-# lists, 32 B an entry (a float object and its slot). run_trajectory: its
-# outcomes, probs, rho00 and rho10 (8 + 8 + 8 + 16), held twice while the
-# copied blocks are joined.
-_ENSEMBLE_STEP_BYTES = 32 + 5 * 32
+# arrays (8 + 16 + 8). run_trajectory: its outcomes, probs, rho00 and rho10
+# (8 + 8 + 8 + 16), held twice while the copied blocks are joined.
+_ENSEMBLE_STEP_BYTES = 8 + 16 + 8
 _TRAJECTORY_STEP_BYTES = 2 * 40
 
 

@@ -11,13 +11,14 @@ import numpy as np
 
 from . import analytics
 from .analytics import is_freezing_point, offdiag_coeffs, rho00_closed_form
-from .dynamics import _ENSEMBLE_STEP_BYTES, run_ensemble
+from .dynamics import run_ensemble
 from .model import (
     BandedEnvironment,
     ModelParams,
     QubitState,
     _check_count,
     _check_fits,
+    _check_positive,
     _check_real,
     build_band_environment,
     build_spin_environment,
@@ -41,9 +42,13 @@ __all__ = [
 DEFAULT_SEED = 20451
 GROUND = QubitState(rho00=1.0)
 PLATEAU_FRACTION = 0.2   # trailing share of a series that `plateau` averages
-# Bytes a relaxation scenario holds per step at its peak: run_ensemble's
-# budget and the step index j and analytic overlay (8 + 8) of run_scenario.
-_SCENARIO_STEP_BYTES = _ENSEMBLE_STEP_BYTES + 16
+# Bytes a runner holds per step at its peak: the rho00, rho10 and stderr
+# arrays that run_ensemble returns (8 + 16 + 8) and its own. run_scenario:
+# its step index j and analytic overlay (8 + 8) and the five series lists,
+# 32 B an entry (a float object and its slot). verify_freezing: |rho10|, j,
+# the rotated rho10 and its phase (8 + 8 + 16 + 8) and its two series lists.
+_SCENARIO_STEP_BYTES = 32 + 16 + 5 * 32
+_FREEZING_STEP_BYTES = 32 + 40 + 2 * 32
 
 
 @dataclass
@@ -62,20 +67,11 @@ class ScenarioReport:
     extra: dict = field(default_factory=dict)
 
     def to_json(self, path) -> None:
-        """Stream the report to the file at path as an indented JSON
-        document. The series lists make up most of it, about 420 B a step."""
-        doc = {
-            "scenario": self.scenario,
-            "params": self.params,
-            "plateau": self.plateau,
-            "target": self.target,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "wall_time": self.wall_time,
-            "seeds": self.seeds,
-            "extra": self.extra,
-            "series": self.series,
-        }
+        """Stream the report's fields to the file at path as an indented JSON
+        document, the series last. The series lists make up most of it,
+        about 420 B a step."""
+        doc = dict(vars(self))
+        doc["series"] = doc.pop("series")
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=1)
 
@@ -137,13 +133,13 @@ def attractor_map(
     An axis end left None takes its default, which scales with delta_s: dt
     runs from 0.01 to 4 pi/delta_s and detuning from -0.9 to 3 delta_s.
     Returns (dt_values, detuning_values, rho00, freezing_mask); rho00 is
-    indexed [detuning, dt], and the mask is the one freezing test
-    (analytics._frozen), whose cells hold NaN.
+    indexed [detuning, dt], and the mask is where it is NaN, the freezing
+    points of analytics.attractor_rho00.
     """
     _check_counts({"grid": grid})
     _check_real("delta_s", delta_s)
     _check_real("beta", beta)
-    ModelParams(delta_s=delta_s)  # delta_s > 0
+    _check_positive("delta_s", delta_s)
     dts = np.linspace(
         _real_or("dt_min", dt_min, 0.01),
         _real_or("dt_max", dt_max, 4.0 * math.pi / delta_s),
@@ -154,8 +150,8 @@ def attractor_map(
         _real_or("detuning_max", detuning_max, 3.0 * delta_s),
         grid[1],
     )
-    values, frozen = analytics._attractor_cells(dts[None, :], dets[:, None], delta_s, beta)
-    return dts, dets, values, frozen
+    values = analytics.attractor_rho00(dts[None, :], dets[:, None], delta_s, beta)
+    return dts, dets, values, np.isnan(values)
 
 
 # Sweepable quantities: name -> (analytics function, attribute of its result).
@@ -472,6 +468,8 @@ def verify_freezing(**overrides) -> ScenarioReport:
         )
     # Formed before the run, so that parameters too large for it fail first.
     c2 = offdiag_coeffs(params, beta_eff).c2
+    _check_fits(f"a freezing check of {cfg['steps']} steps",
+                cfg["steps"] * _FREEZING_STEP_BYTES)
     series, record = _run({**cfg, "reset_mode": "coarse"}, params, beta_eff)
     drift00 = float(np.max(np.abs(series.rho00 - series.rho00[0])))
     mags = np.abs(series.rho10)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 __all__ = [
-    "MAX_EXACT_N",
     "ModelParams",
     "QubitState",
     "BandedEnvironment",
@@ -32,8 +31,6 @@ __all__ = [
     "effective_beta",
 ]
 
-# Largest spin count for which exact integer binomials are supported.
-MAX_EXACT_N = 62
 # Slack of QubitState.validate on rho00 in [0, 1] and |rho10|^2 <= rho00 rho11.
 STATE_TOL = 1e-9
 
@@ -44,6 +41,14 @@ def _check_real(name: str, value) -> None:
         raise ValueError(f"{name} must be a real number, got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _check_positive(name: str, value) -> None:
+    """Reject a value that is not a finite real number (_check_real) or is
+    not > 0."""
+    _check_real(name, value)
+    if value <= 0:
+        raise ValueError(f"{name} must be > 0, got {value}")
 
 
 def _check_count(name: str, value, minimum: int | None = 1) -> None:
@@ -176,10 +181,7 @@ class QubitState:
 
 def binomial_degeneracy(n: int, k: int) -> int:
     """Exact degeneracy N_k = C(n, k) of the band with k spins up."""
-    if n > MAX_EXACT_N:
-        raise ValueError(f"n = {n} exceeds exact-arithmetic limit {MAX_EXACT_N}")
-    if not 0 <= k <= n:
-        raise ValueError(f"band index k = {k} outside [0, {n}]")
+    _check_band("k", k, n)
     return math.comb(n, k)
 
 
@@ -208,6 +210,7 @@ def beta_working_point(n: int, k0: int, delta_b: float, method: str = "digamma")
     """
     if not 0 < k0 < n:
         raise ValueError(f"working point k0 = {k0} must satisfy 0 < k0 < n = {n}")
+    _check_positive("delta_b", delta_b)
     if method == "log-approx":
         return math.log(n / k0 - 1.0) / delta_b
     if method == "digamma":
@@ -222,6 +225,7 @@ def effective_beta(n: int, k_low: int, k_high: int, delta_b: float) -> float:
     """
     if not 0 <= k_low < k_high <= n:
         raise ValueError(f"need 0 <= k_low < k_high <= n, got ({k_low}, {k_high}, {n})")
+    _check_positive("delta_b", delta_b)
 
     def log_binom(k: int) -> float:
         return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)

@@ -1447,9 +1447,9 @@ class TestMemoryGuard:
         with pytest.raises(ValueError, match="sector unitaries of dimension 32 would take"):
             _build(resonant_params, small_env, rho0, 2)
 
-    @pytest.mark.parametrize("runner, step_bytes", [("ensemble", 192), ("trajectory", 80)])
+    @pytest.mark.parametrize("runner, step_bytes", [("ensemble", 32), ("trajectory", 80)])
     def test_steps(self, monkeypatch, resonant_params, small_env, ground, runner, step_bytes):
-        steps = 2000   # its series outweigh the build's 81 920 B
+        steps = 4000   # its series outweigh the build's 81 920 B
 
         def run():
             if runner == "ensemble":

@@ -152,10 +152,11 @@ class TestScenarioTable:
             run_scenario(scenario, detuning=2.0, dt=math.pi)
 
     def test_memory_counts_the_overlay(self, monkeypatch):
-        """A scenario holds run_ensemble's 192 B a step and its own step index
-        and analytic overlay, 208 B in all: with the memory figure between
-        the two totals it is refused before the run, and at 208 B a step it
-        runs (n = 5, so that the 81 920 B build fits as well)."""
+        """A scenario holds 208 B a step: run_ensemble's 32 B, its own step
+        index and analytic overlay and its five series lists. With the
+        memory figure at 200 B a step it is refused before the run, and at
+        208 B a step it runs (n = 5, so that the 81 920 B build fits as
+        well)."""
         steps = 2000
         run = experiments.run_ensemble
         monkeypatch.setattr(model, "_physical_memory", lambda: steps * 200)
@@ -168,6 +169,23 @@ class TestScenarioTable:
         report = run_scenario("fig2", n=5, steps=steps)
         assert len(report.series["rho00_analytic"]) == steps + 1
 
+    def test_freezing_memory_counts_its_own_series(self, monkeypatch):
+        """verify_freezing holds run_ensemble's 32 B a step, its |rho10|,
+        step index, rotated rho10 and phase and its two series lists, 136 B
+        in all: refused one byte below that, before the run, and run at it
+        (n = 5, so that the 98 304 B build of a coherent start fits too)."""
+        steps = 2000
+        run = experiments.run_ensemble
+        monkeypatch.setattr(model, "_physical_memory", lambda: steps * 136 - 1)
+        monkeypatch.setattr(experiments, "run_ensemble",
+                            lambda *a, **kw: pytest.fail("the run started"))
+        with pytest.raises(ValueError, match=f"freezing check of {steps} steps would take"):
+            verify_freezing(n=5, steps=steps)
+        monkeypatch.setattr(model, "_physical_memory", lambda: steps * 136)
+        monkeypatch.setattr(experiments, "run_ensemble", run)
+        report = verify_freezing(n=5, steps=steps)
+        assert len(report.series["abs_rho10"]) == steps + 1
+
 
 class TestAttractorMap:
     def test_grid_shape_and_freezing_cells(self):
@@ -177,6 +195,21 @@ class TestAttractorMap:
         assert np.isnan(grid[frozen]).all()
         finite = grid[~frozen]
         assert np.all((finite >= 0.0) & (finite <= 1.0))
+
+    def test_mask_is_the_freezing_test(self):
+        """On a grid of whole-pi periods with 33 frozen cells, the mask, the
+        NaN cells of the occupation and is_freezing_point agree on every
+        cell, in both directions."""
+        dts, dets, grid, frozen = attractor_map(
+            grid=(9, 41), dt_min=math.pi, dt_max=9 * math.pi,
+            detuning_min=-2.0, detuning_max=2.0,
+        )
+        verdicts = np.array(
+            [[is_freezing_point(dt, det, 1.0)[0] for dt in dts] for det in dets]
+        )
+        assert frozen.sum() == 33
+        np.testing.assert_array_equal(frozen, np.isnan(grid))
+        np.testing.assert_array_equal(frozen, verdicts)
 
     def test_ridge_complement_sum(self):
         """Populations at the coldest and the most inverted settings of one

@@ -25,6 +25,8 @@ def test_binomial_degeneracies():
     assert binomial_degeneracy(7, 2) == 21
     assert binomial_degeneracy(13, 0) == 1
     assert binomial_degeneracy(62, 31) == math.comb(62, 31)
+    # Exact at any n: the builders, not the binomials, bound the spin count.
+    assert binomial_degeneracy(200, 100) == math.comb(200, 100)
 
 
 def test_binomial_degeneracy_bounds():
@@ -32,8 +34,9 @@ def test_binomial_degeneracy_bounds():
         binomial_degeneracy(7, 8)
     with pytest.raises(ValueError):
         binomial_degeneracy(7, -1)
-    with pytest.raises(ValueError):
-        binomial_degeneracy(63, 2)
+    for k in (True, 2.0):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            binomial_degeneracy(7, k)
 
 
 def test_params_validation():
@@ -338,6 +341,25 @@ def test_effective_beta_values():
     assert effective_beta(7, 1, 3, 3.0) == pytest.approx(math.log(5) / 6.0)
     with pytest.raises(ValueError, match="need 0 <= k_low < k_high <= n"):
         effective_beta(5, 3, 2, 1.0)
+
+
+@pytest.mark.parametrize(
+    "delta_b, message",
+    [
+        (0.0, "delta_b must be > 0"),
+        (-1.0, "delta_b must be > 0"),
+        (math.inf, "delta_b must be finite"),
+        (math.nan, "delta_b must be finite"),
+        (True, "delta_b must be a real number"),
+    ],
+)
+def test_beta_maps_refuse_a_bad_splitting(delta_b, message):
+    """Both degeneracy temperatures refuse a delta_b that is not a finite
+    real > 0 instead of dividing by it."""
+    with pytest.raises(ValueError, match=message):
+        effective_beta(7, 1, 2, delta_b)
+    with pytest.raises(ValueError, match=message):
+        beta_working_point(7, 2, delta_b)
 
 
 def test_degeneracy_ratio_matches_digamma_beta():
