@@ -136,7 +136,9 @@ def sinc_factors(params: ModelParams) -> SincFactors:
 def _weights(b):
     """The weights e^{+-b} / (2 cosh b) of sinA and sinB, elementwise, formed
     as 1 / (1 + e^{-+2b}), which a large |b| takes to 1 and 0, not to
-    inf / inf."""
+    inf / inf. A NaN b is refused."""
+    if np.isnan(b).any():
+        raise ValueError("beta delta_b / 2 is NaN: beta is NaN, or infinite at delta_b = 0")
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-2.0 * b)), 1.0 / (1.0 + np.exp(2.0 * b))
 
@@ -306,23 +308,23 @@ def rho00_closed_form(rho00_initial: float, j, params: ModelParams, beta: float)
 
 def attractor_rho00(dt, detuning, delta_s: float, beta: float):
     """Vectorized attractor occupation over (dt, detuning) arrays; NaN where
-    frozen (_frozen: both interference factors vanish) and, for a beta that
-    is not NaN, there alone: elsewhere it divides by sinA + sinB > 0, and the
-    weights (_weights) stay finite. Refused where an interference factor is
-    not finite."""
+    frozen (_frozen: both interference factors vanish) and there alone:
+    elsewhere it divides by sinA + sinB > 0, with weights (_weights) that
+    stay finite at any beta but NaN, which is refused, as is an interference
+    factor that is not finite."""
     dt = np.asarray(dt, dtype=float)
     detuning = np.asarray(detuning, dtype=float)
     sin_a, sin_b = _finite_interference(dt, detuning, delta_s)
     frozen = _frozen(dt, sin_a, sin_b)
     safe = np.where(frozen, 1.0, sin_a + sin_b)
-    with np.errstate(over="ignore"):  # a b of +-inf has the weights' limits
+    with np.errstate(over="ignore", invalid="ignore"):  # b = +-inf or NaN: _weights
         up, down = _weights(beta * (delta_s + detuning) / 2.0)
     return np.where(frozen, np.nan, (up * sin_a + down * sin_b) / safe)
 
 
 def attractor(params: ModelParams, beta: float) -> AttractorResult | None:
-    """Fixed point of the ensemble recursion (attractor_rho00), finite at any
-    beta but NaN; None where that occupation is NaN: at a freezing point."""
+    """Fixed point of the ensemble recursion (attractor_rho00); None where
+    that occupation is NaN: at a freezing point."""
     star = float(attractor_rho00(params.dt, params.detuning, params.delta_s, beta))
     if math.isnan(star):
         return None

@@ -53,10 +53,11 @@ HERM_TOL = 1e-10   # largest |h - h^dagger| entry that Propagator accepts
 # The engine and reset_mode names that the runners accept.
 ENGINES = ("sampled", "nonselective")
 RESET_MODES = ("coarse", "exact")
-# Bytes a run holds per step. run_ensemble: its rho00, rho10 and stderr
-# arrays (8 + 16 + 8). run_trajectory: its outcomes, probs, rho00 and rho10
-# (8 + 8 + 8 + 16), held twice while the copied blocks are joined.
-_ENSEMBLE_STEP_BYTES = 8 + 16 + 8
+# Bytes a run holds per step. run_ensemble: the rho00, rho10 and stderr
+# arrays it returns (8 + 16 + 8), on which its callers' budgets build.
+# run_trajectory: its outcomes, probs, rho00 and rho10 (8 + 8 + 8 + 16),
+# held twice while the copied blocks are joined.
+ENSEMBLE_STEP_BYTES = 8 + 16 + 8
 _TRAJECTORY_STEP_BYTES = 2 * 40
 
 
@@ -646,7 +647,7 @@ def run_ensemble(
         raise ValueError("sampled engine requires n_traj >= 1")
     if sampled and master_seed is None:
         raise ValueError("sampled engine requires a master_seed")
-    _check_fits(f"a series of {steps} steps", steps * _ENSEMBLE_STEP_BYTES)
+    _check_fits(f"a series of {steps} steps", steps * ENSEMBLE_STEP_BYTES)
     words = trajectory_words(master_seed, n_traj) if sampled else None
     build = transfer_blocks if reset_mode == "coarse" else _build
     pairs, op, leakage = build(params, env, rho0, k0)

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import analytics
 from .analytics import is_freezing_point, offdiag_coeffs, rho00_closed_form
-from .dynamics import run_ensemble
+from .dynamics import ENSEMBLE_STEP_BYTES, run_ensemble
 from .model import (
     BandedEnvironment,
     ModelParams,
@@ -42,13 +42,13 @@ __all__ = [
 DEFAULT_SEED = 20451
 GROUND = QubitState(rho00=1.0)
 PLATEAU_FRACTION = 0.2   # trailing share of a series that `plateau` averages
-# Bytes a runner holds per step at its peak: the rho00, rho10 and stderr
-# arrays that run_ensemble returns (8 + 16 + 8) and its own. run_scenario:
-# its step index j and analytic overlay (8 + 8) and the five series lists,
-# 32 B an entry (a float object and its slot). verify_freezing: |rho10|, j,
-# the rotated rho10 and its phase (8 + 8 + 16 + 8) and its two series lists.
-_SCENARIO_STEP_BYTES = 32 + 16 + 5 * 32
-_FREEZING_STEP_BYTES = 32 + 40 + 2 * 32
+# Bytes a runner holds per step at its peak: the arrays that run_ensemble
+# returns (ENSEMBLE_STEP_BYTES) and its own. run_scenario: its step index j
+# and analytic overlay (8 + 8) and the five series lists, 32 B an entry (a
+# float object and its slot). verify_freezing: |rho10|, j, the rotated rho10
+# and its phase (8 + 8 + 16 + 8) and its two series lists.
+_SCENARIO_STEP_BYTES = ENSEMBLE_STEP_BYTES + 16 + 5 * 32
+_FREEZING_STEP_BYTES = ENSEMBLE_STEP_BYTES + 40 + 2 * 32
 
 
 @dataclass

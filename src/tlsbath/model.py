@@ -96,11 +96,20 @@ def _check_fits(what: str, nbytes: int) -> None:
         )
 
 
-def _check_blocks_fit(n: int, degs: tuple[int, ...]) -> None:
+def _check_blocks_fit(n: int) -> None:
     """The coupling blocks of an environment: N_{k+1} x N_k complex entries
-    between every pair of adjacent bands."""
-    nbytes = 16 * sum(lo * hi for lo, hi in zip(degs, degs[1:]))
-    _check_fits(f"the coupling blocks of n = {n} spins", nbytes)
+    between every pair of adjacent bands, summed as the N_k are formed. A sum
+    past 2^128 B, which no machine holds and no n <= 63 reaches, is refused
+    there, so that a large n is refused after a few small binomials."""
+    what = f"the coupling blocks of n = {n} spins"
+    nbytes, lo = 0, 1
+    for k in range(n):
+        hi = lo * (n - k) // (k + 1)  # N_{k+1} from N_k, exactly
+        nbytes += 16 * lo * hi
+        if nbytes > 2**128:
+            raise ValueError(f"{what} would take more than 2^128 B, more than any memory")
+        lo = hi
+    _check_fits(what, nbytes)
 
 
 @dataclass(frozen=True)
@@ -310,8 +319,8 @@ def build_band_environment(n: int, seed: int) -> BandedEnvironment:
     """
     _check_spins(n)
     rng = np.random.default_rng(seed)
+    _check_blocks_fit(n)
     degs = tuple(binomial_degeneracy(n, k) for k in range(n + 1))
-    _check_blocks_fit(n, degs)
     blocks = []
     for k in range(n):
         n_hi, n_lo = degs[k + 1], degs[k]
@@ -340,11 +349,11 @@ def build_spin_environment(n: int, seed: int) -> BandedEnvironment:
     Single spin flips connect bands k and k+1 only.
     """
     _check_spins(n)
+    _check_blocks_fit(n)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(n)
 
     degs = tuple(binomial_degeneracy(n, k) for k in range(n + 1))
-    _check_blocks_fit(n, degs)
     # Basis configs per band (bitmask, ascending); position in list = level index.
     configs = [[] for _ in range(n + 1)]
     for c in range(1 << n):

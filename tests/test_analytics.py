@@ -311,6 +311,20 @@ class TestAttractor:
         with pytest.raises(ValueError, match="is not finite"):
             relaxation_constants(p, 1e308)
 
+    def test_undefined_b_refused(self):
+        """A NaN beta, or an infinite one where delta_b = 0, leaves b = beta
+        delta_b / 2 undefined: it is refused, not taken for a freezing point's
+        NaN; an infinite beta elsewhere is the weights' limit."""
+        p = params(detuning=0.3, dt=2.0)
+        for call in (lambda: attractor(p, math.nan),
+                     lambda: attractor_rho00(2.0, 0.3, 1.0, math.nan),
+                     lambda: temperature_bounds(p, math.nan),
+                     lambda: attractor_rho00(2.0, np.array([-1.0, 0.3]), 1.0, math.inf)):
+            with pytest.raises(ValueError, match="beta delta_b / 2 is NaN"):
+                call()
+        assert attractor(p, math.inf).rho00_star == pytest.approx(
+            float(attractor_rho00(2.0, 0.3, 1.0, 1e308)), rel=1e-15)
+
     def test_convex_weight_decomposition(self):
         rng = np.random.default_rng(10)
         for _ in range(30):

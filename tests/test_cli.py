@@ -277,7 +277,9 @@ def test_k0_outside_band_pair_exit_1(tmp_path, capsys, run, end):
     [
         ("relax", {"coupling": 1e-6}, "steps would take"),
         ("env-inspect", {"n": 40}, "coupling blocks of n = 40 spins would take"),
-        ("env-inspect", {"n": 70}, "coupling blocks of n = 70 spins would take"),
+        ("env-inspect", {"n": 70}, "coupling blocks of n = 70 spins would take more than"),
+        ("env-inspect", {"n": 10**6},
+         "coupling blocks of n = 1000000 spins would take more than"),
         ("env-inspect", {"n": 24, "model": "sigma-x"},
          "coupling blocks of n = 24 spins would take"),
     ],
@@ -286,10 +288,10 @@ def test_sizes_that_cannot_fit_exit_1(tmp_path, capsys, recwarn, monkeypatch, co
                                       payload, message):
     """A size whose arrays cannot fit exits 1 with one error line that names
     it, before anything of that size is allocated or looped over: the ~3.5e11
-    default steps of a tiny coupling, the coupling blocks of n = 40 and of
-    n = 70 (whose binomials are exact) and the 2^24 configurations of a
-    sigma-x environment. The memory figure is fixed
-    at 8 GiB, so that every machine refuses them."""
+    default steps of a tiny coupling, the coupling blocks of n = 40, of
+    n = 70 and of n = 10^6 (refused after a few of their binomials, not
+    after all n + 1) and the 2^24 configurations of a sigma-x environment.
+    The memory figure is fixed at 8 GiB, so that every machine refuses them."""
     monkeypatch.setattr(model, "_physical_memory", lambda: 8 * 2**30)
     cfg = write_config(tmp_path, payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1

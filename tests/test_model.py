@@ -181,6 +181,19 @@ def test_environment_memory_guard(monkeypatch, kind):
         build()
 
 
+def test_blocks_beyond_any_memory_refused_early(monkeypatch):
+    """Coupling blocks below 2^128 B, those of every n <= 63, are refused
+    with their exact size; a larger sum is refused as it passes that bound,
+    after a few binomials even at n = 10^6."""
+    monkeypatch.setattr(model, "_physical_memory", lambda: 8 * 2**30)
+    with pytest.raises(ValueError, match="n = 63 spins would take about 8.85e\\+28 GiB"):
+        build_band_environment(63, seed=1)
+    for n in (64, 10**6):
+        for build in (build_band_environment, build_spin_environment):
+            with pytest.raises(ValueError, match=f"n = {n} spins would take more than"):
+                build(n, seed=1)
+
+
 def test_spin_environment_single_spin():
     env = build_spin_environment(1, seed=0)
     assert env.up_blocks[0].shape == (1, 1)
