@@ -132,11 +132,18 @@ def cmd_attractor_map(cfg: dict) -> int:
     return 0
 
 
+def _write_report(report, cfg: dict, path: Path, summary: str) -> int:
+    """Write the report with the metadata of cfg to the JSON file at path and
+    print its summary line with the verdict; returns 0 if it passed, else 2."""
+    report.extra["metadata"] = _metadata(cfg)
+    report.to_json(path)
+    print(f"{summary} [{'pass' if report.passed else 'FAIL'}]")
+    return 0 if report.passed else 2
+
+
 def cmd_relax(cfg: dict) -> int:
     report = experiments.run_scenario(**_given(cfg, _RELAX_KEYS))
-    scenario = report.scenario
-    out = _out_dir(cfg)
-    series = report.series
+    scenario, series, out = report.scenario, report.series, _out_dir(cfg)
     # k_j, the band record, is left empty: an ensemble has none.
     columns = (series[key] for key in ("rho00_exact", "re_rho10", "im_rho10", "stderr"))
     _write_csv(
@@ -144,28 +151,22 @@ def cmd_relax(cfg: dict) -> int:
         ["j", "k_j", "rho00", "re_rho10", "im_rho10", "stderr"],
         ([j, "", *row] for j, row in enumerate(zip(*columns))),
     )
-    report.extra["metadata"] = _metadata({**cfg, "scenario": scenario})
-    report.to_json(out / f"relax_{scenario}.json")
-    status = "pass" if report.passed else "FAIL"
-    print(
+    return _write_report(
+        report, {**cfg, "scenario": scenario}, out / f"relax_{scenario}.json",
         f"{scenario}: plateau={report.plateau:.4f} target={report.target:.4f} "
-        f"tol={report.tolerance} [{status}]"
+        f"tol={report.tolerance}",
     )
-    return 0 if report.passed else 2
 
 
 def cmd_freeze(cfg: dict) -> int:
     report = experiments.verify_freezing(**_given(cfg, _FREEZE_KEYS))
-    report.extra["metadata"] = _metadata(cfg)
-    out = _out_dir(cfg)
-    report.to_json(out / "freeze.json")
-    status = "pass" if report.passed else "FAIL"
-    print(
-        f"freezing (n={report.extra['matched_n']}, m={report.extra['matched_m']}): "
-        f"drift_rho00={report.extra['drift_rho00']:.2e} "
-        f"drift_abs_rho10={report.extra['drift_abs_rho10']:.2e} [{status}]"
+    extra = report.extra
+    return _write_report(
+        report, cfg, _out_dir(cfg) / "freeze.json",
+        f"freezing (n={extra['matched_n']}, m={extra['matched_m']}): "
+        f"drift_rho00={extra['drift_rho00']:.2e} "
+        f"drift_abs_rho10={extra['drift_abs_rho10']:.2e}",
     )
-    return 0 if report.passed else 2
 
 
 def cmd_sweep(cfg: dict) -> int:

@@ -187,12 +187,12 @@ def _build(params: ModelParams, env: BandedEnvironment, rho0: QubitState, k0: in
     state on a band of parity e by one rule: rho00 is pair (e, e), rho10 is
     pair (1, 0), conjugated on odd bands.
 
-    A built sector owns one env.dim x env.dim array from assembly to the
-    last step: h_p, assembled in the sign gauge of B (sign_gauged), which
-    eigh copies, is overwritten by u_p (Propagator.unitary's out=) and
-    turned back. B -> -B is the band gauge change (-1)^k, which eigh does
-    not follow bit for bit where bands are numerically degenerate; in the
-    gauge, B and -B give the same bytes.
+    The sectors are built one per pass, and a built sector owns one
+    env.dim x env.dim array from assembly to the last step: h_p, assembled
+    in the sign gauge of B (sign_gauged), which eigh copies, is overwritten
+    by u_p (Propagator.unitary's out=) and turned back. B -> -B is the band
+    gauge change (-1)^k, which eigh does not follow bit for bit where bands
+    are numerically degenerate; in the gauge, B and -B give the same bytes.
     """
     _check_band("k0", k0, env.n)
     rs = rho0.matrix()
@@ -204,37 +204,29 @@ def _build(params: ModelParams, env: BandedEnvironment, rho0: QubitState, k0: in
     _check_fits(f"the sector unitaries of dimension {env.dim}",
                 (len(sectors) + 4) * 16 * env.dim**2)
     gauged, flipped = env.sign_gauged()
-    # Assembled before any eigh, which then does not hold the gauged blocks.
-    hs = {p: build_total_hamiltonian(params, gauged, p) for p in sectors}
-    del gauged
     us = [None, None]
-    for p, h in hs.items():
+    for p in sectors:
+        h = build_total_hamiltonian(params, gauged, p)
         us[p] = Propagator(h).unitary(params.dt, out=h)
         np.negative(us[p], out=us[p], where=flipped[:, None] != flipped)
     return pairs, us, _leakage_bound(us, env)
-
-
-def _band_windows(env: BandedEnvironment):
-    """Level range [lo, hi) of bands k-1 .. k+1 (those that exist) around
-    every band k; the window is contiguous in the environment's level order."""
-    starts, degs = env.band_starts, np.asarray(env.degeneracies)
-    i = np.arange(env.n_bands)
-    above = np.minimum(i + 1, env.n_bands - 1)
-    return starts[np.maximum(i - 1, 0)], starts[above] + degs[above]
 
 
 def _leakage_bound(us: list[np.ndarray], env: BandedEnvironment) -> float:
     """Largest weight one step moves past the adjacent bands, over all states.
 
     For band k and sector p, lambda_max(A^+ A) with A = u_p[far(k), band k],
-    far(k) the levels outside the window of bands k-1 .. k+1, is the largest
+    far(k) the levels outside the window [lo, hi) of bands k-1 .. k+1 (those
+    that exist; contiguous in the environment's level order), is the largest
     |P_far u_p psi|^2 over unit states psi on band k of sector p. The two
     sector parts of a state have disjoint far rows, so the maximum over k and
     the sectors built (u_p not None) bounds every state a run holds before a
     step, in either reset mode.
     """
     built, worst = [u for u in us if u is not None], 0.0
-    for lo, hi, s, nk in zip(*_band_windows(env), env.band_starts, env.degeneracies):
+    starts, degs, top = env.band_starts, env.degeneracies, env.n_bands - 1
+    for k, (s, nk) in enumerate(zip(starts, degs)):
+        lo, hi = starts[max(k - 1, 0)], starts[min(k + 1, top)] + degs[min(k + 1, top)]
         for u in built:
             far = np.delete(u[:, s:s + nk], np.s_[lo:hi], axis=0)
             worst = max(worst, float(np.linalg.eigvalsh(far.conj().T @ far)[-1]))

@@ -349,6 +349,14 @@ def _run(cfg: dict, params: ModelParams, beta_eff: float):
     return series, record
 
 
+def _report(t0: float, cfg: dict, **fields) -> ScenarioReport:
+    """The report of a run on cfg that started at t0: its fields, the wall
+    time since t0 and the master seed."""
+    return ScenarioReport(
+        **fields, wall_time=time.perf_counter() - t0, seeds={"master_seed": cfg["seed"]}
+    )
+
+
 def run_scenario(scenario: str = "fig2", **overrides) -> ScenarioReport:
     """Relaxation toward the analytic attractor of the scenario's band pair.
 
@@ -378,7 +386,8 @@ def run_scenario(scenario: str = "fig2", **overrides) -> ScenarioReport:
     j = np.arange(cfg["steps"] + 1)
     overlay = rho00_closed_form(cfg["rho0"].rho00, j, params, beta_eff)
     level = plateau(series.rho00)
-    return ScenarioReport(
+    return _report(
+        t0, cfg,
         scenario=scenario,
         params=record,
         series={
@@ -392,8 +401,6 @@ def run_scenario(scenario: str = "fig2", **overrides) -> ScenarioReport:
         target=att.rho00_star,
         tolerance=cfg["tolerance"],
         passed=abs(level - att.rho00_star) <= cfg["tolerance"],
-        wall_time=time.perf_counter() - t0,
-        seeds={"master_seed": cfg["seed"]},
         extra={
             "rate_analytic": rate,
             "t_eff": analytics.effective_temperature(level, params.delta_s),
@@ -481,7 +488,8 @@ def verify_freezing(**overrides) -> ScenarioReport:
     slope = float(np.polyfit(j, phase, 1)[0])
     bound = 10.0 * params.coupling**2
     passed = drift00 <= bound and drift10 <= bound
-    return ScenarioReport(
+    return _report(
+        t0, cfg,
         scenario="freezing",
         params=record,
         series={
@@ -492,8 +500,6 @@ def verify_freezing(**overrides) -> ScenarioReport:
         target=float(series.rho00[0]),
         tolerance=bound,
         passed=passed,
-        wall_time=time.perf_counter() - t0,
-        seeds={"master_seed": cfg["seed"]},
         extra={
             "matched_n": nn,
             "matched_m": mm,

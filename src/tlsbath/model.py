@@ -403,8 +403,7 @@ def build_total_hamiltonian(
     # Scaled in place: a second dim x dim temporary would raise the peak.
     b = env.coupling_matrix()
     b *= params.coupling
-    tls_level = (parity - env.band_of_level()) % 2
-    np.fill_diagonal(
-        b, env.band_of_level() * params.delta_b + (tls_level - 0.5) * params.delta_s
-    )
+    bands = env.band_of_level()
+    tls_level = (parity - bands) % 2
+    np.fill_diagonal(b, bands * params.delta_b + (tls_level - 0.5) * params.delta_s)
     return b
