@@ -17,7 +17,13 @@ from pathlib import Path
 
 from . import __version__, experiments
 from .dynamics import ENGINES, RESET_MODES
-from .model import _check_positive, beta_working_point, binomial_degeneracy, effective_beta
+from .model import (
+    _check_fits,
+    _check_positive,
+    beta_working_point,
+    binomial_degeneracy,
+    effective_beta,
+)
 
 
 _COMMON_KEYS = {"seed", "out"}
@@ -118,8 +124,22 @@ def _write_table(cfg: dict, stem: str, header, rows) -> None:
     print(f"wrote {csv_path} ({count} rows)")
 
 
+# Bytes cmd_attractor_map holds once attractor_map returns: a cell's rho00
+# and mask (8 + 1) and their row-list entries (a float object and two
+# slots), and at most an axis point's value as an array and a list entry
+# (8 + 32) and, for a detuning, its two row lists (56 B and a slot each).
+_MAP_CELL_BYTES = 8 + 1 + 40
+_MAP_AXIS_BYTES = 8 + 32 + 2 * (56 + 8)
+_MAP_GRID = inspect.signature(experiments.attractor_map).parameters["grid"].default
+
+
 def cmd_attractor_map(cfg: dict) -> int:
-    dts, dets, values, frozen = experiments.attractor_map(**_given(cfg, _MAP_KEYS))
+    given = _given(cfg, _MAP_KEYS)
+    grid = given.get("grid", _MAP_GRID)
+    experiments._check_counts({"grid": grid})
+    _check_fits(f"an attractor map of {grid[0]} x {grid[1]} cells",
+                grid[0] * grid[1] * _MAP_CELL_BYTES + sum(grid) * _MAP_AXIS_BYTES)
+    dts, dets, values, frozen = experiments.attractor_map(**given)
     rows = (
         [dt, det, "" if cell_frozen else value, str(cell_frozen).lower()]
         for det, value_row, frozen_row in zip(

@@ -49,6 +49,14 @@ PLATEAU_FRACTION = 0.2   # trailing share of a series that `plateau` averages
 # and its phase (8 + 8 + 16 + 8) and its two series lists.
 _SCENARIO_STEP_BYTES = ENSEMBLE_STEP_BYTES + 16 + 5 * 32
 _FREEZING_STEP_BYTES = ENSEMBLE_STEP_BYTES + 40 + 2 * 32
+# Bytes attractor_map holds at its peak, in analytics.attractor_rho00: six
+# float arrays a cell (the two interference factors and their temporaries),
+# and an axis value and its two weights a point of each axis.
+_MAP_CELL_BYTES = 6 * 8
+_MAP_AXIS_BYTES = 3 * 8
+# Bytes sweep holds a point: its points array and its value and result
+# lists, a float object and its slot an entry.
+_SWEEP_POINT_BYTES = 8 + 2 * 32
 
 
 @dataclass
@@ -140,16 +148,14 @@ def attractor_map(
     _check_real("delta_s", delta_s)
     _check_real("beta", beta)
     _check_positive("delta_s", delta_s)
-    dts = np.linspace(
-        _real_or("dt_min", dt_min, 0.01),
-        _real_or("dt_max", dt_max, 4.0 * math.pi / delta_s),
-        grid[0],
-    )
-    dets = np.linspace(
-        _real_or("detuning_min", detuning_min, -0.9 * delta_s),
-        _real_or("detuning_max", detuning_max, 3.0 * delta_s),
-        grid[1],
-    )
+    dt_ends = (_real_or("dt_min", dt_min, 0.01),
+               _real_or("dt_max", dt_max, 4.0 * math.pi / delta_s))
+    detuning_ends = (_real_or("detuning_min", detuning_min, -0.9 * delta_s),
+                     _real_or("detuning_max", detuning_max, 3.0 * delta_s))
+    _check_fits(f"an attractor map of {grid[0]} x {grid[1]} cells",
+                grid[0] * grid[1] * _MAP_CELL_BYTES + sum(grid) * _MAP_AXIS_BYTES)
+    dts = np.linspace(*dt_ends, grid[0])
+    dets = np.linspace(*detuning_ends, grid[1])
     values = analytics.attractor_rho00(dts[None, :], dets[:, None], delta_s, beta)
     return dts, dets, values, np.isnan(values)
 
@@ -221,6 +227,7 @@ def sweep(
     _check_real("start", start)
     _check_real("stop", stop)
     if values is None:
+        _check_fits(f"a sweep of {num} points", num * _SWEEP_POINT_BYTES)
         values = np.linspace(start, stop, num).tolist()
     elif not isinstance(values, (list, tuple)):
         raise ValueError(f"values must be a list, got {values!r}")

@@ -223,6 +223,18 @@ class TestAttractorMap:
         assert cold + hot == pytest.approx(1.0, abs=1e-9)
 
 
+    def test_memory_budget(self, monkeypatch):
+        """attractor_map holds 48 B a cell and 24 B an axis point at its peak:
+        refused one byte below that, before its axes are formed, and run at
+        it."""
+        need = 3 * 5 * 48 + (3 + 5) * 24
+        monkeypatch.setattr(model, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ValueError, match="attractor map of 3 x 5 cells would take"):
+            attractor_map(grid=(3, 5))
+        monkeypatch.setattr(model, "_physical_memory", lambda: need)
+        assert attractor_map(grid=(3, 5))[2].shape == (5, 3)
+
+
 class TestSweep:
     def test_any_params_field(self):
         """beta sweeps like every ModelParams field: each point is a
@@ -240,6 +252,17 @@ class TestSweep:
         # A dt whose interference factors overflow, which run_scenario and
         # attractor_map refuse.
         assert math.isnan(sweep("attractor", values=[1e300])["attractor"][0])
+
+    def test_memory_budget(self, monkeypatch):
+        """sweep holds 72 B a point of num (its points array and its value
+        and result lists): refused one byte below that, before the points
+        are formed, and run at it. Given values are not budgeted."""
+        monkeypatch.setattr(model, "_physical_memory", lambda: 50 * 72 - 1)
+        with pytest.raises(ValueError, match="sweep of 50 points would take"):
+            sweep("R", num=50)
+        assert len(sweep("R", values=[0.5] * 50)["R"]) == 50
+        monkeypatch.setattr(model, "_physical_memory", lambda: 50 * 72)
+        assert len(sweep("R", num=50)["R"]) == 50
 
 
 class TestZenoScan:
