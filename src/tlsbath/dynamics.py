@@ -226,7 +226,8 @@ def _leakage_bound(us: list[np.ndarray], env: BandedEnvironment) -> float:
     built, worst = [u for u in us if u is not None], 0.0
     starts, degs, top = env.band_starts, env.degeneracies, env.n_bands - 1
     for k, (s, nk) in enumerate(zip(starts, degs)):
-        lo, hi = starts[max(k - 1, 0)], starts[min(k + 1, top)] + degs[min(k + 1, top)]
+        above = min(k + 1, top)
+        lo, hi = starts[max(k - 1, 0)], starts[above] + degs[above]
         for u in built:
             far = np.delete(u[:, s:s + nk], np.s_[lo:hi], axis=0)
             worst = max(worst, float(np.linalg.eigvalsh(far.conj().T @ far)[-1]))

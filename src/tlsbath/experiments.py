@@ -51,7 +51,7 @@ _SCENARIO_STEP_BYTES = ENSEMBLE_STEP_BYTES + 16 + 5 * 32
 _FREEZING_STEP_BYTES = ENSEMBLE_STEP_BYTES + 40 + 2 * 32
 # Bytes attractor_map holds at its peak, in analytics.attractor_rho00: six
 # float arrays a cell (the two interference factors and their temporaries),
-# and an axis value and its two weights a point of each axis.
+# and at most an axis value and its two weights a point of each axis.
 _MAP_CELL_BYTES = 6 * 8
 _MAP_AXIS_BYTES = 3 * 8
 # Bytes sweep holds a point: its points array and its value and result

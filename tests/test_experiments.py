@@ -222,7 +222,6 @@ class TestAttractorMap:
         hot = attractor_rho00(dt_hot, detuning, delta_s=delta_s, beta=beta)
         assert cold + hot == pytest.approx(1.0, abs=1e-9)
 
-
     def test_memory_budget(self, monkeypatch):
         """attractor_map holds 48 B a cell and 24 B an axis point at its peak:
         refused one byte below that, before its axes are formed, and run at
