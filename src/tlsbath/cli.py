@@ -17,13 +17,7 @@ from pathlib import Path
 
 from . import __version__, experiments
 from .dynamics import ENGINES, RESET_MODES
-from .model import (
-    _check_fits,
-    _check_positive,
-    beta_working_point,
-    binomial_degeneracy,
-    effective_beta,
-)
+from .model import _check_positive, beta_working_point, effective_beta
 
 
 _COMMON_KEYS = {"seed", "out"}
@@ -40,13 +34,13 @@ _RELAX_KEYS = (
     - {"rho0"}
 ) | {"scenario"}
 _FREEZE_KEYS = set(experiments._FREEZING[0]) - {"rho0"}
-_MAP_KEYS = _parameters(experiments.attractor_map)
+_ATTRACTOR_KEYS = _parameters(experiments.attractor_map)
 _SWEEP_KEYS = _parameters(experiments.sweep)
 # The band table's splitting is the one key beyond the environment's own.
 _ENV_KEYS = _parameters(experiments.default_environment) | {"delta_b"}
 
 _KNOWN_KEYS = {
-    "attractor-map": _COMMON_KEYS | _MAP_KEYS,
+    "attractor-map": _COMMON_KEYS | _ATTRACTOR_KEYS,
     "relax": _COMMON_KEYS | _RELAX_KEYS,
     "freeze": _COMMON_KEYS | _FREEZE_KEYS,
     "sweep": _COMMON_KEYS | _SWEEP_KEYS,
@@ -124,28 +118,22 @@ def _write_table(cfg: dict, stem: str, header, rows) -> None:
     print(f"wrote {csv_path} ({count} rows)")
 
 
-# Bytes cmd_attractor_map holds once attractor_map returns: a cell's rho00
-# and mask (8 + 1) and their row-list entries (a float object and two
-# slots), and at most an axis point's value as an array and a list entry
-# (8 + 32) and, for a detuning, its two row lists (56 B and a slot each).
-_MAP_CELL_BYTES = 8 + 1 + 40
-_MAP_AXIS_BYTES = 8 + 32 + 2 * (56 + 8)
-_MAP_GRID = inspect.signature(experiments.attractor_map).parameters["grid"].default
+# Cells the attractor-map command reads out of the returned arrays at once:
+# besides them it holds its two axes as lists and one chunk of a row.
+_CHUNK_CELLS = 2**12
 
 
 def cmd_attractor_map(cfg: dict) -> int:
-    given = _given(cfg, _MAP_KEYS)
-    grid = given.get("grid", _MAP_GRID)
-    experiments._check_counts({"grid": grid})
-    _check_fits(f"an attractor map of {grid[0]} x {grid[1]} cells",
-                grid[0] * grid[1] * _MAP_CELL_BYTES + sum(grid) * _MAP_AXIS_BYTES)
-    dts, dets, values, frozen = experiments.attractor_map(**given)
+    dts, dets, values, frozen = experiments.attractor_map(**_given(cfg, _ATTRACTOR_KEYS))
+    chunks = [slice(j, j + _CHUNK_CELLS) for j in range(0, len(dts), _CHUNK_CELLS)]
+    dt_chunks = [dts[cols].tolist() for cols in chunks]
     rows = (
         [dt, det, "" if cell_frozen else value, str(cell_frozen).lower()]
-        for det, value_row, frozen_row in zip(
-            dets.tolist(), values.tolist(), frozen.tolist()
+        for i, det in enumerate(dets.tolist())
+        for cols, dt_chunk in zip(chunks, dt_chunks)
+        for dt, value, cell_frozen in zip(
+            dt_chunk, values[i, cols].tolist(), frozen[i, cols].tolist()
         )
-        for dt, value, cell_frozen in zip(dts.tolist(), value_row, frozen_row)
     )
     header = ["dt", "detuning", "rho00_star", "is_freezing"]
     _write_table(cfg, "attractor_map", header, rows)
@@ -201,20 +189,19 @@ def cmd_sweep(cfg: dict) -> int:
 def cmd_env_inspect(cfg: dict) -> int:
     given = _given(cfg, _ENV_KEYS)
     delta_b = given.pop("delta_b", 1.0)
-    experiments._check_counts(given)  # n and seed are refused before delta_b
+    env = experiments.default_environment(**given)  # n and seed before delta_b
     _check_positive("delta_b", delta_b)
-    env = experiments.default_environment(**given)
-    n = env.n
+    n, degs = env.n, env.degeneracies
     print(f"environment: n={n} delta_b={delta_b} model={env.model} dim={env.dim}")
     print(f"{'k':>4} {'E_k':>10} {'N_k':>8}")
-    for k, deg in enumerate(env.degeneracies):
+    for k, deg in enumerate(degs):
         print(f"{k:>4} {k * delta_b:>10.4f} {deg:>8}")
     for k0 in range(1, n):
         b_dig = beta_working_point(n, k0, delta_b, method="digamma")
         b_log = beta_working_point(n, k0, delta_b, method="log-approx")
         print(
             f"k0={k0}: beta_digamma={b_dig:.6f} beta_log={b_log:.6f} "
-            f"ratio_e_bd={binomial_degeneracy(n, k0 + 1) / binomial_degeneracy(n, k0):.4f}"
+            f"ratio_e_bd={degs[k0 + 1] / degs[k0]:.4f}"
         )
     if n >= 2:
         print(f"effective beta (bands 1-2): {effective_beta(n, 1, 2, delta_b):.6f}")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -216,9 +216,9 @@ def sweep(
 
     def point(value):
         """The protocol and beta with the swept parameter at value."""
-        fields = {**base, parameter: value}
-        beta_v = fields.pop("beta")
-        return ModelParams(**fields), beta_v
+        protocol = {**base, parameter: value}
+        beta_v = protocol.pop("beta")
+        return ModelParams(**protocol), beta_v
 
     for key, value in base.items():  # every one a real before any range check
         _check_real(key, value)
@@ -313,12 +313,7 @@ def _resolve(name: str, table: tuple, overrides: dict):
         _check_real("tolerance", cfg["tolerance"])
         if cfg["tolerance"] < 0:
             raise ValueError(f"tolerance must be >= 0, got {cfg['tolerance']}")
-    params = ModelParams(
-        delta_s=cfg["delta_s"],
-        detuning=cfg["detuning"],
-        coupling=cfg["coupling"],
-        dt=cfg["dt"],
-    )
+    params = ModelParams(**{f.name: cfg[f.name] for f in fields(ModelParams)})
     n, k0 = cfg["n"], cfg["k0"]
     if not -lo <= k0 <= n - hi:
         raise ValueError(f"{name} needs {-lo} <= k0 <= {n - hi} at n = {n}, got k0 = {k0}")
@@ -342,10 +337,7 @@ def _run(cfg: dict, params: ModelParams, beta_eff: float):
         engine=cfg["engine"],
     )
     record = {
-        "delta_s": params.delta_s,
-        "detuning": params.detuning,
-        "coupling": params.coupling,
-        "dt": params.dt,
+        **asdict(params),
         "beta_eff": beta_eff,
         **{
             key: cfg[key]
@@ -356,11 +348,11 @@ def _run(cfg: dict, params: ModelParams, beta_eff: float):
     return series, record
 
 
-def _report(t0: float, cfg: dict, **fields) -> ScenarioReport:
-    """The report of a run on cfg that started at t0: its fields, the wall
-    time since t0 and the master seed."""
+def _report(t0: float, cfg: dict, **entries) -> ScenarioReport:
+    """The report of a run on cfg that started at t0: the report fields
+    given as entries, the wall time since t0 and the master seed."""
     return ScenarioReport(
-        **fields, wall_time=time.perf_counter() - t0, seeds={"master_seed": cfg["seed"]}
+        **entries, wall_time=time.perf_counter() - t0, seeds={"master_seed": cfg["seed"]}
     )
 
 

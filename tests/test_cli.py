@@ -305,7 +305,7 @@ def test_sizes_that_cannot_fit_exit_1(tmp_path, capsys, recwarn, monkeypatch, co
     [
         ("relax", {"steps": 1000}, 1000 * 208),
         ("freeze", {"steps": 1000}, 1000 * 136),
-        ("attractor-map", {"grid": [30, 40]}, 30 * 40 * 49 + (30 + 40) * 168),
+        ("attractor-map", {"grid": [30, 40]}, 30 * 40 * 48 + (30 + 40) * 24),
         ("sweep", {"quantity": "R", "num": 1000}, 1000 * 72),
         ("env-inspect", {"n": 5},
          16 * sum(math.comb(5, k) * math.comb(5, k + 1) for k in range(5))),
@@ -315,8 +315,8 @@ def test_request_just_past_the_memory_exits_1(tmp_path, capsys, monkeypatch, com
                                               payload, need):
     """Each command's size check, with the memory figure one byte below what
     its request would hold: a relax or freeze of 1000 steps (208 and 136 B a
-    step), a 30 x 40 attractor map (49 B a cell and 168 B an axis point for
-    the command's rows), a sweep of 1000 points (72 B a point) and the
+    step), a 30 x 40 attractor map (48 B a cell and 24 B an axis point, the
+    library's budget, which the command's chunked rows stay under), a sweep of 1000 points (72 B a point) and the
     coupling blocks of n = 5 spins. Each exits 1 with one error line and no
     traceback, before it allocates anything of that size."""
     monkeypatch.setattr(model, "_physical_memory", lambda: need - 1)
