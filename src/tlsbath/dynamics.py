@@ -59,6 +59,26 @@ RESET_MODES = ("coarse", "exact")
 # held twice while the copied blocks are joined.
 ENSEMBLE_STEP_BYTES = 8 + 16 + 8
 _TRAJECTORY_STEP_BYTES = 2 * 40
+# Bytes a sampled run holds a trajectory besides an exact-reset run's parts
+# (_trajectory_bytes), for the worst start (three live pairs): its seed
+# words and stream state (32 + 48), a draw-block row (48), its pair entries
+# (4 x 16), the draw (64) and, with coarse reset, the window products of the
+# last step, of this one and their step rows (3 x 3 bands x 3 pairs x 16);
+# with exact reset these 432 B stand for its unraveling, part weights and
+# bucket indices.
+_SAMPLED_TRAJ_BYTES = 32 + 48 + 48 + 4 * 16 + 64 + 3 * 144
+
+
+def _trajectory_bytes(env: BandedEnvironment, reset_mode: str) -> int:
+    """Bytes a sampled run on env holds a trajectory: _SAMPLED_TRAJ_BYTES
+    and, with exact reset, its parts in both sectors on its band, their
+    products on the window bands of a step and the parts that land (16 B an
+    entry), counted on the largest band and the largest window."""
+    if reset_mode == "coarse":
+        return _SAMPLED_TRAJ_BYTES
+    degs = env.degeneracies
+    window = max(sum(degs[max(k - 1, 0):k + 2]) for k in range(len(degs)))
+    return _SAMPLED_TRAJ_BYTES + 2 * 16 * (2 * max(degs) + window)
 
 
 class Propagator:
@@ -641,6 +661,9 @@ def run_ensemble(
     if sampled and master_seed is None:
         raise ValueError("sampled engine requires a master_seed")
     _check_fits(f"a series of {steps} steps", steps * ENSEMBLE_STEP_BYTES)
+    if sampled:
+        _check_fits(f"a sampled ensemble of {n_traj} trajectories",
+                    n_traj * _trajectory_bytes(env, reset_mode))
     words = trajectory_words(master_seed, n_traj) if sampled else None
     build = transfer_blocks if reset_mode == "coarse" else _build
     pairs, op, leakage = build(params, env, rho0, k0)

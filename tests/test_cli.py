@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ from tlsbath.analytics import effective_temperature, is_freezing_point
 from tlsbath.cli import main
 from tlsbath.experiments import (
     _FREEZING,
+    _MAP_AXIS_BYTES,
+    _MAP_CELL_BYTES,
     _SCENARIOS,
     _SWEEP_QUANTITIES,
     ScenarioReport,
@@ -110,6 +113,24 @@ class TestAttractorMapCommand:
             value, frozen = cells[dt, 3.0]
             assert frozen == "false" and 0.0 <= float(value) <= 1.0
         assert not recwarn.list
+
+    @pytest.mark.parametrize("grid", [[40000, 1], [1, 40000]])
+    def test_memory_within_the_map_budget(self, tmp_path, grid):
+        """After a warm-up call, the command's tracemalloc peak on a grid of
+        one long axis stays within attractor_map's budget (48 B a cell and
+        24 B an axis point) and 1 MiB: it reads the returned arrays out a
+        chunk of a row at a time, not as nested lists of the grid."""
+        warm = write_config(tmp_path, {"grid": [3, 2]})
+        assert main(["attractor-map", "--config", warm, "--out", str(tmp_path)]) == 0
+        cfg = write_config(tmp_path, {"grid": grid})
+        tracemalloc.start()
+        try:
+            assert main(["attractor-map", "--config", cfg, "--out", str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budget = grid[0] * grid[1] * _MAP_CELL_BYTES + sum(grid) * _MAP_AXIS_BYTES
+        assert peak <= budget + 2**20, (peak, budget)
 
 
 class TestRelaxCommand:
@@ -304,6 +325,7 @@ def test_sizes_that_cannot_fit_exit_1(tmp_path, capsys, recwarn, monkeypatch, co
     "command, payload, need",
     [
         ("relax", {"steps": 1000}, 1000 * 208),
+        ("relax", {"engine": "sampled", "n_traj": 10**4, "steps": 10}, 10**4 * 688),
         ("freeze", {"steps": 1000}, 1000 * 136),
         ("attractor-map", {"grid": [30, 40]}, 30 * 40 * 48 + (30 + 40) * 24),
         ("sweep", {"quantity": "R", "num": 1000}, 1000 * 72),
@@ -315,10 +337,11 @@ def test_request_just_past_the_memory_exits_1(tmp_path, capsys, monkeypatch, com
                                               payload, need):
     """Each command's size check, with the memory figure one byte below what
     its request would hold: a relax or freeze of 1000 steps (208 and 136 B a
-    step), a 30 x 40 attractor map (48 B a cell and 24 B an axis point, the
-    library's budget, which the command's chunked rows stay under), a sweep of 1000 points (72 B a point) and the
-    coupling blocks of n = 5 spins. Each exits 1 with one error line and no
-    traceback, before it allocates anything of that size."""
+    step), a sampled relax of 10^4 trajectories (688 B a trajectory), a
+    30 x 40 attractor map (48 B a cell and 24 B an axis point), a sweep of
+    1000 points (72 B a point) and the coupling blocks of n = 5 spins. Each
+    exits 1 with one error line and no traceback, before it allocates
+    anything of that size."""
     monkeypatch.setattr(model, "_physical_memory", lambda: need - 1)
     cfg = write_config(tmp_path, payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1

@@ -1461,3 +1461,23 @@ class TestMemoryGuard:
         monkeypatch.setattr(model, "_physical_memory", lambda: steps * step_bytes - 1)
         with pytest.raises(ValueError, match=f"of {steps} steps would take"):
             run()
+
+    @pytest.mark.parametrize("reset_mode, traj_bytes",
+                             [("coarse", 688), ("exact", 688 + 2 * 16 * (2 * 10 + 25))])
+    def test_trajectories(self, monkeypatch, resonant_params, small_env, ground, reset_mode,
+                          traj_bytes):
+        """A sampled run budgets the worst start's bytes a trajectory, also
+        from a ground start: 688 B, and with exact reset its parts in two
+        sectors on the largest band (N_k = 10 at n = 5) and window (25 levels),
+        16 B an entry, both before any array of n_traj entries."""
+        n_traj = 200   # its trajectories outweigh the build's 81 920 B
+
+        def run():
+            return run_ensemble(resonant_params, small_env, ground, 2, 2, n_traj=n_traj,
+                                master_seed=1, reset_mode=reset_mode, engine="sampled")
+
+        monkeypatch.setattr(model, "_physical_memory", lambda: n_traj * traj_bytes)
+        assert len(run().rho00) == 3
+        monkeypatch.setattr(model, "_physical_memory", lambda: n_traj * traj_bytes - 1)
+        with pytest.raises(ValueError, match=f"of {n_traj} trajectories would take"):
+            run()

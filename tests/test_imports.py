@@ -1,6 +1,9 @@
-"""The package's runtime dependency is numpy alone."""
+"""Static checks of the sources: the package's runtime dependency is numpy
+alone, and nothing a module imports or defines is left unread."""
 import ast
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -55,3 +58,32 @@ def test_no_unused_imports(path):
     """Every name a module of the package or of the tests imports is used,
     so that a removal leaves no import of what it removed behind."""
     assert not _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _module_names(tree: ast.Module) -> list[str]:
+    """The names a module defines at its top level: its functions, classes
+    and assigned names."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
+def test_every_module_name_is_used():
+    """Every function, class and assigned name at the top level of a module
+    of the package appears as a whole word in src, tests or benchmarks more
+    often than it is defined, so that a change leaves no constant or helper
+    behind that nothing reads."""
+    words = Counter(word for folder in ("src", "tests", "benchmarks")
+                    for path in (_ROOT / folder).rglob("*.py")
+                    for word in re.findall(r"\w+", path.read_text()))
+    defined = Counter(name for path in _MODULES
+                      for name in _module_names(ast.parse(path.read_text())))
+    assert not sorted(name for name, count in defined.items() if words[name] <= count)
