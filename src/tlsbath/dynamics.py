@@ -647,7 +647,9 @@ def run_ensemble(
     The sampled engine reduces its records one draw block at a time
     (_sample_paths), with the same mean and std(ddof=1) per step as over the
     whole history, so its memory besides the returned series does not
-    depend on steps: O(n_traj max N_k) for the states and one block.
+    depend on steps: O(n_traj max N_k) for the states and one block. A run
+    whose n_traj trajectories (_trajectory_bytes each) cannot fit in
+    physical memory is refused before anything of n_traj entries is formed.
     """
     rho0.validate()
     _check_count("steps", steps)

@@ -114,7 +114,8 @@ class TestAttractorMapCommand:
             assert frozen == "false" and 0.0 <= float(value) <= 1.0
         assert not recwarn.list
 
-    @pytest.mark.parametrize("grid", [[40000, 1], [1, 40000]])
+    @pytest.mark.parametrize("grid", [[40000, 1], [1, 40000]],
+                             ids=["long-dt", "long-detuning"])
     def test_memory_within_the_map_budget(self, tmp_path, grid):
         """After a warm-up call, the command's tracemalloc peak on a grid of
         one long axis stays within attractor_map's budget (48 B a cell and
@@ -325,21 +326,21 @@ def test_sizes_that_cannot_fit_exit_1(tmp_path, capsys, recwarn, monkeypatch, co
     "command, payload, need",
     [
         ("relax", {"steps": 1000}, 1000 * 208),
-        ("relax", {"engine": "sampled", "n_traj": 10**4, "steps": 10}, 10**4 * 688),
         ("freeze", {"steps": 1000}, 1000 * 136),
         ("attractor-map", {"grid": [30, 40]}, 30 * 40 * 48 + (30 + 40) * 24),
         ("sweep", {"quantity": "R", "num": 1000}, 1000 * 72),
         ("env-inspect", {"n": 5},
          16 * sum(math.comb(5, k) * math.comb(5, k + 1) for k in range(5))),
+        ("relax", {"engine": "sampled", "n_traj": 10**4, "steps": 10}, 10**4 * 688),
     ],
 )
 def test_request_just_past_the_memory_exits_1(tmp_path, capsys, monkeypatch, command,
                                               payload, need):
     """Each command's size check, with the memory figure one byte below what
     its request would hold: a relax or freeze of 1000 steps (208 and 136 B a
-    step), a sampled relax of 10^4 trajectories (688 B a trajectory), a
-    30 x 40 attractor map (48 B a cell and 24 B an axis point), a sweep of
-    1000 points (72 B a point) and the coupling blocks of n = 5 spins. Each
+    step), a 30 x 40 attractor map (48 B a cell and 24 B an axis point), a
+    sweep of 1000 points (72 B a point), the coupling blocks of n = 5 spins
+    and a sampled relax of 10^4 trajectories (688 B a trajectory). Each
     exits 1 with one error line and no traceback, before it allocates
     anything of that size."""
     monkeypatch.setattr(model, "_physical_memory", lambda: need - 1)
