@@ -189,8 +189,13 @@ def cmd_sweep(cfg: dict) -> int:
 def cmd_env_inspect(cfg: dict) -> int:
     given = _given(cfg, _ENV_KEYS)
     delta_b = given.pop("delta_b", 1.0)
-    env = experiments.default_environment(**given)  # n and seed before delta_b
+    # n, seed, model and memory are refused first, then delta_b, both before
+    # the O(4^n) build.
+    call = inspect.signature(experiments.default_environment).bind(**given)
+    call.apply_defaults()
+    build = experiments._environment_build(*call.args)
     _check_positive("delta_b", delta_b)
+    env = build()
     n, degs = env.n, env.degeneracies
     print(f"environment: n={n} delta_b={delta_b} model={env.model} dim={env.dim}")
     print(f"{'k':>4} {'E_k':>10} {'N_k':>8}")

@@ -69,6 +69,19 @@ _TRAJECTORY_STEP_BYTES = 2 * 40
 _SAMPLED_TRAJ_BYTES = 32 + 48 + 48 + 4 * 16 + 64 + 3 * 144
 
 
+def _windows(env: BandedEnvironment) -> list[tuple[range, slice, slice]]:
+    """The window of every band k, as entry k = (bands, levels, slots): the
+    bands k - 1 .. k + 1 that exist, which are all that one step reaches
+    from band k at second order in the coupling (the paper's selection
+    rule, whose width is written here alone); their levels, contiguous in
+    the environment's level order; and their places among the three slots
+    k - 1, k, k + 1 that _born_pick draws from."""
+    nb, ends = env.n_bands, [*env.band_starts, env.dim]
+    bands = [range(max(k - 1, 0), min(k + 2, nb)) for k in range(nb)]
+    return [(b, slice(ends[b.start], ends[b.stop]), slice(b.start - k + 1, b.stop - k + 1))
+            for k, b in enumerate(bands)]
+
+
 def _trajectory_bytes(env: BandedEnvironment, reset_mode: str) -> int:
     """Bytes a sampled run on env holds a trajectory: _SAMPLED_TRAJ_BYTES
     and, with exact reset, its parts in both sectors on its band, their
@@ -76,9 +89,8 @@ def _trajectory_bytes(env: BandedEnvironment, reset_mode: str) -> int:
     entry), counted on the largest band and the largest window."""
     if reset_mode == "coarse":
         return _SAMPLED_TRAJ_BYTES
-    degs = env.degeneracies
-    window = max(sum(degs[max(k - 1, 0):k + 2]) for k in range(len(degs)))
-    return _SAMPLED_TRAJ_BYTES + 2 * 16 * (2 * max(degs) + window)
+    window = max(levels.stop - levels.start for _, levels, _ in _windows(env))
+    return _SAMPLED_TRAJ_BYTES + 2 * 16 * (2 * max(env.degeneracies) + window)
 
 
 class Propagator:
@@ -236,20 +248,16 @@ def _leakage_bound(us: list[np.ndarray], env: BandedEnvironment) -> float:
     """Largest weight one step moves past the adjacent bands, over all states.
 
     For band k and sector p, lambda_max(A^+ A) with A = u_p[far(k), band k],
-    far(k) the levels outside the window [lo, hi) of bands k-1 .. k+1 (those
-    that exist; contiguous in the environment's level order), is the largest
+    far(k) the levels outside the window of band k (_windows), is the largest
     |P_far u_p psi|^2 over unit states psi on band k of sector p. The two
     sector parts of a state have disjoint far rows, so the maximum over k and
     the sectors built (u_p not None) bounds every state a run holds before a
     step, in either reset mode.
     """
     built, worst = [u for u in us if u is not None], 0.0
-    starts, degs, top = env.band_starts, env.degeneracies, env.n_bands - 1
-    for k, (s, nk) in enumerate(zip(starts, degs)):
-        above = min(k + 1, top)
-        lo, hi = starts[max(k - 1, 0)], starts[above] + degs[above]
+    for k, (_, levels, _) in enumerate(_windows(env)):
         for u in built:
-            far = np.delete(u[:, s:s + nk], np.s_[lo:hi], axis=0)
+            far = np.delete(u[:, env.band_slice(k)], levels, axis=0)
             worst = max(worst, float(np.linalg.eigvalsh(far.conj().T @ far)[-1]))
     return worst
 
@@ -298,9 +306,10 @@ def _parity_rows(pairs: dict, nb: int):
 
 def _born_pick(w: np.ndarray, x: np.ndarray, band, nb: int):
     """Band outcome drawn with uniforms x from the weights w (m, 3) of the
-    window slots k-1, k, k+1 (zero outside the environment).
+    window slots k-1, k, k+1 of band k (_windows; zero outside the
+    environment).
 
-    Returns the new band, its weight and its probability.
+    Returns the new band, its slot, its weight and its probability.
     """
     tot = w[:, 0] + w[:, 1] + w[:, 2]
     cum0 = w[:, 0] / tot
@@ -309,23 +318,14 @@ def _born_pick(w: np.ndarray, x: np.ndarray, band, nb: int):
     # rounds below 1. The clamp keeps an edge band off its zero-weight pad
     # slot, which only x = 0 (band 0) or that rounding (top band) would reach.
     new = np.minimum(np.maximum(band - 1 + (cum0 < x) + (cum1 < x), 0), nb - 1)
-    slot = new - band
-    wk = np.where(slot < 0, w[:, 0], np.where(slot > 0, w[:, 2], w[:, 1]))
-    return new, wk, wk / tot
+    slot = new - band + 1
+    wk = w[np.arange(len(w)), slot]
+    return new, slot, wk, wk / tot
 
 
-def _sample_paths(
-    params: ModelParams,
-    env: BandedEnvironment,
-    op,
-    pairs: dict,
-    leakage: float,
-    rho0: QubitState,
-    k0: int,
-    steps: int,
-    words: np.ndarray,
-    reset_mode: str,
-):
+def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
+                  leakage: float, rho0: QubitState, k0: int, steps: int,
+                  words: np.ndarray, reset_mode: str):
     """Batched measurement records (quantum trajectories) on a build with
     pair table pairs and leakage bound, yielded one draw block at a time; op
     is its pair blocks (transfer_blocks) for coarse reset and its sector
@@ -343,7 +343,7 @@ def _sample_paths(
     max(2^13, m) per record for the block.
 
     Every state is supported on one band k, and one step only reaches the
-    window of bands k-1 .. k+1 (contiguous in the environment's level order).
+    window of band k (_windows).
     In either reset mode a trajectory is its band k and its TLS state's
     entries rho[l] on the live pairs l = (p, q) of the table, from which
     every step's rho00 and rho10 are read (_parity_rows). U conserves
@@ -356,7 +356,7 @@ def _sample_paths(
     - coarse reset: the bath is 1_k / N_k after every measurement, so the TLS
       state conditioned on the band record depends on the record alone, and
       rho[l] is all a trajectory holds. The step is diagonal in the pair:
-      y[i, l] = op[l, k - 1 + i, k] rho[l] for the window bands k - 1 + i
+      y[i, l] = op[l, k - 1 + i, k] rho[l] for the window slots i of k
       (zero outside the environment), the band is drawn from the weights
       tr y (the pairs (p, p), which lead the table), and y / tr y is kept.
       Unraveling rho (x) 1_k / N_k into an eigenvector of rho and a level of
@@ -424,18 +424,22 @@ def _sample_paths(
     rho = np.zeros((m, len(pairs) + 1), dtype=complex)
     n_diag = sum(p == q for p, q in pairs)
     row00, row10 = _parity_rows(pairs, nb)
+    window = _windows(env)
     if coarse:
-        # step[k, i, l] = op[l, k - 1 + i, k], zero outside the environment.
-        padded = np.pad(op.transpose(1, 2, 0), ((1, 1), (0, 0), (0, 0)))
-        step = padded[np.arange(nb)[:, None] + np.arange(3), np.arange(nb)[:, None]]
+        # step[k, i, l] = op[l, k - 1 + i, k] on the slots i of k's window,
+        # zero on those outside the environment.
+        step = np.zeros((nb, 3, len(pairs)), dtype=complex)
+        for k, (bands, _, slots) in enumerate(window):
+            step[k, slots] = op[:, bands, k].T
         band = np.full(m, k0)
         rho[:, :-1] = list(pairs.values())
         out_r00[0], out_r10[0] = rho0.rho00, rho0.rho10
     else:
-        # step[k][k2]: u_p[band k2, band k]^T for the window bands k2 of k.
+        # step[k][i]: u_p[band k2, band k]^T of the built sectors, stacked,
+        # for the i-th window band k2 of k.
         built, levels = [p for p in (0, 1) if op[p] is not None], env.band_slice
-        step = [{k2: np.stack([op[p][levels(k2), levels(k)].T for p in built])
-                 for k2 in range(max(k - 1, 0), min(k + 2, nb))} for k in range(nb)]
+        step = [[np.stack([op[p][levels(k2), levels(k)].T for p in built]) for k2 in bands]
+                for k, (bands, _, _) in enumerate(window)]
         # The built sectors whose weights are the entries on the live pairs
         # (p, p), which lead the table.
         diag = [built.index(p) for p, q in pairs if p == q]
@@ -465,33 +469,33 @@ def _sample_paths(
                 # k - 1 + i.
                 y = step[band] * rho[:, None, :-1]
                 w = y[:, :, :n_diag].real.sum(axis=2)
-                new, wk, out_p[t] = _born_pick(w, draws[t], band, nb)
+                new, slot, wk, out_p[t] = _born_pick(w, draws[t], band, nb)
                 # Divided as floats: numpy takes complex / real as y * (1 / wk),
                 # which leaves a lone pair 1 ulp short of 1.
-                np.divide(y[traj, new - band + 1].view(float), wk[:, None],
+                np.divide(y[traj, slot].view(float), wk[:, None],
                           out=rho[:, :-1].view(float))
                 band = out_k[t] = new
             else:
                 landed = {}
                 for i, (ids, psi) in buckets.items():
-                    # prod[k2][s]: the part of built sector s, stepped, on
-                    # window band k2; part_w[k2][s]: its weight.
-                    prod = {k2: psi @ b for k2, b in step[i].items()}
-                    part_w = {k2: np.einsum("scl,scl->sc", v.view(float), v.view(float))
-                              for k2, v in prod.items()}
+                    bands, _, slots = window[i]
+                    # prod[j][s]: the part of built sector s, stepped, on
+                    # window band bands[j]; part_w[j][s]: its weight.
+                    prod = [psi @ b for b in step[i]]
+                    part_w = [np.einsum("scl,scl->sc", v.view(float), v.view(float))
+                              for v in prod]
                     w = np.zeros((len(ids), 3))
-                    for k2, pw in part_w.items():
-                        w[:, k2 - i + 1] = pw.sum(axis=0)
-                    new, wk, out_p[t, ids] = _born_pick(w, draws[t, ids], i, nb)
+                    w[:, slots] = np.stack([pw.sum(axis=0) for pw in part_w], axis=1)
+                    new, _, wk, out_p[t, ids] = _born_pick(w, draws[t, ids], i, nb)
                     out_k[t, ids] = new
-                    for k2, v in prod.items():
+                    for k2, v, pw in zip(bands, prod, part_w):
                         sel = new == k2
                         hits = np.count_nonzero(sel)
                         if not hits:
                             continue
                         parts = v if hits == len(ids) else np.compress(sel, v, axis=1)
                         idx, wsel = ids[sel], wk[sel]
-                        rho[idx, :n_diag] = part_w[k2][diag][:, sel].T / wsel[:, None]
+                        rho[idx, :n_diag] = pw[diag][:, sel].T / wsel[:, None]
                         if (1, 0) in pairs:
                             rho[idx, row10] = np.vecdot(parts[0], parts[1]) / wsel
                         # Normalised in place: scaling the float view by
@@ -518,15 +522,21 @@ def _check_choice(name: str, value: str, choices: tuple[str, ...]) -> None:
         raise ValueError(f"unknown {name} {value!r}")
 
 
-def run_trajectory(
-    params: ModelParams,
-    env: BandedEnvironment,
-    rho0: QubitState,
-    k0: int,
-    steps: int,
-    seed,
-    reset_mode: str = "coarse",
-) -> Trajectory:
+def _run_build(params, env, rho0, k0, steps, reset_mode):
+    """The one build step of run_trajectory and run_ensemble, returned unrun
+    once rho0, steps and reset_mode are checked, so that a runner makes its
+    own checks before it runs it. It returns (pairs, op, leakage): op is
+    the pair blocks of transfer_blocks for coarse reset and the sector
+    unitaries of _build for exact reset."""
+    rho0.validate()
+    _check_count("steps", steps)
+    _check_choice("reset_mode", reset_mode, RESET_MODES)
+    build = transfer_blocks if reset_mode == "coarse" else _build
+    return lambda: build(params, env, rho0, k0)
+
+
+def run_trajectory(params: ModelParams, env: BandedEnvironment, rho0: QubitState,
+                   k0: int, steps: int, seed, reset_mode: str = "coarse") -> Trajectory:
     """One selective-measurement trajectory, deterministic in the seed.
 
     The record is copied out of _sample_paths one draw block at a time, so
@@ -537,21 +547,16 @@ def run_trajectory(
     numpy.random.default_rng(seed) gives. A Generator or BitGenerator is
     refused with TypeError.
     """
-    rho0.validate()
-    _check_count("steps", steps)
-    _check_choice("reset_mode", reset_mode, RESET_MODES)
+    build = _run_build(params, env, rho0, k0, steps, reset_mode)
     _check_fits(f"a trajectory of {steps} steps", steps * _TRAJECTORY_STEP_BYTES)
     words = seed_words(seed)
-    build = transfer_blocks if reset_mode == "coarse" else _build
-    pairs, op, leakage = build(params, env, rho0, k0)
+    pairs, op, leakage = build()
     blocks = _sample_paths(params, env, op, pairs, leakage, rho0, k0, steps, words,
                            reset_mode)
     # Each block's column is copied before the next block overwrites it.
     cols = [[rec[:, 0].copy() for rec in block] for _, *block in blocks]
     outcomes, probs, rho00, rho10 = (np.concatenate(c) for c in zip(*cols))
-    return Trajectory(
-        outcomes=outcomes, rho00=rho00, rho10=rho10, probs=probs, seed=seed
-    )
+    return Trajectory(outcomes=outcomes, rho00=rho00, rho10=rho10, probs=probs, seed=seed)
 
 
 def _run_nonselective_exact(us, pairs: dict, env, k0, steps):
@@ -562,7 +567,9 @@ def _run_nonselective_exact(us, pairs: dict, env, k0, steps):
     measurement rho is block-diagonal in the bands, so live pair l = (p, q)
     of the pair table is held as one N_k x N_k block x[l][k] per band k,
     starting as its entry times 1_k0 / N_k0 on band k0. A step is
-    M[:, k] = u_p[:, k] X_k, then X'_k = M[k] u_q[k]^+. rho00 and rho10 are
+    M[:, k] = u_p[:, k] X_k, then X'_k = M[k] u_q[k]^+, with each sector's
+    u_q[k]^+ formed once per run. On the first step only X_k0 is nonzero, so
+    the other columns of M are left zero, not multiplied. rho00 and rho10 are
     the block traces read by _parity_rows, summed in band order; a dead
     pair's row of traces is zero.
 
@@ -577,16 +584,18 @@ def _run_nonselective_exact(us, pairs: dict, env, k0, steps):
     diagonal = [l for l, (p, q) in enumerate(pairs) if p == q]
     trace0 = sum(np.trace(x[l][k0]).real for l in diagonal)
     row00, row10 = _parity_rows(pairs, nb)
-    mixed = np.empty((env.dim, env.dim), dtype=complex)
+    rows_h = {q: [us[q][b].conj().T for b in bands] for _, q in pairs}
+    # Only its band-k0 columns are written on the first step; the rest stay zero.
+    mixed = np.zeros((env.dim, env.dim), dtype=complex)
     r00 = np.empty(steps + 1)
     r10 = np.empty(steps + 1, dtype=complex)
     worst = 0.0
     for j in range(steps + 1):
         if j:
             for (p, q), xl in zip(pairs, x):
-                for b, r in zip(bands, xl):
-                    mixed[:, b] = us[p][:, b] @ r
-                xl[:] = [mixed[b] @ us[q][b].conj().T for b in bands]
+                for k in [k0] if j == 1 else range(nb):
+                    mixed[:, bands[k]] = us[p][:, bands[k]] @ xl[k]
+                xl[:] = [mixed[b] @ h for b, h in zip(bands, rows_h[q])]
         traces = [[np.trace(r) for r in xl] for xl in x] + [[0j] * nb]
         drift = sum(traces[l][k].real for l in diagonal for k in range(nb)) - trace0
         if abs(drift) > 1e-9:
@@ -626,17 +635,10 @@ def _run_nonselective_coarse(blocks, pairs: dict, k0: int, steps):
     return r00, r10
 
 
-def run_ensemble(
-    params: ModelParams,
-    env: BandedEnvironment,
-    rho0: QubitState,
-    k0: int,
-    steps: int,
-    n_traj: int | None = None,
-    master_seed: int | None = None,
-    reset_mode: str = "coarse",
-    engine: str = "nonselective",
-) -> EnsembleSeries:
+def run_ensemble(params: ModelParams, env: BandedEnvironment, rho0: QubitState, k0: int,
+                 steps: int, n_traj: int | None = None, master_seed: int | None = None,
+                 reset_mode: str = "coarse",
+                 engine: str = "nonselective") -> EnsembleSeries:
     """Ensemble-averaged measurement series.
 
     engine "sampled" averages n_traj independent trajectories with seeds derived
@@ -651,12 +653,10 @@ def run_ensemble(
     whose n_traj trajectories (_trajectory_bytes each) cannot fit in
     physical memory is refused before anything of n_traj entries is formed.
     """
-    rho0.validate()
-    _check_count("steps", steps)
+    build = _run_build(params, env, rho0, k0, steps, reset_mode)
     if n_traj is not None:
         _check_count("n_traj", n_traj)
     _check_choice("engine", engine, ENGINES)
-    _check_choice("reset_mode", reset_mode, RESET_MODES)
     sampled = engine == "sampled"
     if sampled and n_traj is None:
         raise ValueError("sampled engine requires n_traj >= 1")
@@ -667,8 +667,7 @@ def run_ensemble(
         _check_fits(f"a sampled ensemble of {n_traj} trajectories",
                     n_traj * _trajectory_bytes(env, reset_mode))
     words = trajectory_words(master_seed, n_traj) if sampled else None
-    build = transfer_blocks if reset_mode == "coarse" else _build
-    pairs, op, leakage = build(params, env, rho0, k0)
+    pairs, op, leakage = build()
     stderr, drift = np.zeros(steps + 1), None
     if sampled:
         r00, r10 = np.empty(steps + 1), np.empty(steps + 1, dtype=complex)
@@ -683,10 +682,5 @@ def run_ensemble(
         r00, r10 = _run_nonselective_coarse(op, pairs, k0, steps)
     else:
         r00, r10, drift = _run_nonselective_exact(op, pairs, env, k0, steps)
-    return EnsembleSeries(
-        rho00=r00,
-        rho10=r10,
-        stderr=stderr,
-        leakage_bound=leakage,
-        trace_drift=drift,
-    )
+    return EnsembleSeries(rho00=r00, rho10=r10, stderr=stderr, leakage_bound=leakage,
+                          trace_drift=drift)

@@ -20,6 +20,7 @@ from .model import (
     _check_fits,
     _check_positive,
     _check_real,
+    _environment_rng,
     build_band_environment,
     build_spin_environment,
     effective_beta,
@@ -111,12 +112,19 @@ def default_environment(
 ) -> BandedEnvironment:
     """The environment of a named model: "random-band"
     (build_band_environment) or "sigma-x" (build_spin_environment)."""
+    return _environment_build(n, seed, model)()
+
+
+def _environment_build(n, seed, model):
+    """default_environment's build, returned unrun after every check that
+    needs none of its O(4^n) work: n and seed, the model, then what its
+    builder checks first (model._environment_rng)."""
     _check_counts({"n": n, "seed": seed})
-    if model == "random-band":
-        return build_band_environment(n, seed)
-    if model == "sigma-x":
-        return build_spin_environment(n, seed)
-    raise ValueError(f"unknown environment model {model!r}")
+    if model not in ("random-band", "sigma-x"):
+        raise ValueError(f"unknown environment model {model!r}")
+    _environment_rng(n, seed)
+    build = build_band_environment if model == "random-band" else build_spin_environment
+    return lambda: build(n, seed)
 
 
 def _real_or(key: str, value, default: float):
@@ -325,26 +333,12 @@ def _run(cfg: dict, params: ModelParams, beta_eff: float):
     """Step a resolved run on its default environment; returns the series and
     the report's record of the run's parameters."""
     env = default_environment(n=cfg["n"], seed=cfg["seed"], model=cfg["model"])
-    series = run_ensemble(
-        params,
-        env,
-        cfg["rho0"],
-        k0=cfg["k0"],
-        steps=cfg["steps"],
-        n_traj=cfg["n_traj"],
-        master_seed=cfg["seed"],
-        reset_mode=cfg["reset_mode"],
-        engine=cfg["engine"],
-    )
-    record = {
-        **asdict(params),
-        "beta_eff": beta_eff,
-        **{
-            key: cfg[key]
-            for key in ("n", "k0", "steps", "engine", "reset_mode", "n_traj", "model")
-        },
-        "rho00_initial": cfg["rho0"].rho00,
-    }
+    series = run_ensemble(params, env, cfg["rho0"], k0=cfg["k0"], steps=cfg["steps"],
+                          n_traj=cfg["n_traj"], master_seed=cfg["seed"],
+                          reset_mode=cfg["reset_mode"], engine=cfg["engine"])
+    keys = ("n", "k0", "steps", "engine", "reset_mode", "n_traj", "model")
+    record = {**asdict(params), "beta_eff": beta_eff, **{key: cfg[key] for key in keys},
+              "rho00_initial": cfg["rho0"].rho00}
     return series, record
 
 

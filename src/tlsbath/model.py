@@ -112,6 +112,15 @@ def _check_blocks_fit(n: int) -> None:
     _check_fits(what, nbytes)
 
 
+def _environment_rng(n, seed) -> np.random.Generator:
+    """What an environment builder checks before its O(4^n) work, n and then
+    the memory of its coupling blocks, and the generator of seed, which
+    refuses a seed numpy cannot take."""
+    _check_spins(n)
+    _check_blocks_fit(n)
+    return np.random.default_rng(seed)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """The simulated protocol: physical scalars shared by the engines and the
@@ -317,9 +326,7 @@ def build_band_environment(n: int, seed: int) -> BandedEnvironment:
     Entries of C_{k+1,k} have i.i.d. real/imaginary parts of variance
     (N_{k+1} N_k)^{-1/2} / 2 so that E|C|^2 = (N_{k+1} N_k)^{-1/2}.
     """
-    _check_spins(n)
-    rng = np.random.default_rng(seed)
-    _check_blocks_fit(n)
+    rng = _environment_rng(n, seed)
     degs = tuple(binomial_degeneracy(n, k) for k in range(n + 1))
     blocks = []
     for k in range(n):
@@ -348,10 +355,7 @@ def build_spin_environment(n: int, seed: int) -> BandedEnvironment:
     matrix element between adjacent bands matches the random-band convention.
     Single spin flips connect bands k and k+1 only.
     """
-    _check_spins(n)
-    _check_blocks_fit(n)
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal(n)
+    g = _environment_rng(n, seed).standard_normal(n)
 
     degs = tuple(binomial_degeneracy(n, k) for k in range(n + 1))
     # Basis configs per band (bitmask, ascending); position in list = level index.

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tlsbath import cli, model
+from tlsbath import cli, experiments, model
 from tlsbath.analytics import effective_temperature, is_freezing_point
 from tlsbath.cli import main
 from tlsbath.experiments import (
@@ -637,6 +637,32 @@ def test_env_inspect_bad_counts_exit_1(tmp_path, capsys, payload, message):
     assert main(["env-inspect", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"n": 12, "delta_b": 0}, "delta_b must be > 0, got 0"),
+        ({"n": 12, "delta_b": 0, "model": "sigma-x"}, "delta_b must be > 0, got 0"),
+        ({"n": 3.5, "delta_b": 0}, "n must be an integer"),
+        ({"seed": 7.5, "delta_b": 0}, "seed must be an integer"),
+        ({"seed": -1, "delta_b": 0}, "expected non-negative integer"),
+        ({"model": "ising", "delta_b": 0}, "unknown environment model 'ising'"),
+        ({"n": 40, "delta_b": 0}, "coupling blocks of n = 40 spins would take"),
+    ],
+)
+def test_env_inspect_refuses_before_building(tmp_path, capsys, monkeypatch, payload,
+                                             message):
+    """env-inspect refuses n, seed, model and the memory of the coupling
+    blocks first and delta_b after them, all before either environment
+    builder, whose work grows as 4^n, is called."""
+    for name in ("build_band_environment", "build_spin_environment"):
+        monkeypatch.setattr(experiments, name, lambda *a: pytest.fail("built an environment"))
+    monkeypatch.setattr(model, "_physical_memory", lambda: 8 * 2**30)
+    cfg = write_config(tmp_path, payload)
+    assert main(["env-inspect", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
 
 @pytest.mark.parametrize(

@@ -1266,6 +1266,47 @@ class TestBlockRecords:
         assert growth <= 32 * 1900 + 64 * 1024, growth
 
 
+class TestWindows:
+    """_windows is the one spelling of the selection rule's window: for
+    every band k, the bands k - 1 .. k + 1 inside [0, n], their levels and
+    their slots among the three slots k - 1, k, k + 1."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_table_is_the_adjacent_bands(self, n):
+        env = build_band_environment(n, seed=1)
+        levels_of = [list(range(env.dim))[env.band_slice(j)] for j in range(n + 1)]
+        table = dynamics._windows(env)
+        assert len(table) == n + 1
+        for k, (bands, levels, slots) in enumerate(table):
+            near = [j for j in (k - 1, k, k + 1) if 0 <= j <= n]
+            assert list(bands) == near
+            assert list(range(env.dim))[levels] == [g for j in near for g in levels_of[j]]
+            assert list(range(3))[slots] == [j - k + 1 for j in near]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("build", [build_band_environment, build_spin_environment],
+                             ids=["random-band", "sigma-x"])
+    def test_budget_and_bound_with_the_window_written_out(self, build, n):
+        """_trajectory_bytes and _leakage_bound equal, bit for bit, the same
+        figures with the window of band k written out by band index."""
+        env = build(n, seed=5)
+        degs, starts = env.degeneracies, env.band_starts
+        window = max(sum(degs[max(k - 1, 0):k + 2]) for k in range(n + 1))
+        assert dynamics._trajectory_bytes(env, "coarse") == dynamics._SAMPLED_TRAJ_BYTES
+        assert dynamics._trajectory_bytes(env, "exact") == (
+            dynamics._SAMPLED_TRAJ_BYTES + 2 * 16 * (2 * max(degs) + window))
+        params = ModelParams(delta_s=1.0, detuning=0.3, coupling=0.1, dt=1.1)
+        _, us, bound = _build(params, env, _COHERENT, n // 2)
+        worst = 0.0
+        for k, (s, nk) in enumerate(zip(starts, degs)):
+            above = min(k + 1, n)
+            lo, hi = starts[max(k - 1, 0)], starts[above] + degs[above]
+            for u in us:
+                far = np.delete(u[:, s:s + nk], np.s_[lo:hi], axis=0)
+                worst = max(worst, float(np.linalg.eigvalsh(far.conj().T @ far)[-1]))
+        assert bound == worst
+
+
 class TestTransferBlocks:
     """transfer_blocks is the one coarse-reset operator: _build's pair table
     and leakage bound with the pair blocks of _pair_sums, and the only thing

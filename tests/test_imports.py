@@ -87,3 +87,28 @@ def test_every_module_name_is_used():
     defined = Counter(name for path in _MODULES
                       for name in _module_names(ast.parse(path.read_text())))
     assert not sorted(name for name, count in defined.items() if words[name] <= count)
+
+
+# What dynamics.py writes out once, and the function that owns it: the
+# selection rule's window of band k and a run's choice between its builds.
+_OWNED = {
+    r"max\(\s*k\s*-\s*1\s*,\s*0\s*\)": "_windows",
+    r"min\(\s*k\s*\+\s*2\b": "_windows",
+    r"min\(\s*k\s*\+\s*1\b": "_windows",
+    r"transfer_blocks\s+if\b": "_run_build",
+}
+
+
+def test_window_and_build_have_one_owner():
+    """dynamics.py spells the adjacent-band window (max(k - 1, 0),
+    min(k + 2 or min(k + 1) only in _windows and the choice of a run's build
+    (transfer_blocks if ...) only in _run_build, so that a change to either
+    is made in one place. Both owners do spell theirs."""
+    source = (Path(tlsbath.__file__).parent / "dynamics.py").read_text()
+    owners = {node.name: range(node.lineno, node.end_lineno + 1)
+              for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    found = [(i, pattern) for i, line in enumerate(source.splitlines(), 1)
+             for pattern in _OWNED if re.search(pattern, line)]
+    assert not [f"line {i}: {pattern}" for i, pattern in found
+                if i not in owners.get(_OWNED[pattern], ())]
+    assert {_OWNED[pattern] for _, pattern in found} == {"_windows", "_run_build"}
