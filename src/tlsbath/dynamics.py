@@ -584,7 +584,7 @@ def _run_nonselective_exact(us, pairs: dict, env, k0, steps):
     diagonal = [l for l, (p, q) in enumerate(pairs) if p == q]
     trace0 = sum(np.trace(x[l][k0]).real for l in diagonal)
     row00, row10 = _parity_rows(pairs, nb)
-    rows_h = {q: [us[q][b].conj().T for b in bands] for _, q in pairs}
+    rows_h = {q: [us[q][b].conj().T for b in bands] for q in {q for _, q in pairs}}
     # Only its band-k0 columns are written on the first step; the rest stay zero.
     mixed = np.zeros((env.dim, env.dim), dtype=complex)
     r00 = np.empty(steps + 1)
