@@ -36,6 +36,7 @@ from .model import (
     _check_band,
     _check_count,
     _check_fits,
+    _tls_level,
     build_total_hamiltonian,
 )
 
@@ -210,14 +211,12 @@ def _build(params: ModelParams, env: BandedEnvironment, rho0: QubitState, k0: in
     us = [u_0, u_1], with u_p = exp(-i h_p dt) on parity sector p of the
     joint Hamiltonian and None for a sector no live pair names. The joint
     state (a, k, r) is level g = (k, r) of sector (a + k) mod 2, so sector
-    pair (p, q) is TLS entry ((p - k) mod 2, (q - k) mod 2) on band k, and U
-    keeps it the same pair: a pair that starts at zero stays zero.
+    pair (p, q) is TLS entry (_tls_level(p, k), _tls_level(q, k)) on band k,
+    and U keeps it the same pair: a pair that starts at zero stays zero.
 
     The pair table maps the live pairs among (0, 0), (1, 1) and (1, 0), in
     that order, to their nonzero start entries on band k0; (0, 1) is the
-    conjugate of (1, 0) and is never held. Every engine reads the reduced
-    state on a band of parity e by one rule: rho00 is pair (e, e), rho10 is
-    pair (1, 0), conjugated on odd bands.
+    conjugate of (1, 0) and is never held.
 
     The sectors are built one per pass, and a built sector owns one
     env.dim x env.dim array from assembly to the last step: h_p, assembled
@@ -227,9 +226,9 @@ def _build(params: ModelParams, env: BandedEnvironment, rho0: QubitState, k0: in
     are numerically degenerate; in the gauge, B and -B give the same bytes.
     """
     _check_band("k0", k0, env.n)
-    rs = rho0.matrix()
-    pairs = {(p, q): rs[(p - k0) % 2, (q - k0) % 2] for p, q in ((0, 0), (1, 1), (1, 0))}
-    pairs = {pq: entry for pq, entry in pairs.items() if entry != 0}
+    level = _tls_level(np.arange(2), k0)
+    rs = rho0.matrix()[np.ix_(level, level)]   # rs[p, q]: sector pair (p, q) on band k0
+    pairs = {(p, q): rs[p, q] for p, q in ((0, 0), (1, 1), (1, 0)) if rs[p, q] != 0}
     sectors = [p for p in (0, 1) if any(p in pq for pq in pairs)]
     # The peak is at the last eigh: the S sector arrays, and about four more
     # of their size in eigh's copy, modes and work arrays.
@@ -295,13 +294,15 @@ def transfer_blocks(params: ModelParams, env: BandedEnvironment, rho0: QubitStat
 
 
 def _parity_rows(pairs: dict, nb: int):
-    """Where rho00 and rho10 sit among the pair table's rows: the row of
-    pair (k mod 2, k mod 2) for every band k, and the row of (1, 0), which
-    holds rho10 on even bands and its conjugate on odd ones. A dead pair's
-    row is len(pairs), a zero row."""
+    """The one reader of the rows of pair table pairs (_build) on nb bands,
+    formed once per run, as (row00, row10, conj10, diagonal, dead): the row
+    of rho00 on every band, the row of pair (1, 0), the bands on which that
+    row holds conj(rho10), the leading rows of the pairs (p, p) (a slice),
+    and the zero row after the live ones, which stands for every dead pair."""
     row, dead = {pq: l for l, pq in enumerate(pairs)}, len(pairs)
-    rows00 = np.array([row.get((0, 0), dead), row.get((1, 1), dead)])[np.arange(nb) % 2]
-    return rows00, row.get((1, 0), dead)
+    excited0 = _tls_level(0, np.arange(nb)) == 1   # sector 0 at TLS level 1
+    return (np.where(excited0, row.get((1, 1), dead), row.get((0, 0), dead)),
+            row.get((1, 0), dead), excited0, slice(0, sum(p == q for p, q in pairs)), dead)
 
 
 def _born_pick(w: np.ndarray, x: np.ndarray, band, nb: int):
@@ -349,7 +350,7 @@ def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
     every step's rho00 and rho10 are read (_parity_rows). U conserves
     parity, so an exact-reset state is also held by its parts in the S
     sectors _build made, and a sector's part stays in its sector: on band
-    k, the part of sector p is at TLS level (p - k) mod 2. Everything a step
+    k, the part of sector p is at TLS level _tls_level(p, k). Everything a step
     needs is formed from op where the trajectories start, and nothing of a
     dead pair or a sector left out is stored:
 
@@ -418,12 +419,8 @@ def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
     draws = np.empty((rows, m))
 
     out_k[0] = k0
-    # rho[c, l]: trajectory c's entry on live pair l = (p, q), TLS entry
-    # ((p - k) mod 2, (q - k) mod 2) on its band k. The last column stays
-    # zero and stands for every dead pair.
-    rho = np.zeros((m, len(pairs) + 1), dtype=complex)
-    n_diag = sum(p == q for p, q in pairs)
-    row00, row10 = _parity_rows(pairs, nb)
+    row00, row10, conj10, diagonal, dead = _parity_rows(pairs, nb)
+    rho = np.zeros((m, dead + 1), dtype=complex)
     window = _windows(env)
     if coarse:
         # step[k, i, l] = op[l, k - 1 + i, k] on the slots i of k's window,
@@ -440,9 +437,8 @@ def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
         built, levels = [p for p in (0, 1) if op[p] is not None], env.band_slice
         step = [[np.stack([op[p][levels(k2), levels(k)].T for p in built]) for k2 in bands]
                 for k, (bands, _, _) in enumerate(window)]
-        # The built sectors whose weights are the entries on the live pairs
-        # (p, p), which lead the table.
-        diag = [built.index(p) for p, q in pairs if p == q]
+        # The built sectors whose weights are the entries on the diagonal rows.
+        diag = [built.index(p) for p, _ in list(pairs)[diagonal]]
         # The unraveling of rho0 (x) 1_k / N_k: an eigenvector v of rho0 and a
         # uniform level of band k0.
         x0 = np.empty((2, m))
@@ -456,7 +452,7 @@ def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
         # Band buckets: band k -> (its trajectories, the part of each one's
         # state on band k in every built sector, (S, m_k, N_k)).
         psi = np.zeros((len(built), m, nk), dtype=complex)
-        psi[:, traj, level] = vec[[(p - k0) % 2 for p in built]]
+        psi[:, traj, level] = vec[_tls_level(np.array(built), k0)]
         buckets = {k0: (traj, psi)}
     yield 0, out_k[:1], out_p[:0], out_r00[:1], out_r10[:1]
 
@@ -468,7 +464,7 @@ def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
                 # y[c, i, l]: pair l of the unnormalised state in window band
                 # k - 1 + i.
                 y = step[band] * rho[:, None, :-1]
-                w = y[:, :, :n_diag].real.sum(axis=2)
+                w = y[:, :, diagonal].real.sum(axis=2)
                 new, slot, wk, out_p[t] = _born_pick(w, draws[t], band, nb)
                 # Divided as floats: numpy takes complex / real as y * (1 / wk),
                 # which leaves a lone pair 1 ulp short of 1.
@@ -495,8 +491,8 @@ def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
                             continue
                         parts = v if hits == len(ids) else np.compress(sel, v, axis=1)
                         idx, wsel = ids[sel], wk[sel]
-                        rho[idx, :n_diag] = pw[diag][:, sel].T / wsel[:, None]
-                        if (1, 0) in pairs:
+                        rho[idx, diagonal] = pw[diag][:, sel].T / wsel[:, None]
+                        if row10 != dead:
                             rho[idx, row10] = np.vecdot(parts[0], parts[1]) / wsel
                         # Normalised in place: scaling the float view by
                         # 1 / sqrt(wk) rounds as a complex division by
@@ -512,8 +508,8 @@ def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
                 }
             out_r00[t] = rho[traj, row00[out_k[t]]].real
             out_r10[t] = rho[:, row10]
-        if (1, 0) in pairs:
-            np.conjugate(out_r10[:n], out=out_r10[:n], where=out_k[:n] % 2 == 1)
+        if row10 != dead:
+            np.conjugate(out_r10[:n], out=out_r10[:n], where=conj10[out_k[:n]])
         yield j0, out_k[:n], out_p[:n], out_r00[:n], out_r10[:n]
 
 
@@ -581,9 +577,8 @@ def _run_nonselective_exact(us, pairs: dict, env, k0, steps):
     x = [[np.zeros((nk, nk), dtype=complex) for nk in degs] for _ in pairs]
     for xl, entry in zip(x, pairs.values()):
         xl[k0] = entry * np.eye(degs[k0]) / degs[k0]
-    diagonal = [l for l, (p, q) in enumerate(pairs) if p == q]
-    trace0 = sum(np.trace(x[l][k0]).real for l in diagonal)
-    row00, row10 = _parity_rows(pairs, nb)
+    row00, row10, conj10, diagonal, _ = _parity_rows(pairs, nb)
+    trace0 = sum(np.trace(xl[k0]).real for xl in x[diagonal])
     rows_h = {q: [us[q][b].conj().T for b in bands] for q in {q for _, q in pairs}}
     # Only its band-k0 columns are written on the first step; the rest stay zero.
     mixed = np.zeros((env.dim, env.dim), dtype=complex)
@@ -597,32 +592,30 @@ def _run_nonselective_exact(us, pairs: dict, env, k0, steps):
                     mixed[:, bands[k]] = us[p][:, bands[k]] @ xl[k]
                 xl[:] = [mixed[b] @ h for b, h in zip(bands, rows_h[q])]
         traces = [[np.trace(r) for r in xl] for xl in x] + [[0j] * nb]
-        drift = sum(traces[l][k].real for l in diagonal for k in range(nb)) - trace0
+        drift = sum(t[k].real for t in traces[diagonal] for k in range(nb)) - trace0
         if abs(drift) > 1e-9:
             raise ValueError(f"trace drifted by {drift:.1e} at step {j}")
         worst = max(worst, abs(drift))
         r00[j] = sum(traces[row00[k]][k].real for k in range(nb))
-        r10[j] = sum(c if k % 2 == 0 else np.conj(c) for k, c in enumerate(traces[row10]))
+        r10[j] = sum(np.conj(c) if cj else c for c, cj in zip(traces[row10], conj10))
     return r00, r10, worst
 
 
 def _run_nonselective_coarse(blocks, pairs: dict, k0: int, steps):
     """Outcome-averaged coarse-reset state from band k0, held as
     x[l, k], the entry of band k's TLS block on live pair l of the pair
-    table, and stepped pair by pair with the blocks of transfer_blocks. The
-    last row stays zero and stands for every dead pair."""
+    table, and stepped pair by pair with the blocks of transfer_blocks."""
     nb = blocks.shape[1]
-    x = np.zeros((len(pairs) + 1, nb), dtype=complex)
+    row00, row10, conj10, _, dead = _parity_rows(pairs, nb)
+    x = np.zeros((dead + 1, nb), dtype=complex)
     x[:-1, k0] = list(pairs.values())
     # Paired once: making the row views every step costs more than the matvec.
     blocks = list(zip(blocks, x))
     flat = x.reshape(-1)
-    row00, row10 = _parity_rows(pairs, nb)
     idx00 = row00 * nb + np.arange(nb)
-    # rho10 sums row (1, 0) conjugated on odd bands: its float view with the
-    # imaginary parts of odd bands negated.
-    x10, live10 = x[row10].view(float), (1, 0) in pairs
-    signs = np.where(np.arange(2 * nb) % 4 == 3, -1.0, 1.0)
+    # rho10 sums the float view of row (1, 0), imaginary parts negated on conj10.
+    x10, live10 = x[row10].view(float), row10 != dead
+    signs = np.column_stack([np.ones(nb), np.where(conj10, -1.0, 1.0)]).ravel()
     r00 = np.empty(steps + 1)
     r10 = np.zeros(steps + 1, dtype=complex)
     for j in range(steps + 1):

@@ -389,6 +389,11 @@ def build_spin_environment(n: int, seed: int) -> BandedEnvironment:
     )
 
 
+def _tls_level(sector, band):
+    """TLS level (sector - band) mod 2 of a band in a parity sector, elementwise."""
+    return (sector - band) % 2
+
+
 def build_total_hamiltonian(
     params: ModelParams, env: BandedEnvironment, parity: int
 ) -> np.ndarray:
@@ -397,8 +402,8 @@ def build_total_hamiltonian(
     H = delta_s/2 sigma_z x 1 + 1 x H_B + coupling * (sigma^+ x B + sigma^- x B^+)
     conserves p = (TLS level + band k) mod 2. Sector p (0 or 1) holds every
     environment level, in the environment's order, with the levels of band k
-    at TLS level s = (p - k) mod 2. B only links adjacent bands, whose TLS
-    levels differ within a sector, so H's block on sector p is
+    at TLS level s = (p - k) mod 2 (_tls_level). B only links adjacent bands,
+    whose TLS levels differ within a sector, so H's block on sector p is
     h_p = coupling * B + diag(k delta_b + (s - 1/2) delta_s), with delta_b
     that of params.
     """
@@ -408,6 +413,6 @@ def build_total_hamiltonian(
     b = env.coupling_matrix()
     b *= params.coupling
     bands = env.band_of_level()
-    tls_level = (parity - bands) % 2
-    np.fill_diagonal(b, bands * params.delta_b + (tls_level - 0.5) * params.delta_s)
+    level = _tls_level(parity, bands)
+    np.fill_diagonal(b, bands * params.delta_b + (level - 0.5) * params.delta_s)
     return b

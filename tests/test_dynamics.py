@@ -44,6 +44,7 @@ from tlsbath.dynamics import (
 from tlsbath.model import (
     ModelParams,
     QubitState,
+    _tls_level,
     build_band_environment,
     build_spin_environment,
     build_total_hamiltonian,
@@ -1071,6 +1072,25 @@ class TestPairTable:
         assert len(pairs) == expect[start]
         rows = [p for p in (0, 1) if np.any(rs[(p - k0) % 2])]
         assert [p for p in (0, 1) if us[p] is not None] == rows
+
+    @pytest.mark.parametrize("build", [build_band_environment, build_spin_environment],
+                             ids=["random-band", "sigma-x"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_entries_sit_at_the_tls_levels(self, build, n):
+        """From every band k0 of both models at n = 1..6, each pair (p, q)
+        of the table holds rho0's entry at (_tls_level(p, k0),
+        _tls_level(q, k0)), and the table holds every pair whose entry there
+        is nonzero, for ground, excited, diagonal and coherent starts."""
+        env = build(n, seed=8)
+        params = ModelParams(delta_s=1.0, coupling=0.05, dt=math.pi)
+        expect = {"ground": 1, "excited": 1, "diagonal": 2, "coherent": 3}
+        for start, live in expect.items():
+            rs = self.STARTS[start].matrix()
+            for k0 in range(env.n_bands):
+                pairs, _, _ = _build(params, env, self.STARTS[start], k0)
+                assert len(pairs) == live
+                for (p, q), entry in pairs.items():
+                    assert entry == rs[_tls_level(p, k0), _tls_level(q, k0)]
 
     def test_no_ground_start_runs(self, resonant_params, small_env):
         """A start with rho00 = 0 and a tiny coherence has no pair (0, 0) on an

@@ -112,3 +112,29 @@ def test_window_and_build_have_one_owner():
     assert not [f"line {i}: {pattern}" for i, pattern in found
                 if i not in owners.get(_OWNED[pattern], ())]
     assert {_OWNED[pattern] for _, pattern in found} == {"_windows", "_run_build"}
+
+
+# Owners of a residue mod 2 or mod 4 in dynamics.py and model.py: the sector
+# parity rule's owner, and sign_gauged, whose % 2 counts gauge flips.
+_RESIDUE_OWNERS = {"_tls_level", "sign_gauged"}
+
+
+def test_parity_rule_has_one_owner():
+    """dynamics.py and model.py take a residue mod 2 or mod 4 (% 2, % 4,
+    np.mod, np.remainder) only in model._tls_level, the one spelling of the
+    conserved (TLS level + band) mod 2, and in sign_gauged, whose % 2 is
+    another rule, so that a change to the sector parity rule is made in one
+    place. Both owners do spell theirs."""
+    found, spelled = [], set()
+    for name in ("dynamics.py", "model.py"):
+        source = (Path(tlsbath.__file__).parent / name).read_text()
+        owners = {node.name: range(node.lineno, node.end_lineno + 1)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.FunctionDef) and node.name in _RESIDUE_OWNERS}
+        for i, line in enumerate(source.splitlines(), 1):
+            if re.search(r"%\s*[24]\b|\b(mod|remainder)\(", line):
+                owner = [o for o, lines in owners.items() if i in lines]
+                spelled.update(owner)
+                found += [] if owner else [f"{name} line {i}: {line.strip()}"]
+    assert not found
+    assert spelled == _RESIDUE_OWNERS

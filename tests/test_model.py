@@ -17,7 +17,7 @@ from tlsbath.model import (
     build_total_hamiltonian,
     effective_beta,
 )
-from tlsbath.model import _digamma
+from tlsbath.model import _digamma, _tls_level
 
 
 def test_binomial_degeneracies():
@@ -294,18 +294,26 @@ def test_band_energies_come_from_params(any_env):
         )
 
 
-def test_sector_hamiltonians_are_the_parity_blocks(any_env):
-    """h_p is the block of H on sector p, reindexed to the env level order."""
-    env = any_env
+@pytest.mark.parametrize("build", [build_band_environment, build_spin_environment],
+                         ids=["random-band", "sigma-x"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sector_hamiltonians_are_the_parity_blocks(build, n):
+    """h_p is the block of the oracle's joint H on the joint levels
+    (_tls_level(p, k), k, r), reindexed to the env level order, diagonal
+    included. On every band k the other TLS level's diagonal differs from
+    h_p's by delta_s, so the owner's level is the only one that reproduces it."""
+    env = build(n, seed=8)
     p = ModelParams(delta_s=1.0, detuning=0.3, coupling=0.07)
     h = joint_hamiltonian(p, env)
     bands = env.band_of_level()
     levels = np.arange(env.dim)
     for parity in (0, 1):
         hp = build_total_hamiltonian(p, env, parity)
-        # Level g of sector p sits at TLS level (p - k) mod 2 of the joint index.
-        idx = (parity - bands) % 2 * env.dim + levels
+        idx = _tls_level(parity, bands) * env.dim + levels
         assert np.array_equal(hp, h[np.ix_(idx, idx)])
+        for k in range(env.n_bands):
+            other = (1 - _tls_level(parity, k)) * env.dim + levels[env.band_slice(k)]
+            assert np.all(np.diag(h)[other] != np.diag(hp)[env.band_slice(k)])
 
 
 @pytest.mark.parametrize(
