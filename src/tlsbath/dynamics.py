@@ -56,10 +56,9 @@ ENGINES = ("sampled", "nonselective")
 RESET_MODES = ("coarse", "exact")
 # Bytes a run holds per step. run_ensemble: the rho00, rho10 and stderr
 # arrays it returns (8 + 16 + 8), on which its callers' budgets build.
-# run_trajectory: its outcomes, probs, rho00 and rho10 (8 + 8 + 8 + 16),
-# held twice while the copied blocks are joined.
+# run_trajectory: its outcomes, probs, rho00 and rho10 (8 + 8 + 8 + 16).
 ENSEMBLE_STEP_BYTES = 8 + 16 + 8
-_TRAJECTORY_STEP_BYTES = 2 * 40
+_TRAJECTORY_STEP_BYTES = 8 + 8 + 8 + 16
 # Bytes a sampled run holds a trajectory besides an exact-reset run's parts
 # (_trajectory_bytes), for the worst start (three live pairs): its seed
 # words and stream state (32 + 48), a draw-block row (48), its pair entries
@@ -549,9 +548,12 @@ def run_trajectory(params: ModelParams, env: BandedEnvironment, rho0: QubitState
     pairs, op, leakage = build()
     blocks = _sample_paths(params, env, op, pairs, leakage, rho0, k0, steps, words,
                            reset_mode)
+    outcomes, rho00, rho10 = (np.empty(steps + 1, dtype=t) for t in (int, float, complex))
+    probs = np.empty(steps)
     # Each block's column is copied before the next block overwrites it.
-    cols = [[rec[:, 0].copy() for rec in block] for _, *block in blocks]
-    outcomes, probs, rho00, rho10 = (np.concatenate(c) for c in zip(*cols))
+    for j0, k, p, r00, r10 in blocks:
+        outcomes[j0:j0 + len(k)], probs[j0 - 1:j0 - 1 + len(p)] = k[:, 0], p[:, 0]
+        rho00[j0:j0 + len(k)], rho10[j0:j0 + len(k)] = r00[:, 0], r10[:, 0]
     return Trajectory(outcomes=outcomes, rho00=rho00, rho10=rho10, probs=probs, seed=seed)
 
 

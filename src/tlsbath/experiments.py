@@ -94,8 +94,8 @@ def plateau(values: np.ndarray) -> float:
 
 def _check_counts(cfg: dict) -> None:
     """Reject a count that is given but not an integer (a JSON boolean is not
-    one): n, k0, steps, n_traj, seed, num or an entry of a grid of two. All of
-    them but k0 and seed must also be >= 1."""
+    one): n, k0, steps, n_traj, seed, num or an entry of a grid of two. A seed
+    must also be >= 0, and all of them but k0 and seed >= 1."""
     grid = cfg.get("grid")
     if grid is not None and not (isinstance(grid, (list, tuple)) and len(grid) == 2):
         raise ValueError(f"grid must be a list of two integers, got {grid!r}")
@@ -104,7 +104,7 @@ def _check_counts(cfg: dict) -> None:
     counts += [("grid entry", value) for value in grid or ()]
     for key, value in counts:
         if value is not None:
-            _check_count(key, value, None if key in ("k0", "seed") else 1)
+            _check_count(key, value, {"k0": None, "seed": 0}.get(key, 1))
 
 
 def default_environment(

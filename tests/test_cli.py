@@ -242,6 +242,8 @@ class TestRelaxCommand:
             ({"n": 0}, [], "n must be >= 1"),
             ({"n": True}, [], "n must be an integer"),
             ({"seed": 7.5}, [], "seed must be an integer"),
+            ({}, ["--seed", "-1"], "seed must be >= 0, got -1"),
+            ({"seed": -1}, [], "seed must be >= 0, got -1"),
             ({"coupling": "0.05"}, [], "coupling must be a real number"),
             ({"delta_s": [1]}, [], "delta_s must be a real number"),
             ({"coupling": True}, [], "coupling must be a real number"),
@@ -646,7 +648,7 @@ def test_env_inspect_bad_counts_exit_1(tmp_path, capsys, payload, message):
         ({"n": 12, "delta_b": 0, "model": "sigma-x"}, "delta_b must be > 0, got 0"),
         ({"n": 3.5, "delta_b": 0}, "n must be an integer"),
         ({"seed": 7.5, "delta_b": 0}, "seed must be an integer"),
-        ({"seed": -1, "delta_b": 0}, "expected non-negative integer"),
+        ({"seed": -1, "delta_b": 0}, "seed must be >= 0, got -1"),
         ({"model": "ising", "delta_b": 0}, "unknown environment model 'ising'"),
         ({"n": 40, "delta_b": 0}, "coupling blocks of n = 40 spins would take"),
     ],

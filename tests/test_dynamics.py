@@ -1285,6 +1285,27 @@ class TestBlockRecords:
         growth = peak(2000) - peak(100)
         assert growth <= 32 * 1900 + 64 * 1024, growth
 
+    def test_trajectory_holds_its_record_once(self, monkeypatch, resonant_params, small_env,
+                                              ground):
+        """run_trajectory copies every block into its series as it comes: from
+        1000 to 4000 steps its tracemalloc peak grows by no more than those
+        series (outcomes, probs, rho00 and complex rho10, 40 bytes a step)
+        and 64 KiB of slack. Block columns joined at the end would hold the
+        record twice, 80 bytes a step. Blocks of 64 steps stand in for the
+        2^13-step ones, which both runs would fit in."""
+        monkeypatch.setattr(dynamics, "block_steps", lambda _: 64)
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                run_trajectory(resonant_params, small_env, ground, 2, steps, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        growth = peak(4000) - peak(1000)
+        assert growth <= 40 * 3000 + 64 * 1024, growth
+
 
 class TestWindows:
     """_windows is the one spelling of the selection rule's window: for
@@ -1508,7 +1529,7 @@ class TestMemoryGuard:
         with pytest.raises(ValueError, match="sector unitaries of dimension 32 would take"):
             _build(resonant_params, small_env, rho0, 2)
 
-    @pytest.mark.parametrize("runner, step_bytes", [("ensemble", 32), ("trajectory", 80)])
+    @pytest.mark.parametrize("runner, step_bytes", [("ensemble", 32), ("trajectory", 40)])
     def test_steps(self, monkeypatch, resonant_params, small_env, ground, runner, step_bytes):
         steps = 4000   # its series outweigh the build's 81 920 B
 
