@@ -135,6 +135,7 @@ def test_parity_rule_has_one_owner():
             if re.search(r"%\s*[24]\b|\b(mod|remainder)\(", line):
                 owner = [o for o, lines in owners.items() if i in lines]
                 spelled.update(owner)
-                found += [] if owner else [f"{name} line {i}: {line.strip()}"]
+                if not owner:
+                    found.append(f"{name} line {i}: {line.strip()}")
     assert not found
     assert spelled == _RESIDUE_OWNERS
