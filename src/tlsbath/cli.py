@@ -189,15 +189,14 @@ def cmd_sweep(cfg: dict) -> int:
 def cmd_env_inspect(cfg: dict) -> int:
     given = _given(cfg, _ENV_KEYS)
     delta_b = given.pop("delta_b", 1.0)
-    # n, seed, model and memory are refused first, then delta_b, both before
-    # the O(4^n) build.
     call = inspect.signature(experiments.default_environment).bind(**given)
     call.apply_defaults()
-    build = experiments._environment_build(*call.args)
+    # n, seed, model and memory are refused first, then delta_b. The table
+    # reads the degeneracies alone: the O(4^n) coupling blocks are not built.
+    degs = experiments._check_environment(**call.arguments)
     _check_positive("delta_b", delta_b)
-    env = build()
-    n, degs = env.n, env.degeneracies
-    print(f"environment: n={n} delta_b={delta_b} model={env.model} dim={env.dim}")
+    n, model = call.arguments["n"], call.arguments["model"]
+    print(f"environment: n={n} delta_b={delta_b} model={model} dim={sum(degs)}")
     print(f"{'k':>4} {'E_k':>10} {'N_k':>8}")
     for k, deg in enumerate(degs):
         print(f"{k:>4} {k * delta_b:>10.4f} {deg:>8}")

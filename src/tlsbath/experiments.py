@@ -16,11 +16,11 @@ from .model import (
     BandedEnvironment,
     ModelParams,
     QubitState,
+    _check_blocks_fit,
     _check_count,
     _check_fits,
     _check_positive,
     _check_real,
-    _environment_rng,
     build_band_environment,
     build_spin_environment,
     effective_beta,
@@ -112,19 +112,19 @@ def default_environment(
 ) -> BandedEnvironment:
     """The environment of a named model: "random-band"
     (build_band_environment) or "sigma-x" (build_spin_environment)."""
-    return _environment_build(n, seed, model)()
+    _check_environment(n, seed, model)
+    build = build_band_environment if model == "random-band" else build_spin_environment
+    return build(n, seed)
 
 
-def _environment_build(n, seed, model):
-    """default_environment's build, returned unrun after every check that
-    needs none of its O(4^n) work: n and seed, the model, then what its
-    builder checks first (model._environment_rng)."""
+def _check_environment(n, seed, model) -> tuple[int, ...]:
+    """What default_environment checks before its O(4^n) build: n and seed,
+    the model, then the memory of the coupling blocks. Returns the
+    degeneracies N_0..N_n that the last check forms (_check_blocks_fit)."""
     _check_counts({"n": n, "seed": seed})
     if model not in ("random-band", "sigma-x"):
         raise ValueError(f"unknown environment model {model!r}")
-    _environment_rng(n, seed)
-    build = build_band_environment if model == "random-band" else build_spin_environment
-    return lambda: build(n, seed)
+    return _check_blocks_fit(n)
 
 
 def _real_or(key: str, value, default: float):

@@ -72,14 +72,6 @@ def _check_band(name: str, k, n: int) -> None:
         raise ValueError(f"band {name} = {k} outside [0, {n}]")
 
 
-def _check_spins(n) -> None:
-    """Reject a spin count n that is not an integer (a bool is not one) or is
-    below one."""
-    _check_count("n", n, None)
-    if n < 1:
-        raise ValueError(f"need at least one spin, got n = {n}")
-
-
 def _physical_memory() -> int:
     """Bytes of physical memory of the machine."""
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -96,29 +88,31 @@ def _check_fits(what: str, nbytes: int) -> None:
         )
 
 
-def _check_blocks_fit(n: int) -> None:
-    """The coupling blocks of an environment: N_{k+1} x N_k complex entries
-    between every pair of adjacent bands, summed as the N_k are formed. A sum
-    past 2^128 B, which no machine holds and no n <= 63 reaches, is refused
-    there, so that a large n is refused after a few small binomials."""
+def _check_blocks_fit(n: int) -> tuple[int, ...]:
+    """The degeneracies N_0..N_n of n spins, once the memory of the coupling
+    blocks, N_{k+1} x N_k complex entries between every pair of adjacent
+    bands, is checked. The sum is formed with the N_k: past 2^128 B, which no
+    machine holds and no n <= 63 reaches, it is refused there, so that a large
+    n is refused after a few small binomials."""
     what = f"the coupling blocks of n = {n} spins"
-    nbytes, lo = 0, 1
+    n = operator.index(n)  # a numpy integer would overflow in the products
+    degs, nbytes = [1], 0
     for k in range(n):
-        hi = lo * (n - k) // (k + 1)  # N_{k+1} from N_k, exactly
-        nbytes += 16 * lo * hi
+        degs.append(degs[k] * (n - k) // (k + 1))  # N_{k+1} from N_k, exactly
+        nbytes += 16 * degs[k] * degs[k + 1]
         if nbytes > 2**128:
             raise ValueError(f"{what} would take more than 2^128 B, more than any memory")
-        lo = hi
     _check_fits(what, nbytes)
+    return tuple(degs)
 
 
-def _environment_rng(n, seed) -> np.random.Generator:
+def _environment_rng(n, seed) -> tuple[tuple[int, ...], np.random.Generator]:
     """What an environment builder checks before its O(4^n) work, n and then
-    the memory of its coupling blocks, and the generator of seed, which
-    refuses a seed numpy cannot take."""
-    _check_spins(n)
-    _check_blocks_fit(n)
-    return np.random.default_rng(seed)
+    the memory of its coupling blocks, with the degeneracies that check forms
+    (_check_blocks_fit), and the generator of seed, which refuses a seed numpy
+    cannot take."""
+    _check_count("n", n)
+    return _check_blocks_fit(n), np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -326,8 +320,7 @@ def build_band_environment(n: int, seed: int) -> BandedEnvironment:
     Entries of C_{k+1,k} have i.i.d. real/imaginary parts of variance
     (N_{k+1} N_k)^{-1/2} / 2 so that E|C|^2 = (N_{k+1} N_k)^{-1/2}.
     """
-    rng = _environment_rng(n, seed)
-    degs = tuple(binomial_degeneracy(n, k) for k in range(n + 1))
+    degs, rng = _environment_rng(n, seed)
     blocks = []
     for k in range(n):
         n_hi, n_lo = degs[k + 1], degs[k]
@@ -355,9 +348,9 @@ def build_spin_environment(n: int, seed: int) -> BandedEnvironment:
     matrix element between adjacent bands matches the random-band convention.
     Single spin flips connect bands k and k+1 only.
     """
-    g = _environment_rng(n, seed).standard_normal(n)
+    degs, rng = _environment_rng(n, seed)
+    g = rng.standard_normal(n)
 
-    degs = tuple(binomial_degeneracy(n, k) for k in range(n + 1))
     # Basis configs per band (bitmask, ascending); position in list = level index.
     configs = [[] for _ in range(n + 1)]
     for c in range(1 << n):

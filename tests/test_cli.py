@@ -667,6 +667,22 @@ def test_env_inspect_refuses_before_building(tmp_path, capsys, monkeypatch, payl
     assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize("kind", ["random-band", "sigma-x"])
+def test_env_inspect_builds_nothing(tmp_path, capsys, monkeypatch, kind):
+    """A valid env-inspect reads its table from the degeneracies and calls
+    neither environment builder, whose coupling blocks at n = 12 would take
+    about 45 MiB."""
+    for name in ("build_band_environment", "build_spin_environment"):
+        for module in (experiments, model):
+            monkeypatch.setattr(module, name, lambda *a: pytest.fail("built an environment"))
+    cfg = write_config(tmp_path, {"n": 12, "model": kind})
+    assert main(["env-inspect", "--config", cfg]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"environment: n=12 delta_b=1.0 model={kind} dim=4096"
+    assert [int(line.split()[2]) for line in lines[2:15]] == [math.comb(12, k)
+                                                               for k in range(13)]
+
+
 @pytest.mark.parametrize(
     "command, function, given, csv_name, rows",
     [

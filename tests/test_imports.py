@@ -99,19 +99,54 @@ _OWNED = {
 }
 
 
+def _assert_owned(name: str, owned: dict) -> None:
+    """Module name of the package spells each pattern of owned only in the
+    top-level function that owned maps it to, and every owner spells one."""
+    source = (Path(tlsbath.__file__).parent / name).read_text()
+    owners = {node.name: range(node.lineno, node.end_lineno + 1)
+              for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    found = [(i, pattern) for i, line in enumerate(source.splitlines(), 1)
+             for pattern in owned if re.search(pattern, line)]
+    assert not [f"line {i}: {pattern}" for i, pattern in found
+                if i not in owners.get(owned[pattern], ())]
+    assert {owned[pattern] for _, pattern in found} == set(owned.values())
+
+
 def test_window_and_build_have_one_owner():
     """dynamics.py spells the adjacent-band window (max(k - 1, 0),
     min(k + 2 or min(k + 1) only in _windows and the choice of a run's build
     (transfer_blocks if ...) only in _run_build, so that a change to either
     is made in one place. Both owners do spell theirs."""
-    source = (Path(tlsbath.__file__).parent / "dynamics.py").read_text()
-    owners = {node.name: range(node.lineno, node.end_lineno + 1)
-              for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
-    found = [(i, pattern) for i, line in enumerate(source.splitlines(), 1)
-             for pattern in _OWNED if re.search(pattern, line)]
-    assert not [f"line {i}: {pattern}" for i, pattern in found
-                if i not in owners.get(_OWNED[pattern], ())]
-    assert {_OWNED[pattern] for _, pattern in found} == {"_windows", "_run_build"}
+    _assert_owned("dynamics.py", _OWNED)
+
+
+# Where model.py forms band degeneracies: all N_k of n spins by their
+# recurrence, and one N_k = C(n, k) in the public binomial_degeneracy.
+_DEGENERACY_OWNED = {
+    r"//\s*\(\s*k\s*\+\s*1\s*\)": "_check_blocks_fit",
+    r"\bcomb\(": "binomial_degeneracy",
+    r"\bbinomial_degeneracy\(": "binomial_degeneracy",
+}
+
+
+def test_degeneracies_have_one_owner_and_no_build_waits():
+    """model.py forms the degeneracies of n spins only in _check_blocks_fit,
+    whose memory check forms them anyway, so that the builders and
+    env-inspect read that one tuple. No function of experiments.py returns a
+    lambda or a function it defines: a check runs before a build, it does
+    not hand the build back unrun."""
+    _assert_owned("model.py", _DEGENERACY_OWNED)
+    source = (Path(tlsbath.__file__).parent / "experiments.py").read_text()
+    deferred = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, ast.FunctionDef):
+            inner = {node.name for node in ast.walk(fn)
+                     if isinstance(node, ast.FunctionDef) and node is not fn}
+            deferred += [f"{fn.name} line {node.lineno}" for node in ast.walk(fn)
+                         if isinstance(node, ast.Return) and (
+                             isinstance(node.value, ast.Lambda)
+                             or isinstance(node.value, ast.Name) and node.value.id in inner)]
+    assert not deferred
 
 
 # Owners of a residue mod 2 or mod 4 in dynamics.py and model.py: the sector

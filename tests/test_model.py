@@ -148,8 +148,8 @@ def test_band_starts_cached_and_read_only():
 
 
 @pytest.mark.parametrize("build, kwargs, message", [
-    (build_band_environment, {"n": 0}, "need at least one spin, got n = 0"),
-    (build_spin_environment, {"n": 0}, "need at least one spin, got n = 0"),
+    (build_band_environment, {"n": 0}, "n must be >= 1, got 0"),
+    (build_spin_environment, {"n": 0}, "n must be >= 1, got 0"),
     *[(build, {"n": n}, f"n must be an integer, got {n!r}$")
       for build in (build_band_environment, build_spin_environment)
       for n in (True, 2.5, 2.0)],
