@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, QubitState
+from .model import STATE_TOL, ModelParams, QubitState
 
 __all__ = [
     "SecondOrderWarning",
@@ -409,10 +409,13 @@ def effective_temperature(rho00: float, delta_s: float) -> float:
     """Gibbs-ratio temperature delta_s / ln(rho00/rho11); signed, inf at 1/2.
 
     The boundary values rho00 in {0, 1} map to the zero-temperature limits
-    -0.0 and +0.0 respectively.
+    -0.0 and +0.0 respectively. A rho00 within STATE_TOL outside [0, 1], the
+    slack QubitState.validate grants a state's rounding, reads as the nearest
+    end.
     """
-    if not 0.0 <= rho00 <= 1.0:
+    if not -STATE_TOL <= rho00 <= 1.0 + STATE_TOL:
         raise ValueError(f"rho00 = {rho00} outside [0, 1]")
+    rho00 = min(max(rho00, 0.0), 1.0)
     if rho00 == 0.5:
         return math.inf
     if rho00 == 1.0:

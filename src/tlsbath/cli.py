@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands wrap the scenario runners and analytic maps, writing deterministic
-CSV/JSON outputs. Exit codes: 0 success, 1 usage error, bad configuration or
-invalid physics input (any ValueError), 2 scientific tolerance failure. All
-energies are raw numbers in the same arbitrary unit (hbar = 1).
+CSV/JSON outputs. Exit codes: 0 success, 1 usage error, bad configuration,
+invalid physics input (any ValueError) or an output that cannot be written,
+2 scientific tolerance failure. All energies are raw numbers in the same
+arbitrary unit (hbar = 1).
 """
 from __future__ import annotations
 
@@ -79,6 +80,15 @@ def _given(cfg: dict, keys) -> dict:
     if "seed" not in keys:  # a call that takes no seed: check it all the same
         experiments._check_counts({"seed": cfg.get("seed")})
     return {key: cfg[key] for key in keys if cfg.get(key) is not None}
+
+
+def _check_out(cfg) -> None:
+    """Refuse an out that is not a directory or, where it does not exist,
+    whose nearest existing ancestor is not one. Nothing is created here."""
+    out = Path(cfg.get("out") or ".")
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise ValueError(f"out {str(out)!r}: {str(existing)!r} is not a directory")
 
 
 def _out_dir(cfg) -> Path:
@@ -257,9 +267,13 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         cfg = _load_config(args, args.command)
+        _check_out(cfg)
         return _DISPATCH[args.command](cfg)
     except ValueError as exc:  # bad configuration or physics input
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an output that cannot be written
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
 
 

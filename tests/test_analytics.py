@@ -511,6 +511,15 @@ class TestEffectiveTemperature:
         t = effective_temperature(0.0, 1.0)
         assert t == 0.0 and math.copysign(1.0, t) == -1.0
 
+    @pytest.mark.parametrize("rho00, sign", [(1.0 + 1e-13, 1.0), (-1e-13, -1.0)])
+    def test_rounding_past_an_end_reads_as_that_end(self, rho00, sign):
+        """A rho00 past 0 or 1 by rounding, within STATE_TOL, has the
+        zero-temperature limit of the nearer end."""
+        t = effective_temperature(rho00, 1.0)
+        assert t == 0.0 and math.copysign(1.0, t) == sign
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             effective_temperature(1.2, 1.0)
+        with pytest.raises(ValueError, match="outside"):
+            effective_temperature(1.0 + 2e-9, 1.0)

@@ -354,11 +354,24 @@ def test_request_just_past_the_memory_exits_1(tmp_path, capsys, monkeypatch, com
 
 
 def test_zero_coupling_with_steps_runs(tmp_path):
-    """Given steps, a zero-coupling relax runs: nothing relaxes, so the
-    plateau misses the target (exit 2) and the CSV has steps + 1 rows."""
-    cfg = write_config(tmp_path, {"coupling": 0.0, "steps": 5})
-    assert main(["relax", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert len(read_csv(tmp_path / "relax_fig2.csv")) == 1 + 6
+    """Given steps, a zero or vanishing coupling relax runs with either reset:
+    nothing relaxes, so the plateau misses the target (exit 2), the CSV has
+    steps + 1 rows and t_eff is 0. The two n = 2 points end with a plateau
+    above 1 by rounding (1 + 2e-16 with exact reset, 1 + 3.6e-14 with
+    coarse), which reads as 1."""
+    payloads = [
+        {"coupling": 0.0, "steps": 5},
+        {"n": 2, "k0": 2, "coupling": 0, "dt": 3.14159, "detuning": 0.3, "steps": 30},
+        {"n": 2, "k0": 1, "coupling": 1e-12, "dt": 0.7, "detuning": 0.3, "steps": 30},
+    ]
+    for payload in payloads:
+        for reset in ("coarse", "exact"):
+            cfg = write_config(tmp_path, payload)
+            argv = ["relax", "--reset", reset, "--seed", "0", "--config", cfg]
+            assert main([*argv, "--out", str(tmp_path)]) == 2
+            assert len(read_csv(tmp_path / "relax_fig2.csv")) == 1 + payload["steps"] + 1
+            report = json.loads((tmp_path / "relax_fig2.json").read_text())
+            assert report["extra"]["t_eff"] == 0.0
 
 
 def test_readme_sampled_relax_command(tmp_path, monkeypatch):
@@ -468,6 +481,25 @@ class TestFreezeCommand:
         cfg = write_config(tmp_path, {"rho0": 1.0})
         assert main(["freeze", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "rho0" in capsys.readouterr().err
+
+    def test_sampled_engine(self, tmp_path, capsys):
+        """freeze runs the sampled engine given n_traj: its report records
+        the engine and n_traj, and every series row is a physical state.
+        Without n_traj it exits 1 and names it."""
+        cfg = write_config(tmp_path, {"n": 5, "n_traj": 50})
+        argv = ["freeze", "--engine", "sampled", "--out", str(tmp_path)]
+        assert main([*argv, "--config", cfg]) in (0, 2)
+        report = json.loads((tmp_path / "freeze.json").read_text())
+        assert report["params"]["engine"] == "sampled"
+        assert report["params"]["n_traj"] == 50
+        series = report["series"]
+        assert len(series["rho00"]) == len(series["abs_rho10"]) == 501
+        for rho00, mag in zip(series["rho00"], series["abs_rho10"]):
+            model.QubitState(rho00, mag).validate()
+        capsys.readouterr()
+        assert main([*argv, "--config", write_config(tmp_path, {"n": 5})]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_traj" in err
 
     def test_null_seed_is_default_seed(self, tmp_path):
         """A JSON null seed means the default master seed, so reruns agree."""
@@ -746,6 +778,47 @@ def test_bad_grid_or_sweep_counts_exit_1(tmp_path, capsys, recwarn, command, pay
     assert err.startswith("error:") and err.count("\n") == 1 and message in err
     assert not recwarn.list
     assert not (tmp_path / "out").exists()
+
+
+# The commands that write files, the library call each makes and a small
+# config for it.
+_WRITERS = {
+    "relax": ("run_scenario", {"n": 3, "steps": 5}),
+    "freeze": ("verify_freezing", {"n": 3, "steps": 5}),
+    "attractor-map": ("attractor_map", {"grid": [3, 2]}),
+    "sweep": ("sweep", {"quantity": "R", "num": 3}),
+}
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+@pytest.mark.parametrize("command", sorted(_WRITERS))
+def test_out_that_is_not_a_directory_exit_1(tmp_path, capsys, monkeypatch, command, sub):
+    """An out that is a file, or lies below one, exits 1 with one error line
+    that names the file, before the library is called."""
+    function, payload = _WRITERS[command]
+    monkeypatch.setattr(experiments, function, lambda *a, **kw: pytest.fail("ran"))
+    blocker = tmp_path / "f"
+    blocker.write_text("kept")
+    cfg = write_config(tmp_path, payload)
+    assert main([command, "--config", cfg, "--out", str(blocker / sub)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: out {str(blocker / sub)!r}: {str(blocker)!r} is not a directory\n"
+    assert blocker.read_text() == "kept"
+
+
+@pytest.mark.parametrize("command", sorted(_WRITERS))
+def test_output_that_cannot_be_written_exit_1(tmp_path, capsys, monkeypatch, command):
+    """An OSError while the output is written exits 1 with one error line
+    and no traceback."""
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "mkdir", refuse)
+    cfg = write_config(tmp_path, _WRITERS[command][1])
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: [Errno 13] Permission denied")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

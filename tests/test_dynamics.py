@@ -1141,6 +1141,20 @@ class TestBatchStreams:
             run_ensemble(resonant_params, small_env, ground, k0=2, steps=5, n_traj=3,
                          master_seed=master, engine="sampled")
 
+    def test_row_0_is_checked_against_seed_sequence(self, monkeypatch):
+        """A batch hash whose row 0 differs from numpy's SeedSequence by one
+        bit is refused with RuntimeError."""
+        hashed = _streams._pool_words
+
+        def flipped(entropy):
+            words = hashed(entropy)
+            words[0, 0] ^= np.uint64(1)
+            return words
+
+        monkeypatch.setattr(_streams, "_pool_words", flipped)
+        with pytest.raises(RuntimeError, match="disagrees with numpy.random.SeedSequence"):
+            trajectory_words(3, 4)
+
     def test_import_builds_no_stream_table(self):
         """Importing the CLI loads no numpy.random and builds no array in the
         streams module: both would add to every command's start-up."""
