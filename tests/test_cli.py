@@ -703,7 +703,7 @@ def test_env_inspect_refuses_before_building(tmp_path, capsys, monkeypatch, payl
 def test_env_inspect_builds_nothing(tmp_path, capsys, monkeypatch, kind):
     """A valid env-inspect reads its table from the degeneracies and calls
     neither environment builder, whose coupling blocks at n = 12 would take
-    about 45 MiB."""
+    about 38 MiB."""
     for name in ("build_band_environment", "build_spin_environment"):
         for module in (experiments, model):
             monkeypatch.setattr(module, name, lambda *a: pytest.fail("built an environment"))
