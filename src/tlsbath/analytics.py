@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import STATE_TOL, ModelParams, QubitState
+from .model import STATE_TOL, ModelParams, QubitState, _check_choice
 
 __all__ = [
     "SecondOrderWarning",
@@ -248,6 +248,7 @@ def conditional_update(
     outcome is "same", "up" (one band higher) or "down" (one band lower).
     """
     scale, (up, down), sf = _step(params, beta)
+    _check_choice("outcome", outcome, ("same", "up", "down"))
     _second_order_rate(scale, sf)
     k_up, k_dn = scale * up, scale * down   # 4 lam^2 e^{+-b}
     r00, r11, r10 = rho.rho00, rho.rho11, rho.rho10
@@ -261,7 +262,7 @@ def conditional_update(
             - scale / 4.0 * _phase_sum(params)
         )
         new10 = r10 * factor
-    elif outcome in ("up", "down"):
+    else:
         if outcome == "up":
             denom = r11 * sf.sin_a + r00 * sf.sin_b
             num = r11 * sf.sin_a
@@ -274,8 +275,6 @@ def conditional_update(
             )
         new00 = num / denom
         new10 = np.conjugate(r10) * _conjugate_coupling(params) / (4.0 * denom)
-    else:
-        raise ValueError(f"unknown outcome {outcome!r}")
 
     new00 = min(max(float(np.real(new00)), 0.0), 1.0)
     # Cap the coherence at the positivity bound of the renormalized state.

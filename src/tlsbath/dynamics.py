@@ -34,6 +34,7 @@ from .model import (
     ModelParams,
     QubitState,
     _check_band,
+    _check_choice,
     _check_count,
     _check_fits,
     _tls_level,
@@ -510,11 +511,6 @@ def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
         if row10 != dead:
             np.conjugate(out_r10[:n], out=out_r10[:n], where=conj10[out_k[:n]])
         yield j0, out_k[:n], out_p[:n], out_r00[:n], out_r10[:n]
-
-
-def _check_choice(name: str, value: str, choices: tuple[str, ...]) -> None:
-    if value not in choices:
-        raise ValueError(f"unknown {name} {value!r}")
 
 
 def _run_build(params, env, rho0, k0, steps, reset_mode):

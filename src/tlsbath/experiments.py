@@ -17,6 +17,7 @@ from .model import (
     ModelParams,
     QubitState,
     _check_blocks_fit,
+    _check_choice,
     _check_count,
     _check_fits,
     _check_positive,
@@ -122,8 +123,7 @@ def _check_environment(n, seed, model) -> tuple[int, ...]:
     the model, then the memory of the coupling blocks. Returns the
     degeneracies N_0..N_n that the last check forms (_check_blocks_fit)."""
     _check_counts({"n": n, "seed": seed})
-    if model not in ("random-band", "sigma-x"):
-        raise ValueError(f"unknown environment model {model!r}")
+    _check_choice("environment model", model, ("random-band", "sigma-x"))
     return _check_blocks_fit(n)
 
 
@@ -206,10 +206,7 @@ def sweep(
     undefined, gives NaN. Returns the columns {parameter: values, quantity:
     results} as lists of floats.
     """
-    if quantity not in _SWEEP_QUANTITIES:
-        raise ValueError(
-            f"unknown quantity {quantity!r}; choose from {sorted(_SWEEP_QUANTITIES)}"
-        )
+    _check_choice("quantity", quantity, _SWEEP_QUANTITIES)
     base = {
         "delta_s": delta_s,
         "detuning": detuning,
@@ -217,10 +214,7 @@ def sweep(
         "dt": dt,
         "beta": beta,
     }
-    if parameter not in base:
-        raise ValueError(
-            f"unknown sweep parameter {parameter!r}; choose from {sorted(base)}"
-        )
+    _check_choice("sweep parameter", parameter, base)
 
     def point(value):
         """The protocol and beta with the swept parameter at value."""
@@ -356,8 +350,7 @@ def run_scenario(scenario: str = "fig2", **overrides) -> ScenarioReport:
     Overrides must name keys of the scenario's defaults. The run passes when
     its plateau lies within `tolerance` of the attractor at its own n and k0.
     """
-    if scenario not in _SCENARIOS:
-        raise ValueError(f"unknown scenario {scenario!r}")
+    _check_choice("scenario", scenario, _SCENARIOS)
     t0 = time.perf_counter()
     cfg, params, beta_eff = _resolve(scenario, _SCENARIOS[scenario], overrides)
     att = analytics.attractor(params, beta_eff)

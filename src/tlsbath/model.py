@@ -72,6 +72,14 @@ def _check_band(name: str, k, n: int) -> None:
         raise ValueError(f"band {name} = {k} outside [0, {n}]")
 
 
+def _check_choice(name: str, value, choices) -> None:
+    """Reject a value that is none of choices. It is compared with them by
+    ==, so a list or an object from a JSON config is refused, never hashed."""
+    choices = tuple(choices)
+    if value not in choices:
+        raise ValueError(f"unknown {name} {value!r}; choose from {sorted(choices)}")
+
+
 def _physical_memory() -> int:
     """Bytes of physical memory of the machine."""
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -223,11 +231,10 @@ def beta_working_point(n: int, k0: int, delta_b: float, method: str = "digamma")
     if not 0 < k0 < n:
         raise ValueError(f"working point k0 = {k0} must satisfy 0 < k0 < n = {n}")
     _check_positive("delta_b", delta_b)
+    _check_choice("method", method, ("log-approx", "digamma"))
     if method == "log-approx":
         return math.log(n / k0 - 1.0) / delta_b
-    if method == "digamma":
-        return (_digamma(n - k0 + 1.0) - _digamma(k0 + 1.0)) / delta_b
-    raise ValueError(f"unknown method {method!r}")
+    return (_digamma(n - k0 + 1.0) - _digamma(k0 + 1.0)) / delta_b
 
 
 def effective_beta(n: int, k_low: int, k_high: int, delta_b: float) -> float:

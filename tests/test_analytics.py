@@ -86,7 +86,7 @@ class TestConditionalUpdate:
             conditional_update(QubitState(rho00=0.5), "up", p, 0.3)
 
     def test_unknown_outcome(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unknown outcome 'sideways'; choose from \["):
             conditional_update(QubitState(rho00=0.5), "sideways", params(), 0.3)
 
     def test_coherence_capped_at_positivity_bound(self):

@@ -422,11 +422,11 @@ class TestEnsembles:
                          engine="sampled")
 
     def test_unknown_engine_and_reset(self, resonant_params, small_env, ground):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unknown engine 'magic'; choose from \["):
             run_ensemble(
                 resonant_params, small_env, ground, k0=2, steps=5, engine="magic"
             )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unknown reset_mode 'soft'; choose from \["):
             run_ensemble(
                 resonant_params, small_env, ground, k0=2, steps=5,
                 n_traj=2, master_seed=0, engine="sampled", reset_mode="soft",

@@ -431,7 +431,7 @@ class TestCompareEngines:
         assert res["max_gap"] == pytest.approx(0.0, abs=1e-12)
 
     def test_unknown_scenario(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unknown scenario 'fig9'; choose from \['fig2', "):
             compare_engines("fig9")
 
 

@@ -149,6 +149,38 @@ def test_degeneracies_have_one_owner_and_no_build_waits():
     assert not deferred
 
 
+# The functions that may spell a name refusal ("unknown ..."), by module:
+# the one name check, and the two checks of a set of keys, a run's
+# overrides and a config's keys.
+_NAME_REFUSERS = {
+    "model.py": "_check_choice",
+    "experiments.py": "_resolve",
+    "cli.py": "_load_config",
+}
+
+
+def test_name_refusal_has_one_owner():
+    """A raise whose message says "unknown" is spelled only in
+    model._check_choice, which refuses every outside name (engine, reset
+    mode, environment model, scenario, sweep quantity and parameter, beta
+    method, outcome), and in the two key-set checks, so that every name is
+    refused alike and a list or object from a JSON config is never hashed.
+    Each of the three does spell one."""
+    found = []
+    for path in _MODULES:
+        tree = ast.parse(path.read_text())
+        tops = [(node.name, range(node.lineno, node.end_lineno + 1)) for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and any(
+                isinstance(c, ast.Constant) and isinstance(c.value, str) and "unknown" in c.value
+                for c in ast.walk(node)
+            ):
+                owner = next((name for name, lines in tops if node.lineno in lines), None)
+                found.append((path.name, owner))
+    assert sorted(set(found)) == sorted(_NAME_REFUSERS.items())
+
+
 # Owners of a residue mod 2 or mod 4 in dynamics.py and model.py: the sector
 # parity rule's owner, and sign_gauged, whose % 2 counts gauge flips.
 _RESIDUE_OWNERS = {"_tls_level", "sign_gauged"}

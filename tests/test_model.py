@@ -68,6 +68,15 @@ def test_params_reject_non_finite(field, value):
         ModelParams(**{"delta_s": 1.0, field: value})
 
 
+@pytest.mark.parametrize("value", [["a"], {"a": 1}, "c", None, 1])
+def test_check_choice_refuses_by_equality(value):
+    """The one name check compares by ==: a list or an object is refused
+    like any other name that is not a choice, not hashed."""
+    with pytest.raises(ValueError, match=r"^unknown thing .*; choose from \['a', 'b'\]$"):
+        model._check_choice("thing", value, {"b": 1, "a": 2})
+    model._check_choice("thing", "a", ("b", "a"))
+
+
 def test_qubit_state_consistency():
     q = QubitState(rho00=0.3, rho10=0.35 + 0.1j)
     assert q.rho11 == pytest.approx(0.7)
@@ -350,7 +359,7 @@ def test_beta_working_point_validation():
         beta_working_point(7, 0, 1.0)
     with pytest.raises(ValueError):
         beta_working_point(7, 7, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown method 'pade'; choose from \['digamma', "):
         beta_working_point(7, 2, 1.0, method="pade")
 
 
