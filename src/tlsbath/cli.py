@@ -40,12 +40,13 @@ _SWEEP_KEYS = _parameters(experiments.sweep)
 # The band table's splitting is the one key beyond the environment's own.
 _ENV_KEYS = _parameters(experiments.default_environment) | {"delta_b"}
 
+# env-inspect writes nothing, so it takes no out; its seed is the environment's.
 _KNOWN_KEYS = {
     "attractor-map": _COMMON_KEYS | _ATTRACTOR_KEYS,
     "relax": _COMMON_KEYS | _RELAX_KEYS,
     "freeze": _COMMON_KEYS | _FREEZE_KEYS,
     "sweep": _COMMON_KEYS | _SWEEP_KEYS,
-    "env-inspect": _COMMON_KEYS | _ENV_KEYS,
+    "env-inspect": _ENV_KEYS,
 }
 
 
@@ -83,9 +84,13 @@ def _given(cfg: dict, keys) -> dict:
 
 
 def _check_out(cfg) -> None:
-    """Refuse an out that is not a directory or, where it does not exist,
-    whose nearest existing ancestor is not one. Nothing is created here."""
-    out = Path(cfg.get("out") or ".")
+    """Refuse an out that is not a path string, or not a directory or, where
+    it does not exist, whose nearest existing ancestor is not one. Nothing is
+    created here."""
+    out = cfg.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ValueError(f"out must be a path string, got {out!r}")
+    out = Path(out or ".")
     existing = next(path for path in (out, *out.parents) if path.exists())
     if not existing.is_dir():
         raise ValueError(f"out {str(out)!r}: {str(existing)!r} is not a directory")
@@ -239,10 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, engine=False):
+    def common(p, engine=False, out=True):
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument("--out", type=str, default=None, help="output directory")
+        if out:
+            p.add_argument("--out", type=str, default=None, help="output directory")
         if engine:
             p.add_argument("--engine", choices=ENGINES)
         return p
@@ -254,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     # freeze always runs coarse reset (verify_freezing), so it takes no --reset.
     common(sub.add_parser("freeze", help="verify state freezing"), engine=True)
     common(sub.add_parser("sweep", help="sweep an analytic quantity"))
-    common(sub.add_parser("env-inspect", help="print environment band table"))
+    common(sub.add_parser("env-inspect", help="print environment band table"), out=False)
     return parser
 
 

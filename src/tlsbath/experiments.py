@@ -127,12 +127,10 @@ def _check_environment(n, seed, model) -> tuple[int, ...]:
     return _check_blocks_fit(n)
 
 
-def _real_or(key: str, value, default: float):
-    """`value` checked as a finite real number, or `default` when it is None."""
-    if value is None:
-        return default
-    _check_real(key, value)
-    return value
+def _real_or(key: str, value, default: float) -> float:
+    """`value` as a finite real float (_check_real), or `default` when it is
+    None."""
+    return default if value is None else _check_real(key, value)
 
 
 def attractor_map(
@@ -226,16 +224,13 @@ def sweep(
         _check_real(key, value)
     point(base[parameter])
     _check_counts({"num": num})
-    _check_real("start", start)
-    _check_real("stop", stop)
+    start, stop = _check_real("start", start), _check_real("stop", stop)
     if values is None:
         _check_fits(f"a sweep of {num} points", num * _SWEEP_POINT_BYTES)
         values = np.linspace(start, stop, num).tolist()
     elif not isinstance(values, (list, tuple)):
         raise ValueError(f"values must be a list, got {values!r}")
-    for value in values:
-        _check_real("values entry", value)
-    values = [float(value) for value in values]
+    values = [_check_real("values entry", value) for value in values]
     function, attr = _SWEEP_QUANTITIES[quantity]
     results = []
     for value in values:
@@ -302,8 +297,9 @@ def _resolve(name: str, table: tuple, overrides: dict):
     """Merge overrides into a (defaults, band pair) entry and check them.
 
     Returns (cfg, params, beta_eff), where beta_eff comes from the band pair
-    around k0, both of whose bands must lie in 0..n.
-    """
+    around k0, both of whose bands must lie in 0..n. The memory of the
+    coupling blocks of n spins is checked before beta_eff is formed, so that
+    an n past the float range is refused there."""
     defaults, (lo, hi) = table
     unknown = sorted(set(overrides) - set(defaults))
     if unknown:
@@ -319,6 +315,7 @@ def _resolve(name: str, table: tuple, overrides: dict):
     n, k0 = cfg["n"], cfg["k0"]
     if not -lo <= k0 <= n - hi:
         raise ValueError(f"{name} needs {-lo} <= k0 <= {n - hi} at n = {n}, got k0 = {k0}")
+    _check_blocks_fit(n)
     beta_eff = effective_beta(n, k0 + lo, k0 + hi, params.delta_b)
     return cfg, params, beta_eff
 

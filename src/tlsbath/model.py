@@ -35,12 +35,18 @@ __all__ = [
 STATE_TOL = 1e-9
 
 
-def _check_real(name: str, value) -> None:
-    """Reject a value that is not a finite real number (a bool is not one)."""
+def _check_real(name: str, value) -> float:
+    """Reject a value that is not a finite real number (a bool is not one);
+    return it as a float."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer no float holds: its digits are not printed
+        finite, value = False, "an integer past the float range"
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value}")
+    return float(value)
 
 
 def _check_positive(name: str, value) -> None:
@@ -87,8 +93,11 @@ def _physical_memory() -> int:
 
 def _check_fits(what: str, nbytes: int) -> None:
     """Refuse a size whose estimated nbytes exceed the physical memory, before
-    anything of that size is allocated or looped over."""
+    anything of that size is allocated or looped over. Past 2^128 B, which
+    no machine holds, the refusal gives no figure: no float may hold it."""
     total = _physical_memory()
+    if nbytes > 2**128:
+        raise ValueError(f"{what} would take more than 2^128 B, more than any memory")
     if nbytes > total:
         raise ValueError(
             f"{what} would take about {nbytes / 2**30:.3g} GiB, more than the "
@@ -100,17 +109,16 @@ def _check_blocks_fit(n: int) -> tuple[int, ...]:
     """The degeneracies N_0..N_n of n spins, once the memory of the coupling
     blocks, N_{k+1} x N_k complex entries between every pair of adjacent
     bands, is checked. The sum is formed with the N_k: past 2^128 B, which no
-    machine holds and no n <= 63 reaches, it is refused there, so that a large
-    n is refused after a few small binomials."""
-    what = f"the coupling blocks of n = {n} spins"
+    machine holds and no n <= 63 reaches, it is refused (_check_fits) there,
+    so that a large n is refused after a few small binomials."""
     n = operator.index(n)  # a numpy integer would overflow in the products
     degs, nbytes = [1], 0
     for k in range(n):
         degs.append(degs[k] * (n - k) // (k + 1))  # N_{k+1} from N_k, exactly
         nbytes += 16 * degs[k] * degs[k + 1]
         if nbytes > 2**128:
-            raise ValueError(f"{what} would take more than 2^128 B, more than any memory")
-    _check_fits(what, nbytes)
+            break
+    _check_fits(f"the coupling blocks of n = {n} spins", nbytes)
     return tuple(degs)
 
 
@@ -134,6 +142,8 @@ class ModelParams:
     detuning: environment-spin splitting minus delta_s; delta_b = delta_s + detuning > 0.
     coupling: interaction strength lambda, >= 0 (dimensionless, weak-coupling regime << 1).
     dt:       time between consecutive band measurements, >= 0.
+
+    Each is held as a float, so that an integer one meets numpy as a float.
     """
 
     delta_s: float
@@ -143,7 +153,7 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         for name in ("delta_s", "detuning", "coupling", "dt"):
-            _check_real(name, getattr(self, name))
+            object.__setattr__(self, name, _check_real(name, getattr(self, name)))
         if self.delta_s <= 0:
             raise ValueError(f"delta_s must be > 0, got {self.delta_s}")
         if self.delta_b <= 0:

@@ -37,6 +37,13 @@ def write_config(tmp_path, payload):
     return str(cfg)
 
 
+def config_argv(command, cfg, out):
+    """The arguments of command with config cfg and, for every command but
+    env-inspect, which writes nothing, output directory out."""
+    out = [] if command == "env-inspect" else ["--out", str(out)]
+    return [command, "--config", cfg, *out]
+
+
 class TestAttractorMapCommand:
     def test_small_grid(self, tmp_path):
         cfg = write_config(tmp_path, {"grid": [40, 30], "beta": 0.75})
@@ -318,7 +325,7 @@ def test_sizes_that_cannot_fit_exit_1(tmp_path, capsys, recwarn, monkeypatch, co
     The memory figure is fixed at 8 GiB, so that every machine refuses them."""
     monkeypatch.setattr(model, "_physical_memory", lambda: 8 * 2**30)
     cfg = write_config(tmp_path, payload)
-    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert main(config_argv(command, cfg, tmp_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and message in err
     assert not recwarn.list
@@ -347,7 +354,7 @@ def test_request_just_past_the_memory_exits_1(tmp_path, capsys, monkeypatch, com
     anything of that size."""
     monkeypatch.setattr(model, "_physical_memory", lambda: need - 1)
     cfg = write_config(tmp_path, payload)
-    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert main(config_argv(command, cfg, tmp_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and "would take" in err
     assert "Traceback" not in err
@@ -841,3 +848,110 @@ def test_integer_seed_accepted_and_unused(tmp_path, command, payload, csv_name):
         assert main([command, "--config", cfg, "--out", str(out), *flags]) == 0
         written.append((out / csv_name).read_bytes())
     assert written[0] == written[1] == written[2]
+
+
+def test_env_inspect_takes_no_out(tmp_path, capsys):
+    """env-inspect writes nothing, so it takes no out: --out is an
+    unrecognised argument and a config out an unknown key. Each exits 1
+    and makes nothing."""
+    assert main(["env-inspect", "--out", str(tmp_path / "d")]) == 1
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    cfg = write_config(tmp_path, {"out": str(tmp_path / "d")})
+    assert main(["env-inspect", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: unknown config key 'out' for env-inspect\n"
+    assert not (tmp_path / "d").exists()
+
+
+# JSON values that no config key takes as they are, or that one takes at
+# an extreme: an integer past the float range, +-2^64, a list, an object, a
+# boolean and a string.
+_HOSTILE = [10**400, 2**64, -(2**64), [1, 2], {"a": 1}, True, "x"]
+# A small valid config of each command, into which one hostile value is put.
+_SMALL = {
+    "attractor-map": {"grid": [3, 2]},
+    "relax": {"n": 3, "steps": 5, "engine": "sampled", "n_traj": 2},
+    "freeze": {"n": 3, "steps": 5},
+    "sweep": {"quantity": "R", "num": 3},
+    "env-inspect": {"n": 3},
+}
+
+
+@pytest.mark.parametrize("command, key", [(command, key) for command in sorted(_SMALL)
+                                          for key in sorted(cli._KNOWN_KEYS[command])])
+def test_hostile_config_value_exits_cleanly(tmp_path, capsys, monkeypatch, recwarn,
+                                            command, key):
+    """Every config key of every command, given each hostile value in a small
+    config, exits 0, 1 or 2 with at most one line on stderr, an `error:`
+    line, and no numpy warning: no value crashes past the check that owns
+    its kind. Outputs go below tmp_path, an out of "x" too."""
+    monkeypatch.chdir(tmp_path)
+    for value in _HOSTILE:
+        cfg = write_config(tmp_path, {**_SMALL[command], key: value})
+        code = main([command, "--config", cfg])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and err.count("\n") <= 1, (value, err)
+        assert (code == 1) == err.startswith("error: "), (value, err)
+    assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
+
+
+_HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("relax", {"scenario": ["fig2"]},
+         "unknown scenario ['fig2']; choose from ['fig2', 'fig3']"),
+        ("sweep", {"quantity": ["R"]}, "unknown quantity ['R']; choose from ['R', "),
+        ("sweep", {"quantity": "R", "parameter": {"a": 1}},
+         "unknown sweep parameter {'a': 1}; choose from ['beta', "),
+        ("relax", {"coupling": _HUGE},
+         "coupling must be finite, got an integer past the float range"),
+        ("freeze", {"dt": _HUGE}, "dt must be finite, got an integer past the float range"),
+        ("sweep", {"quantity": "R", "values": [1.0, _HUGE]},
+         "values entry must be finite, got an integer past the float range"),
+        ("attractor-map", {"dt_min": _HUGE},
+         "dt_min must be finite, got an integer past the float range"),
+        ("env-inspect", {"delta_b": _HUGE},
+         "delta_b must be finite, got an integer past the float range"),
+        ("relax", {"steps": _HUGE}, " steps would take more than 2^128 B"),
+        ("sweep", {"quantity": "R", "num": _HUGE}, " points would take more than 2^128 B"),
+        ("attractor-map", {"grid": [_HUGE, 2]}, " x 2 cells would take more than 2^128 B"),
+        ("relax", {"n": 3, "steps": 5, "engine": "sampled", "n_traj": _HUGE},
+         " trajectories would take more than 2^128 B"),
+        ("relax", {"n": _HUGE}, " spins would take more than 2^128 B"),
+        ("freeze", {"n": _HUGE}, " spins would take more than 2^128 B"),
+    ],
+)
+def test_malformed_config_value_exits_1(tmp_path, capsys, command, payload, message):
+    """A name that is a list or an object is refused by the one name check,
+    not hashed; a real past the float range is refused as not finite,
+    without its 401 digits; a count past the float range is refused by the
+    size check, which words its refusal for any byte count; and an n past
+    it is refused before its log-gammas are formed. Each exits 1 with one
+    error line and writes nothing."""
+    argv = [command, "--config", write_config(tmp_path, payload)]
+    if command != "env-inspect":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, payload, csv_name",
+    [
+        ("attractor-map", {"dt_max": 2**64, "grid": [3, 2]}, "attractor_map.csv"),
+        ("sweep", {"quantity": "R", "start": 2**64, "num": 3}, "sweep_R_dt.csv"),
+        ("sweep", {"quantity": "R", "stop": -(2**64), "num": 3}, "sweep_R_dt.csv"),
+    ],
+)
+def test_axis_ends_at_2_64_run(tmp_path, recwarn, command, payload, csv_name):
+    """An axis end of +-2^64, a real a float holds, is handed on as a float,
+    so the axis is formed, holds the end as its first or last dt, and the
+    command exits 0."""
+    cfg = write_config(tmp_path, payload)
+    assert main(config_argv(command, cfg, tmp_path)) == 0
+    dts = {float(row[0]) for row in read_csv(tmp_path / csv_name)[1:]}
+    assert float(payload.get("dt_max", payload.get("start", payload.get("stop")))) in dts

@@ -68,6 +68,27 @@ def test_params_reject_non_finite(field, value):
         ModelParams(**{"delta_s": 1.0, field: value})
 
 
+def test_params_hold_floats():
+    """An integer field is held as a float, so that two integer fields, whose
+    sum delta_b would pass int64 as an integer, still form a Hamiltonian."""
+    p = ModelParams(delta_s=2**64, detuning=1, coupling=0, dt=1)
+    assert [type(getattr(p, f.name)) for f in dataclasses.fields(p)] == [float] * 4
+    h = build_total_hamiltonian(p, build_band_environment(3, seed=1), 0)
+    assert np.isfinite(h).all()
+
+
+def test_checks_refuse_what_no_float_holds():
+    """A real past the float range is refused as not finite, without its
+    digits, and a byte count past 2^128 without a figure, where both
+    owners raised OverflowError."""
+    with pytest.raises(ValueError,
+                       match="^dt must be finite, got an integer past the float range$"):
+        ModelParams(delta_s=1.0, dt=10**400)
+    with pytest.raises(ValueError,
+                       match=r"^a grid would take more than 2\^128 B, more than any memory$"):
+        model._check_fits("a grid", 10**400)
+
+
 @pytest.mark.parametrize("value", [["a"], {"a": 1}, "c", None, 1])
 def test_check_choice_refuses_by_equality(value):
     """The one name check compares by ==: a list or an object is refused
