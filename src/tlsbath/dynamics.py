@@ -513,17 +513,21 @@ def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
         yield j0, out_k[:n], out_p[:n], out_r00[:n], out_r10[:n]
 
 
-def _run_build(params, env, rho0, k0, steps, reset_mode):
-    """The one build step of run_trajectory and run_ensemble, returned unrun
-    once rho0, steps and reset_mode are checked, so that a runner makes its
-    own checks before it runs it. It returns (pairs, op, leakage): op is
-    the pair blocks of transfer_blocks for coarse reset and the sector
-    unitaries of _build for exact reset."""
+def _check_run(rho0: QubitState, steps, reset_mode) -> None:
+    """What run_trajectory and run_ensemble check first: rho0, steps and
+    reset_mode."""
     rho0.validate()
     _check_count("steps", steps)
     _check_choice("reset_mode", reset_mode, RESET_MODES)
+
+
+def _run_build(params, env, rho0, k0, reset_mode):
+    """The one build step of run_trajectory and run_ensemble, made once a
+    runner's checks pass: (pairs, op, leakage), where op is the pair blocks
+    of transfer_blocks for coarse reset and the sector unitaries of _build
+    for exact reset."""
     build = transfer_blocks if reset_mode == "coarse" else _build
-    return lambda: build(params, env, rho0, k0)
+    return build(params, env, rho0, k0)
 
 
 def run_trajectory(params: ModelParams, env: BandedEnvironment, rho0: QubitState,
@@ -538,10 +542,10 @@ def run_trajectory(params: ModelParams, env: BandedEnvironment, rho0: QubitState
     numpy.random.default_rng(seed) gives. A Generator or BitGenerator is
     refused with TypeError.
     """
-    build = _run_build(params, env, rho0, k0, steps, reset_mode)
+    _check_run(rho0, steps, reset_mode)
     _check_fits(f"a trajectory of {steps} steps", steps * _TRAJECTORY_STEP_BYTES)
     words = seed_words(seed)
-    pairs, op, leakage = build()
+    pairs, op, leakage = _run_build(params, env, rho0, k0, reset_mode)
     blocks = _sample_paths(params, env, op, pairs, leakage, rho0, k0, steps, words,
                            reset_mode)
     outcomes, rho00, rho10 = (np.empty(steps + 1, dtype=t) for t in (int, float, complex))
@@ -644,7 +648,7 @@ def run_ensemble(params: ModelParams, env: BandedEnvironment, rho0: QubitState, 
     whose n_traj trajectories (_trajectory_bytes each) cannot fit in
     physical memory is refused before anything of n_traj entries is formed.
     """
-    build = _run_build(params, env, rho0, k0, steps, reset_mode)
+    _check_run(rho0, steps, reset_mode)
     if n_traj is not None:
         _check_count("n_traj", n_traj)
     _check_choice("engine", engine, ENGINES)
@@ -658,7 +662,7 @@ def run_ensemble(params: ModelParams, env: BandedEnvironment, rho0: QubitState, 
         _check_fits(f"a sampled ensemble of {n_traj} trajectories",
                     n_traj * _trajectory_bytes(env, reset_mode))
     words = trajectory_words(master_seed, n_traj) if sampled else None
-    pairs, op, leakage = build()
+    pairs, op, leakage = _run_build(params, env, rho0, k0, reset_mode)
     stderr, drift = np.zeros(steps + 1), None
     if sampled:
         r00, r10 = np.empty(steps + 1), np.empty(steps + 1, dtype=complex)

@@ -132,20 +132,22 @@ _DEGENERACY_OWNED = {
 def test_degeneracies_have_one_owner_and_no_build_waits():
     """model.py forms the degeneracies of n spins only in _check_blocks_fit,
     whose memory check forms them anyway, so that the builders and
-    env-inspect read that one tuple. No function of experiments.py returns a
+    env-inspect read that one tuple. No function of the package returns a
     lambda or a function it defines: a check runs before a build, it does
     not hand the build back unrun."""
     _assert_owned("model.py", _DEGENERACY_OWNED)
-    source = (Path(tlsbath.__file__).parent / "experiments.py").read_text()
     deferred = []
-    for fn in ast.walk(ast.parse(source)):
-        if isinstance(fn, ast.FunctionDef):
-            inner = {node.name for node in ast.walk(fn)
-                     if isinstance(node, ast.FunctionDef) and node is not fn}
-            deferred += [f"{fn.name} line {node.lineno}" for node in ast.walk(fn)
-                         if isinstance(node, ast.Return) and (
-                             isinstance(node.value, ast.Lambda)
-                             or isinstance(node.value, ast.Name) and node.value.id in inner)]
+    for path in _MODULES:
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                inner = {node.name for node in ast.walk(fn)
+                         if isinstance(node, ast.FunctionDef) and node is not fn}
+                deferred += [f"{path.name}: {fn.name} line {node.lineno}"
+                             for node in ast.walk(fn)
+                             if isinstance(node, ast.Return) and (
+                                 isinstance(node.value, ast.Lambda)
+                                 or isinstance(node.value, ast.Name)
+                                 and node.value.id in inner)]
     assert not deferred
 
 
