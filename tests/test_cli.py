@@ -743,6 +743,9 @@ def test_every_default_key_accepted(tmp_path, command, function, given, csv_name
     assert written[0] == written[1] and written[0].count(b"\n") == 1 + rows
 
 
+_HUGE = 10**400
+
+
 @pytest.mark.parametrize(
     "command, payload, message",
     [
@@ -775,12 +778,39 @@ def test_every_default_key_accepted(tmp_path, command, function, given, csv_name
         ("sweep", {"quantity": "R", "parameter": "n"}, "unknown sweep parameter 'n'"),
         ("attractor-map", {"dt_max": 1e300, "grid": [3, 2]},
          "sinA = nan is not finite: the parameters are too large"),
+        ("relax", {"scenario": ["fig2"]},
+         "unknown scenario ['fig2']; choose from ['fig2', 'fig3']"),
+        ("sweep", {"quantity": ["R"]}, "unknown quantity ['R']; choose from ['R', "),
+        ("sweep", {"quantity": "R", "parameter": {"a": 1}},
+         "unknown sweep parameter {'a': 1}; choose from ['beta', "),
+        ("relax", {"coupling": _HUGE},
+         "coupling must be finite, got an integer past the float range"),
+        ("freeze", {"dt": _HUGE}, "dt must be finite, got an integer past the float range"),
+        ("sweep", {"quantity": "R", "values": [1.0, _HUGE]},
+         "values entry must be finite, got an integer past the float range"),
+        ("attractor-map", {"dt_min": _HUGE},
+         "dt_min must be finite, got an integer past the float range"),
+        ("env-inspect", {"delta_b": _HUGE},
+         "delta_b must be finite, got an integer past the float range"),
+        ("relax", {"steps": _HUGE}, " steps would take more than 2^128 B"),
+        ("sweep", {"quantity": "R", "num": _HUGE}, " points would take more than 2^128 B"),
+        ("attractor-map", {"grid": [_HUGE, 2]}, " x 2 cells would take more than 2^128 B"),
+        ("relax", {"n": 3, "steps": 5, "engine": "sampled", "n_traj": _HUGE},
+         " trajectories would take more than 2^128 B"),
+        ("relax", {"n": _HUGE}, " spins would take more than 2^128 B"),
+        ("freeze", {"n": _HUGE}, " spins would take more than 2^128 B"),
     ],
 )
 def test_bad_grid_or_sweep_counts_exit_1(tmp_path, capsys, recwarn, command, payload,
                                         message):
+    """A malformed value exits 1 with one error line and writes nothing. A
+    name that is a list or an object is refused by the one name check, not
+    hashed; a real past the float range (_HUGE) is refused as not finite,
+    without its digits; a count past it is refused by the size check, which
+    words its refusal for any byte count; and an n past it is refused
+    before its log-gammas are formed."""
     cfg = write_config(tmp_path, payload)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert main(config_argv(command, cfg, tmp_path / "out")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and message in err
     assert not recwarn.list
@@ -894,64 +924,18 @@ def test_hostile_config_value_exits_cleanly(tmp_path, capsys, monkeypatch, recwa
     assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
 
 
-_HUGE = 10**400
-
-
 @pytest.mark.parametrize(
-    "command, payload, message",
+    "command, key, end, csv_name",
     [
-        ("relax", {"scenario": ["fig2"]},
-         "unknown scenario ['fig2']; choose from ['fig2', 'fig3']"),
-        ("sweep", {"quantity": ["R"]}, "unknown quantity ['R']; choose from ['R', "),
-        ("sweep", {"quantity": "R", "parameter": {"a": 1}},
-         "unknown sweep parameter {'a': 1}; choose from ['beta', "),
-        ("relax", {"coupling": _HUGE},
-         "coupling must be finite, got an integer past the float range"),
-        ("freeze", {"dt": _HUGE}, "dt must be finite, got an integer past the float range"),
-        ("sweep", {"quantity": "R", "values": [1.0, _HUGE]},
-         "values entry must be finite, got an integer past the float range"),
-        ("attractor-map", {"dt_min": _HUGE},
-         "dt_min must be finite, got an integer past the float range"),
-        ("env-inspect", {"delta_b": _HUGE},
-         "delta_b must be finite, got an integer past the float range"),
-        ("relax", {"steps": _HUGE}, " steps would take more than 2^128 B"),
-        ("sweep", {"quantity": "R", "num": _HUGE}, " points would take more than 2^128 B"),
-        ("attractor-map", {"grid": [_HUGE, 2]}, " x 2 cells would take more than 2^128 B"),
-        ("relax", {"n": 3, "steps": 5, "engine": "sampled", "n_traj": _HUGE},
-         " trajectories would take more than 2^128 B"),
-        ("relax", {"n": _HUGE}, " spins would take more than 2^128 B"),
-        ("freeze", {"n": _HUGE}, " spins would take more than 2^128 B"),
+        ("attractor-map", "dt_max", 2**64, "attractor_map.csv"),
+        ("sweep", "start", 2**64, "sweep_R_dt.csv"),
+        ("sweep", "stop", -(2**64), "sweep_R_dt.csv"),
     ],
 )
-def test_malformed_config_value_exits_1(tmp_path, capsys, command, payload, message):
-    """A name that is a list or an object is refused by the one name check,
-    not hashed; a real past the float range is refused as not finite,
-    without its 401 digits; a count past the float range is refused by the
-    size check, which words its refusal for any byte count; and an n past
-    it is refused before its log-gammas are formed. Each exits 1 with one
-    error line and writes nothing."""
-    argv = [command, "--config", write_config(tmp_path, payload)]
-    if command != "env-inspect":
-        argv += ["--out", str(tmp_path / "out")]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize(
-    "command, payload, csv_name",
-    [
-        ("attractor-map", {"dt_max": 2**64, "grid": [3, 2]}, "attractor_map.csv"),
-        ("sweep", {"quantity": "R", "start": 2**64, "num": 3}, "sweep_R_dt.csv"),
-        ("sweep", {"quantity": "R", "stop": -(2**64), "num": 3}, "sweep_R_dt.csv"),
-    ],
-)
-def test_axis_ends_at_2_64_run(tmp_path, recwarn, command, payload, csv_name):
+def test_axis_ends_at_2_64_run(tmp_path, recwarn, command, key, end, csv_name):
     """An axis end of +-2^64, a real a float holds, is handed on as a float,
-    so the axis is formed, holds the end as its first or last dt, and the
-    command exits 0."""
-    cfg = write_config(tmp_path, payload)
+    so the command exits 0 with the end as the first or last dt of its
+    axis. recwarn takes the SecondOrderWarnings of such a dt."""
+    cfg = write_config(tmp_path, {**_SMALL[command], key: end})
     assert main(config_argv(command, cfg, tmp_path)) == 0
-    dts = {float(row[0]) for row in read_csv(tmp_path / csv_name)[1:]}
-    assert float(payload.get("dt_max", payload.get("start", payload.get("stop")))) in dts
+    assert float(end) in {float(row[0]) for row in read_csv(tmp_path / csv_name)[1:]}
