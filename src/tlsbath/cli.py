@@ -40,15 +40,6 @@ _SWEEP_KEYS = _parameters(experiments.sweep)
 # The band table's splitting is the one key beyond the environment's own.
 _ENV_KEYS = _parameters(experiments.default_environment) | {"delta_b"}
 
-# env-inspect writes nothing, so it takes no out; its seed is the environment's.
-_KNOWN_KEYS = {
-    "attractor-map": _COMMON_KEYS | _ATTRACTOR_KEYS,
-    "relax": _COMMON_KEYS | _RELAX_KEYS,
-    "freeze": _COMMON_KEYS | _FREEZE_KEYS,
-    "sweep": _COMMON_KEYS | _SWEEP_KEYS,
-    "env-inspect": _ENV_KEYS,
-}
-
 
 def _load_config(args, command: str) -> dict:
     cfg = {}
@@ -62,7 +53,7 @@ def _load_config(args, command: str) -> dict:
             raise ValueError(f"malformed config JSON: {exc}")
         if not isinstance(cfg, dict):
             raise ValueError("config must be a JSON object")
-    known = _KNOWN_KEYS[command]
+    known = _COMMANDS[command][1]
     for key in cfg:
         if key not in known:
             raise ValueError(f"unknown config key {key!r} for {command}")
@@ -227,12 +218,25 @@ def cmd_env_inspect(cfg: dict) -> int:
     return 0
 
 
-_DISPATCH = {
-    "attractor-map": cmd_attractor_map,
-    "relax": cmd_relax,
-    "freeze": cmd_freeze,
-    "sweep": cmd_sweep,
-    "env-inspect": cmd_env_inspect,
+# Each command: its handler, its config keys and its help line. env-inspect
+# writes nothing, so it takes no out; its seed is the environment's.
+_COMMANDS = {
+    "attractor-map": (cmd_attractor_map, _COMMON_KEYS | _ATTRACTOR_KEYS,
+                      "attractor occupation grid"),
+    "relax": (cmd_relax, _COMMON_KEYS | _RELAX_KEYS, "run a relaxation scenario"),
+    "freeze": (cmd_freeze, _COMMON_KEYS | _FREEZE_KEYS, "verify state freezing"),
+    "sweep": (cmd_sweep, _COMMON_KEYS | _SWEEP_KEYS, "sweep an analytic quantity"),
+    "env-inspect": (cmd_env_inspect, _ENV_KEYS, "print environment band table"),
+}
+
+# The config keys that have a flag, in the order of each command's help. A
+# command takes the flag of each of its config keys that has one.
+_FLAGS = {
+    "seed": ("--seed", {"type": int, "help": "master seed"}),
+    "out": ("--out", {"help": "output directory"}),
+    "engine": ("--engine", {"choices": ENGINES}),
+    "reset_mode": ("--reset", {"choices": RESET_MODES}),
+    "scenario": ("--scenario", {}),
 }
 
 
@@ -243,24 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, engine=False, out=True):
-        p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="master seed")
-        if out:
-            p.add_argument("--out", type=str, default=None, help="output directory")
-        if engine:
-            p.add_argument("--engine", choices=ENGINES)
-        return p
-
-    common(sub.add_parser("attractor-map", help="attractor occupation grid"))
-    relax = common(sub.add_parser("relax", help="run a relaxation scenario"), engine=True)
-    relax.add_argument("--reset", choices=RESET_MODES, dest="reset_mode")
-    relax.add_argument("--scenario", type=str, default=None)
-    # freeze always runs coarse reset (verify_freezing), so it takes no --reset.
-    common(sub.add_parser("freeze", help="verify state freezing"), engine=True)
-    common(sub.add_parser("sweep", help="sweep an analytic quantity"))
-    common(sub.add_parser("env-inspect", help="print environment band table"), out=False)
+    for command, (_, keys, help_line) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        p.add_argument("--config", help="JSON config file")
+        for key, (flag, options) in _FLAGS.items():
+            if key in keys:
+                p.add_argument(flag, dest=key, **options)
     return parser
 
 
@@ -274,7 +266,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args, args.command)
         _check_out(cfg)
-        return _DISPATCH[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except ValueError as exc:  # bad configuration or physics input
         print(f"error: {exc}", file=sys.stderr)
         return 1

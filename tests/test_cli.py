@@ -907,7 +907,7 @@ _SMALL = {
 
 
 @pytest.mark.parametrize("command, key", [(command, key) for command in sorted(_SMALL)
-                                          for key in sorted(cli._KNOWN_KEYS[command])])
+                                          for key in sorted(cli._COMMANDS[command][1])])
 def test_hostile_config_value_exits_cleanly(tmp_path, capsys, monkeypatch, recwarn,
                                             command, key):
     """Every config key of every command, given each hostile value in a small
