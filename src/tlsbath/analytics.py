@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -163,11 +164,15 @@ def _step(params: ModelParams, beta: float):
     return scale, (float(up), float(down)), sf
 
 
+_PACKAGE = os.path.dirname(__file__)
+
+
 def _warn(message: str) -> None:
-    """A SecondOrderWarning at the line that called into this module, however
-    deep the call went inside it."""
+    """A SecondOrderWarning at the first line outside the package on the
+    call stack, however deep the call went inside it, so that equal warnings
+    of one call share a location and the default filter shows them once."""
     frame, level = sys._getframe(), 1
-    while frame is not None and frame.f_code.co_filename == __file__:
+    while frame is not None and os.path.dirname(frame.f_code.co_filename) == _PACKAGE:
         frame, level = frame.f_back, level + 1
     warnings.warn(message, SecondOrderWarning, stacklevel=level)
 

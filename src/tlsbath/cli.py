@@ -12,7 +12,9 @@ import argparse
 import csv
 import inspect
 import json
+import reprlib
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -49,14 +51,14 @@ def _load_config(args, command: str) -> dict:
                 cfg = json.load(fh)
         except OSError as exc:
             raise ValueError(f"cannot read config: {exc}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an integer past Python's 4300 digits
             raise ValueError(f"malformed config JSON: {exc}")
         if not isinstance(cfg, dict):
             raise ValueError("config must be a JSON object")
     known = _COMMANDS[command][1]
     for key in cfg:
         if key not in known:
-            raise ValueError(f"unknown config key {key!r} for {command}")
+            raise ValueError(f"unknown config key {reprlib.repr(key)} for {command}")
     # Flags given on the command line override file values, merged in the
     # parser's order so that the config's key order is the same every run.
     cfg.update(
@@ -80,7 +82,7 @@ def _check_out(cfg) -> None:
     created here."""
     out = cfg.get("out")
     if out is not None and not isinstance(out, str):
-        raise ValueError(f"out must be a path string, got {out!r}")
+        raise ValueError(f"out must be a path string, got {reprlib.repr(out)}")
     out = Path(out or ".")
     existing = next(path for path in (out, *out.parents) if path.exists())
     if not existing.is_dir():
@@ -263,6 +265,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse uses 2 for usage errors; remap to the documented code 1
         return 0 if exc.code in (0, None) else 1
+    # A warning is one stderr line, as an error is.
+    format_warning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         cfg = _load_config(args, args.command)
         _check_out(cfg)
@@ -273,6 +278,8 @@ def main(argv=None) -> int:
     except OSError as exc:  # an output that cannot be written
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ one draw block at a time, so no sampled run holds a steps x n_traj history.
 """
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,8 +209,9 @@ def _build(params: ModelParams, env: BandedEnvironment, rho0: QubitState, k0: in
     (_leakage_bound). Returns (pairs, us, leakage), the order of
     transfer_blocks.
 
-    us = [u_0, u_1], with u_p = exp(-i h_p dt) on parity sector p of the
-    joint Hamiltonian and None for a sector no live pair names. The joint
+    us = {p: u_p} over the sectors p that a live pair names, in sector
+    order, with u_p = exp(-i h_p dt) on parity sector p of the joint
+    Hamiltonian; no other sector is built. The joint
     state (a, k, r) is level g = (k, r) of sector (a + k) mod 2, so sector
     pair (p, q) is TLS entry (_tls_level(p, k), _tls_level(q, k)) on band k,
     and U keeps it the same pair: a pair that starts at zero stays zero.
@@ -235,7 +237,7 @@ def _build(params: ModelParams, env: BandedEnvironment, rho0: QubitState, k0: in
     _check_fits(f"the sector unitaries of dimension {env.dim}",
                 (len(sectors) + 4) * 16 * env.dim**2)
     gauged, flipped = env.sign_gauged()
-    us = [None, None]
+    us = {}
     for p in sectors:
         h = build_total_hamiltonian(params, gauged, p)
         us[p] = Propagator(h).unitary(params.dt, out=h)
@@ -243,25 +245,25 @@ def _build(params: ModelParams, env: BandedEnvironment, rho0: QubitState, k0: in
     return pairs, us, _leakage_bound(us, env)
 
 
-def _leakage_bound(us: list[np.ndarray], env: BandedEnvironment) -> float:
+def _leakage_bound(us: dict[int, np.ndarray], env: BandedEnvironment) -> float:
     """Largest weight one step moves past the adjacent bands, over all states.
 
     For band k and sector p, lambda_max(A^+ A) with A = u_p[far(k), band k],
     far(k) the levels outside the window of band k (_windows), is the largest
     |P_far u_p psi|^2 over unit states psi on band k of sector p. The two
     sector parts of a state have disjoint far rows, so the maximum over k and
-    the sectors built (u_p not None) bounds every state a run holds before a
-    step, in either reset mode.
+    the sectors built bounds every state a run holds before a step, in
+    either reset mode.
     """
-    built, worst = [u for u in us if u is not None], 0.0
+    worst = 0.0
     for k, (_, levels, _) in enumerate(_windows(env)):
-        for u in built:
+        for u in us.values():
             far = np.delete(u[:, env.band_slice(k)], levels, axis=0)
             worst = max(worst, float(np.linalg.eigvalsh(far.conj().T @ far)[-1]))
     return worst
 
 
-def _pair_sums(us: list, pairs: dict, env: BandedEnvironment) -> np.ndarray:
+def _pair_sums(us: dict, pairs: dict, env: BandedEnvironment) -> np.ndarray:
     """Band-pair blocks of the sector unitaries us of _build, one per live
     pair l = (p, q) of its pair table, as an array sums[l, k', k] of shape
     (L, n_bands, n_bands):
@@ -434,8 +436,9 @@ def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
     else:
         # step[k][i]: u_p[band k2, band k]^T of the built sectors, stacked,
         # for the i-th window band k2 of k.
-        built, levels = [p for p in (0, 1) if op[p] is not None], env.band_slice
-        step = [[np.stack([op[p][levels(k2), levels(k)].T for p in built]) for k2 in bands]
+        built, levels = list(op), env.band_slice
+        step = [[np.stack([u[levels(k2), levels(k)].T for u in op.values()])
+                 for k2 in bands]
                 for k, (bands, _, _) in enumerate(window)]
         # The built sectors whose weights are the entries on the diagonal rows.
         diag = [built.index(p) for p, _ in list(pairs)[diagonal]]
@@ -543,7 +546,8 @@ def run_trajectory(params: ModelParams, env: BandedEnvironment, rho0: QubitState
     refused with TypeError.
     """
     _check_run(rho0, steps, reset_mode)
-    _check_fits(f"a trajectory of {steps} steps", steps * _TRAJECTORY_STEP_BYTES)
+    _check_fits(f"a trajectory of {reprlib.repr(steps)} steps",
+                steps * _TRAJECTORY_STEP_BYTES)
     words = seed_words(seed)
     pairs, op, leakage = _run_build(params, env, rho0, k0, reset_mode)
     blocks = _sample_paths(params, env, op, pairs, leakage, rho0, k0, steps, words,
@@ -657,9 +661,9 @@ def run_ensemble(params: ModelParams, env: BandedEnvironment, rho0: QubitState, 
         raise ValueError("sampled engine requires n_traj >= 1")
     if sampled and master_seed is None:
         raise ValueError("sampled engine requires a master_seed")
-    _check_fits(f"a series of {steps} steps", steps * ENSEMBLE_STEP_BYTES)
+    _check_fits(f"a series of {reprlib.repr(steps)} steps", steps * ENSEMBLE_STEP_BYTES)
     if sampled:
-        _check_fits(f"a sampled ensemble of {n_traj} trajectories",
+        _check_fits(f"a sampled ensemble of {reprlib.repr(n_traj)} trajectories",
                     n_traj * _trajectory_bytes(env, reset_mode))
     words = trajectory_words(master_seed, n_traj) if sampled else None
     pairs, op, leakage = _run_build(params, env, rho0, k0, reset_mode)

@@ -15,6 +15,7 @@ import math
 import numbers
 import operator
 import os
+import reprlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,11 +36,13 @@ __all__ = [
 STATE_TOL = 1e-9
 
 
+# Every refused outside value is shown through reprlib.repr, which equals
+# repr for a short value and bounds the text of a long one.
 def _check_real(name: str, value) -> float:
     """Reject a value that is not a finite real number (a bool is not one);
     return it as a float."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+        raise ValueError(f"{name} must be a real number, got {reprlib.repr(value)}")
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an integer no float holds: its digits are not printed
@@ -54,7 +57,7 @@ def _check_positive(name: str, value) -> None:
     not > 0."""
     _check_real(name, value)
     if value <= 0:
-        raise ValueError(f"{name} must be > 0, got {value}")
+        raise ValueError(f"{name} must be > 0, got {reprlib.repr(value)}")
 
 
 def _check_count(name: str, value, minimum: int | None = 1) -> None:
@@ -63,11 +66,11 @@ def _check_count(name: str, value, minimum: int | None = 1) -> None:
     try:
         if isinstance(value, bool):
             raise TypeError
-        operator.index(value)
+        count = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}") from None
+    if minimum is not None and count < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {reprlib.repr(count)}")
 
 
 def _check_band(name: str, k, n: int) -> None:
@@ -75,7 +78,7 @@ def _check_band(name: str, k, n: int) -> None:
     outside [0, n]."""
     _check_count(name, k, None)
     if not 0 <= k <= n:
-        raise ValueError(f"band {name} = {k} outside [0, {n}]")
+        raise ValueError(f"band {name} = {reprlib.repr(k)} outside [0, {n}]")
 
 
 def _check_choice(name: str, value, choices) -> None:
@@ -83,7 +86,9 @@ def _check_choice(name: str, value, choices) -> None:
     ==, so a list or an object from a JSON config is refused, never hashed."""
     choices = tuple(choices)
     if value not in choices:
-        raise ValueError(f"unknown {name} {value!r}; choose from {sorted(choices)}")
+        raise ValueError(
+            f"unknown {name} {reprlib.repr(value)}; choose from {sorted(choices)}"
+        )
 
 
 def _physical_memory() -> int:
@@ -118,7 +123,7 @@ def _check_blocks_fit(n: int) -> tuple[int, ...]:
         nbytes += 16 * degs[k] * degs[k + 1]
         if nbytes > 2**128:
             break
-    _check_fits(f"the coupling blocks of n = {n} spins", nbytes)
+    _check_fits(f"the coupling blocks of n = {reprlib.repr(n)} spins", nbytes)
     return tuple(degs)
 
 

@@ -32,9 +32,23 @@ def read_csv(path):
 
 
 def write_config(tmp_path, payload):
+    """The path of a config file of payload, a dict or a JSON text."""
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(payload))
+    cfg.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(cfg)
+
+
+def run_cli(argv, **env):
+    """main(argv) in a fresh interpreter that imports this package, with env
+    added to its environment."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from tlsbath.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 def config_argv(command, cfg, out):
@@ -177,20 +191,12 @@ class TestRelaxCommand:
         write the same JSON, key order included, apart from the timestamp
         and wall time: the flags are merged into the config in a fixed order."""
         cfg = write_config(tmp_path, {"steps": 20})
-        src = str(Path(cli.__file__).resolve().parents[1])
         docs = []
         for hash_seed in ("1", "2"):
             out = tmp_path / hash_seed
             argv = ["relax", "--scenario", "fig2", "--engine", "nonselective",
                     "--reset", "coarse", "--seed", "3", "--config", cfg, "--out", str(out)]
-            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
-                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-            proc = subprocess.run(
-                [sys.executable, "-c",
-                 "import sys; from tlsbath.cli import main; sys.exit(main(sys.argv[1:]))",
-                 *argv],
-                env=env, capture_output=True, text=True, timeout=120,
-            )
+            proc = run_cli(argv, PYTHONHASHSEED=hash_seed)
             # Twenty steps are far from the plateau: a tolerance failure.
             assert proc.returncode == 2, proc.stderr
             docs.append(json.loads(
@@ -799,6 +805,8 @@ _HUGE = 10**400
          " trajectories would take more than 2^128 B"),
         ("relax", {"n": _HUGE}, " spins would take more than 2^128 B"),
         ("freeze", {"n": _HUGE}, " spins would take more than 2^128 B"),
+        # Python refuses to read an integer of more than 4300 digits.
+        ("relax", '{"steps": %s}' % ("1" * 5000), "error: malformed config JSON: "),
     ],
 )
 def test_bad_grid_or_sweep_counts_exit_1(tmp_path, capsys, recwarn, command, payload,
@@ -807,8 +815,9 @@ def test_bad_grid_or_sweep_counts_exit_1(tmp_path, capsys, recwarn, command, pay
     name that is a list or an object is refused by the one name check, not
     hashed; a real past the float range (_HUGE) is refused as not finite,
     without its digits; a count past it is refused by the size check, which
-    words its refusal for any byte count; and an n past it is refused
-    before its log-gammas are formed."""
+    words its refusal for any byte count; an n past it is refused before
+    its log-gammas are formed; and an integer too long to read is refused
+    as malformed JSON."""
     cfg = write_config(tmp_path, payload)
     assert main(config_argv(command, cfg, tmp_path / "out")) == 1
     err = capsys.readouterr().err
@@ -892,6 +901,36 @@ def test_env_inspect_takes_no_out(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+def test_each_command_takes_the_flag_of_each_of_its_keys():
+    """A command's parser takes the flag of a config key exactly where the
+    key is one of the command's, and hands the flag's value on under the
+    key."""
+    parser = cli.build_parser()
+    for command, (_, keys, _) in cli._COMMANDS.items():
+        for key, (flag, options) in cli._FLAGS.items():
+            value = options.get("choices", ["1"])[0]
+            try:
+                args = parser.parse_args([command, flag, value])
+            except SystemExit:
+                args = None
+            assert (args is not None) == (key in keys), (command, flag)
+            if args is not None:
+                assert getattr(args, key) == options.get("type", str)(value)
+
+
+def test_huge_coupling_warns_in_one_line(tmp_path):
+    """A valid relax far past the second-order regime passes with one
+    `warning:` line on stderr. run_scenario forms R twice, once in
+    rho00_closed_form; the two equal warnings are placed at the first line
+    outside the package, where the default filter shows them once."""
+    cfg = write_config(tmp_path, {"n": 3, "steps": 5, "coupling": 2**64})
+    proc = run_cli(["relax", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == (
+        "warning: per-step rate R = 6.72e+39 > 0.1: second-order maps unreliable\n"
+    )
+
+
 # JSON values that no config key takes as they are, or that one takes at
 # an extreme: an integer past the float range, +-2^64, a list, an object, a
 # boolean and a string.
@@ -912,14 +951,16 @@ def test_hostile_config_value_exits_cleanly(tmp_path, capsys, monkeypatch, recwa
                                             command, key):
     """Every config key of every command, given each hostile value in a small
     config, exits 0, 1 or 2 with at most one line on stderr, an `error:`
-    line, and no numpy warning: no value crashes past the check that owns
-    its kind. Outputs go below tmp_path, an out of "x" too."""
+    line of at most 200 characters, and no numpy warning: no value crashes
+    past the check that owns its kind, and none is printed whole. Outputs
+    go below tmp_path, an out of "x" too."""
     monkeypatch.chdir(tmp_path)
     for value in _HOSTILE:
         cfg = write_config(tmp_path, {**_SMALL[command], key: value})
         code = main([command, "--config", cfg])
         err = capsys.readouterr().err
         assert code in (0, 1, 2) and err.count("\n") <= 1, (value, err)
+        assert all(len(line) <= 200 for line in err.splitlines()), (value, err)
         assert (code == 1) == err.startswith("error: "), (value, err)
     assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
 

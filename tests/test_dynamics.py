@@ -54,10 +54,7 @@ from tlsbath.model import (
 def _paths(params, env, rho0, k0, steps, seeds, reset_mode):
     """_sample_paths on the build of run_ensemble and run_trajectory, with
     trajectory c drawing from seeds[c]."""
-    if reset_mode == "coarse":
-        pairs, op, leakage = transfer_blocks(params, env, rho0, k0)
-    else:
-        pairs, op, leakage = _build(params, env, rho0, k0)
+    pairs, op, leakage = dynamics._run_build(params, env, rho0, k0, reset_mode)
     words = np.concatenate([seed_words(s) for s in seeds])
     return _stacked(_sample_paths(params, env, op, pairs, leakage, rho0, k0, steps, words,
                                   reset_mode))
@@ -652,7 +649,7 @@ class TestOccupiedSectors:
 
         monkeypatch.setattr(dynamics, "build_total_hamiltonian", recording_build)
         _, us, _ = _build(resonant_params, small_env, rho0, 2)
-        built = [u for u in us if u is not None]
+        built = list(us.values())
         assert len(made) == len(built) == sectors
         assert all(np.shares_memory(u, h) for u, h in zip(built, made))
 
@@ -931,7 +928,7 @@ class TestOneSectorTrajectories:
         rho0, k0 = QubitState(rho00=rho00), 2
         pairs, us, leakage = _build(params, any_env, rho0, k0)
         p = (k0 + (rho00 == 0.0)) % 2
-        assert us[1 - p] is None and us[p] is not None
+        assert list(us) == [p]
         assert pairs == {(p, p): 1.0}
         nb, levels = any_env.n_bands, any_env.band_slice
         if reset_mode == "coarse":
@@ -1071,7 +1068,7 @@ class TestPairTable:
         expect = {"ground": 1, "excited": 1, "diagonal": 2, "coherent": 3, "no-ground": 2}
         assert len(pairs) == expect[start]
         rows = [p for p in (0, 1) if np.any(rs[(p - k0) % 2])]
-        assert [p for p in (0, 1) if us[p] is not None] == rows
+        assert list(us) == rows
 
     @pytest.mark.parametrize("build", [build_band_environment, build_spin_environment],
                              ids=["random-band", "sigma-x"])
@@ -1356,7 +1353,7 @@ class TestWindows:
         for k, (s, nk) in enumerate(zip(starts, degs)):
             above = min(k + 1, n)
             lo, hi = starts[max(k - 1, 0)], starts[above] + degs[above]
-            for u in us:
+            for u in us.values():
                 far = np.delete(u[:, s:s + nk], np.s_[lo:hi], axis=0)
                 worst = max(worst, float(np.linalg.eigvalsh(far.conj().T @ far)[-1]))
         assert bound == worst
@@ -1538,7 +1535,7 @@ class TestMemoryGuard:
         need = (sectors + 4) * 16 * small_env.dim**2
         monkeypatch.setattr(model, "_physical_memory", lambda: need)
         _, us, _ = _build(resonant_params, small_env, rho0, 2)
-        assert sum(u is not None for u in us) == sectors
+        assert len(us) == sectors
         monkeypatch.setattr(model, "_physical_memory", lambda: need - 1)
         with pytest.raises(ValueError, match="sector unitaries of dimension 32 would take"):
             _build(resonant_params, small_env, rho0, 2)
