@@ -267,7 +267,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     # A warning is one stderr line, as an error is.
     format_warning = warnings.formatwarning
-    warnings.formatwarning = lambda message, *args, **kwargs: f"warning: {message}\n"
+    warnings.formatwarning = lambda message, *_, **__: f"warning: {message}\n"
     try:
         cfg = _load_config(args, args.command)
         _check_out(cfg)

@@ -60,9 +60,9 @@ def _check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be > 0, got {reprlib.repr(value)}")
 
 
-def _check_count(name: str, value, minimum: int | None = 1) -> None:
+def _check_count(name: str, value, minimum: int | None = 1) -> int:
     """Reject a value that is not an integer (a bool is not one) or, unless
-    minimum is None, one below minimum."""
+    minimum is None, one below minimum; return it as an int."""
     try:
         if isinstance(value, bool):
             raise TypeError
@@ -71,12 +71,13 @@ def _check_count(name: str, value, minimum: int | None = 1) -> None:
         raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}") from None
     if minimum is not None and count < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {reprlib.repr(count)}")
+    return count
 
 
 def _check_band(name: str, k, n: int) -> None:
     """Reject a band k that is not an integer (a bool is not one) or that lies
     outside [0, n]."""
-    _check_count(name, k, None)
+    k = _check_count(name, k, None)
     if not 0 <= k <= n:
         raise ValueError(f"band {name} = {reprlib.repr(k)} outside [0, {n}]")
 

@@ -806,7 +806,8 @@ _HUGE = 10**400
         ("relax", {"n": _HUGE}, " spins would take more than 2^128 B"),
         ("freeze", {"n": _HUGE}, " spins would take more than 2^128 B"),
         # Python refuses to read an integer of more than 4300 digits.
-        ("relax", '{"steps": %s}' % ("1" * 5000), "error: malformed config JSON: "),
+        pytest.param("relax", '{"steps": %s}' % ("1" * 5000), "error: malformed config JSON: ",
+                     id="relax-5000-digit-steps"),
     ],
 )
 def test_bad_grid_or_sweep_counts_exit_1(tmp_path, capsys, recwarn, command, payload,
