@@ -12,7 +12,6 @@ import argparse
 import csv
 import inspect
 import json
-import reprlib
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -20,7 +19,7 @@ from pathlib import Path
 
 from . import __version__, experiments
 from .dynamics import ENGINES, RESET_MODES
-from .model import _check_positive, beta_working_point, effective_beta
+from .model import _check_positive, _show, beta_working_point, effective_beta
 
 
 _COMMON_KEYS = {"seed", "out"}
@@ -58,7 +57,7 @@ def _load_config(args, command: str) -> dict:
     known = _COMMANDS[command][1]
     for key in cfg:
         if key not in known:
-            raise ValueError(f"unknown config key {reprlib.repr(key)} for {command}")
+            raise ValueError(f"unknown config key {_show(key)} for {command}")
     # Flags given on the command line override file values, merged in the
     # parser's order so that the config's key order is the same every run.
     cfg.update(
@@ -82,7 +81,7 @@ def _check_out(cfg) -> None:
     created here."""
     out = cfg.get("out")
     if out is not None and not isinstance(out, str):
-        raise ValueError(f"out must be a path string, got {reprlib.repr(out)}")
+        raise ValueError(f"out must be a path string, got {_show(out)}")
     out = Path(out or ".")
     existing = next(path for path in (out, *out.parents) if path.exists())
     if not existing.is_dir():

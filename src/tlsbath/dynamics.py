@@ -10,21 +10,16 @@ outcome-averaged density matrix.
 Every run makes one build (_build): the pair table of rho0, the env.dim-wide
 parity sectors of the joint unitary that it names (one for a ground or
 excited start), and their band-adjacency leakage bound, which every run
-reports and the sampled engine alone refuses a run on. No joint-width
-matrix is formed. U conserves each sector pair, so every engine holds only
-the live pairs of the table. Both coarse-reset engines step only the
-band-pair blocks of the live pairs (transfer_blocks): no sector unitary
-is held while they step. Every engine holds its state as rows of the pair
-table and reads rho00 and rho10 through one reader (_parity_rows). A
-sampled trajectory is its band and its entries on the live pairs; with
-exact reset it also holds its parts in the sectors the table names, and
-trajectories are grouped by their measured band, each group stepping with
-one product per adjacent band it can reach. Sampled records are handed on
-one draw block at a time, so no sampled run holds a steps x n_traj history.
+reports. Only a sampled exact-reset run, whose outcomes are drawn within
+the adjacent bands, is refused on it; a sampled coarse-reset record draws
+each outcome from the whole column of the pair blocks, the law of the
+nonselective coarse engine. No joint-width matrix is formed: every engine
+holds only the live pairs of the table (_parity_rows), both coarse-reset
+engines step only their band-pair blocks (transfer_blocks), and sampled
+records are handed on one draw block at a time (_sample_paths).
 """
 from __future__ import annotations
 
-import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +33,7 @@ from .model import (
     _check_choice,
     _check_count,
     _check_fits,
+    _show,
     _tls_level,
     build_total_hamiltonian,
 )
@@ -61,14 +57,10 @@ RESET_MODES = ("coarse", "exact")
 # run_trajectory: its outcomes, probs, rho00 and rho10 (8 + 8 + 8 + 16).
 ENSEMBLE_STEP_BYTES = 8 + 16 + 8
 _TRAJECTORY_STEP_BYTES = 8 + 8 + 8 + 16
-# Bytes a sampled run holds a trajectory besides an exact-reset run's parts
-# (_trajectory_bytes), for the worst start (three live pairs): its seed
-# words and stream state (32 + 48), a draw-block row (48), its pair entries
-# (4 x 16), the draw (64) and, with coarse reset, the window products of the
-# last step, of this one and their step rows (3 x 3 bands x 3 pairs x 16);
-# with exact reset these 432 B stand for its unraveling, part weights and
-# bucket indices.
-_SAMPLED_TRAJ_BYTES = 32 + 48 + 48 + 4 * 16 + 64 + 3 * 144
+# Bytes a sampled run holds a trajectory in either reset mode, for the worst
+# start (three live pairs): its seed words and stream state (32 + 48), a
+# draw-block row (48), its pair entries (4 x 16) and the draw (64).
+_SAMPLED_TRAJ_BYTES = 32 + 48 + 48 + 4 * 16 + 64
 
 
 def _windows(env: BandedEnvironment) -> list[tuple[range, slice, slice]]:
@@ -85,14 +77,16 @@ def _windows(env: BandedEnvironment) -> list[tuple[range, slice, slice]]:
 
 
 def _trajectory_bytes(env: BandedEnvironment, reset_mode: str) -> int:
-    """Bytes a sampled run on env holds a trajectory: _SAMPLED_TRAJ_BYTES
-    and, with exact reset, its parts in both sectors on its band, their
-    products on the window bands of a step and the parts that land (16 B an
-    entry), counted on the largest band and the largest window."""
+    """Bytes a sampled run on env holds a trajectory: _SAMPLED_TRAJ_BYTES and,
+    with coarse reset, 72 B a band for its band's cumulative column and its
+    temporaries (32 B a band measured); with exact reset, 3 x 144 B for its
+    unraveling, part weights and bucket indices, and its parts in both
+    sectors on its band, their products on the window bands of a step and
+    the parts that land (16 B an entry), on the largest band and window."""
     if reset_mode == "coarse":
-        return _SAMPLED_TRAJ_BYTES
+        return _SAMPLED_TRAJ_BYTES + 72 * env.n_bands
     window = max(levels.stop - levels.start for _, levels, _ in _windows(env))
-    return _SAMPLED_TRAJ_BYTES + 2 * 16 * (2 * max(env.degeneracies) + window)
+    return _SAMPLED_TRAJ_BYTES + 3 * 144 + 2 * 16 * (2 * max(env.degeneracies) + window)
 
 
 class Propagator:
@@ -312,7 +306,7 @@ def _born_pick(w: np.ndarray, x: np.ndarray, band, nb: int):
     window slots k-1, k, k+1 of band k (_windows; zero outside the
     environment).
 
-    Returns the new band, its slot, its weight and its probability.
+    Returns the new band, its weight and its probability.
     """
     tot = w[:, 0] + w[:, 1] + w[:, 2]
     cum0 = w[:, 0] / tot
@@ -321,9 +315,8 @@ def _born_pick(w: np.ndarray, x: np.ndarray, band, nb: int):
     # rounds below 1. The clamp keeps an edge band off its zero-weight pad
     # slot, which only x = 0 (band 0) or that rounding (top band) would reach.
     new = np.minimum(np.maximum(band - 1 + (cum0 < x) + (cum1 < x), 0), nb - 1)
-    slot = new - band + 1
-    wk = w[np.arange(len(w)), slot]
-    return new, slot, wk, wk / tot
+    wk = w[np.arange(len(w)), new - band + 1]
+    return new, wk, wk / tot
 
 
 def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
@@ -345,8 +338,6 @@ def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
     with steps: it holds O(m max N_k) numbers for the states and
     max(2^13, m) per record for the block.
 
-    Every state is supported on one band k, and one step only reaches the
-    window of band k (_windows).
     In either reset mode a trajectory is its band k and its TLS state's
     entries rho[l] on the live pairs l = (p, q) of the table, from which
     every step's rho00 and rho10 are read (_parity_rows). U conserves
@@ -359,9 +350,9 @@ def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
     - coarse reset: the bath is 1_k / N_k after every measurement, so the TLS
       state conditioned on the band record depends on the record alone, and
       rho[l] is all a trajectory holds. The step is diagonal in the pair:
-      y[i, l] = op[l, k - 1 + i, k] rho[l] for the window slots i of k
-      (zero outside the environment), the band is drawn from the weights
-      tr y (the pairs (p, p), which lead the table), and y / tr y is kept.
+      y[k', l] = op[l, k', k] rho[l] over the whole column k, the band k' is
+      drawn from the weights tr y (the pairs (p, p), which lead the table),
+      and y / tr y is kept: the law of the nonselective coarse engine.
       Unraveling rho (x) 1_k / N_k into an eigenvector of rho and a level of
       band k gives band records the same law, since E[v v^+] = rho and the
       step is linear; rho is the mean of that unraveling's reduced state
@@ -378,11 +369,12 @@ def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
       their next parts, and every band's arrivals from k'-1, k' and k'+1 are
       joined into its next bucket.
 
-    Outcomes are drawn within the window, so the run is refused, as the
-    generator is first advanced and before any step, if one step can move
-    more than leak_tol of the weight of a state on one band past the
-    adjacent pair (leakage, the bound of _build over every state the run
-    can reach).
+    Exact-reset outcomes are drawn within the window of band k (_windows), so
+    that run alone is refused, as the generator is first advanced, if one step
+    can move more than leak_tol of the weight of a state on one band past the
+    adjacent pair (leakage). That is fourth order in the coupling but not
+    always far below leak_tol (1.03-1.11e3 coupling^4 at n = 7, delta_b = 0.1
+    and dt near 4 pi), so valid runs are refused as well as a broken propagator.
 
     Trajectory c draws only from its own stream of uniforms: the PCG64
     stream seeded with row c of words (_streams.trajectory_words or
@@ -391,23 +383,19 @@ def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
     initial unraveling (TLS eigenstate, level), then one per step for the
     band outcome; a coarse-reset trajectory draws only the one per step and
     starts from rho0 itself. The m streams are one batch-wide state
-    (_streams.Streams), drawn _streams.block_steps(m) steps at a time. A
-    uniform x picks level min(floor(x N_k), N_k - 1) of band k. A member of a
-    batch therefore has the same outcomes as a single run with its seed; its
-    reduced states agree to rounding, since products over a batch sum in
-    another order.
+    (_streams.Streams). A uniform x picks level min(floor(x N_k), N_k - 1)
+    of band k, and with coarse reset the first band whose cumulative weight
+    exceeds x times the total. A member of a batch therefore has the same
+    outcomes as a single run with its seed; its reduced states agree to
+    rounding, since products over a batch sum in another order.
     """
-    # Leakage past the adjacent pair is fourth order in the coupling but not
-    # always far below leak_tol: at n = 7, delta_b = 0.1 and dt near 4 pi it
-    # is 1.03-1.11e3 coupling^4, so the check refuses such valid runs as well
-    # as a broken propagator.
+    coarse = reset_mode == "coarse"
     leak_tol = max(1e-9, 1e3 * params.coupling**4)
-    if leakage > leak_tol:
+    if not coarse and leakage > leak_tol:
         raise ValueError(f"band-adjacency selection rule violated beyond {leak_tol:.1e}")
     m = len(words)
     streams = Streams(words)
-    coarse = reset_mode == "coarse"
-    nb = env.n_bands
+    nb = op.shape[1] if coarse else env.n_bands
     traj = np.arange(m)
 
     # Row t of a block: step j0 + t of every trajectory (band, outcome
@@ -423,20 +411,18 @@ def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
     out_k[0] = k0
     row00, row10, conj10, diagonal, dead = _parity_rows(pairs, nb)
     rho = np.zeros((m, dead + 1), dtype=complex)
-    window = _windows(env)
     if coarse:
-        # step[k, i, l] = op[l, k - 1 + i, k] on the slots i of k's window,
-        # zero on those outside the environment.
-        step = np.zeros((nb, 3, len(pairs)), dtype=complex)
-        for k, (bands, _, slots) in enumerate(window):
-            step[k, slots] = op[:, bands, k].T
+        # step[k, k2, l] = op[l, k2, k]; cols[l, k2, k]: the weight of bands
+        # 0 .. k2 in column k of diagonal pair l's block.
+        step = op.transpose(2, 1, 0).copy()
+        cols = np.cumsum(op[diagonal].real, axis=1)
         band = np.full(m, k0)
         rho[:, :-1] = list(pairs.values())
         out_r00[0], out_r10[0] = rho0.rho00, rho0.rho10
     else:
         # step[k][i]: u_p[band k2, band k]^T of the built sectors, stacked,
         # for the i-th window band k2 of k.
-        built, levels = list(op), env.band_slice
+        window, built, levels = _windows(env), list(op), env.band_slice
         step = [[np.stack([u[levels(k2), levels(k)].T for u in op.values()])
                  for k2 in bands]
                 for k, (bands, _, _) in enumerate(window)]
@@ -464,15 +450,18 @@ def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
         streams.random(draws[:n])
         for t in range(n):
             if coarse:
-                # y[c, i, l]: pair l of the unnormalised state in window band
-                # k - 1 + i.
-                y = step[band] * rho[:, None, :-1]
-                w = y[:, :, diagonal].real.sum(axis=2)
-                new, slot, wk, out_p[t] = _born_pick(w, draws[t], band, nb)
+                # cum[k2, c]: the weight of bands 0 .. k2. No zero-weight band
+                # is drawn: x = 0 passes them, and x cum[-1] < cum[-1] if x < 1.
+                cum = sum(np.take(col, band, axis=1) * r
+                          for col, r in zip(cols, rho[:, diagonal].real.T))
+                new = np.count_nonzero(cum[:-1] <= draws[t] * cum[-1], axis=0)
+                # y[c, l]: pair l of the unnormalised state in the drawn band.
+                y = step[band, new] * rho[:, :-1]
+                wk = y[:, diagonal].real.sum(axis=1)
+                out_p[t] = wk / cum[-1]
                 # Divided as floats: numpy takes complex / real as y * (1 / wk),
                 # which leaves a lone pair 1 ulp short of 1.
-                np.divide(y[traj, slot].view(float), wk[:, None],
-                          out=rho[:, :-1].view(float))
+                np.divide(y.view(float), wk[:, None], out=rho[:, :-1].view(float))
                 band = out_k[t] = new
             else:
                 landed = {}
@@ -485,7 +474,7 @@ def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
                               for v in prod]
                     w = np.zeros((len(ids), 3))
                     w[:, slots] = np.stack([pw.sum(axis=0) for pw in part_w], axis=1)
-                    new, _, wk, out_p[t, ids] = _born_pick(w, draws[t, ids], i, nb)
+                    new, wk, out_p[t, ids] = _born_pick(w, draws[t, ids], i, nb)
                     out_k[t, ids] = new
                     for k2, v, pw in zip(bands, prod, part_w):
                         sel = new == k2
@@ -546,8 +535,7 @@ def run_trajectory(params: ModelParams, env: BandedEnvironment, rho0: QubitState
     refused with TypeError.
     """
     _check_run(rho0, steps, reset_mode)
-    _check_fits(f"a trajectory of {reprlib.repr(steps)} steps",
-                steps * _TRAJECTORY_STEP_BYTES)
+    _check_fits(f"a trajectory of {_show(steps)} steps", steps * _TRAJECTORY_STEP_BYTES)
     words = seed_words(seed)
     pairs, op, leakage = _run_build(params, env, rho0, k0, reset_mode)
     blocks = _sample_paths(params, env, op, pairs, leakage, rho0, k0, steps, words,
@@ -643,7 +631,8 @@ def run_ensemble(params: ModelParams, env: BandedEnvironment, rho0: QubitState, 
     engine "sampled" averages n_traj independent trajectories with seeds derived
     from master_seed; "nonselective" evolves the exact outcome-averaged density
     matrix (no statistical error). Every engine reports the leakage bound of
-    its build; only the sampled one refuses a run on it.
+    its build; only the sampled one with exact reset refuses a run on it, as
+    coarse reset draws each outcome from the whole column of the pair blocks.
 
     The sampled engine reduces its records one draw block at a time
     (_sample_paths), with the same mean and std(ddof=1) per step as over the
@@ -661,9 +650,9 @@ def run_ensemble(params: ModelParams, env: BandedEnvironment, rho0: QubitState, 
         raise ValueError("sampled engine requires n_traj >= 1")
     if sampled and master_seed is None:
         raise ValueError("sampled engine requires a master_seed")
-    _check_fits(f"a series of {reprlib.repr(steps)} steps", steps * ENSEMBLE_STEP_BYTES)
+    _check_fits(f"a series of {_show(steps)} steps", steps * ENSEMBLE_STEP_BYTES)
     if sampled:
-        _check_fits(f"a sampled ensemble of {reprlib.repr(n_traj)} trajectories",
+        _check_fits(f"a sampled ensemble of {_show(n_traj)} trajectories",
                     n_traj * _trajectory_bytes(env, reset_mode))
     words = trajectory_words(master_seed, n_traj) if sampled else None
     pairs, op, leakage = _run_build(params, env, rho0, k0, reset_mode)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import reprlib
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -23,6 +22,7 @@ from .model import (
     _check_fits,
     _check_positive,
     _check_real,
+    _show,
     build_band_environment,
     build_spin_environment,
     effective_beta,
@@ -100,7 +100,7 @@ def _check_counts(cfg: dict) -> None:
     must also be >= 0, and all of them but k0 and seed >= 1."""
     grid = cfg.get("grid")
     if grid is not None and not (isinstance(grid, (list, tuple)) and len(grid) == 2):
-        raise ValueError(f"grid must be a list of two integers, got {reprlib.repr(grid)}")
+        raise ValueError(f"grid must be a list of two integers, got {_show(grid)}")
     keys = ("n", "k0", "steps", "n_traj", "seed", "num")
     counts = [(key, cfg.get(key)) for key in keys]
     counts += [("grid entry", value) for value in grid or ()]
@@ -160,7 +160,7 @@ def attractor_map(
     detuning_ends = (_real_or("detuning_min", detuning_min, -0.9 * delta_s),
                      _real_or("detuning_max", detuning_max, 3.0 * delta_s))
     _check_fits(
-        f"an attractor map of {reprlib.repr(grid[0])} x {reprlib.repr(grid[1])} cells",
+        f"an attractor map of {_show(grid[0])} x {_show(grid[1])} cells",
         grid[0] * grid[1] * _MAP_CELL_BYTES + sum(grid) * _MAP_AXIS_BYTES,
     )
     dts = np.linspace(*dt_ends, grid[0])
@@ -229,10 +229,10 @@ def sweep(
     _check_counts({"num": num})
     start, stop = _check_real("start", start), _check_real("stop", stop)
     if values is None:
-        _check_fits(f"a sweep of {reprlib.repr(num)} points", num * _SWEEP_POINT_BYTES)
+        _check_fits(f"a sweep of {_show(num)} points", num * _SWEEP_POINT_BYTES)
         values = np.linspace(start, stop, num).tolist()
     elif not isinstance(values, (list, tuple)):
-        raise ValueError(f"values must be a list, got {reprlib.repr(values)}")
+        raise ValueError(f"values must be a list, got {_show(values)}")
     values = [_check_real("values entry", value) for value in values]
     function, attr = _SWEEP_QUANTITIES[quantity]
     results = []
@@ -306,19 +306,19 @@ def _resolve(name: str, table: tuple, overrides: dict):
     defaults, (lo, hi) = table
     unknown = sorted(set(overrides) - set(defaults))
     if unknown:
-        raise ValueError(f"unknown {name} override(s) {reprlib.repr(unknown)}")
+        raise ValueError(f"unknown {name} override(s) {_show(unknown)}")
     # A None override means the default, as a null config value does.
     cfg = {**defaults, **{k: v for k, v in overrides.items() if v is not None}}
     _check_counts(cfg)
     if "tolerance" in cfg:
         _check_real("tolerance", cfg["tolerance"])
         if cfg["tolerance"] < 0:
-            raise ValueError(f"tolerance must be >= 0, got {reprlib.repr(cfg['tolerance'])}")
+            raise ValueError(f"tolerance must be >= 0, got {_show(cfg['tolerance'])}")
     params = ModelParams(**{f.name: cfg[f.name] for f in fields(ModelParams)})
     n, k0 = cfg["n"], cfg["k0"]
     if not -lo <= k0 <= n - hi:
-        raise ValueError(f"{name} needs {-lo} <= k0 <= {reprlib.repr(n - hi)} at "
-                         f"n = {reprlib.repr(n)}, got k0 = {reprlib.repr(k0)}")
+        raise ValueError(f"{name} needs {-lo} <= k0 <= {_show(n - hi)} at "
+                         f"n = {_show(n)}, got k0 = {_show(k0)}")
     _check_blocks_fit(n)
     beta_eff = effective_beta(n, k0 + lo, k0 + hi, params.delta_b)
     return cfg, params, beta_eff
@@ -368,7 +368,7 @@ def run_scenario(scenario: str = "fig2", **overrides) -> ScenarioReport:
             raise ValueError(f"the relaxation rate R = {rate:.3g} gives no finite "
                              "default run length ceil(8 / R): give steps")
         cfg["steps"] = int(math.ceil(length))
-    _check_fits(f"a scenario of {reprlib.repr(cfg['steps'])} steps",
+    _check_fits(f"a scenario of {_show(cfg['steps'])} steps",
                 cfg["steps"] * _SCENARIO_STEP_BYTES)
     series, record = _run(cfg, params, beta_eff)
     j = np.arange(cfg["steps"] + 1)
@@ -463,7 +463,7 @@ def verify_freezing(**overrides) -> ScenarioReport:
         )
     # Formed before the run, so that parameters too large for it fail first.
     c2 = offdiag_coeffs(params, beta_eff).c2
-    _check_fits(f"a freezing check of {reprlib.repr(cfg['steps'])} steps",
+    _check_fits(f"a freezing check of {_show(cfg['steps'])} steps",
                 cfg["steps"] * _FREEZING_STEP_BYTES)
     series, record = _run({**cfg, "reset_mode": "coarse"}, params, beta_eff)
     drift00 = float(np.max(np.abs(series.rho00 - series.rho00[0])))

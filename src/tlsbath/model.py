@@ -16,6 +16,7 @@ import numbers
 import operator
 import os
 import reprlib
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,13 +37,24 @@ __all__ = [
 STATE_TOL = 1e-9
 
 
-# Every refused outside value is shown through reprlib.repr, which equals
-# repr for a short value and bounds the text of a long one.
+class _BoundedRepr(reprlib.Repr):
+    """The bounded repr of refused values (_show); words an int too long for str."""
+
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:
+            return f"an integer of more than {sys.get_int_max_str_digits()} digits"
+
+
+_show = _BoundedRepr().repr
+
+
 def _check_real(name: str, value) -> float:
     """Reject a value that is not a finite real number (a bool is not one);
     return it as a float."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {reprlib.repr(value)}")
+        raise ValueError(f"{name} must be a real number, got {_show(value)}")
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an integer no float holds: its digits are not printed
@@ -57,7 +69,7 @@ def _check_positive(name: str, value) -> None:
     not > 0."""
     _check_real(name, value)
     if value <= 0:
-        raise ValueError(f"{name} must be > 0, got {reprlib.repr(value)}")
+        raise ValueError(f"{name} must be > 0, got {_show(value)}")
 
 
 def _check_count(name: str, value, minimum: int | None = 1) -> int:
@@ -68,9 +80,9 @@ def _check_count(name: str, value, minimum: int | None = 1) -> int:
             raise TypeError
         count = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}") from None
+        raise ValueError(f"{name} must be an integer, got {_show(value)}") from None
     if minimum is not None and count < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {reprlib.repr(count)}")
+        raise ValueError(f"{name} must be >= {minimum}, got {_show(count)}")
     return count
 
 
@@ -79,7 +91,7 @@ def _check_band(name: str, k, n: int) -> None:
     outside [0, n]."""
     k = _check_count(name, k, None)
     if not 0 <= k <= n:
-        raise ValueError(f"band {name} = {reprlib.repr(k)} outside [0, {n}]")
+        raise ValueError(f"band {name} = {_show(k)} outside [0, {n}]")
 
 
 def _check_choice(name: str, value, choices) -> None:
@@ -88,7 +100,7 @@ def _check_choice(name: str, value, choices) -> None:
     choices = tuple(choices)
     if value not in choices:
         raise ValueError(
-            f"unknown {name} {reprlib.repr(value)}; choose from {sorted(choices)}"
+            f"unknown {name} {_show(value)}; choose from {sorted(choices)}"
         )
 
 
@@ -124,7 +136,7 @@ def _check_blocks_fit(n: int) -> tuple[int, ...]:
         nbytes += 16 * degs[k] * degs[k + 1]
         if nbytes > 2**128:
             break
-    _check_fits(f"the coupling blocks of n = {reprlib.repr(n)} spins", nbytes)
+    _check_fits(f"the coupling blocks of n = {_show(n)} spins", nbytes)
     return tuple(degs)
 
 

@@ -220,6 +220,24 @@ class TestRelaxCommand:
         report = json.loads((tmp_path / "relax_fig2.json").read_text())
         assert report["extra"]["leakage_bound"] > 1e3 * 0.01**4
 
+    @pytest.mark.parametrize("reset, code", [("coarse", 2), ("exact", 1)])
+    def test_sampled_run_above_sampled_limit(self, tmp_path, capsys, reset, code):
+        """At the same point a sampled coarse-reset run draws from whole
+        columns: it finishes, prints its verdict and misses the target
+        (exit 2), with no error line. Exact reset draws within the adjacent
+        bands and still refuses the run (exit 1)."""
+        cfg = write_config(tmp_path, {"model": "sigma-x", "detuning": -0.9,
+                                      "dt": 4 * math.pi, "coupling": 0.01,
+                                      "n_traj": 10, "steps": 5})
+        assert main(["relax", "--scenario", "fig2", "--engine", "sampled", "--reset", reset,
+                     "--config", cfg, "--out", str(tmp_path)]) == code
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert out.startswith("fig2: plateau=") and "[FAIL]" in out
+            assert "error:" not in err
+        else:
+            assert err == "error: band-adjacency selection rule violated beyond 1.0e-05\n"
+
     @pytest.mark.parametrize("scenario", sorted(_SCENARIOS))
     def test_every_default_key_accepted(self, tmp_path, scenario):
         defaults, _ = _SCENARIOS[scenario]

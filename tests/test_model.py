@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.special
 
 from oracles import joint_hamiltonian
 from tlsbath import model
+from tlsbath.dynamics import run_ensemble
 from tlsbath.model import (
     ModelParams,
     QubitState,
@@ -87,6 +89,29 @@ def test_checks_refuse_what_no_float_holds():
     with pytest.raises(ValueError,
                        match=r"^a grid would take more than 2\^128 B, more than any memory$"):
         model._check_fits("a grid", 10**400)
+
+
+_HUGE_INT = 10**5000   # more digits than Python's int-string limit prints
+
+
+@pytest.mark.parametrize("refuse, key", [
+    (lambda: model._check_count("n", -_HUGE_INT), "n"),
+    (lambda: model._check_count("n", [_HUGE_INT]), "n"),
+    (lambda: model._check_choice("engine", _HUGE_INT, ("sampled", "nonselective")),
+     "engine"),
+    (lambda: model._check_band("k0", _HUGE_INT, 5), "k0"),
+    (lambda: run_ensemble(ModelParams(delta_s=1.0), build_band_environment(3, seed=1),
+                          QubitState(rho00=1.0), 1, steps=_HUGE_INT), "steps"),
+], ids=["count", "count-in-list", "choice", "band", "run-steps"])
+def test_huge_integer_refusal_names_its_key(refuse, key):
+    """An integer too long for Python's int-string limit is refused with
+    its key named in at most 200 characters, its digits shown as a short
+    text, not with the limit's own message."""
+    with pytest.raises(ValueError) as refused:
+        refuse()
+    text = str(refused.value)
+    limit = f"an integer of more than {sys.get_int_max_str_digits()} digits"
+    assert key in text and limit in text and len(text) <= 200, text
 
 
 @pytest.mark.parametrize("value", [["a"], {"a": 1}, "c", None, 1])
