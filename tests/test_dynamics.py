@@ -1574,10 +1574,10 @@ def test_long_run_agrees_with_nonselective(small_env, ground, master_seed):
     at each master seed. Draws truncated to the adjacent bands read
     6.5-9.3 stderr above it at master seeds 1-6."""
     params = ModelParams(delta_s=1.0, coupling=0.1, dt=math.pi)
-    exact = run_ensemble(params, small_env, ground, 2, 8000, reset_mode="coarse")
+    mean = run_ensemble(params, small_env, ground, 2, 8000, reset_mode="coarse")
     sampled = run_ensemble(params, small_env, ground, 2, 8000, n_traj=800,
                            master_seed=master_seed, reset_mode="coarse", engine="sampled")
-    assert abs(sampled.rho00[-1] - exact.rho00[-1]) < 3 * sampled.stderr[-1]
+    assert abs(sampled.rho00[-1] - mean.rho00[-1]) < 3 * sampled.stderr[-1]
 
 
 class TestMemoryGuard:
