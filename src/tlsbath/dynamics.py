@@ -63,17 +63,16 @@ _TRAJECTORY_STEP_BYTES = 8 + 8 + 8 + 16
 _SAMPLED_TRAJ_BYTES = 32 + 48 + 48 + 4 * 16 + 64
 
 
-def _windows(env: BandedEnvironment) -> list[tuple[range, slice, slice]]:
-    """The window of every band k, as entry k = (bands, levels, slots): the
-    bands k - 1 .. k + 1 that exist, which are all that one step reaches
-    from band k at second order in the coupling (the paper's selection
-    rule, whose width is written here alone); their levels, contiguous in
-    the environment's level order; and their places among the three slots
-    k - 1, k, k + 1 that _born_pick draws from."""
+def _windows(env: BandedEnvironment) -> list[tuple[range, slice]]:
+    """The window of every band k, as entry k = (bands, levels): the bands
+    k - 1 .. k + 1 that exist, which are all that one step reaches from band
+    k at second order in the coupling (the paper's selection rule, whose
+    width is written here alone), and their levels, contiguous in the
+    environment's level order. The exact-reset step, its draw, its memory
+    budget and the leakage bound all read the width from this table."""
     nb, ends = env.n_bands, [*env.band_starts, env.dim]
     bands = [range(max(k - 1, 0), min(k + 2, nb)) for k in range(nb)]
-    return [(b, slice(ends[b.start], ends[b.stop]), slice(b.start - k + 1, b.stop - k + 1))
-            for k, b in enumerate(bands)]
+    return [(b, slice(ends[b.start], ends[b.stop])) for b in bands]
 
 
 def _trajectory_bytes(env: BandedEnvironment, reset_mode: str) -> int:
@@ -85,7 +84,7 @@ def _trajectory_bytes(env: BandedEnvironment, reset_mode: str) -> int:
     the parts that land (16 B an entry), on the largest band and window."""
     if reset_mode == "coarse":
         return _SAMPLED_TRAJ_BYTES + 72 * env.n_bands
-    window = max(levels.stop - levels.start for _, levels, _ in _windows(env))
+    window = max(levels.stop - levels.start for _, levels in _windows(env))
     return _SAMPLED_TRAJ_BYTES + 3 * 144 + 2 * 16 * (2 * max(env.degeneracies) + window)
 
 
@@ -250,7 +249,7 @@ def _leakage_bound(us: dict[int, np.ndarray], env: BandedEnvironment) -> float:
     either reset mode.
     """
     worst = 0.0
-    for k, (_, levels, _) in enumerate(_windows(env)):
+    for k, (_, levels) in enumerate(_windows(env)):
         for u in us.values():
             far = np.delete(u[:, env.band_slice(k)], levels, axis=0)
             worst = max(worst, float(np.linalg.eigvalsh(far.conj().T @ far)[-1]))
@@ -301,22 +300,12 @@ def _parity_rows(pairs: dict, nb: int):
             row.get((1, 0), dead), excited0, slice(0, sum(p == q for p, q in pairs)), dead)
 
 
-def _born_pick(w: np.ndarray, x: np.ndarray, band, nb: int):
-    """Band outcome drawn with uniforms x from the weights w (m, 3) of the
-    window slots k-1, k, k+1 of band k (_windows; zero outside the
-    environment).
-
-    Returns the new band, its weight and its probability.
-    """
-    tot = w[:, 0] + w[:, 1] + w[:, 2]
-    cum0 = w[:, 0] / tot
-    cum1 = cum0 + w[:, 1] / tot
-    # A uniform past cum1 picks slot 2, also where the last cumulative weight
-    # rounds below 1. The clamp keeps an edge band off its zero-weight pad
-    # slot, which only x = 0 (band 0) or that rounding (top band) would reach.
-    new = np.minimum(np.maximum(band - 1 + (cum0 < x) + (cum1 < x), 0), nb - 1)
-    wk = w[np.arange(len(w)), new - band + 1]
-    return new, wk, wk / tot
+def _pick(cum: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The one band draw of the sampled engine: with cumulative weights cum,
+    bands along axis 0, the index of the first band whose cumulative weight
+    exceeds x times the total cum[-1]. No zero-weight band is drawn: x = 0
+    passes the leading ones, and x cum[-1] < cum[-1] if x < 1."""
+    return np.count_nonzero(cum[:-1] <= x * cum[-1], axis=0)
 
 
 def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
@@ -366,8 +355,8 @@ def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
       the draw, the rows that land in k' give their entries rho[l] (pair
       (p, p) the weight of the sector-p part, pair (1, 0) the overlap
       <part 0 | part 1>, both divided by the weight in k') and, normalised,
-      their next parts, and every band's arrivals from k'-1, k' and k'+1 are
-      joined into its next bucket.
+      their next parts, and every band's arrivals from the buckets whose
+      window holds it are joined into its next bucket.
 
     Exact-reset outcomes are drawn within the window of band k (_windows), so
     that run alone is refused, as the generator is first advanced, if one step
@@ -384,10 +373,12 @@ def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
     band outcome; a coarse-reset trajectory draws only the one per step and
     starts from rho0 itself. The m streams are one batch-wide state
     (_streams.Streams). A uniform x picks level min(floor(x N_k), N_k - 1)
-    of band k, and with coarse reset the first band whose cumulative weight
-    exceeds x times the total. A member of a batch therefore has the same
-    outcomes as a single run with its seed; its reduced states agree to
-    rounding, since products over a batch sum in another order.
+    of band k, and, in either reset mode, the first band whose cumulative
+    weight exceeds x times the total (_pick), over the whole column with
+    coarse reset and over the window of band k with exact reset. A member
+    of a batch therefore has the same outcomes as a single run with its
+    seed; its reduced states agree to rounding, since products over a batch
+    sum in another order.
     """
     coarse = reset_mode == "coarse"
     leak_tol = max(1e-9, 1e3 * params.coupling**4)
@@ -425,7 +416,7 @@ def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
         window, built, levels = _windows(env), list(op), env.band_slice
         step = [[np.stack([u[levels(k2), levels(k)].T for u in op.values()])
                  for k2 in bands]
-                for k, (bands, _, _) in enumerate(window)]
+                for k, (bands, _) in enumerate(window)]
         # The built sectors whose weights are the entries on the diagonal rows.
         diag = [built.index(p) for p, _ in list(pairs)[diagonal]]
         # The unraveling of rho0 (x) 1_k / N_k: an eigenvector v of rho0 and a
@@ -450,11 +441,10 @@ def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
         streams.random(draws[:n])
         for t in range(n):
             if coarse:
-                # cum[k2, c]: the weight of bands 0 .. k2. No zero-weight band
-                # is drawn: x = 0 passes them, and x cum[-1] < cum[-1] if x < 1.
+                # cum[k2, c]: the weight of bands 0 .. k2.
                 cum = sum(np.take(col, band, axis=1) * r
                           for col, r in zip(cols, rho[:, diagonal].real.T))
-                new = np.count_nonzero(cum[:-1] <= draws[t] * cum[-1], axis=0)
+                new = _pick(cum, draws[t])
                 # y[c, l]: pair l of the unnormalised state in the drawn band.
                 y = step[band, new] * rho[:, :-1]
                 wk = y[:, diagonal].real.sum(axis=1)
@@ -466,16 +456,19 @@ def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
             else:
                 landed = {}
                 for i, (ids, psi) in buckets.items():
-                    bands, _, slots = window[i]
+                    bands = window[i][0]
                     # prod[j][s]: the part of built sector s, stepped, on
-                    # window band bands[j]; part_w[j][s]: its weight.
+                    # window band bands[j]; part_w[j][s]: its weight, and
+                    # w[j, c] that of trajectory c.
                     prod = [psi @ b for b in step[i]]
                     part_w = [np.einsum("scl,scl->sc", v.view(float), v.view(float))
                               for v in prod]
-                    w = np.zeros((len(ids), 3))
-                    w[:, slots] = np.stack([pw.sum(axis=0) for pw in part_w], axis=1)
-                    new, wk, out_p[t, ids] = _born_pick(w, draws[t, ids], i, nb)
-                    out_k[t, ids] = new
+                    w = np.stack([pw.sum(axis=0) for pw in part_w])
+                    cum = np.cumsum(w, axis=0)
+                    j = _pick(cum, draws[t, ids])
+                    wk = w[j, np.arange(len(ids))]
+                    out_p[t, ids] = wk / cum[-1]
+                    new = out_k[t, ids] = bands.start + j
                     for k2, v, pw in zip(bands, prod, part_w):
                         sel = new == k2
                         hits = np.count_nonzero(sel)

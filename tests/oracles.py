@@ -125,16 +125,17 @@ def dense_nonselective_reference(params, env, rho0, k0, steps, reset_mode):
     return np.array([q.rho00 for q in states]), np.array([q.rho10 for q in states])
 
 
-def dense_sampled_reference(params, env, rho0, k0, steps, seed, reset_mode):
+def dense_sampled_reference(params, env, rho0, k0, steps, seed, reset_mode, halfwidth=1):
     """One trajectory on the full joint state, fed with the uniform stream the
     engine draws from the same seed. Exact reset: a product vector from _eig2,
     then per step u psi, a masked collapse onto the drawn band and a
-    renormalisation; the band is drawn within the adjacent bands of the one
+    renormalisation; the band is drawn within halfwidth bands of the one
     left. Coarse reset: the record-conditioned state, per step
     u (rho_S x 1_k / N_k) u^+ projected onto the drawn band k and
     renormalised, with rho_S its reduced state (rho0 at the start); the band
-    is drawn from all bands, as the first whose cumulative weight exceeds
-    x times the total."""
+    is drawn from all bands. In either mode the drawn band is the first
+    whose cumulative weight exceeds x times the total, and its probability
+    its weight over that total."""
     u = _unitary(params, env)
     coarse = reset_mode == "coarse"
     x = iter(np.random.default_rng(seed).random(steps + (0 if coarse else 2)))
@@ -157,15 +158,11 @@ def dense_sampled_reference(params, env, rho0, k0, steps, seed, reset_mode):
             psi = u @ psi
             weight = np.abs(psi) ** 2
         w = np.array([np.sum(weight[ids == i]) for i in range(env.n_bands)])
-        if coarse:
-            cum = np.cumsum(w)
-            band = int(np.count_nonzero(cum[:-1] <= next(x) * cum[-1]))
-            probs.append(w[band] / cum[-1])
-        else:
-            w = np.where(np.abs(np.arange(env.n_bands) - band) <= 1, w, 0.0)
-            w = w / w.sum()
-            band = min(int(np.searchsorted(np.cumsum(w), next(x))), env.n_bands - 1)
-            probs.append(w[band])
+        if not coarse:
+            w = np.where(np.abs(np.arange(env.n_bands) - band) <= halfwidth, w, 0.0)
+        cum = np.cumsum(w)
+        band = int(np.count_nonzero(cum[:-1] <= next(x) * cum[-1]))
+        probs.append(w[band] / cum[-1])
         keep = ids == band
         if coarse:
             rho = np.where(keep[:, None] & keep[None, :], rho, 0.0)

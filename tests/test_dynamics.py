@@ -773,6 +773,30 @@ class TestSampledEngine:
         assert len(np.unique(out_k)) >= (3 if rho0 is _COHERENT else 2)
         assert np.any(out_k[1:] != out_k[:-1])
 
+    @pytest.mark.parametrize("coupling", [0.2, 0.3, 0.5])
+    def test_whole_column_windows_draw_every_band(self, monkeypatch, coupling, small_env):
+        """_windows alone sets the exact-reset width: with every band's window
+        the whole column, the engine steps, draws and bounds over all bands.
+        Its records are the dense reference's with a half-width of n, the
+        leakage bound it reports is 0, and a jump skips a band."""
+        monkeypatch.setattr(dynamics, "_windows", lambda env: (
+            [(range(env.n_bands), slice(0, env.dim))] * env.n_bands))
+        params = ModelParams(delta_s=1.0, detuning=0.3, coupling=coupling, dt=1.1)
+        seeds = [trajectory_seed(17, i) for i in range(8)]
+        out_k, out_p, r00, r10 = _paths(params, small_env, _COHERENT, 2, 40, seeds, "exact")
+        for c, seed in enumerate(seeds):
+            ref_k, ref_p, ref00, ref10 = dense_sampled_reference(
+                params, small_env, _COHERENT, 2, 40, seed, "exact", halfwidth=small_env.n
+            )
+            assert np.array_equal(out_k[:, c], ref_k)
+            assert np.max(np.abs(out_p[:, c] - ref_p)) < 1e-12
+            assert np.max(np.abs(r00[:, c] - ref00)) < 1e-12
+            assert np.max(np.abs(r10[:, c] - ref10)) < 1e-12
+        series = run_ensemble(params, small_env, _COHERENT, k0=2, steps=2, n_traj=2,
+                              master_seed=1, reset_mode="exact", engine="sampled")
+        assert series.leakage_bound == 0.0
+        assert np.max(np.abs(np.diff(out_k, axis=0))) >= 2
+
     @staticmethod
     def _bucket_merge_case(params, rho0):
         """Exact reset where one step brings trajectories into a band from all
@@ -1026,21 +1050,24 @@ class TestOneSectorTrajectories:
         expect = [chain[k2, k] / chain[:, k].sum() for k, k2 in zip(i[:-1], i[1:])]
         assert np.max(np.abs(traj.probs - expect)) < 1e-12
 
+    @pytest.mark.parametrize("reset_mode", ["coarse", "exact"])
     @pytest.mark.parametrize("start", ["ground", "diagonal", "coherent"])
     @pytest.mark.parametrize("k0", [0, 2, 5])
     @pytest.mark.parametrize("x", [0.0, 1.0 - 2.0**-53], ids=["zero", "largest"])
     def test_edge_uniforms_draw_a_band_with_weight(self, monkeypatch, small_env, x, k0,
-                                                   start):
-        """At coupling 0 every column k of the pair blocks holds band k
-        alone, so a coarse draw on band k must give k. A uniform of 0 passes
-        the bands before k, whose cumulative weight is 0. The largest
-        uniform, 1 - 2^-53, times the column total rounds below that total,
-        the cumulative weight of k and of every band after it, so it stops
-        at k: no uniform in [0, 1) reaches a band after the last with
+                                                   start, reset_mode):
+        """At coupling 0 a step keeps a state on band k: every column k of
+        the pair blocks, and every window of band k, holds weight on band k
+        alone, so a draw on band k must give k in either reset mode. A
+        uniform of 0 passes the bands before k, whose cumulative weight is
+        0. The largest uniform, 1 - 2^-53, times the total rounds below that
+        total, the cumulative weight of k and of every band after it, so it
+        stops at k: no uniform in [0, 1) reaches a band after the last with
         weight."""
         monkeypatch.setattr(Streams, "random", lambda self, out: out.fill(x))
         params = ModelParams(delta_s=1.0, coupling=0.0, dt=1.1)
-        traj = run_trajectory(params, small_env, _STARTS[start], k0, 20, seed=0)
+        traj = run_trajectory(params, small_env, _STARTS[start], k0, 20, seed=0,
+                              reset_mode=reset_mode)
         assert np.all(traj.outcomes == k0)
         assert np.max(np.abs(traj.probs - 1.0)) <= 1e-15
 
@@ -1367,8 +1394,7 @@ class TestBlockRecords:
 
 class TestWindows:
     """_windows is the one spelling of the selection rule's window: for
-    every band k, the bands k - 1 .. k + 1 inside [0, n], their levels and
-    their slots among the three slots k - 1, k, k + 1."""
+    every band k, the bands k - 1 .. k + 1 inside [0, n] and their levels."""
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_table_is_the_adjacent_bands(self, n):
@@ -1376,11 +1402,10 @@ class TestWindows:
         levels_of = [list(range(env.dim))[env.band_slice(j)] for j in range(n + 1)]
         table = dynamics._windows(env)
         assert len(table) == n + 1
-        for k, (bands, levels, slots) in enumerate(table):
+        for k, (bands, levels) in enumerate(table):
             near = [j for j in (k - 1, k, k + 1) if 0 <= j <= n]
             assert list(bands) == near
             assert list(range(env.dim))[levels] == [g for j in near for g in levels_of[j]]
-            assert list(range(3))[slots] == [j - k + 1 for j in near]
 
     @pytest.mark.parametrize("n", range(1, 8))
     @pytest.mark.parametrize("build", [build_band_environment, build_spin_environment],

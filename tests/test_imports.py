@@ -90,11 +90,13 @@ def test_every_module_name_is_used():
 
 
 # What dynamics.py writes out once, and the function that owns it: the
-# selection rule's window of band k and a run's choice between its builds.
+# selection rule's window of band k, the band draw of both reset modes and
+# a run's choice between its builds.
 _OWNED = {
     r"max\(\s*k\s*-\s*1\s*,\s*0\s*\)": "_windows",
     r"min\(\s*k\s*\+\s*2\b": "_windows",
     r"min\(\s*k\s*\+\s*1\b": "_windows",
+    r"cum\[:-1\]\s*<=": "_pick",
     r"transfer_blocks\s+if\b": "_run_build",
 }
 
@@ -114,9 +116,10 @@ def _assert_owned(name: str, owned: dict) -> None:
 
 def test_window_and_build_have_one_owner():
     """dynamics.py spells the adjacent-band window (max(k - 1, 0),
-    min(k + 2 or min(k + 1) only in _windows and the choice of a run's build
-    (transfer_blocks if ...) only in _run_build, so that a change to either
-    is made in one place. Both owners do spell theirs."""
+    min(k + 2 or min(k + 1) only in _windows, the band draw's comparison
+    (cum[:-1] <=) only in _pick and the choice of a run's build
+    (transfer_blocks if ...) only in _run_build, so that a change to any of
+    them is made in one place. Each owner does spell its own."""
     _assert_owned("dynamics.py", _OWNED)
 
 
