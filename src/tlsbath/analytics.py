@@ -19,7 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import STATE_TOL, ModelParams, QubitState, _check_choice
+from .model import (
+    STATE_TOL,
+    BandedEnvironment,
+    ModelParams,
+    QubitState,
+    _check_choice,
+    _check_positive,
+    _check_real,
+    _tls_level,
+)
 
 __all__ = [
     "SecondOrderWarning",
@@ -224,6 +233,31 @@ def relaxation_constants(params: ModelParams, beta: float) -> RelaxationPair:
     return RelaxationPair(rate=rate, drive=scale * (up * sf.sin_a + down * sf.sin_b))
 
 
+def band_chain(env: BandedEnvironment, params: ModelParams) -> np.ndarray:
+    """The lambda^2 generator of the band chain of each parity sector, as
+    q[p, k', k]: one coarse step moves band k of sector p to band k' with
+    probability lambda^2 q[p, k', k] + O(lambda^4), for k' != k.
+
+    With F_k the squared Frobenius norm of env.up_blocks[k] and N_k the
+    degeneracies, a band at TLS level 0 (_tls_level) jumps to k - 1 at
+    4 F_{k-1} / N_k sinA and to k + 1 at 4 F_k / N_k sinB (sinc_factors); one
+    at TLS level 1 swaps sinA and sinB. Every column sums to zero.
+    """
+    sf = sinc_factors(params)
+    degs = np.asarray(env.degeneracies, dtype=float)
+    norms = np.array([np.vdot(b, b).real for b in env.up_blocks])
+    ground = _tls_level(np.arange(2)[:, None], np.arange(env.n_bands)) == 0
+    # down[p, k]: the sinc factor of the jump k -> k - 1, up[p, k] that of k -> k + 1.
+    down = np.where(ground, sf.sin_a, sf.sin_b)
+    up = np.where(ground, sf.sin_b, sf.sin_a)
+    k, bands = np.arange(env.n), np.arange(env.n_bands)
+    q = np.zeros((2, env.n_bands, env.n_bands))
+    q[:, k, k + 1] = 4.0 * norms / degs[1:] * down[:, 1:]
+    q[:, k + 1, k] = 4.0 * norms / degs[:-1] * up[:, :-1]
+    q[:, bands, bands] = -q.sum(axis=1)
+    return q
+
+
 def outcome_probabilities(
     rho: QubitState, params: ModelParams, beta: float
 ) -> tuple[float, float, float]:
@@ -355,8 +389,9 @@ def is_freezing_point(
 ) -> tuple[bool, int | None, int | None]:
     """(frozen, n, m): frozen where both interference factors vanish, which is
     at dt = n pi / delta_s with detuning = 2 m pi / dt (m of either sign)."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
+    _check_positive("dt", dt)
+    _check_real("detuning", detuning)
+    _check_positive("delta_s", delta_s)
     if not _frozen(dt, *_finite_interference(dt, detuning, delta_s)):
         return False, None, None
     return True, round(dt * delta_s / math.pi), round(detuning * dt / (2.0 * math.pi))
@@ -417,6 +452,8 @@ def effective_temperature(rho00: float, delta_s: float) -> float:
     slack QubitState.validate grants a state's rounding, reads as the nearest
     end.
     """
+    _check_real("rho00", rho00)
+    _check_positive("delta_s", delta_s)
     if not -STATE_TOL <= rho00 <= 1.0 + STATE_TOL:
         raise ValueError(f"rho00 = {rho00} outside [0, 1]")
     rho00 = min(max(rho00, 0.0), 1.0)

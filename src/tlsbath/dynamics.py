@@ -3,8 +3,8 @@
 Two engines share one step convention: unitary evolution over dt, then a
 projective measurement of the environment band. The sampled engine follows
 single measurement records: with exact reset it propagates pure state vectors
-(mixed inputs are unraveled into eigenstate draws), with coarse reset the TLS
-state conditioned on the record. The nonselective engine propagates the exact
+(a mixed start is unraveled into eigenvectors of rho0 from numpy's eigh), with
+coarse reset the TLS state conditioned on the record. The nonselective engine propagates the exact
 outcome-averaged density matrix.
 
 Every run makes one build (_build): the pair table of rho0, the env.dim-wide
@@ -164,38 +164,6 @@ class EnsembleSeries:
         return len(self.rho00) - 1
 
 
-def _eig2(rho00: np.ndarray, rho10: np.ndarray):
-    """Vectorized eigen-decomposition of 2x2 density matrices.
-
-    Returns (p_plus, v_plus, v_minus) with eigenvectors as (2, m) arrays;
-    p_plus is the eigenvalue of v_plus.
-    """
-    rho00 = np.atleast_1d(np.asarray(rho00, dtype=float))
-    rho10 = np.atleast_1d(np.asarray(rho10, dtype=complex))
-    half_diff = (rho00 - (1.0 - rho00)) / 2.0
-    s = np.sqrt(half_diff**2 + np.abs(rho10) ** 2)
-    lam_p = 0.5 + s
-    # Eigenvector of the larger eigenvalue: (rho01, lam_p - rho00), with a
-    # diagonal fallback where the matrix is already (numerically) diagonal.
-    # Near the ground pole lam_p - rho00 = s - half_diff cancels; there it is
-    # evaluated as |rho10|^2 / (s + half_diff), which keeps its relative error
-    # at rounding level instead of 1e-16 / |rho10|.
-    v0 = np.conjugate(rho10)
-    v1 = np.divide(
-        np.abs(rho10) ** 2, s + half_diff, out=s - half_diff, where=half_diff > 0
-    )
-    norm = np.sqrt(np.abs(v0) ** 2 + np.abs(v1) ** 2)
-    diagonal = norm < 1e-14
-    excited_heavy = rho00 < 0.5
-    v0 = np.where(diagonal, np.where(excited_heavy, 0.0, 1.0), v0)
-    v1 = np.where(diagonal, np.where(excited_heavy, 1.0, 0.0), v1)
-    norm = np.where(diagonal, 1.0, norm)
-    v_plus = np.stack((v0 / norm, v1 / norm))
-    # Orthogonal partner.
-    v_minus = np.stack((-np.conjugate(v_plus[1]), np.conjugate(v_plus[0])))
-    return lam_p, v_plus, v_minus
-
-
 def _build(params: ModelParams, env: BandedEnvironment, rho0: QubitState, k0: int):
     """The one build step of every run from rho0 (x) 1_k0 / N_k0: its pair
     table, the sector unitaries the table names, and their leakage bound
@@ -329,12 +297,12 @@ def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
 
     In either reset mode a trajectory is its band k and its TLS state's
     entries rho[l] on the live pairs l = (p, q) of the table, from which
-    every step's rho00 and rho10 are read (_parity_rows). U conserves
-    parity, so an exact-reset state is also held by its parts in the S
-    sectors _build made, and a sector's part stays in its sector: on band
-    k, the part of sector p is at TLS level _tls_level(p, k). Everything a step
-    needs is formed from op where the trajectories start, and nothing of a
-    dead pair or a sector left out is stored:
+    every row's rho00 and rho10, row 0 included, are read (_parity_rows). U
+    conserves parity, so an exact-reset state is also held by its parts in
+    the S sectors _build made, and a sector's part stays in its sector: on
+    band k, the part of sector p is at TLS level _tls_level(p, k).
+    Everything a step needs is formed from op where the trajectories start,
+    and nothing of a dead pair or a sector left out is stored:
 
     - coarse reset: the bath is 1_k / N_k after every measurement, so the TLS
       state conditioned on the band record depends on the record alone, and
@@ -356,7 +324,11 @@ def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
       (p, p) the weight of the sector-p part, pair (1, 0) the overlap
       <part 0 | part 1>, both divided by the weight in k') and, normalised,
       their next parts, and every band's arrivals from the buckets whose
-      window holds it are joined into its next bucket.
+      window holds it are joined into its next bucket. A trajectory starts
+      from an eigenvector of rho0 (eigh, in TLS order), the larger-eigenvalue
+      one where its first uniform is below that eigenvalue, on level
+      min(floor(x N_k0), N_k0 - 1) of band k0 for its second uniform x; its
+      entries are set from its parts as a landing of weight 1 sets them.
 
     Exact-reset outcomes are drawn within the window of band k (_windows), so
     that run alone is refused, as the generator is first advanced, if one step
@@ -369,13 +341,13 @@ def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
     stream seeded with row c of words (_streams.trajectory_words or
     _streams.seed_words), whose values are those numpy.random.default_rng
     gives for its seed, bit for bit. With exact reset it draws two for the
-    initial unraveling (TLS eigenstate, level), then one per step for the
+    initial unraveling (eigenvector, level), then one per step for the
     band outcome; a coarse-reset trajectory draws only the one per step and
-    starts from rho0 itself. The m streams are one batch-wide state
-    (_streams.Streams). A uniform x picks level min(floor(x N_k), N_k - 1)
-    of band k, and, in either reset mode, the first band whose cumulative
-    weight exceeds x times the total (_pick), over the whole column with
-    coarse reset and over the window of band k with exact reset. A member
+    starts from the entries of rho0 itself. The m streams are one batch-wide
+    state (_streams.Streams). A uniform x picks, in either reset mode, the
+    first band whose cumulative weight exceeds x times the total (_pick),
+    over the whole column with coarse reset and over the window of band k
+    with exact reset. A member
     of a batch therefore has the same outcomes as a single run with its
     seed; its reduced states agree to rounding, since products over a batch
     sum in another order.
@@ -409,7 +381,6 @@ def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
         cols = np.cumsum(op[diagonal].real, axis=1)
         band = np.full(m, k0)
         rho[:, :-1] = list(pairs.values())
-        out_r00[0], out_r10[0] = rho0.rho00, rho0.rho10
     else:
         # step[k][i]: u_p[band k2, band k]^T of the built sectors, stacked,
         # for the i-th window band k2 of k.
@@ -419,28 +390,32 @@ def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
                 for k, (bands, _) in enumerate(window)]
         # The built sectors whose weights are the entries on the diagonal rows.
         diag = [built.index(p) for p, _ in list(pairs)[diagonal]]
-        # The unraveling of rho0 (x) 1_k / N_k: an eigenvector v of rho0 and a
-        # uniform level of band k0.
+        # The unraveling of rho0 (x) 1_k / N_k: an eigenvector of rho0 (eigh,
+        # in TLS order), the larger-eigenvalue one where the first uniform is
+        # below its eigenvalue, and a uniform level of band k0.
         x0 = np.empty((2, m))
         streams.random(x0)
-        lam_p, v_plus, v_minus = _eig2(rho0.rho00, rho0.rho10)
-        vec = np.where(x0[0] < lam_p, v_plus, v_minus)
+        lam, vecs = np.linalg.eigh(rho0.matrix())
+        vec = np.where(x0[0] < lam[1], vecs[:, 1:], vecs[:, :1])
         nk = env.degeneracies[k0]
         level = np.minimum((x0[1] * nk).astype(int), nk - 1)
-        out_r00[0] = np.abs(vec[0]) ** 2
-        out_r10[0] = vec[0].conj() * vec[1]
         # Band buckets: band k -> (its trajectories, the part of each one's
         # state on band k in every built sector, (S, m_k, N_k)).
         psi = np.zeros((len(built), m, nk), dtype=complex)
         psi[:, traj, level] = vec[_tls_level(np.array(built), k0)]
         buckets = {k0: (traj, psi)}
-    yield 0, out_k[:1], out_p[:0], out_r00[:1], out_r10[:1]
+        # The start's pair entries, as a landing of weight 1 sets them.
+        rho[:, diagonal] = np.einsum("scl,scl->sc", psi.view(float), psi.view(float))[diag].T
+        if row10 != dead:
+            rho[:, row10] = np.vecdot(psi[0], psi[1])
 
-    for j0 in range(1, steps + 1, block):
-        n = min(block, steps + 1 - j0)
-        streams.random(draws[:n])
+    for j0 in (0, *range(1, steps + 1, block)):
+        # Block 0 is the initial row alone: no step precedes it.
+        n = min(block, steps + 1 - j0) if j0 else 1
+        if j0:
+            streams.random(draws[:n])
         for t in range(n):
-            if coarse:
+            if j0 and coarse:
                 # cum[k2, c]: the weight of bands 0 .. k2.
                 cum = sum(np.take(col, band, axis=1) * r
                           for col, r in zip(cols, rho[:, diagonal].real.T))
@@ -453,7 +428,7 @@ def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
                 # which leaves a lone pair 1 ulp short of 1.
                 np.divide(y.view(float), wk[:, None], out=rho[:, :-1].view(float))
                 band = out_k[t] = new
-            else:
+            elif j0:
                 landed = {}
                 for i, (ids, psi) in buckets.items():
                     bands = window[i][0]
@@ -495,7 +470,7 @@ def _sample_paths(params: ModelParams, env: BandedEnvironment, op, pairs: dict,
             out_r10[t] = rho[:, row10]
         if row10 != dead:
             np.conjugate(out_r10[:n], out=out_r10[:n], where=conj10[out_k[:n]])
-        yield j0, out_k[:n], out_p[:n], out_r00[:n], out_r10[:n]
+        yield j0, out_k[:n], out_p[:n if j0 else 0], out_r00[:n], out_r10[:n]
 
 
 def _check_run(rho0: QubitState, steps, reset_mode) -> None:

@@ -426,10 +426,11 @@ def zeno_scan(
     where there is no attractor (a freezing point) or R = 0. An exact run
     lasts ceil(6 / R) steps, at most 100 000.
     """
+    _check_real("beta", beta)
     env = default_environment(n=n, seed=seed) if with_exact else None
     rows = []
     for dt in dt_list:
-        p = replace(params, dt=float(dt))
+        p = replace(params, dt=dt)
         rate = analytics.relaxation_constants(p, beta).rate
         att = analytics.attractor(p, beta) if with_exact and rate > 0 else None
         half_life = None
@@ -442,7 +443,7 @@ def zeno_scan(
             gap0 = abs(series.rho00[0] - att.rho00_star)
             below = np.nonzero(np.abs(series.rho00 - att.rho00_star) <= gap0 / 2.0)[0]
             half_life = int(below[0]) if len(below) else None
-        rows.append({"dt": float(dt), "rate": rate, "half_life_exact": half_life})
+        rows.append({"dt": p.dt, "rate": rate, "half_life_exact": half_life})
     return rows
 
 

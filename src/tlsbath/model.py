@@ -256,6 +256,8 @@ def beta_working_point(n: int, k0: int, delta_b: float, method: str = "digamma")
     method "log-approx": ln(n/k0 - 1)/delta_b; "digamma": exact slope of
     ln Gamma-interpolated binomials, (psi(n-k0+1) - psi(k0+1))/delta_b.
     """
+    n = _check_count("n", n)
+    _check_band("k0", k0, n)
     if not 0 < k0 < n:
         raise ValueError(f"working point k0 = {k0} must satisfy 0 < k0 < n = {n}")
     _check_positive("delta_b", delta_b)
@@ -270,7 +272,10 @@ def effective_beta(n: int, k_low: int, k_high: int, delta_b: float) -> float:
 
     ln(N_high/N_low) / ((k_high - k_low) * delta_b); valid for any n via log-gamma.
     """
-    if not 0 <= k_low < k_high <= n:
+    n = _check_count("n", n)
+    _check_band("k_low", k_low, n)
+    _check_band("k_high", k_high, n)
+    if k_low >= k_high:
         raise ValueError(f"need 0 <= k_low < k_high <= n, got ({k_low}, {k_high}, {n})")
     _check_positive("delta_b", delta_b)
 

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from tlsbath.dynamics import Propagator, _eig2
+from tlsbath.dynamics import Propagator
 from tlsbath.model import QubitState
 
 
@@ -127,15 +127,16 @@ def dense_nonselective_reference(params, env, rho0, k0, steps, reset_mode):
 
 def dense_sampled_reference(params, env, rho0, k0, steps, seed, reset_mode, halfwidth=1):
     """One trajectory on the full joint state, fed with the uniform stream the
-    engine draws from the same seed. Exact reset: a product vector from _eig2,
-    then per step u psi, a masked collapse onto the drawn band and a
-    renormalisation; the band is drawn within halfwidth bands of the one
-    left. Coarse reset: the record-conditioned state, per step
-    u (rho_S x 1_k / N_k) u^+ projected onto the drawn band k and
-    renormalised, with rho_S its reduced state (rho0 at the start); the band
-    is drawn from all bands. In either mode the drawn band is the first
-    whose cumulative weight exceeds x times the total, and its probability
-    its weight over that total."""
+    engine draws from the same seed. Exact reset: a product vector of an
+    eigenvector of rho0 (eigh, in TLS order), the larger-eigenvalue one where
+    the first uniform is below its eigenvalue, then per step u psi, a masked
+    collapse onto the drawn band and a renormalisation; the band is drawn
+    within halfwidth bands of the one left. Coarse reset: the
+    record-conditioned state, per step u (rho_S x 1_k / N_k) u^+ projected
+    onto the drawn band k and renormalised, with rho_S its reduced state
+    (rho0 at the start); the band is drawn from all bands. In either mode the
+    drawn band is the first whose cumulative weight exceeds x times the
+    total, and its probability its weight over that total."""
     u = _unitary(params, env)
     coarse = reset_mode == "coarse"
     x = iter(np.random.default_rng(seed).random(steps + (0 if coarse else 2)))
@@ -144,8 +145,8 @@ def dense_sampled_reference(params, env, rho0, k0, steps, seed, reset_mode, half
     if coarse:
         q = rho0
     else:
-        lam_p, v_plus, v_minus = _eig2(rho0.rho00, rho0.rho10)
-        vec = v_plus[:, 0] if next(x) < lam_p[0] else v_minus[:, 0]
+        lam, vecs = np.linalg.eigh(rho0.matrix())
+        vec = vecs[:, 1] if next(x) < lam[1] else vecs[:, 0]
         nk = env.degeneracies[band]
         psi = pure_product(env, vec, k0, min(math.floor(next(x) * nk), nk - 1))
         q = reduced_qubit_state(np.outer(psi, psi.conj()))
@@ -186,7 +187,7 @@ def unraveled_record_probabilities(params, env, rho0, k0, steps):
     coarse-reset unraveling into product vectors, on the joint unitary.
 
     Before every step the TLS state is replaced by an eigenvector of its
-    reduced state (_eig2), taken with its eigenvalue, times a level of the
+    reduced state (eigh), taken with its eigenvalue, times a level of the
     measured band, each taken with 1 / N_k; band outcomes follow the Born rule
     on the whole joint vector. Every draw is summed over with its probability
     instead of sampled. Records of probability zero are left out.
@@ -195,17 +196,18 @@ def unraveled_record_probabilities(params, env, rho0, k0, steps):
     ids = band_ids(env)
     probs = {}
 
-    def walk(record, weight, rho00, rho10):
+    def walk(record, weight, states):
         # weight[i]: the probability of the record together with branch i,
-        # whose reduced TLS state after the last collapse is (rho00, rho10)[i].
+        # whose reduced TLS state after the last collapse is states[i].
         if len(record) == steps:
             probs[tuple(record)] = weight.sum()
             return
         i = record[-1] if record else k0
         nk = env.degeneracies[i]
-        lam_p, v_plus, v_minus = _eig2(rho00, rho10)
-        vecs = np.concatenate([v_plus, v_minus], axis=1)
-        w = np.concatenate([weight * lam_p, weight * (1.0 - lam_p)]) / nk
+        lam, vecs = np.linalg.eigh(states)
+        # Eigenvector j of branch i in column j * len(weight) + i.
+        vecs = np.concatenate(vecs.transpose(2, 1, 0), axis=1)
+        w = (lam.T * weight).ravel() / nk
         # One column per (eigenvector, level) branch.
         psi = np.zeros((2, env.dim, len(w), nk), dtype=complex)
         r = np.arange(nk)
@@ -219,12 +221,8 @@ def unraveled_record_probabilities(params, env, rho0, k0, steps):
             if not live.any():
                 continue
             part = part[:, live].reshape(2, env.dim, -1) / np.sqrt(p[live])
-            walk(
-                record + [k2],
-                w[live] * p[live],
-                np.sum(np.abs(part[0]) ** 2, axis=0),
-                np.sum(part[1] * part[0].conj(), axis=0),
-            )
+            walk(record + [k2], w[live] * p[live],
+                 np.einsum("aib,cib->bac", part, part.conj()))
 
-    walk([], np.ones(1), np.array([rho0.rho00]), np.array([complex(rho0.rho10)]))
+    walk([], np.ones(1), rho0.matrix()[None])
     return probs

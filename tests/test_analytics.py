@@ -1,14 +1,18 @@
 import cmath
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlsbath.analytics import (
     SecondOrderWarning,
     attractor,
     attractor_rho00,
+    band_chain,
     conditional_update,
     effective_temperature,
     ensemble_map,
@@ -22,7 +26,9 @@ from tlsbath.analytics import (
     sinc_factors,
     temperature_bounds,
 )
-from tlsbath.model import ModelParams, QubitState
+from tlsbath.dynamics import transfer_blocks
+from tlsbath.experiments import _SCENARIOS, default_environment
+from tlsbath.model import ModelParams, QubitState, _tls_level
 
 
 def params(delta_s=1.0, detuning=0.0, coupling=0.05, dt=math.pi):
@@ -399,6 +405,21 @@ class TestFreezingPoint:
         with pytest.raises(ValueError, match="dt must be > 0"):
             is_freezing_point(dt, 2.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((math.pi, 2.0, 0.0), "delta_s must be > 0, got 0.0"),
+            ((math.pi, 2.0, -1.0), "delta_s must be > 0, got -1.0"),
+            ((math.nan, 2.0, 1.0), "dt must be finite, got nan"),
+            ((math.pi, math.nan, 1.0), "detuning must be finite, got nan"),
+        ],
+    )
+    def test_loose_arguments_rejected(self, args, message):
+        """A splitting that is not > 0 is refused, not read as frozen, and a
+        NaN is refused by name, not as parameters too large."""
+        with pytest.raises(ValueError, match=message):
+            is_freezing_point(*args)
+
     def test_rate_and_coeffs_vanish(self):
         for n in (1, 2, 3):
             for m in (1, 2):
@@ -518,8 +539,70 @@ class TestEffectiveTemperature:
         t = effective_temperature(rho00, 1.0)
         assert t == 0.0 and math.copysign(1.0, t) == sign
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0.7, math.nan), "delta_s must be finite, got nan"),
+            ((0.7, 0.0), "delta_s must be > 0, got 0.0"),
+            ((0.7, -1.0), "delta_s must be > 0, got -1.0"),
+            ((math.nan, 1.0), "rho00 must be finite, got nan"),
+        ],
+    )
+    def test_loose_arguments_rejected(self, args, message):
+        """A splitting that is not a finite real > 0 is refused, not divided
+        by, and a NaN occupation is refused by name."""
+        with pytest.raises(ValueError, match=message):
+            effective_temperature(*args)
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             effective_temperature(1.2, 1.0)
         with pytest.raises(ValueError, match="outside"):
             effective_temperature(1.0 + 2e-9, 1.0)
+
+
+class TestBandChain:
+    @settings(max_examples=30)
+    @given(
+        n=st.integers(1, 6),
+        model=st.sampled_from(["random-band", "sigma-x"]),
+        seed=st.integers(0, 2**16),
+        dt=st.floats(0.1, math.pi),
+        detuning=st.floats(-0.5, 0.5),
+    )
+    def test_is_the_second_order_coefficient_of_the_blocks(self, n, model, seed, dt,
+                                                           detuning):
+        """Off the diagonal, the chain is the lambda^2 coefficient of the
+        diagonal-pair blocks of transfer_blocks, read by Richardson
+        extrapolation from lambda = 1e-3 and 5e-4. Its diagonal is checked
+        through the zero column sums instead: the -1 in (S - 1) / lambda^2
+        leaves rounding of order 1e-8 there."""
+        env = default_environment(n=n, seed=seed, model=model)
+        params = ModelParams(delta_s=1.0, detuning=detuning, coupling=0.1, dt=dt)
+        coefs = []
+        for lam in (1e-3, 5e-4):
+            pairs, blocks, _ = transfer_blocks(dataclasses.replace(params, coupling=lam),
+                                               env, QubitState(rho00=0.5), 0)
+            s = np.stack([blocks[list(pairs).index((p, p))].real for p in (0, 1)])
+            coefs.append((s - np.eye(env.n_bands)) / lam**2)
+        q = band_chain(env, params)
+        scale = np.abs(q).max()
+        off = ~np.eye(env.n_bands, dtype=bool)
+        assert np.max(np.abs(q - (4.0 * coefs[1] - coefs[0]) / 3.0)[:, off]) <= 1e-8 * scale
+        assert np.max(np.abs(q.sum(axis=1))) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("scenario, expect", [("fig2", 0.75), ("fig3", 0.375)])
+    def test_closed_band_pair_gives_the_figure_point(self, scenario, expect):
+        """At fig2 and fig3 one interference factor vanishes, so the chain
+        from band k0 with the TLS in its ground level is a closed band pair
+        {k0, j}, whose stationary ground occupation N_k0 / (N_k0 + N_j) is
+        the paper's 0.75 and 0.375 at n = 7, k0 = 2."""
+        cfg = _SCENARIOS[scenario][0]
+        params = ModelParams(**{f.name: cfg[f.name] for f in dataclasses.fields(ModelParams)})
+        env = default_environment(n=cfg["n"], seed=cfg["seed"], model=cfg["model"])
+        k0 = cfg["k0"]
+        q = band_chain(env, params)[next(p for p in (0, 1) if _tls_level(p, k0) == 0)]
+        j = int(np.argmax(np.where(np.arange(env.n_bands) == k0, -np.inf, q[:, k0])))
+        leaving = np.delete(q[:, [k0, j]], [k0, j], axis=0)
+        assert np.max(np.abs(leaving)) <= 1e-12 * np.abs(q).max()
+        assert abs(q[k0, j] / (q[k0, j] + q[j, k0]) - expect) <= 1e-12

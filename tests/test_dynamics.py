@@ -32,7 +32,6 @@ from tlsbath._streams import Streams, block_steps, seed_words, trajectory_words
 from tlsbath.dynamics import (
     Propagator,
     _build,
-    _eig2,
     _pair_sums,
     _run_nonselective_exact,
     _sample_paths,
@@ -452,6 +451,8 @@ _SECTOR_CASES = [
 _SECTOR_IDS = [
     f"{model}-{start}" for model in ("random-band-n5", "sigma-x-n6") for start in _SECTOR_STARTS
 ]
+# The maximally mixed start, whose two eigenvectors are degenerate.
+_HALF = QubitState(rho00=0.5)
 
 
 # The engines that hold the state by sector pair, keyed by a test id prefix.
@@ -736,24 +737,33 @@ class TestBadCounts:
                                seed=trajectory_seed(0, 0), reset_mode=reset_mode)
 
 
-def test_eig2_accurate_near_pole():
-    """The small eigenvector component keeps its relative accuracy where
-    lam_p - rho00 cancels (rho00 rounds to 1)."""
-    rho00, rho10 = 1.0, np.array([1e-9j, 3e-7 + 1e-7j])
-    lam_p, v_plus, _ = _eig2(rho00, rho10)
-    # Second row of rho v = lam v with rho11 = 0: rho10 v0 = lam v1.
-    expect = rho10 * v_plus[0] / lam_p
-    assert np.all(np.abs(v_plus[1] - expect) <= 1e-12 * np.abs(expect))
+@pytest.mark.parametrize("k0", [1, 2])
+@pytest.mark.parametrize("rho10", [1e-9j, 3e-7 + 1e-7j])
+def test_exact_start_accurate_near_pole(resonant_params, small_env, rho10, k0):
+    """An exact-reset start next to the ground pole (rho00 = 1, with a
+    coherence valid within STATE_TOL) reads its coherence back in row 0 to
+    rounding: the small component of the drawn eigenvector keeps its relative
+    accuracy, on a band of either parity."""
+    rho0 = QubitState(rho00=1.0, rho10=rho10)
+    for seed in range(4):
+        tr = run_trajectory(resonant_params, small_env, rho0, k0, 1, seed=seed,
+                            reset_mode="exact")
+        assert abs(tr.rho10[0] - rho10) <= 1e-12 * abs(rho10)
 
 
 class TestSampledEngine:
     @pytest.mark.parametrize("reset_mode", ["coarse", "exact"])
     @pytest.mark.parametrize(
         "params, make_env, k0, rho0",
-        [(*_RANDOM_BAND, 2, _COHERENT), (*_SIGMA_X, 3, _COHERENT), *_SECTOR_CASES],
-        ids=["random-band-n5", "sigma-x-n6", *_SECTOR_IDS],
+        [(*_RANDOM_BAND, 2, _COHERENT), (*_SIGMA_X, 3, _COHERENT), *_SECTOR_CASES,
+         (*_RANDOM_BAND, 2, _HALF), (*_SIGMA_X, 3, _HALF)],
+        ids=["random-band-n5", "sigma-x-n6", *_SECTOR_IDS, "random-band-n5-half",
+             "sigma-x-n6-half"],
     )
     def test_matches_dense_reference(self, params, make_env, k0, rho0, reset_mode):
+        """Every record matches the dense reference fed the same uniforms,
+        the degenerate start rho0 = 1/2 among them, whose eigenvectors only
+        one convention of the unraveling (eigh, in TLS order) makes equal."""
         env = make_env()
         seeds = [trajectory_seed(17, i) for i in range(8)]
         out_k, out_p, r00, r10 = _paths(

@@ -292,6 +292,21 @@ class TestZenoScan:
         assert rows[0]["half_life_exact"] is None
 
 
+    @pytest.mark.parametrize(
+        "dt_list, beta, message",
+        [
+            ([None], 0.75, "dt must be a real number, got None"),
+            (["1.0"], 0.75, "dt must be a real number, got '1.0'"),
+            ([math.pi], None, "beta must be a real number, got None"),
+        ],
+    )
+    def test_loose_arguments_rejected(self, dt_list, beta, message):
+        """Every period is checked as ModelParams checks dt, and beta as a
+        real, so that neither fails as a TypeError or is parsed from text."""
+        p = ModelParams(delta_s=1.0, coupling=0.05)
+        with pytest.raises(ValueError, match=message):
+            zeno_scan(dt_list, p, beta=beta)
+
     @staticmethod
     def _short_runs(monkeypatch):
         """Replace the scan's engine by three-step runs; returns the list of

@@ -60,6 +60,19 @@ def test_no_unused_imports(path):
     assert not _unused_imports(ast.parse(path.read_text(), filename=str(path)))
 
 
+def test_oracles_use_only_public_names():
+    """The dense references of tests/oracles.py import no underscore name
+    of the package and read none off anything, so that a reference never
+    shares a private kernel with the engine it checks."""
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "tlsbath"
+               for alias in node.names if alias.name.startswith("_")]
+    private += [node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr.startswith("_")]
+    assert not private
+
+
 _ROOT = Path(__file__).resolve().parents[1]
 
 

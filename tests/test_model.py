@@ -409,6 +409,21 @@ def test_beta_working_point_validation():
         beta_working_point(7, 2, 1.0, method="pade")
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((7, 2.5, 1.0), "k0 must be an integer, got 2.5"),
+        ((7, True, 1.0), "k0 must be an integer, got True"),
+        ((7.5, 2, 1.0), "n must be an integer, got 7.5"),
+    ],
+)
+def test_beta_working_point_refuses_loose_counts(args, message):
+    """n and the working point are refused as the model refuses every count
+    and band, not truncated or read as a bool's value."""
+    with pytest.raises(ValueError, match=message):
+        beta_working_point(*args)
+
+
 def test_effective_beta_values():
     assert effective_beta(7, 1, 2, 1.0) == pytest.approx(math.log(3))
     assert effective_beta(7, 2, 3, 1.7) == pytest.approx(math.log(35 / 21) / 1.7)
@@ -417,6 +432,22 @@ def test_effective_beta_values():
     assert effective_beta(7, 1, 3, 3.0) == pytest.approx(math.log(5) / 6.0)
     with pytest.raises(ValueError, match="need 0 <= k_low < k_high <= n"):
         effective_beta(5, 3, 2, 1.0)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((7.5, 1, 2, 1.0), "n must be an integer, got 7.5"),
+        ((7, 1.5, 2, 1.0), "k_low must be an integer, got 1.5"),
+        ((7, False, 2, 1.0), "k_low must be an integer, got False"),
+        ((7, 1, 2.5, 1.0), "k_high must be an integer, got 2.5"),
+    ],
+)
+def test_effective_beta_refuses_loose_counts(args, message):
+    """n and both bands are refused as the model refuses every count and
+    band, not carried into log-gamma as fractions or bools."""
+    with pytest.raises(ValueError, match=message):
+        effective_beta(*args)
 
 
 @pytest.mark.parametrize(
