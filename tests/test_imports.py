@@ -66,7 +66,8 @@ def test_oracles_use_only_public_names():
     shares a private kernel with the engine it checks."""
     tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
     private = [alias.name for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "tlsbath"
+               if isinstance(node, ast.ImportFrom) and node.level == 0
+               and node.module.split(".")[0] == "tlsbath"
                for alias in node.names if alias.name.startswith("_")]
     private += [node.attr for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr.startswith("_")]
